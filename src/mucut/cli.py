@@ -218,7 +218,6 @@ def build_parser():
     sp.add_argument("file")
     sp.add_argument("--system", default="s",
                     help="s, sinf, or omega:K (default s)")
-    _add_config(sp)
     sp.set_defaults(func=cmd_check)
 
     sp = subs.add_parser("pipeline",

@@ -4,9 +4,24 @@ A sequent holds closed formulas only.  The canonical order is the total
 order on syntax trees given by kernel.sort_key (constructor tag, then
 children), so equal sets always have identical printed and serialized
 forms.
+
+Invariant: every member of an existing Sequent is a valid, closed
+formula, and its members are in canonical order.  Raw formulas are
+checked where they enter (the constructor, and the members of add/union
+arguments that are not yet in the sequent); members taken from an
+existing Sequent are trusted.  The derived operations rely on this:
+
+  * add inserts the one new formula at its place in the order;
+  * union with a Sequent re-checks nothing, and sorts only when more
+    than one formula is new;
+  * without and difference keep a subsequence, which is still sorted;
+  * dia maps in order, since sort_key(<>A) is the dia tag code followed
+    by sort_key(A), and <>A is closed and valid when A is.
 """
 
 from __future__ import annotations
+
+from bisect import bisect
 
 from mucut.kernel import (
     has_free_var,
@@ -20,21 +35,39 @@ from mucut.kernel import (
 from mucut.syntax import print_form
 
 
+def _check(f):
+    """Raise ValueError unless f is a valid closed formula."""
+    validate(f)
+    if has_free_var(f):
+        raise ValueError("sequent formula has a free variable: %s" % print_form(f))
+
+
+def _trusted(forms, members):
+    """A Sequent from a canonical tuple of checked formulas and its set."""
+    s = object.__new__(Sequent)
+    object.__setattr__(s, "forms", forms)
+    object.__setattr__(s, "_set", members)
+    return s
+
+
 class Sequent:
     """Immutable canonical set of closed formulas."""
 
     __slots__ = ("forms", "_set")
 
     def __init__(self, forms=()):
-        canon = sorted(set(forms), key=sort_key)
-        for f in canon:
-            validate(f)
-            if has_free_var(f):
-                raise ValueError(
-                    "sequent formula has a free variable: %s" % print_form(f)
-                )
-        object.__setattr__(self, "forms", tuple(canon))
-        object.__setattr__(self, "_set", frozenset(canon))
+        if isinstance(forms, Sequent):
+            canon, members = forms.forms, forms._set
+        else:
+            # dict keeps first-seen order, so the first bad member reported
+            # does not depend on hash randomization
+            distinct = dict.fromkeys(forms)
+            for f in distinct:
+                _check(f)
+            canon = tuple(sorted(distinct, key=sort_key))
+            members = frozenset(canon)
+        object.__setattr__(self, "forms", canon)
+        object.__setattr__(self, "_set", members)
 
     def __setattr__(self, name, value):
         raise AttributeError("Sequent is immutable")
@@ -57,29 +90,52 @@ class Sequent:
     def __repr__(self):
         return "{%s}" % ", ".join(print_form(f) for f in self.forms)
 
+    def _insert(self, f):
+        i = bisect(self.forms, sort_key(f), key=sort_key)
+        return _trusted(self.forms[:i] + (f,) + self.forms[i:], self._set | {f})
+
     def union(self, other):
         """Union with another sequent or any iterable of formulas."""
-        return Sequent(self.forms + tuple(other))
+        if isinstance(other, Sequent):
+            new = [f for f in other.forms if f not in self._set]
+        else:
+            new = [f for f in dict.fromkeys(other) if f not in self._set]
+            for f in new:
+                _check(f)
+        if not new:
+            return self
+        if len(new) == 1:
+            return self._insert(new[0])
+        forms = tuple(sorted(self.forms + tuple(new), key=sort_key))
+        return _trusted(forms, self._set.union(new))
 
     def add(self, f):
-        return self if f in self._set else Sequent(self.forms + (f,))
+        if f in self._set:
+            return self
+        _check(f)
+        return self._insert(f)
 
     def without(self, f):
         """Remove f if present (no error when absent)."""
         if f not in self._set:
             return self
-        return Sequent(g for g in self.forms if g != f)
+        i = self.forms.index(f)
+        return _trusted(self.forms[:i] + self.forms[i + 1 :], self._set - {f})
 
     def difference(self, other):
-        drop = frozenset(other)
-        return Sequent(g for g in self.forms if g not in drop)
+        drop = self._set.intersection(other)
+        if not drop:
+            return self
+        forms = tuple(g for g in self.forms if g not in drop)
+        return _trusted(forms, self._set - drop)
 
     def issubset(self, other):
         return self._set <= frozenset(other)
 
     def dia(self):
         """The sequent {<>A : A in self}."""
-        return Sequent(("dia", f) for f in self.forms)
+        forms = tuple(("dia", f) for f in self.forms)
+        return _trusted(forms, frozenset(forms))
 
     def level(self):
         return max((level(f) for f in self.forms), default=0)

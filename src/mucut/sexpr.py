@@ -140,14 +140,23 @@ def seq_to_sx(s):
     return [Sym("seq")] + [print_form(f) for f in s]
 
 
-def sx_to_seq(sx):
+def _formula(text, parsed):
+    """parse_formula(text), parsed once per distinct text: `parsed` maps
+    the texts read so far to their formulas."""
+    f = parsed.get(text)
+    if f is None:
+        f = parsed[text] = parse_formula(text)
+    return f
+
+
+def sx_to_seq(sx, parsed):
     if not isinstance(sx, list) or not sx or sx[0] != Sym("seq"):
         raise SexprError("expected (seq ...)", 0)
     forms = []
     for item in sx[1:]:
         if not isinstance(item, str) or isinstance(item, Sym):
             raise SexprError("sequent members must be quoted formulas", 0)
-        forms.append(parse_formula(item))
+        forms.append(_formula(item, parsed))
     return Sequent(forms)
 
 
@@ -177,49 +186,49 @@ def tag_to_sx(tag):
     raise TypeError("unknown tag: %r" % (tag,))
 
 
-def _want_forms(sx, n, what):
+def _want_forms(sx, n, what, parsed):
     if len(sx) != n + 1:
         raise SexprError("%s takes %d argument(s)" % (what, n), 0)
     out = []
     for item in sx[1:]:
         if not isinstance(item, str) or isinstance(item, Sym):
             raise SexprError("%s arguments must be quoted formulas" % what, 0)
-        out.append(parse_formula(item))
+        out.append(_formula(item, parsed))
     return out
 
 
-def sx_to_tag(sx):
+def sx_to_tag(sx, parsed):
     if not isinstance(sx, list) or not sx or not isinstance(sx[0], Sym):
         raise SexprError("expected a rule tag", 0)
     head = str(sx[0])
     if head == "axiom":
-        return Axiom(_want_forms(sx, 1, "axiom")[0])
+        return Axiom(_want_forms(sx, 1, "axiom", parsed)[0])
     if head == "axmu":
-        return AxiomMu(_want_forms(sx, 1, "axmu")[0])
+        return AxiomMu(_want_forms(sx, 1, "axmu", parsed)[0])
     if head == "or":
-        return Or(_want_forms(sx, 1, "or")[0])
+        return Or(_want_forms(sx, 1, "or", parsed)[0])
     if head == "and":
-        return And(_want_forms(sx, 1, "and")[0])
+        return And(_want_forms(sx, 1, "and", parsed)[0])
     if head == "box":
         if len(sx) != 3 or not isinstance(sx[1], str) or isinstance(sx[1], Sym):
             raise SexprError("box takes a formula and a side sequent", 0)
-        return Box(parse_formula(sx[1]), sx_to_seq(sx[2]))
+        return Box(_formula(sx[1], parsed), sx_to_seq(sx[2], parsed))
     if head == "clo":
-        return Clo(_want_forms(sx, 1, "clo")[0])
+        return Clo(_want_forms(sx, 1, "clo", parsed)[0])
     if head == "ind":
-        mu, b = _want_forms(sx, 2, "ind")
+        mu, b = _want_forms(sx, 2, "ind", parsed)
         return Ind(mu, b)
     if head == "cut":
-        return Cut(_want_forms(sx, 1, "cut")[0])
+        return Cut(_want_forms(sx, 1, "cut", parsed)[0])
     if head == "nu":
-        return Nu(_want_forms(sx, 1, "nu")[0])
+        return Nu(_want_forms(sx, 1, "nu", parsed)[0])
     if head in ("omega", "omegabar"):
         if len(sx) != 3 or not isinstance(sx[1], int):
             raise SexprError("%s takes a level and a target" % head, 0)
         if not isinstance(sx[2], str) or isinstance(sx[2], Sym):
             raise SexprError("%s target must be a quoted formula" % head, 0)
         cls = Omega if head == "omega" else OmegaBar
-        return cls(sx[1], parse_formula(sx[2]))
+        return cls(sx[1], _formula(sx[2], parsed))
     raise SexprError("unknown rule tag %r" % head, 0)
 
 
@@ -239,22 +248,22 @@ def proof_to_sx(p):
     return out
 
 
-def sx_to_proof(sx):
+def sx_to_proof(sx, parsed):
     if (
         not isinstance(sx, list)
         or len(sx) < 3
         or sx[0] != Sym("rule")
     ):
         raise SexprError("expected (rule <tag> (seq ...) <premise>...)", 0)
-    tag = sx_to_tag(sx[1])
+    tag = sx_to_tag(sx[1], parsed)
     if isinstance(tag, (Nu, Omega, OmegaBar)):
         raise SexprError(
             "rule %s cannot appear in a finite proof file"
             % type(tag).__name__.lower(),
             0,
         )
-    conclusion = sx_to_seq(sx[2])
-    premises = tuple(sx_to_proof(q) for q in sx[3:])
+    conclusion = sx_to_seq(sx[2], parsed)
+    premises = tuple(sx_to_proof(q, parsed) for q in sx[3:])
     try:
         return make_node(conclusion, tag, premises)
     except ValueError as exc:
@@ -266,7 +275,7 @@ def proof_dumps(p):
 
 
 def proof_loads(text):
-    return sx_to_proof(loads(text))
+    return sx_to_proof(loads(text), {})
 
 
 # ---------------------------------------------------------------------------

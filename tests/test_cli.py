@@ -98,8 +98,19 @@ def test_check_ok_and_fail(tmp_path):
 def test_bad_samples_flag(tmp_path):
     _write_corpus(tmp_path)
     e1 = str(tmp_path / "e1-ind-top.sproof")
+    args = build_parser().parse_args(["pipeline", e1, "--samples", "0,2"])
+    assert args.samples == (0, 2)
     with pytest.raises(SystemExit):
-        build_parser().parse_args(["check", e1, "--samples", "0,x"])
+        build_parser().parse_args(["pipeline", e1, "--samples", "0,x"])
+
+
+def test_check_takes_no_observation_flags(tmp_path):
+    # check_finite is exhaustive, so observation and fuel settings do not apply
+    _write_corpus(tmp_path)
+    e1 = str(tmp_path / "e1-ind-top.sproof")
+    for flag in ("--depth", "--samples", "--probes", "--fuel"):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["check", e1, flag, "1"])
 
 
 def test_pipeline_artifacts(tmp_path):

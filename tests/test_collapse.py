@@ -6,15 +6,17 @@ from __future__ import annotations
 import pytest
 
 from mucut.checker import (
+    SYSTEM_S,
     SYSTEM_SINF,
     check_bounded,
+    check_finite,
     subformula_report,
 )
 from mucut.collapse import collapse, pipeline, to_sinf
 from mucut.corpus import CORPUS
 from mucut.embed import embed, identity_mu_primed
 from mucut.errors import InternalInvariantError
-from mucut.kernel import negate
+from mucut.kernel import TOP, negate
 from mucut.proofs import (
     Axiom,
     And,
@@ -25,11 +27,16 @@ from mucut.proofs import (
     Omega,
     OmegaBar,
     Or,
+    clo_node,
+    cut_node,
+    ind_node,
+    observation_errors,
     observation_rules,
     observation_sequents,
     observe,
     top_intro,
 )
+from mucut.sequents import Sequent
 from mucut.syntax import parse_formula as pf
 
 PLAIN = (Axiom, Or, And, Box, Clo, Nu)
@@ -127,3 +134,22 @@ def test_collapse_preserves_endsequent_of_eliminated_proof():
     elim = eliminate(embed(e4, (), 2))
     col = collapse(elim, 0)
     assert col.conclusion == elim.conclusion == e4.conclusion
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="collapsed stage: cannot fit {(~p0 & p0), (p0 | ~p0)} into {(~p0 & p0)}",
+)
+def test_top_induction_cut_over_trivial_mu():
+    # {top} by a cut on mu X . X: the mu side by clo over a truth
+    # introduction, the negated side by induction with invariant top
+    mu = pf("mu X . X")
+    mu_side = clo_node(Sequent((mu, TOP)), mu, top_intro((mu,)))
+    ind_side = ind_node(
+        Sequent((negate(mu), TOP)), mu, TOP, top_intro((negate(TOP),))
+    )
+    proof = cut_node(Sequent((TOP,)), mu, mu_side, ind_side)
+    assert check_finite(proof, SYSTEM_S).ok
+    stages = pipeline(proof)
+    for name in ("embedded", "eliminated", "collapsed", "sinf"):
+        assert observation_errors(observe(stages[name], 6)) == [], name

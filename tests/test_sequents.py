@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mucut.kernel import TOP, atom, natom, prime
+from conftest import random_formulas
+from mucut.kernel import TOP, atom, natom, prime, sort_key
 from mucut.sequents import Sequent, is_k_positive, replace_fixpoint, seq
 from mucut.syntax import parse_formula as pf
 
@@ -41,10 +44,23 @@ def test_immutability():
 
 
 def test_rejects_free_variables():
-    with pytest.raises(ValueError):
-        Sequent((("var",),))
-    with pytest.raises(ValueError):
-        Sequent((("or", ("atom", 1), ("var",)),))
+    # free variables, and malformed terms, through every entry point
+    bad = (
+        ("var",),
+        ("or", ("atom", 1), ("var",)),
+        ("foo",),
+        ("and", ("atom", 0)),
+        ("atom", -1),
+        ("atom", True),
+    )
+    s = seq(atom(2), natom(3))
+    for f in bad:
+        with pytest.raises(ValueError):
+            Sequent((atom(2), f))
+        with pytest.raises(ValueError):
+            s.add(f)
+        with pytest.raises(ValueError):
+            s.union((atom(2), f))
 
 
 def test_set_operations():
@@ -92,3 +108,41 @@ def test_replace_fixpoint():
     # sets renormalize: collapsing two formulas to one is fine
     u = seq(m, TOP)
     assert replace_fixpoint(u, m, TOP) == seq(TOP)
+
+
+def _rebuild(forms):
+    """The reference: sort the distinct formulas from scratch."""
+    return tuple(sorted(set(forms), key=sort_key))
+
+
+@st.composite
+def _two_draws(draw):
+    """A small pool of closed formulas and two multisets drawn from it,
+    so that the two often overlap."""
+    pool = random_formulas(draw(st.integers(0, 2**32)), 10, max_size=8, max_level=2)
+    index = st.integers(0, len(pool) - 1)
+    a = [pool[i] for i in draw(st.lists(index, max_size=8))]
+    b = [pool[i] for i in draw(st.lists(index, max_size=8))]
+    return pool, a, b
+
+
+@settings(deadline=None)
+@given(_two_draws())
+def test_fast_paths_match_rebuild(draws):
+    pool, a, b = draws
+    s, t = Sequent(a), Sequent(b)
+    assert s.forms == _rebuild(a)
+    results = [
+        (Sequent(s), a),
+        (s.union(t), a + b),
+        (s.union(tuple(b)), a + b),
+        (s.difference(b), [f for f in a if f not in b]),
+        (s.difference(t), [f for f in a if f not in b]),
+        (s.dia(), [("dia", f) for f in a]),
+    ]
+    for f in pool:
+        results.append((s.add(f), a + [f]))
+        results.append((s.without(f), [g for g in a if g != f]))
+    for r, members in results:
+        assert r.forms == _rebuild(members)
+        assert all((f in r) == (f in r.forms) for f in pool + [("dia", f) for f in pool])
