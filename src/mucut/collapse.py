@@ -27,16 +27,12 @@ from mucut.proofs import (
     Box,
     Clo,
     Cut,
-    DeltaFam,
-    Ind,
     Nu,
     Omega,
     OmegaBar,
-    OmegaBarPrem,
-    OmegaFam,
     Or,
     Proof,
-    make_node,
+    map_premises,
 )
 from mucut.sequents import is_k_positive
 
@@ -71,7 +67,6 @@ def _collapse_now(p, h):
         raise FuelExhausted("collapse plug budget exhausted")
 
     tag = d.rule
-    prem = d.premises
     if isinstance(tag, Cut):
         raise InternalInvariantError("collapse requires a cut-free proof")
     if isinstance(tag, (Omega, OmegaBar)) and tag.h > h:
@@ -80,30 +75,7 @@ def _collapse_now(p, h):
         )
     if isinstance(tag, (Axiom, AxiomMu)):
         return d
-    if isinstance(tag, (Or, And, Box, Clo, Ind)):
-        kids = tuple(collapse(q, h) for q in prem)
-        return make_node(d.conclusion, tag, kids)
-    if isinstance(tag, Nu):
-        return make_node(
-            d.conclusion, tag, OmegaFam(lambda i: collapse(prem(i), h))
-        )
-    if isinstance(tag, Omega):
-        return make_node(
-            d.conclusion,
-            tag,
-            DeltaFam(prem.admits, lambda dl, w: collapse(prem(dl, w), h)),
-        )
-    if isinstance(tag, OmegaBar):
-        fam = prem.fam
-        return make_node(
-            d.conclusion,
-            tag,
-            OmegaBarPrem(
-                collapse(prem.first, h),
-                DeltaFam(fam.admits, lambda dl, w: collapse(fam(dl, w), h)),
-            ),
-        )
-    raise InternalInvariantError("unknown rule tag: %r" % (tag,))
+    return map_premises(d, d.conclusion, lambda q, _: collapse(q, h))
 
 
 _SINF_TAGS = (Axiom, Or, And, Box, Clo, Nu)
@@ -118,7 +90,6 @@ def to_sinf(p):
 
 def _to_sinf_now(p):
     tag = p.rule
-    prem = p.premises
     if not isinstance(tag, _SINF_TAGS):
         raise InternalInvariantError(
             "rule outside the plain infinitary system: %r" % (tag,)
@@ -127,19 +98,17 @@ def _to_sinf_now(p):
         raise InternalInvariantError(
             "conclusion outside the base language: %r" % (p.conclusion,)
         )
-    if isinstance(tag, Nu):
-        return make_node(p.conclusion, tag, OmegaFam(lambda i: to_sinf(prem(i))))
     if isinstance(tag, Axiom):
         return p
-    kids = tuple(to_sinf(q) for q in prem)
-    return make_node(p.conclusion, tag, kids)
+    return map_premises(p, p.conclusion, lambda q, _: to_sinf(q))
 
 
 def pipeline(p, fuel=DEFAULT_FUEL, trace=None):
     """The full transformation: embed (no formulas primed), eliminate
     cuts, collapse the replacement rules, and read off the plain
-    infinitary proof.  Returns the four stages, all lazy and sharing one
-    fuel budget."""
+    infinitary proof.  Returns the four stages, all lazy.  fuel bounds
+    the cut reductions of eliminate only; collapse does not draw on it
+    and instead allows at most _MAX_PLUGS plugs at each node it forces."""
     k = level_bound(p)
     embedded = embed(p, frozenset(), k)
     eliminated = eliminate(embedded, fuel=fuel, trace=trace)

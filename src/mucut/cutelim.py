@@ -29,7 +29,7 @@ iii. otherwise commute the cut above a premise root that does not involve
 from __future__ import annotations
 
 from mucut.errors import FuelExhausted, InternalInvariantError
-from mucut.kernel import TOP, iterate, level, negate, prime, size, substitute
+from mucut.kernel import level, negate, prime, size
 from mucut.proofs import (
     And,
     Axiom,
@@ -37,20 +37,21 @@ from mucut.proofs import (
     Box,
     Clo,
     Cut,
-    DeltaFam,
     Ind,
     Nu,
     Omega,
     OmegaBar,
-    OmegaBarPrem,
-    OmegaFam,
     Or,
     Proof,
     ax,
     box_node,
     cut_node,
     make_node,
+    map_premises,
     omega_phi,
+    omegabar_node,
+    premise_added,
+    premise_label,
 )
 from mucut.sequents import Sequent
 
@@ -73,40 +74,17 @@ def weaken(d, extra):
     extra = Sequent(extra).difference(d.conclusion)
     if not extra:
         return d
-    return Proof.defer(
-        d.conclusion.union(extra), lambda: _weaken_now(d, extra)
-    )
-
-
-def _weaken_now(d, extra):
-    tag = d.rule
-    prem = d.premises
     c2 = d.conclusion.union(extra)
-    if isinstance(tag, (Axiom, AxiomMu)):
-        return make_node(c2, tag, ())
+    return Proof.defer(c2, lambda: _weaken_now(d, extra, c2))
+
+
+def _weaken_now(d, extra, c2):
+    tag = d.rule
     if isinstance(tag, Box):
-        return make_node(c2, Box(tag.principal, tag.side.union(extra)), prem)
+        return make_node(c2, Box(tag.principal, tag.side.union(extra)), d.premises)
     if isinstance(tag, Ind):
         raise InternalInvariantError("cannot weaken an induction node")
-    if isinstance(tag, (Or, And, Clo, Cut)):
-        return make_node(c2, tag, tuple(weaken(q, extra) for q in prem))
-    if isinstance(tag, Nu):
-        return make_node(c2, tag, OmegaFam(lambda i: weaken(prem(i), extra)))
-    if isinstance(tag, Omega):
-        return make_node(
-            c2, tag, DeltaFam(prem.admits, lambda dl, w: weaken(prem(dl, w), extra))
-        )
-    if isinstance(tag, OmegaBar):
-        fam = prem.fam
-        return make_node(
-            c2,
-            tag,
-            OmegaBarPrem(
-                weaken(prem.first, extra),
-                DeltaFam(fam.admits, lambda dl, w: weaken(fam(dl, w), extra)),
-            ),
-        )
-    raise InternalInvariantError("unknown rule tag: %r" % (tag,))
+    return map_premises(d, c2, lambda q, _: weaken(q, extra))
 
 
 def fit(d, target):
@@ -190,19 +168,10 @@ def _commute(d_s, f_s, other, f_o, g, formula, budget, trace, path):
     """Push the cut above the root rule of d_s (whose conclusion is
     g + f_s and whose root does not involve f_s)."""
     tag = d_s.rule
-    prem = d_s.premises
     s_is_f1 = f_s == prime(formula)
 
-    def cut_in(p, extra):
-        target = g.union(extra)
-        mine = fit(p, target.add(f_s))
-        theirs = fit(weaken(other, extra), target.add(f_o))
-        if s_is_f1:
-            return cut_node(target, formula, mine, theirs)
-        return cut_node(target, formula, theirs, mine)
-
     if isinstance(tag, Box):
-        p1 = prem[0]
+        p1 = d_s.premises[0]
         body = tag.principal[1]
         dia_im = p1.conclusion.without(body).dia()
         packet = dia_im.add(tag.principal)
@@ -211,40 +180,17 @@ def _commute(d_s, f_s, other, f_o, g, formula, budget, trace, path):
                 "box packet escapes the cut conclusion during commutation"
             )
         return box_node(g, tag.principal, g.difference(packet), p1)
-    if isinstance(tag, (Or, And, Clo)):
-        f = tag.principal
-        if isinstance(tag, Or):
-            parts = ((f[1], f[2]),)
-        elif isinstance(tag, And):
-            parts = ((f[1],), (f[2],))
-        else:
-            parts = ((substitute(f[1], f),),)
-        new_prems = tuple(
-            cut_in(p, parts[j]) for j, p in enumerate(prem)
-        )
-        return make_node(g, tag, new_prems)
-    if isinstance(tag, Nu):
-        body = tag.principal[1]
-        return make_node(
-            g,
-            tag,
-            OmegaFam(lambda i: cut_in(prem(i), (iterate(body, TOP, i),))),
-        )
-    if isinstance(tag, Omega):
-        return make_node(
-            g, tag, DeltaFam(prem.admits, lambda dl, w: cut_in(prem(dl, w), dl))
-        )
-    if isinstance(tag, OmegaBar):
-        fam = prem.fam
-        return make_node(
-            g,
-            tag,
-            OmegaBarPrem(
-                cut_in(prem.first, (tag.target,)),
-                DeltaFam(fam.admits, lambda dl, w: cut_in(fam(dl, w), dl)),
-            ),
-        )
-    raise InternalInvariantError("cannot commute past rule %r" % (tag,))
+
+    def cut_in(p, position):
+        extra = premise_added(tag, position)
+        target = g.union(extra)
+        mine = fit(p, target.add(f_s))
+        theirs = fit(weaken(other, extra), target.add(f_o))
+        if s_is_f1:
+            return cut_node(target, formula, mine, theirs)
+        return cut_node(target, formula, theirs, mine)
+
+    return map_premises(d_s, g, cut_in)
 
 
 def _reduce_root(d, budget, trace, path):
@@ -328,10 +274,8 @@ def _reduce_root(d, budget, trace, path):
                     return _mk_cut(want, formula, out, weaken(mu_side, dl_))
                 return _mk_cut(want, formula, weaken(mu_side, dl_), out)
 
-            return make_node(
-                g,
-                OmegaBar(rtag.h, rtag.target),
-                OmegaBarPrem(mu_side, DeltaFam(old_fam.admits, fn)),
+            return omegabar_node(
+                g, rtag.h, rtag.target, mu_side, old_fam.admits, fn
             )
 
     ltag = dl.rule
@@ -446,43 +390,12 @@ def _eliminate(p, budget, trace, path):
 def _eliminate_now(p, budget, trace, path):
     d = _exposed(p, budget, trace, path)
     tag = d.rule
-    prem = d.premises
     if isinstance(tag, (Axiom, AxiomMu)):
         return d
-    if isinstance(tag, (Or, And, Box, Clo, Ind)):
-        kids = tuple(
-            _eliminate(q, budget, trace, "%s.%d" % (path, j))
-            for j, q in enumerate(prem)
-        )
-        return make_node(d.conclusion, tag, kids)
-    if isinstance(tag, Nu):
-        return make_node(
-            d.conclusion,
-            tag,
-            OmegaFam(
-                lambda i: _eliminate(prem(i), budget, trace, "%s.w%d" % (path, i))
-            ),
-        )
-    if isinstance(tag, Omega):
-        return make_node(
-            d.conclusion,
-            tag,
-            DeltaFam(
-                prem.admits,
-                lambda dl, w: _eliminate(prem(dl, w), budget, trace, path + ".f"),
-            ),
-        )
-    if isinstance(tag, OmegaBar):
-        fam = prem.fam
-        return make_node(
-            d.conclusion,
-            tag,
-            OmegaBarPrem(
-                _eliminate(prem.first, budget, trace, path + ".first"),
-                DeltaFam(
-                    fam.admits,
-                    lambda dl, w: _eliminate(fam(dl, w), budget, trace, path + ".f"),
-                ),
-            ),
-        )
-    raise InternalInvariantError("unknown rule tag: %r" % (tag,))
+    return map_premises(
+        d,
+        d.conclusion,
+        lambda q, pos: _eliminate(
+            q, budget, trace, path + "." + premise_label(tag, pos)
+        ),
+    )

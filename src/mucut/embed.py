@@ -63,11 +63,13 @@ from mucut.proofs import (
     box_node,
     clo_node,
     cut_node,
+    map_premises,
     nu_node,
     omega_node,
     omega_phi,
     omegabar_node,
     or_node,
+    premise_added,
     standard_admits,
     top_intro,
 )
@@ -92,12 +94,15 @@ def _fit_sk(p, strict, kept):
 
 
 def apply_sigma(s, sel):
-    """The sequent with the selected formulas primed."""
+    """The sequent with the selected formulas primed.  Only formulas that
+    priming changes are taken out and put back in their primed form."""
     sel = frozenset(sel)
     stray = sel - frozenset(s)
     if stray:
         raise ValueError("selection outside the sequent: %r" % (sorted(stray),))
-    return Sequent(prime(f) if f in sel else f for f in s)
+    primed = {f: prime(f) for f in s if f in sel}
+    moved = [f for f, g in primed.items() if g != f]
+    return s.difference(moved).union(primed[f] for f in moved)
 
 
 # ---------------------------------------------------------------------------
@@ -360,54 +365,18 @@ def _deprime_now(d, a, ap, new_c, k):
         return nu_node(new_c, a, fn)
 
     # context cases: the primed element rides along into the premises
-    if isinstance(tag, Or):
-        phi = tag.principal
-        parts = (phi[1], phi[2])
-        s = deprime(prem[0], a, k)
-        p2 = _fit_sk(s, new_c.without(phi).union(parts), new_c.union(parts))
-        return or_node(new_c, phi, p2)
-    if isinstance(tag, And):
-        phi = tag.principal
-        s1 = deprime(prem[0], a, k)
-        s2 = deprime(prem[1], a, k)
-        return and_node(
-            new_c,
-            phi,
-            _fit_sk(s1, new_c.without(phi).add(phi[1]), new_c.add(phi[1])),
-            _fit_sk(s2, new_c.without(phi).add(phi[2]), new_c.add(phi[2])),
-        )
-    if isinstance(tag, Clo):
-        phi = tag.principal
-        u = substitute(phi[1], phi)
-        s = deprime(prem[0], a, k)
-        p2 = _fit_sk(s, new_c.without(phi).add(u), new_c.add(u))
-        return clo_node(new_c, phi, p2)
-    if isinstance(tag, Nu):
-        phi = tag.principal
-
-        def fn(i, phi=phi):
-            it_i = iterate(phi[1], TOP, i)
-            s = deprime(prem(i), a, k)
-            return _fit_sk(s, new_c.without(phi).add(it_i), new_c.add(it_i))
-
-        return nu_node(new_c, phi, fn)
-    if isinstance(tag, Omega):
-        phi2 = omega_phi(tag.target)
-
-        def fn(dl, w):
-            s = deprime(prem(dl, w), a, k)
-            return _fit_sk(s, dl.union(new_c.without(phi2)), dl.union(new_c))
-
-        return omega_node(new_c, tag.h, tag.target, prem.admits, fn)
     if isinstance(tag, OmegaBar):
-        fam = prem.fam
-        first = fit(deprime(prem.first, a, k), new_c.add(tag.target))
+        strict = new_c
+    elif isinstance(tag, Omega):
+        strict = new_c.without(omega_phi(tag.target))
+    else:
+        strict = new_c.without(tag.principal)
 
-        def fn(dl, w):
-            return fit(deprime(fam(dl, w), a, k), dl.union(new_c))
+    def fn(q, position):
+        added = premise_added(tag, position)
+        return _fit_sk(deprime(q, a, k), strict.union(added), new_c.union(added))
 
-        return omegabar_node(new_c, tag.h, tag.target, first, fam.admits, fn)
-    raise InternalInvariantError("unknown rule tag: %r" % (tag,))
+    return map_premises(d, new_c, fn)
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +580,7 @@ class _Subst:
                         rho2.get(x, frozenset()), _D
                     )
                 return fit(
-                    self._sub_top(fam(dl, w), rho2), dl.union(new_c)
+                    self._sub(fam(dl, w), rho2), dl.union(new_c)
                 )
 
             if isinstance(tag, Omega):
@@ -623,7 +592,7 @@ class _Subst:
                 rho_first.get(tag.target, frozenset()), _D
             )
             first = fit(
-                self._sub_top(prem.first, rho_first), new_c.add(tag.target)
+                self._sub(prem.first, rho_first), new_c.add(tag.target)
             )
             return omegabar_node(
                 new_c, tag.h, tag.target, first, fam.admits, fn
@@ -631,15 +600,6 @@ class _Subst:
         raise InternalInvariantError("unknown rule tag: %r" % (tag,))
 
     def _sub(self, d, rho):
-        rho = {f: _eff(rho.get(f, _D), f, self.t) for f in d.conclusion}
-        if all(m == _D for m in rho.values()):
-            return d
-        new_c = self.img_sequent(d.conclusion, rho)
-        return Proof.defer(new_c, lambda: self._run(d, rho))
-
-    def _sub_top(self, d, rho):
-        """Like _sub but with an externally assembled mode map (family and
-        first-premise entries already merged)."""
         rho = {f: _eff(rho.get(f, _D), f, self.t) for f in d.conclusion}
         if all(m == _D for m in rho.values()):
             return d

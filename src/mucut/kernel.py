@@ -4,8 +4,7 @@ Selects the compiled kernel (mucut._kernel_c, built from Cython) when it
 imported successfully, otherwise the pure-Python twin.  Set the
 environment variable MUCUT_PURE to any nonempty value to force the
 pure-Python kernel.  Both backends implement the identical API; the
-test suite exercises the two side by side and benchmarks/bench_kernel.py
-compares their speed.
+test suite exercises the two side by side.
 """
 
 from __future__ import annotations

@@ -13,13 +13,14 @@ families a bounded number of probe arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from mucut.errors import FuelExhausted, InternalInvariantError
 from mucut.kernel import (
     TOP,
     atom,
     is_fully_primed,
+    iterate,
     natom,
     negate,
     prime,
@@ -259,6 +260,67 @@ def make_node(conclusion, tag, premises):
         if not isinstance(p, Proof):
             raise ValueError("premises must be Proof values")
     return Proof.make(conclusion, tag, premises)
+
+
+# ---------------------------------------------------------------------------
+# premise traversal
+
+# The position of an omegabar node's first premise.  Other positions are
+# the index j of a finite premise, the index i of an omega-indexed premise,
+# and the Delta argument of a family output.
+FIRST = "first"
+
+
+def map_premises(d, conclusion, fn):
+    """A node with d's rule and the given conclusion whose premises are
+    fn(q, position) for each premise q of d.  Omega-indexed premises and
+    family outputs are mapped only when forced; the family keeps d's
+    domain predicate."""
+    tag, prem = d._force()
+    if isinstance(tag, FINITE_TAGS):
+        new = tuple(fn(q, j) for j, q in enumerate(prem))
+    elif isinstance(tag, Nu):
+        new = OmegaFam(lambda i: fn(prem(i), i))
+    elif isinstance(tag, Omega):
+        new = _map_family(prem, fn)
+    elif isinstance(tag, OmegaBar):
+        new = OmegaBarPrem(fn(prem.first, FIRST), _map_family(prem.fam, fn))
+    else:
+        raise InternalInvariantError("unknown rule tag: %r" % (tag,))
+    return make_node(conclusion, tag, new)
+
+
+def _map_family(fam, fn):
+    return DeltaFam(fam.admits, lambda dl, w: fn(fam(dl, w), dl))
+
+
+def premise_added(tag, position):
+    """The formulas the premise at position adds to the context of a rule
+    that keeps its conclusion's context: the components of a disjunction,
+    one conjunct, the unfolding of a closure, the i-th approximant of a nu
+    rule, Delta for a family output and the target for a first premise."""
+    if isinstance(tag, Or):
+        return (tag.principal[1], tag.principal[2])
+    if isinstance(tag, And):
+        return (tag.principal[position + 1],)
+    if isinstance(tag, Clo):
+        f = tag.principal
+        return (substitute(f[1], f),)
+    if isinstance(tag, Nu):
+        return (iterate(tag.principal[1], TOP, position),)
+    if isinstance(tag, (Omega, OmegaBar)):
+        return (tag.target,) if position == FIRST else position
+    raise InternalInvariantError("rule %r has no context premises" % (tag,))
+
+
+def premise_label(tag, position):
+    """The path label of a premise: "j" for a finite premise, "w<i>" for
+    an omega-indexed one, "first" and "f" for the parts of a family rule."""
+    if isinstance(tag, Nu):
+        return "w%d" % position
+    if isinstance(tag, (Omega, OmegaBar)):
+        return FIRST if position == FIRST else "f"
+    return "%d" % position
 
 
 # ---------------------------------------------------------------------------

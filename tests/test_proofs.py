@@ -5,13 +5,18 @@ from __future__ import annotations
 import pytest
 
 from mucut.errors import FuelExhausted, InternalInvariantError
-from mucut.kernel import TOP, atom, natom, negate, prime
+from mucut.kernel import TOP, atom, iterate, natom, negate, prime, substitute
 from mucut.proofs import (
+    FIRST,
     Axiom,
+    Box,
+    Clo,
     Cut,
     DeltaFam,
+    Ind,
     Nu,
     Omega,
+    OmegaBar,
     OmegaBarPrem,
     OmegaFam,
     Or,
@@ -26,6 +31,7 @@ from mucut.proofs import (
     ind_node,
     is_cut_free_observed,
     make_node,
+    map_premises,
     nu_node,
     observation_errors,
     observation_rules,
@@ -35,6 +41,8 @@ from mucut.proofs import (
     omega_phi,
     omegabar_node,
     or_node,
+    premise_added,
+    premise_label,
     standard_admits,
     top_intro,
 )
@@ -281,3 +289,139 @@ def test_and_node_builder():
     assert [type(r).__name__ for r in observation_rules(o)] == [
         "And", "Axiom", "Axiom"
     ]
+
+
+# ---------------------------------------------------------------------------
+# premise traversal
+
+
+def _recorder():
+    """A map_premises callback that records (premise, position) and hands
+    the premise back unchanged."""
+    calls = []
+
+    def fn(q, position):
+        calls.append((q, position))
+        return q
+
+    return fn, calls
+
+
+_NEW_C = seq(atom(3), natom(3))
+
+
+def _mapped_finite(d, positions):
+    fn, calls = _recorder()
+    out = map_premises(d, _NEW_C, fn)
+    assert out.rule == d.rule
+    assert out.conclusion == _NEW_C
+    assert calls == [(q, j) for j, q in zip(positions, d.premises)]
+    assert out.premises == d.premises
+    return out
+
+
+def test_map_premises_axiom():
+    d = ax(seq(atom(1), natom(1)), atom(1))
+    _mapped_finite(d, ())
+
+
+def test_map_premises_or_and_clo_give_their_added_formulas():
+    d = top_intro(())
+    _mapped_finite(d, (0,))
+    assert premise_added(d.rule, 0) == (TOP[1], TOP[2])
+    assert premise_label(d.rule, 0) == "0"
+
+    a = ("and", atom(1), atom(2))
+    d = and_node(
+        seq(a, natom(1), natom(2)),
+        a,
+        ax(seq(atom(1), natom(1), natom(2)), atom(1)),
+        ax(seq(atom(2), natom(1), natom(2)), atom(2)),
+    )
+    _mapped_finite(d, (0, 1))
+    assert premise_added(d.rule, 0) == (atom(1),)
+    assert premise_added(d.rule, 1) == (atom(2),)
+    assert premise_label(d.rule, 1) == "1"
+
+    m = pf("mu X . (p1 | X)")
+    d = clo_node(seq(m), m, top_intro(()))
+    assert isinstance(d.rule, Clo)
+    _mapped_finite(d, (0,))
+    assert premise_added(d.rule, 0) == (substitute(m[1], m),)
+
+
+def test_map_premises_box_ind_cut_keep_their_tags():
+    principal = ("box", TOP)
+    d = box_node(seq(principal, atom(1)), principal, seq(atom(1)), top_intro(()))
+    out = _mapped_finite(d, (0,))
+    assert isinstance(out.rule, Box) and out.rule.side == seq(atom(1))
+
+    m = pf("mu X . X")
+    d = ind_node(seq(negate(m), TOP), m, TOP, top_intro((negate(TOP),)))
+    assert isinstance(d.rule, Ind)
+    _mapped_finite(d, (0,))
+
+    d = cut_node(
+        seq(TOP), TOP, top_intro((negate(TOP),)), top_intro((negate(TOP),))
+    )
+    _mapped_finite(d, (0, 1))
+    for tag in (Box(principal, seq()), Ind(m, TOP), Cut(TOP)):
+        with pytest.raises(InternalInvariantError):
+            premise_added(tag, 0)
+
+
+def test_map_premises_nu_is_lazy():
+    n = pf("nu X . (~p1 & X)")
+    d = nu_node(seq(n), n, lambda i: top_intro((n,)))
+    fn, calls = _recorder()
+    out = map_premises(d, _NEW_C, fn)
+    assert out.rule == d.rule and out.conclusion == _NEW_C
+    assert calls == []
+    assert out.premises(2) is d.premises(2)
+    assert calls == [(d.premises(2), 2)]
+    out.premises(2)
+    assert len(calls) == 1  # memoized
+    assert premise_added(d.rule, 2) == (iterate(n[1], TOP, 2),)
+    assert premise_label(d.rule, 2) == "w2"
+
+
+def test_map_premises_omega_is_lazy_and_keeps_the_domain():
+    t = prime(pf("mu X . (p1 | X)"))
+    phi = omega_phi(t)
+    d = omega_node(
+        seq(phi), 1, t, standard_admits(1, t),
+        lambda dl, w: top_intro(dl.union((phi,)).difference((TOP,))),
+    )
+    fn, calls = _recorder()
+    out = map_premises(d, _NEW_C, fn)
+    assert out.rule == d.rule and out.conclusion == _NEW_C
+    assert calls == []
+    delta, witness = canonical_probe(t)
+    out.premises(delta, witness)
+    assert calls == [(d.premises(delta, witness), delta)]
+    with pytest.raises(InternalInvariantError):
+        out.premises(Sequent((t,)), witness)
+    assert premise_added(d.rule, delta) is delta
+    assert premise_label(d.rule, delta) == "f"
+
+
+def test_map_premises_omegabar_maps_first_now_and_family_on_demand():
+    t = prime(pf("mu X . (p1 | X)"))
+    first = top_intro((t,))
+    d = omegabar_node(
+        seq(TOP), 1, t, first, standard_admits(1, t),
+        lambda dl, w: top_intro(dl.difference((TOP,))),
+    )
+    fn, calls = _recorder()
+    out = map_premises(d, _NEW_C, fn)
+    assert isinstance(out.rule, OmegaBar) and out.rule == d.rule
+    assert out.conclusion == _NEW_C
+    assert calls == [(first, FIRST)]
+    assert out.premises.first is first
+    delta, witness = canonical_probe(t)
+    out.premises.fam(delta, witness)
+    assert calls[1:] == [(d.premises.fam(delta, witness), delta)]
+    assert premise_added(d.rule, FIRST) == (t,)
+    assert premise_added(d.rule, delta) is delta
+    assert premise_label(d.rule, FIRST) == "first"
+    assert premise_label(d.rule, delta) == "f"
