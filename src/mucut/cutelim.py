@@ -44,6 +44,7 @@ from mucut.proofs import (
     Or,
     Proof,
     ax,
+    box_fit,
     box_node,
     cut_node,
     make_node,
@@ -171,15 +172,7 @@ def _commute(d_s, f_s, other, f_o, g, formula, budget, trace, path):
     s_is_f1 = f_s == prime(formula)
 
     if isinstance(tag, Box):
-        p1 = d_s.premises[0]
-        body = tag.principal[1]
-        dia_im = p1.conclusion.without(body).dia()
-        packet = dia_im.add(tag.principal)
-        if not packet.issubset(g):
-            raise InternalInvariantError(
-                "box packet escapes the cut conclusion during commutation"
-            )
-        return box_node(g, tag.principal, g.difference(packet), p1)
+        return box_fit(g, tag.principal, d_s.premises[0])
 
     def cut_in(p, position):
         extra = premise_added(tag, position)
@@ -262,7 +255,8 @@ def _reduce_root(d, budget, trace, path):
             old_fam = om_side.premises
 
             def fn(dl_, w, old_fam=old_fam, mu_side=mu_side, f_om=f_om):
-                out = old_fam(dl_, w)
+                # the new family's own call has already run old_fam's predicate
+                out = old_fam.admitted(dl_, w)
                 want = dl_.union(g)
                 if out.conclusion == want:
                     return out

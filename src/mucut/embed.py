@@ -24,6 +24,11 @@ Selections are sets of conclusion formulas to prime; they propagate to
 premises part-dominantly (a principal's selection decides its immediate
 parts) and every premise is fitted by weakening, so incidental formula
 collisions never block the construction.
+
+The walks lay out no premises themselves: embedding, un-priming and
+context substitution hand proofs.map_premises the rule with its rewritten
+principal and rebuild each premise from what proofs.premise_added says it
+adds, and a box rule is refitted around its new premise by proofs.box_fit.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from mucut.cutelim import fit, weaken
 from mucut.errors import InternalInvariantError
 from mucut.kernel import (
     TOP,
-    box as boxf,
     has_free_var,
     is_fully_primed,
     is_l0,
@@ -53,13 +57,13 @@ from mucut.proofs import (
     Clo,
     Cut,
     Ind,
-    Nu,
     Omega,
     OmegaBar,
     Or,
     Proof,
     and_node,
     ax,
+    box_fit,
     box_node,
     clo_node,
     cut_node,
@@ -67,7 +71,6 @@ from mucut.proofs import (
     nu_node,
     omega_node,
     omega_phi,
-    omegabar_node,
     or_node,
     premise_added,
     standard_admits,
@@ -166,11 +169,26 @@ def monotone(d, a, b, c, k):
     """From d proving b, c: a derivation of (~a)(b), a(c), by recursion on
     the operator a (one free variable at most; closed binder subterms are
     discharged by the identity laws)."""
+    return _monotone(d, a, b, c, k, False)
+
+
+def monotone_primed(d, a, b, c, k):
+    """From d proving b, c': a derivation of (~a)(b), a'(c'), the primed
+    twin of monotonicity."""
+    return _monotone(d, a, b, c, k, True)
+
+
+def _same(f):
+    return f
+
+
+def _monotone(d, a, b, c, k, primed):
+    img = prime if primed else _same
     _require(
-        d.conclusion == Sequent((b, c)),
-        "monotonicity input must conclude exactly the two formulas",
+        d.conclusion == Sequent((b, img(c))),
+        "monotonicity input must conclude b and the image of c",
     )
-    out = Sequent((substitute(negate(a), b), substitute(a, c)))
+    out = Sequent((substitute(negate(a), b), img(substitute(a, c))))
     t = a[0]
     if t == "var":
         return d
@@ -178,14 +196,14 @@ def monotone(d, a, b, c, k):
         return ax(out, a if t == "atom" else negate(a))
     if t == "and" or t == "or":
         g, e = a[1], a[2]
-        ih1 = monotone(d, g, b, c, k)
-        ih2 = monotone(d, e, b, c, k)
+        ih1 = _monotone(d, g, b, c, k, primed)
+        ih2 = _monotone(d, e, b, c, k, primed)
         ng_b = substitute(negate(g), b)
         ne_b = substitute(negate(e), b)
-        g_c = substitute(g, c)
-        e_c = substitute(e, c)
+        g_c = img(substitute(g, c))
+        e_c = img(substitute(e, c))
         na_b = substitute(negate(a), b)
-        a_c = substitute(a, c)
+        a_c = img(substitute(a, c))
         if t == "and":
             o1 = or_node(Sequent((na_b, g_c)), na_b, weaken(ih1, (ne_b,)))
             o2 = or_node(Sequent((na_b, e_c)), na_b, weaken(ih2, (ng_b,)))
@@ -194,72 +212,24 @@ def monotone(d, a, b, c, k):
         s2 = or_node(Sequent((ne_b, a_c)), a_c, weaken(ih2, (g_c,)))
         return and_node(out, na_b, s1, s2)
     if t == "box" or t == "dia":
-        ih = monotone(d, a[1], b, c, k)
+        ih = _monotone(d, a[1], b, c, k, primed)
         if t == "box":
-            principal = substitute(a, c)
+            principal = img(substitute(a, c))
         else:
             principal = substitute(negate(a), b)
         return box_node(out, principal, Sequent(), ih)
+    if t != "mu" and t != "nu" and t != "nub":
+        raise InternalInvariantError("unknown operator tag: %r" % (t,))
+    _require(not has_free_var(a), "binder subterm must be closed")
     if t == "mu":
-        _require(not has_free_var(a), "binder subterm must be closed")
-        return identity_mu(a, k)
-    if t == "nu":
-        _require(not has_free_var(a), "binder subterm must be closed")
+        return identity_mu(img(a), k)
+    if t == "nu" and not primed:
         return identity_mu(negate(a), k)
-    if t == "nub":
-        _require(not has_free_var(a), "binder subterm must be closed")
-        _require(
-            is_fully_primed(a),
-            "annotated binder subterm must be fully primed",
-        )
-        return identity_mu_primed(negate(a), k)
-    raise InternalInvariantError("unknown operator tag: %r" % (t,))
-
-
-def monotone_primed(d, a, b, c, k):
-    """From d proving b, c': a derivation of (~a)(b), a'(c'), the primed
-    twin of monotonicity."""
     _require(
-        d.conclusion == Sequent((b, prime(c))),
-        "primed monotonicity input must conclude the formula and the prime",
+        primed or is_fully_primed(a),
+        "annotated binder subterm must be fully primed",
     )
-    out = Sequent((substitute(negate(a), b), prime(substitute(a, c))))
-    t = a[0]
-    if t == "var":
-        return d
-    if t == "atom" or t == "natom":
-        return ax(out, a if t == "atom" else negate(a))
-    if t == "and" or t == "or":
-        g, e = a[1], a[2]
-        ih1 = monotone_primed(d, g, b, c, k)
-        ih2 = monotone_primed(d, e, b, c, k)
-        ng_b = substitute(negate(g), b)
-        ne_b = substitute(negate(e), b)
-        pg_c = prime(substitute(g, c))
-        pe_c = prime(substitute(e, c))
-        na_b = substitute(negate(a), b)
-        pa_c = prime(substitute(a, c))
-        if t == "and":
-            o1 = or_node(Sequent((na_b, pg_c)), na_b, weaken(ih1, (ne_b,)))
-            o2 = or_node(Sequent((na_b, pe_c)), na_b, weaken(ih2, (ng_b,)))
-            return and_node(out, pa_c, o1, o2)
-        s1 = or_node(Sequent((ng_b, pa_c)), pa_c, weaken(ih1, (pe_c,)))
-        s2 = or_node(Sequent((ne_b, pa_c)), pa_c, weaken(ih2, (pg_c,)))
-        return and_node(out, na_b, s1, s2)
-    if t == "box" or t == "dia":
-        ih = monotone_primed(d, a[1], b, c, k)
-        if t == "box":
-            principal = prime(substitute(a, c))
-        else:
-            principal = substitute(negate(a), b)
-        return box_node(out, principal, Sequent(), ih)
-    if t == "mu":
-        _require(not has_free_var(a), "binder subterm must be closed")
-        return identity_mu(prime(a), k)
-    if t == "nu" or t == "nub":
-        _require(not has_free_var(a), "binder subterm must be closed")
-        return identity_mu_primed(negate(a), k)
-    raise InternalInvariantError("unknown operator tag: %r" % (t,))
+    return identity_mu_primed(negate(a), k)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +249,6 @@ def deprime(d, a, k):
 
 def _deprime_now(d, a, ap, new_c, k):
     tag = d.rule
-    prem = d.premises
 
     if isinstance(tag, Axiom):
         return ax(new_c, tag.p)
@@ -290,40 +259,13 @@ def _deprime_now(d, a, ap, new_c, k):
     if isinstance(tag, Cut):
         raise InternalInvariantError("un-priming requires a cut-free derivation")
 
-    if isinstance(tag, Or) and tag.principal == ap:
-        g, e = a[1], a[2]
-        s = deprime(deprime(deprime(prem[0], g, k), e, k), a, k)
-        p2 = _fit_sk(s, new_c.without(a).union((g, e)), new_c.union((g, e)))
-        return or_node(new_c, a, p2)
-    if isinstance(tag, And) and tag.principal == ap:
-        g, e = a[1], a[2]
-        s1 = deprime(deprime(prem[0], g, k), a, k)
-        s2 = deprime(deprime(prem[1], e, k), a, k)
-        return and_node(
-            new_c,
-            a,
-            _fit_sk(s1, new_c.without(a).add(g), new_c.add(g)),
-            _fit_sk(s2, new_c.without(a).add(e), new_c.add(e)),
-        )
-    if isinstance(tag, Clo) and tag.principal == ap:
-        u = substitute(a[1], a)
-        s = deprime(deprime(prem[0], u, k), a, k)
-        p2 = _fit_sk(s, new_c.without(a).add(u), new_c.add(u))
-        return clo_node(new_c, a, p2)
     if isinstance(tag, Box):
-        p1 = prem[0]
+        p1 = d.premises[0]
         if ap == tag.principal:
-            s = deprime(p1, a[1], k)
-            principal = a
-        elif ap[0] == "dia" and ap[1] in p1.conclusion:
-            s = deprime(p1, a[1], k)
-            principal = tag.principal
-        else:
-            s = p1
-            principal = tag.principal
-        packet = s.conclusion.without(principal[1]).dia().add(principal)
-        _require(packet.issubset(new_c), "box packet escapes after un-priming")
-        return box_node(new_c, principal, new_c.difference(packet), s)
+            return box_fit(new_c, a, deprime(p1, a[1], k))
+        if ap[0] == "dia" and ap[1] in p1.conclusion:
+            p1 = deprime(p1, a[1], k)
+        return box_fit(new_c, tag.principal, p1)
 
     if isinstance(tag, Omega) and omega_phi(tag.target) == ap:
         _require(a[0] == "nu", "replacement formula must prime a nu formula")
@@ -333,7 +275,7 @@ def _deprime_now(d, a, ap, new_c, k):
         )
         a0 = a[1]
         t2 = tag.target
-        fam = prem
+        fam = d.premises
         gamma = d.conclusion.without(ap)
         chain = {}
 
@@ -364,7 +306,11 @@ def _deprime_now(d, a, ap, new_c, k):
 
         return nu_node(new_c, a, fn)
 
-    # context cases: the primed element rides along into the premises
+    # a principal ap becomes a, and each premise first un-primes its parts;
+    # in context the primed element rides along into the premises
+    rewrite = isinstance(tag, (Or, And, Clo)) and tag.principal == ap
+    if rewrite:
+        tag = type(tag)(a)
     if isinstance(tag, OmegaBar):
         strict = new_c
     elif isinstance(tag, Omega):
@@ -374,9 +320,12 @@ def _deprime_now(d, a, ap, new_c, k):
 
     def fn(q, position):
         added = premise_added(tag, position)
+        if rewrite:
+            for x in added:
+                q = deprime(q, x, k)
         return _fit_sk(deprime(q, a, k), strict.union(added), new_c.union(added))
 
-    return map_premises(d, new_c, fn)
+    return map_premises(d, new_c, fn, tag if rewrite else None)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +415,6 @@ class _Subst:
 
     def _run(self, d, rho):
         tag = d.rule
-        prem = d.premises
         c = d.conclusion
         new_c = self.img_sequent(c, rho)
 
@@ -486,7 +434,33 @@ class _Subst:
             if modes & _SIGS:
                 return self._clo_on_target(d, rho, modes)
 
-        if isinstance(tag, (Or, And, Clo, Nu)):
+        if isinstance(tag, Box):
+            phi = tag.principal
+            body_modes = _eff(rho.get(phi, _D), phi, self.t)
+            p1 = d.premises[0]
+            rho2 = {}
+            for x in p1.conclusion:
+                sets = []
+                if x == phi[1]:
+                    sets.append(_eff(body_modes, x, self.t))
+                dx = ("dia", x)
+                if dx in c:
+                    sets.append(_eff(rho.get(dx, _D), dx, self.t))
+                rho2[x] = _merge(*sets)
+            phi_img = self._principal_image(phi, rho)
+            return box_fit(new_c, phi_img, self._sub(p1, rho2))
+
+        new_tag = None
+        if isinstance(tag, (Omega, OmegaBar)):
+            phi2 = omega_phi(tag.target)
+            if (rho.get(phi2, _D) & _SIGS) and occurs(phi2, self.t):
+                raise InternalInvariantError(
+                    "replacement formula carries a substitution mode"
+                )
+            if isinstance(tag, Omega):
+                _require(phi2 in new_c, "omega formula not in conclusion")
+            part_modes = _D
+        else:
             phi = tag.principal
             if phi != self.t and (rho.get(phi, _D) & _SIGS) and occurs(
                 phi, self.t
@@ -494,110 +468,16 @@ class _Subst:
                 raise InternalInvariantError(
                     "binder-rooted substitution image other than the target"
                 )
-            phi_img = self._principal_image(phi, rho)
+            new_tag = type(tag)(self._principal_image(phi, rho))
             part_modes = _eff(rho.get(phi, _D), phi, self.t)
-            if isinstance(tag, Or):
-                parts = (phi[1], phi[2])
-                rho2 = self._child_rho(
-                    prem[0].conclusion, rho, c, parts, part_modes
-                )
-                part_imgs = self.images(phi[1], part_modes) + self.images(
-                    phi[2], part_modes
-                )
-                p2 = fit(self._sub(prem[0], rho2), new_c.union(part_imgs))
-                return or_node(new_c, phi_img, p2)
-            if isinstance(tag, And):
-                kids = []
-                for j, part in enumerate((phi[1], phi[2])):
-                    rho2 = self._child_rho(
-                        prem[j].conclusion, rho, c, (part,), part_modes
-                    )
-                    imgs = self.images(part, part_modes)
-                    kids.append(
-                        fit(self._sub(prem[j], rho2), new_c.union(imgs))
-                    )
-                return and_node(new_c, phi_img, kids[0], kids[1])
-            if isinstance(tag, Clo):
-                u = substitute(phi[1], phi)
-                rho2 = self._child_rho(
-                    prem[0].conclusion, rho, c, (u,), part_modes
-                )
-                imgs = self.images(u, part_modes)
-                p2 = fit(self._sub(prem[0], rho2), new_c.union(imgs))
-                return clo_node(new_c, phi_img, p2)
-            # Nu
-            body = phi[1]
 
-            def fn(i, body=body, phi=phi, part_modes=part_modes):
-                it_i = iterate(body, TOP, i)
-                rho2 = self._child_rho(
-                    prem(i).conclusion, rho, c, (it_i,), part_modes
-                )
-                imgs = self.images(it_i, part_modes)
-                return fit(self._sub(prem(i), rho2), new_c.union(imgs))
+        def fn(q, position):
+            parts = premise_added(tag, position)
+            rho2 = self._child_rho(q.conclusion, rho, c, parts, part_modes)
+            imgs = [g for x in parts for g in self.images(x, part_modes)]
+            return fit(self._sub(q, rho2), new_c.union(imgs))
 
-            return nu_node(new_c, self._principal_image(phi, rho), fn)
-
-        if isinstance(tag, Box):
-            phi = tag.principal
-            body = phi[1]
-            phi_img = self._principal_image(phi, rho)
-            body_modes = _eff(rho.get(phi, _D), phi, self.t)
-            p1 = prem[0]
-            rho2 = {}
-            for x in p1.conclusion:
-                sets = []
-                if x == body:
-                    sets.append(_eff(body_modes, x, self.t))
-                dx = ("dia", x)
-                if dx in c:
-                    sets.append(_eff(rho.get(dx, _D), dx, self.t))
-                rho2[x] = _merge(*sets)
-            r = self._sub(p1, rho2)
-            body_img = phi_img[1]
-            packet = r.conclusion.without(body_img).dia().add(phi_img)
-            _require(
-                packet.issubset(new_c),
-                "box packet escapes after context substitution",
-            )
-            return box_node(new_c, phi_img, new_c.difference(packet), r)
-
-        if isinstance(tag, Omega) or isinstance(tag, OmegaBar):
-            phi2 = omega_phi(tag.target)
-            if (rho.get(phi2, _D) & _SIGS) and occurs(phi2, self.t):
-                raise InternalInvariantError(
-                    "replacement formula carries a substitution mode"
-                )
-            if isinstance(tag, Omega):
-                fam = prem
-            else:
-                fam = prem.fam
-
-            def fn(dl, w):
-                rho2 = dict(rho)
-                for x in dl:
-                    rho2[x] = _merge(
-                        rho2.get(x, frozenset()), _D
-                    )
-                return fit(
-                    self._sub(fam(dl, w), rho2), dl.union(new_c)
-                )
-
-            if isinstance(tag, Omega):
-                return omega_node(
-                    new_c, tag.h, tag.target, fam.admits, fn
-                )
-            rho_first = dict(rho)
-            rho_first[tag.target] = _merge(
-                rho_first.get(tag.target, frozenset()), _D
-            )
-            first = fit(
-                self._sub(prem.first, rho_first), new_c.add(tag.target)
-            )
-            return omegabar_node(
-                new_c, tag.h, tag.target, first, fam.admits, fn
-            )
-        raise InternalInvariantError("unknown rule tag: %r" % (tag,))
+        return map_premises(d, new_c, fn, new_tag)
 
     def _sub(self, d, rho):
         rho = {f: _eff(rho.get(f, _D), f, self.t) for f in d.conclusion}
@@ -727,7 +607,6 @@ def _embed(p, sel, k):
 
 def _embed_now(p, sel, k, cs):
     tag = p.rule
-    prem = p.premises
 
     if isinstance(tag, Axiom):
         return ax(cs, tag.p)
@@ -747,78 +626,42 @@ def _embed_now(p, sel, k, cs):
             core = identity_mu_primed(prime(m), k)
         return fit(core, cs)
 
-    if isinstance(tag, Or):
-        phi = tag.principal
-        phis = phi in sel
-        pc = prem[0].conclusion
-        parts = (phi[1], phi[2])
-        sp = frozenset(
-            x
-            for x in pc
-            if (phis if x in parts else x in sel)
-        )
-        e = _embed(prem[0], sp, k)
-        phi_img = prime(phi) if phis else phi
-        part_imgs = tuple(prime(x) if phis else x for x in parts)
-        p2 = _fit_sk(
-            e, cs.without(phi_img).union(part_imgs), cs.union(part_imgs)
-        )
-        return or_node(cs, phi_img, p2)
-
-    if isinstance(tag, And):
-        phi = tag.principal
-        phis = phi in sel
-        kids = []
-        for j, part in enumerate((phi[1], phi[2])):
-            pc = prem[j].conclusion
-            sp = frozenset(
-                x for x in pc if (phis if x == part else x in sel)
-            )
-            e = _embed(prem[j], sp, k)
-            part_img = prime(part) if phis else part
-            phi_img = prime(phi) if phis else phi
-            kids.append(
-                _fit_sk(e, cs.without(phi_img).add(part_img), cs.add(part_img))
-            )
-        return and_node(cs, prime(phi) if phis else phi, kids[0], kids[1])
-
     if isinstance(tag, Box):
         phi = tag.principal
-        body = phi[1]
         phis = phi in sel
-        pc = prem[0].conclusion
+        q = p.premises[0]
         sp = frozenset(
             x
-            for x in pc
-            if (phis if x == body else ("dia", x) in sel)
+            for x in q.conclusion
+            if (phis if x == phi[1] else ("dia", x) in sel)
         )
-        e = _embed(prem[0], sp, k)
-        body_img = prime(body) if phis else body
-        phi_img = boxf(body_img)
-        packet = e.conclusion.without(body_img).dia().add(phi_img)
-        _require(packet.issubset(cs), "box packet escapes the embedding")
-        return box_node(cs, phi_img, cs.difference(packet), e)
+        return box_fit(cs, prime(phi) if phis else phi, _embed(q, sp, k))
 
-    if isinstance(tag, Clo):
+    if isinstance(tag, (Or, And, Clo)):
+        # the principal's selection decides its parts
         phi = tag.principal
         phis = phi in sel
-        u = substitute(phi[1], phi)
-        pc = prem[0].conclusion
-        sp = frozenset(
-            x for x in pc if (phis if x == u else x in sel)
-        )
-        e = _embed(prem[0], sp, k)
-        phi_img = prime(phi) if phis else phi
-        u_img = prime(u) if phis else u
-        p2 = _fit_sk(e, cs.without(phi_img).add(u_img), cs.add(u_img))
-        return clo_node(cs, phi_img, p2)
+        img = prime if phis else _same
+        phi_img = img(phi)
+
+        def fn(q, j):
+            parts = premise_added(tag, j)
+            sp = frozenset(
+                x for x in q.conclusion if (phis if x in parts else x in sel)
+            )
+            imgs = [img(x) for x in parts]
+            return _fit_sk(
+                _embed(q, sp, k), cs.without(phi_img).union(imgs), cs.union(imgs)
+            )
+
+        return map_premises(p, cs, fn, type(tag)(phi_img))
 
     if isinstance(tag, Cut):
         cf = tag.formula
         _require(
             level(cf) <= k, "cut formula level exceeds the system index"
         )
-        q1, q2 = prem
+        q1, q2 = p.premises
         if q1.conclusion != p.conclusion.add(cf):
             q1, q2 = q2, q1
         _require(

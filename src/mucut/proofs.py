@@ -156,14 +156,21 @@ class DeltaFam:
         self._memo = {}
 
     def __call__(self, delta, witness):
+        if (delta, id(witness)) not in self._memo and not self.admits(
+            delta, witness
+        ):
+            raise InternalInvariantError(
+                "replacement-rule family argument rejected: delta=%r" % (delta,)
+            )
+        return self.admitted(delta, witness)
+
+    def admitted(self, delta, witness):
+        """The memoized output for an argument the caller has already
+        checked with this family's domain predicate."""
         key = (delta, id(witness))
         hit = self._memo.get(key)
         if hit is not None:
             return hit[1]
-        if not self.admits(delta, witness):
-            raise InternalInvariantError(
-                "replacement-rule family argument rejected: delta=%r" % (delta,)
-            )
         out = self.fn(delta, witness)
         self._memo[key] = (witness, out)
         return out
@@ -271,12 +278,18 @@ def make_node(conclusion, tag, premises):
 FIRST = "first"
 
 
-def map_premises(d, conclusion, fn):
+def map_premises(d, conclusion, fn, tag=None):
     """A node with d's rule and the given conclusion whose premises are
     fn(q, position) for each premise q of d.  Omega-indexed premises and
     family outputs are mapped only when forced; the family keeps d's
-    domain predicate."""
-    tag, prem = d._force()
+    domain predicate.  A given tag replaces d's: the same rule kind with a
+    rewritten principal, which must be in the conclusion."""
+    old, prem = d._force()
+    if tag is None:
+        tag = old
+    else:
+        _require(type(tag) is type(old), "rewritten tag changes the rule kind")
+        _require(tag.principal in conclusion, "principal not in conclusion")
     if isinstance(tag, FINITE_TAGS):
         new = tuple(fn(q, j) for j, q in enumerate(prem))
     elif isinstance(tag, Nu):
@@ -291,7 +304,8 @@ def map_premises(d, conclusion, fn):
 
 
 def _map_family(fam, fn):
-    return DeltaFam(fam.admits, lambda dl, w: fn(fam(dl, w), dl))
+    # the mapped family's own call has already run fam's predicate
+    return DeltaFam(fam.admits, lambda dl, w: fn(fam.admitted(dl, w), dl))
 
 
 def premise_added(tag, position):
@@ -369,6 +383,14 @@ def box_node(conclusion, principal, side, prem):
     _require(principal in conclusion, "box principal not in conclusion")
     _require(side.issubset(conclusion), "box side not in conclusion")
     return make_node(conclusion, Box(principal, side), (prem,))
+
+
+def box_fit(conclusion, principal, prem):
+    """A box node on principal over prem whose side is what the packet
+    <>(prem - body), principal leaves of the conclusion."""
+    packet = prem.conclusion.without(principal[1]).dia().add(principal)
+    _require(packet.issubset(conclusion), "box packet escapes the conclusion")
+    return box_node(conclusion, principal, conclusion.difference(packet), prem)
 
 
 def clo_node(conclusion, principal, prem):

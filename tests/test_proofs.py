@@ -24,6 +24,7 @@ from mucut.proofs import (
     ax,
     axmu_node,
     and_node,
+    box_fit,
     box_node,
     canonical_probe,
     clo_node,
@@ -425,3 +426,68 @@ def test_map_premises_omegabar_maps_first_now_and_family_on_demand():
     assert premise_added(d.rule, delta) is delta
     assert premise_label(d.rule, FIRST) == "first"
     assert premise_label(d.rule, delta) == "f"
+
+
+def test_map_premises_rewrites_the_principal():
+    a = ("or", atom(1), natom(1))
+    d = or_node(seq(a), a, ax(seq(atom(1), natom(1)), atom(1)))
+    b = ("or", atom(2), natom(2))
+    fn, calls = _recorder()
+    out = map_premises(d, seq(b, atom(5)), fn, Or(b))
+    assert isinstance(out.rule, Or) and out.rule.principal == b
+    assert out.conclusion == seq(b, atom(5))
+    assert calls == [(d.premises[0], 0)]
+    assert out.premises == d.premises
+
+    n = pf("nu X . (~p1 & X)")
+    n2 = pf("nu X . (~p2 & X)")
+    d = nu_node(seq(n), n, lambda i: top_intro((n,)))
+    out = map_premises(d, seq(n2), fn, Nu(n2))
+    assert out.rule == Nu(n2)
+    assert out.premises(1) is d.premises(1)
+
+    with pytest.raises(InternalInvariantError):
+        map_premises(d, seq(n), fn, Nu(n2))  # principal not in the conclusion
+    with pytest.raises(InternalInvariantError):
+        map_premises(d, seq(b), fn, Or(b))  # another rule kind
+
+
+def test_box_fit_side_is_what_the_packet_leaves():
+    principal = ("box", TOP)
+    prem = top_intro((atom(1),))  # body top, so the packet is <>p1, []top
+    c = seq(principal, ("dia", atom(1)), atom(2))
+    out = box_fit(c, principal, prem)
+    assert out.rule == Box(principal, seq(atom(2)))
+    assert out.conclusion == c and out.premises == (prem,)
+    assert box_fit(seq(principal, ("dia", atom(1))), principal, prem).rule.side == seq()
+    with pytest.raises(InternalInvariantError):
+        box_fit(seq(principal, atom(2)), principal, prem)  # <>p1 escapes
+
+
+def test_mapped_family_checks_its_domain_once():
+    t = prime(pf("mu X . (p1 | X)"))
+    phi = omega_phi(t)
+    admits = standard_admits(1, t)
+    runs = []
+
+    def counted(delta, witness):
+        runs.append(delta)
+        return admits(delta, witness)
+
+    d = omega_node(
+        seq(phi), 1, t, counted,
+        lambda dl, w: top_intro(dl.union((phi,)).difference((TOP,))),
+    )
+
+    def keep(q, _):
+        return q
+
+    twice = map_premises(map_premises(d, seq(phi), keep), seq(phi), keep)
+    delta, witness = canonical_probe(t)
+    out = twice.premises(delta, witness)
+    assert out is d.premises.admitted(delta, witness)
+    assert runs == [delta]
+    twice.premises(delta, witness)  # memoized
+    assert runs == [delta]
+    with pytest.raises(InternalInvariantError):
+        twice.premises(Sequent((t,)), witness)
