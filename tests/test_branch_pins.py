@@ -2,13 +2,15 @@
 suite nor the benchmark workloads reach.
 
 Each case below drives one branch of embed, context substitution,
-un-priming or cut commutation: the Box cases (which fit the premise into
-a box packet) and the replacement-rule and non-target closure cases.  A
+un-priming, cut commutation or cut elimination's modal reduction: the
+Box cases (which fit the premise into a box packet), the replacement-rule
+and non-target closure cases, and a box cut against its diamond dual.  A
 finite S proof is pushed through `pipeline` and all four stages are
 pinned; a direct `subst_context` or `deprime` call pins its one result.
 Each digest is the sha256 of `observation_dumps` at the default
 observation flags, taken before these walks were moved onto
-`map_premises`, so a refactor of those walks must keep the bytes.
+`map_premises` (the modal case: before the formula kernel was memoized),
+so a refactor of those walks must keep the bytes.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from mucut.proofs import (
     Clo,
     Omega,
     OmegaBar,
+    ax,
     box_node,
     clo_node,
     cut_node,
@@ -35,6 +38,7 @@ from mucut.proofs import (
     observation_errors,
     observe,
     omega_phi,
+    or_node,
     top_intro,
 )
 from mucut.sequents import Sequent
@@ -112,6 +116,24 @@ def _commute_box():
     return cut_node(Sequent((BOX_TOP,)), atom(1), side(atom(1)), side(natom(1)))
 
 
+def _modal():
+    # a cut on [](p0 | ~p0) against a box whose diamond part holds its
+    # dual: the modal reduction, then a commute into an axiom context
+    b0, b1, d = pf("[](p0 | ~p0)"), pf("[](p1 | ~p1)"), pf("<>(~p0 & p0)")
+    left = box_node(Sequent((b0, b1)), b0, Sequent((b1,)), top_intro(()))
+    right = box_node(
+        Sequent((b1, d)),
+        b1,
+        Sequent(),
+        or_node(
+            Sequent((b1[1], d[1])),
+            b1[1],
+            ax(Sequent((atom(1), natom(1), d[1])), atom(1)),
+        ),
+    )
+    return cut_node(Sequent((b1,)), b0, left, right)
+
+
 PIPELINE_CASES = {
     "embed-box": (_embed_box, {
         "embedded": "9138ab161c4576a59731fda3b955043a216f843ef176c996d1fcfc3326767452",
@@ -131,6 +153,12 @@ PIPELINE_CASES = {
         "collapsed": "9138ab161c4576a59731fda3b955043a216f843ef176c996d1fcfc3326767452",
         "sinf": "9138ab161c4576a59731fda3b955043a216f843ef176c996d1fcfc3326767452",
     }),
+    "modal": (_modal, {
+        "embedded": "402ec10c0fb5ad92b48162988d8cba5bb51a4fc39938edcf29e9a75e119d7aa8",
+        "eliminated": "c1f0d975945fd5665e537e1ad01bebb03250a69e653d39f15f3767c913d0e56e",
+        "collapsed": "c1f0d975945fd5665e537e1ad01bebb03250a69e653d39f15f3767c913d0e56e",
+        "sinf": "c1f0d975945fd5665e537e1ad01bebb03250a69e653d39f15f3767c913d0e56e",
+    }),
 }
 
 
@@ -139,6 +167,17 @@ def test_pipeline_case_matches_pinned_digests(name):
     build, want = PIPELINE_CASES[name]
     stages = pipeline(build())
     assert {s: _digest(stages[s]) for s in STAGES} == want
+
+
+def test_modal_case_takes_the_modal_reduction():
+    steps = []
+    stages = pipeline(_modal(), trace=lambda path, case, rank: steps.append((path, case)))
+    _digest(stages["eliminated"])
+    assert steps == [
+        ("root", "modal"),
+        ("root.0", "commute"),
+        ("root.0.0", "axiom-context"),
+    ]
 
 
 # --- direct calls ------------------------------------------------------------
