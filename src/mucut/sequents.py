@@ -9,7 +9,9 @@ Invariant: every member of an existing Sequent is a valid, closed
 formula, and its members are in canonical order.  Raw formulas are
 checked where they enter (the constructor, and the members of add/union
 arguments that are not yet in the sequent); members taken from an
-existing Sequent are trusted.  The derived operations rely on this:
+existing Sequent are trusted, and so are the formulas given to
+from_checked, whose caller has checked them already.  The derived
+operations rely on this:
 
   * add inserts the one new formula at its place in the order;
   * union with a Sequent re-checks nothing, and sorts only when more
@@ -145,6 +147,14 @@ class Sequent:
 
     def max_nubar_level(self):
         return max((max_nubar_level(f) for f in self.forms), default=-1)
+
+
+def from_checked(forms):
+    """The Sequent of forms, each already known to be a valid closed
+    formula (as parse_formula returns them): duplicates are dropped and
+    the rest put in canonical order, but nothing is checked again."""
+    members = frozenset(forms)
+    return _trusted(tuple(sorted(members, key=sort_key)), members)
 
 
 def seq(*forms):

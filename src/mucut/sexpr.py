@@ -8,6 +8,8 @@ serialize in canonical order, so equal values are byte-identical.
 
 from __future__ import annotations
 
+import re
+
 from mucut.proofs import (
     And,
     Axiom,
@@ -24,7 +26,7 @@ from mucut.proofs import (
     Proof,
     make_node,
 )
-from mucut.sequents import Sequent
+from mucut.sequents import from_checked
 from mucut.syntax import parse_formula, print_form
 
 
@@ -58,78 +60,73 @@ def dumps(sx):
     raise TypeError("cannot serialize %r" % (sx,))
 
 
-_SYMBOL_CHARS = set(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-:.+"
+# One token after optional whitespace: an open or a close parenthesis, a
+# complete string (its body in group 3, escapes still in), or a symbol or
+# integer.  When no token follows (end of input, a bad character or an
+# unterminated string), the match is the whitespace alone.
+_TOKEN = re.compile(
+    r'[ \t\r\n]*(?:(\()|(\))|"([^"\\]*(?:\\.[^"\\]*)*)"|([A-Za-z0-9_\-:.+]+))?',
+    re.S,
 )
+_SPACE = re.compile(r"[ \t\r\n]*")
+_STRING_START = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*', re.S)
+_ESCAPE = re.compile(r"\\(.)", re.S)
+_OPEN, _CLOSE, _STRING, _WORD = 1, 2, 3, 4
 
 
-class _Reader:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-
-    def error(self, msg):
-        raise SexprError(msg, self.pos)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
-            self.pos += 1
-
-    def read(self):
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            self.error("unexpected end of input")
-        ch = self.text[self.pos]
-        if ch == "(":
-            self.pos += 1
-            items = []
-            while True:
-                self.skip_ws()
-                if self.pos >= len(self.text):
-                    self.error("unclosed parenthesis")
-                if self.text[self.pos] == ")":
-                    self.pos += 1
-                    return items
-                items.append(self.read())
-        if ch == ")":
-            self.error("unmatched closing parenthesis")
-        if ch == '"':
-            self.pos += 1
-            out = []
-            while True:
-                if self.pos >= len(self.text):
-                    self.error("unclosed string")
-                ch = self.text[self.pos]
-                if ch == "\\":
-                    if self.pos + 1 >= len(self.text):
-                        self.error("dangling escape")
-                    out.append(self.text[self.pos + 1])
-                    self.pos += 2
-                elif ch == '"':
-                    self.pos += 1
-                    return "".join(out)
-                else:
-                    out.append(ch)
-                    self.pos += 1
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in _SYMBOL_CHARS:
-            self.pos += 1
-        if self.pos == start:
-            self.error("unexpected character %r" % ch)
-        word = self.text[start : self.pos]
-        try:
-            return int(word)
-        except ValueError:
-            return Sym(word)
+def _no_token(text, pos, depth):
+    """Raise the error for a position at which no token starts."""
+    if pos == len(text):
+        raise SexprError(
+            "unclosed parenthesis" if depth else "unexpected end of input", pos
+        )
+    if text[pos] == '"':
+        end = _STRING_START.match(text, pos).end()
+        if end < len(text):  # stopped at a backslash that ends the input
+            raise SexprError("dangling escape", end)
+        raise SexprError("unclosed string", end)
+    raise SexprError("unexpected character %r" % text[pos], pos)
 
 
 def loads(text):
-    r = _Reader(text)
-    sx = r.read()
-    r.skip_ws()
-    if r.pos != len(r.text):
-        r.error("trailing input after s-expression")
-    return sx
+    """Read one s-expression, iteratively: nesting depth is not bounded by
+    the Python stack."""
+    stack = []  # the lists still open, outermost first
+    pos = 0
+    match = _TOKEN.match
+    while True:
+        m = match(text, pos)
+        kind = m.lastindex
+        if kind is None:
+            _no_token(text, m.end(), len(stack))
+        pos = m.end()
+        if kind == _OPEN:
+            stack.append([])
+            continue
+        if kind == _CLOSE:
+            if not stack:
+                raise SexprError("unmatched closing parenthesis", pos - 1)
+            value = stack.pop()
+        elif kind == _STRING:
+            value = m.group(_STRING)
+            if "\\" in value:
+                value = _ESCAPE.sub(r"\1", value)
+        else:
+            value = m.group(_WORD)
+            if value[0] in "0123456789+-":
+                try:
+                    value = int(value)
+                except ValueError:
+                    value = Sym(value)
+            else:
+                value = Sym(value)
+        if not stack:
+            break
+        stack[-1].append(value)
+    pos = _SPACE.match(text, pos).end()
+    if pos != len(text):
+        raise SexprError("trailing input after s-expression", pos)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +154,7 @@ def sx_to_seq(sx, parsed):
         if not isinstance(item, str) or isinstance(item, Sym):
             raise SexprError("sequent members must be quoted formulas", 0)
         forms.append(_formula(item, parsed))
-    return Sequent(forms)
+    return from_checked(forms)
 
 
 def tag_to_sx(tag):

@@ -1,8 +1,7 @@
 """Formula syntax: operator forms, parser, and canonical printer.
 
-This is the public face of the formula layer.  Operator forms are the
-tuple trees documented in the kernel; this module re-exports the kernel
-operations and adds the concrete ASCII grammar:
+Operator forms are the tuple trees documented in the kernel; this
+module adds the concrete ASCII grammar:
 
     F ::= p<i> | ~p<i> | X | (F & F) | (F | F)
         | [] F | <> F
@@ -18,71 +17,7 @@ the grammar (one space around infix operators and after `[]`/`<>`,
 
 from __future__ import annotations
 
-from mucut.kernel import (
-    TOP,
-    X,
-    and_,
-    atom,
-    box,
-    dia,
-    has_free_var,
-    is_closed,
-    is_fully_primed,
-    is_l0,
-    iter_subforms,
-    iterate,
-    k_positive,
-    level,
-    max_nubar_level,
-    mu,
-    natom,
-    negate,
-    nu,
-    nub,
-    occurs,
-    or_,
-    prime,
-    replace_subterm,
-    size,
-    sort_key,
-    substitute,
-    validate,
-)
-
-__all__ = [
-    "TOP",
-    "X",
-    "ParseError",
-    "and_",
-    "atom",
-    "box",
-    "dia",
-    "has_free_var",
-    "is_closed",
-    "is_fully_primed",
-    "is_l0",
-    "iter_subforms",
-    "iterate",
-    "k_positive",
-    "level",
-    "max_nubar_level",
-    "mu",
-    "natom",
-    "negate",
-    "nu",
-    "nub",
-    "occurs",
-    "or_",
-    "parse_form",
-    "parse_formula",
-    "prime",
-    "print_form",
-    "replace_subterm",
-    "size",
-    "sort_key",
-    "substitute",
-    "validate",
-]
+from mucut.kernel import TOP, memo, validate
 
 
 class ParseError(ValueError):
@@ -209,6 +144,7 @@ def parse_formula(text):
     return validate(f)
 
 
+@memo
 def print_form(f):
     """Canonical text; parse_form(print_form(f)) == f for every form f."""
     t = f[0]

@@ -1,5 +1,5 @@
-"""Formula kernel: both back ends, exact oracles, and the algebraic laws
-on seeded random formulas."""
+"""Formula kernel: exact oracles, the algebraic laws on seeded random
+formulas, and the safety of its memos."""
 
 from __future__ import annotations
 
@@ -7,34 +7,18 @@ import random
 
 import pytest
 
-import mucut._kernel_py as kpy
-
-try:
-    import mucut._kernel_c as kc
-except ImportError:  # pragma: no cover - compiled twin missing
-    kc = None
+from mucut import kernel
+from mucut.sequents import Sequent, is_k_positive, seq
+from mucut.syntax import print_form
 
 from conftest import random_formulas
 
-BACKENDS = [kpy] if kc is None else [kpy, kc]
-IDS = [m.KERNEL_BACKEND for m in BACKENDS]
 
-
-@pytest.fixture(params=BACKENDS, ids=IDS)
+# One value: the fixture only keeps the test ids stable
+# ("test_constructors[python]", ...).
+@pytest.fixture(params=[kernel], ids=[kernel.KERNEL_BACKEND])
 def k(request):
     return request.param
-
-
-def test_backend_names():
-    assert kpy.KERNEL_BACKEND == "python"
-    if kc is not None:
-        assert kc.KERNEL_BACKEND == "compiled"
-
-
-def test_facade_picks_a_backend():
-    from mucut.kernel import KERNEL_BACKEND
-
-    assert KERNEL_BACKEND in ("python", "compiled")
 
 
 def test_constructors(k):
@@ -131,8 +115,6 @@ def test_variable_predicates(k):
     assert k.has_free_var(("var",))
     assert not k.has_free_var(m)
     assert k.has_free_var(m[1])
-    assert k.is_closed(m)
-    assert not k.is_closed(m[1])
     assert k.occurs(m[1], ("var",))
     assert not k.occurs(("var",), m[1])
 
@@ -146,9 +128,9 @@ def test_language_predicates(k):
     assert k.is_fully_primed(("atom", 1))  # vacuously: no plain nu
     assert k.max_nubar_level(("atom", 1)) == -1
     assert k.max_nubar_level(k.prime(g)) == 1
-    assert k.k_positive(k.prime(g), 2)
-    assert not k.k_positive(k.prime(g), 1)
-    assert k.k_positive(("atom", 1), 1)
+    assert is_k_positive(k.prime(g), 2)
+    assert not is_k_positive(k.prime(g), 1)
+    assert is_k_positive(("atom", 1), 1)
 
 
 def test_replace_subterm(k):
@@ -203,20 +185,44 @@ def test_negate_is_a_homomorphism(k):
         assert k.negate(("dia", a)) == ("box", k.negate(a))
 
 
-@pytest.mark.skipif(kc is None, reason="compiled kernel unavailable")
-def test_backends_agree():
-    b = ("or", ("atom", 0), ("natom", 0))
-    a = ("or", ("atom", 2), ("var",))
-    for f in random_formulas(seed=555, count=400):
-        assert kpy.negate(f) == kc.negate(f)
-        assert kpy.prime(f) == kc.prime(f)
-        assert kpy.level(f) == kc.level(f)
-        assert kpy.size(f) == kc.size(f)
-        assert kpy.sort_key(f) == kc.sort_key(f)
-        assert kpy.max_nubar_level(kpy.prime(f)) == kc.max_nubar_level(
-            kc.prime(f)
-        )
-        assert kpy.is_fully_primed(f) == kc.is_fully_primed(f)
-        assert kpy.substitute(a, f) == kc.substitute(a, f)
-    for i in range(4):
-        assert kpy.iterate(a, b, i) == kc.iterate(a, b, i)
+DATA_MEMOS = (
+    kernel.sort_key,
+    kernel.has_free_var,
+    kernel.is_l0,
+    kernel.level,
+    kernel.max_nubar_level,
+    print_form,
+)
+FORMULA_MEMOS = (kernel.negate, kernel.prime)
+
+
+@pytest.mark.parametrize("bad", [("atom", True), ("atom", 1.0)])
+def test_memos_do_not_admit_bad_atoms(bad):
+    # ("atom", True) == ("atom", 1) and both hash alike (as does
+    # ("atom", 1.0)), so a memo keyed on the formula answers for both
+    good = ("atom", 1)
+    answers = [fn(good) for fn in DATA_MEMOS + FORMULA_MEMOS]
+    with pytest.raises(ValueError):
+        kernel.validate(bad)
+    with pytest.raises(ValueError):
+        Sequent((bad,))
+    other = seq(("atom", 2))
+    with pytest.raises(ValueError):
+        other.add(bad)
+    with pytest.raises(ValueError):
+        other.add(("or", bad, good))
+    with pytest.raises(ValueError):
+        other.union([bad])
+    # seen first, a bad atom is refused by the memos that answer with
+    # formulas and does not change the answers of the others
+    for fn in DATA_MEMOS + FORMULA_MEMOS:
+        fn.cache_clear()
+    for fn in FORMULA_MEMOS:
+        with pytest.raises(ValueError):
+            fn(("box", bad))
+    assert [fn(bad) for fn in DATA_MEMOS] == answers[: len(DATA_MEMOS)]
+    for fn, want in zip(DATA_MEMOS + FORMULA_MEMOS, answers):
+        assert fn(good) == want
+    assert type(kernel.negate(good)[1]) is int
+    assert type(kernel.prime(good)[1]) is int
+    assert Sequent((kernel.negate(good),)).forms == (("natom", 1),)

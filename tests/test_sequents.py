@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 from conftest import random_formulas
 from mucut.kernel import TOP, atom, natom, prime, sort_key
-from mucut.sequents import Sequent, is_k_positive, replace_fixpoint, seq
+from mucut.sequents import (
+    Sequent,
+    from_checked,
+    is_k_positive,
+    replace_fixpoint,
+    seq,
+)
 from mucut.syntax import parse_formula as pf
 
 
@@ -20,6 +26,14 @@ def test_canonical_order_and_dedup():
     # equal sets are equal sequents regardless of input order
     assert s == Sequent(reversed(s.forms))
     assert hash(s) == hash(Sequent(reversed(s.forms)))
+
+
+def test_from_checked_orders_and_dedups_like_the_constructor():
+    forms = random_formulas(seed=4242, count=40, max_size=8, max_level=2) * 2
+    s = from_checked(reversed(forms))
+    assert s.forms == Sequent(forms).forms
+    assert set(s) == set(forms)
+    assert from_checked(()) == Sequent()
 
 
 def test_membership_and_iteration():

@@ -3,6 +3,8 @@ and exact canonical strings."""
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from mucut.checker import check_finite
@@ -38,6 +40,9 @@ def test_loads_oracles():
     assert loads("x") == Sym("x")
     assert loads("(a b)") == [Sym("a"), Sym("b")]
     assert loads('(a (b 1) "c")') == [Sym("a"), [Sym("b"), 1], "c"]
+    assert loads('("a\\"b" "c\\\\" -3 +4 -x 1_0)\n') == [
+        'a"b', "c\\", -3, 4, Sym("-x"), 10
+    ]
 
 
 def test_loads_roundtrip():
@@ -51,9 +56,27 @@ def test_loads_roundtrip():
 
 
 def test_loads_errors():
-    for text in ("(a (b)", ")", "(a))", "", '"unterminated'):
-        with pytest.raises(SexprError):
+    for text, message in (
+        ("(a (b)", "unclosed parenthesis at position 6"),
+        (")", "unmatched closing parenthesis at position 0"),
+        ("(a))", "trailing input after s-expression at position 3"),
+        ("", "unexpected end of input at position 0"),
+        (" \n", "unexpected end of input at position 2"),
+        ('"unterminated', "unclosed string at position 13"),
+        ('"bc\\', "dangling escape at position 3"),
+        ("(a #)", "unexpected character '#' at position 3"),
+    ):
+        with pytest.raises(SexprError, match="^%s$" % re.escape(message)):
             loads(text)
+
+
+def test_loads_is_not_bounded_by_the_python_stack():
+    depth = 100_000
+    sx = loads("(" * depth + "x" + ")" * depth)
+    for _ in range(depth):
+        assert len(sx) == 1
+        sx = sx[0]
+    assert sx == Sym("x")
 
 
 def test_proof_dumps_oracle():
