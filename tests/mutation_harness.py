@@ -139,27 +139,36 @@ def build_sites():
     return tuple(sites)
 
 
-def run_harness(seed, draws):
-    """Run ``draws`` single-node mutations; return per-draw records.
-
-    Each record is ``(name, path, kind, detail, accepted)`` where detail is
-    the formula or tag involved (None for structural kinds).
-    """
+def draw_mutants(seed, draws):
+    """Yield ``draws`` single-node mutations as ``(name, path, kind,
+    detail, mutant)``, where detail is the formula or tag involved (None
+    for structural kinds)."""
     rng = random.Random(seed)
     sites = build_sites()
     originals = {name: build() for name, build in _corpus.CORPUS.items()}
-    records = []
-    while len(records) < draws:
+    drawn = 0
+    while drawn < draws:
         name, path, node = sites[rng.randrange(len(sites))]
         kinds = _applicable(node)
         if not kinds:
             continue
         kind = kinds[rng.randrange(len(kinds))]
         new_node, detail = _mutate_node(rng, node, kind)
-        mutant = rebuild(originals[name], path, new_node)
-        accepted = check_finite(mutant, SYSTEM_S).ok
-        records.append((name, path, kind, detail, accepted))
-    return tuple(records)
+        drawn += 1
+        yield name, path, kind, detail, rebuild(originals[name], path, new_node)
+
+
+def run_harness(seed, draws):
+    """Run ``draws`` single-node mutations; return per-draw records.
+
+    Each record is ``(name, path, kind, detail, accepted)``: the draw of
+    :func:`draw_mutants` and whether the mutant passes ``check_finite``
+    in S.
+    """
+    return tuple(
+        (name, path, kind, detail, check_finite(mutant, SYSTEM_S).ok)
+        for name, path, kind, detail, mutant in draw_mutants(seed, draws)
+    )
 
 
 def classify_accepted(name, path, kind, detail):
