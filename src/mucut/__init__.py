@@ -4,7 +4,7 @@ The pipeline: finite proofs in the finitary system S are embedded into an
 intermediate system with replacement rules (`embed`), cuts are removed by
 local head reductions (`eliminate`), the replacement rules are removed by
 collapsing (`collapse`, `to_sinf`), and the resulting cut-free infinitary
-proof is inspected to any finite depth (`observe`, `check_bounded`).
+proof is inspected to any finite depth (`observe`, `check_observation`).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from mucut.checker import (
     CheckReport,
     check_bounded,
     check_finite,
+    check_observation,
     level_bound,
     omega_system,
     parse_system,
@@ -59,6 +60,7 @@ __all__ = [
     "TOP",
     "check_bounded",
     "check_finite",
+    "check_observation",
     "collapse",
     "cut_rank",
     "eliminate",

@@ -1,8 +1,11 @@
 """Proof checking.
 
-check_finite validates a finite proof exhaustively; check_bounded
-validates any proof as far as a finite observation window reaches,
-feeding canonical probes to replacement-rule families.
+The checker judges observation windows: check_observation reads a window
+that proofs.observe made (each node's conclusion, rule, children, sampled
+indices and probe deltas) and forces nothing.  check_bounded observes any
+proof to a depth and judges that window; check_finite judges the whole
+window of a finite proof, in which nu and replacement rules show no
+premises and are rejected.
 
 Premise shapes are read liberally: a node concluding C with principal
 phi may present its context as C or as C minus phi (sequents are sets,
@@ -13,9 +16,9 @@ sequent exactly, and the induction rule allows no context at all.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from mucut.errors import FuelExhausted
 from mucut.kernel import (
     TOP,
     is_fully_primed,
@@ -39,10 +42,11 @@ from mucut.proofs import (
     Omega,
     OmegaBar,
     Or,
-    canonical_probe,
+    observe,
     omega_phi,
+    premise_added,
 )
-from mucut.sequents import Sequent, is_k_positive
+from mucut.sequents import Sequent
 from mucut.syntax import print_form
 
 SYSTEM_S = ("s",)
@@ -86,14 +90,12 @@ class CheckReport:
 
 
 class _State:
-    __slots__ = ("violations", "nodes", "truncs", "samples", "probe_budget")
+    __slots__ = ("violations", "nodes", "truncs")
 
-    def __init__(self, samples, probe_budget):
+    def __init__(self):
         self.violations = []
         self.nodes = 0
         self.truncs = 0
-        self.samples = tuple(sorted(set(samples)))
-        self.probe_budget = probe_budget
 
     def flag(self, path, msg):
         self.violations.append((path, msg))
@@ -107,13 +109,15 @@ class _State:
         )
 
 
-def _fmt(f):
-    return print_form(f)
+_fmt = print_form
 
 
 _S_TAGS = (Axiom, AxiomMu, Or, And, Box, Clo, Ind, Cut)
 _SINF_TAGS = (Axiom, Or, And, Box, Clo, Nu)
 _OMEGA_TAGS = (Axiom, Or, And, Box, Clo, Nu, Cut, Omega, OmegaBar)
+
+# The root of the principal of each rule that adds parts to a context.
+_ROOT = {Or: "or", And: "and", Clo: "mu", Nu: "nu"}
 
 
 def _tag_allowed(tag, system):
@@ -121,34 +125,47 @@ def _tag_allowed(tag, system):
         return isinstance(tag, _S_TAGS)
     if system == SYSTEM_SINF:
         return isinstance(tag, _SINF_TAGS)
-    if not isinstance(tag, _OMEGA_TAGS):
-        return False
-    if isinstance(tag, (Omega, OmegaBar)) and system[1] < 1:
-        return False
-    return True
+    return isinstance(tag, _OMEGA_TAGS) and not (
+        isinstance(tag, (Omega, OmegaBar)) and system[1] < 1
+    )
 
 
-def _one_premise_shapes(conclusion, principal, parts):
-    """Accepted premise conclusions for a one-step decomposition rule."""
-    strict = conclusion.without(principal).union(parts)
-    kept = conclusion.union(parts)
-    return (strict, kept)
+def _parts(c, tag, position):
+    """What the premise at position adds to the context of an or, and, clo
+    or nu node.  When the principal is a member of the conclusion with the
+    rule's root, the parts are subformulas, the unfolding or an
+    approximant of a checked formula, so they are closed and valid;
+    otherwise they are checked here, as adding them to a sequent would."""
+    f = tag.principal
+    parts = premise_added(tag, position)
+    if not (f[0] == _ROOT[type(tag)] and f in c):
+        c.without(f).union(parts)
+    return parts
 
 
-def _check_shapes(state, path, got, shapes, what):
-    if got not in shapes:
-        state.flag(
-            path,
-            "%s concludes %r, expected one of %s"
-            % (what, got, " / ".join(repr(s) for s in shapes)),
-        )
-        return False
-    return True
+def _check_premise(state, path, got, c, principal, parts, what):
+    """A premise that keeps the context c must conclude c plus the parts,
+    with or without the principal (a principal of None must stay).  The
+    test is by membership; the expected sequents are built only to word
+    a violation."""
+    if (
+        all(f in got for f in parts)
+        and all(f in got for f in c if f != principal)
+        and all(f in c or f in parts for f in got)
+    ):
+        return
+    shapes = (c.union(parts),)
+    if principal is not None:
+        shapes = (c.without(principal).union(parts),) + shapes
+    state.flag(
+        path,
+        "%s concludes %r, expected one of %s"
+        % (what, got, " / ".join(repr(s) for s in shapes)),
+    )
 
 
-def _node_checks(state, path, p, tag, system):
-    """Conclusion-level checks; returns premise expectations for the walk."""
-    c = p.conclusion
+def _node_checks(state, path, c, tag, system):
+    """Conclusion-level checks of one node."""
     if not _tag_allowed(tag, system):
         state.flag(
             path,
@@ -249,50 +266,29 @@ def _node_checks(state, path, p, tag, system):
             )
 
 
-def _finite_premise_shapes(p, tag):
-    """Accepted conclusion tuples for the finite premises of tag, or None
-    when the premise shape is not positional (box handled separately)."""
-    c = p.conclusion
-    if isinstance(tag, Or):
-        f = tag.principal
-        return (_one_premise_shapes(c, f, (f[1], f[2])),)
-    if isinstance(tag, And):
-        f = tag.principal
-        return (
-            _one_premise_shapes(c, f, (f[1],)),
-            _one_premise_shapes(c, f, (f[2],)),
-        )
-    if isinstance(tag, Clo):
-        f = tag.principal
-        return (_one_premise_shapes(c, f, (substitute(f[1], f),)),)
-    if isinstance(tag, Ind):
-        return ((Sequent((negate(substitute(tag.mu[1], tag.b)), tag.b)),),)
-    return None
-
-
-def _check_box_premise(state, path, p, tag, system, q):
+def _check_box_premise(state, path, c, tag, got):
     a = tag.principal[1]
-    if a not in q.conclusion:
+    if a not in got:
         state.flag(path, "box premise lacks the body %s" % _fmt(a))
         return
-    for gam in (q.conclusion.without(a), q.conclusion):
-        if p.conclusion == gam.dia().union((tag.principal,)).union(tag.side):
+    for gam in (got.without(a), got):
+        if c == gam.dia().union((tag.principal,)).union(tag.side):
             return
     state.flag(
         path,
         "box conclusion %r does not match the diamond image of its premise %r"
-        % (p.conclusion, q.conclusion),
+        % (c, got),
     )
 
 
-def _check_cut_premises(state, path, p, tag, system, left, right):
+def _check_cut_premises(state, path, c, tag, system, left, right):
     f = tag.formula
     if system[0] == "omega":
         pair = (prime(f), prime(negate(f)))
     else:
         pair = (f, negate(f))
-    want = {p.conclusion.add(pair[0]), p.conclusion.add(pair[1])}
-    got = {left.conclusion, right.conclusion}
+    want = {c.add(pair[0]), c.add(pair[1])}
+    got = {left, right}
     if got != want:
         state.flag(
             path,
@@ -301,153 +297,131 @@ def _check_cut_premises(state, path, p, tag, system, left, right):
         )
 
 
-def _walk(state, path, p, system, depth):
-    if depth == 0:
-        state.truncs += 1
-        return
+def _judge_node(state, path, o, system):
+    """Check one observed node; yield (path, child) for each premise to
+    descend into, each after the checks of that premise's conclusion."""
+    c, tag, kids = o.conclusion, o.rule, o.children
     try:
-        tag = p.rule
-        prem = p.premises
-    except FuelExhausted:
-        raise
-    except Exception as exc:  # noqa: BLE001
-        state.flag(path, "node evaluation failed: %s" % exc)
-        return
-    state.nodes += 1
-    try:
-        _node_checks(state, path, p, tag, system)
-    except FuelExhausted:
-        raise
+        _node_checks(state, path, c, tag, system)
     except Exception as exc:  # noqa: BLE001 - malformed tags must reject
         state.flag(path, "malformed rule tag: %s" % exc)
         return
-
-    if isinstance(tag, (Axiom, AxiomMu)):
-        return
     if isinstance(tag, Box):
         try:
-            _check_box_premise(state, path, p, tag, system, prem[0])
-        except FuelExhausted:
-            raise
+            _check_box_premise(state, path, c, tag, kids[0].conclusion)
         except Exception as exc:  # noqa: BLE001
             state.flag(path, "malformed box rule: %s" % exc)
-        _walk(state, path + ".0", prem[0], system, depth - 1)
-        return
-    if isinstance(tag, Cut):
+        yield path + ".0", kids[0]
+    elif isinstance(tag, Cut):
         try:
-            _check_cut_premises(state, path, p, tag, system, prem[0], prem[1])
-        except FuelExhausted:
-            raise
+            _check_cut_premises(
+                state, path, c, tag, system, kids[0].conclusion, kids[1].conclusion
+            )
         except Exception as exc:  # noqa: BLE001
             state.flag(path, "malformed cut rule: %s" % exc)
-        for j, q in enumerate(prem):
-            _walk(state, "%s.%d" % (path, j), q, system, depth - 1)
-        return
-    if isinstance(tag, (Or, And, Clo, Ind)):
+        for j, q in enumerate(kids):
+            yield "%s.%d" % (path, j), q
+    elif isinstance(tag, (Or, And, Clo, Ind)):
         try:
-            shapes = _finite_premise_shapes(p, tag)
-        except FuelExhausted:
-            raise
+            if isinstance(tag, Ind):
+                unfold = negate(substitute(tag.mu[1], tag.b))
+                want = [(Sequent((unfold, tag.b)), None, ())]
+            else:
+                arity = 2 if isinstance(tag, And) else 1
+                want = [(c, tag.principal, _parts(c, tag, j)) for j in range(arity)]
         except Exception as exc:  # noqa: BLE001 - undefined premise shapes
             state.flag(path, "premise shapes undefined: %s" % exc)
-            shapes = None
-        for j, q in enumerate(prem):
-            if shapes is not None and j < len(shapes):
-                _check_shapes(
-                    state, path, q.conclusion, shapes[j], "premise %d" % j
-                )
-            _walk(state, "%s.%d" % (path, j), q, system, depth - 1)
-        return
-    if isinstance(tag, Nu):
+            want = []
+        for j, q in enumerate(kids):
+            if j < len(want):
+                _check_premise(state, path, q.conclusion, *want[j], "premise %d" % j)
+            yield "%s.%d" % (path, j), q
+    elif isinstance(tag, Nu):
         state.truncs += 1
-        body = tag.principal[1]
-        for i in state.samples:
+        for i, q in zip(o.sampled, kids):
             cpath = "%s.w%d" % (path, i)
-            try:
-                q = prem(i)
-            except FuelExhausted:
-                raise
-            except Exception as exc:  # noqa: BLE001
-                state.flag(cpath, "premise evaluation failed: %s" % exc)
+            if q.conclusion is None:
+                state.flag(cpath, "premise evaluation failed: %s" % q.error)
                 continue
-            shapes = _one_premise_shapes(
-                p.conclusion, tag.principal, (iterate(body, TOP, i),)
-            )
-            _check_shapes(state, cpath, q.conclusion, shapes, "premise")
-            _walk(state, cpath, q, system, depth - 1)
-        return
-    if isinstance(tag, (Omega, OmegaBar)):
+            parts = _parts(c, tag, i)
+            got = q.conclusion
+            _check_premise(state, cpath, got, c, tag.principal, parts, "premise")
+            yield cpath, q
+    elif isinstance(tag, (Omega, OmegaBar)):
         state.truncs += 1
+        principal = omega_phi(tag.target) if isinstance(tag, Omega) else None
         if isinstance(tag, OmegaBar):
-            fam = prem.fam
-            first = prem.first
-            want = p.conclusion.add(tag.target)
+            first, kids = kids[0], kids[1:]
+            want = c.add(tag.target)
             if first.conclusion != want:
                 state.flag(
                     path,
                     "first premise concludes %r, expected %r"
                     % (first.conclusion, want),
                 )
-            _walk(state, path + ".first", first, system, depth - 1)
-        else:
-            fam = prem
-        if state.probe_budget >= 1:
-            delta, witness = canonical_probe(tag.target)
-            cpath = path + ".p0"
-            if not fam.admits(delta, witness):
-                state.flag(cpath, "family rejected the canonical probe")
-                return
-            try:
-                q = fam(delta, witness)
-            except FuelExhausted:
-                raise
-            except Exception as exc:  # noqa: BLE001
-                state.flag(cpath, "family evaluation failed: %s" % exc)
-                return
-            if isinstance(tag, Omega):
-                shapes = (
-                    delta.union(p.conclusion.without(omega_phi(tag.target))),
-                    delta.union(p.conclusion),
-                )
-            else:
-                shapes = (delta.union(p.conclusion),)
-            _check_shapes(state, cpath, q.conclusion, shapes, "family output")
-            _walk(state, cpath, q, system, depth - 1)
+            yield path + ".first", first
+        for k, (delta, q) in enumerate(zip(o.probes, kids)):
+            cpath = "%s.p%d" % (path, k)
+            if q.conclusion is None:
+                state.flag(cpath, "family evaluation failed: %s" % q.error)
+                continue
+            got = q.conclusion
+            _check_premise(state, cpath, got, c, principal, delta, "family output")
+            yield cpath, q
+
+
+def _judge(state, path, o, system, depth):
+    if depth == 0:
+        state.truncs += 1
         return
-    state.flag(path, "unknown rule tag: %r" % (tag,))
+    if o.error is not None:
+        state.flag(path, "node evaluation failed: %s" % o.error)
+        return
+    state.nodes += 1
+    for cpath, q in _judge_node(state, path, o, system):
+        _judge(state, cpath, q, system, depth - 1)
+
+
+def check_observation(o, system, depth):
+    """Judge a window that observe made to the given depth: every node
+    above the depth bound is checked, with the premises the window holds.
+    Nodes at the bound, and nu and replacement rules, whose premises are
+    only sampled, count as truncation points."""
+    state = _State()
+    _judge(state, "root", o, system, depth)
+    return state.report()
 
 
 def check_bounded(p, system, depth, samples=(0, 1, 2), probe_budget=1):
     """Check every node reachable within the observation window."""
-    state = _State(samples, probe_budget)
-    _walk(state, "root", p, system, depth)
-    return state.report()
+    return check_observation(
+        observe(p, depth, samples, probe_budget), system, depth
+    )
 
 
-def _walk_finite(state, path, p, system):
-    try:
-        tag = p.rule
-    except Exception as exc:  # noqa: BLE001
-        state.flag(path, "node evaluation failed: %s" % exc)
+def _judge_finite(state, path, o, system):
+    if o.error is not None:
+        state.flag(path, "node evaluation failed: %s" % o.error)
         return
-    if isinstance(tag, (Nu, Omega, OmegaBar)):
-        state.nodes += 1
+    state.nodes += 1
+    if isinstance(o.rule, (Nu, Omega, OmegaBar)):
         state.flag(
             path,
             "rule %s has infinitely many premises and cannot occur in a "
-            "finite proof" % type(tag).__name__.lower(),
+            "finite proof" % type(o.rule).__name__.lower(),
         )
         return
-    _walk(state, path, p, system, 1)
-    for j, q in enumerate(p.premises):
-        _walk_finite(state, "%s.%d" % (path, j), q, system)
+    for _ in _judge_node(state, path, o, system):
+        pass
+    for j, q in enumerate(o.children):
+        _judge_finite(state, "%s.%d" % (path, j), q, system)
 
 
 def check_finite(p, system=SYSTEM_S):
-    """Exhaustively check a finite proof (no sampling, no truncation)."""
-    state = _State((), 0)
-    _walk_finite(state, "root", p, system)
-    state.truncs = 0
+    """Exhaustively check a finite proof: judge its whole window, in which
+    nu and replacement rules show no premises."""
+    state = _State()
+    _judge_finite(state, "root", observe(p, math.inf, (), 0), system)
     return state.report()
 
 
@@ -492,8 +466,6 @@ def approximant_closure(s, max_index):
 def subformula_report(p, depth, samples=(0, 1, 2), probe_budget=1):
     """Verify every observed sequent stays inside the approximant closure
     of the endsequent and mentions no nub anywhere."""
-    from mucut.proofs import observe
-
     max_index = max(samples, default=0)
     closure = approximant_closure(p.conclusion, max_index)
     o = observe(p, depth, samples, probe_budget)

@@ -7,13 +7,16 @@ Subcommands:
   * ``check`` — check a finite proof against a system (``s``, ``sinf``,
     ``omega:K``) and print the report;
   * ``pipeline`` — run embed / eliminate / collapse / to-sinf on a finite
-    S proof, write one observation file per stage plus a summary, and
-    print the one-line summary;
+    S proof, write one observation file per stage plus a summary with
+    each stage's verdict in its own system (omega:K for the embedded and
+    eliminated stages, sinf for the collapsed and sinf stages), and print
+    the one-line summary;
   * ``corpus`` — write the built-in example proofs as ``.sproof`` files.
 
-Exit codes: 0 ok; 1 check failure; 2 parse error; 3 fuel exhaustion;
-4 internal invariant failure.  All output is deterministic: equal inputs
-and flags produce byte-identical files.
+Exit codes: 0 ok; 1 check failure; 2 parse error; 3 resource limit (fuel
+exhaustion, or nesting too deep for the stack); 4 internal invariant
+failure.  All output is deterministic: equal inputs and flags produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -24,9 +27,13 @@ from pathlib import Path
 
 from mucut.checker import (
     SYSTEM_S,
+    SYSTEM_SINF,
     check_finite,
+    check_observation,
     level_bound,
+    omega_system,
     parse_system,
+    system_name,
 )
 from mucut.collapse import pipeline
 from mucut.corpus import CORPUS
@@ -163,18 +170,30 @@ def cmd_pipeline(args):
         sys.stderr.write("stage %s produced an error leaf: %s\n" % (name, first))
         return EXIT_INVARIANT
 
+    omega = omega_system(level_bound(proof))
+    checks = []
+    for name in STAGES:
+        system = SYSTEM_SINF if name in ("collapsed", "sinf") else omega
+        report = check_observation(observations[name], system, args.depth)
+        checks.append((name, system_name(system), report.ok))
+        if not report.ok:
+            sys.stderr.write("stage %s fails its check in %s: %s: %s\n" % (
+                name, system_name(system), *report.violations[0]))
+
     final = observations["sinf"]
     cut_free = not any(isinstance(r, Cut) for r in observation_rules(final) if r)
     nubar_free = all(
         s.max_nubar_level() < 0 for s in observation_sequents(final)
     )
-    summary = dumps(summary_to_sx(proof.conclusion, cut_free, nubar_free)) + "\n"
+    summary = summary_to_sx(proof.conclusion, cut_free, nubar_free, checks)
+    summary = dumps(summary) + "\n"
     (out_dir / (stem + ".summary")).write_text(summary, encoding="utf-8")
     sys.stdout.write(
         "cut-free: %s, nubar-free: %s\n"
         % ("yes" if cut_free else "no", "yes" if nubar_free else "no")
     )
-    return EXIT_OK if cut_free and nubar_free else EXIT_CHECK
+    passed = cut_free and nubar_free and all(ok for _, _, ok in checks)
+    return EXIT_OK if passed else EXIT_CHECK
 
 
 def cmd_corpus(args):
@@ -197,7 +216,8 @@ def _add_config(sub):
     sub.add_argument("--samples", type=_parse_samples, default=DEFAULT_SAMPLES,
                      help="nu-premise indices, comma-separated (default 0,1,2)")
     sub.add_argument("--probes", type=int, default=DEFAULT_PROBES,
-                     help="family probe budget (default %d)" % DEFAULT_PROBES)
+                     help="0 skips families; N >= 1 feeds each family its "
+                          "one canonical probe (default %d)" % DEFAULT_PROBES)
     sub.add_argument("--fuel", type=int, default=DEFAULT_FUEL,
                      help="reduction fuel (default %d)" % DEFAULT_FUEL)
 
@@ -248,6 +268,9 @@ def main(argv=None):
         return EXIT_PARSE
     except FuelExhausted as exc:
         sys.stderr.write("fuel exhausted: %s\n" % exc)
+        return EXIT_FUEL
+    except RecursionError:
+        sys.stderr.write("nesting too deep: input exceeds the stack limit\n")
         return EXIT_FUEL
     except InternalInvariantError as exc:
         sys.stderr.write("internal invariant failure: %s\n" % exc)

@@ -8,7 +8,7 @@ and memoized so repeated exploration is deterministic.
 
 Observation is the finite window onto such a proof: explore to a depth
 bound, sample omega premises at chosen indices, and feed replacement-rule
-families a bounded number of probe arguments.
+families their canonical probe.  The checker judges these windows.
 """
 
 from __future__ import annotations
@@ -505,69 +505,69 @@ class Observation:
     error: str = None
 
 
-def _error_leaf(exc):
-    return Observation(
-        conclusion=Sequent(), rule=None, truncated=False, error=str(exc)
-    )
+def _error_leaf(exc, conclusion=None):
+    """A leaf for a failure: a node that could not be forced keeps its
+    declared conclusion; a premise or family output that could not be
+    produced has none."""
+    return Observation(conclusion=conclusion, rule=None, error=str(exc))
+
+
+# Resource limits propagate out of an observation; every other failure
+# becomes an error leaf.
+_LIMITS = (FuelExhausted, RecursionError)
 
 
 def observe(p, depth, samples=(0, 1, 2), probe_budget=1):
     """Explore p to the given depth.  Omega-indexed premises are sampled
-    at the given indices; replacement families are fed up to probe_budget
-    canonical probes.  Family evaluation failures become error leaves;
-    fuel exhaustion propagates."""
+    at the given indices; replacement families are fed the canonical probe
+    when probe_budget is at least 1.  Failures to force a node, to produce
+    a premise or family output, and unknown rule tags become error leaves;
+    fuel exhaustion and running out of stack propagate."""
     try:
         tag = p.rule
         prem = p.premises
-    except FuelExhausted:
+    except _LIMITS:
         raise
     except Exception as exc:  # noqa: BLE001 - failures become leaves
-        return _error_leaf(exc)
+        return _error_leaf(exc, p.conclusion)
+    c = p.conclusion
     if isinstance(tag, FINITE_TAGS):
         if depth == 0:
-            return Observation(p.conclusion, tag, (), truncated=bool(prem))
-        kids = tuple(observe(q, depth - 1, samples, probe_budget) for q in prem)
-        return Observation(p.conclusion, tag, kids, truncated=False)
-    if isinstance(tag, Nu):
-        idx = tuple(sorted(set(samples)))
-        if depth == 0:
-            return Observation(p.conclusion, tag, (), truncated=True, sampled=())
+            return Observation(c, tag, (), truncated=bool(prem))
         kids = []
-        for i in idx:
-            try:
-                q = prem(i)
-            except FuelExhausted:
-                raise
-            except Exception as exc:  # noqa: BLE001
-                kids.append(_error_leaf(exc))
-                continue
+        for q in prem:  # a loop, not a generator: one frame per level
             kids.append(observe(q, depth - 1, samples, probe_budget))
-        return Observation(
-            p.conclusion, tag, tuple(kids), truncated=True, sampled=idx
-        )
+        return Observation(c, tag, tuple(kids))
+    if isinstance(tag, Nu):
+        if depth == 0:
+            return Observation(c, tag, (), truncated=True, sampled=())
+        idx = tuple(sorted(set(samples)))
+        kids = tuple(_premise(prem, (i,), depth, samples, probe_budget) for i in idx)
+        return Observation(c, tag, kids, truncated=True, sampled=idx)
     if isinstance(tag, (Omega, OmegaBar)):
         if depth == 0:
-            return Observation(p.conclusion, tag, (), truncated=True, probes=())
-        kids = []
-        probes = []
-        fam = prem.fam if isinstance(tag, OmegaBar) else prem
+            return Observation(c, tag, (), truncated=True, probes=())
+        kids, probes, fam = [], (), prem
         if isinstance(tag, OmegaBar):
+            fam = prem.fam
             kids.append(observe(prem.first, depth - 1, samples, probe_budget))
         if probe_budget >= 1:
             delta, witness = canonical_probe(tag.target)
-            probes.append(delta)
-            try:
-                q = fam(delta, witness)
-            except FuelExhausted:
-                raise
-            except Exception as exc:  # noqa: BLE001
-                kids.append(_error_leaf(exc))
-            else:
-                kids.append(observe(q, depth - 1, samples, probe_budget))
-        return Observation(
-            p.conclusion, tag, tuple(kids), truncated=True, probes=tuple(probes)
-        )
-    raise InternalInvariantError("unknown rule tag in observation: %r" % (tag,))
+            probes = (delta,)
+            kids.append(_premise(fam, (delta, witness), depth, samples, probe_budget))
+        return Observation(c, tag, tuple(kids), truncated=True, probes=probes)
+    return _error_leaf("unknown rule tag: %r" % (tag,), c)
+
+
+def _premise(get, args, depth, samples, probe_budget):
+    """The window below the premise get(*args) of a node at depth."""
+    try:
+        q = get(*args)
+    except _LIMITS:
+        raise
+    except Exception as exc:  # noqa: BLE001
+        return _error_leaf(exc)
+    return observe(q, depth - 1, samples, probe_budget)
 
 
 def observation_rules(o):

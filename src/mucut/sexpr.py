@@ -314,12 +314,17 @@ def report_dumps(report):
     return dumps(report_to_sx(report)) + "\n"
 
 
-def summary_to_sx(endsequent, cut_free, nubar_free):
+def summary_to_sx(endsequent, cut_free, nubar_free, checks=()):
+    """The summary; checks are (stage, system name, ok) verdicts."""
     return [
         Sym("summary"),
         [Sym("endsequent"), seq_to_sx(endsequent)],
         [Sym("cut-free"), Sym("yes" if cut_free else "no")],
         [Sym("nubar-free"), Sym("yes" if nubar_free else "no")],
+        *(
+            [Sym("check"), Sym(stage), Sym(system), Sym("ok" if ok else "fail")]
+            for stage, system, ok in checks
+        ),
     ]
 
 

@@ -11,6 +11,7 @@ from mucut.checker import (
     approximant_closure,
     check_bounded,
     check_finite,
+    check_observation,
     level_bound,
     omega_system,
     parse_system,
@@ -24,12 +25,14 @@ from mucut.proofs import (
     Box,
     Cut,
     Ind,
+    Observation,
     Proof,
     ax,
     box_node,
     cut_node,
     ind_node,
     nu_node,
+    observe,
     or_node,
     top_intro,
 )
@@ -227,6 +230,29 @@ def test_node_evaluation_failure_is_a_violation():
     rep = check_finite(p)
     assert not rep.ok
     assert "node evaluation failed" in rep.violations[0][1]
+
+
+def test_check_observation_judges_the_window_it_is_given():
+    o = observe(top_intro(()), 3)
+    assert check_observation(o, SYSTEM_S, 3) == check_bounded(top_intro(()), SYSTEM_S, 3)
+    # the judge reads the window, not the proof: a doctored leaf is flagged
+    leaf = o.children[0]
+    bad = Observation(o.conclusion, o.rule, (
+        Observation(leaf.conclusion.add(atom(4)), leaf.rule),
+    ))
+    rep = check_observation(bad, SYSTEM_S, 3)
+    assert not rep.ok
+    assert rep.violations[0][1].startswith("premise 0 concludes {p0, p4, ~p0}")
+    assert rep.nodes_checked == 2
+
+
+def test_unknown_rule_tag_is_flagged():
+    rep = check_bounded(Proof.make(seq(TOP), object(), ()), SYSTEM_S, 2)
+    assert not rep.ok
+    assert rep.violations[0][1].startswith(
+        "node evaluation failed: unknown rule tag: <object object"
+    )
+    assert rep.nodes_checked == 0
 
 
 def test_approximant_closure_oracles():

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from conftest import run_cli
+from mucut import cli
 from mucut.cli import (
     EXIT_CHECK,
     EXIT_FUEL,
@@ -15,6 +16,7 @@ from mucut.cli import (
     EXIT_PARSE,
     build_parser,
 )
+from mucut.corpus import CORPUS
 from mucut.sexpr import loads
 
 
@@ -78,6 +80,15 @@ def test_missing_file(tmp_path):
     assert "io error" in err
 
 
+def test_nesting_too_deep_is_a_resource_limit(tmp_path):
+    f = tmp_path / "deep.form"
+    f.write_text("[]" * 3000 + "p0")
+    code, out, err = run_cli(["print", str(f)])
+    assert code == EXIT_FUEL
+    assert out == ""
+    assert err == "nesting too deep: input exceeds the stack limit\n"
+
+
 def test_check_ok_and_fail(tmp_path):
     _write_corpus(tmp_path)
     e1 = str(tmp_path / "e1-ind-top.sproof")
@@ -129,7 +140,9 @@ def test_pipeline_artifacts(tmp_path):
     assert summary == (
         '(summary (endsequent'
         ' (seq "nu X . (X | nu X . ((~p3 | p3) & X))"))'
-        ' (cut-free yes) (nubar-free yes))\n'
+        ' (cut-free yes) (nubar-free yes)'
+        ' (check embedded omega:2 ok) (check eliminated omega:2 ok)'
+        ' (check collapsed sinf ok) (check sinf sinf ok))\n'
     )
     lines = trace.read_text().splitlines()
     assert lines[0] == '(step "root.0" omegabar-2 (rank 2 9))'
@@ -147,6 +160,35 @@ def test_pipeline_all_examples(tmp_path):
         ])
         assert code == EXIT_OK, (stem, err)
         assert out == "cut-free: yes, nubar-free: yes\n"
+
+
+def test_pipeline_summary_carries_stage_verdicts(tmp_path, monkeypatch):
+    # a cut-free, nubar-free sinf stage that uses axmu, a rule S-infinity
+    # lacks: the summary says "yes, yes" but its sinf verdict fails
+    _write_corpus(tmp_path)
+    real = cli.pipeline
+
+    def pipeline(proof, **kwargs):
+        stages = real(proof, **kwargs)
+        stages["sinf"] = CORPUS["axmu"]()
+        return stages
+
+    monkeypatch.setattr(cli, "pipeline", pipeline)
+    outdir = tmp_path / "out"
+    code, out, err = run_cli(
+        ["pipeline", str(tmp_path / "e3-axmu.sproof"), "--out", str(outdir)]
+    )
+    assert code == EXIT_CHECK
+    assert out == "cut-free: yes, nubar-free: yes\n"
+    assert err == (
+        "stage sinf fails its check in sinf: root:"
+        " rule axiommu is not part of system sinf\n"
+    )
+    summary = (outdir / "e3-axmu.summary").read_text()
+    assert summary.endswith(
+        " (check embedded omega:1 ok) (check eliminated omega:1 ok)"
+        " (check collapsed sinf ok) (check sinf sinf fail))\n"
+    )
 
 
 def test_pipeline_rejects_invalid_input(tmp_path):

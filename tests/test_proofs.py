@@ -159,6 +159,33 @@ def test_observe_finite_and_truncation():
     assert observation_errors(o) == []
 
 
+def test_observe_error_leaves():
+    # a node that cannot be forced keeps its declared conclusion
+    lying = Proof.defer(seq(atom(3)), lambda: top_intro(()))
+    o = observe(lying, 2)
+    assert o.error is not None and o.rule is None
+    assert o.conclusion == seq(atom(3))
+    # an unknown rule tag is a failed node too, not an exception
+    odd = observe(Proof.make(seq(TOP), object(), ()), 2)
+    assert odd.error.startswith("unknown rule tag: <object object")
+    assert odd.conclusion == seq(TOP)
+    # a premise that cannot be produced has no conclusion at all
+    n = pf("nu X . X")
+    p = nu_node(seq(n), n, lambda i: 1 // i and top_intro((n,)))
+    o = observe(p, 2, samples=(0, 1))
+    assert o.children[0].conclusion is None
+    assert o.children[0].error == "integer division or modulo by zero"
+    assert o.children[1].error is None
+
+
+def test_observe_lets_running_out_of_stack_propagate():
+    def deep():
+        raise RecursionError("maximum recursion depth exceeded")
+
+    with pytest.raises(RecursionError):
+        observe(Proof.defer(seq(TOP), deep), 2)
+
+
 def test_nu_node_sampling():
     n = pf("nu X . X")
     # nu X . X unfolds to approximant top at every index
