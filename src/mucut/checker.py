@@ -109,15 +109,16 @@ class _State:
         )
 
 
-_fmt = print_form
+def _fmt(f):
+    return print_form(f)
 
 
 _S_TAGS = (Axiom, AxiomMu, Or, And, Box, Clo, Ind, Cut)
 _SINF_TAGS = (Axiom, Or, And, Box, Clo, Nu)
 _OMEGA_TAGS = (Axiom, Or, And, Box, Clo, Nu, Cut, Omega, OmegaBar)
 
-# The root of the principal of each rule that adds parts to a context.
-_ROOT = {Or: "or", And: "and", Clo: "mu", Nu: "nu"}
+# The root each rule's principal must have.
+_ROOT = {Or: "or", And: "and", Box: "box", Clo: "mu", Nu: "nu"}
 
 
 def _tag_allowed(tag, system):
@@ -125,9 +126,11 @@ def _tag_allowed(tag, system):
         return isinstance(tag, _S_TAGS)
     if system == SYSTEM_SINF:
         return isinstance(tag, _SINF_TAGS)
-    return isinstance(tag, _OMEGA_TAGS) and not (
-        isinstance(tag, (Omega, OmegaBar)) and system[1] < 1
-    )
+    if not isinstance(tag, _OMEGA_TAGS):
+        return False
+    if isinstance(tag, (Omega, OmegaBar)) and system[1] < 1:
+        return False
+    return True
 
 
 def _parts(c, tag, position):
@@ -194,27 +197,18 @@ def _node_checks(state, path, c, tag, system):
                 path,
                 "axmu pair %s, %s not in conclusion" % (_fmt(m), _fmt(negate(m))),
             )
-    elif isinstance(tag, (Or, And)):
+    elif isinstance(tag, (Or, And, Box, Clo, Nu)):
         f = tag.principal
-        want = "or" if isinstance(tag, Or) else "and"
-        if f[0] != want:
-            state.flag(path, "principal %s is not %s-rooted" % (_fmt(f), want))
+        root = _ROOT[type(tag)]
+        what = "principal"
+        if isinstance(tag, (Clo, Nu)):
+            what = type(tag).__name__.lower() + " principal"
+        if f[0] != root:
+            state.flag(path, "%s %s is not %s-rooted" % (what, _fmt(f), root))
         elif f not in c:
-            state.flag(path, "principal %s not in conclusion" % _fmt(f))
-    elif isinstance(tag, Box):
-        f = tag.principal
-        if f[0] != "box":
-            state.flag(path, "principal %s is not box-rooted" % _fmt(f))
-        elif f not in c:
-            state.flag(path, "principal %s not in conclusion" % _fmt(f))
-        if not tag.side.issubset(c):
+            state.flag(path, "%s %s not in conclusion" % (what, _fmt(f)))
+        if isinstance(tag, Box) and not tag.side.issubset(c):
             state.flag(path, "box side sequent is not part of the conclusion")
-    elif isinstance(tag, Clo):
-        f = tag.principal
-        if f[0] != "mu":
-            state.flag(path, "clo principal %s is not mu-rooted" % _fmt(f))
-        elif f not in c:
-            state.flag(path, "clo principal %s not in conclusion" % _fmt(f))
     elif isinstance(tag, Ind):
         m = tag.mu
         if m[0] != "mu":
@@ -235,12 +229,6 @@ def _node_checks(state, path, c, tag, system):
                 "cut formula %s has level %d, above the system bound %d"
                 % (_fmt(f), level(f), system[1]),
             )
-    elif isinstance(tag, Nu):
-        f = tag.principal
-        if f[0] != "nu":
-            state.flag(path, "nu principal %s is not nu-rooted" % _fmt(f))
-        elif f not in c:
-            state.flag(path, "nu principal %s not in conclusion" % _fmt(f))
     elif isinstance(tag, (Omega, OmegaBar)):
         t = tag.target
         if t[0] != "mu" or not is_fully_primed(t):

@@ -7,10 +7,9 @@ Subcommands:
   * ``check`` — check a finite proof against a system (``s``, ``sinf``,
     ``omega:K``) and print the report;
   * ``pipeline`` — run embed / eliminate / collapse / to-sinf on a finite
-    S proof, write one observation file per stage plus a summary with
-    each stage's verdict in its own system (omega:K for the embedded and
-    eliminated stages, sinf for the collapsed and sinf stages), and print
-    the one-line summary;
+    S proof, write one observation file per stage plus a summary that
+    holds each stage's verdict in its own system, and print the one-line
+    summary;
   * ``corpus`` — write the built-in example proofs as ``.sproof`` files.
 
 Exit codes: 0 ok; 1 check failure; 2 parse error; 3 resource limit (fuel
