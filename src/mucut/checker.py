@@ -400,7 +400,7 @@ def _judge_finite(state, path, o, system):
         )
         return
     for _ in _judge_node(state, path, o, system):
-        pass
+        pass  # all of this node's checks come before its subtrees
     for j, q in enumerate(o.children):
         _judge_finite(state, "%s.%d" % (path, j), q, system)
 
