@@ -12,10 +12,11 @@ Subcommands:
     summary;
   * ``corpus`` — write the built-in example proofs as ``.sproof`` files.
 
-Exit codes: 0 ok; 1 check failure; 2 parse error; 3 resource limit (fuel
-exhaustion, or nesting too deep for the stack); 4 internal invariant
-failure.  All output is deterministic: equal inputs and flags produce
-byte-identical files.
+Exit codes: 0 ok; 1 check failure; 2 parse error (malformed input, input
+that is not UTF-8, or an unknown system); 3 resource limit (fuel
+exhaustion, or nesting too deep for the stack); 4 internal failure (a
+broken invariant, or any other ValueError).  All output is deterministic:
+equal inputs and flags produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -121,7 +122,10 @@ def cmd_print(args):
 
 def cmd_check(args):
     proof = _load_proof(args.file)
-    system = parse_system(args.system)
+    try:
+        system = parse_system(args.system)
+    except ValueError as exc:
+        raise ParseError(str(exc), args.system, 0) from None
     report = check_finite(proof, system)
     sys.stdout.write(report_dumps(report))
     return EXIT_OK if report.ok else EXIT_CHECK
@@ -259,7 +263,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, SexprError, ValueError) as exc:
+    except (ParseError, SexprError, UnicodeDecodeError) as exc:
         sys.stderr.write("parse error: %s\n" % exc)
         return EXIT_PARSE
     except OSError as exc:
@@ -273,6 +277,9 @@ def main(argv=None):
         return EXIT_FUEL
     except InternalInvariantError as exc:
         sys.stderr.write("internal invariant failure: %s\n" % exc)
+        return EXIT_INVARIANT
+    except ValueError as exc:
+        sys.stderr.write("internal failure: %s\n" % exc)
         return EXIT_INVARIANT
 
 

@@ -197,9 +197,9 @@ def _reduce_root(d, budget, trace, path):
     f1 = prime(formula)
     f2 = prime(negate(formula))
     dl, dr = d.premises
-    if dl.conclusion != g.add(f1) or dr.conclusion != g.add(f2):
+    if not (dl.conclusion.is_add(g, f1) and dr.conclusion.is_add(g, f2)):
         dl, dr = dr, dl
-    if dl.conclusion != g.add(f1) or dr.conclusion != g.add(f2):
+    if not (dl.conclusion.is_add(g, f1) and dr.conclusion.is_add(g, f2)):
         raise InternalInvariantError(
             "cut premises do not match the cut formula's primed sides"
         )

@@ -99,13 +99,16 @@ def _fit_sk(p, strict, kept):
 def apply_sigma(s, sel):
     """The sequent with the selected formulas primed.  Only formulas that
     priming changes are taken out and put back in their primed form."""
+    if not sel:
+        return s
     sel = frozenset(sel)
-    stray = sel - frozenset(s)
-    if stray:
-        raise ValueError("selection outside the sequent: %r" % (sorted(stray),))
-    primed = {f: prime(f) for f in s if f in sel}
-    moved = [f for f, g in primed.items() if g != f]
-    return s.difference(moved).union(primed[f] for f in moved)
+    if not s.issuperset(sel):
+        stray = sorted(f for f in sel if f not in s)
+        raise ValueError("selection outside the sequent: %r" % (stray,))
+    # priming changes exactly the formulas with a plain nu binder, and no
+    # prime has one: the formulas to move are those no selected prime equals
+    moved = sel.difference(map(prime, sel))
+    return s.difference(moved).union(map(prime, moved))
 
 
 # ---------------------------------------------------------------------------
@@ -661,18 +664,17 @@ def _embed_now(p, sel, k, cs):
         _require(
             level(cf) <= k, "cut formula level exceeds the system index"
         )
+        ncf = negate(cf)
+        g = p.conclusion
         q1, q2 = p.premises
-        if q1.conclusion != p.conclusion.add(cf):
+        if not q1.conclusion.is_add(g, cf):
             q1, q2 = q2, q1
         _require(
-            q1.conclusion == p.conclusion.add(cf)
-            and q2.conclusion == p.conclusion.add(negate(cf)),
+            q1.conclusion.is_add(g, cf) and q2.conclusion.is_add(g, ncf),
             "cut premises do not match the cut formula",
         )
-        s1 = frozenset(x for x in q1.conclusion if x == cf or x in sel)
-        s2 = frozenset(
-            x for x in q2.conclusion if x == negate(cf) or x in sel
-        )
+        s1 = q1.conclusion.members_in(sel) | {cf}
+        s2 = q2.conclusion.members_in(sel) | {ncf}
         e1 = _embed(q1, s1, k)
         e2 = _embed(q2, s2, k)
         return cut_node(

@@ -439,7 +439,7 @@ def omega_node(conclusion, h, target, admits, fn):
 def omegabar_node(conclusion, h, target, first, admits, fn):
     _check_replacement_target(h, target)
     _require(
-        first.conclusion == conclusion.add(target),
+        first.conclusion.is_add(conclusion, target),
         "omegabar first premise must be the conclusion plus the target",
     )
     return make_node(
@@ -481,7 +481,7 @@ def standard_admits(h, target):
             return False
         if not is_k_positive(delta, h):
             return False
-        if witness.conclusion != delta.add(target):
+        if not witness.conclusion.is_add(delta, target):
             return False
         return is_cut_free_observed(witness, ADMIT_DEPTH, (0,), 0)
 

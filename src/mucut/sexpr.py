@@ -36,6 +36,9 @@ class Sym(str):
     __slots__ = ()
 
 
+_SEQ = Sym("seq")
+
+
 class SexprError(ValueError):
     def __init__(self, message, pos):
         super().__init__("%s at position %d" % (message, pos))
@@ -72,6 +75,11 @@ _SPACE = re.compile(r"[ \t\r\n]*")
 _STRING_START = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*', re.S)
 _ESCAPE = re.compile(r"\\(.)", re.S)
 _OPEN, _CLOSE, _STRING, _WORD = 1, 2, 3, 4
+# The rest of a (seq "..." ...) group after its open parenthesis, when
+# every member is a string without escapes set off by whitespace: the
+# strings in group 1.  Any other group is read token by token.
+_SEQ_REST = re.compile(r'[ \t\r\n]*seq((?:[ \t\r\n]+"[^"\\]*")*)[ \t\r\n]*\)')
+_SEQ_ITEM = re.compile(r'"([^"\\]*)"')
 
 
 def _no_token(text, pos, depth):
@@ -94,6 +102,7 @@ def loads(text):
     stack = []  # the lists still open, outermost first
     pos = 0
     match = _TOKEN.match
+    seq_rest = _SEQ_REST.match
     while True:
         m = match(text, pos)
         kind = m.lastindex
@@ -101,9 +110,14 @@ def loads(text):
             _no_token(text, m.end(), len(stack))
         pos = m.end()
         if kind == _OPEN:
-            stack.append([])
-            continue
-        if kind == _CLOSE:
+            g = seq_rest(text, pos)
+            if g is None:
+                stack.append([])
+                continue
+            pos = g.end()
+            value = [_SEQ]
+            value.extend(_SEQ_ITEM.findall(text, g.start(1), g.end(1)))
+        elif kind == _CLOSE:
             if not stack:
                 raise SexprError("unmatched closing parenthesis", pos - 1)
             value = stack.pop()
@@ -147,10 +161,16 @@ def _formula(text, parsed):
 
 
 def sx_to_seq(sx, parsed):
-    if not isinstance(sx, list) or not sx or sx[0] != Sym("seq"):
+    if not isinstance(sx, list) or not sx or sx[0] != _SEQ:
         raise SexprError("expected (seq ...)", 0)
+    texts = sx[1:]
+    if set(map(type, texts)) <= {str}:
+        try:  # every text read before: one dict lookup each
+            return from_checked(list(map(parsed.__getitem__, texts)))
+        except KeyError:
+            pass
     forms = []
-    for item in sx[1:]:
+    for item in texts:
         if not isinstance(item, str) or isinstance(item, Sym):
             raise SexprError("sequent members must be quoted formulas", 0)
         forms.append(_formula(item, parsed))

@@ -7,7 +7,14 @@ import contextlib
 import io
 import random
 
+from hypothesis import settings
+
 from mucut.kernel import level, size
+
+# Property tests draw the same examples on every run and keep no example
+# database, so a failure found once is found again on every run.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 ATOM_RANGE = 4
 

@@ -33,6 +33,8 @@ from mucut.proofs import (
     ind_node,
     nu_node,
     observe,
+    omega_node,
+    omega_phi,
     or_node,
     top_intro,
 )
@@ -66,6 +68,50 @@ def test_level_bound_oracles():
     assert level_bound(CORPUS["top-cut"]()) == 0
     assert level_bound(CORPUS["axmu"]()) == 1
     assert level_bound(CORPUS["nested"]()) == 2
+
+
+def _level_bound_by_definition(p):
+    below = [_level_bound_by_definition(q) for q in p.premises]
+    return max([p.conclusion.level()] + below)
+
+
+def test_level_bound_is_the_recursive_definition():
+    for name, build in CORPUS.items():
+        p = build()
+        assert level_bound(p) == _level_bound_by_definition(p), name
+
+
+def test_level_bound_on_a_deep_chain():
+    # one level-2 formula at the bottom of a 10,000-node chain
+    deep = pf("nu X . (X | nu X . ((~p3 | p3) & X))")
+    p = Proof.make(seq(deep), Axiom(atom(0)), ())
+    for _ in range(10_000):
+        p = Proof.make(seq(TOP), Cut(atom(0)), (p,))
+    assert level_bound(p) == 2
+
+
+class _Counted(Proof):
+    """A node that counts how often its premises are read."""
+
+    __slots__ = ("reads",)
+
+    def __init__(self, conclusion, tag, premises):
+        super().__init__(conclusion, (tag, premises), None)
+        self.reads = 0
+
+    @property
+    def premises(self):
+        self.reads += 1
+        return super().premises
+
+
+def test_level_bound_visits_a_shared_premise_once():
+    # 40 levels whose two premises are one object: 2**40 paths, 41 nodes
+    nodes = [_Counted(seq(pf("mu X . (p1 | X)")), Axiom(atom(0)), ())]
+    for _ in range(40):
+        nodes.append(_Counted(seq(TOP), Cut(atom(0)), (nodes[-1], nodes[-1])))
+    assert level_bound(nodes[-1]) == 1
+    assert [q.reads for q in nodes] == [1] * 41
 
 
 def test_box_rule_exact_side():
@@ -287,3 +333,27 @@ def test_subformula_report():
     rep2 = subformula_report(primed, 2)
     assert not rep2.ok
     assert any("mentions nub" in v[1] for v in rep2.violations)
+
+
+def test_subformula_report_words_failures_as_the_judge_does():
+    # a node that could not be forced
+    rep = subformula_report(Proof.defer(seq(TOP), lambda: 1 / 0), 3)
+    assert rep.violations == (
+        ("root", "node evaluation failed: division by zero"),
+    )
+    # nu premises that could not be produced
+    n = pf("nu X . (p1 & X)")
+    rep = subformula_report(nu_node(seq(n), n, lambda i: 1 / 0), 3, (0, 1))
+    assert rep.violations == (
+        ("root.0", "premise evaluation failed: division by zero"),
+        ("root.1", "premise evaluation failed: division by zero"),
+    )
+    # a family output that could not be produced
+    t = prime(pf("mu X . (p1 | X)"))
+    o = omega_node(
+        Sequent((omega_phi(t),)), 1, t, lambda d, w: True, lambda d, w: 1 / 0
+    )
+    rep = subformula_report(o, 3)
+    assert rep.violations[-1] == (
+        "root.0", "family evaluation failed: division by zero"
+    )

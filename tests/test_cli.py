@@ -12,6 +12,7 @@ from mucut import cli
 from mucut.cli import (
     EXIT_CHECK,
     EXIT_FUEL,
+    EXIT_INVARIANT,
     EXIT_OK,
     EXIT_PARSE,
     build_parser,
@@ -80,6 +81,29 @@ def test_missing_file(tmp_path):
     assert "io error" in err
 
 
+def test_input_that_is_not_utf8_is_a_parse_error(tmp_path):
+    f = tmp_path / "bad.sproof"
+    f.write_bytes(b'(rule (axiom "p0") (seq "\xff"))')
+    code, out, err = run_cli(["print", str(f)])
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("parse error: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_other_value_errors_are_internal_failures(tmp_path, monkeypatch):
+    _write_corpus(tmp_path)
+    e2 = str(tmp_path / "e2-top-cut.sproof")
+
+    def broken(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "pipeline", broken)
+    code, out, err = run_cli(["pipeline", e2, "--out", str(tmp_path / "out")])
+    assert code == EXIT_INVARIANT
+    assert out == ""
+    assert err == "internal failure: boom\n"
+
+
 def test_nesting_too_deep_is_a_resource_limit(tmp_path):
     f = tmp_path / "deep.form"
     f.write_text("[]" * 3000 + "p0")
@@ -104,6 +128,9 @@ def test_check_ok_and_fail(tmp_path):
     code3, _, err3 = run_cli(["check", e1, "--system", "frob"])
     assert code3 == EXIT_PARSE
     assert "unknown system" in err3
+    code4, _, err4 = run_cli(["check", e1, "--system", "omega:-1"])
+    assert code4 == EXIT_PARSE
+    assert "system index must be at least 0" in err4
 
 
 def test_bad_samples_flag(tmp_path):

@@ -160,3 +160,44 @@ def test_fast_paths_match_rebuild(draws):
     for r, members in results:
         assert r.forms == _rebuild(members)
         assert all((f in r) == (f in r.forms) for f in pool + [("dia", f) for f in pool])
+
+
+@st.composite
+def _large_and_small(draw):
+    """Up to 40 distinct formulas, and a list of up to six formulas new to
+    them plus some of them again, so that union both bisects new formulas
+    into place and sorts."""
+    pool = random_formulas(draw(st.integers(0, 2**32)), 48, max_size=8, max_level=2)
+    order = draw(st.permutations(range(len(pool))))
+    k = draw(st.integers(0, 40))
+    a = [pool[i] for i in order[:k]]
+    new = [pool[i] for i in order[k : k + draw(st.integers(0, 6))]]
+    old = [pool[i] for i in draw(st.lists(st.sampled_from(order[:k] or [0])))]
+    return pool, a, new + old
+
+
+@settings(deadline=None)
+@given(_large_and_small())
+def test_union_and_membership_tests_match_rebuild(draws):
+    pool, a, b = draws
+    s, t = Sequent(a), Sequent(b)
+    for u in (s.union(t), s.union(b), t.union(s), t.union(a)):
+        assert u.forms == _rebuild(a + b)
+        assert set(u) == set(a + b)
+    assert s.issubset(t) == set(a).issubset(b) == s.issubset(tuple(b))
+    assert s.issuperset(frozenset(b)) == set(a).issuperset(b)
+    assert s.members_in(frozenset(b)) == set(a) & set(b)
+    for f in pool[:8]:
+        assert s.is_add(t, f) == (s == t.add(f))
+        assert t.add(f).is_add(t, f)
+        assert s.add(f).is_add(s, f)
+
+
+def test_is_add_raises_as_add_does():
+    s = seq(atom(1))
+    for bad in (("var",), ("frob", 1)):
+        with pytest.raises(ValueError) as want:
+            s.add(bad)
+        with pytest.raises(ValueError) as got:
+            s.is_add(s, bad)
+        assert str(got.value) == str(want.value)

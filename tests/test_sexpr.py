@@ -6,11 +6,13 @@ from __future__ import annotations
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mucut.checker import check_finite
 from mucut.corpus import CORPUS
-from mucut.kernel import TOP, atom, natom
-from mucut.proofs import observe, top_intro
+from mucut.kernel import TOP, atom, natom, negate
+from mucut.proofs import cut_node, observe, top_intro
 from mucut.sexpr import (
     SexprError,
     Sym,
@@ -23,7 +25,8 @@ from mucut.sexpr import (
     step_to_sx,
     summary_to_sx,
 )
-from mucut.sequents import seq
+from mucut.sequents import Sequent, seq
+from mucut.syntax import ParseError
 
 
 def test_dumps_oracles():
@@ -105,6 +108,17 @@ def test_proof_loads_rejects_junk():
         proof_loads("3")
 
 
+def test_sequent_members_are_read_in_order():
+    # the first bad member decides the error, whether its text or its type
+    with pytest.raises(ParseError):
+        proof_loads('(rule (axiom "p0") (seq "(p0 &" x "p0" "~p0"))')
+    with pytest.raises(SexprError, match="^sequent members must be quoted"):
+        proof_loads('(rule (axiom "p0") (seq x "(p0 &" "p0" "~p0"))')
+    # a text read before is looked up, one read for the first time parsed
+    p = proof_loads('(rule (axiom "p0") (seq "p0" "~p0" "p1"))')
+    assert p.conclusion == seq(atom(0), natom(0), atom(1))
+
+
 def test_report_dumps_oracles():
     assert report_dumps(check_finite(top_intro(()))) == "(report ok)\n"
     from mucut.proofs import Axiom, Proof
@@ -139,3 +153,218 @@ def test_observation_dumps_is_deterministic():
     a = observation_dumps(observe(e4, 5))
     b = observation_dumps(observe(CORPUS["nested"](), 5))
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# the reader against a reference token loop
+
+# A copy of the token loop that reads every list, (seq ...) groups
+# included: loads must give the same values, types and errors.
+_REF_TOKEN = re.compile(
+    r'[ \t\r\n]*(?:(\()|(\))|"([^"\\]*(?:\\.[^"\\]*)*)"|([A-Za-z0-9_\-:.+]+))?',
+    re.S,
+)
+_REF_SPACE = re.compile(r"[ \t\r\n]*")
+_REF_STRING_START = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*', re.S)
+_REF_ESCAPE = re.compile(r"\\(.)", re.S)
+
+
+def _reference_loads(text):
+    stack = []
+    pos = 0
+    while True:
+        m = _REF_TOKEN.match(text, pos)
+        kind = m.lastindex
+        if kind is None:
+            pos = m.end()
+            if pos == len(text):
+                raise SexprError(
+                    "unclosed parenthesis" if stack else "unexpected end of input",
+                    pos,
+                )
+            if text[pos] == '"':
+                end = _REF_STRING_START.match(text, pos).end()
+                if end < len(text):
+                    raise SexprError("dangling escape", end)
+                raise SexprError("unclosed string", end)
+            raise SexprError("unexpected character %r" % text[pos], pos)
+        pos = m.end()
+        if kind == 1:
+            stack.append([])
+            continue
+        if kind == 2:
+            if not stack:
+                raise SexprError("unmatched closing parenthesis", pos - 1)
+            value = stack.pop()
+        elif kind == 3:
+            value = m.group(3)
+            if "\\" in value:
+                value = _REF_ESCAPE.sub(r"\1", value)
+        else:
+            value = m.group(4)
+            if value[0] in "0123456789+-":
+                try:
+                    value = int(value)
+                except ValueError:
+                    value = Sym(value)
+            else:
+                value = Sym(value)
+        if not stack:
+            break
+        stack[-1].append(value)
+    pos = _REF_SPACE.match(text, pos).end()
+    if pos != len(text):
+        raise SexprError("trailing input after s-expression", pos)
+    return value
+
+
+def _typed(sx):
+    """A value with the type of every atom spelled out, so that Sym("x")
+    and "x" compare unequal."""
+    if isinstance(sx, list):
+        return ["list"] + [_typed(x) for x in sx]
+    return (type(sx).__name__, sx)
+
+
+def _outcome(read, text):
+    try:
+        return "value", _typed(read(text))
+    except Exception as exc:  # noqa: BLE001 - errors are compared too
+        return type(exc).__name__, str(exc), getattr(exc, "pos", None)
+
+
+_SPACES = st.sampled_from(["", " ", "  ", "\t", "\n", "\r\n", " \t"])
+_BODIES = st.text(alphabet='p0~&|()[]<>muX. "\\', max_size=12)
+
+
+@st.composite
+def _seq_groups(draw):
+    """A (seq ...) group: quoted strings with and without escapes, now and
+    then a symbol or an integer, spaced by any mix of whitespace (none
+    included, so that tokens abut)."""
+    parts = [draw(_SPACES), "seq"]
+    for _ in range(draw(st.integers(0, 5))):
+        parts.append(draw(_SPACES))
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            parts.append(draw(st.sampled_from(["x", "seq", "-3", "12", "+"])))
+        else:
+            parts.append(dumps(draw(_BODIES)))
+    parts.append(draw(_SPACES))
+    return "(" + "".join(parts) + ")"
+
+
+@st.composite
+def _documents(draw):
+    """Proof-shaped text built around seq groups, whole or cut short."""
+    groups = draw(st.lists(_seq_groups(), min_size=1, max_size=3))
+    text = "(rule (axiom %s)%s%s)" % (
+        dumps("p0"), draw(_SPACES), draw(_SPACES).join(groups)
+    )
+    if draw(st.booleans()):
+        text = draw(st.sampled_from(groups))
+    if draw(st.integers(0, 3)) == 0:
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+def _small_proofs():
+    yield top_intro(())
+    for build in CORPUS.values():
+        yield build()
+    a, b = atom(1), atom(2)
+    yield cut_node(
+        seq(TOP), a, top_intro((a,)), top_intro((natom(1),))
+    )
+    yield cut_node(
+        seq(TOP),
+        a,
+        cut_node(seq(a, TOP), b, top_intro((a, b)), top_intro((a, natom(2)))),
+        top_intro((natom(1),)),
+    )
+
+
+_DUMPS = [proof_dumps(p) for p in _small_proofs()]
+
+
+@st.composite
+def _mutated_dumps(draw):
+    """proof_dumps output, truncated or with characters replaced."""
+    text = draw(st.sampled_from(_DUMPS))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text) - 1))
+        c = draw(st.sampled_from(list('()" \\\tsq0x-')))
+        text = text[:i] + c + text[i + 1 :]
+    if draw(st.booleans()):
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(_seq_groups(), _documents(), _mutated_dumps()))
+def test_loads_matches_the_token_loop(text):
+    assert _outcome(loads, text) == _outcome(_reference_loads, text)
+
+
+def test_loads_seq_groups_oracles():
+    for text in (
+        "(seq)",
+        '(seq "a" "b")',
+        ' ( seq\t"a"\n"b" ) ',
+        '(seq"a")',
+        '(seq "a""b")',
+        '(seq "a\\"b" "c")',
+        '(seq x 3 "a")',
+        '(seq "a" (seq "b"))',
+        '(seqx "a")',
+        '(seq "a" "b"',
+        '(seq "a',
+    ):
+        assert _outcome(loads, text) == _outcome(_reference_loads, text), text
+
+
+def _cut_tree(atoms, extra=()):
+    """A binary tree of atom cuts, one level per atom, truth at the leaves."""
+    if not atoms:
+        return top_intro(extra)
+    a, rest = atoms[0], atoms[1:]
+    return cut_node(
+        Sequent(extra + (TOP,)),
+        a,
+        _cut_tree(rest, extra + (a,)),
+        _cut_tree(rest, extra + (negate(a),)),
+    )
+
+
+def _cut_chain(atoms):
+    """A chain of atom cuts, each closing one side by a truth introduction,
+    so the context grows by one literal per cut."""
+    contexts = [tuple(negate(a) for a in atoms[:j]) for j in range(len(atoms) + 1)]
+    p = top_intro(contexts[-1])
+    for j in range(len(atoms) - 1, -1, -1):
+        a = atoms[j]
+        p = cut_node(
+            Sequent(contexts[j] + (TOP,)), a, top_intro(contexts[j] + (a,)), p
+        )
+    return p
+
+
+_LITERALS = st.builds(
+    lambda i, positive: atom(i) if positive else natom(i),
+    st.integers(1, 40),
+    st.booleans(),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(_LITERALS, max_size=4, unique_by=lambda f: f[1]),
+    st.lists(_LITERALS, max_size=30, unique_by=lambda f: f[1]),
+)
+def test_proof_text_roundtrips_cut_trees_and_chains(tree_atoms, chain_atoms):
+    for p in (_cut_tree(tuple(tree_atoms)), _cut_chain(chain_atoms)):
+        text = proof_dumps(p)
+        q = proof_loads(text)
+        assert q.conclusion == p.conclusion
+        assert proof_dumps(q) == text
+        assert check_finite(q).ok
