@@ -14,8 +14,8 @@ from_checked, whose caller has checked them already.  The derived
 operations rely on this:
 
   * add inserts the one new formula at its place in the order;
-  * union with a Sequent re-checks nothing; it inserts the new formulas
-    the same way when they are few, and sorts only when they are many;
+  * union with a Sequent re-checks nothing, and sorts only when more
+    than one formula is new;
   * without and difference keep a subsequence, which is still sorted;
   * dia maps in order, since sort_key(<>A) is the dia tag code followed
     by sort_key(A), and <>A is closed and valid when A is;
@@ -26,7 +26,6 @@ operations rely on this:
 from __future__ import annotations
 
 from bisect import bisect
-from itertools import chain
 
 from mucut.kernel import (
     has_free_var,
@@ -45,11 +44,6 @@ def _check(f):
     validate(f)
     if has_free_var(f):
         raise ValueError("sequent formula has a free variable: %s" % print_form(f))
-
-
-# union bisects new formulas into place when there is one, or when they
-# number at most one _FEW-th of the sequent's size; otherwise it sorts
-_FEW = 8
 
 
 def _trusted(forms, members):
@@ -100,35 +94,22 @@ class Sequent:
     def __repr__(self):
         return "{%s}" % ", ".join(print_form(f) for f in self.forms)
 
-    def _insert(self, new):
-        """The sequent with the checked non-members new, each bisected
-        into its place: O(len(new) log n) sort keys, not O(n)."""
-        forms = self.forms
-        if len(new) == 1:
-            (f,) = new
-            i = bisect(forms, sort_key(f), key=sort_key)
-            return _trusted(forms[:i] + (f,) + forms[i:], self._set | {f})
-        pieces = []
-        lo = 0
-        for f in sorted(new, key=sort_key):
-            i = bisect(forms, sort_key(f), lo, key=sort_key)
-            pieces += (forms[lo:i], (f,))
-            lo = i
-        pieces.append(forms[lo:])
-        return _trusted(tuple(chain.from_iterable(pieces)), self._set.union(new))
+    def _insert(self, f):
+        i = bisect(self.forms, sort_key(f), key=sort_key)
+        return _trusted(self.forms[:i] + (f,) + self.forms[i:], self._set | {f})
 
     def union(self, other):
         """Union with another sequent or any iterable of formulas."""
         if isinstance(other, Sequent):
-            new = other._set - self._set
+            new = [f for f in other.forms if f not in self._set]
         else:
             new = [f for f in dict.fromkeys(other) if f not in self._set]
             for f in new:
                 _check(f)
         if not new:
             return self
-        if len(new) == 1 or len(new) * _FEW <= len(self.forms):
-            return self._insert(new)
+        if len(new) == 1:
+            return self._insert(new[0])
         forms = tuple(sorted(self.forms + tuple(new), key=sort_key))
         return _trusted(forms, self._set.union(new))
 
@@ -136,7 +117,7 @@ class Sequent:
         if f in self._set:
             return self
         _check(f)
-        return self._insert((f,))
+        return self._insert(f)
 
     def is_add(self, g, f):
         """self == g.add(f), answered by membership when it holds: f is a

@@ -165,10 +165,7 @@ def sx_to_seq(sx, parsed):
         raise SexprError("expected (seq ...)", 0)
     texts = sx[1:]
     if set(map(type, texts)) <= {str}:
-        try:  # every text read before: one dict lookup each
-            return from_checked(list(map(parsed.__getitem__, texts)))
-        except KeyError:
-            pass
+        return from_checked([_formula(t, parsed) for t in texts])
     forms = []
     for item in texts:
         if not isinstance(item, str) or isinstance(item, Sym):

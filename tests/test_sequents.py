@@ -165,8 +165,8 @@ def test_fast_paths_match_rebuild(draws):
 @st.composite
 def _large_and_small(draw):
     """Up to 40 distinct formulas, and a list of up to six formulas new to
-    them plus some of them again, so that union both bisects new formulas
-    into place and sorts."""
+    them plus some of them again, so that union returns the sequent
+    itself, inserts one new formula and sorts several."""
     pool = random_formulas(draw(st.integers(0, 2**32)), 48, max_size=8, max_level=2)
     order = draw(st.permutations(range(len(pool))))
     k = draw(st.integers(0, 40))
