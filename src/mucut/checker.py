@@ -3,9 +3,9 @@
 The checker judges observation windows: check_observation reads a window
 that proofs.observe made (each node's conclusion, rule, children, sampled
 indices and probe deltas) and forces nothing.  check_bounded observes any
-proof to a depth and judges that window; check_finite judges the whole
-window of a finite proof, in which nu and replacement rules show no
-premises and are rejected.
+proof to a depth and judges that window; check_finite judges a finite
+proof node by node, each in its one-step window, and rejects nu and
+replacement rules without entering them.
 
 Premise shapes are read liberally: a node concluding C with principal
 phi may present its context as C or as C minus phi (sequents are sets,
@@ -16,7 +16,6 @@ sequent exactly, and the induction rule allows no context at all.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from mucut.kernel import (
@@ -39,6 +38,7 @@ from mucut.proofs import (
     Cut,
     Ind,
     Nu,
+    Observation,
     Omega,
     OmegaBar,
     Or,
@@ -149,12 +149,14 @@ def _parts(c, tag, position):
 def _check_premise(state, path, got, c, principal, parts, what):
     """A premise that keeps the context c must conclude c plus the parts,
     with or without the principal (a principal of None must stay).  The
-    test is by membership; the expected sequents are built only to word
-    a violation."""
+    test is by set operations on the members, whose hashes the sets keep;
+    the expected sequents are built only to word a violation."""
+    added = frozenset(parts)
+    members = got._set
     if (
-        all(f in got for f in parts)
-        and all(f in got for f in c if f != principal)
-        and all(f in c or f in parts for f in got)
+        members.issuperset(added)
+        and c._set.difference(members) <= {principal}
+        and members.difference(c._set) <= added
     ):
         return
     shapes = (c.union(parts),)
@@ -255,13 +257,22 @@ def _node_checks(state, path, c, tag, system):
 
 
 def _check_box_premise(state, path, c, tag, got):
-    a = tag.principal[1]
+    principal = tag.principal
+    a = principal[1]
     if a not in got:
         state.flag(path, "box premise lacks the body %s" % _fmt(a))
         return
-    for gam in (got.without(a), got):
-        if c == gam.dia().union((tag.principal,)).union(tag.side):
+    if principal in c:
+        # a member is checked, so compare sets: the diamond image of the
+        # premise with or without its body, the principal and the side
+        rest = Sequent(tag.side)._set.union((principal,))
+        image = got.dia()._set
+        if c._set == image | rest or c._set == (image - {("dia", a)}) | rest:
             return
+    else:
+        for gam in (got.without(a), got):
+            if c == gam.dia().union((principal,)).union(tag.side):
+                return
     state.flag(
         path,
         "box conclusion %r does not match the diamond image of its premise %r"
@@ -392,29 +403,34 @@ def check_bounded(p, system, depth, samples=(0, 1, 2), probe_budget=1):
     )
 
 
-def _judge_finite(state, path, o, system):
-    if o.error is not None:
-        state.flag(path, "node evaluation failed: %s" % o.error)
-        return
-    state.nodes += 1
-    if isinstance(o.rule, (Nu, Omega, OmegaBar)):
-        state.flag(
-            path,
-            "rule %s has infinitely many premises and cannot occur in a "
-            "finite proof" % type(o.rule).__name__.lower(),
-        )
-        return
-    for _ in _judge_node(state, path, o, system):
-        pass  # all of this node's checks come before its subtrees
-    for j, q in enumerate(o.children):
-        _judge_finite(state, "%s.%d" % (path, j), q, system)
-
-
 def check_finite(p, system=SYSTEM_S):
-    """Exhaustively check a finite proof: judge its whole window, in which
-    nu and replacement rules show no premises."""
+    """Exhaustively check a finite proof, node by node in preorder over an
+    explicit stack.  Each node is judged in its own window: the node
+    observed to depth 0, with its premises observed to depth 0 as
+    children.  Nu and replacement rules are rejected as they are met, so
+    nothing below them is forced or observed."""
     state = _State()
-    _judge_finite(state, "root", observe(p, math.inf, (), 0), system)
+    todo = [("root", p, observe(p, 0))]
+    while todo:
+        path, q, o = todo.pop()
+        if o.error is not None:
+            state.flag(path, "node evaluation failed: %s" % o.error)
+            continue
+        state.nodes += 1
+        if isinstance(o.rule, (Nu, Omega, OmegaBar)):
+            state.flag(
+                path,
+                "rule %s has infinitely many premises and cannot occur in a "
+                "finite proof" % type(o.rule).__name__.lower(),
+            )
+            continue
+        premises = q.premises
+        kids = tuple(observe(r, 0) for r in premises)
+        window = Observation(o.conclusion, o.rule, kids)
+        for _ in _judge_node(state, path, window, system):
+            pass  # all of this node's checks come before its subtrees
+        for j in range(len(kids) - 1, -1, -1):
+            todo.append(("%s.%d" % (path, j), premises[j], kids[j]))
     return state.report()
 
 

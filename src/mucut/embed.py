@@ -48,6 +48,7 @@ from mucut.kernel import (
     prime,
     replace_subterm,
     substitute,
+    validate,
 )
 from mucut.proofs import (
     And,
@@ -76,7 +77,7 @@ from mucut.proofs import (
     standard_admits,
     top_intro,
 )
-from mucut.sequents import Sequent
+from mucut.sequents import Sequent, from_checked
 
 
 def _require(cond, msg):
@@ -127,6 +128,11 @@ def identity_mu(mu, k):
     concl = Sequent((mu, n))
     chain = {}
 
+    # concl checks mu, so each approximant of the body of its closed
+    # negation is closed and valid: the sequents pairing them are trusted
+    def approx(i):
+        return from_checked((mu, iterate(nbody, TOP, i)))
+
     def step(i):
         if i not in chain:
             if i == 0:
@@ -134,14 +140,12 @@ def identity_mu(mu, k):
             else:
                 prev = step(i - 1)
                 mono = monotone(prev, nbody, mu, iterate(nbody, TOP, i - 1), k)
-                chain[i] = clo_node(
-                    Sequent((mu, iterate(nbody, TOP, i))), mu, mono
-                )
+                chain[i] = clo_node(approx(i), mu, mono)
         return chain[i]
 
     def fn(i):
-        it_i = iterate(nbody, TOP, i)
-        return _fit_sk(step(i), Sequent((mu, it_i)), concl.add(it_i))
+        strict = approx(i)
+        return _fit_sk(step(i), strict, concl.union(strict))
 
     return nu_node(concl, n, fn)
 
@@ -186,21 +190,31 @@ def _same(f):
 
 
 def _monotone(d, a, b, c, k, primed):
+    """Check the input once, then recurse on a without checks: b and the
+    image of c are checked members of d's conclusion, so closed, and a is
+    valid with at most the one variable free.  Every formula the recursion
+    builds substitutes b or c into a (negated) subterm of a, possibly
+    primed, so it is closed and valid, and its sequents are trusted."""
     img = prime if primed else _same
     _require(
         d.conclusion == Sequent((b, img(c))),
         "monotonicity input must conclude b and the image of c",
     )
-    out = Sequent((substitute(negate(a), b), img(substitute(a, c))))
+    validate(a)
+    return _mono(d, a, b, c, k, img, primed)
+
+
+def _mono(d, a, b, c, k, img, primed):
     t = a[0]
     if t == "var":
         return d
+    out = from_checked((substitute(negate(a), b), img(substitute(a, c))))
     if t == "atom" or t == "natom":
         return ax(out, a if t == "atom" else negate(a))
     if t == "and" or t == "or":
         g, e = a[1], a[2]
-        ih1 = _monotone(d, g, b, c, k, primed)
-        ih2 = _monotone(d, e, b, c, k, primed)
+        ih1 = _mono(d, g, b, c, k, img, primed)
+        ih2 = _mono(d, e, b, c, k, img, primed)
         ng_b = substitute(negate(g), b)
         ne_b = substitute(negate(e), b)
         g_c = img(substitute(g, c))
@@ -208,14 +222,22 @@ def _monotone(d, a, b, c, k, primed):
         na_b = substitute(negate(a), b)
         a_c = img(substitute(a, c))
         if t == "and":
-            o1 = or_node(Sequent((na_b, g_c)), na_b, weaken(ih1, (ne_b,)))
-            o2 = or_node(Sequent((na_b, e_c)), na_b, weaken(ih2, (ng_b,)))
+            o1 = or_node(
+                from_checked((na_b, g_c)), na_b, weaken(ih1, from_checked((ne_b,)))
+            )
+            o2 = or_node(
+                from_checked((na_b, e_c)), na_b, weaken(ih2, from_checked((ng_b,)))
+            )
             return and_node(out, a_c, o1, o2)
-        s1 = or_node(Sequent((ng_b, a_c)), a_c, weaken(ih1, (e_c,)))
-        s2 = or_node(Sequent((ne_b, a_c)), a_c, weaken(ih2, (g_c,)))
+        s1 = or_node(
+            from_checked((ng_b, a_c)), a_c, weaken(ih1, from_checked((e_c,)))
+        )
+        s2 = or_node(
+            from_checked((ne_b, a_c)), a_c, weaken(ih2, from_checked((g_c,)))
+        )
         return and_node(out, na_b, s1, s2)
     if t == "box" or t == "dia":
-        ih = _monotone(d, a[1], b, c, k, primed)
+        ih = _mono(d, a[1], b, c, k, img, primed)
         if t == "box":
             principal = img(substitute(a, c))
         else:

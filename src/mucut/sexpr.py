@@ -37,6 +37,7 @@ class Sym(str):
 
 
 _SEQ = Sym("seq")
+_SAMPLES = Sym("samples")
 
 
 class SexprError(ValueError):
@@ -144,7 +145,68 @@ def loads(text):
 
 
 # ---------------------------------------------------------------------------
-# sequents and rule tags
+# the one-pass writer of proofs and observations
+#
+# print_form never emits a double quote or a backslash, so a formula is
+# written as its printed form between double quotes, with no escaping;
+# every other string goes through dumps.
+
+
+def _seq_text(s):
+    texts = [print_form(f) for f in s]
+    return '(seq "%s")' % '" "'.join(texts) if texts else "(seq)"
+
+
+def _tag_text(tag):
+    if isinstance(tag, Axiom):
+        return '(axiom "%s")' % print_form(tag.p)
+    if isinstance(tag, AxiomMu):
+        return '(axmu "%s")' % print_form(tag.mu)
+    if isinstance(tag, Or):
+        return '(or "%s")' % print_form(tag.principal)
+    if isinstance(tag, And):
+        return '(and "%s")' % print_form(tag.principal)
+    if isinstance(tag, Box):
+        return '(box "%s" %s)' % (print_form(tag.principal), _seq_text(tag.side))
+    if isinstance(tag, Clo):
+        return '(clo "%s")' % print_form(tag.principal)
+    if isinstance(tag, Ind):
+        return '(ind "%s" "%s")' % (print_form(tag.mu), print_form(tag.b))
+    if isinstance(tag, Cut):
+        return '(cut "%s")' % print_form(tag.formula)
+    if isinstance(tag, Nu):
+        return '(nu "%s")' % print_form(tag.principal)
+    if isinstance(tag, Omega):
+        return '(omega %s "%s")' % (dumps(tag.h), print_form(tag.target))
+    if isinstance(tag, OmegaBar):
+        return '(omegabar %s "%s")' % (dumps(tag.h), print_form(tag.target))
+    raise TypeError("unknown tag: %r" % (tag,))
+
+
+def _write(root, parts):
+    """The text of the tree under root and a newline, written in one pass
+    over an explicit stack, so nesting depth is not bounded by the Python
+    stack.  parts(node) gives the text that opens a node, its children and
+    the text that closes it."""
+    out = []
+    todo = [root]
+    while todo:
+        node = todo.pop()
+        if type(node) is str:
+            out.append(node)
+            continue
+        head, children, tail = parts(node)
+        out.append(head)
+        todo.append(tail)
+        for q in reversed(children):
+            todo.append(q)
+            todo.append(" ")
+    out.append("\n")
+    return "".join(out)
+
+
+# ---------------------------------------------------------------------------
+# sequents
 
 
 def seq_to_sx(s):
@@ -172,32 +234,6 @@ def sx_to_seq(sx, parsed):
             raise SexprError("sequent members must be quoted formulas", 0)
         forms.append(_formula(item, parsed))
     return from_checked(forms)
-
-
-def tag_to_sx(tag):
-    if isinstance(tag, Axiom):
-        return [Sym("axiom"), print_form(tag.p)]
-    if isinstance(tag, AxiomMu):
-        return [Sym("axmu"), print_form(tag.mu)]
-    if isinstance(tag, Or):
-        return [Sym("or"), print_form(tag.principal)]
-    if isinstance(tag, And):
-        return [Sym("and"), print_form(tag.principal)]
-    if isinstance(tag, Box):
-        return [Sym("box"), print_form(tag.principal), seq_to_sx(tag.side)]
-    if isinstance(tag, Clo):
-        return [Sym("clo"), print_form(tag.principal)]
-    if isinstance(tag, Ind):
-        return [Sym("ind"), print_form(tag.mu), print_form(tag.b)]
-    if isinstance(tag, Cut):
-        return [Sym("cut"), print_form(tag.formula)]
-    if isinstance(tag, Nu):
-        return [Sym("nu"), print_form(tag.principal)]
-    if isinstance(tag, Omega):
-        return [Sym("omega"), tag.h, print_form(tag.target)]
-    if isinstance(tag, OmegaBar):
-        return [Sym("omegabar"), tag.h, print_form(tag.target)]
-    raise TypeError("unknown tag: %r" % (tag,))
 
 
 def _want_forms(sx, n, what, parsed):
@@ -250,18 +286,6 @@ def sx_to_tag(sx, parsed):
 # finite proofs
 
 
-def proof_to_sx(p):
-    tag = p.rule
-    if isinstance(tag, (Nu, Omega, OmegaBar)):
-        raise TypeError(
-            "infinitary proofs serialize only as observations (rule %s)"
-            % type(tag).__name__.lower()
-        )
-    out = [Sym("rule"), tag_to_sx(tag), seq_to_sx(p.conclusion)]
-    out.extend(proof_to_sx(q) for q in p.premises)
-    return out
-
-
 def sx_to_proof(sx, parsed):
     if (
         not isinstance(sx, list)
@@ -284,8 +308,18 @@ def sx_to_proof(sx, parsed):
         raise SexprError(str(exc), 0)
 
 
+def _proof_parts(p):
+    tag = p.rule
+    if isinstance(tag, (Nu, Omega, OmegaBar)):
+        raise TypeError(
+            "infinitary proofs serialize only as observations (rule %s)"
+            % type(tag).__name__.lower()
+        )
+    return "(rule %s %s" % (_tag_text(tag), _seq_text(p.conclusion)), p.premises, ")"
+
+
 def proof_dumps(p):
-    return dumps(proof_to_sx(p)) + "\n"
+    return _write(p, _proof_parts)
 
 
 def proof_loads(text):
@@ -296,22 +330,22 @@ def proof_loads(text):
 # observations
 
 
-def observation_to_sx(o):
+def _observation_parts(o):
     if o.error is not None:
-        return [Sym("error"), o.error]
-    out = [Sym("rule"), tag_to_sx(o.rule), seq_to_sx(o.conclusion)]
-    out.extend(observation_to_sx(c) for c in o.children)
+        return "(error %s)" % dumps(o.error), (), ""
+    tail = ""
     if o.sampled is not None:
-        out.append([Sym("samples")] + list(o.sampled))
+        tail += " " + dumps([_SAMPLES, *o.sampled])
     if o.probes is not None:
-        out.append([Sym("probes")] + [seq_to_sx(d) for d in o.probes])
+        tail += " (probes%s)" % "".join(" " + _seq_text(d) for d in o.probes)
     if o.truncated:
-        out.append([Sym("truncated")])
-    return out
+        tail += " (truncated)"
+    head = "(rule %s %s" % (_tag_text(o.rule), _seq_text(o.conclusion))
+    return head, o.children, tail + ")"
 
 
 def observation_dumps(o):
-    return dumps(observation_to_sx(o)) + "\n"
+    return _write(o, _observation_parts)
 
 
 # ---------------------------------------------------------------------------

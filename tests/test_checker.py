@@ -19,7 +19,8 @@ from mucut.checker import (
     system_name,
 )
 from mucut.corpus import CORPUS
-from mucut.kernel import TOP, atom, natom, negate, prime
+from mucut.errors import FuelExhausted
+from mucut.kernel import TOP, atom, iterate, natom, negate, prime
 from mucut.proofs import (
     Axiom,
     Box,
@@ -35,6 +36,7 @@ from mucut.proofs import (
     observe,
     omega_node,
     omega_phi,
+    omegabar_node,
     or_node,
     top_intro,
 )
@@ -228,6 +230,28 @@ def test_infinitary_rules_rejected_in_finite_proofs():
     assert "infinitely many premises" in rep.violations[0][1]
 
 
+def test_infinitary_rules_are_rejected_without_entering_them():
+    # forcing the first premise of this omegabar node, or calling its
+    # family, would raise
+    t = prime(pf("mu X . (p1 | X)"))
+    c = seq(TOP, atom(3), natom(1))
+
+    def out_of_fuel(*args):
+        raise FuelExhausted("out of fuel")
+
+    first = Proof.defer(c.add(t), out_of_fuel)
+    bar = omegabar_node(c, 1, t, first, out_of_fuel, out_of_fuel)
+    rejected = (
+        "rule omegabar has infinitely many premises and cannot occur in a "
+        "finite proof"
+    )
+    assert check_finite(bar, SYSTEM_S).violations == (("root", rejected),)
+    p = cut_node(c.without(natom(1)), atom(1), top_intro((atom(3), atom(1))), bar)
+    rep = check_finite(p, SYSTEM_S)
+    assert rep.violations == (("root.1", rejected),)
+    assert rep.nodes_checked == 4
+
+
 def test_primed_conclusions_only_in_omega_systems():
     t = prime(pf("nu X . (p1 & X)"))
     p = Proof.make(Sequent((t, atom(0), natom(0))), Axiom(atom(0)), ())
@@ -356,4 +380,100 @@ def test_subformula_report_words_failures_as_the_judge_does():
     rep = subformula_report(o, 3)
     assert rep.violations[-1] == (
         "root.0", "family evaluation failed: division by zero"
+    )
+
+
+# ---------------------------------------------------------------------------
+# premise shapes that only the sampled, family and box checks meet
+
+
+def _leaf(*forms):
+    """A node concluding forms, never judged at depth 1."""
+    return Proof.make(Sequent(forms), Axiom(atom(9)), ())
+
+
+def test_nu_premises_lacking_a_part_or_a_member_or_with_an_extra_one():
+    n = pf("nu X . (p1 & X)")
+    p3, p4 = atom(3), atom(4)
+    # w0 lacks its approximant, w1 the context member p3, w2 has p4 extra
+    prems = {
+        0: (n, p3),
+        1: (n, iterate(n[1], TOP, 1)),
+        2: (p3, p4, iterate(n[1], TOP, 2)),
+    }
+    p = nu_node(seq(n, p3), n, lambda i: _leaf(*prems[i]))
+    assert check_bounded(p, omega_system(1), 1).violations == (
+        (
+            "root.w0",
+            "premise concludes {p3, nu X . (p1 & X)}, expected one of"
+            " {p3, (p0 | ~p0)} / {p3, (p0 | ~p0), nu X . (p1 & X)}",
+        ),
+        (
+            "root.w1",
+            "premise concludes {(p1 & (p0 | ~p0)), nu X . (p1 & X)}, expected"
+            " one of {p3, (p1 & (p0 | ~p0))} / {p3, (p1 & (p0 | ~p0)),"
+            " nu X . (p1 & X)}",
+        ),
+        (
+            "root.w2",
+            "premise concludes {p3, p4, (p1 & (p1 & (p0 | ~p0)))}, expected"
+            " one of {p3, (p1 & (p1 & (p0 | ~p0)))} / {p3, (p1 & (p1 &"
+            " (p0 | ~p0))), nu X . (p1 & X)}",
+        ),
+    )
+
+
+def test_family_outputs_lacking_a_member_or_with_an_extra_one():
+    t = prime(pf("mu X . (p1 | X)"))
+    p3, p4 = atom(3), atom(4)
+    # an omegabar family output must keep the whole context
+    bar = omegabar_node(
+        seq(p3), 1, t, _leaf(p3, t), lambda d, w: True, lambda d, w: _leaf(*d)
+    )
+    assert check_bounded(bar, omega_system(1), 1).violations == (
+        (
+            "root.p0",
+            "family output concludes {(p0 | ~p0)}, expected one of"
+            " {p3, (p0 | ~p0)}",
+        ),
+    )
+    c = seq(omega_phi(t), p3)
+    om = omega_node(
+        c, 1, t, lambda d, w: True, lambda d, w: _leaf(*c.union(d).add(p4))
+    )
+    assert check_bounded(om, omega_system(1), 1).violations == (
+        (
+            "root.p0",
+            "family output concludes {p3, p4, (p0 | ~p0), nub X . (~p1 & X)},"
+            " expected one of {p3, (p0 | ~p0)} / {p3, (p0 | ~p0),"
+            " nub X . (~p1 & X)}",
+        ),
+    )
+
+
+def test_box_premise_with_a_wrong_side_or_a_principal_not_a_member():
+    p1, q, p3 = atom(1), atom(2), atom(3)
+    conc = Sequent((("dia", p1), ("dia", natom(1)), ("box", q), p3))
+    image = "box conclusion {p3, [] p2, <> p1, <> ~p1} does not match"
+    # the side leaves out p3
+    wrong_side = Proof.make(
+        conc, Box(("box", q), Sequent()), (_leaf(p1, natom(1), q),)
+    )
+    assert check_finite(wrong_side).violations[:1] == (
+        ("root", image + " the diamond image of its premise {p1, p2, ~p1}"),
+    )
+    absent = Proof.make(
+        conc, Box(("box", atom(5)), seq(p3)), (_leaf(p1, natom(1), atom(5)),)
+    )
+    assert check_bounded(absent, SYSTEM_S, 1).violations == (
+        ("root", "principal [] p5 not in conclusion"),
+        ("root", image + " the diamond image of its premise {p1, p5, ~p1}"),
+    )
+    # a principal that is not a member is checked as it is added
+    malformed = Proof.make(
+        conc, Box(("box", ("atom", True)), seq(p3)), (_leaf(p1, natom(1)),)
+    )
+    assert check_bounded(malformed, SYSTEM_S, 1).violations == (
+        ("root", "principal [] p1 not in conclusion"),
+        ("root", "malformed box rule: bad atom node: ('atom', True)"),
     )

@@ -158,3 +158,27 @@ def test_lemma_suite_is_well_formed():
     assert len(suite) == 12
     assert all(m[0] == "mu" for m in suite)
     assert {level(m) for m in suite} == {1, 2}
+
+
+def test_embedded_conclusions_are_canonical_checked_sequents():
+    # embed builds some sequents from kernel-derived formulas without
+    # checking them; every one must equal the sequent rebuilt with checks
+    windows = []
+    for build in CORPUS.values():
+        p = build()
+        forms = p.conclusion.forms
+        for r in range(len(forms) + 1):
+            windows.append(observe(embed(p, forms[:r]), 6))
+    for m in lemma_suite():
+        windows.append(observe(identity_mu(m, level(m)), 6))
+        windows.append(observe(identity_mu_primed(m, max(1, level(m))), 6))
+    seen = 0
+    for o in windows:
+        todo = [o]
+        while todo:
+            w = todo.pop()
+            if w.conclusion is not None:
+                assert w.conclusion == Sequent(w.conclusion.forms)
+                seen += 1
+            todo.extend(w.children)
+    assert seen > 400

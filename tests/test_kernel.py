@@ -6,9 +6,11 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mucut import kernel
-from mucut.sequents import Sequent, is_k_positive, seq
+from mucut.sequents import Sequent, _check, is_k_positive, seq
 from mucut.syntax import print_form
 
 from conftest import random_formulas
@@ -226,3 +228,51 @@ def test_memos_do_not_admit_bad_atoms(bad):
     assert type(kernel.negate(good)[1]) is int
     assert type(kernel.prime(good)[1]) is int
     assert Sequent((kernel.negate(good),)).forms == (("natom", 1),)
+
+
+# ---------------------------------------------------------------------------
+# the closure facts behind embed's trusted sequents
+
+_ATOMS = st.builds(
+    lambda positive, i: ("atom" if positive else "natom", i),
+    st.booleans(),
+    st.integers(0, 3),
+)
+
+
+def _grow(inner, bodies):
+    return st.one_of(
+        st.tuples(st.sampled_from(("and", "or")), inner, inner),
+        st.tuples(st.sampled_from(("box", "dia")), inner),
+        st.tuples(st.sampled_from(("mu", "nu", "nub")), bodies),
+    )
+
+
+# There is one variable, so an operator is any formula (X free where no
+# binder is above it); a closed formula has X under binders only.
+_OPERATORS = st.recursive(
+    _ATOMS | st.just(kernel.X), lambda inner: _grow(inner, inner), max_leaves=8
+)
+_CLOSED = st.recursive(
+    _ATOMS, lambda inner: _grow(inner, _OPERATORS), max_leaves=8
+)
+
+
+@settings(deadline=None, max_examples=100)
+@given(_CLOSED, _CLOSED, _OPERATORS)
+def test_kernel_derived_formulas_are_closed_and_valid(b, c, a):
+    # monotonicity builds its sequents from these without checking them
+    _check(b)
+    _check(c)
+    kernel.validate(a)
+    derived = [
+        kernel.substitute(kernel.negate(a), b),
+        kernel.prime(kernel.substitute(a, c)),
+    ]
+    derived += [kernel.iterate(a, b, i) for i in range(4)]
+    for f in derived:
+        _check(f)
+    # the writer quotes printed formulas without escaping them
+    for f in [a, b, c] + derived:
+        text = print_form(f)
+        assert '"' not in text and "\\" not in text

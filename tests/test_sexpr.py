@@ -10,9 +10,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mucut.checker import check_finite
-from mucut.corpus import CORPUS
+from mucut.collapse import pipeline
+from mucut.corpus import CORPUS, lemma_suite
+from mucut.embed import identity_mu, identity_mu_primed
 from mucut.kernel import TOP, atom, natom, negate
-from mucut.proofs import cut_node, observe, top_intro
+from mucut.proofs import (
+    And,
+    Axiom,
+    AxiomMu,
+    Box,
+    Clo,
+    Cut,
+    Ind,
+    Nu,
+    Observation,
+    Omega,
+    OmegaBar,
+    Or,
+    Proof,
+    ax,
+    box_node,
+    cut_node,
+    nu_node,
+    observe,
+    top_intro,
+)
 from mucut.sexpr import (
     SexprError,
     Sym,
@@ -26,7 +48,8 @@ from mucut.sexpr import (
     summary_to_sx,
 )
 from mucut.sequents import Sequent, seq
-from mucut.syntax import ParseError
+from mucut.syntax import ParseError, print_form
+from mucut.syntax import parse_formula as pf
 
 
 def test_dumps_oracles():
@@ -368,3 +391,145 @@ def test_proof_text_roundtrips_cut_trees_and_chains(tree_atoms, chain_atoms):
         assert q.conclusion == p.conclusion
         assert proof_dumps(q) == text
         assert check_finite(q).ok
+
+
+# ---------------------------------------------------------------------------
+# the one-pass writer against the recursive list builders it replaced
+
+# Copies of the recursive writer: each proof or observation became a tree
+# of lists, symbols and strings, which the generic dumps then wrote.
+
+
+def _ref_dumps(sx):
+    if isinstance(sx, (list, tuple)):
+        return "(%s)" % " ".join(_ref_dumps(x) for x in sx)
+    if isinstance(sx, Sym):
+        return str(sx)
+    if isinstance(sx, bool):
+        raise TypeError("booleans do not serialize")
+    if isinstance(sx, int):
+        return str(sx)
+    if isinstance(sx, str):
+        return '"%s"' % sx.replace("\\", "\\\\").replace('"', '\\"')
+    raise TypeError("cannot serialize %r" % (sx,))
+
+
+def _ref_seq(s):
+    return [Sym("seq")] + [print_form(f) for f in s]
+
+
+def _ref_tag(tag):
+    if isinstance(tag, Axiom):
+        return [Sym("axiom"), print_form(tag.p)]
+    if isinstance(tag, AxiomMu):
+        return [Sym("axmu"), print_form(tag.mu)]
+    if isinstance(tag, Or):
+        return [Sym("or"), print_form(tag.principal)]
+    if isinstance(tag, And):
+        return [Sym("and"), print_form(tag.principal)]
+    if isinstance(tag, Box):
+        return [Sym("box"), print_form(tag.principal), _ref_seq(tag.side)]
+    if isinstance(tag, Clo):
+        return [Sym("clo"), print_form(tag.principal)]
+    if isinstance(tag, Ind):
+        return [Sym("ind"), print_form(tag.mu), print_form(tag.b)]
+    if isinstance(tag, Cut):
+        return [Sym("cut"), print_form(tag.formula)]
+    if isinstance(tag, Nu):
+        return [Sym("nu"), print_form(tag.principal)]
+    if isinstance(tag, Omega):
+        return [Sym("omega"), tag.h, print_form(tag.target)]
+    if isinstance(tag, OmegaBar):
+        return [Sym("omegabar"), tag.h, print_form(tag.target)]
+    raise TypeError("unknown tag: %r" % (tag,))
+
+
+def _ref_proof(p):
+    tag = p.rule
+    if isinstance(tag, (Nu, Omega, OmegaBar)):
+        raise TypeError(
+            "infinitary proofs serialize only as observations (rule %s)"
+            % type(tag).__name__.lower()
+        )
+    out = [Sym("rule"), _ref_tag(tag), _ref_seq(p.conclusion)]
+    out.extend(_ref_proof(q) for q in p.premises)
+    return out
+
+
+def _ref_observation(o):
+    if o.error is not None:
+        return [Sym("error"), o.error]
+    out = [Sym("rule"), _ref_tag(o.rule), _ref_seq(o.conclusion)]
+    out.extend(_ref_observation(c) for c in o.children)
+    if o.sampled is not None:
+        out.append([Sym("samples")] + list(o.sampled))
+    if o.probes is not None:
+        out.append([Sym("probes")] + [_ref_seq(d) for d in o.probes])
+    if o.truncated:
+        out.append([Sym("truncated")])
+    return out
+
+
+def _raise(exc):
+    raise exc
+
+
+def _windows():
+    """Observations of every kind of node the writer meets."""
+    for p in CORPUS.values():
+        stages = pipeline(p())
+        for stage in ("embedded", "eliminated", "collapsed", "sinf"):
+            for depth in (0, 1, 6):
+                yield observe(stages[stage], depth)
+    for m in lemma_suite()[:4]:
+        yield observe(identity_mu(m, 2), 4, (0, 3))
+        yield observe(identity_mu_primed(m, 2), 3, (1,), 0)
+    # error leaves, with and without a conclusion, whose messages need
+    # escaping
+    msg = 'a "quoted" \\ message'
+    yield observe(Proof.defer(seq(TOP), lambda: _raise(ValueError(msg))), 3)
+    n = pf("nu X . (p1 & X)")
+    yield observe(nu_node(seq(n), n, lambda i: _raise(ValueError(msg))), 2)
+    # a box rule with an empty side writes (seq)
+    q = atom(2)
+    prem = ax(seq(atom(1), natom(1), q), atom(1))
+    conc = Sequent((("dia", atom(1)), ("dia", natom(1)), ("box", q)))
+    yield observe(box_node(conc, ("box", q), Sequent(), prem), 2)
+    yield Observation(Sequent(), Axiom(atom(0)))
+
+
+def test_observation_dumps_matches_the_recursive_writer():
+    n = 0
+    for o in _windows():
+        assert observation_dumps(o) == _ref_dumps(_ref_observation(o)) + "\n"
+        n += 1
+    assert n == 4 * 4 * 3 + 4 * 2 + 4
+
+
+def test_proof_dumps_matches_the_recursive_writer():
+    for p in _small_proofs():
+        assert proof_dumps(p) == _ref_dumps(_ref_proof(p)) + "\n"
+    n = pf("nu X . (p1 & X)")
+    inf = nu_node(seq(n), n, lambda i: top_intro((n,)))
+    with pytest.raises(TypeError) as got:
+        proof_dumps(cut_node(seq(TOP), atom(1), top_intro((atom(1),)), inf))
+    with pytest.raises(TypeError) as want:
+        _ref_proof(cut_node(seq(TOP), atom(1), top_intro((atom(1),)), inf))
+    assert str(got.value) == str(want.value)
+
+
+def test_proof_dumps_of_a_deep_cut_chain():
+    # 1,000 nested cuts, each over the same context: deeper than the
+    # Python stack allows a recursive writer or reader to go
+    a, na = atom(1), natom(1)
+    p = top_intro((na,))
+    for _ in range(1000):
+        p = cut_node(seq(TOP, na), a, top_intro((na, a)), p)
+    assert check_finite(p).ok
+    sx = loads(proof_dumps(p))
+    depth = 0
+    while len(sx) == 5:  # (rule (cut ...) (seq ...) left right)
+        sx = sx[4]
+        depth += 1
+    assert depth == 1000
+    assert sx[:2] == [Sym("rule"), [Sym("or"), print_form(TOP)]]
