@@ -38,7 +38,6 @@ from mucut.proofs import (
     Cut,
     Ind,
     Nu,
-    Observation,
     Omega,
     OmegaBar,
     Or,
@@ -262,17 +261,14 @@ def _check_box_premise(state, path, c, tag, got):
     if a not in got:
         state.flag(path, "box premise lacks the body %s" % _fmt(a))
         return
-    if principal in c:
-        # a member is checked, so compare sets: the diamond image of the
-        # premise with or without its body, the principal and the side
-        rest = Sequent(tag.side)._set.union((principal,))
-        image = got.dia()._set
-        if c._set == image | rest or c._set == (image - {("dia", a)}) | rest:
-            return
-    else:
-        for gam in (got.without(a), got):
-            if c == gam.dia().union((principal,)).union(tag.side):
-                return
+    if principal not in c:
+        Sequent((principal,))  # a malformed principal raises here
+    # compare sets: the diamond image of the premise with or without its
+    # body, the principal and the side
+    rest = tag.side._set | {principal}
+    image = got.dia()._set
+    if c._set == image | rest or c._set == (image - {("dia", a)}) | rest:
+        return
     state.flag(
         path,
         "box conclusion %r does not match the diamond image of its premise %r"
@@ -425,12 +421,11 @@ def check_finite(p, system=SYSTEM_S):
             )
             continue
         premises = q.premises
-        kids = tuple(observe(r, 0) for r in premises)
-        window = Observation(o.conclusion, o.rule, kids)
+        window = observe(q, 1, (), 0)
         for _ in _judge_node(state, path, window, system):
             pass  # all of this node's checks come before its subtrees
-        for j in range(len(kids) - 1, -1, -1):
-            todo.append(("%s.%d" % (path, j), premises[j], kids[j]))
+        for j in range(len(premises) - 1, -1, -1):
+            todo.append(("%s.%d" % (path, j), premises[j], window.children[j]))
     return state.report()
 
 
