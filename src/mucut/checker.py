@@ -40,9 +40,11 @@ from mucut.proofs import (
     Nu,
     Omega,
     OmegaBar,
+    PRINCIPAL_ROOT,
     Or,
     observe,
     omega_phi,
+    parts_checked,
     premise_added,
 )
 from mucut.sequents import Sequent
@@ -116,9 +118,6 @@ _S_TAGS = (Axiom, AxiomMu, Or, And, Box, Clo, Ind, Cut)
 _SINF_TAGS = (Axiom, Or, And, Box, Clo, Nu)
 _OMEGA_TAGS = (Axiom, Or, And, Box, Clo, Nu, Cut, Omega, OmegaBar)
 
-# The root each rule's principal must have.
-_ROOT = {Or: "or", And: "and", Box: "box", Clo: "mu", Nu: "nu"}
-
 
 def _tag_allowed(tag, system):
     if system == SYSTEM_S:
@@ -134,14 +133,11 @@ def _tag_allowed(tag, system):
 
 def _parts(c, tag, position):
     """What the premise at position adds to the context of an or, and, clo
-    or nu node.  When the principal is a member of the conclusion with the
-    rule's root, the parts are subformulas, the unfolding or an
-    approximant of a checked formula, so they are closed and valid;
-    otherwise they are checked here, as adding them to a sequent would."""
-    f = tag.principal
+    or nu node.  Unless proofs.parts_checked vouches for them, they are
+    checked here, as adding them to a sequent would."""
     parts = premise_added(tag, position)
-    if not (f[0] == _ROOT[type(tag)] and f in c):
-        c.without(f).union(parts)
+    if not parts_checked(tag, c):
+        c.without(tag.principal).union(parts)
     return parts
 
 
@@ -200,7 +196,7 @@ def _node_checks(state, path, c, tag, system):
             )
     elif isinstance(tag, (Or, And, Box, Clo, Nu)):
         f = tag.principal
-        root = _ROOT[type(tag)]
+        root = PRINCIPAL_ROOT[type(tag)]
         what = "principal"
         if isinstance(tag, (Clo, Nu)):
             what = type(tag).__name__.lower() + " principal"
@@ -441,7 +437,7 @@ def level_bound(p):
         if q in seen:
             continue
         seen.add(q)
-        forms.update(q.conclusion)
+        forms.update(q.conclusion._set)
         todo.extend(reversed(tuple(q.premises)))
     return max(map(level, forms), default=0)
 

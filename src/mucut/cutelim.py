@@ -51,10 +51,11 @@ from mucut.proofs import (
     map_premises,
     omega_phi,
     omegabar_node,
+    parts_checked,
     premise_added,
     premise_label,
 )
-from mucut.sequents import Sequent
+from mucut.sequents import Sequent, from_checked
 
 DEFAULT_FUEL = 100_000
 
@@ -173,9 +174,12 @@ def _commute(d_s, f_s, other, f_o, g, formula, budget, trace, path):
 
     if isinstance(tag, Box):
         return box_fit(g, tag.principal, d_s.premises[0])
+    checked = parts_checked(tag, d_s.conclusion)
 
     def cut_in(p, position):
         extra = premise_added(tag, position)
+        if checked:
+            extra = from_checked(extra)
         target = g.union(extra)
         mine = fit(p, target.add(f_s))
         theirs = fit(weaken(other, extra), target.add(f_o))

@@ -73,6 +73,7 @@ from mucut.proofs import (
     omega_node,
     omega_phi,
     or_node,
+    parts_checked,
     premise_added,
     standard_admits,
     top_intro,
@@ -619,8 +620,7 @@ def embed(p, sel=(), k=None):
     if k is None:
         k = level_bound(p)
     sel = frozenset(sel)
-    stray = sel - frozenset(p.conclusion)
-    if stray:
+    if not p.conclusion.issuperset(sel):
         raise ValueError("selection outside the end sequent")
     return _embed(p, sel, k)
 
@@ -652,14 +652,14 @@ def _embed_now(p, sel, k, cs):
         return fit(core, cs)
 
     if isinstance(tag, Box):
+        # the body follows the principal, every other formula its diamond
         phi = tag.principal
-        phis = phi in sel
+        body = phi[1]
         q = p.premises[0]
-        sp = frozenset(
-            x
-            for x in q.conclusion
-            if (phis if x == phi[1] else ("dia", x) in sel)
-        )
+        sp = q.conclusion.members_in([f[1] for f in sel if f[0] == "dia"]) - {body}
+        phis = phi in sel
+        if phis and body in q.conclusion:
+            sp |= {body}
         return box_fit(cs, prime(phi) if phis else phi, _embed(q, sp, k))
 
     if isinstance(tag, (Or, And, Clo)):
@@ -668,13 +668,16 @@ def _embed_now(p, sel, k, cs):
         phis = phi in sel
         img = prime if phis else _same
         phi_img = img(phi)
+        checked = parts_checked(tag, p.conclusion)
 
         def fn(q, j):
             parts = premise_added(tag, j)
-            sp = frozenset(
-                x for x in q.conclusion if (phis if x in parts else x in sel)
-            )
+            sp = q.conclusion.members_in(sel).difference(parts)
+            if phis:
+                sp |= q.conclusion.members_in(parts)
             imgs = [img(x) for x in parts]
+            if checked:
+                imgs = from_checked(imgs)
             return _fit_sk(
                 _embed(q, sp, k), cs.without(phi_img).union(imgs), cs.union(imgs)
             )
@@ -699,11 +702,13 @@ def _embed_now(p, sel, k, cs):
         s2 = q2.conclusion.members_in(sel) | {ncf}
         e1 = _embed(q1, s1, k)
         e2 = _embed(q2, s2, k)
+        # is_add found cf and ncf in the premises' conclusions, so they and
+        # their primes are closed and valid
         return cut_node(
             cs,
             cf,
-            fit(e1, cs.add(prime(cf))),
-            fit(e2, cs.add(prime(negate(cf)))),
+            fit(e1, cs.union(from_checked((prime(cf),)))),
+            fit(e2, cs.union(from_checked((prime(ncf),)))),
         )
 
     if isinstance(tag, Ind):

@@ -21,13 +21,12 @@ from mucut.kernel import (
     atom,
     is_fully_primed,
     iterate,
-    natom,
     negate,
     prime,
     substitute,
     validate,
 )
-from mucut.sequents import Sequent, is_k_positive
+from mucut.sequents import Sequent, from_checked, is_k_positive
 
 # ---------------------------------------------------------------------------
 # rule tags
@@ -327,6 +326,23 @@ def premise_added(tag, position):
     raise InternalInvariantError("rule %r has no context premises" % (tag,))
 
 
+# The root that each rule with a principal formula requires of it.
+PRINCIPAL_ROOT = {Or: "or", And: "and", Box: "box", Clo: "mu", Nu: "nu"}
+
+
+def parts_checked(tag, conclusion):
+    """True when the parts premise_added gives for tag need no check: the
+    principal is a member of conclusion, so a checked formula, and has
+    the rule's root, so the parts are its subformulas, its unfolding or
+    one of its approximants, all closed and valid.  Rules without a
+    principal answer False."""
+    root = PRINCIPAL_ROOT.get(type(tag))
+    if root is None:
+        return False
+    f = tag.principal
+    return f[0] == root and f in conclusion
+
+
 def premise_label(tag, position):
     """The path label of a premise: "j" for a finite premise, "w<i>" for
     an omega-indexed one, "first" and "f" for the parts of a family rule."""
@@ -451,12 +467,15 @@ def omegabar_node(conclusion, h, target, first, admits, fn):
 # small standard derivations
 
 
+_TOP = from_checked((TOP,))
+_TOP_PARTS = from_checked(TOP[1:])
+
+
 def top_intro(extra):
-    """A two-node proof of {top} union extra."""
+    """A two-node proof of {top} union extra.  Only extra is checked."""
     extra = Sequent(extra)
-    p0 = atom(0)
-    leaf = ax(extra.union((p0, natom(0))), p0)
-    return or_node(extra.add(TOP), TOP, leaf)
+    leaf = ax(extra.union(_TOP_PARTS), TOP[1])
+    return or_node(extra.union(_TOP), TOP, leaf)
 
 
 def canonical_probe(target, k=None):

@@ -1,4 +1,5 @@
-"""Sequents: canonically ordered, duplicate-free finite sets of formulas.
+"""Sequents: duplicate-free finite sets of formulas, canonically ordered
+when read.
 
 A sequent holds closed formulas only.  The canonical order is the total
 order on syntax trees given by kernel.sort_key (constructor tag, then
@@ -6,26 +7,22 @@ children), so equal sets always have identical printed and serialized
 forms.
 
 Invariant: every member of an existing Sequent is a valid, closed
-formula, and its members are in canonical order.  Raw formulas are
-checked where they enter (the constructor, and the members of add/union
-arguments that are not yet in the sequent); members taken from an
-existing Sequent are trusted, and so are the formulas given to
-from_checked, whose caller has checked them already.  The derived
-operations rely on this:
+formula.  Raw formulas are checked where they enter (the constructor,
+and the members of add/union arguments that are not yet in the
+sequent); members taken from an existing Sequent are trusted, and so are
+the formulas given to from_checked, whose caller has checked them
+already, or knows them to be kernel-derived parts of checked members.
 
-  * add inserts the one new formula at its place in the order;
-  * union with a Sequent re-checks nothing, and sorts only when more
-    than one formula is new;
-  * without and difference keep a subsequence, which is still sorted;
-  * dia maps in order, since sort_key(<>A) is the dia tag code followed
-    by sort_key(A), and <>A is closed and valid when A is;
-  * is_add answers s == g.add(f) by membership, building nothing when
-    it holds, since a member f is already checked.
+A Sequent is its frozenset of members.  Equality, hashing, length,
+membership and every derived operation (add, union, without,
+difference, dia, is_add and the subset tests) are set operations that
+sort nothing; a Sequent argument is read through its set, never
+iterated.  The canonical tuple is computed the first time the sequent
+is iterated, printed or indexed through forms, and then kept, so only
+the sequents something reads in order are ever sorted.
 """
 
 from __future__ import annotations
-
-from bisect import bisect
 
 from mucut.kernel import (
     has_free_var,
@@ -46,35 +43,53 @@ def _check(f):
         raise ValueError("sequent formula has a free variable: %s" % print_form(f))
 
 
-def _trusted(forms, members):
-    """A Sequent from a canonical tuple of checked formulas and its set."""
+def _canonical(members):
+    """The members in canonical order."""
+    return tuple(sorted(members, key=sort_key))
+
+
+def _trusted(members):
+    """A Sequent over a frozenset of checked formulas."""
     s = object.__new__(Sequent)
-    object.__setattr__(s, "forms", forms)
     object.__setattr__(s, "_set", members)
+    object.__setattr__(s, "_forms", None)
     return s
 
 
-class Sequent:
-    """Immutable canonical set of closed formulas."""
+def _members(other):
+    """The set behind a Sequent argument; any other argument as given."""
+    return other._set if isinstance(other, Sequent) else other
 
-    __slots__ = ("forms", "_set")
+
+class Sequent:
+    """Immutable set of closed formulas, iterated in canonical order."""
+
+    __slots__ = ("_set", "_forms")
 
     def __init__(self, forms=()):
         if isinstance(forms, Sequent):
-            canon, members = forms.forms, forms._set
+            members, canon = forms._set, forms._forms
         else:
             # dict keeps first-seen order, so the first bad member reported
             # does not depend on hash randomization
             distinct = dict.fromkeys(forms)
             for f in distinct:
                 _check(f)
-            canon = tuple(sorted(distinct, key=sort_key))
-            members = frozenset(canon)
-        object.__setattr__(self, "forms", canon)
+            members, canon = frozenset(distinct), None
         object.__setattr__(self, "_set", members)
+        object.__setattr__(self, "_forms", canon)
 
     def __setattr__(self, name, value):
         raise AttributeError("Sequent is immutable")
+
+    @property
+    def forms(self):
+        """The members as a tuple in canonical order."""
+        canon = self._forms
+        if canon is None:
+            canon = _canonical(self._set)
+            object.__setattr__(self, "_forms", canon)
+        return canon
 
     def __contains__(self, f):
         return f in self._set
@@ -83,41 +98,35 @@ class Sequent:
         return iter(self.forms)
 
     def __len__(self):
-        return len(self.forms)
+        return len(self._set)
 
     def __eq__(self, other):
-        return isinstance(other, Sequent) and self.forms == other.forms
+        return isinstance(other, Sequent) and self._set == other._set
 
     def __hash__(self):
-        return hash(self.forms)
+        return hash(self._set)
 
     def __repr__(self):
         return "{%s}" % ", ".join(print_form(f) for f in self.forms)
 
-    def _insert(self, f):
-        i = bisect(self.forms, sort_key(f), key=sort_key)
-        return _trusted(self.forms[:i] + (f,) + self.forms[i:], self._set | {f})
-
     def union(self, other):
         """Union with another sequent or any iterable of formulas."""
         if isinstance(other, Sequent):
-            new = [f for f in other.forms if f not in self._set]
-        else:
-            new = [f for f in dict.fromkeys(other) if f not in self._set]
-            for f in new:
-                _check(f)
+            if other._set <= self._set:
+                return self
+            return _trusted(self._set | other._set)
+        new = [f for f in dict.fromkeys(other) if f not in self._set]
         if not new:
             return self
-        if len(new) == 1:
-            return self._insert(new[0])
-        forms = tuple(sorted(self.forms + tuple(new), key=sort_key))
-        return _trusted(forms, self._set.union(new))
+        for f in new:
+            _check(f)
+        return _trusted(self._set.union(new))
 
     def add(self, f):
         if f in self._set:
             return self
         _check(f)
-        return self._insert(f)
+        return _trusted(self._set | {f})
 
     def is_add(self, g, f):
         """self == g.add(f), answered by membership when it holds: f is a
@@ -132,49 +141,44 @@ class Sequent:
         """Remove f if present (no error when absent)."""
         if f not in self._set:
             return self
-        i = self.forms.index(f)
-        return _trusted(self.forms[:i] + self.forms[i + 1 :], self._set - {f})
+        return _trusted(self._set - {f})
 
     def difference(self, other):
-        drop = self._set.intersection(other)
+        drop = self._set.intersection(_members(other))
         if not drop:
             return self
-        forms = tuple(g for g in self.forms if g not in drop)
-        return _trusted(forms, self._set - drop)
+        return _trusted(self._set - drop)
 
     def issubset(self, other):
-        if isinstance(other, Sequent):
-            return self._set <= other._set
-        return self._set <= frozenset(other)
+        return self._set.issubset(_members(other))
 
     def issuperset(self, other):
-        return self._set.issuperset(other)
+        return self._set.issuperset(_members(other))
 
     def members_in(self, other):
         """The members that are also in other, as a frozenset."""
-        return self._set.intersection(other)
+        return self._set.intersection(_members(other))
 
     def dia(self):
-        """The sequent {<>A : A in self}."""
-        forms = tuple(("dia", f) for f in self.forms)
-        return _trusted(forms, frozenset(forms))
+        """The sequent {<>A : A in self}: <>A is closed and valid when A is."""
+        return _trusted(frozenset([("dia", f) for f in self._set]))
 
     def level(self):
-        return max(map(level, self.forms), default=0)
+        return max(map(level, self._set), default=0)
 
     def is_l0(self):
-        return all(map(is_l0, self.forms))
+        return all(map(is_l0, self._set))
 
     def max_nubar_level(self):
-        return max(map(max_nubar_level, self.forms), default=-1)
+        return max(map(max_nubar_level, self._set), default=-1)
 
 
 def from_checked(forms):
     """The Sequent of forms, each already known to be a valid closed
-    formula (as parse_formula returns them): duplicates are dropped and
-    the rest put in canonical order, but nothing is checked again."""
-    members = frozenset(forms)
-    return _trusted(tuple(sorted(members, key=sort_key)), members)
+    formula (as parse_formula returns them, or as a kernel operation
+    derives them from checked members): duplicates are dropped, but
+    nothing is checked again."""
+    return _trusted(frozenset(forms))
 
 
 def seq(*forms):

@@ -286,12 +286,13 @@ def sx_to_tag(sx, parsed):
 # finite proofs
 
 
-def sx_to_proof(sx, parsed):
-    if (
-        not isinstance(sx, list)
-        or len(sx) < 3
-        or sx[0] != Sym("rule")
-    ):
+_RULE = Sym("rule")
+
+
+def _open_node(sx, parsed):
+    """The tag, conclusion and premise expressions of one (rule ...) node,
+    and an empty list for its premises once read."""
+    if not isinstance(sx, list) or len(sx) < 3 or sx[0] != _RULE:
         raise SexprError("expected (rule <tag> (seq ...) <premise>...)", 0)
     tag = sx_to_tag(sx[1], parsed)
     if isinstance(tag, (Nu, Omega, OmegaBar)):
@@ -300,12 +301,28 @@ def sx_to_proof(sx, parsed):
             % type(tag).__name__.lower(),
             0,
         )
-    conclusion = sx_to_seq(sx[2], parsed)
-    premises = tuple(sx_to_proof(q, parsed) for q in sx[3:])
-    try:
-        return make_node(conclusion, tag, premises)
-    except ValueError as exc:
-        raise SexprError(str(exc), 0)
+    return tag, sx_to_seq(sx[2], parsed), sx[3:], []
+
+
+def sx_to_proof(sx, parsed):
+    """The finite proof of a (rule ...) expression, read over an explicit
+    stack, so nesting depth is not bounded by the Python stack.  Nodes
+    are opened in preorder and built once their premises are, so errors
+    come in the order a recursive reader would raise them."""
+    stack = [_open_node(sx, parsed)]
+    while True:
+        tag, conclusion, todo, premises = stack[-1]
+        if len(premises) < len(todo):
+            stack.append(_open_node(todo[len(premises)], parsed))
+            continue
+        stack.pop()
+        try:
+            node = make_node(conclusion, tag, premises)
+        except ValueError as exc:
+            raise SexprError(str(exc), 0)
+        if not stack:
+            return node
+        stack[-1][3].append(node)
 
 
 def _proof_parts(p):

@@ -7,12 +7,26 @@ import pytest
 
 from mucut.checker import check_bounded, check_finite, level_bound, omega_system
 from mucut.corpus import CORPUS
-from mucut.cutelim import DEFAULT_FUEL, cut_rank, eliminate, fit, reduce_head, weaken
+from mucut.cutelim import (
+    DEFAULT_FUEL,
+    _Budget,
+    _commute,
+    cut_rank,
+    eliminate,
+    fit,
+    reduce_head,
+    weaken,
+)
 from mucut.embed import embed
 from mucut.errors import FuelExhausted, InternalInvariantError
 from mucut.kernel import TOP, atom, natom, negate
 from mucut.proofs import (
+    And,
     Cut,
+    Nu,
+    OmegaFam,
+    Or,
+    Proof,
     ax,
     cut_node,
     ind_node,
@@ -151,3 +165,34 @@ def test_eliminate_leaves_cut_free_proofs_alone():
     out = eliminate(p)
     assert out.conclusion == p.conclusion
     assert is_cut_free_observed(out, 4)
+
+
+def test_parts_of_an_unvouched_principal_are_checked():
+    # embed and a commuted cut take a rule's parts unchecked only when its
+    # principal is a member of the conclusion with the rule's root; parts
+    # of hand-built nodes that fail this are checked, and malformed ones
+    # rejected
+    leaf = top_intro((atom(3),))
+    wrong_root = Proof.make(seq(atom(3)), And(atom(3)), (leaf, leaf))
+    with pytest.raises(ValueError, match="nonempty tuple: 3"):
+        embed(wrong_root).premises
+    stray = ("or", ("var",), atom(1))
+    not_member = Proof.make(seq(atom(1)), Or(stray), (leaf,))
+    with pytest.raises(InternalInvariantError, match="principal not in conclusion"):
+        embed(not_member).premises
+
+    # a cut on p2 commuted above a node concluding g, p2
+    g = seq(atom(1), natom(1))
+    other = ax(g.add(natom(2)), atom(1))
+
+    def commute(tag, premises):
+        d = Proof.make(g.add(atom(2)), tag, premises)
+        return _commute(d, atom(2), other, natom(2), g, atom(2), _Budget(9), None, "root")
+
+    with pytest.raises(ValueError, match="free variable"):
+        commute(Or(stray), (leaf,))
+    with pytest.raises(ValueError, match="nonempty tuple: 1"):
+        commute(And(atom(1)), (leaf, leaf))
+    bad_nu = ("nu", ("and", ("var",), ("atom", -1)))
+    with pytest.raises(ValueError, match="bad atom node"):
+        commute(Nu(bad_nu), OmegaFam(lambda i: leaf)).premises(1)

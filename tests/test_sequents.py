@@ -16,6 +16,7 @@ from mucut.sequents import (
     seq,
 )
 from mucut.syntax import parse_formula as pf
+from mucut.syntax import print_form
 
 
 def test_canonical_order_and_dedup():
@@ -158,8 +159,51 @@ def test_fast_paths_match_rebuild(draws):
         results.append((s.add(f), a + [f]))
         results.append((s.without(f), [g for g in a if g != f]))
     for r, members in results:
-        assert r.forms == _rebuild(members)
+        forms = _rebuild(members)
+        want = Sequent(forms)
+        assert r.forms == forms
+        assert r == want and hash(r) == hash(want) and len(r) == len(forms)
+        assert repr(r) == "{%s}" % ", ".join(map(print_form, forms))
         assert all((f in r) == (f in r.forms) for f in pool + [("dia", f) for f in pool])
+    # a Sequent argument behaves as its set of members
+    assert s.members_in(t) == s.members_in(frozenset(b)) == set(a) & set(b)
+    assert s.issuperset(t) == s.issuperset(frozenset(b)) == set(a).issuperset(b)
+    assert s.issubset(t) == s.issubset(tuple(b)) == set(a).issubset(b)
+
+
+_BAD = (("var",), ("atom", -1), ("frob", 1), ("or", ("atom", 0), ("var",)), 3)
+
+
+@st.composite
+def _good_and_bad(draw):
+    """A list of closed formulas with some malformed ones mixed in."""
+    good = random_formulas(draw(st.integers(0, 2**32)), 6, max_size=6, max_level=2)
+    items = draw(st.lists(st.sampled_from(good + list(_BAD)), max_size=10))
+    return good, items
+
+
+def _first_error(f):
+    with pytest.raises(ValueError) as exc:
+        Sequent((f,))
+    return str(exc.value)
+
+
+@settings(deadline=None)
+@given(_good_and_bad())
+def test_first_bad_raw_member_is_reported_in_first_seen_order(draws):
+    good, items = draws
+    s = Sequent(good[:3])
+    bad = [f for f in items if f in _BAD]
+    if not bad:
+        assert Sequent(items).forms == _rebuild(items)
+        assert s.union(items).forms == _rebuild(good[:3] + items)
+        return
+    with pytest.raises(ValueError) as got:
+        Sequent(items)
+    assert str(got.value) == _first_error(bad[0])
+    with pytest.raises(ValueError) as got:
+        s.union(items)
+    assert str(got.value) == _first_error(bad[0])
 
 
 @st.composite

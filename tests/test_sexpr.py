@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import run_cli
 from mucut.checker import check_finite
 from mucut.collapse import pipeline
 from mucut.corpus import CORPUS, lemma_suite
@@ -47,6 +48,7 @@ from mucut.sexpr import (
     step_to_sx,
     summary_to_sx,
 )
+from mucut import sequents
 from mucut.sequents import Sequent, seq
 from mucut.syntax import ParseError, print_form
 from mucut.syntax import parse_formula as pf
@@ -518,18 +520,62 @@ def test_proof_dumps_matches_the_recursive_writer():
     assert str(got.value) == str(want.value)
 
 
-def test_proof_dumps_of_a_deep_cut_chain():
-    # 1,000 nested cuts, each over the same context: deeper than the
-    # Python stack allows a recursive writer or reader to go
+def _deep_cut_chain(n):
+    """n nested cuts, each over the same context."""
     a, na = atom(1), natom(1)
     p = top_intro((na,))
-    for _ in range(1000):
+    for _ in range(n):
         p = cut_node(seq(TOP, na), a, top_intro((na, a)), p)
+    return p
+
+
+def test_proof_dumps_of_a_deep_cut_chain():
+    # 1,000 nested cuts: deeper than the Python stack allows a recursive
+    # writer or reader to go
+    p = _deep_cut_chain(1000)
     assert check_finite(p).ok
-    sx = loads(proof_dumps(p))
+    text = proof_dumps(p)
+    sx = loads(text)
     depth = 0
     while len(sx) == 5:  # (rule (cut ...) (seq ...) left right)
         sx = sx[4]
         depth += 1
     assert depth == 1000
     assert sx[:2] == [Sym("rule"), [Sym("or"), print_form(TOP)]]
+    q = proof_loads(text)
+    assert proof_dumps(q) == text
+    assert check_finite(q).ok
+
+
+def test_check_reads_a_deep_cut_chain(tmp_path):
+    f = tmp_path / "chain.sproof"
+    f.write_text(proof_dumps(_deep_cut_chain(1000)))
+    assert run_cli(["check", str(f)]) == (0, "(report ok)\n", "")
+
+
+def test_observing_and_writing_sorts_only_the_window(monkeypatch):
+    # sequents are ordered when read: observing the eliminated stage of a
+    # 50-cut chain and writing it sorts each sequent of the window at most
+    # once, and no sequent the elimination built but did not show
+    atoms = [atom(i) if i % 2 else natom(i) for i in range(1, 51)]
+    eliminated = pipeline(_cut_chain(atoms))["eliminated"]
+    sorted_sets = []
+    canonical = sequents._canonical
+
+    def counting(members):
+        sorted_sets.append(members)
+        return canonical(members)
+
+    monkeypatch.setattr(sequents, "_canonical", counting)
+    o = observe(eliminated, 6)
+    observation_dumps(o)
+    window, todo = [], [o]
+    while todo:
+        node = todo.pop()
+        todo.extend(node.children)
+        window.append(node.conclusion)
+        window.extend(node.probes or ())
+        if isinstance(node.rule, Box):
+            window.append(node.rule.side)
+    assert 0 < len(sorted_sets) <= len(window)
+    assert set(sorted_sets) <= {s._set for s in window}
