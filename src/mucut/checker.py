@@ -30,6 +30,9 @@ from mucut.kernel import (
     substitute,
 )
 from mucut.proofs import (
+    FINITE_TAGS,
+    PRINCIPAL_ROOT,
+    SINF_TAGS,
     And,
     Axiom,
     AxiomMu,
@@ -40,7 +43,6 @@ from mucut.proofs import (
     Nu,
     Omega,
     OmegaBar,
-    PRINCIPAL_ROOT,
     Or,
     observe,
     omega_phi,
@@ -114,16 +116,14 @@ def _fmt(f):
     return print_form(f)
 
 
-_S_TAGS = (Axiom, AxiomMu, Or, And, Box, Clo, Ind, Cut)
-_SINF_TAGS = (Axiom, Or, And, Box, Clo, Nu)
 _OMEGA_TAGS = (Axiom, Or, And, Box, Clo, Nu, Cut, Omega, OmegaBar)
 
 
 def _tag_allowed(tag, system):
     if system == SYSTEM_S:
-        return isinstance(tag, _S_TAGS)
+        return isinstance(tag, FINITE_TAGS)
     if system == SYSTEM_SINF:
-        return isinstance(tag, _SINF_TAGS)
+        return isinstance(tag, SINF_TAGS)
     if not isinstance(tag, _OMEGA_TAGS):
         return False
     if isinstance(tag, (Omega, OmegaBar)) and system[1] < 1:

@@ -37,6 +37,7 @@ from mucut.checker import (
 )
 from mucut.collapse import pipeline
 from mucut.corpus import CORPUS
+from mucut.cutelim import DEFAULT_FUEL
 from mucut.errors import FuelExhausted, InternalInvariantError
 from mucut.proofs import (
     Cut,
@@ -66,7 +67,6 @@ EXIT_INVARIANT = 4
 DEFAULT_DEPTH = 6
 DEFAULT_SAMPLES = (0, 1, 2)
 DEFAULT_PROBES = 1
-DEFAULT_FUEL = 100_000
 
 STAGES = ("embedded", "eliminated", "collapsed", "sinf")
 

@@ -21,16 +21,12 @@ from mucut.checker import level_bound
 from mucut.embed import embed
 from mucut.errors import FuelExhausted, InternalInvariantError
 from mucut.proofs import (
-    And,
+    SINF_TAGS,
     Axiom,
     AxiomMu,
-    Box,
-    Clo,
     Cut,
-    Nu,
     Omega,
     OmegaBar,
-    Or,
     Proof,
     map_premises,
 )
@@ -78,9 +74,6 @@ def _collapse_now(p, h):
     return map_premises(d, d.conclusion, lambda q, _: collapse(q, h))
 
 
-_SINF_TAGS = (Axiom, Or, And, Box, Clo, Nu)
-
-
 def to_sinf(p):
     """Read a fully collapsed proof as a plain infinitary derivation,
     validating every forced node: only the plain rules may appear and
@@ -90,7 +83,7 @@ def to_sinf(p):
 
 def _to_sinf_now(p):
     tag = p.rule
-    if not isinstance(tag, _SINF_TAGS):
+    if not isinstance(tag, SINF_TAGS):
         raise InternalInvariantError(
             "rule outside the plain infinitary system: %r" % (tag,)
         )

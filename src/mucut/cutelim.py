@@ -46,7 +46,6 @@ from mucut.proofs import (
     ax,
     box_fit,
     box_node,
-    cut_node,
     make_node,
     map_premises,
     omega_phi,
@@ -55,7 +54,7 @@ from mucut.proofs import (
     premise_added,
     premise_label,
 )
-from mucut.sequents import Sequent, from_checked
+from mucut.sequents import Sequent, _check, from_checked
 
 DEFAULT_FUEL = 100_000
 
@@ -101,15 +100,18 @@ def fit(d, target):
     return weaken(d, target.difference(d.conclusion))
 
 
-def _mk_cut(conclusion, formula, with_f1, with_f2):
-    """A cut node on formula over premises carrying its primed sides."""
-    f1 = prime(formula)
-    f2 = prime(negate(formula))
-    return cut_node(
+def cut_fit(conclusion, formula, with_f1, with_f2):
+    """A cut on formula concluding conclusion, its premises with_f1 and
+    with_f2 fitted to the conclusion plus the prime of formula and of its
+    negation.  formula is checked once, as a sequent member is; its primed
+    sides are kernel-derived from it and go in unchecked."""
+    _check(formula)
+    f1 = from_checked((prime(formula),))
+    f2 = from_checked((prime(negate(formula)),))
+    return make_node(
         conclusion,
-        formula,
-        fit(with_f1, conclusion.add(f1)),
-        fit(with_f2, conclusion.add(f2)),
+        Cut(formula),
+        (fit(with_f1, conclusion.union(f1)), fit(with_f2, conclusion.union(f2))),
     )
 
 
@@ -140,8 +142,8 @@ def _scrub(p, target, formula, mine_is_f1, other):
     if p.conclusion.issubset(target):
         return fit(p, target)
     if mine_is_f1:
-        return _mk_cut(target, formula, p, other)
-    return _mk_cut(target, formula, other, p)
+        return cut_fit(target, formula, p, other)
+    return cut_fit(target, formula, other, p)
 
 
 def _dia_stuck(tag, side, f):
@@ -166,7 +168,7 @@ def _commutable(tag, side, f):
     return False
 
 
-def _commute(d_s, f_s, other, f_o, g, formula, budget, trace, path):
+def _commute(d_s, f_s, other, g, formula):
     """Push the cut above the root rule of d_s (whose conclusion is
     g + f_s and whose root does not involve f_s)."""
     tag = d_s.rule
@@ -181,11 +183,10 @@ def _commute(d_s, f_s, other, f_o, g, formula, budget, trace, path):
         if checked:
             extra = from_checked(extra)
         target = g.union(extra)
-        mine = fit(p, target.add(f_s))
-        theirs = fit(weaken(other, extra), target.add(f_o))
+        theirs = weaken(other, extra)
         if s_is_f1:
-            return cut_node(target, formula, mine, theirs)
-        return cut_node(target, formula, theirs, mine)
+            return cut_fit(target, formula, p, theirs)
+        return cut_fit(target, formula, theirs, p)
 
     return map_premises(d_s, g, cut_in)
 
@@ -225,10 +226,10 @@ def _reduce_root(d, budget, trace, path):
     # expose premise roots so the case analysis sees real rules
     if isinstance(dl.rule, Cut):
         dl = _exposed(dl, budget, trace, path + ".0")
-        return cut_node(g, formula, dl, dr)
+        return make_node(g, tag, (dl, dr))
     if isinstance(dr.rule, Cut):
         dr = _exposed(dr, budget, trace, path + ".1")
-        return cut_node(g, formula, dl, dr)
+        return make_node(g, tag, (dl, dr))
 
     sides = ((dl, f1, dr, f2), (dr, f2, dl, f1))
 
@@ -269,8 +270,8 @@ def _reduce_root(d, budget, trace, path):
                         "replacement family output has unexpected shape"
                     )
                 if f_om == f1:
-                    return _mk_cut(want, formula, out, weaken(mu_side, dl_))
-                return _mk_cut(want, formula, weaken(mu_side, dl_), out)
+                    return cut_fit(want, formula, out, weaken(mu_side, dl_))
+                return cut_fit(want, formula, weaken(mu_side, dl_), out)
 
             return omegabar_node(
                 g, rtag.h, rtag.target, mu_side, old_fam.admits, fn
@@ -310,8 +311,8 @@ def _reduce_root(d, budget, trace, path):
                 not and_is_f1,
                 d_and,
             )
-            step1 = _mk_cut(g.add(n_dp), comp_e, weaken(p12, (n_dp,)), p2)
-            return _mk_cut(g, comp_d, p11, step1)
+            step1 = cut_fit(g.add(n_dp), comp_e, weaken(p12, (n_dp,)), p2)
+            return cut_fit(g, comp_d, p11, step1)
 
     # (v) box principal against its diamond-part dual
     if f1[0] == "box" or f2[0] == "box":
@@ -338,7 +339,7 @@ def _reduce_root(d, budget, trace, path):
             gam_n = p1.conclusion.without(a1).union(
                 p2.conclusion.without(a2).without(b2)
             )
-            inner = _mk_cut(gam_n.add(a2), comp, p1, p2)
+            inner = cut_fit(gam_n.add(a2), comp, p1, p2)
             packet = gam_n.dia().add(dtag.principal)
             if not packet.issubset(g):
                 raise InternalInvariantError(
@@ -349,10 +350,10 @@ def _reduce_root(d, budget, trace, path):
     # (iii) commute past a premise root not involving its cut formula
     if _commutable(ltag, dl, f1):
         _trace(trace, path, "commute", formula)
-        return _commute(dl, f1, dr, f2, g, formula, budget, trace, path)
+        return _commute(dl, f1, dr, g, formula)
     if _commutable(rtag, dr, f2):
         _trace(trace, path, "commute", formula)
-        return _commute(dr, f2, dl, f1, g, formula, budget, trace, path)
+        return _commute(dr, f2, dl, g, formula)
     raise InternalInvariantError(
         "no reduction case applies at %s (cut on %r)" % (path, formula)
     )

@@ -29,12 +29,20 @@ The walks lay out no premises themselves: embedding, un-priming and
 context substitution hand proofs.map_premises the rule with its rewritten
 principal and rebuild each premise from what proofs.premise_added says it
 adds, and a box rule is refitted around its new premise by proofs.box_fit.
+
+Three constructions recur, and each is written once: every cut over
+primed sides is cutelim.cut_fit; every premise of a rule that keeps its
+context is fitted by _fit_premise to one of the two readings the checker
+accepts (the principal dropped or kept); and every nu rule whose i-th
+approximant premise is derived from the (i-1)-th by monotonicity is
+_nu_over over a _chain, which builds its derivations once each and in
+index order, so a far premise costs no stack frame per index.
 """
 
 from __future__ import annotations
 
 from mucut.checker import level_bound
-from mucut.cutelim import fit, weaken
+from mucut.cutelim import cut_fit, fit, weaken
 from mucut.errors import InternalInvariantError
 from mucut.kernel import (
     TOP,
@@ -62,12 +70,12 @@ from mucut.proofs import (
     OmegaBar,
     Or,
     Proof,
+    _require,
     and_node,
     ax,
     box_fit,
     box_node,
     clo_node,
-    cut_node,
     map_premises,
     nu_node,
     omega_node,
@@ -81,17 +89,43 @@ from mucut.proofs import (
 from mucut.sequents import Sequent, from_checked
 
 
-def _require(cond, msg):
-    if not cond:
-        raise InternalInvariantError(msg)
-
-
-def _fit_sk(p, strict, kept):
-    """Fit p to the strict premise reading when possible, otherwise to the
-    context-keeping reading."""
+def _fit_premise(p, concl, principal, parts):
+    """Fit p as the premise of a rule concluding concl that adds parts: to
+    concl without principal plus parts when p fits there, otherwise to
+    concl plus parts, the two readings the checker accepts.  A principal
+    of None (an omegabar rule) is never dropped."""
+    strict = concl.without(principal).union(parts)
     if p.conclusion.issubset(strict):
         return fit(p, strict)
-    return fit(p, kept)
+    return fit(p, concl.union(parts))
+
+
+def _chain(first, step):
+    """The derivations d_0 = first() and d_i = step(i, d_(i-1)) as a
+    function of i, each built once, on demand and in index order, so that
+    no index recurses into the one below it."""
+    links = []
+
+    def link(i):
+        while len(links) <= i:
+            links.append(step(len(links), links[-1]) if links else first())
+        return links[i]
+
+    return link
+
+
+def _nu_over(concl, nu, derive):
+    """The nu rule on nu, a member of concl, whose i-th premise is
+    derive(i, a_i) for the i-th approximant a_i, fitted as _fit_premise
+    does.  nu is a checked member, so its approximants are closed and
+    valid and go in unchecked."""
+    body = nu[1]
+
+    def fn(i):
+        a_i = iterate(body, TOP, i)
+        return _fit_premise(derive(i, a_i), concl, nu, from_checked((a_i,)))
+
+    return nu_node(concl, nu, fn)
 
 
 # ---------------------------------------------------------------------------
@@ -127,28 +161,15 @@ def identity_mu(mu, k):
     n = negate(mu)
     nbody = n[1]
     concl = Sequent((mu, n))
-    chain = {}
 
     # concl checks mu, so each approximant of the body of its closed
     # negation is closed and valid: the sequents pairing them are trusted
-    def approx(i):
-        return from_checked((mu, iterate(nbody, TOP, i)))
+    def step(i, prev):
+        mono = monotone(prev, nbody, mu, iterate(nbody, TOP, i - 1), k)
+        return clo_node(from_checked((mu, iterate(nbody, TOP, i))), mu, mono)
 
-    def step(i):
-        if i not in chain:
-            if i == 0:
-                chain[i] = top_intro((mu,))
-            else:
-                prev = step(i - 1)
-                mono = monotone(prev, nbody, mu, iterate(nbody, TOP, i - 1), k)
-                chain[i] = clo_node(approx(i), mu, mono)
-        return chain[i]
-
-    def fn(i):
-        strict = approx(i)
-        return _fit_sk(step(i), strict, concl.union(strict))
-
-    return nu_node(concl, n, fn)
+    link = _chain(lambda: top_intro((mu,)), step)
+    return _nu_over(concl, n, lambda i, a_i: link(i))
 
 
 def identity_mu_primed(mu, k):
@@ -160,11 +181,11 @@ def identity_mu_primed(mu, k):
     h = level(mu)
     _require(1 <= h <= k, "replacement level out of range for the system")
     t = prime(mu)
-    concl = Sequent((mu, omega_phi(t)))
+    phi = omega_phi(t)
+    concl = Sequent((mu, phi))
 
     def fn(delta, w):
-        out = deprime(w, mu, k - 1)
-        return _fit_sk(out, delta.add(mu), delta.union(concl))
+        return _fit_premise(deprime(w, mu, k - 1), concl, phi, delta)
 
     return omega_node(concl, h, t, standard_admits(h, t), fn)
 
@@ -302,35 +323,21 @@ def _deprime_now(d, a, ap, new_c, k):
         a0 = a[1]
         t2 = tag.target
         fam = d.premises
-        gamma = d.conclusion.without(ap)
-        chain = {}
 
-        def wit(j):
-            if j not in chain:
-                if j == 0:
-                    chain[j] = top_intro((t2,))
-                else:
-                    mono = monotone_primed(
-                        wit(j - 1),
-                        negate(a0),
-                        iterate(a0, TOP, j - 1),
-                        negate(a),
-                        k - 1,
-                    )
-                    chain[j] = clo_node(
-                        Sequent((iterate(a0, TOP, j), t2)), t2, mono
-                    )
-            return chain[j]
+        def step(j, prev):
+            mono = monotone_primed(
+                prev, negate(a0), iterate(a0, TOP, j - 1), negate(a), k - 1
+            )
+            return clo_node(Sequent((iterate(a0, TOP, j), t2)), t2, mono)
 
-        def fn(i):
-            it_i = iterate(a0, TOP, i)
+        wit = _chain(lambda: top_intro((t2,)), step)
+
+        def derive(i, a_i):
             if i == 0:
-                out = top_intro(gamma)
-            else:
-                out = deprime(fam(Sequent((it_i,)), wit(i)), a, k)
-            return _fit_sk(out, new_c.without(a).add(it_i), new_c.add(it_i))
+                return top_intro(d.conclusion.without(ap))
+            return deprime(fam(Sequent((a_i,)), wit(i)), a, k)
 
-        return nu_node(new_c, a, fn)
+        return _nu_over(new_c, a, derive)
 
     # a principal ap becomes a, and each premise first un-primes its parts;
     # in context the primed element rides along into the premises
@@ -338,18 +345,18 @@ def _deprime_now(d, a, ap, new_c, k):
     if rewrite:
         tag = type(tag)(a)
     if isinstance(tag, OmegaBar):
-        strict = new_c
+        principal = None
     elif isinstance(tag, Omega):
-        strict = new_c.without(omega_phi(tag.target))
+        principal = omega_phi(tag.target)
     else:
-        strict = new_c.without(tag.principal)
+        principal = tag.principal
 
     def fn(q, position):
         added = premise_added(tag, position)
         if rewrite:
             for x in added:
                 q = deprime(q, x, k)
-        return _fit_sk(deprime(q, a, k), strict.union(added), new_c.union(added))
+        return _fit_premise(deprime(q, a, k), new_c, principal, added)
 
     return map_premises(d, new_c, fn, tag if rewrite else None)
 
@@ -433,16 +440,18 @@ class _Subst:
             out[x] = _merge(*sets)
         return out
 
-    def run(self, d, rho):
+    def sub(self, d, rho):
+        """d rewritten under rho, or d itself when no formula of its
+        conclusion has a mode other than delta."""
         rho = {f: _eff(rho.get(f, _D), f, self.t) for f in d.conclusion}
         if all(m == _D for m in rho.values()):
             return d
-        return self._run(d, rho)
+        new_c = self.img_sequent(d.conclusion, rho)
+        return Proof.defer(new_c, lambda: self._run(d, rho, new_c))
 
-    def _run(self, d, rho):
+    def _run(self, d, rho, new_c):
         tag = d.rule
         c = d.conclusion
-        new_c = self.img_sequent(c, rho)
 
         if isinstance(tag, Axiom):
             return ax(new_c, tag.p)
@@ -458,7 +467,7 @@ class _Subst:
         if isinstance(tag, Clo) and tag.principal == self.t:
             modes = _eff(rho.get(self.t, _D), self.t, self.t)
             if modes & _SIGS:
-                return self._clo_on_target(d, rho, modes)
+                return self._clo_on_target(d, rho, modes, new_c)
 
         if isinstance(tag, Box):
             phi = tag.principal
@@ -474,7 +483,7 @@ class _Subst:
                     sets.append(_eff(rho.get(dx, _D), dx, self.t))
                 rho2[x] = _merge(*sets)
             phi_img = self._principal_image(phi, rho)
-            return box_fit(new_c, phi_img, self._sub(p1, rho2))
+            return box_fit(new_c, phi_img, self.sub(p1, rho2))
 
         new_tag = None
         if isinstance(tag, (Omega, OmegaBar)):
@@ -501,21 +510,13 @@ class _Subst:
             parts = premise_added(tag, position)
             rho2 = self._child_rho(q.conclusion, rho, c, parts, part_modes)
             imgs = [g for x in parts for g in self.images(x, part_modes)]
-            return fit(self._sub(q, rho2), new_c.union(imgs))
+            return fit(self.sub(q, rho2), new_c.union(imgs))
 
         return map_premises(d, new_c, fn, new_tag)
 
-    def _sub(self, d, rho):
-        rho = {f: _eff(rho.get(f, _D), f, self.t) for f in d.conclusion}
-        if all(m == _D for m in rho.values()):
-            return d
-        new_c = self.img_sequent(d.conclusion, rho)
-        return Proof.defer(new_c, lambda: self._run(d, rho))
-
-    def _clo_on_target(self, d, rho, modes):
+    def _clo_on_target(self, d, rho, modes, new_c):
         c = d.conclusion
         t = self.t
-        new_c = self.img_sequent(c, rho)
         u = substitute(t[1], t)
         f_star = prime(self.cf)
         u_modes = frozenset()
@@ -525,28 +526,17 @@ class _Subst:
             u_modes = u_modes | frozenset((MODE_S2,))
         prem = d.premises[0]
         rho2 = self._child_rho(prem.conclusion, rho, c, (u,), u_modes)
-        cur = self._sub(prem, rho2)
+        cur = self.sub(prem, rho2)
         if MODE_DELTA in modes:
             cur = clo_node(cur.conclusion.without(u).add(t), t, cur)
-        ncf_p = prime(negate(self.cf))
         if MODE_S1 in modes:
             gcut = cur.conclusion.add(self.b)
             if MODE_S2 not in modes:
                 gcut = gcut.without(f_star)
-            cur = cut_node(
-                gcut,
-                self.cf,
-                fit(cur, gcut.add(f_star)),
-                fit(self.asm1, gcut.add(ncf_p)),
-            )
+            cur = cut_fit(gcut, self.cf, cur, self.asm1)
         if MODE_S2 in modes:
             gcut = cur.conclusion.add(prime(self.b)).without(f_star)
-            cur = cut_node(
-                gcut,
-                self.cf,
-                fit(cur, gcut.add(f_star)),
-                fit(self.asm2, gcut.add(ncf_p)),
-            )
+            cur = cut_fit(gcut, self.cf, cur, self.asm2)
         _require(
             cur.conclusion == new_c,
             "substitution stack does not reach the image sequent",
@@ -562,7 +552,7 @@ def subst_context(d, rho, asm1, asm2, mu, b, k):
     every closure step on the target itself."""
     cf = substitute(mu[1], b)
     _require(level(cf) <= k, "cut formula level exceeds the system index")
-    return _Subst(asm1, asm2, mu, b, k).run(d, rho)
+    return _Subst(asm1, asm2, mu, b, k).sub(d, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -600,9 +590,7 @@ def ind_to_omega(asm1, asm2, mu, b, k):
                 modes = modes | _D
             rho[t] = modes
             out = subst_context(w, rho, asm1, asm2, mu, b, k)
-            return _fit_sk(
-                out, delta.union(concl.without(phi)), delta.union(concl)
-            )
+            return _fit_premise(out, concl, phi, delta)
 
         return omega_node(concl, h, t, admits, fn)
 
@@ -678,9 +666,7 @@ def _embed_now(p, sel, k, cs):
             imgs = [img(x) for x in parts]
             if checked:
                 imgs = from_checked(imgs)
-            return _fit_sk(
-                _embed(q, sp, k), cs.without(phi_img).union(imgs), cs.union(imgs)
-            )
+            return _fit_premise(_embed(q, sp, k), cs, phi_img, imgs)
 
         return map_premises(p, cs, fn, type(tag)(phi_img))
 
@@ -700,16 +686,7 @@ def _embed_now(p, sel, k, cs):
         )
         s1 = q1.conclusion.members_in(sel) | {cf}
         s2 = q2.conclusion.members_in(sel) | {ncf}
-        e1 = _embed(q1, s1, k)
-        e2 = _embed(q2, s2, k)
-        # is_add found cf and ncf in the premises' conclusions, so they and
-        # their primes are closed and valid
-        return cut_node(
-            cs,
-            cf,
-            fit(e1, cs.union(from_checked((prime(cf),)))),
-            fit(e2, cs.union(from_checked((prime(ncf),)))),
-        )
+        return cut_fit(cs, cf, _embed(q1, s1, k), _embed(q2, s2, k))
 
     if isinstance(tag, Ind):
         return _embed_ind(p, tag, sel, k, cs)
@@ -743,44 +720,18 @@ def _embed_ind(p, tag, sel, k, cs):
     )
     ih2 = _embed(prem, frozenset((ncf, bb)), k)
     pb = prime(bb)
-    pcf = prime(cf)
-    pncf = prime(ncf)
-    chain = {}
-    monos = {}
 
-    def c_step(j):
-        if j not in chain:
-            if j == 0:
-                chain[j] = top_intro((pb,))
-            else:
-                target = Sequent((iterate(naop, TOP, j), pb))
-                chain[j] = cut_node(
-                    target,
-                    cf,
-                    fit(mono(j), target.add(pcf)),
-                    fit(ih2, target.add(pncf)),
-                )
-        return chain[j]
+    # link j pairs the monotonicity step into the j-th approximant with
+    # the chain derivation of that approximant and b'
+    def step(j, prev):
+        mono = monotone_primed(prev[1], aop, iterate(naop, TOP, j - 1), bb, k)
+        return mono, cut_fit(Sequent((iterate(naop, TOP, j), pb)), cf, mono, ih2)
 
-    def mono(j):
-        if j not in monos:
-            monos[j] = monotone_primed(
-                c_step(j - 1), aop, iterate(naop, TOP, j - 1), bb, k
-            )
-        return monos[j]
+    link = _chain(lambda: (None, top_intro((pb,))), step)
 
-    def fn(i):
-        it_i = iterate(naop, TOP, i)
+    def derive(i, a_i):
         if i == 0:
-            out = top_intro((b_img,))
-        else:
-            target = Sequent((it_i, b_img))
-            out = cut_node(
-                target,
-                cf,
-                fit(mono(i), target.add(pcf)),
-                fit(ih1, target.add(pncf)),
-            )
-        return _fit_sk(out, cs.without(n).add(it_i), cs.add(it_i))
+            return top_intro((b_img,))
+        return cut_fit(Sequent((a_i, b_img)), cf, link(i)[0], ih1)
 
-    return nu_node(cs, n, fn)
+    return _nu_over(cs, n, derive)

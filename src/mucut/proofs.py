@@ -112,7 +112,9 @@ class OmegaBar:
     target: tuple
 
 
+# The rules of the finitary system S and of the plain infinitary system.
 FINITE_TAGS = (Axiom, AxiomMu, Or, And, Box, Clo, Ind, Cut)
+SINF_TAGS = (Axiom, Or, And, Box, Clo, Nu)
 
 
 def omega_phi(target):
@@ -589,31 +591,28 @@ def _premise(get, args, depth, samples, probe_budget):
     return observe(q, depth - 1, samples, probe_budget)
 
 
+def _preorder(o):
+    """The nodes of an observation in preorder, over an explicit stack."""
+    stack = [o]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children))
+
+
 def observation_rules(o):
     """All rule tags in an observation, preorder."""
-    out = [o.rule]
-    for c in o.children:
-        out.extend(observation_rules(c))
-    return out
+    return [node.rule for node in _preorder(o)]
 
 
 def observation_sequents(o):
     """All conclusions in an observation, preorder (error leaves skipped)."""
-    out = []
-    if o.error is None:
-        out.append(o.conclusion)
-    for c in o.children:
-        out.extend(observation_sequents(c))
-    return out
+    return [node.conclusion for node in _preorder(o) if node.error is None]
 
 
 def observation_errors(o):
-    out = []
-    if o.error is not None:
-        out.append(o.error)
-    for c in o.children:
-        out.extend(observation_errors(c))
-    return out
+    """All error messages in an observation, preorder."""
+    return [node.error for node in _preorder(o) if node.error is not None]
 
 
 def is_cut_free_observed(p, depth, samples=(0, 1, 2), probe_budget=1):

@@ -29,7 +29,6 @@ from mucut.kernel import (
     is_l0,
     level,
     max_nubar_level,
-    replace_subterm,
     sort_key,
     validate,
 )
@@ -191,9 +190,3 @@ def is_k_positive(s, k):
     if isinstance(s, Sequent):
         return s.max_nubar_level() < k
     return max_nubar_level(s) < k
-
-
-def replace_fixpoint(s, target, b):
-    """Replace every occurrence of the subformula target by b, in every
-    formula of s (descending under binders), renormalizing as a set."""
-    return Sequent(replace_subterm(f, target, b) for f in s)

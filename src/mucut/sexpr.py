@@ -19,11 +19,9 @@ from mucut.proofs import (
     Cut,
     Ind,
     Nu,
-    Observation,
     Omega,
     OmegaBar,
     Or,
-    Proof,
     make_node,
 )
 from mucut.sequents import from_checked

@@ -189,6 +189,18 @@ def test_pipeline_all_examples(tmp_path):
         assert out == "cut-free: yes, nubar-free: yes\n"
 
 
+def test_pipeline_samples_a_far_approximant(tmp_path):
+    # the approximant chains are built in index order, not by recursing
+    # once per index: premise 3000 of every nu rule is within reach
+    _write_corpus(tmp_path)
+    code, out, err = run_cli([
+        "pipeline", str(tmp_path / "e1-ind-top.sproof"),
+        "--out", str(tmp_path / "out"), "--samples", "0,3000",
+    ])
+    assert code == EXIT_OK, err
+    assert out == "cut-free: yes, nubar-free: yes\n"
+
+
 def test_pipeline_summary_carries_stage_verdicts(tmp_path, monkeypatch):
     # a cut-free, nubar-free sinf stage that uses axmu, a rule S-infinity
     # lacks: the summary says "yes, yes" but its sinf verdict fails

@@ -3,14 +3,16 @@ elimination pass."""
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from mucut.checker import check_bounded, check_finite, level_bound, omega_system
 from mucut.corpus import CORPUS
 from mucut.cutelim import (
     DEFAULT_FUEL,
-    _Budget,
     _commute,
+    cut_fit,
     cut_rank,
     eliminate,
     fit,
@@ -83,6 +85,20 @@ def test_fit():
     assert f.conclusion == seq(TOP, atom(4))
     with pytest.raises(InternalInvariantError):
         fit(p, seq(atom(4)))  # not a superset of the conclusion
+
+
+@pytest.mark.parametrize("formula", [
+    ("or", ("var",), atom(1)),  # a free variable
+    ("box", atom(1), atom(2)),  # malformed, though priming and negation pass it
+])
+def test_cut_fit_checks_its_formula(formula):
+    # the cut formula is checked once, as a sequent member is; only the
+    # primed sides derived from it go in unchecked
+    with pytest.raises(ValueError) as want:
+        seq(TOP).add(formula)
+    leaf = top_intro(())
+    with pytest.raises(ValueError, match=re.escape(str(want.value))):
+        cut_fit(seq(TOP), formula, leaf, leaf)
 
 
 def test_reduce_head_simple_cut():
@@ -187,7 +203,7 @@ def test_parts_of_an_unvouched_principal_are_checked():
 
     def commute(tag, premises):
         d = Proof.make(g.add(atom(2)), tag, premises)
-        return _commute(d, atom(2), other, natom(2), g, atom(2), _Budget(9), None, "root")
+        return _commute(d, atom(2), other, g, atom(2))
 
     with pytest.raises(ValueError, match="free variable"):
         commute(Or(stray), (leaf,))

@@ -5,7 +5,12 @@ from __future__ import annotations
 
 import pytest
 
-from mucut.checker import check_bounded, level_bound, omega_system
+from mucut.checker import (
+    check_bounded,
+    check_observation,
+    level_bound,
+    omega_system,
+)
 from mucut.corpus import CORPUS, lemma_suite
 from mucut.embed import (
     apply_sigma,
@@ -25,6 +30,7 @@ from mucut.proofs import (
     Nu,
     Omega,
     is_cut_free_observed,
+    observation_errors,
     observation_rules,
     observe,
     omega_phi,
@@ -54,6 +60,16 @@ def test_identity_mu():
     assert isinstance(p.rule, Nu)
     assert is_cut_free_observed(p, 6)
     assert check_bounded(p, _sys(M1), 6).ok
+
+
+def test_identity_mu_reaches_a_far_approximant():
+    # the chain of approximant derivations is built in index order, so
+    # premise 3000 needs no stack frame per index below it
+    m = pf("mu X . X")
+    o = observe(identity_mu(m, 1), 4, (3000,))
+    assert observation_errors(o) == []
+    assert o.children[0].conclusion == seq(m, TOP)
+    assert check_observation(o, omega_system(1), 4).ok
 
 
 def test_identity_mu_rejects_bad_input():

@@ -140,6 +140,11 @@ def test_replace_subterm(k):
     f = ("and", m, ("atom", 1))
     assert k.replace_subterm(f, m, k.TOP) == ("and", k.TOP, ("atom", 1))
     assert k.replace_subterm(f, ("atom", 9), k.TOP) == f
+    # replacement descends under binders
+    g = ("nu", ("and", ("var",), m))
+    assert k.replace_subterm(g, m, ("atom", 2)) == (
+        "nu", ("and", ("var",), ("atom", 2))
+    )
 
 
 def test_sort_key_orders_tags(k):

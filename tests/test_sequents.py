@@ -1,4 +1,4 @@
-"""Sequents: canonical ordering, set operations, and fixpoint rewriting."""
+"""Sequents: canonical ordering and set operations."""
 
 from __future__ import annotations
 
@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_formulas
-from mucut.kernel import TOP, atom, natom, prime, sort_key
+from mucut.kernel import atom, natom, prime, sort_key
 from mucut.sequents import (
     Sequent,
     from_checked,
     is_k_positive,
-    replace_fixpoint,
     seq,
 )
 from mucut.syntax import parse_formula as pf
@@ -108,21 +107,6 @@ def test_is_k_positive():
     assert not is_k_positive(seq(n, atom(1)), 1)
     assert is_k_positive(seq(atom(1)), 1)
     assert is_k_positive(Sequent(), 1)
-
-
-def test_replace_fixpoint():
-    m = pf("mu X . X")
-    s = seq(pf("(p1 | mu X . X)"), m)
-    out = replace_fixpoint(s, m, TOP)
-    assert out == seq(TOP, ("or", atom(1), TOP))
-    # replacement descends under binders
-    t = seq(pf("nu X . (X & mu X . X)"))
-    assert replace_fixpoint(t, m, atom(2)) == seq(
-        ("nu", ("and", ("var",), atom(2)))
-    )
-    # sets renormalize: collapsing two formulas to one is fine
-    u = seq(m, TOP)
-    assert replace_fixpoint(u, m, TOP) == seq(TOP)
 
 
 def _rebuild(forms):
