@@ -31,7 +31,7 @@ from mucut.kernel import (
 )
 from mucut.proofs import (
     FINITE_TAGS,
-    PRINCIPAL_ROOT,
+    FIRST,
     SINF_TAGS,
     And,
     Axiom,
@@ -112,10 +112,6 @@ class _State:
         )
 
 
-def _fmt(f):
-    return print_form(f)
-
-
 _OMEGA_TAGS = (Axiom, Or, And, Box, Clo, Nu, Cut, Omega, OmegaBar)
 
 
@@ -124,11 +120,9 @@ def _tag_allowed(tag, system):
         return isinstance(tag, FINITE_TAGS)
     if system == SYSTEM_SINF:
         return isinstance(tag, SINF_TAGS)
-    if not isinstance(tag, _OMEGA_TAGS):
-        return False
-    if isinstance(tag, (Omega, OmegaBar)) and system[1] < 1:
-        return False
-    return True
+    if isinstance(tag, (Omega, OmegaBar)):
+        return system[1] >= 1
+    return isinstance(tag, _OMEGA_TAGS)
 
 
 def _parts(c, tag, position):
@@ -176,68 +170,64 @@ def _node_checks(state, path, c, tag, system):
     if system in (SYSTEM_S, SYSTEM_SINF) and not c.is_l0():
         state.flag(path, "conclusion uses the primed language outside omega systems")
 
-    if isinstance(tag, Axiom):
-        f = tag.p
-        if f[0] != "atom":
-            state.flag(path, "axiom formula %s is not atomic" % _fmt(f))
+    if isinstance(tag, (Axiom, AxiomMu)):
+        if isinstance(tag, Axiom):
+            f, root, shape = tag.p, "atom", "atomic"
+        else:
+            f, root, shape = tag.mu, "mu", "mu-rooted"
+        if f[0] != root:
+            state.flag(
+                path, "%s formula %s is not %s" % (tag.name, print_form(f), shape)
+            )
         elif f not in c or negate(f) not in c:
             state.flag(
                 path,
-                "axiom pair %s, %s not in conclusion" % (_fmt(f), _fmt(negate(f))),
+                "%s pair %s, %s not in conclusion"
+                % (tag.name, print_form(f), print_form(negate(f))),
             )
-    elif isinstance(tag, AxiomMu):
-        m = tag.mu
-        if m[0] != "mu":
-            state.flag(path, "axmu formula %s is not mu-rooted" % _fmt(m))
-        elif m not in c or negate(m) not in c:
-            state.flag(
-                path,
-                "axmu pair %s, %s not in conclusion" % (_fmt(m), _fmt(negate(m))),
-            )
-    elif isinstance(tag, (Or, And, Box, Clo, Nu)):
-        f = tag.principal
-        root = PRINCIPAL_ROOT[type(tag)]
-        what = "principal"
-        if isinstance(tag, (Clo, Nu)):
-            what = type(tag).__name__.lower() + " principal"
+    elif tag.root is not None:
+        f, root = tag.principal, tag.root
+        what = "%s principal" % tag.name if isinstance(tag, (Clo, Nu)) else "principal"
         if f[0] != root:
-            state.flag(path, "%s %s is not %s-rooted" % (what, _fmt(f), root))
+            state.flag(path, "%s %s is not %s-rooted" % (what, print_form(f), root))
         elif f not in c:
-            state.flag(path, "%s %s not in conclusion" % (what, _fmt(f)))
+            state.flag(path, "%s %s not in conclusion" % (what, print_form(f)))
         if isinstance(tag, Box) and not tag.side.issubset(c):
             state.flag(path, "box side sequent is not part of the conclusion")
     elif isinstance(tag, Ind):
         m = tag.mu
         if m[0] != "mu":
-            state.flag(path, "ind formula %s is not mu-rooted" % _fmt(m))
+            state.flag(path, "ind formula %s is not mu-rooted" % print_form(m))
         elif c != Sequent((negate(m), tag.b)):
             state.flag(
                 path,
                 "ind admits no context: conclusion must be exactly %s, %s"
-                % (_fmt(negate(m)), _fmt(tag.b)),
+                % (print_form(negate(m)), print_form(tag.b)),
             )
     elif isinstance(tag, Cut):
         f = tag.formula
         if not is_l0(f):
-            state.flag(path, "cut formula %s is not in the base language" % _fmt(f))
+            state.flag(
+                path, "cut formula %s is not in the base language" % print_form(f)
+            )
         if system[0] == "omega" and level(f) > system[1]:
             state.flag(
                 path,
                 "cut formula %s has level %d, above the system bound %d"
-                % (_fmt(f), level(f), system[1]),
+                % (print_form(f), level(f), system[1]),
             )
     elif isinstance(tag, (Omega, OmegaBar)):
         t = tag.target
         if t[0] != "mu" or not is_fully_primed(t):
             state.flag(
                 path, "replacement target %s must be a fully primed mu formula"
-                % _fmt(t)
+                % print_form(t)
             )
         if level(t) != tag.h:
             state.flag(
                 path,
                 "replacement target %s has level %d, rule says %d"
-                % (_fmt(t), level(t), tag.h),
+                % (print_form(t), level(t), tag.h),
             )
         if not 1 <= tag.h <= system[1]:
             state.flag(
@@ -247,7 +237,7 @@ def _node_checks(state, path, c, tag, system):
         if isinstance(tag, Omega) and omega_phi(t) not in c:
             state.flag(
                 path,
-                "introduced formula %s not in conclusion" % _fmt(omega_phi(t)),
+                "introduced formula %s not in conclusion" % print_form(omega_phi(t)),
             )
 
 
@@ -255,7 +245,7 @@ def _check_box_premise(state, path, c, tag, got):
     principal = tag.principal
     a = principal[1]
     if a not in got:
-        state.flag(path, "box premise lacks the body %s" % _fmt(a))
+        state.flag(path, "box premise lacks the body %s" % print_form(a))
         return
     if principal not in c:
         Sequent((principal,))  # a malformed principal raises here
@@ -293,6 +283,22 @@ def _check_cut_premises(state, path, c, tag, system, left, right):
     )
 
 
+def _child_paths(path, o):
+    """(path, child) for each child of an observed node, labelled by the
+    premise it shows: "w<i>" for the nu premise at sampled index i,
+    "first" for an omegabar's first premise, "p<k>" for the family output
+    on the k-th probe and "<j>" for finite premise j."""
+    if o.sampled is not None:
+        labels = ["w%d" % i for i in o.sampled]
+    elif o.probes is not None:
+        labels = ["p%d" % k for k in range(len(o.probes))]
+        if isinstance(o.rule, OmegaBar):
+            labels.insert(0, FIRST)
+    else:
+        return [("%s.%d" % (path, j), q) for j, q in enumerate(o.children)]
+    return [("%s.%s" % (path, label), q) for label, q in zip(labels, o.children)]
+
+
 def _judge_node(state, path, o, system):
     """Check one observed node; yield (path, child) for each premise to
     descend into, each after the checks of that premise's conclusion."""
@@ -307,7 +313,7 @@ def _judge_node(state, path, o, system):
             _check_box_premise(state, path, c, tag, kids[0].conclusion)
         except Exception as exc:  # noqa: BLE001
             state.flag(path, "malformed box rule: %s" % exc)
-        yield path + ".0", kids[0]
+        yield _child_paths(path, o)[0]
     elif isinstance(tag, Cut):
         try:
             _check_cut_premises(
@@ -315,27 +321,24 @@ def _judge_node(state, path, o, system):
             )
         except Exception as exc:  # noqa: BLE001
             state.flag(path, "malformed cut rule: %s" % exc)
-        for j, q in enumerate(kids):
-            yield "%s.%d" % (path, j), q
+        yield from _child_paths(path, o)
     elif isinstance(tag, (Or, And, Clo, Ind)):
         try:
             if isinstance(tag, Ind):
                 unfold = negate(substitute(tag.mu[1], tag.b))
                 want = [(Sequent((unfold, tag.b)), None, ())]
             else:
-                arity = 2 if isinstance(tag, And) else 1
-                want = [(c, tag.principal, _parts(c, tag, j)) for j in range(arity)]
+                want = [(c, tag.principal, _parts(c, tag, j)) for j in range(tag.arity)]
         except Exception as exc:  # noqa: BLE001 - undefined premise shapes
             state.flag(path, "premise shapes undefined: %s" % exc)
             want = []
-        for j, q in enumerate(kids):
+        for j, (cpath, q) in enumerate(_child_paths(path, o)):
             if j < len(want):
                 _check_premise(state, path, q.conclusion, *want[j], "premise %d" % j)
-            yield "%s.%d" % (path, j), q
+            yield cpath, q
     elif isinstance(tag, Nu):
         state.truncs += 1
-        for i, q in zip(o.sampled, kids):
-            cpath = "%s.w%d" % (path, i)
+        for i, (cpath, q) in zip(o.sampled, _child_paths(path, o)):
             if q.conclusion is None:
                 state.flag(cpath, "premise evaluation failed: %s" % q.error)
                 continue
@@ -346,8 +349,9 @@ def _judge_node(state, path, o, system):
     elif isinstance(tag, (Omega, OmegaBar)):
         state.truncs += 1
         principal = omega_phi(tag.target) if isinstance(tag, Omega) else None
+        outputs = _child_paths(path, o)
         if isinstance(tag, OmegaBar):
-            first, kids = kids[0], kids[1:]
+            (fpath, first), outputs = outputs[0], outputs[1:]
             want = c.add(tag.target)
             if first.conclusion != want:
                 state.flag(
@@ -355,9 +359,8 @@ def _judge_node(state, path, o, system):
                     "first premise concludes %r, expected %r"
                     % (first.conclusion, want),
                 )
-            yield path + ".first", first
-        for k, (delta, q) in enumerate(zip(o.probes, kids)):
-            cpath = "%s.p%d" % (path, k)
+            yield fpath, first
+        for delta, (cpath, q) in zip(o.probes, outputs):
             if q.conclusion is None:
                 state.flag(cpath, "family evaluation failed: %s" % q.error)
                 continue
@@ -409,7 +412,7 @@ def check_finite(p, system=SYSTEM_S):
             state.flag(path, "node evaluation failed: %s" % o.error)
             continue
         state.nodes += 1
-        if isinstance(o.rule, (Nu, Omega, OmegaBar)):
+        if not isinstance(o.rule.arity, int):
             state.flag(
                 path,
                 "rule %s has infinitely many premises and cannot occur in a "
@@ -477,38 +480,27 @@ def subformula_report(p, depth, samples=(0, 1, 2), probe_budget=1):
     max_index = max(samples, default=0)
     closure = approximant_closure(p.conclusion, max_index)
     o = observe(p, depth, samples, probe_budget)
-    violations = []
-    nodes = 0
+    state = _State()
 
     def scan(ob, path, lost="premise"):
-        nonlocal nodes
         if ob.error is not None:
             # worded as the judge words it: a leaf with a conclusion is a
             # node that could not be forced, one without is a premise or
             # family output that could not be produced
             what = "node" if ob.conclusion is not None else lost
-            violations.append(
-                (path, "%s evaluation failed: %s" % (what, ob.error))
-            )
+            state.flag(path, "%s evaluation failed: %s" % (what, ob.error))
             return
-        nodes += 1
+        state.nodes += 1
         for f in ob.conclusion:
             if max_nubar_level(f) >= 0:
-                violations.append(
-                    (path, "formula %s mentions nub" % _fmt(f))
-                )
+                state.flag(path, "formula %s mentions nub" % print_form(f))
             if f not in closure:
-                violations.append(
-                    (path, "formula %s outside the approximant closure" % _fmt(f))
+                state.flag(
+                    path, "formula %s outside the approximant closure" % print_form(f)
                 )
         lost = "premise" if isinstance(ob.rule, Nu) else "family"
-        for j, child in enumerate(ob.children):
-            scan(child, "%s.%d" % (path, j), lost)
+        for cpath, child in _child_paths(path, ob):
+            scan(child, cpath, lost)
 
     scan(o, "root")
-    return CheckReport(
-        ok=not violations,
-        violations=tuple(violations),
-        nodes_checked=nodes,
-        truncation_points=0,
-    )
+    return state.report()

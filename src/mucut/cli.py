@@ -78,14 +78,15 @@ CORPUS_FILES = (
 )
 
 
+def _natural(text):
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError("%r is not a natural number" % text)
+    return int(text)
+
+
 def _parse_samples(text):
-    try:
-        out = tuple(int(part) for part in text.split(",") if part.strip() != "")
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            "samples must be comma-separated naturals, e.g. 0,1,2"
-        )
-    if not out or any(i < 0 for i in out):
+    out = tuple(_natural(part) for part in text.split(",") if part.strip() != "")
+    if not out:
         raise argparse.ArgumentTypeError(
             "samples must be comma-separated naturals, e.g. 0,1,2"
         )
@@ -214,14 +215,14 @@ def cmd_corpus(args):
 
 
 def _add_config(sub):
-    sub.add_argument("--depth", type=int, default=DEFAULT_DEPTH,
+    sub.add_argument("--depth", type=_natural, default=DEFAULT_DEPTH,
                      help="observation depth (default %d)" % DEFAULT_DEPTH)
     sub.add_argument("--samples", type=_parse_samples, default=DEFAULT_SAMPLES,
                      help="nu-premise indices, comma-separated (default 0,1,2)")
-    sub.add_argument("--probes", type=int, default=DEFAULT_PROBES,
+    sub.add_argument("--probes", type=_natural, default=DEFAULT_PROBES,
                      help="0 skips families; N >= 1 feeds each family its "
                           "one canonical probe (default %d)" % DEFAULT_PROBES)
-    sub.add_argument("--fuel", type=int, default=DEFAULT_FUEL,
+    sub.add_argument("--fuel", type=_natural, default=DEFAULT_FUEL,
                      help="reduction fuel (default %d)" % DEFAULT_FUEL)
 
 

@@ -29,100 +29,6 @@ from mucut.kernel import (
 from mucut.sequents import Sequent, from_checked, is_k_positive
 
 # ---------------------------------------------------------------------------
-# rule tags
-
-
-@dataclass(frozen=True)
-class Axiom:
-    """Gamma, P, ~P for atomic P (stored positive)."""
-
-    p: tuple
-
-
-@dataclass(frozen=True)
-class AxiomMu:
-    """Gamma, mu X . A, ~(mu X . A)."""
-
-    mu: tuple
-
-
-@dataclass(frozen=True)
-class Or:
-    principal: tuple
-
-
-@dataclass(frozen=True)
-class And:
-    principal: tuple
-
-
-@dataclass(frozen=True)
-class Box:
-    """<>Gamma, []A, Sigma from Gamma, A; side is the Sigma used."""
-
-    principal: tuple
-    side: Sequent
-
-
-@dataclass(frozen=True)
-class Clo:
-    """Gamma, mu X . A from Gamma, A(mu X . A)."""
-
-    principal: tuple
-
-
-@dataclass(frozen=True)
-class Ind:
-    """~(mu X . A), B from ~A(B), B (no extra context)."""
-
-    mu: tuple
-    b: tuple
-
-
-@dataclass(frozen=True)
-class Cut:
-    """Gamma from Gamma, A and Gamma, ~A (primed on both sides in the
-    intermediate systems)."""
-
-    formula: tuple
-
-
-@dataclass(frozen=True)
-class Nu:
-    """Gamma, nu X . A from Gamma, A^i(top) for every i."""
-
-    principal: tuple
-
-
-@dataclass(frozen=True)
-class Omega:
-    """Gamma, phi from the family over (Delta, witness) pairs, where the
-    target is a fully primed mu formula of level h and phi is the primed
-    negation of the target."""
-
-    h: int
-    target: tuple
-
-
-@dataclass(frozen=True)
-class OmegaBar:
-    """Gamma from Gamma, target and the same family as Omega."""
-
-    h: int
-    target: tuple
-
-
-# The rules of the finitary system S and of the plain infinitary system.
-FINITE_TAGS = (Axiom, AxiomMu, Or, And, Box, Clo, Ind, Cut)
-SINF_TAGS = (Axiom, Or, And, Box, Clo, Nu)
-
-
-def omega_phi(target):
-    """The formula introduced by an Omega rule with the given target."""
-    return prime(negate(target))
-
-
-# ---------------------------------------------------------------------------
 # premise containers
 
 
@@ -188,6 +94,114 @@ class OmegaBarPrem:
 
 
 # ---------------------------------------------------------------------------
+# rule tags
+
+
+def _rule(name, arity, root):
+    """Make a class the one description of a rule: a frozen dataclass of its
+    arguments (formula tuples, a side Sequent, an int level) with its
+    s-expression `name`, its `arity` (a premise count, or the container
+    class of infinitely many) and its principal's `root` (None if none)."""
+
+    def describe(cls):
+        cls.name, cls.arity, cls.root = name, arity, root
+        return dataclass(frozen=True)(cls)
+
+    return describe
+
+
+@_rule("axiom", 0, None)
+class Axiom:
+    """Gamma, P, ~P for atomic P (stored positive)."""
+
+    p: tuple
+
+
+@_rule("axmu", 0, None)
+class AxiomMu:
+    """Gamma, mu X . A, ~(mu X . A)."""
+
+    mu: tuple
+
+
+@_rule("or", 1, "or")
+class Or:
+    principal: tuple
+
+
+@_rule("and", 2, "and")
+class And:
+    principal: tuple
+
+
+@_rule("box", 1, "box")
+class Box:
+    """<>Gamma, []A, Sigma from Gamma, A; side is the Sigma used."""
+
+    principal: tuple
+    side: Sequent
+
+
+@_rule("clo", 1, "mu")
+class Clo:
+    """Gamma, mu X . A from Gamma, A(mu X . A)."""
+
+    principal: tuple
+
+
+@_rule("ind", 1, None)
+class Ind:
+    """~(mu X . A), B from ~A(B), B (no extra context)."""
+
+    mu: tuple
+    b: tuple
+
+
+@_rule("cut", 2, None)
+class Cut:
+    """Gamma from Gamma, A and Gamma, ~A (primed on both sides in the
+    intermediate systems)."""
+
+    formula: tuple
+
+
+@_rule("nu", OmegaFam, "nu")
+class Nu:
+    """Gamma, nu X . A from Gamma, A^i(top) for every i."""
+
+    principal: tuple
+
+
+@_rule("omega", DeltaFam, None)
+class Omega:
+    """Gamma, phi from the family over (Delta, witness) pairs, where the
+    target is a fully primed mu formula of level h and phi is the primed
+    negation of the target."""
+
+    h: int
+    target: tuple
+
+
+@_rule("omegabar", OmegaBarPrem, None)
+class OmegaBar:
+    """Gamma from Gamma, target and the same family as Omega."""
+
+    h: int
+    target: tuple
+
+
+# The rules of the finitary system S, of S-infinity and of all systems.
+FINITE_TAGS = (Axiom, AxiomMu, Or, And, Box, Clo, Ind, Cut)
+SINF_TAGS = (Axiom, Or, And, Box, Clo, Nu)
+ALL_TAGS = FINITE_TAGS + (Nu, Omega, OmegaBar)
+
+
+def omega_phi(target):
+    """The formula introduced by an Omega rule with the given target."""
+    return prime(negate(target))
+
+
+# ---------------------------------------------------------------------------
 # proofs
 
 
@@ -238,35 +252,22 @@ class Proof:
 
 def make_node(conclusion, tag, premises):
     """Build a proof node, validating tag/premise-container coherence."""
-    if isinstance(tag, (Axiom, AxiomMu)):
-        want = 0
-    elif isinstance(tag, (Or, Box, Clo, Ind)):
-        want = 1
-    elif isinstance(tag, (And, Cut)):
-        want = 2
-    elif isinstance(tag, Nu):
-        if not isinstance(premises, OmegaFam):
-            raise ValueError("nu rule needs omega-indexed premises")
-        return Proof.make(conclusion, tag, premises)
-    elif isinstance(tag, Omega):
-        if not isinstance(premises, DeltaFam):
-            raise ValueError("omega rule needs a sequent-indexed family")
-        return Proof.make(conclusion, tag, premises)
-    elif isinstance(tag, OmegaBar):
-        if not isinstance(premises, OmegaBarPrem):
-            raise ValueError("omegabar rule needs a first premise plus family")
-        return Proof.make(conclusion, tag, premises)
-    else:
+    rule = type(tag)
+    if rule not in ALL_TAGS:
         raise ValueError("unknown rule tag: %r" % (tag,))
-    premises = tuple(premises)
-    if len(premises) != want:
-        raise ValueError(
-            "%s rule takes %d premise(s), got %d"
-            % (type(tag).__name__.lower(), want, len(premises))
-        )
-    for p in premises:
-        if not isinstance(p, Proof):
-            raise ValueError("premises must be Proof values")
+    want = rule.arity
+    if isinstance(want, int):
+        premises = tuple(premises)
+        if len(premises) != want:
+            raise ValueError(
+                "%s rule takes %d premise(s), got %d"
+                % (rule.__name__.lower(), want, len(premises))
+            )
+        for p in premises:
+            if not isinstance(p, Proof):
+                raise ValueError("premises must be Proof values")
+    elif not isinstance(premises, want):
+        raise ValueError("%s rule needs a %s" % (rule.name, want.__name__))
     return Proof.make(conclusion, tag, premises)
 
 
@@ -328,17 +329,13 @@ def premise_added(tag, position):
     raise InternalInvariantError("rule %r has no context premises" % (tag,))
 
 
-# The root that each rule with a principal formula requires of it.
-PRINCIPAL_ROOT = {Or: "or", And: "and", Box: "box", Clo: "mu", Nu: "nu"}
-
-
 def parts_checked(tag, conclusion):
     """True when the parts premise_added gives for tag need no check: the
     principal is a member of conclusion, so a checked formula, and has
     the rule's root, so the parts are its subformulas, its unfolding or
     one of its approximants, all closed and valid.  Rules without a
     principal answer False."""
-    root = PRINCIPAL_ROOT.get(type(tag))
+    root = tag.root
     if root is None:
         return False
     f = tag.principal
@@ -384,23 +381,28 @@ def axmu_node(conclusion, mu):
     return make_node(conclusion, AxiomMu(mu), ())
 
 
+def _fits(tag, conclusion):
+    """tag, once its principal has its rule's root and is in conclusion."""
+    f = tag.principal
+    if f[0] == tag.root and f in conclusion:
+        return tag
+    raise InternalInvariantError(
+        "%s principal must be %s-rooted and in the conclusion" % (tag.name, tag.root)
+    )
+
+
 def or_node(conclusion, principal, prem):
-    _require(principal[0] == "or", "or principal must be a disjunction")
-    _require(principal in conclusion, "or principal not in conclusion")
-    return make_node(conclusion, Or(principal), (prem,))
+    return make_node(conclusion, _fits(Or(principal), conclusion), (prem,))
 
 
 def and_node(conclusion, principal, left, right):
-    _require(principal[0] == "and", "and principal must be a conjunction")
-    _require(principal in conclusion, "and principal not in conclusion")
-    return make_node(conclusion, And(principal), (left, right))
+    return make_node(conclusion, _fits(And(principal), conclusion), (left, right))
 
 
 def box_node(conclusion, principal, side, prem):
-    _require(principal[0] == "box", "box principal must be box-rooted")
-    _require(principal in conclusion, "box principal not in conclusion")
+    tag = _fits(Box(principal, side), conclusion)
     _require(side.issubset(conclusion), "box side not in conclusion")
-    return make_node(conclusion, Box(principal, side), (prem,))
+    return make_node(conclusion, tag, (prem,))
 
 
 def box_fit(conclusion, principal, prem):
@@ -412,9 +414,7 @@ def box_fit(conclusion, principal, prem):
 
 
 def clo_node(conclusion, principal, prem):
-    _require(principal[0] == "mu", "clo principal must be mu-rooted")
-    _require(principal in conclusion, "clo principal not in conclusion")
-    return make_node(conclusion, Clo(principal), (prem,))
+    return make_node(conclusion, _fits(Clo(principal), conclusion), (prem,))
 
 
 def ind_node(conclusion, mu, b, prem):
@@ -437,9 +437,7 @@ def cut_node(conclusion, formula, left, right):
 
 
 def nu_node(conclusion, principal, fn):
-    _require(principal[0] == "nu", "nu principal must be nu-rooted")
-    _require(principal in conclusion, "nu principal not in conclusion")
-    return make_node(conclusion, Nu(principal), OmegaFam(fn))
+    return make_node(conclusion, _fits(Nu(principal), conclusion), OmegaFam(fn))
 
 
 def _check_replacement_target(h, target):
@@ -480,7 +478,7 @@ def top_intro(extra):
     return or_node(extra.union(_TOP), TOP, leaf)
 
 
-def canonical_probe(target, k=None):
+def canonical_probe(target):
     """The standard probe for a replacement family targeting a fully
     primed mu formula: delta = {top} with its two-node witness.  The
     witness is cut-free and valid in every system, in particular in the

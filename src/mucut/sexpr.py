@@ -9,21 +9,10 @@ serialize in canonical order, so equal values are byte-identical.
 from __future__ import annotations
 
 import re
+from dataclasses import fields
+from operator import attrgetter
 
-from mucut.proofs import (
-    And,
-    Axiom,
-    AxiomMu,
-    Box,
-    Clo,
-    Cut,
-    Ind,
-    Nu,
-    Omega,
-    OmegaBar,
-    Or,
-    make_node,
-)
+from mucut.proofs import ALL_TAGS, make_node
 from mucut.sequents import from_checked
 from mucut.syntax import parse_formula, print_form
 
@@ -156,29 +145,15 @@ def _seq_text(s):
 
 
 def _tag_text(tag):
-    if isinstance(tag, Axiom):
-        return '(axiom "%s")' % print_form(tag.p)
-    if isinstance(tag, AxiomMu):
-        return '(axmu "%s")' % print_form(tag.mu)
-    if isinstance(tag, Or):
-        return '(or "%s")' % print_form(tag.principal)
-    if isinstance(tag, And):
-        return '(and "%s")' % print_form(tag.principal)
-    if isinstance(tag, Box):
-        return '(box "%s" %s)' % (print_form(tag.principal), _seq_text(tag.side))
-    if isinstance(tag, Clo):
-        return '(clo "%s")' % print_form(tag.principal)
-    if isinstance(tag, Ind):
-        return '(ind "%s" "%s")' % (print_form(tag.mu), print_form(tag.b))
-    if isinstance(tag, Cut):
-        return '(cut "%s")' % print_form(tag.formula)
-    if isinstance(tag, Nu):
-        return '(nu "%s")' % print_form(tag.principal)
-    if isinstance(tag, Omega):
-        return '(omega %s "%s")' % (dumps(tag.h), print_form(tag.target))
-    if isinstance(tag, OmegaBar):
-        return '(omegabar %s "%s")' % (dumps(tag.h), print_form(tag.target))
-    raise TypeError("unknown tag: %r" % (tag,))
+    rule = _RULES.get(getattr(type(tag), "name", None))
+    if rule is None or rule[0] is not type(tag):
+        raise TypeError("unknown tag: %r" % (tag,))
+    _, _, _, text, get, writers = rule
+    # most tags have one argument, which get gives as it is: written with
+    # one format and one call, and no list or tuple built per tag
+    if len(writers) == 1:
+        return text % writers[0](get(tag))
+    return text % tuple([write(arg) for write, arg in zip(writers, get(tag))])
 
 
 def _write(root, parts):
@@ -234,50 +209,46 @@ def sx_to_seq(sx, parsed):
     return from_checked(forms)
 
 
-def _want_forms(sx, n, what, parsed):
-    if len(sx) != n + 1:
-        raise SexprError("%s takes %d argument(s)" % (what, n), 0)
-    out = []
-    for item in sx[1:]:
-        if not isinstance(item, str) or isinstance(item, Sym):
-            raise SexprError("%s arguments must be quoted formulas" % what, 0)
-        out.append(_formula(item, parsed))
-    return out
+# Each kind of rule argument, by the type of the tag field that holds it:
+# its slot in the rule's text, its writer, the type of the s-expression
+# it is read from, its reader, and how a usage message names it.
+_KINDS = {
+    "tuple": ('"%s"', print_form, str, _formula, "a quoted formula"),
+    "Sequent": ("%s", _seq_text, list, sx_to_seq, "a (seq ...) side"),
+    "int": ("%s", dumps, int, lambda level, parsed: level, "an integer level"),
+}
+
+
+def _entry(cls):
+    """A rule's entry in the table: its tag class, its usage message, the
+    expression type and reader of each argument in order, the format of
+    its text, the getter of its arguments and their writers."""
+    kinds = [(f.name, *_KINDS[f.type]) for f in fields(cls)]
+    names, slots, writers, types, readers, whats = zip(*kinds)
+    text = "(%s)" % " ".join((cls.name,) + slots)
+    usage = "%s takes %s" % (cls.name, " and ".join(whats))
+    return cls, usage, tuple(zip(types, readers)), text, attrgetter(*names), writers
+
+
+# Every rule by its s-expression name.
+_RULES = {cls.name: _entry(cls) for cls in ALL_TAGS}
 
 
 def sx_to_tag(sx, parsed):
     if not isinstance(sx, list) or not sx or not isinstance(sx[0], Sym):
         raise SexprError("expected a rule tag", 0)
-    head = str(sx[0])
-    if head == "axiom":
-        return Axiom(_want_forms(sx, 1, "axiom", parsed)[0])
-    if head == "axmu":
-        return AxiomMu(_want_forms(sx, 1, "axmu", parsed)[0])
-    if head == "or":
-        return Or(_want_forms(sx, 1, "or", parsed)[0])
-    if head == "and":
-        return And(_want_forms(sx, 1, "and", parsed)[0])
-    if head == "box":
-        if len(sx) != 3 or not isinstance(sx[1], str) or isinstance(sx[1], Sym):
-            raise SexprError("box takes a formula and a side sequent", 0)
-        return Box(_formula(sx[1], parsed), sx_to_seq(sx[2], parsed))
-    if head == "clo":
-        return Clo(_want_forms(sx, 1, "clo", parsed)[0])
-    if head == "ind":
-        mu, b = _want_forms(sx, 2, "ind", parsed)
-        return Ind(mu, b)
-    if head == "cut":
-        return Cut(_want_forms(sx, 1, "cut", parsed)[0])
-    if head == "nu":
-        return Nu(_want_forms(sx, 1, "nu", parsed)[0])
-    if head in ("omega", "omegabar"):
-        if len(sx) != 3 or not isinstance(sx[1], int):
-            raise SexprError("%s takes a level and a target" % head, 0)
-        if not isinstance(sx[2], str) or isinstance(sx[2], Sym):
-            raise SexprError("%s target must be a quoted formula" % head, 0)
-        cls = Omega if head == "omega" else OmegaBar
-        return cls(sx[1], _formula(sx[2], parsed))
-    raise SexprError("unknown rule tag %r" % head, 0)
+    rule = _RULES.get(sx[0])
+    if rule is None:
+        raise SexprError("unknown rule tag %r" % sx[0], 0)
+    cls, usage, args, _, _, _ = rule
+    if len(sx) != len(args) + 1:
+        raise SexprError(usage, 0)
+    out = []
+    for (want, read), item in zip(args, sx[1:]):
+        if type(item) is not want:
+            raise SexprError(usage, 0)
+        out.append(read(item, parsed))
+    return cls(*out)
 
 
 # ---------------------------------------------------------------------------
@@ -293,12 +264,8 @@ def _open_node(sx, parsed):
     if not isinstance(sx, list) or len(sx) < 3 or sx[0] != _RULE:
         raise SexprError("expected (rule <tag> (seq ...) <premise>...)", 0)
     tag = sx_to_tag(sx[1], parsed)
-    if isinstance(tag, (Nu, Omega, OmegaBar)):
-        raise SexprError(
-            "rule %s cannot appear in a finite proof file"
-            % type(tag).__name__.lower(),
-            0,
-        )
+    if not isinstance(tag.arity, int):
+        raise SexprError("rule %s cannot appear in a finite proof file" % tag.name, 0)
     return tag, sx_to_seq(sx[2], parsed), sx[3:], []
 
 
@@ -325,12 +292,12 @@ def sx_to_proof(sx, parsed):
 
 def _proof_parts(p):
     tag = p.rule
-    if isinstance(tag, (Nu, Omega, OmegaBar)):
+    text = _tag_text(tag)
+    if not isinstance(tag.arity, int):
         raise TypeError(
-            "infinitary proofs serialize only as observations (rule %s)"
-            % type(tag).__name__.lower()
+            "infinitary proofs serialize only as observations (rule %s)" % tag.name
         )
-    return "(rule %s %s" % (_tag_text(tag), _seq_text(p.conclusion)), p.premises, ")"
+    return "(rule %s %s" % (text, _seq_text(p.conclusion)), p.premises, ")"
 
 
 def proof_dumps(p):

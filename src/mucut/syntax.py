@@ -122,23 +122,24 @@ class _Parser:
         self.error("unexpected character %r" % c)
 
 
-def parse_form(text):
-    """Parse text into an operator form (free X allowed)."""
+def _parse(text):
+    """The parser after reading all of text, and the form it read."""
     p = _Parser(text)
     f = p.form(0)
     p.skip_ws()
     if p.pos != len(text):
         p.error("trailing input")
-    return validate(f)
+    return p, f
+
+
+def parse_form(text):
+    """Parse text into an operator form (free X allowed)."""
+    return validate(_parse(text)[1])
 
 
 def parse_formula(text):
     """Parse text into a closed formula; free X is rejected."""
-    p = _Parser(text)
-    f = p.form(0)
-    p.skip_ws()
-    if p.pos != len(text):
-        p.error("trailing input")
+    p, f = _parse(text)
     if p.first_free is not None:
         raise ParseError("free variable X in formula position", text, p.first_free)
     return validate(f)

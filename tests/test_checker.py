@@ -369,9 +369,17 @@ def test_subformula_report_words_failures_as_the_judge_does():
     n = pf("nu X . (p1 & X)")
     rep = subformula_report(nu_node(seq(n), n, lambda i: 1 / 0), 3, (0, 1))
     assert rep.violations == (
-        ("root.0", "premise evaluation failed: division by zero"),
-        ("root.1", "premise evaluation failed: division by zero"),
+        ("root.w0", "premise evaluation failed: division by zero"),
+        ("root.w1", "premise evaluation failed: division by zero"),
     )
+    # a failing nu premise is named by its index, as the judge names it
+    p = nu_node(seq(n), n, lambda i: 1 / 0 if i == 3 else top_intro((n,)))
+    rep = subformula_report(p, 3, (0, 3))
+    judged = check_bounded(p, omega_system(1), 3, (0, 3))
+    assert rep.violations[-1] == (
+        "root.w3", "premise evaluation failed: division by zero"
+    )
+    assert rep.violations[-1] in judged.violations
     # a family output that could not be produced
     t = prime(pf("mu X . (p1 | X)"))
     o = omega_node(
@@ -379,7 +387,7 @@ def test_subformula_report_words_failures_as_the_judge_does():
     )
     rep = subformula_report(o, 3)
     assert rep.violations[-1] == (
-        "root.0", "family evaluation failed: division by zero"
+        "root.p0", "family evaluation failed: division by zero"
     )
 
 

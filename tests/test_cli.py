@@ -142,6 +142,32 @@ def test_bad_samples_flag(tmp_path):
         build_parser().parse_args(["pipeline", e1, "--samples", "0,x"])
 
 
+@pytest.mark.parametrize("flag", ["--depth", "--probes", "--fuel"])
+def test_pipeline_rejects_a_negative_bound(tmp_path, capsys, flag):
+    # a negative bound used to run unbounded (depth) or as 0 (probes)
+    _write_corpus(tmp_path)
+    e4 = str(tmp_path / "e4-nested.sproof")
+    outdir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["pipeline", e4, "--out", str(outdir), flag, "-1"])
+    assert exc.value.code == EXIT_PARSE
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+    assert errors == [
+        "mucut pipeline: error: argument %s: '-1' is not a natural number" % flag
+    ]
+    assert not outdir.exists()
+
+
+def test_pipeline_accepts_depth_zero(tmp_path):
+    _write_corpus(tmp_path)
+    code, out, err = run_cli([
+        "pipeline", str(tmp_path / "e4-nested.sproof"),
+        "--out", str(tmp_path / "out"), "--depth", "0",
+    ])
+    assert code == EXIT_OK, err
+    assert out == "cut-free: yes, nubar-free: yes\n"
+
+
 def test_check_takes_no_observation_flags(tmp_path):
     # check_finite is exhaustive, so observation and fuel settings do not apply
     _write_corpus(tmp_path)

@@ -1,8 +1,11 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every private module-level name is used somewhere in the package.
 
 No linter ships with the project, so this reads each module's syntax tree:
 a name bound by an import must occur as a name somewhere in the module.
-`__init__.py` is left out, since its imports are re-exports.
+`__init__.py` is left out, since its imports are re-exports.  A private
+name (`_x`) that a module defines at its top level must be read somewhere
+in the package besides its own definition.
 """
 
 from __future__ import annotations
@@ -44,3 +47,58 @@ def test_unused_imports_are_found():
 def test_module_uses_every_import(name):
     source = (PACKAGE / name).read_text(encoding="utf-8")
     assert unused_imports(source) == []
+
+
+def private_definitions(source):
+    """The private names that source binds at its top level, sorted."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.update(
+                    n.id for n in ast.walk(target) if isinstance(n, ast.Name)
+                )
+    return sorted(n for n in names if n.startswith("_") and not n.startswith("__"))
+
+
+def references(source):
+    """The names that source reads: loaded names, attributes and the names
+    its imports bind from other modules."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(a.name for a in node.names)
+    return out
+
+
+def unused_privates(sources):
+    """(module, name) for each private top-level name that no source reads."""
+    read = set().union(*map(references, sources.values()))
+    return sorted(
+        (module, name)
+        for module, source in sources.items()
+        for name in private_definitions(source)
+        if name not in read
+    )
+
+
+def test_unused_privates_are_found():
+    sources = {
+        "a.py": "_A, _B = 1, 2\ndef _f(): return _A\nclass _C: pass\n_D = 0\n",
+        "b.py": "from a import _C\nimport a\na._f()\n__all__ = []\n",
+    }
+    assert unused_privates(sources) == [("a.py", "_B"), ("a.py", "_D")]
+
+
+def test_package_reads_every_private_name():
+    sources = {
+        p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))
+    }
+    assert unused_privates(sources) == []

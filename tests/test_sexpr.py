@@ -10,12 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import run_cli
+from mucut.cli import EXIT_PARSE
 from mucut.checker import check_finite
 from mucut.collapse import pipeline
 from mucut.corpus import CORPUS, lemma_suite
 from mucut.embed import identity_mu, identity_mu_primed
-from mucut.kernel import TOP, atom, natom, negate
+from mucut.kernel import TOP, atom, natom, negate, prime
 from mucut.proofs import (
+    ALL_TAGS,
+    FINITE_TAGS,
+    SINF_TAGS,
     And,
     Axiom,
     AxiomMu,
@@ -47,6 +51,7 @@ from mucut.sexpr import (
     report_dumps,
     step_to_sx,
     summary_to_sx,
+    sx_to_tag,
 )
 from mucut import sequents
 from mucut.sequents import Sequent, seq
@@ -142,6 +147,59 @@ def test_sequent_members_are_read_in_order():
     # a text read before is looked up, one read for the first time parsed
     p = proof_loads('(rule (axiom "p0") (seq "p0" "~p0" "p1"))')
     assert p.conclusion == seq(atom(0), natom(0), atom(1))
+
+
+def test_every_rule_is_read_and_written_by_its_tag_class(tmp_path):
+    m = pf("mu X . (p1 | X)")
+    t = prime(m)
+    tags = [
+        Axiom(atom(1)),
+        AxiomMu(m),
+        Or(TOP),
+        And(pf("(p1 & p2)")),
+        Box(pf("[] p1"), seq(atom(2), pf("<> p3"))),
+        Clo(m),
+        Ind(m, TOP),
+        Cut(atom(1)),
+        Nu(pf("nu X . (p1 & X)")),
+        Omega(1, t),
+        OmegaBar(2, t),
+    ]
+    # the rule names are unique and cover every system's rules
+    names = [cls.name for cls in ALL_TAGS]
+    assert len(set(names)) == len(names)
+    assert set(ALL_TAGS) == set(FINITE_TAGS) | set(SINF_TAGS) | {Omega, OmegaBar}
+    assert [type(tag) for tag in tags] == list(ALL_TAGS)
+    # each tag round-trips through the writer and the reader
+    for tag in tags:
+        text = observation_dumps(Observation(seq(atom(1)), tag))
+        sx = loads(text)
+        assert sx[1][0] == type(tag).name
+        assert sx_to_tag(sx[1], {}) == tag
+    # malformed tags
+    for text in (
+        '(cut "p1" "p2")',  # an argument too many
+        '(ind "mu X . (p1 | X)")',  # an argument too few
+        "(omega 1)",
+        "(or p1)",  # a symbol where a formula belongs
+        '(omegabar x "mu X . (p1 | X)")',  # a level that is not an integer
+        '(omega "1" "mu X . (p1 | X)")',
+        '(box "[] p1" "p2")',  # a side that is not a (seq ...)
+        '(box "[] p1" (frob "p2"))',
+        '(frob "p1")',  # an unknown rule
+        "(3)",
+    ):
+        with pytest.raises(SexprError):
+            sx_to_tag(loads(text), {})
+    # a rule with infinitely many premises is no part of a proof file
+    n = "nu X . (p1 & X)"
+    bad = tmp_path / "nu.sproof"
+    bad.write_text('(rule (nu "%s") (seq "%s"))\n' % (n, n), encoding="utf-8")
+    code, out, err = run_cli(["check", str(bad)])
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == (
+        "parse error: rule nu cannot appear in a finite proof file at position 0\n"
+    )
 
 
 def test_report_dumps_oracles():
