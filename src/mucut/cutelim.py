@@ -1,9 +1,14 @@
 """Cut elimination by local head reductions.
 
 eliminate removes every cut reachable in any finite observation of the
-result, working lazily: the root cut chain is reduced eagerly (bottommost
-first, left premise first), and premises are wrapped so deeper cuts reduce
-on demand.  Each single reduction spends one unit of fuel.
+result, working lazily: a node's root cut is reduced until its root is
+another rule, and premises are wrapped so deeper cuts reduce on demand.
+A premise whose root is itself a cut is exposed (reduced the same way)
+only when the case analysis needs its root: when the other premise's
+root can be commuted, the cut goes above it first; otherwise the premise
+cut is exposed, the f1 side first.  Cuts waiting for an exposed premise
+are kept on an explicit stack, so nested cuts take no Python frames.
+Each single reduction, and each exposure, spends one unit of fuel.
 
 A cut on formula A has premises carrying A' and (~A)' (priming is the
 identity on the base language, so plain finite proofs are covered by the
@@ -192,8 +197,11 @@ def _commute(d_s, f_s, other, g, formula):
 
 
 def _reduce_root(d, budget, trace, path):
-    """One head reduction of the root cut of d (premise cut roots are
-    exposed first, spending fuel)."""
+    """One head reduction of the root cut of d, spending one unit of fuel.
+    When the case analysis needs the root of a premise that is itself a
+    cut, nothing is reduced: the result is the premises (f1 side first)
+    and the index of the premise to expose, and the caller reduces the
+    rebuilt cut again once that premise's root is not a cut."""
     tag = d.rule
     if not isinstance(tag, Cut):
         raise InternalInvariantError("reduce_head needs a cut at the root")
@@ -223,15 +231,16 @@ def _reduce_root(d, budget, trace, path):
         _trace(trace, path, "redundant", formula)
         return fit(dr, g)
 
-    # expose premise roots so the case analysis sees real rules
-    if isinstance(dl.rule, Cut):
-        dl = _exposed(dl, budget, trace, path + ".0")
-        return make_node(g, tag, (dl, dr))
-    if isinstance(dr.rule, Cut):
-        dr = _exposed(dr, budget, trace, path + ".1")
-        return make_node(g, tag, (dl, dr))
-
     sides = ((dl, f1, dr, f2), (dr, f2, dl, f1))
+
+    # a premise whose root is a cut is exposed only when the other
+    # premise's root cannot be commuted at once (a cut root never can)
+    left_cut = isinstance(dl.rule, Cut)
+    if left_cut or isinstance(dr.rule, Cut):
+        done = _commute_either(sides, g, formula, trace, path)
+        if done is not None:
+            return done
+        return (dl, dr), 0 if left_cut else 1
 
     # (i)/(ii) axiom premises
     for mine, f_m, other, f_o in sides:
@@ -276,9 +285,6 @@ def _reduce_root(d, budget, trace, path):
             return omegabar_node(
                 g, rtag.h, rtag.target, mu_side, old_fam.admits, fn
             )
-
-    ltag = dl.rule
-    rtag = dr.rule
 
     # (iv) conjunction against disjunction, both principal
     if f1[0] == "and" or f2[0] == "and":
@@ -348,27 +354,63 @@ def _reduce_root(d, budget, trace, path):
             return box_node(g, dtag.principal, g.difference(packet), inner)
 
     # (iii) commute past a premise root not involving its cut formula
-    if _commutable(ltag, dl, f1):
-        _trace(trace, path, "commute", formula)
-        return _commute(dl, f1, dr, g, formula)
-    if _commutable(rtag, dr, f2):
-        _trace(trace, path, "commute", formula)
-        return _commute(dr, f2, dl, g, formula)
+    done = _commute_either(sides, g, formula, trace, path)
+    if done is not None:
+        return done
     raise InternalInvariantError(
         "no reduction case applies at %s (cut on %r)" % (path, formula)
     )
 
 
+def _commute_either(sides, g, formula, trace, path):
+    """Case (iii) on the first premise, left first, whose root does not
+    involve its cut formula; None when neither root can be commuted."""
+    for mine, f_m, other, _ in sides:
+        if _commutable(mine.rule, mine, f_m):
+            _trace(trace, path, "commute", formula)
+            return _commute(mine, f_m, other, g, formula)
+    return None
+
+
+def _rebuilt(cut, premises, i, q):
+    """cut with premise i of premises (f1 side first) replaced by q."""
+    premises = (q, premises[1]) if i == 0 else (premises[0], q)
+    return make_node(cut.conclusion, cut.rule, premises)
+
+
 def _exposed(d, budget, trace, path):
-    while isinstance(d.rule, Cut):
-        d = _reduce_root(d, budget, trace, path)
-    return d
+    """d reduced at the root until its root is not a cut.  A cut that waits
+    for one of its premises to be exposed goes on an explicit stack, so
+    nested cuts take no Python frames."""
+    pending = []
+    while True:
+        if isinstance(d.rule, Cut):
+            step = _reduce_root(d, budget, trace, path)
+            if type(step) is tuple:
+                premises, i = step
+                pending.append((d, premises, i, path))
+                d = premises[i]
+                path = "%s.%d" % (path, i)
+            else:
+                d = step
+        elif pending:
+            cut, premises, i, path = pending.pop()
+            d = _rebuilt(cut, premises, i, d)
+        else:
+            return d
 
 
 def reduce_head(p, fuel=DEFAULT_FUEL, trace=None):
-    """One head reduction of the root cut (premise cut chains are exposed
-    first when the case analysis needs their roots)."""
-    return _reduce_root(p, _Budget(fuel), trace, "root")
+    """One head reduction of the root cut of p.  When it needs the root of
+    a premise that is a cut, that premise's cut chain is reduced instead,
+    and the result is the cut over the exposed premise."""
+    budget = _Budget(fuel)
+    step = _reduce_root(p, budget, trace, "root")
+    if type(step) is not tuple:
+        return step
+    premises, i = step
+    q = _exposed(premises[i], budget, trace, "root.%d" % i)
+    return _rebuilt(p, premises, i, q)
 
 
 # ---------------------------------------------------------------------------

@@ -365,19 +365,21 @@ def ax(conclusion, p):
     if p[0] == "natom":
         p = atom(p[1])
     _require(p[0] == "atom", "axiom formula must be atomic")
-    _require(
-        p in conclusion and negate(p) in conclusion,
-        "axiom pair not in conclusion: %r" % (conclusion,),
-    )
+    if p not in conclusion or negate(p) not in conclusion:
+        # formatted only on failure: printing sorts the whole conclusion
+        raise InternalInvariantError(
+            "axiom pair not in conclusion: %r" % (conclusion,)
+        )
     return make_node(conclusion, Axiom(p), ())
 
 
 def axmu_node(conclusion, mu):
     _require(mu[0] == "mu", "axmu formula must be mu-rooted")
-    _require(
-        mu in conclusion and negate(mu) in conclusion,
-        "axmu pair not in conclusion: %r" % (conclusion,),
-    )
+    if mu not in conclusion or negate(mu) not in conclusion:
+        # formatted only on failure: printing sorts the whole conclusion
+        raise InternalInvariantError(
+            "axmu pair not in conclusion: %r" % (conclusion,)
+        )
     return make_node(conclusion, AxiomMu(mu), ())
 
 

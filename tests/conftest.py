@@ -1,5 +1,6 @@
-"""Shared test helpers: a seeded formula generator and an in-process
-command-line runner.  Everything here is deterministic."""
+"""Shared test helpers: a seeded formula generator, S proofs of atom cuts
+in four shapes and an in-process command-line runner.  Everything here is
+deterministic."""
 
 from __future__ import annotations
 
@@ -8,8 +9,11 @@ import io
 import random
 
 from hypothesis import settings
+from hypothesis import strategies as st
 
-from mucut.kernel import level, size
+from mucut.kernel import TOP, atom, level, natom, negate, size
+from mucut.proofs import cut_node, top_intro
+from mucut.sequents import Sequent
 
 # Property tests draw the same examples on every run and keep no example
 # database, so a failure found once is found again on every run.
@@ -61,6 +65,67 @@ def random_formulas(seed, count, max_size=30, max_level=3):
         if size(f) <= max_size and level(f) <= max_level:
             out.append(f)
     return out
+
+
+# Literals over the atoms 1-40, for cut formulas of generated S proofs.
+LITERALS = st.builds(
+    lambda i, positive: atom(i) if positive else natom(i),
+    st.integers(1, 40),
+    st.booleans(),
+)
+
+
+def cut_tree(atoms, extra=()):
+    """A binary tree of atom cuts, one level per atom, truth at the leaves."""
+    if not atoms:
+        return top_intro(extra)
+    a, rest = atoms[0], atoms[1:]
+    return cut_node(
+        Sequent(extra + (TOP,)),
+        a,
+        cut_tree(rest, extra + (a,)),
+        cut_tree(rest, extra + (negate(a),)),
+    )
+
+
+def cut_chain(atoms, mirror=False, teeth=None):
+    """A chain of atom cuts, the first atom's at the root.  The cut on a
+    closes its a side and continues the chain on its ~a side, so the
+    context grows by one literal per cut.  The chain nests in the right
+    premise (the cut is on a); mirrored, in the left one (the cut is on ~a).
+    The closed side is a truth introduction, or, given teeth (one literal
+    per atom), a cut on that atom's tooth over two truth introductions:
+    a comb, both of whose premises are cuts at every level."""
+    contexts = [Sequent(())]
+    for a in atoms:
+        contexts.append(contexts[-1].add(negate(a)))
+    p = top_intro(contexts[-1])
+    for j in range(len(atoms) - 1, -1, -1):
+        a, ctx = atoms[j], contexts[j]
+        closed = top_intro(ctx.add(a))
+        if teeth is not None:
+            t = teeth[j]
+            closed = cut_node(
+                closed.conclusion,
+                t,
+                top_intro(ctx.union((a, t))),
+                top_intro(ctx.union((a, negate(t)))),
+            )
+        g = ctx.add(TOP)
+        if mirror:
+            p = cut_node(g, negate(a), p, closed)
+        else:
+            p = cut_node(g, a, closed, p)
+    return p
+
+
+def deep_cut_chain(n):
+    """n nested cuts, each over the same context (and so each redundant)."""
+    a, na = atom(1), natom(1)
+    p = top_intro((na,))
+    for _ in range(n):
+        p = cut_node(Sequent((TOP, na)), a, top_intro((na, a)), p)
+    return p
 
 
 def run_cli(argv):

@@ -6,8 +6,19 @@ from __future__ import annotations
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mucut.checker import check_bounded, check_finite, level_bound, omega_system
+from conftest import LITERALS, cut_chain, cut_tree, deep_cut_chain, run_cli
+from mucut.checker import (
+    SYSTEM_SINF,
+    check_bounded,
+    check_finite,
+    check_observation,
+    level_bound,
+    omega_system,
+)
+from mucut.collapse import pipeline
 from mucut.corpus import CORPUS
 from mucut.cutelim import (
     DEFAULT_FUEL,
@@ -33,11 +44,13 @@ from mucut.proofs import (
     cut_node,
     ind_node,
     is_cut_free_observed,
+    observation_errors,
     observation_rules,
     observe,
     top_intro,
 )
 from mucut.sequents import seq
+from mucut.sexpr import proof_dumps
 from mucut.syntax import parse_formula as pf
 
 
@@ -212,3 +225,138 @@ def test_parts_of_an_unvouched_principal_are_checked():
     bad_nu = ("nu", ("and", ("var",), ("atom", -1)))
     with pytest.raises(ValueError, match="bad atom node"):
         commute(Nu(bad_nu), OmegaFam(lambda i: leaf)).premises(1)
+
+
+# ---------------------------------------------------------------------------
+# need-driven, iterative exposure of premise cut chains
+
+STAGES = ("embedded", "eliminated", "collapsed", "sinf")
+
+
+def _stage_system(p, stage):
+    if stage in ("collapsed", "sinf"):
+        return SYSTEM_SINF
+    return omega_system(level_bound(p))
+
+
+@st.composite
+def _atom_cut_proofs(draw, shape):
+    """Atom-cut trees, right chains, their left mirrors or combs."""
+    unique = {"unique_by": lambda f: f[1]}
+    if shape == "tree":
+        return cut_tree(tuple(draw(st.lists(LITERALS, max_size=4, **unique))))
+    atoms = draw(st.lists(LITERALS, max_size=12, **unique))
+    teeth = None
+    if shape == "comb":
+        teeth = draw(st.lists(LITERALS, min_size=len(atoms), max_size=len(atoms)))
+    return cut_chain(atoms, mirror=shape != "chain", teeth=teeth)
+
+
+@pytest.mark.parametrize("shape", ["tree", "chain", "mirror", "comb"])
+@settings(deadline=None, max_examples=25)
+@given(data=st.data())
+def test_windows_of_eliminated_atom_cut_proofs_check(shape, data):
+    p = data.draw(_atom_cut_proofs(shape))
+    assert check_finite(p).ok
+    stages = pipeline(p)
+    for stage in STAGES:
+        o = observe(stages[stage], 6)
+        assert observation_errors(o) == [], stage
+        assert o.conclusion == p.conclusion, stage
+        assert check_bounded(stages[stage], _stage_system(p, stage), 6).ok, stage
+    assert not any(isinstance(t, Cut) for t in observation_rules(o))
+
+
+def _deep_shape(shape):
+    """1,000 cuts nested in the right premise, in the left one, or a comb
+    whose every cut has a cut (a one-cut tooth) in both premises."""
+    n = 1000
+    atoms = [atom(i) if i % 2 else natom(i) for i in range(1, n + 1)]
+    if shape == "right":
+        return cut_chain(atoms)
+    if shape == "left":
+        return cut_chain(atoms, mirror=True)
+    teeth = [atom(n + i) for i in range(1, n + 1)]
+    return cut_chain(atoms, mirror=True, teeth=teeth)
+
+
+@pytest.mark.parametrize("shape", ["right", "left", "comb"])
+def test_deep_cut_shapes_are_eliminated_without_recursion(shape):
+    p = _deep_shape(shape)
+    stages = pipeline(p)
+    for stage in STAGES:
+        o = observe(stages[stage], 6)
+        assert check_observation(o, _stage_system(p, stage), 6).ok, stage
+        assert o.conclusion == p.conclusion
+
+
+@pytest.mark.parametrize("shape", ["redundant", "right"])
+def test_pipeline_command_on_a_deep_cut_chain(tmp_path, shape):
+    # every cut of the redundant chain has its ~a side in its conclusion
+    p = deep_cut_chain(1000) if shape == "redundant" else _deep_shape(shape)
+    f = tmp_path / "chain.sproof"
+    f.write_text(proof_dumps(p))
+    code, out, err = run_cli(["pipeline", str(f), "--out", str(tmp_path)])
+    assert (code, err) == (0, "")
+    summary = (tmp_path / "chain.summary").read_text()
+    assert summary.count(" ok)") == 4, summary
+
+
+def _cases(p, depth=6):
+    steps = []
+    elim = eliminate(embed(p), trace=lambda path, case, _: steps.append((path, case)))
+    o = observe(elim, depth)
+    assert check_observation(o, omega_system(0), depth).ok
+    return steps
+
+
+def test_eliminate_exposes_a_premise_cut_only_when_needed():
+    # the exact trace of a 2^5 atom-cut tree and a 50-cut chain: exposing
+    # every premise cut chain first took 36 and 51 reductions
+    tree = cut_tree((atom(1), natom(2), atom(3), natom(4), atom(5)))
+    ctx, com = "axiom-context", "commute"
+    assert _cases(tree) == [
+        ("root.0.0.0.0", com),
+        ("root.0.0.0", com),
+        ("root.0.0", com),
+        ("root.0", com),
+        ("root", com),
+        ("root.0.0.0.0.0", ctx),
+        ("root.0.0.0.0.1", com),
+        ("root.0.0.0.0", ctx),
+        ("root.0.0.0.1.0", com),
+        ("root.0.0.0.1", com),
+        ("root.0.0.0", ctx),
+        ("root.0.0.1.0.0", com),
+        ("root.0.0.1.0", com),
+        ("root.0.0.1", com),
+        ("root.0.0", ctx),
+        ("root.0.1.0.0.0", com),
+        ("root.0.1.0.0", com),
+        ("root.0.1.0", com),
+        ("root.0.1", com),
+        ("root.0", ctx),
+    ]
+    chain = cut_chain([atom(i) if i % 2 else natom(i) for i in range(1, 51)])
+    assert _cases(chain) == [("root", com), ("root.0.1", com), ("root.0", ctx)]
+
+
+def test_a_commutable_premise_goes_before_exposing_a_cut():
+    # the right premise is a cut whose exposed root is an axiom, the left
+    # a truth introduction: exposing first closed the root by that axiom
+    # in two reductions; commuting first takes three
+    p1, p2, p3 = atom(1), atom(2), atom(3)
+    g = seq(TOP, p1, natom(1))
+    right = cut_node(
+        g.add(natom(2)),
+        p3,
+        ax(g.union((natom(2), p3)), p1),
+        top_intro((p1, natom(1), natom(2), natom(3))),
+    )
+    p = cut_node(g, p2, top_intro((p1, natom(1), p2)), right)
+    assert check_finite(p).ok
+    assert _cases(p) == [
+        ("root", "commute"),
+        ("root.0.1", "axiom-context"),
+        ("root.0", "axiom-context"),
+    ]

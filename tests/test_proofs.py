@@ -72,6 +72,29 @@ def test_ax_normalizes_negative_atoms():
     assert p.rule == Axiom(atom(1))
 
 
+def test_axiom_builders_print_the_conclusion_only_on_failure(monkeypatch):
+    m = pf("mu X . (p1 | X)")
+    printed = []
+    text = Sequent.__repr__
+
+    def counting(s):
+        printed.append(s)
+        return text(s)
+
+    monkeypatch.setattr(Sequent, "__repr__", counting)
+    ax(seq(atom(1), natom(1), TOP), atom(1))
+    axmu_node(seq(m, negate(m), TOP), m)
+    assert printed == []
+    bad = seq(atom(1), TOP)
+    with pytest.raises(InternalInvariantError) as got:
+        ax(bad, atom(1))
+    assert str(got.value) == "axiom pair not in conclusion: %s" % text(bad)
+    with pytest.raises(InternalInvariantError) as got:
+        axmu_node(seq(m), m)
+    assert str(got.value) == "axmu pair not in conclusion: %s" % text(seq(m))
+    assert len(printed) == 2
+
+
 def test_builders_reject_bad_nodes():
     with pytest.raises(InternalInvariantError):
         ax(seq(atom(1)), atom(1))  # missing the negated twin

@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import run_cli
+from conftest import LITERALS, cut_chain, cut_tree, deep_cut_chain, run_cli
 from mucut.cli import EXIT_PARSE
 from mucut.checker import check_finite
 from mucut.collapse import pipeline
 from mucut.corpus import CORPUS, lemma_suite
 from mucut.embed import identity_mu, identity_mu_primed
-from mucut.kernel import TOP, atom, natom, negate, prime
+from mucut.kernel import TOP, atom, natom, prime
 from mucut.proofs import (
     ALL_TAGS,
     FINITE_TAGS,
@@ -406,46 +406,13 @@ def test_loads_seq_groups_oracles():
         assert _outcome(loads, text) == _outcome(_reference_loads, text), text
 
 
-def _cut_tree(atoms, extra=()):
-    """A binary tree of atom cuts, one level per atom, truth at the leaves."""
-    if not atoms:
-        return top_intro(extra)
-    a, rest = atoms[0], atoms[1:]
-    return cut_node(
-        Sequent(extra + (TOP,)),
-        a,
-        _cut_tree(rest, extra + (a,)),
-        _cut_tree(rest, extra + (negate(a),)),
-    )
-
-
-def _cut_chain(atoms):
-    """A chain of atom cuts, each closing one side by a truth introduction,
-    so the context grows by one literal per cut."""
-    contexts = [tuple(negate(a) for a in atoms[:j]) for j in range(len(atoms) + 1)]
-    p = top_intro(contexts[-1])
-    for j in range(len(atoms) - 1, -1, -1):
-        a = atoms[j]
-        p = cut_node(
-            Sequent(contexts[j] + (TOP,)), a, top_intro(contexts[j] + (a,)), p
-        )
-    return p
-
-
-_LITERALS = st.builds(
-    lambda i, positive: atom(i) if positive else natom(i),
-    st.integers(1, 40),
-    st.booleans(),
-)
-
-
 @settings(deadline=None, max_examples=60)
 @given(
-    st.lists(_LITERALS, max_size=4, unique_by=lambda f: f[1]),
-    st.lists(_LITERALS, max_size=30, unique_by=lambda f: f[1]),
+    st.lists(LITERALS, max_size=4, unique_by=lambda f: f[1]),
+    st.lists(LITERALS, max_size=30, unique_by=lambda f: f[1]),
 )
 def test_proof_text_roundtrips_cut_trees_and_chains(tree_atoms, chain_atoms):
-    for p in (_cut_tree(tuple(tree_atoms)), _cut_chain(chain_atoms)):
+    for p in (cut_tree(tuple(tree_atoms)), cut_chain(chain_atoms)):
         text = proof_dumps(p)
         q = proof_loads(text)
         assert q.conclusion == p.conclusion
@@ -578,19 +545,10 @@ def test_proof_dumps_matches_the_recursive_writer():
     assert str(got.value) == str(want.value)
 
 
-def _deep_cut_chain(n):
-    """n nested cuts, each over the same context."""
-    a, na = atom(1), natom(1)
-    p = top_intro((na,))
-    for _ in range(n):
-        p = cut_node(seq(TOP, na), a, top_intro((na, a)), p)
-    return p
-
-
 def test_proof_dumps_of_a_deep_cut_chain():
     # 1,000 nested cuts: deeper than the Python stack allows a recursive
     # writer or reader to go
-    p = _deep_cut_chain(1000)
+    p = deep_cut_chain(1000)
     assert check_finite(p).ok
     text = proof_dumps(p)
     sx = loads(text)
@@ -607,7 +565,7 @@ def test_proof_dumps_of_a_deep_cut_chain():
 
 def test_check_reads_a_deep_cut_chain(tmp_path):
     f = tmp_path / "chain.sproof"
-    f.write_text(proof_dumps(_deep_cut_chain(1000)))
+    f.write_text(proof_dumps(deep_cut_chain(1000)))
     assert run_cli(["check", str(f)]) == (0, "(report ok)\n", "")
 
 
@@ -616,7 +574,7 @@ def test_observing_and_writing_sorts_only_the_window(monkeypatch):
     # 50-cut chain and writing it sorts each sequent of the window at most
     # once, and no sequent the elimination built but did not show
     atoms = [atom(i) if i % 2 else natom(i) for i in range(1, 51)]
-    eliminated = pipeline(_cut_chain(atoms))["eliminated"]
+    eliminated = pipeline(cut_chain(atoms))["eliminated"]
     sorted_sets = []
     canonical = sequents._canonical
 
