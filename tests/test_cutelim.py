@@ -302,11 +302,12 @@ def test_pipeline_command_on_a_deep_cut_chain(tmp_path, shape):
     assert summary.count(" ok)") == 4, summary
 
 
-def _cases(p, depth=6):
+def _cases(p):
+    """The (path, case) trace of eliminating p, observed at depth 6; the
+    window must check."""
     steps = []
     elim = eliminate(embed(p), trace=lambda path, case, _: steps.append((path, case)))
-    o = observe(elim, depth)
-    assert check_observation(o, omega_system(0), depth).ok
+    assert check_observation(observe(elim, 6), omega_system(0), 6).ok
     return steps
 
 
