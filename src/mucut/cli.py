@@ -35,7 +35,7 @@ from mucut.checker import (
     parse_system,
     system_name,
 )
-from mucut.collapse import pipeline
+from mucut.collapse import MAX_PLUGS, pipeline
 from mucut.corpus import CORPUS
 from mucut.cutelim import DEFAULT_FUEL
 from mucut.errors import FuelExhausted, InternalInvariantError
@@ -223,7 +223,10 @@ def _add_config(sub):
                      help="0 skips families; N >= 1 feeds each family its "
                           "one canonical probe (default %d)" % DEFAULT_PROBES)
     sub.add_argument("--fuel", type=_natural, default=DEFAULT_FUEL,
-                     help="reduction fuel (default %d)" % DEFAULT_FUEL)
+                     help="bounds only the cut reductions of eliminate, one "
+                          "unit per root visit (default %d); collapse has its "
+                          "own limit of %s plugs per forced node"
+                          % (DEFAULT_FUEL, format(MAX_PLUGS, ",")))
 
 
 def build_parser():

@@ -32,7 +32,8 @@ from mucut.proofs import (
 )
 from mucut.sequents import is_k_positive
 
-_MAX_PLUGS = 100_000
+# The most plugs collapse makes at one node it forces.
+MAX_PLUGS = 100_000
 
 
 def collapse(p, h=0):
@@ -43,7 +44,7 @@ def collapse(p, h=0):
 
 def _collapse_now(p, h):
     d = p
-    for _ in range(_MAX_PLUGS):
+    for _ in range(MAX_PLUGS):
         tag = d.rule
         if not (isinstance(tag, OmegaBar) and tag.h > h):
             break
@@ -101,7 +102,7 @@ def pipeline(p, fuel=DEFAULT_FUEL, trace=None):
     cuts, collapse the replacement rules, and read off the plain
     infinitary proof.  Returns the four stages, all lazy.  fuel bounds
     the cut reductions of eliminate only; collapse does not draw on it
-    and instead allows at most _MAX_PLUGS plugs at each node it forces."""
+    and instead allows at most MAX_PLUGS plugs at each node it forces."""
     k = level_bound(p)
     embedded = embed(p, frozenset(), k)
     eliminated = eliminate(embedded, fuel=fuel, trace=trace)

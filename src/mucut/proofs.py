@@ -513,9 +513,12 @@ def standard_admits(h, target):
 # observation
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Observation:
-    """A finite window onto a proof."""
+    """A finite window onto a proof.  Nothing hashes or mutates a window
+    once observe has built it; it is not frozen because a frozen
+    dataclass's __init__ costs three times as much, and check_finite
+    observes a one-step window at every node of its proof."""
 
     conclusion: object
     rule: object

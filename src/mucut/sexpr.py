@@ -4,6 +4,11 @@ Finite proofs, observations, check reports, and summaries all serialize
 as single-line s-expressions: lists in parentheses, lowercase symbols,
 integers, and formulas as double-quoted strings of the grammar.  Sequents
 serialize in canonical order, so equal values are byte-identical.
+
+A proof file as proof_dumps writes it is read straight into proof nodes,
+one pattern match per node head.  Any other text, and any that fails to
+build, is read by the general reader (loads, then sx_to_proof), so values
+and errors do not depend on which reader ran.
 """
 
 from __future__ import annotations
@@ -63,11 +68,6 @@ _SPACE = re.compile(r"[ \t\r\n]*")
 _STRING_START = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*', re.S)
 _ESCAPE = re.compile(r"\\(.)", re.S)
 _OPEN, _CLOSE, _STRING, _WORD = 1, 2, 3, 4
-# The rest of a (seq "..." ...) group after its open parenthesis, when
-# every member is a string without escapes set off by whitespace: the
-# strings in group 1.  Any other group is read token by token.
-_SEQ_REST = re.compile(r'[ \t\r\n]*seq((?:[ \t\r\n]+"[^"\\]*")*)[ \t\r\n]*\)')
-_SEQ_ITEM = re.compile(r'"([^"\\]*)"')
 
 
 def _no_token(text, pos, depth):
@@ -90,7 +90,6 @@ def loads(text):
     stack = []  # the lists still open, outermost first
     pos = 0
     match = _TOKEN.match
-    seq_rest = _SEQ_REST.match
     while True:
         m = match(text, pos)
         kind = m.lastindex
@@ -98,14 +97,9 @@ def loads(text):
             _no_token(text, m.end(), len(stack))
         pos = m.end()
         if kind == _OPEN:
-            g = seq_rest(text, pos)
-            if g is None:
-                stack.append([])
-                continue
-            pos = g.end()
-            value = [_SEQ]
-            value.extend(_SEQ_ITEM.findall(text, g.start(1), g.end(1)))
-        elif kind == _CLOSE:
+            stack.append([])
+            continue
+        if kind == _CLOSE:
             if not stack:
                 raise SexprError("unmatched closing parenthesis", pos - 1)
             value = stack.pop()
@@ -198,11 +192,8 @@ def _formula(text, parsed):
 def sx_to_seq(sx, parsed):
     if not isinstance(sx, list) or not sx or sx[0] != _SEQ:
         raise SexprError("expected (seq ...)", 0)
-    texts = sx[1:]
-    if set(map(type, texts)) <= {str}:
-        return from_checked([_formula(t, parsed) for t in texts])
     forms = []
-    for item in texts:
+    for item in sx[1:]:
         if not isinstance(item, str) or isinstance(item, Sym):
             raise SexprError("sequent members must be quoted formulas", 0)
         forms.append(_formula(item, parsed))
@@ -304,8 +295,86 @@ def proof_dumps(p):
     return _write(p, _proof_parts)
 
 
+def _members(group, parsed):
+    """The sequent of the members of a (seq ...) group as the writer gives
+    them: ' "A" "B"' (no member holds a double quote), or '' for none."""
+    if not group:
+        return from_checked(())
+    return from_checked([_formula(t, parsed) for t in group[2:-1].split('" "')])
+
+
+# The pattern (one group) and text reader of each kind of argument of a
+# finite rule, in the text the writer gives it: strings without escapes.
+_TEXT_KINDS = {
+    "tuple": (r'"([^"\\]*)"', _formula),
+    "Sequent": (r'\(seq((?: "[^"\\]*")*)\)', _members),
+}
+
+
+def _node_heads():
+    """One pattern for the head of a node of a finite proof as the writer
+    gives it, (rule (<tag> <args>) (seq "..." ...), with one alternative
+    per finite rule of the table, and the alternatives by the index of
+    their outer group: the rule's class, the group and text reader of
+    each argument, and the group of the conclusion's members.  The outer
+    group closes last, so a match's lastindex names the alternative."""
+    conclusion = _TEXT_KINDS["Sequent"][0]
+    alternatives, heads, group = [], {}, 1
+    for name, (cls, *_) in _RULES.items():
+        if not isinstance(cls.arity, int):
+            continue
+        patterns, readers = zip(*[_TEXT_KINDS[f.type] for f in fields(cls)])
+        tag = r"\(%s\)" % " ".join((re.escape(name),) + patterns)
+        alternatives.append("(%s %s)" % (tag, conclusion))
+        args = tuple(enumerate(readers, group + 1))
+        heads[group] = cls, args, group + len(args) + 1
+        group += len(args) + 2
+    return re.compile(r"\(rule (?:%s)" % "|".join(alternatives)), heads
+
+
+_NODE_HEAD, _NODE_HEADS = _node_heads()
+
+
+def _proof_from_text(text, parsed):
+    """The finite proof of text when text is as proof_dumps writes it: one
+    match reads each node's head, a space opens each premise, and a close
+    parenthesis ends a node.  None for any other text.  Nodes are built
+    with the checks of the general reader, over an explicit stack."""
+    head = _NODE_HEAD.match
+    stack = []  # the nodes still open: tag, conclusion, premises read
+    pos = 0
+    while True:
+        m = head(text, pos)
+        if m is None:
+            return None
+        cls, args, members = _NODE_HEADS[m.lastindex]
+        tag = cls(*[read(m.group(i), parsed) for i, read in args])
+        stack.append((tag, _members(m.group(members), parsed), []))
+        pos = m.end()
+        while text.startswith(")", pos):
+            pos += 1
+            tag, conclusion, premises = stack.pop()
+            node = make_node(conclusion, tag, premises)
+            if not stack:
+                return node if _SPACE.match(text, pos).end() == len(text) else None
+            stack[-1][2].append(node)
+        if not text.startswith(" ", pos):
+            return None
+        pos += 1
+
+
 def proof_loads(text):
-    return sx_to_proof(loads(text), {})
+    """The finite proof of a proof file's text.  Text as proof_dumps writes
+    it is read straight into proof nodes; any other text, and any that
+    fails to build, goes through the general reader, so values and errors
+    are the general reader's."""
+    try:
+        p = _proof_from_text(text, {})
+    except (ValueError, RecursionError):
+        p = None
+    if p is None:
+        p = sx_to_proof(loads(text), {})
+    return p
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from conftest import run_cli
-from mucut import cli
+from mucut import cli, cutelim
 from mucut.cli import (
     EXIT_CHECK,
     EXIT_FUEL,
@@ -272,6 +272,37 @@ def test_pipeline_fuel_exit(tmp_path):
     ])
     assert code == EXIT_FUEL
     assert "fuel exhausted" in err
+
+
+def test_pipeline_help_says_what_fuel_bounds(tmp_path, capsys, monkeypatch):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["pipeline", "--help"])
+    assert exc.value.code == EXIT_OK
+    text = " ".join(capsys.readouterr().out.split())
+    assert (
+        "--fuel FUEL bounds only the cut reductions of eliminate, one unit per"
+        " root visit (default 100000); collapse has its own limit of 100,000"
+        " plugs per forced node"
+    ) in text
+    # and so it is: a run needs one unit per root visit, and the plugs of
+    # collapse (e4 collapses at two levels) take none
+    _write_corpus(tmp_path)
+    e4 = str(tmp_path / "e4-nested.sproof")
+    visits = []
+    reduce_root = cutelim._reduce_root
+
+    def counting(d, budget, trace, path):
+        visits.append(path)
+        return reduce_root(d, budget, trace, path)
+
+    monkeypatch.setattr(cutelim, "_reduce_root", counting)
+    assert run_cli(["pipeline", e4, "--out", str(tmp_path / "a")])[0] == EXIT_OK
+    n = len(visits)
+    assert n > 0
+    fuel = ["--fuel", str(n)]
+    assert run_cli(["pipeline", e4, "--out", str(tmp_path / "b"), *fuel])[0] == EXIT_OK
+    fuel = ["--fuel", str(n - 1)]
+    assert run_cli(["pipeline", e4, "--out", str(tmp_path / "c"), *fuel])[0] == EXIT_FUEL
 
 
 def test_pipeline_default_out_is_input_dir(tmp_path):

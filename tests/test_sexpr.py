@@ -10,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import LITERALS, cut_chain, cut_tree, deep_cut_chain, run_cli
+from mucut import sexpr
 from mucut.cli import EXIT_PARSE
 from mucut.checker import check_finite
 from mucut.collapse import pipeline
 from mucut.corpus import CORPUS, lemma_suite
 from mucut.embed import identity_mu, identity_mu_primed
-from mucut.kernel import TOP, atom, natom, prime
+from mucut.kernel import TOP, atom, natom, prime, substitute
 from mucut.proofs import (
     ALL_TAGS,
     FINITE_TAGS,
@@ -34,10 +35,14 @@ from mucut.proofs import (
     Or,
     Proof,
     ax,
+    box_fit,
     box_node,
+    clo_node,
     cut_node,
     nu_node,
+    observation_rules,
     observe,
+    or_node,
     top_intro,
 )
 from mucut.sexpr import (
@@ -51,6 +56,7 @@ from mucut.sexpr import (
     report_dumps,
     step_to_sx,
     summary_to_sx,
+    sx_to_proof,
     sx_to_tag,
 )
 from mucut import sequents
@@ -418,6 +424,196 @@ def test_proof_text_roundtrips_cut_trees_and_chains(tree_atoms, chain_atoms):
         assert q.conclusion == p.conclusion
         assert proof_dumps(q) == text
         assert check_finite(q).ok
+
+
+# ---------------------------------------------------------------------------
+# proof_loads against the general reader
+
+
+def _box_and_clo():
+    """A valid S proof with a box rule (its side not empty) above a
+    closure rule, the two rules no corpus proof uses."""
+    m = pf("mu X . (p1 | X)")
+    u = substitute(m[1], m)
+    leaf = ax(seq(atom(1), m, natom(1)), atom(1))
+    clo = clo_node(seq(m, natom(1)), m, or_node(seq(u, natom(1)), u, leaf))
+    conclusion = seq(("box", m), ("dia", natom(1)), atom(2))
+    return box_fit(conclusion, ("box", m), clo)
+
+
+def _general(text):
+    return sx_to_proof(loads(text), {})
+
+
+def _proof_outcome(read, text):
+    try:
+        return "value", proof_dumps(read(text))
+    except Exception as exc:  # noqa: BLE001 - errors are compared too
+        return type(exc).__name__, str(exc)
+
+
+_LITERAL_LISTS = st.lists(LITERALS, max_size=6, unique_by=lambda f: f[1])
+
+
+@st.composite
+def _proof_texts(draw):
+    """The writer's text of a tree, chain, mirrored chain or comb of atom
+    cuts, of a corpus proof or of the box and closure proof."""
+    shape = draw(st.sampled_from(["tree", "chain", "mirror", "comb", "fixed"]))
+    atoms = draw(_LITERAL_LISTS)
+    if shape == "tree":
+        p = cut_tree(tuple(atoms[:3]))
+    elif shape == "chain":
+        p = cut_chain(atoms)
+    elif shape == "mirror":
+        p = cut_chain(atoms, mirror=True)
+    elif shape == "comb":
+        teeth = [atom(41 + j) for j in range(len(atoms))]
+        p = cut_chain(atoms, teeth=teeth)
+    else:
+        builds = [*CORPUS.values(), _box_and_clo]
+        p = draw(st.sampled_from(builds))()
+    return proof_dumps(p)
+
+
+# The tokens of proof text: parentheses, strings and words.
+_PROOF_TOKEN = re.compile(r'[()]|"[^"\\]*"|[^\s()"]+')
+_TAG_NAME = re.compile(r"\(rule \((\w+)")
+_FIRST_ARG = re.compile(r'\(rule \(\w+( "[^"]*")')
+
+
+@st.composite
+def _mutated_proof_texts(draw):
+    """The writer's text with one or two edits: inserted whitespace (also
+    inside a string), an escaped character, truncation, a dropped or
+    duplicated token, an unknown or infinitary rule tag, an argument too
+    many or too few, a dropped or duplicated premise, or trailing input."""
+    text = draw(_proof_texts())
+    for _ in range(draw(st.integers(1, 2))):
+        edit = draw(st.sampled_from(
+            ["space", "inner space", "escape", "truncate", "drop", "duplicate",
+             "tag", "arity", "premise", "trailing"]
+        ))
+        tokens = [m.span() for m in _PROOF_TOKEN.finditer(text)]
+        tags = [m.span(1) for m in _TAG_NAME.finditer(text)]
+        if edit == "space":
+            i = draw(st.integers(0, len(text)))
+            space = draw(st.sampled_from([" ", "  ", "\n", "\t", "\r\n"]))
+            text = text[:i] + space + text[i:]
+        elif edit in ("escape", "inner space"):
+            strings = [(a, b) for a, b in tokens if b - a > 2 and text[a] == '"']
+            if strings:
+                a, b = draw(st.sampled_from(strings))
+                i = draw(st.integers(a + 1, b - 1))
+                text = text[:i] + ("\\" if edit == "escape" else " ") + text[i:]
+        elif edit == "truncate":
+            text = text[: draw(st.integers(0, len(text)))]
+        elif edit in ("drop", "duplicate") and tokens:
+            a, b = draw(st.sampled_from(tokens))
+            kept = text[a:b] + " " + text[a:b] if edit == "duplicate" else ""
+            text = text[:a] + kept + text[b:]
+        elif edit == "tag" and tags:
+            a, b = draw(st.sampled_from(tags))
+            name = draw(st.sampled_from(["frob", "nu", "omega 1", "omegabar 2"]))
+            text = text[:a] + name + text[b:]
+        elif edit == "arity":
+            args = [m.span(1) for m in _FIRST_ARG.finditer(text)]
+            if args:
+                a, b = draw(st.sampled_from(args))
+                if draw(st.booleans()):  # one argument more after the first
+                    extra = draw(st.sampled_from(['"p1"', "(seq)", "3"]))
+                    text = text[:b] + " " + extra + text[b:]
+                else:  # the first argument dropped
+                    text = text[:a] + text[b:]
+        elif edit == "premise":
+            premises = _premise_spans(text, tokens)
+            if premises:
+                a, b = draw(st.sampled_from(premises))
+                kept = text[a:b] + text[a:b] if draw(st.booleans()) else ""
+                text = text[:a] + kept + text[b:]
+        elif edit == "trailing":
+            text += draw(st.sampled_from([")", " x", "\n\n", _DUMPS[0]]))
+    return text
+
+
+def _premise_spans(text, tokens):
+    """The span of each premise, with the space before it, found by
+    matching parentheses token by token (formulas hold parentheses only
+    inside strings)."""
+    spans, opened = [], []
+    for a, b in tokens:
+        if text[a:b] == "(":
+            opened.append(a)
+        elif text[a:b] == ")":
+            start = opened.pop() if opened else None
+            if start is not None and opened and text.startswith(" (rule ", start - 1):
+                spans.append((start - 1, b))
+    return spans
+
+
+@settings(deadline=None, max_examples=150)
+@given(_proof_texts())
+def test_proof_loads_reads_back_the_writers_text(text):
+    assert proof_dumps(proof_loads(text)) == text
+
+
+@settings(deadline=None, max_examples=400)
+@given(_mutated_proof_texts())
+def test_proof_loads_matches_the_general_reader(text):
+    assert _proof_outcome(proof_loads, text) == _proof_outcome(_general, text)
+
+
+def test_proof_loads_matches_the_general_reader_oracles():
+    for text in (
+        '(rule (axiom "p0") (seq "p0" "~p0"))',
+        ' (rule (axiom "p0") (seq "p0" "~p0"))\n',
+        '(rule (axiom "p0")  (seq "p0" "~p0"))\n',
+        '(rule (axiom "p\\0") (seq "p0" "~p0"))\n',
+        '(rule (axiom "p0") (seq "p0" "~p0")) x',
+        '(rule (axiom "p0") (seq "p0" "~p0")',
+        '(rule (axiom "p0") (seq "p0" "~p0") (rule (axiom "p0") (seq "p0" "~p0")))',
+        '(rule (axiom "p0" "p0") (seq "p0" "~p0"))',
+        '(rule (axiom) (seq "p0" "~p0"))',
+        '(rule (nu "nu X . X") (seq "nu X . X"))',
+        '(rule (axiom "p0 &") (seq "p0" "~p0"))',
+        '(rule (axiom "p0") (seq "p0" "~p0 &"))',
+        '(rule (box "[] p1" (seq "p2")) (seq "[] p1" "p2"))',
+        '(rule (box "[] p1" "p2") (seq "[] p1" "p2"))',
+        '(rule (ind "mu X . X") (seq "p0"))',
+        "",
+        "3",
+    ):
+        got = _proof_outcome(proof_loads, text)
+        assert got == _proof_outcome(_general, text), text
+    # premises set off by anything but one space
+    top_cut = proof_dumps(CORPUS["top-cut"]())
+    for sep in ("", "x", "\n", "  ", " 3 "):
+        text = top_cut.replace(") (rule", ")%s(rule" % sep, 1)
+        got = _proof_outcome(proof_loads, text)
+        assert got == _proof_outcome(_general, text), text
+
+
+def test_canonical_text_never_reaches_the_general_reader(monkeypatch):
+    # the writer's text of proofs that use every rule of S is read by the
+    # node reader alone: a change to the writer or to a rule's pattern
+    # that sent it down the general reader would fail here
+    proofs = [*_small_proofs(), _box_and_clo()]
+    proofs += [cut_tree((atom(1), natom(2))), cut_chain([atom(1), natom(2)])]
+    texts = [proof_dumps(p) for p in proofs]
+
+    def refuse(*args):
+        raise AssertionError("canonical text went to the general reader")
+
+    monkeypatch.setattr(sexpr, "loads", refuse)
+    monkeypatch.setattr(sexpr, "sx_to_proof", refuse)
+    rules = set()
+    for text in texts:
+        q = proof_loads(text)
+        assert proof_dumps(q) == text
+        rules.update(type(r) for r in observation_rules(observe(q, 10**6)))
+    assert rules == set(FINITE_TAGS)
+    with pytest.raises(AssertionError, match="general reader"):
+        proof_loads(texts[0].replace(" ", "  ", 1))
 
 
 # ---------------------------------------------------------------------------
