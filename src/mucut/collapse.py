@@ -12,13 +12,17 @@ system below it.
 collapse(p, 0) on a cut-free proof leaves only the plain infinitary
 rules; to_sinf then checks exactly that and hands back the proof as a
 plain infinitary derivation.
+
+pipeline runs eliminate and collapse only where they have work: the
+embedding of a proof without cuts and inductions has neither cuts nor
+replacement rules, so it is its own eliminated and collapsed stage.
 """
 
 from __future__ import annotations
 
 from mucut.cutelim import DEFAULT_FUEL, eliminate
 from mucut.checker import level_bound
-from mucut.embed import embed
+from mucut.embed import embed, embeds_plainly
 from mucut.errors import FuelExhausted, InternalInvariantError
 from mucut.proofs import (
     SINF_TAGS,
@@ -102,11 +106,21 @@ def pipeline(p, fuel=DEFAULT_FUEL, trace=None):
     cuts, collapse the replacement rules, and read off the plain
     infinitary proof.  Returns the four stages, all lazy.  fuel bounds
     the cut reductions of eliminate only; collapse does not draw on it
-    and instead allows at most MAX_PLUGS plugs at each node it forces."""
+    and instead allows at most MAX_PLUGS plugs at each node it forces.
+
+    When the embedding has no cut and no replacement rule (embeds_plainly:
+    p has no cut and no induction, and its axmu formulas are in the base
+    language), eliminate and collapse would copy it node by node: the
+    embedded proof itself is then the eliminated and the collapsed stage,
+    the same object, and no reduction, fuel or trace step is spent.
+    to_sinf still checks every node it forces."""
     k = level_bound(p)
     embedded = embed(p, frozenset(), k)
-    eliminated = eliminate(embedded, fuel=fuel, trace=trace)
-    collapsed = collapse(eliminated, 0)
+    if embeds_plainly(p):
+        eliminated = collapsed = embedded
+    else:
+        eliminated = eliminate(embedded, fuel=fuel, trace=trace)
+        collapsed = collapse(eliminated, 0)
     return {
         "embedded": embedded,
         "eliminated": eliminated,

@@ -37,9 +37,22 @@ accepts (the principal dropped or kept); and every nu rule whose i-th
 approximant premise is derived from the (i-1)-th by monotonicity is
 _nu_over over a _chain, which builds its derivations once each and in
 index order, so a far premise costs no stack frame per index.
+
+Identity laws are shared: one embedding builds the law of each (mu, k)
+once (_law), however often monotonicity or an identity axiom asks for
+it, and every request gets the same proof object.  The memo belongs to
+the embed call, lives as long as the embedding's root and is never
+shared between calls.
+
+With nothing primed, cuts come only from cuts and inductions, and
+replacement rules only from inductions and from identity laws of
+formulas outside the base language; embeds_plainly tells when neither
+occurs, so that later stages have nothing to do.
 """
 
 from __future__ import annotations
+
+from weakref import finalize
 
 from mucut.checker import level_bound
 from mucut.cutelim import cut_fit, fit, weaken
@@ -114,6 +127,28 @@ def _chain(first, step):
     return link
 
 
+def _owned(build):
+    """build(laws) for a fresh identity-law memo laws that lives as long
+    as the proof returned.  The laws' thunks hold the memo that holds the
+    laws; emptying it when that proof is freed breaks the cycle, so that
+    reference counting frees the proof (laws built after that are still
+    shared, but left to the cyclic collector)."""
+    laws = {}
+    out = build(laws)
+    finalize(out, laws.clear)
+    return out
+
+
+def _law(build, mu, k, laws):
+    """The identity law build(mu, k, laws), built once per (build, mu, k)
+    in the memo laws."""
+    key = (build, mu, k)
+    law = laws.get(key)
+    if law is None:
+        law = laws[key] = build(mu, k, laws)
+    return law
+
+
 def _nu_over(concl, nu, derive):
     """The nu rule on nu, a member of concl, whose i-th premise is
     derive(i, a_i) for the i-th approximant a_i, fitted as _fit_premise
@@ -155,6 +190,10 @@ def identity_mu(mu, k):
     """Cut-free derivation of mu, ~mu (mu closed and mu-rooted, its level
     within k): the nu rule on ~mu, each approximant premise obtained from
     the previous one by monotonicity plus a closure step."""
+    return _owned(lambda laws: _identity_mu(mu, k, laws))
+
+
+def _identity_mu(mu, k, laws):
     _require(mu[0] == "mu", "identity law needs a mu-rooted formula")
     _require(not has_free_var(mu), "identity law needs a closed formula")
     _require(level(mu) <= k, "identity law level exceeds the system index")
@@ -165,7 +204,8 @@ def identity_mu(mu, k):
     # concl checks mu, so each approximant of the body of its closed
     # negation is closed and valid: the sequents pairing them are trusted
     def step(i, prev):
-        mono = monotone(prev, nbody, mu, iterate(nbody, TOP, i - 1), k)
+        a_prev = iterate(nbody, TOP, i - 1)
+        mono = _monotone(prev, nbody, mu, a_prev, k, False, laws)
         return clo_node(from_checked((mu, iterate(nbody, TOP, i))), mu, mono)
 
     link = _chain(lambda: top_intro((mu,)), step)
@@ -176,6 +216,10 @@ def identity_mu_primed(mu, k):
     """Cut-free derivation of mu, (~mu)' by the replacement rule on mu's
     prime: each family output un-primes its witness.  When mu is already
     fully primed the witness is returned as is."""
+    return _owned(lambda laws: _identity_mu_primed(mu, k, laws))
+
+
+def _identity_mu_primed(mu, k, laws):
     _require(mu[0] == "mu", "identity law needs a mu-rooted formula")
     _require(not has_free_var(mu), "identity law needs a closed formula")
     h = level(mu)
@@ -185,7 +229,7 @@ def identity_mu_primed(mu, k):
     concl = Sequent((mu, phi))
 
     def fn(delta, w):
-        return _fit_premise(deprime(w, mu, k - 1), concl, phi, delta)
+        return _fit_premise(_deprime(w, mu, k - 1, laws), concl, phi, delta)
 
     return omega_node(concl, h, t, standard_admits(h, t), fn)
 
@@ -198,20 +242,20 @@ def monotone(d, a, b, c, k):
     """From d proving b, c: a derivation of (~a)(b), a(c), by recursion on
     the operator a (one free variable at most; closed binder subterms are
     discharged by the identity laws)."""
-    return _monotone(d, a, b, c, k, False)
+    return _owned(lambda laws: _monotone(d, a, b, c, k, False, laws))
 
 
 def monotone_primed(d, a, b, c, k):
     """From d proving b, c': a derivation of (~a)(b), a'(c'), the primed
     twin of monotonicity."""
-    return _monotone(d, a, b, c, k, True)
+    return _owned(lambda laws: _monotone(d, a, b, c, k, True, laws))
 
 
 def _same(f):
     return f
 
 
-def _monotone(d, a, b, c, k, primed):
+def _monotone(d, a, b, c, k, primed, laws):
     """Check the input once, then recurse on a without checks: b and the
     image of c are checked members of d's conclusion, so closed, and a is
     valid with at most the one variable free.  Every formula the recursion
@@ -223,10 +267,10 @@ def _monotone(d, a, b, c, k, primed):
         "monotonicity input must conclude b and the image of c",
     )
     validate(a)
-    return _mono(d, a, b, c, k, img, primed)
+    return _mono(d, a, b, c, k, img, primed, laws)
 
 
-def _mono(d, a, b, c, k, img, primed):
+def _mono(d, a, b, c, k, img, primed, laws):
     t = a[0]
     if t == "var":
         return d
@@ -235,8 +279,8 @@ def _mono(d, a, b, c, k, img, primed):
         return ax(out, a if t == "atom" else negate(a))
     if t == "and" or t == "or":
         g, e = a[1], a[2]
-        ih1 = _mono(d, g, b, c, k, img, primed)
-        ih2 = _mono(d, e, b, c, k, img, primed)
+        ih1 = _mono(d, g, b, c, k, img, primed, laws)
+        ih2 = _mono(d, e, b, c, k, img, primed, laws)
         ng_b = substitute(negate(g), b)
         ne_b = substitute(negate(e), b)
         g_c = img(substitute(g, c))
@@ -259,7 +303,7 @@ def _mono(d, a, b, c, k, img, primed):
         )
         return and_node(out, na_b, s1, s2)
     if t == "box" or t == "dia":
-        ih = _mono(d, a[1], b, c, k, img, primed)
+        ih = _mono(d, a[1], b, c, k, img, primed, laws)
         if t == "box":
             principal = img(substitute(a, c))
         else:
@@ -269,14 +313,14 @@ def _mono(d, a, b, c, k, img, primed):
         raise InternalInvariantError("unknown operator tag: %r" % (t,))
     _require(not has_free_var(a), "binder subterm must be closed")
     if t == "mu":
-        return identity_mu(img(a), k)
+        return _law(_identity_mu, img(a), k, laws)
     if t == "nu" and not primed:
-        return identity_mu(negate(a), k)
+        return _law(_identity_mu, negate(a), k, laws)
     _require(
         primed or is_fully_primed(a),
         "annotated binder subterm must be fully primed",
     )
-    return identity_mu_primed(negate(a), k)
+    return _law(_identity_mu_primed, negate(a), k, laws)
 
 
 # ---------------------------------------------------------------------------
@@ -286,15 +330,19 @@ def _mono(d, a, b, c, k, img, primed):
 def deprime(d, a, k):
     """Rewrite the cut-free derivation d, whose conclusion may contain the
     prime of a, into one concluding with a instead."""
+    return _owned(lambda laws: _deprime(d, a, k, laws))
+
+
+def _deprime(d, a, k, laws):
     ap = prime(a)
     if ap == a or ap not in d.conclusion:
         return d
     _require(is_l0(a), "un-priming target must be a base-language formula")
     new_c = d.conclusion.without(ap).add(a)
-    return Proof.defer(new_c, lambda: _deprime_now(d, a, ap, new_c, k))
+    return Proof.defer(new_c, lambda: _deprime_now(d, a, ap, new_c, k, laws))
 
 
-def _deprime_now(d, a, ap, new_c, k):
+def _deprime_now(d, a, ap, new_c, k, laws):
     tag = d.rule
 
     if isinstance(tag, Axiom):
@@ -309,9 +357,9 @@ def _deprime_now(d, a, ap, new_c, k):
     if isinstance(tag, Box):
         p1 = d.premises[0]
         if ap == tag.principal:
-            return box_fit(new_c, a, deprime(p1, a[1], k))
+            return box_fit(new_c, a, _deprime(p1, a[1], k, laws))
         if ap[0] == "dia" and ap[1] in p1.conclusion:
-            p1 = deprime(p1, a[1], k)
+            p1 = _deprime(p1, a[1], k, laws)
         return box_fit(new_c, tag.principal, p1)
 
     if isinstance(tag, Omega) and omega_phi(tag.target) == ap:
@@ -325,9 +373,8 @@ def _deprime_now(d, a, ap, new_c, k):
         fam = d.premises
 
         def step(j, prev):
-            mono = monotone_primed(
-                prev, negate(a0), iterate(a0, TOP, j - 1), negate(a), k - 1
-            )
+            a_prev = iterate(a0, TOP, j - 1)
+            mono = _monotone(prev, negate(a0), a_prev, negate(a), k - 1, True, laws)
             return clo_node(Sequent((iterate(a0, TOP, j), t2)), t2, mono)
 
         wit = _chain(lambda: top_intro((t2,)), step)
@@ -335,7 +382,7 @@ def _deprime_now(d, a, ap, new_c, k):
         def derive(i, a_i):
             if i == 0:
                 return top_intro(d.conclusion.without(ap))
-            return deprime(fam(Sequent((a_i,)), wit(i)), a, k)
+            return _deprime(fam(Sequent((a_i,)), wit(i)), a, k, laws)
 
         return _nu_over(new_c, a, derive)
 
@@ -355,8 +402,8 @@ def _deprime_now(d, a, ap, new_c, k):
         added = premise_added(tag, position)
         if rewrite:
             for x in added:
-                q = deprime(q, x, k)
-        return _fit_premise(deprime(q, a, k), new_c, principal, added)
+                q = _deprime(q, x, k, laws)
+        return _fit_premise(_deprime(q, a, k, laws), new_c, principal, added)
 
     return map_premises(d, new_c, fn, tag if rewrite else None)
 
@@ -600,6 +647,31 @@ def ind_to_omega(asm1, asm2, mu, b, k):
 # ---------------------------------------------------------------------------
 # the embedding
 
+# The rules that embed copies, with nothing primed, without adding a cut or
+# a replacement rule.
+_PLAIN = (Axiom, AxiomMu, Or, And, Box, Clo)
+
+
+def embeds_plainly(p):
+    """True when embedding p with nothing primed gives a proof without cuts
+    and replacement rules: p has only the rules of _PLAIN, and every axmu
+    formula is in the base language, so that its identity law is built
+    from nu, closure and the propositional rules alone.  The walk stops at
+    the first node that fails."""
+    stack, seen = [p], {id(p)}
+    while stack:
+        q = stack.pop()
+        tag = q.rule
+        if not isinstance(tag, _PLAIN):
+            return False
+        if isinstance(tag, AxiomMu) and not is_l0(tag.mu):
+            return False
+        for r in q.premises:
+            if id(r) not in seen:
+                seen.add(id(r))
+                stack.append(r)
+    return True
+
 
 def embed(p, sel=(), k=None):
     """Embed the finite proof p into the intermediate system of index k
@@ -610,15 +682,15 @@ def embed(p, sel=(), k=None):
     sel = frozenset(sel)
     if not p.conclusion.issuperset(sel):
         raise ValueError("selection outside the end sequent")
-    return _embed(p, sel, k)
+    return _owned(lambda laws: _embed(p, sel, k, laws))
 
 
-def _embed(p, sel, k):
+def _embed(p, sel, k, laws):
     cs = apply_sigma(p.conclusion, sel)
-    return Proof.defer(cs, lambda: _embed_now(p, sel, k, cs))
+    return Proof.defer(cs, lambda: _embed_now(p, sel, k, cs, laws))
 
 
-def _embed_now(p, sel, k, cs):
+def _embed_now(p, sel, k, cs, laws):
     tag = p.rule
 
     if isinstance(tag, Axiom):
@@ -630,13 +702,13 @@ def _embed_now(p, sel, k, cs):
         mp = m in sel
         np = n in sel
         if not mp and not np:
-            core = identity_mu(m, k)
+            core = _law(_identity_mu, m, k, laws)
         elif np and not mp:
-            core = identity_mu_primed(m, k)
+            core = _law(_identity_mu_primed, m, k, laws)
         elif mp and not np:
-            core = identity_mu(prime(m), k)
+            core = _law(_identity_mu, prime(m), k, laws)
         else:
-            core = identity_mu_primed(prime(m), k)
+            core = _law(_identity_mu_primed, prime(m), k, laws)
         return fit(core, cs)
 
     if isinstance(tag, Box):
@@ -648,7 +720,7 @@ def _embed_now(p, sel, k, cs):
         phis = phi in sel
         if phis and body in q.conclusion:
             sp |= {body}
-        return box_fit(cs, prime(phi) if phis else phi, _embed(q, sp, k))
+        return box_fit(cs, prime(phi) if phis else phi, _embed(q, sp, k, laws))
 
     if isinstance(tag, (Or, And, Clo)):
         # the principal's selection decides its parts
@@ -666,7 +738,7 @@ def _embed_now(p, sel, k, cs):
             imgs = [img(x) for x in parts]
             if checked:
                 imgs = from_checked(imgs)
-            return _fit_premise(_embed(q, sp, k), cs, phi_img, imgs)
+            return _fit_premise(_embed(q, sp, k, laws), cs, phi_img, imgs)
 
         return map_premises(p, cs, fn, type(tag)(phi_img))
 
@@ -686,17 +758,17 @@ def _embed_now(p, sel, k, cs):
         )
         s1 = q1.conclusion.members_in(sel) | {cf}
         s2 = q2.conclusion.members_in(sel) | {ncf}
-        return cut_fit(cs, cf, _embed(q1, s1, k), _embed(q2, s2, k))
+        return cut_fit(cs, cf, _embed(q1, s1, k, laws), _embed(q2, s2, k, laws))
 
     if isinstance(tag, Ind):
-        return _embed_ind(p, tag, sel, k, cs)
+        return _embed_ind(p, tag, sel, k, cs, laws)
 
     raise InternalInvariantError(
         "rule not part of the finitary system: %r" % (tag,)
     )
 
 
-def _embed_ind(p, tag, sel, k, cs):
+def _embed_ind(p, tag, sel, k, cs, laws):
     m = tag.mu
     bb = tag.b
     n = negate(m)
@@ -707,24 +779,24 @@ def _embed_ind(p, tag, sel, k, cs):
     prem = p.premises[0]
 
     if n in sel:
-        asm1 = _embed(prem, frozenset((ncf,)), k)
-        asm2 = _embed(prem, frozenset((ncf, bb)), k)
+        asm1 = _embed(prem, frozenset((ncf,)), k, laws)
+        asm2 = _embed(prem, frozenset((ncf, bb)), k, laws)
         o1, o2 = ind_to_omega(asm1, asm2, m, bb, k)
         return fit(o2 if bb in sel else o1, cs)
 
     bsel = bb in sel
     b_img = prime(bb) if bsel else bb
     naop = negate(aop)
-    ih1 = _embed(
-        prem, frozenset((ncf,)) | (frozenset((bb,)) if bsel else frozenset()), k
-    )
-    ih2 = _embed(prem, frozenset((ncf, bb)), k)
+    s1 = frozenset((ncf,)) | (frozenset((bb,)) if bsel else frozenset())
+    ih1 = _embed(prem, s1, k, laws)
+    ih2 = _embed(prem, frozenset((ncf, bb)), k, laws)
     pb = prime(bb)
 
     # link j pairs the monotonicity step into the j-th approximant with
     # the chain derivation of that approximant and b'
     def step(j, prev):
-        mono = monotone_primed(prev[1], aop, iterate(naop, TOP, j - 1), bb, k)
+        a_prev = iterate(naop, TOP, j - 1)
+        mono = _monotone(prev[1], aop, a_prev, bb, k, True, laws)
         return mono, cut_fit(Sequent((iterate(naop, TOP, j), pb)), cf, mono, ih2)
 
     link = _chain(lambda: (None, top_intro((pb,))), step)

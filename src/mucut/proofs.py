@@ -208,7 +208,9 @@ def omega_phi(target):
 class Proof:
     """Strict conclusion, lazy (rule, premises) node."""
 
-    __slots__ = ("conclusion", "_node", "_thunk")
+    # weakly referenceable so that embed can empty its identity-law memo
+    # when the embedding is freed
+    __slots__ = ("conclusion", "_node", "_thunk", "__weakref__")
 
     def __init__(self, conclusion, node, thunk):
         if not isinstance(conclusion, Sequent):

@@ -4,19 +4,24 @@ proof."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_formulas
 from mucut.checker import (
     SYSTEM_S,
     SYSTEM_SINF,
     check_bounded,
     check_finite,
+    level_bound,
     subformula_report,
 )
 from mucut.collapse import collapse, pipeline, to_sinf
 from mucut.corpus import CORPUS
+from mucut.cutelim import eliminate
 from mucut.embed import embed, identity_mu_primed
 from mucut.errors import InternalInvariantError
-from mucut.kernel import TOP, negate
+from mucut.kernel import TOP, atom, natom, negate, prime, substitute
 from mucut.proofs import (
     Axiom,
     And,
@@ -27,6 +32,9 @@ from mucut.proofs import (
     Omega,
     OmegaBar,
     Or,
+    and_node,
+    axmu_node,
+    box_fit,
     clo_node,
     cut_node,
     ind_node,
@@ -34,10 +42,12 @@ from mucut.proofs import (
     observation_rules,
     observation_sequents,
     observe,
+    or_node,
     top_intro,
 )
 from mucut.sequents import Sequent
-from mucut.syntax import parse_formula as pf
+from mucut.sexpr import observation_dumps
+from mucut.syntax import parse_formula as pf, print_form
 
 PLAIN = (Axiom, Or, And, Box, Clo, Nu)
 
@@ -129,11 +139,97 @@ def test_nu_sampling_in_the_final_proof():
 
 def test_collapse_preserves_endsequent_of_eliminated_proof():
     e4 = CORPUS["nested"]()
-    from mucut.cutelim import eliminate
-
     elim = eliminate(embed(e4, (), 2))
     col = collapse(elim, 0)
     assert col.conclusion == elim.conclusion == e4.conclusion
+
+
+# ---------------------------------------------------------------------------
+# stages that pass through
+
+
+@pytest.mark.parametrize(
+    "name, passes",
+    [("ind-top", False), ("top-cut", False), ("axmu", True), ("nested", False)],
+)
+def test_pipeline_passes_through_only_proofs_without_cuts_and_inductions(
+    name, passes
+):
+    stages = pipeline(CORPUS[name]())
+    assert (stages["eliminated"] is stages["embedded"]) is passes
+    assert (stages["collapsed"] is stages["embedded"]) is passes
+    assert stages["sinf"] is not stages["collapsed"]
+
+
+def test_a_primed_identity_axiom_takes_the_long_path():
+    # its identity law unprimes a nub subformula by a replacement rule,
+    # which collapse has to see
+    m = prime(pf("mu X . ((nu X . (p1 & X)) | X)"))
+    stages = pipeline(axmu_node(Sequent((m, negate(m))), m))
+    assert stages["eliminated"] is not stages["embedded"]
+    assert stages["collapsed"] is not stages["eliminated"]
+
+
+# mu formulas for generated identity axioms, their unfoldings (so that a
+# closure step can introduce them) and side formulas
+_MUS = [f for f in random_formulas(14, 300, max_size=9, max_level=2) if f[0] == "mu"][:10]
+_UNFOLDED = {substitute(m[1], m): m for m in _MUS}
+_SIDES = [atom(1), natom(2), TOP, *_UNFOLDED]
+
+
+def _member(draw, s):
+    return draw(st.sampled_from(sorted(s, key=print_form)))
+
+
+@st.composite
+def _plain_proofs(draw, depth=4):
+    """Cut-free, induction-free S proofs: identity axioms on generated mu
+    formulas, in a context, under or, and, box and closure steps.  Each
+    step keeps the context S asks for: or and and join two members of the
+    premise's conclusion, and has the same premise twice."""
+    kind = draw(st.integers(0, 4)) if depth else 0
+    if kind == 0:
+        m = draw(st.sampled_from(_MUS))
+        extra = draw(st.lists(st.sampled_from(_SIDES), max_size=2))
+        return axmu_node(Sequent((m, negate(m), *extra)), m)
+    p = draw(_plain_proofs(depth - 1))
+    c = p.conclusion
+    a = _member(draw, c)
+    if kind == 1:
+        b = _member(draw, c)
+        f = ("or", a, b)
+        return or_node(c.without(a).without(b).add(f), f, p)
+    if kind == 2:
+        f = ("and", a, _member(draw, c))
+        return and_node(c.add(f), f, p, p)
+    if kind == 3:
+        f = ("box", a)
+        return box_fit(c.without(a).dia().add(f), f, p)
+    unfolded = [g for g in c if g in _UNFOLDED]
+    if not unfolded:
+        return p
+    g = unfolded[0]
+    return clo_node(c.without(g).add(_UNFOLDED[g]), _UNFOLDED[g], p)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_plain_proofs())
+def test_passed_stages_equal_the_long_path(p):
+    assert check_finite(p, SYSTEM_S).ok
+    stages = pipeline(p)
+    embedded = stages["embedded"]
+    assert stages["eliminated"] is embedded and stages["collapsed"] is embedded
+    long_embedded = embed(p, frozenset(), level_bound(p))
+    long_collapsed = collapse(eliminate(long_embedded), 0)
+    pairs = (
+        (embedded, long_embedded),
+        (embedded, long_collapsed),
+        (stages["sinf"], to_sinf(long_collapsed)),
+    )
+    for short, long in pairs:
+        o = observe(short, 8)
+        assert observation_errors(o) == []
+        assert observation_dumps(o) == observation_dumps(observe(long, 8))
 
 
 @pytest.mark.xfail(

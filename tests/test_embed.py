@@ -3,6 +3,9 @@ monotonicity, un-priming, induction conversion, and the full translation."""
 
 from __future__ import annotations
 
+import gc
+import importlib
+
 import pytest
 
 from mucut.checker import (
@@ -26,9 +29,14 @@ from mucut.errors import InternalInvariantError
 from mucut.kernel import TOP, atom, level, negate, prime, substitute
 from mucut.proofs import (
     AxiomMu,
+    DeltaFam,
     Ind,
     Nu,
     Omega,
+    OmegaBarPrem,
+    OmegaFam,
+    and_node,
+    axmu_node,
     is_cut_free_observed,
     observation_errors,
     observation_rules,
@@ -198,3 +206,111 @@ def test_embedded_conclusions_are_canonical_checked_sequents():
                 seen += 1
             todo.extend(w.children)
     assert seen > 400
+
+
+# ---------------------------------------------------------------------------
+# the identity laws of one embedding
+
+EMBED = importlib.import_module("mucut.embed")
+
+
+def _forced(p):
+    """Every proof object reachable from p through nodes, premises and
+    family outputs forced so far, including witnesses."""
+    seen, todo = {}, [p]
+    while todo:
+        q = todo.pop()
+        if id(q) in seen:
+            continue
+        seen[id(q)] = q
+        node = q._node
+        if node is None:
+            continue
+        prem = node[1]
+        if isinstance(prem, OmegaBarPrem):
+            todo.append(prem.first)
+            prem = prem.fam
+        if isinstance(prem, OmegaFam):
+            todo.extend(prem._memo.values())
+        elif isinstance(prem, DeltaFam):
+            for witness, out in prem._memo.values():
+                todo += (witness, out)
+        else:
+            todo.extend(prem)
+    return seen
+
+
+def _mutable_state(module):
+    return sorted(
+        name
+        for name, value in vars(module).items()
+        if not name.startswith("__")
+        and (
+            isinstance(value, (dict, list, set, bytearray))
+            or getattr(value, "__module__", None) == module.__name__
+            and hasattr(value, "cache_info")
+        )
+    )
+
+
+def _two_axioms():
+    """An and over two identity axioms on one mu formula whose body has a
+    nested binder: the law of the nested binder is asked for at every
+    approximant of the outer law."""
+    m = pf("mu X . (p1 | mu X . (p2 | [] X))")
+    leaf = axmu_node(seq(m, negate(m)), m)
+    f = ("and", m, m)
+    return and_node(seq(f, negate(m)), f, leaf, leaf)
+
+
+def test_identity_laws_are_built_once_per_embedding(monkeypatch):
+    p = _two_axioms()
+    requests, builds = [], []
+    law, build = EMBED._law, EMBED._identity_mu
+
+    def requesting(*args):
+        out = law(*args)
+        requests.append((args[1:3], out))
+        return out
+
+    def building(mu, k, laws):
+        builds.append((mu, k))
+        return build(mu, k, laws)
+
+    monkeypatch.setattr(EMBED, "_law", requesting)
+    monkeypatch.setattr(EMBED, "_identity_mu", building)
+    assert _mutable_state(EMBED) == []
+    runs = []
+    for _ in range(2):
+        del requests[:], builds[:]
+        emb = embed(p, (), 2)
+        assert observation_errors(observe(emb, 10)) == []
+        # one build and one object per (mu, k), however often asked for
+        assert len(builds) == len(set(builds)) >= 2
+        assert len(requests) > len(builds)
+        one = {}
+        for key, out in requests:
+            assert one.setdefault(key, out) is out, key
+        runs.append((emb, _forced(emb)))
+    assert _mutable_state(EMBED) == []
+    # the two embeddings share no proof object
+    (_, first), (_, second) = runs
+    assert len(first) > 40
+    assert first.keys().isdisjoint(second.keys())
+
+
+def test_a_dropped_embedding_leaves_no_cyclic_garbage():
+    # the memo and the laws whose thunks hold it form a cycle until the
+    # embedding's root is freed
+    p = _two_axioms()
+    gc.collect()
+    gc.disable()
+    try:
+        emb = embed(p, (), 2)
+        assert observation_errors(observe(emb, 10)) == []
+        law = identity_mu(pf("mu X . (p1 | mu X . (p2 | [] X))"), 2)
+        assert observation_errors(observe(law, 10)) == []
+        del emb, law
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -245,66 +245,7 @@ def test_observation_dumps_is_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# the reader against a reference token loop
-
-# A copy of the token loop that reads every list, (seq ...) groups
-# included: loads must give the same values, types and errors.
-_REF_TOKEN = re.compile(
-    r'[ \t\r\n]*(?:(\()|(\))|"([^"\\]*(?:\\.[^"\\]*)*)"|([A-Za-z0-9_\-:.+]+))?',
-    re.S,
-)
-_REF_SPACE = re.compile(r"[ \t\r\n]*")
-_REF_STRING_START = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*', re.S)
-_REF_ESCAPE = re.compile(r"\\(.)", re.S)
-
-
-def _reference_loads(text):
-    stack = []
-    pos = 0
-    while True:
-        m = _REF_TOKEN.match(text, pos)
-        kind = m.lastindex
-        if kind is None:
-            pos = m.end()
-            if pos == len(text):
-                raise SexprError(
-                    "unclosed parenthesis" if stack else "unexpected end of input",
-                    pos,
-                )
-            if text[pos] == '"':
-                end = _REF_STRING_START.match(text, pos).end()
-                if end < len(text):
-                    raise SexprError("dangling escape", end)
-                raise SexprError("unclosed string", end)
-            raise SexprError("unexpected character %r" % text[pos], pos)
-        pos = m.end()
-        if kind == 1:
-            stack.append([])
-            continue
-        if kind == 2:
-            if not stack:
-                raise SexprError("unmatched closing parenthesis", pos - 1)
-            value = stack.pop()
-        elif kind == 3:
-            value = m.group(3)
-            if "\\" in value:
-                value = _REF_ESCAPE.sub(r"\1", value)
-        else:
-            value = m.group(4)
-            if value[0] in "0123456789+-":
-                try:
-                    value = int(value)
-                except ValueError:
-                    value = Sym(value)
-            else:
-                value = Sym(value)
-        if not stack:
-            break
-        stack[-1].append(value)
-    pos = _REF_SPACE.match(text, pos).end()
-    if pos != len(text):
-        raise SexprError("trailing input after s-expression", pos)
-    return value
+# the reader on generated documents and mangled text
 
 
 def _typed(sx):
@@ -313,13 +254,6 @@ def _typed(sx):
     if isinstance(sx, list):
         return ["list"] + [_typed(x) for x in sx]
     return (type(sx).__name__, sx)
-
-
-def _outcome(read, text):
-    try:
-        return "value", _typed(read(text))
-    except Exception as exc:  # noqa: BLE001 - errors are compared too
-        return type(exc).__name__, str(exc), getattr(exc, "pos", None)
 
 
 _SPACES = st.sampled_from(["", " ", "  ", "\t", "\n", "\r\n", " \t"])
@@ -389,27 +323,65 @@ def _mutated_dumps(draw):
     return text
 
 
+def _not_an_integer(word):
+    try:
+        int(word)
+    except ValueError:
+        return True
+    return False
+
+
+# Documents as loads returns them: integers, strings with any character
+# (quotes, backslashes and line breaks included) and symbols of every
+# word character, a word that reads as an integer excepted.
+_SX_ATOMS = st.one_of(
+    st.integers(-(10**9), 10**9),
+    st.text(max_size=8),
+    st.from_regex(r"[A-Za-z0-9_\-:.+]+", fullmatch=True)
+    .filter(_not_an_integer)
+    .map(Sym),
+)
+_SX = st.recursive(_SX_ATOMS, lambda kids: st.lists(kids, max_size=4), max_leaves=16)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_SX)
+def test_loads_reads_back_what_dumps_writes(sx):
+    assert _typed(loads(dumps(sx))) == _typed(sx)
+
+
 @settings(deadline=None, max_examples=300)
 @given(st.one_of(_seq_groups(), _documents(), _mutated_dumps()))
-def test_loads_matches_the_token_loop(text):
-    assert _outcome(loads, text) == _outcome(_reference_loads, text)
+def test_loads_is_total_on_mangled_text(text):
+    # a value that reads back through dumps, or a SexprError inside the text
+    try:
+        sx = loads(text)
+    except SexprError as exc:
+        assert 0 <= exc.pos <= len(text)
+    else:
+        assert _typed(loads(dumps(sx))) == _typed(sx)
 
 
 def test_loads_seq_groups_oracles():
-    for text in (
-        "(seq)",
-        '(seq "a" "b")',
-        ' ( seq\t"a"\n"b" ) ',
-        '(seq"a")',
-        '(seq "a""b")',
-        '(seq "a\\"b" "c")',
-        '(seq x 3 "a")',
-        '(seq "a" (seq "b"))',
-        '(seqx "a")',
-        '(seq "a" "b"',
-        '(seq "a',
+    seq_ = Sym("seq")
+    for text, want in (
+        ("(seq)", [seq_]),
+        ('(seq "a" "b")', [seq_, "a", "b"]),
+        (' ( seq\t"a"\n"b" ) ', [seq_, "a", "b"]),
+        ('(seq"a")', [seq_, "a"]),
+        ('(seq "a""b")', [seq_, "a", "b"]),
+        ('(seq "a\\"b" "c")', [seq_, 'a"b', "c"]),
+        ('(seq x 3 "a")', [seq_, Sym("x"), 3, "a"]),
+        ('(seq "a" (seq "b"))', [seq_, "a", [seq_, "b"]]),
+        ('(seqx "a")', [Sym("seqx"), "a"]),
     ):
-        assert _outcome(loads, text) == _outcome(_reference_loads, text), text
+        assert _typed(loads(text)) == _typed(want), text
+    for text, message in (
+        ('(seq "a" "b"', "unclosed parenthesis at position 12"),
+        ('(seq "a', "unclosed string at position 7"),
+    ):
+        with pytest.raises(SexprError, match="^%s$" % re.escape(message)):
+            loads(text)
 
 
 @settings(deadline=None, max_examples=60)
