@@ -41,6 +41,7 @@ from mucut.proofs import (
     Cut,
     Ind,
     Nu,
+    Observation,
     Omega,
     OmegaBar,
     Or,
@@ -402,8 +403,9 @@ def check_finite(p, system=SYSTEM_S):
     """Exhaustively check a finite proof, node by node in preorder over an
     explicit stack.  Each node is judged in its own window: the node
     observed to depth 0, with its premises observed to depth 0 as
-    children.  Nu and replacement rules are rejected as they are met, so
-    nothing below them is forced or observed."""
+    children.  A premise's depth-0 observation, made for its parent's
+    window, is the root of its own.  Nu and replacement rules are rejected
+    as they are met, so nothing below them is forced or observed."""
     state = _State()
     todo = [("root", p, observe(p, 0))]
     while todo:
@@ -419,12 +421,13 @@ def check_finite(p, system=SYSTEM_S):
                 "finite proof" % type(o.rule).__name__.lower(),
             )
             continue
-        premises = q.premises
-        window = observe(q, 1, (), 0)
+        premises = q.premises  # forced by observe already
+        kids = tuple([observe(r, 0) for r in premises])
+        window = Observation(o.conclusion, o.rule, kids)
         for _ in _judge_node(state, path, window, system):
             pass  # all of this node's checks come before its subtrees
         for j in range(len(premises) - 1, -1, -1):
-            todo.append(("%s.%d" % (path, j), premises[j], window.children[j]))
+            todo.append(("%s.%d" % (path, j), premises[j], kids[j]))
     return state.report()
 
 

@@ -101,10 +101,15 @@ def _rule(name, arity, root):
     """Make a class the one description of a rule: a frozen dataclass of its
     arguments (formula tuples, a side Sequent, an int level) with its
     s-expression `name`, its `arity` (a premise count, or the container
-    class of infinitely many) and its principal's `root` (None if none)."""
+    class of infinitely many) and its principal's `root` (None if none).
+
+    A tag also keeps the text the observation writer gives it, in `_text`
+    (None until mucut.sexpr sets it on the instance).  It is a class
+    attribute, not a field, so equality, hashing, repr and every table
+    built from fields() leave it out."""
 
     def describe(cls):
-        cls.name, cls.arity, cls.root = name, arity, root
+        cls.name, cls.arity, cls.root, cls._text = name, arity, root, None
         return dataclass(frozen=True)(cls)
 
     return describe
@@ -550,8 +555,7 @@ def observe(p, depth, samples=(0, 1, 2), probe_budget=1):
     a premise or family output, and unknown rule tags become error leaves;
     fuel exhaustion and running out of stack propagate."""
     try:
-        tag = p.rule
-        prem = p.premises
+        tag, prem = p._force()
     except _LIMITS:
         raise
     except Exception as exc:  # noqa: BLE001 - failures become leaves

@@ -20,6 +20,12 @@ sort nothing; a Sequent argument is read through its set, never
 iterated.  The canonical tuple is computed the first time the sequent
 is iterated, printed or indexed through forms, and then kept, so only
 the sequents something reads in order are ever sorted.
+
+Besides its members a Sequent keeps two values derived from them, each
+computed the first time it is asked for: the canonical tuple (_forms)
+and the text the observation writer gives it (_text, set by
+mucut.sexpr).  Both depend on the members alone, so a copy made with
+Sequent(s) takes them along, and equality, hashing and repr ignore them.
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ def _trusted(members):
     s = object.__new__(Sequent)
     object.__setattr__(s, "_set", members)
     object.__setattr__(s, "_forms", None)
+    object.__setattr__(s, "_text", None)
     return s
 
 
@@ -63,20 +70,21 @@ def _members(other):
 class Sequent:
     """Immutable set of closed formulas, iterated in canonical order."""
 
-    __slots__ = ("_set", "_forms")
+    __slots__ = ("_set", "_forms", "_text")
 
     def __init__(self, forms=()):
         if isinstance(forms, Sequent):
-            members, canon = forms._set, forms._forms
+            members, canon, text = forms._set, forms._forms, forms._text
         else:
             # dict keeps first-seen order, so the first bad member reported
             # does not depend on hash randomization
             distinct = dict.fromkeys(forms)
             for f in distinct:
                 _check(f)
-            members, canon = frozenset(distinct), None
+            members, canon, text = frozenset(distinct), None, None
         object.__setattr__(self, "_set", members)
         object.__setattr__(self, "_forms", canon)
+        object.__setattr__(self, "_text", text)
 
     def __setattr__(self, name, value):
         raise AttributeError("Sequent is immutable")

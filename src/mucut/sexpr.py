@@ -138,16 +138,39 @@ def _seq_text(s):
     return '(seq "%s")' % '" "'.join(texts) if texts else "(seq)"
 
 
-def _tag_text(tag):
+def _kept_seq_text(s):
+    """_seq_text(s), printed the first time the observation writer meets s
+    and then kept on it, as Sequent keeps its canonical tuple."""
+    text = s._text
+    if text is None:
+        text = _seq_text(s)
+        object.__setattr__(s, "_text", text)
+    return text
+
+
+def _tag_text(tag, keep=False):
+    """The text of a rule tag; with keep, its Sequent argument is written
+    through the sequent's kept text."""
     rule = _RULES.get(getattr(type(tag), "name", None))
     if rule is None or rule[0] is not type(tag):
         raise TypeError("unknown tag: %r" % (tag,))
     _, _, _, text, get, writers = rule
+    writers = writers[keep]
     # most tags have one argument, which get gives as it is: written with
     # one format and one call, and no list or tuple built per tag
     if len(writers) == 1:
         return text % writers[0](get(tag))
     return text % tuple([write(arg) for write, arg in zip(writers, get(tag))])
+
+
+def _kept_tag_text(tag):
+    """_tag_text(tag), written the first time the observation writer meets
+    tag and then kept on it (proofs._rule declares `_text`)."""
+    text = getattr(tag, "_text", None)
+    if text is None:
+        text = _tag_text(tag, True)
+        object.__setattr__(tag, "_text", text)
+    return text
 
 
 def _write(root, parts):
@@ -201,24 +224,29 @@ def sx_to_seq(sx, parsed):
 
 
 # Each kind of rule argument, by the type of the tag field that holds it:
-# its slot in the rule's text, its writer, the type of the s-expression
-# it is read from, its reader, and how a usage message names it.
+# its slot in the rule's text, its writer and the writer that keeps the
+# text, the type of the s-expression it is read from, its reader, and how
+# a usage message names it.
 _KINDS = {
-    "tuple": ('"%s"', print_form, str, _formula, "a quoted formula"),
-    "Sequent": ("%s", _seq_text, list, sx_to_seq, "a (seq ...) side"),
-    "int": ("%s", dumps, int, lambda level, parsed: level, "an integer level"),
+    "tuple": ('"%s"', print_form, print_form, str, _formula, "a quoted formula"),
+    "Sequent": (
+        "%s", _seq_text, _kept_seq_text, list, sx_to_seq, "a (seq ...) side"
+    ),
+    "int": ("%s", dumps, dumps, int, lambda level, parsed: level, "an integer level"),
 }
 
 
 def _entry(cls):
     """A rule's entry in the table: its tag class, its usage message, the
     expression type and reader of each argument in order, the format of
-    its text, the getter of its arguments and their writers."""
+    its text, the getter of its arguments, and their writers and the
+    writers that keep the text, as a pair."""
     kinds = [(f.name, *_KINDS[f.type]) for f in fields(cls)]
-    names, slots, writers, types, readers, whats = zip(*kinds)
+    names, slots, writers, kept, types, readers, whats = zip(*kinds)
     text = "(%s)" % " ".join((cls.name,) + slots)
     usage = "%s takes %s" % (cls.name, " and ".join(whats))
-    return cls, usage, tuple(zip(types, readers)), text, attrgetter(*names), writers
+    args = tuple(zip(types, readers))
+    return cls, usage, args, text, attrgetter(*names), (writers, kept)
 
 
 # Every rule by its s-expression name.
@@ -292,6 +320,8 @@ def _proof_parts(p):
 
 
 def proof_dumps(p):
+    """The text of a finite proof.  Unlike observation_dumps it keeps no
+    text on the proof's values: a proof file is written once."""
     return _write(p, _proof_parts)
 
 
@@ -388,14 +418,18 @@ def _observation_parts(o):
     if o.sampled is not None:
         tail += " " + dumps([_SAMPLES, *o.sampled])
     if o.probes is not None:
-        tail += " (probes%s)" % "".join(" " + _seq_text(d) for d in o.probes)
+        tail += " (probes%s)" % "".join(" " + _kept_seq_text(d) for d in o.probes)
     if o.truncated:
         tail += " (truncated)"
-    head = "(rule %s %s" % (_tag_text(o.rule), _seq_text(o.conclusion))
+    head = "(rule %s %s" % (_kept_tag_text(o.rule), _kept_seq_text(o.conclusion))
     return head, o.children, tail + ")"
 
 
 def observation_dumps(o):
+    """The text of an observation.  The text of each conclusion, probe
+    Delta and rule tag is kept on the value the first time it is written,
+    so windows that share values (the stages of one pipeline) print each
+    once."""
     return _write(o, _observation_parts)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from mucut import checker
 from mucut.checker import (
     SYSTEM_S,
     SYSTEM_SINF,
@@ -485,3 +486,21 @@ def test_box_premise_with_a_wrong_side_or_a_principal_not_a_member():
         ("root", "principal [] p1 not in conclusion"),
         ("root", "malformed box rule: bad atom node: ('atom', True)"),
     )
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_check_finite_observes_each_node_once(monkeypatch, name):
+    # a node's depth-0 observation, made for its parent's window, is the
+    # root of its own window
+    p = CORPUS[name]()
+    want = check_finite(p)
+    observed = []
+
+    def counting(q, depth, *args):
+        observed.append(depth)
+        return observe(q, depth, *args)
+
+    monkeypatch.setattr(checker, "observe", counting)
+    got = check_finite(p)
+    assert got == want and got.ok
+    assert observed == [0] * got.nodes_checked

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
+from mucut.corpus import CORPUS
 from mucut.errors import FuelExhausted, InternalInvariantError
 from mucut.kernel import TOP, atom, iterate, natom, negate, prime, substitute
 from mucut.proofs import (
+    ALL_TAGS,
     FIRST,
     Axiom,
     Box,
@@ -16,6 +20,7 @@ from mucut.proofs import (
     Ind,
     Nu,
     Omega,
+    Observation,
     OmegaBar,
     OmegaBarPrem,
     OmegaFam,
@@ -48,7 +53,9 @@ from mucut.proofs import (
     top_intro,
 )
 from mucut.sequents import Sequent, seq
+from mucut.sexpr import observation_dumps, proof_dumps, proof_loads
 from mucut.syntax import parse_formula as pf
+from mucut.syntax import print_form
 
 
 def test_top_intro_shape():
@@ -541,3 +548,30 @@ def test_mapped_family_checks_its_domain_once():
     assert runs == [delta]
     with pytest.raises(InternalInvariantError):
         twice.premises(Sequent((t,)), witness)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 3, 100])
+def test_observe_forces_each_observed_node_once(monkeypatch, depth):
+    # a proof of eager nodes: every force is a call that observe makes
+    p = proof_loads(proof_dumps(CORPUS["nested"]()))
+    forced = []
+    force = Proof._force
+
+    def counting(self):
+        forced.append(self)
+        return force(self)
+
+    monkeypatch.setattr(Proof, "_force", counting)
+    o = observe(p, depth)
+    assert len(forced) == len(observation_rules(o)) == len(set(map(id, forced)))
+
+
+def test_kept_tag_text_is_not_a_field():
+    a, b = Or(TOP), Or(TOP)
+    observation_dumps(Observation(seq(TOP), a))
+    assert a._text == '(or "%s")' % print_form(TOP)
+    assert b._text is None
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    for cls in ALL_TAGS:
+        assert cls._text is None
+        assert "_text" not in [f.name for f in fields(cls)]

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from conftest import random_formulas
 from mucut.kernel import atom, natom, prime, sort_key
+from mucut.proofs import Axiom, Observation
 from mucut.sequents import (
     Sequent,
     from_checked,
     is_k_positive,
     seq,
 )
+from mucut.sexpr import observation_dumps
 from mucut.syntax import parse_formula as pf
 from mucut.syntax import print_form
 
@@ -229,3 +231,18 @@ def test_is_add_raises_as_add_does():
         with pytest.raises(ValueError) as got:
             s.is_add(s, bad)
         assert str(got.value) == str(want.value)
+
+
+def test_kept_text_is_ignored_by_equality_hashing_and_copies():
+    s, t = seq(atom(1), natom(2)), seq(natom(2), atom(1))
+    text = observation_dumps(Observation(s, Axiom(atom(1))))
+    assert s._text is not None and s._text in text
+    assert t._text is None
+    assert s == t and hash(s) == hash(t) and repr(s) == repr(t)
+    copy = Sequent(s)
+    assert copy == s == t and hash(copy) == hash(t)
+    assert observation_dumps(Observation(copy, Axiom(atom(1)))) == text
+    # a sequent with other members starts with no text
+    assert s.add(atom(3))._text is None
+    assert s.without(atom(1))._text is None
+    assert s.union(t) is s

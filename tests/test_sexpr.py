@@ -16,7 +16,7 @@ from mucut.checker import check_finite
 from mucut.collapse import pipeline
 from mucut.corpus import CORPUS, lemma_suite
 from mucut.embed import identity_mu, identity_mu_primed
-from mucut.kernel import TOP, atom, natom, prime, substitute
+from mucut.kernel import TOP, atom, natom, negate, prime, substitute
 from mucut.proofs import (
     ALL_TAGS,
     FINITE_TAGS,
@@ -35,6 +35,7 @@ from mucut.proofs import (
     Or,
     Proof,
     ax,
+    axmu_node,
     box_fit,
     box_node,
     clo_node,
@@ -42,6 +43,7 @@ from mucut.proofs import (
     nu_node,
     observation_rules,
     observe,
+    omega_phi,
     or_node,
     top_intro,
 )
@@ -763,3 +765,78 @@ def test_observing_and_writing_sorts_only_the_window(monkeypatch):
             window.append(node.rule.side)
     assert 0 < len(sorted_sets) <= len(window)
     assert set(sorted_sets) <= {s._set for s in window}
+
+
+# ---------------------------------------------------------------------------
+# the texts the observation writer keeps on sequents and tags
+
+
+def _kept_text_inputs():
+    """The text of two proofs whose stage windows share their values: a
+    cut at two levels (its eliminated stage has probes) and the
+    fixed-point axiom on a formula whose identity law has box rules (its
+    first three stages are one object)."""
+    m = pf("mu X . ([] X | <> p1)")
+    return [proof_dumps(CORPUS["nested"]()), proof_dumps(axmu_node(seq(m, negate(m)), m))]
+
+
+@pytest.mark.parametrize("text", _kept_text_inputs(), ids=["nested", "axmu-box"])
+def test_stage_texts_do_not_depend_on_the_order_they_are_written(text):
+    stages = ("embedded", "eliminated", "collapsed", "sinf")
+    first, second = pipeline(proof_loads(text)), pipeline(proof_loads(text))
+    forward = [observation_dumps(observe(first[s], 8)) for s in stages]
+    backward = [observation_dumps(observe(second[s], 8)) for s in reversed(stages)]
+    assert forward == backward[::-1]
+    fresh = pipeline(proof_loads(text))
+    assert forward == [
+        _ref_dumps(_ref_observation(observe(fresh[s], 8))) + "\n" for s in stages
+    ]
+    assert any("(box " in t for t in forward) or any("(probes (seq" in t for t in forward)
+
+
+def _nodes(p):
+    todo, seen = [p], []
+    while todo:
+        q = todo.pop()
+        seen.append(q)
+        todo.extend(q.premises)
+    return seen
+
+
+@pytest.mark.parametrize("text", _kept_text_inputs(), ids=["nested", "axmu-box"])
+def test_proof_dumps_keeps_no_text(text):
+    p = proof_loads(text)
+    assert proof_dumps(p) == text
+    values = []
+    for q in _nodes(p):
+        values += [q.conclusion, q.rule]
+        if isinstance(q.rule, Box):
+            values.append(q.rule.side)
+    assert all(v._text is None for v in values)
+    assert "_text" not in vars(p.rule)
+    observation_dumps(observe(p, 100))
+    assert all(v._text is not None for v in values)
+
+
+def test_box_sides_and_probe_deltas_are_written_through_their_kept_text():
+    q = atom(2)
+    prem = ax(seq(atom(1), natom(1), q), atom(1))
+    side = seq(atom(3))
+    conc = side.union((("dia", atom(1)), ("dia", natom(1)), ("box", q)))
+    box = observe(box_node(conc, ("box", q), side, prem), 1)
+    delta = seq(TOP)
+    target = prime(pf("mu X . (p1 | X)"))
+    omega = Observation(seq(omega_phi(target)), Omega(1, target), (), True, None, (delta,))
+    kept = '(seq "kept")'
+    object.__setattr__(side, "_text", kept)
+    object.__setattr__(delta, "_text", kept)
+    assert observation_dumps(box).startswith('(rule (box "[] p2" %s) ' % kept)
+    assert observation_dumps(omega).endswith("(probes %s) (truncated))\n" % kept)
+    # unkept, the same values are written as the writer keeps them
+    side, delta = seq(atom(3)), seq(TOP)
+    box = observe(box_node(conc, ("box", q), side, prem), 1)
+    omega = Observation(omega.conclusion, omega.rule, (), True, None, (delta,))
+    for o, value in ((box, side), (omega, delta)):
+        text = observation_dumps(o)
+        assert value._text is not None and value._text in text
+        assert text == _ref_dumps(_ref_observation(o)) + "\n"
