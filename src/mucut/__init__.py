@@ -3,8 +3,8 @@
 The pipeline: finite proofs in the finitary system S are embedded into an
 intermediate system with replacement rules (`embed`), cuts are removed by
 local head reductions (`eliminate`), the replacement rules are removed by
-collapsing (`collapse`, `to_sinf`), and the resulting cut-free infinitary
-proof is inspected to any finite depth (`observe`, `check_observation`).
+collapsing (`collapse`), and the resulting cut-free infinitary proof is
+inspected to any finite depth (`observe`, `check_observation`).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from mucut.checker import (
     parse_system,
     subformula_report,
 )
-from mucut.collapse import collapse, pipeline, to_sinf
+from mucut.collapse import collapse, pipeline
 from mucut.cutelim import cut_rank, eliminate, reduce_head
 from mucut.embed import embed
 from mucut.errors import FuelExhausted, InternalInvariantError, MucutError
@@ -83,6 +83,5 @@ __all__ = [
     "seq",
     "subformula_report",
     "substitute",
-    "to_sinf",
     "__version__",
 ]

@@ -81,7 +81,11 @@ def parse_system(text):
         return SYSTEM_SINF
     for prefix in ("omega:", "omega-k="):
         if t.startswith(prefix):
-            return omega_system(int(t[len(prefix) :]))
+            try:
+                k = int(t[len(prefix) :])
+            except ValueError:
+                break
+            return omega_system(k)
     raise ValueError("unknown system %r (want s, sinf, or omega:K)" % (text,))
 
 

@@ -6,17 +6,18 @@ Subcommands:
     (``.sproof``) and emit its canonical text;
   * ``check`` — check a finite proof against a system (``s``, ``sinf``,
     ``omega:K``) and print the report;
-  * ``pipeline`` — run embed / eliminate / collapse / to-sinf on a finite
-    S proof, write one observation file per stage plus a summary that
-    holds each stage's verdict in its own system, and print the one-line
-    summary;
+  * ``pipeline`` — run embed / eliminate / collapse on a finite S proof,
+    write one observation file per stage plus a summary that holds each
+    stage's verdict in its own system, and print the one-line summary; the
+    sinf stage is the collapsed proof, read as an S-infinity derivation;
   * ``corpus`` — write the built-in example proofs as ``.sproof`` files.
 
-Exit codes: 0 ok; 1 check failure; 2 parse error (malformed input, input
-that is not UTF-8, or an unknown system); 3 resource limit (fuel
-exhaustion, or nesting too deep for the stack); 4 internal failure (a
-broken invariant, or any other ValueError).  All output is deterministic:
-equal inputs and flags produce byte-identical files.
+Exit codes: 0 ok; 1 check failure (a rule outside S-infinity in the
+final window included); 2 parse error (malformed input, input that is
+not UTF-8, or an unknown system); 3 resource limit (fuel exhaustion, or
+nesting too deep for the stack); 4 internal failure (a broken invariant,
+or any other ValueError).  All output is deterministic: equal inputs and
+flags produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from mucut.corpus import CORPUS
 from mucut.cutelim import DEFAULT_FUEL
 from mucut.errors import FuelExhausted, InternalInvariantError
 from mucut.proofs import (
+    SINF_TAGS,
     Cut,
     observe,
     observation_errors,
@@ -195,7 +197,15 @@ def cmd_pipeline(args):
                 name, system_name(system), *report.violations[0]))
 
     final = observations["sinf"]
-    cut_free = not any(isinstance(r, Cut) for r in observation_rules(final) if r)
+    rules = [r for r in observation_rules(final) if r]
+    cut_free = not any(isinstance(r, Cut) for r in rules)
+    # the judge only counts the nodes at the depth bound: their rules are
+    # read here, so no rule outside S-infinity passes anywhere in the window
+    foreign = next((r for r in rules if not isinstance(r, SINF_TAGS)), None)
+    if foreign is not None and checks[-1][2]:
+        checks[-1] = ("sinf", "sinf", False)
+        sys.stderr.write("stage sinf fails its check in sinf: rule %s at the "
+                         "depth bound is not part of system sinf\n" % foreign.name)
     nubar_free = all(
         s.max_nubar_level() < 0 for s in observation_sequents(final)
     )

@@ -10,8 +10,8 @@ collapsed one level down first, so each family sees an argument from the
 system below it.
 
 collapse(p, 0) on a cut-free proof leaves only the plain infinitary
-rules; to_sinf then checks exactly that and hands back the proof as a
-plain infinitary derivation.
+rules, so the collapsed proof is itself the S-infinity derivation; the
+S-infinity judge of the checker says whether a window of it is one.
 
 pipeline runs eliminate and collapse only where they have work: the
 embedding of a proof without cuts and inductions has neither cuts nor
@@ -25,7 +25,6 @@ from mucut.checker import level_bound
 from mucut.embed import embed, embeds_plainly
 from mucut.errors import FuelExhausted, InternalInvariantError
 from mucut.proofs import (
-    SINF_TAGS,
     Axiom,
     AxiomMu,
     Cut,
@@ -79,41 +78,19 @@ def _collapse_now(p, h):
     return map_premises(d, d.conclusion, lambda q, _: collapse(q, h))
 
 
-def to_sinf(p):
-    """Read a fully collapsed proof as a plain infinitary derivation,
-    validating every forced node: only the plain rules may appear and
-    every conclusion must be a base-language sequent."""
-    return Proof.defer(p.conclusion, lambda: _to_sinf_now(p))
-
-
-def _to_sinf_now(p):
-    tag = p.rule
-    if not isinstance(tag, SINF_TAGS):
-        raise InternalInvariantError(
-            "rule outside the plain infinitary system: %r" % (tag,)
-        )
-    if not p.conclusion.is_l0():
-        raise InternalInvariantError(
-            "conclusion outside the base language: %r" % (p.conclusion,)
-        )
-    if isinstance(tag, Axiom):
-        return p
-    return map_premises(p, p.conclusion, lambda q, _: to_sinf(q))
-
-
 def pipeline(p, fuel=DEFAULT_FUEL, trace=None):
     """The full transformation: embed (no formulas primed), eliminate
-    cuts, collapse the replacement rules, and read off the plain
-    infinitary proof.  Returns the four stages, all lazy.  fuel bounds
-    the cut reductions of eliminate only; collapse does not draw on it
-    and instead allows at most MAX_PLUGS plugs at each node it forces.
+    cuts and collapse the replacement rules.  Returns the four stages, all
+    lazy; the last, the plain infinitary proof, is the collapsed proof
+    itself.  fuel bounds the cut reductions of eliminate only; collapse
+    does not draw on it and instead allows at most MAX_PLUGS plugs at each
+    node it forces.
 
     When the embedding has no cut and no replacement rule (embeds_plainly:
     p has no cut and no induction, and its axmu formulas are in the base
     language), eliminate and collapse would copy it node by node: the
     embedded proof itself is then the eliminated and the collapsed stage,
-    the same object, and no reduction, fuel or trace step is spent.
-    to_sinf still checks every node it forces."""
+    the same object, and no reduction, fuel or trace step is spent."""
     k = level_bound(p)
     embedded = embed(p, frozenset(), k)
     if embeds_plainly(p):
@@ -125,5 +102,5 @@ def pipeline(p, fuel=DEFAULT_FUEL, trace=None):
         "embedded": embedded,
         "eliminated": eliminated,
         "collapsed": collapsed,
-        "sinf": to_sinf(collapsed),
+        "sinf": collapsed,
     }

@@ -50,8 +50,9 @@ def test_system_parsing():
     assert parse_system(" SINF ") == SYSTEM_SINF
     assert parse_system("omega:2") == omega_system(2)
     assert parse_system("omega-k=1") == omega_system(1)
-    with pytest.raises(ValueError):
-        parse_system("frob")
+    for text in ("frob", "omega:x", "omega:"):
+        with pytest.raises(ValueError, match="unknown system"):
+            parse_system(text)
     with pytest.raises(ValueError):
         omega_system(-1)
     assert system_name(SYSTEM_S) == "s"

@@ -18,6 +18,8 @@ from mucut.cli import (
     build_parser,
 )
 from mucut.corpus import CORPUS
+from mucut.proofs import or_node
+from mucut.sequents import Sequent
 from mucut.sexpr import loads
 
 
@@ -125,9 +127,10 @@ def test_check_ok_and_fail(tmp_path):
         '(report fail (violation "root"'
         ' "rule ind is not part of system omega:1"))\n'
     )
-    code3, _, err3 = run_cli(["check", e1, "--system", "frob"])
-    assert code3 == EXIT_PARSE
-    assert "unknown system" in err3
+    for text in ("frob", "omega:x"):
+        code3, _, err3 = run_cli(["check", e1, "--system", text])
+        assert code3 == EXIT_PARSE
+        assert err3.startswith("parse error: unknown system %r" % text)
     code4, _, err4 = run_cli(["check", e1, "--system", "omega:-1"])
     assert code4 == EXIT_PARSE
     assert "system index must be at least 0" in err4
@@ -255,6 +258,56 @@ def test_pipeline_summary_carries_stage_verdicts(tmp_path, monkeypatch):
         " (check collapsed sinf ok) (check sinf sinf fail))\n"
     )
 
+
+
+def test_pipeline_fails_a_collapsed_stage_outside_sinf(tmp_path, monkeypatch):
+    # the sinf stage is the collapsed proof: an induction left at its root
+    # is a judge violation in both stages, not an error leaf
+    _write_corpus(tmp_path)
+    real = cli.pipeline
+
+    def pipeline(proof, **kwargs):
+        stages = real(proof, **kwargs)
+        stages["collapsed"] = stages["sinf"] = CORPUS["ind-top"]()
+        return stages
+
+    monkeypatch.setattr(cli, "pipeline", pipeline)
+    code, out, err = run_cli([
+        "pipeline", str(tmp_path / "e1-ind-top.sproof"), "--out", str(tmp_path / "out"),
+    ])
+    assert code == EXIT_CHECK
+    assert err.splitlines() == [
+        "stage %s fails its check in sinf: root: rule ind is not part of system sinf"
+        % name for name in ("collapsed", "sinf")
+    ]
+
+
+def test_pipeline_fails_a_foreign_rule_at_the_depth_bound(tmp_path, monkeypatch):
+    # the judge counts the axmu node at --depth as a truncation point; the
+    # window scan of the final stage still fails the sinf verdict
+    _write_corpus(tmp_path)
+    real = cli.pipeline
+
+    def pipeline(proof, **kwargs):
+        stages = real(proof, **kwargs)
+        p = CORPUS["axmu"]()
+        a, b = p.conclusion
+        stages["sinf"] = or_node(Sequent((("or", a, b),)), ("or", a, b), p)
+        return stages
+
+    monkeypatch.setattr(cli, "pipeline", pipeline)
+    outdir = tmp_path / "out"
+    code, out, err = run_cli([
+        "pipeline", str(tmp_path / "e3-axmu.sproof"), "--out", str(outdir), "--depth", "1",
+    ])
+    assert code == EXIT_CHECK
+    assert out == "cut-free: yes, nubar-free: yes\n"
+    assert err == (
+        "stage sinf fails its check in sinf: rule axmu at the depth bound"
+        " is not part of system sinf\n"
+    )
+    summary = (outdir / "e3-axmu.summary").read_text()
+    assert summary.endswith(" (check collapsed sinf ok) (check sinf sinf fail))\n")
 
 def test_pipeline_rejects_invalid_input(tmp_path):
     bad = tmp_path / "bad.sproof"

@@ -13,10 +13,11 @@ from mucut.checker import (
     SYSTEM_SINF,
     check_bounded,
     check_finite,
+    check_observation,
     level_bound,
     subformula_report,
 )
-from mucut.collapse import collapse, pipeline, to_sinf
+from mucut.collapse import collapse, pipeline
 from mucut.corpus import CORPUS
 from mucut.cutelim import eliminate
 from mucut.embed import embed, identity_mu_primed
@@ -81,12 +82,10 @@ def test_collapse_rejects_cuts():
         c.rule
 
 
-def test_to_sinf_rejects_foreign_rules():
+def test_sinf_judge_rejects_foreign_rules():
     m = pf("mu X . (p1 | X)")
-    p = identity_mu_primed(m, 1)
-    s = to_sinf(p)
-    with pytest.raises(InternalInvariantError):
-        s.rule
+    report = check_bounded(identity_mu_primed(m, 1), SYSTEM_SINF, 1)
+    assert ("root", "rule omega is not part of system sinf") in report.violations
 
 
 def test_pipeline_stages():
@@ -158,7 +157,7 @@ def test_pipeline_passes_through_only_proofs_without_cuts_and_inductions(
     stages = pipeline(CORPUS[name]())
     assert (stages["eliminated"] is stages["embedded"]) is passes
     assert (stages["collapsed"] is stages["embedded"]) is passes
-    assert stages["sinf"] is not stages["collapsed"]
+    assert stages["sinf"] is stages["collapsed"]
 
 
 def test_a_primed_identity_axiom_takes_the_long_path():
@@ -218,17 +217,15 @@ def test_passed_stages_equal_the_long_path(p):
     assert check_finite(p, SYSTEM_S).ok
     stages = pipeline(p)
     embedded = stages["embedded"]
-    assert stages["eliminated"] is embedded and stages["collapsed"] is embedded
+    assert all(stages[name] is embedded for name in ("eliminated", "collapsed", "sinf"))
     long_embedded = embed(p, frozenset(), level_bound(p))
     long_collapsed = collapse(eliminate(long_embedded), 0)
-    pairs = (
-        (embedded, long_embedded),
-        (embedded, long_collapsed),
-        (stages["sinf"], to_sinf(long_collapsed)),
-    )
-    for short, long in pairs:
-        o = observe(short, 8)
-        assert observation_errors(o) == []
+    o = observe(embedded, 8)
+    assert observation_errors(o) == []
+    # the window of the sinf stage is an S-infinity window, the bound included
+    assert check_observation(o, SYSTEM_SINF, 8).ok
+    assert all(isinstance(t, PLAIN) for t in observation_rules(o))
+    for long in (long_embedded, long_collapsed):
         assert observation_dumps(o) == observation_dumps(observe(long, 8))
 
 

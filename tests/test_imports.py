@@ -5,7 +5,9 @@ No linter ships with the project, so this reads each module's syntax tree:
 a name bound by an import must occur as a name somewhere in the module.
 `__init__.py` is left out, since its imports are re-exports.  A private
 name (`_x`) that a module defines at its top level must be read somewhere
-in the package besides its own definition.
+in the package besides its own definition.  `__all__` names exactly what
+`__init__.py` imports, plus `__version__`, so a deleted function leaves
+no stale export behind.
 """
 
 from __future__ import annotations
@@ -102,3 +104,19 @@ def test_package_reads_every_private_name():
         p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))
     }
     assert unused_privates(sources) == []
+
+
+def test_package_exports_exactly_what_it_imports():
+    import mucut
+
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = {
+        a.asname or a.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for a in node.names
+    }
+    assert sorted(mucut.__all__) == sorted(imported | {"__version__"})
+    assert len(set(mucut.__all__)) == len(mucut.__all__)
+    for name in mucut.__all__:
+        assert hasattr(mucut, name), name
