@@ -7,6 +7,15 @@ proof to a depth and judges that window; check_finite judges a finite
 proof node by node, each in its one-step window, and rejects nu and
 replacement rules without entering them.
 
+One judge serves all three.  It dispatches on the class of a node's rule
+to that rule's node checks and premise checks; what a system decides (the
+rules it admits, whether conclusions must be in the base language, its
+level bound) is worked out once per call, not at every node.  The walk
+keeps an explicit stack, so no window is too deep for it, and a premise's
+violation waits on the stack until the subtree of the premise before it
+has been judged.  Paths are kept as (parent, label) pairs and made into
+text only when a violation is flagged.
+
 Premise shapes are read liberally: a node concluding C with principal
 phi may present its context as C or as C minus phi (sequents are sets,
 so both describe the same judgment; the wider reading is absorbed by
@@ -30,6 +39,7 @@ from mucut.kernel import (
     substitute,
 )
 from mucut.proofs import (
+    ALL_TAGS,
     FINITE_TAGS,
     FIRST,
     SINF_TAGS,
@@ -47,7 +57,6 @@ from mucut.proofs import (
     Or,
     observe,
     omega_phi,
-    parts_checked,
     premise_added,
 )
 from mucut.sequents import Sequent
@@ -106,7 +115,7 @@ class _State:
         self.truncs = 0
 
     def flag(self, path, msg):
-        self.violations.append((path, msg))
+        self.violations.append((_path_text(path), msg))
 
     def report(self):
         return CheckReport(
@@ -117,140 +126,340 @@ class _State:
         )
 
 
-_OMEGA_TAGS = (Axiom, Or, And, Box, Clo, Nu, Cut, Omega, OmegaBar)
+def _path_text(path):
+    """The text of a path kept as nested (parent, label) pairs below "root":
+    the labels joined by dots, as "root.0.w2"."""
+    labels = []
+    while type(path) is tuple:
+        path, label = path
+        labels.append(label)
+    labels.append(path)
+    return ".".join(map(str, reversed(labels)))
 
 
-def _tag_allowed(tag, system):
-    if system == SYSTEM_S:
-        return isinstance(tag, FINITE_TAGS)
-    if system == SYSTEM_SINF:
-        return isinstance(tag, SINF_TAGS)
-    if isinstance(tag, (Omega, OmegaBar)):
-        return system[1] >= 1
-    return isinstance(tag, _OMEGA_TAGS)
+def _labels(o):
+    """The path label of each child of an observed node: "w<i>" for the nu
+    premise at sampled index i, "first" for an omegabar's first premise,
+    "p<k>" for the family output on the k-th probe and j for finite
+    premise j."""
+    if o.sampled is not None:
+        return ["w%d" % i for i in o.sampled]
+    if o.probes is None:
+        return range(len(o.children))
+    labels = ["p%d" % k for k in range(len(o.probes))]
+    if type(o.rule) is OmegaBar:
+        labels.insert(0, FIRST)
+    return labels
 
 
-def _parts(c, tag, position):
-    """What the premise at position adds to the context of an or, and, clo
-    or nu node.  Unless proofs.parts_checked vouches for them, they are
-    checked here, as adding them to a sequent would."""
-    parts = premise_added(tag, position)
-    if not parts_checked(tag, c):
-        c.without(tag.principal).union(parts)
-    return parts
+# The report label of finite premise j.
+_PREMISE = ("premise 0", "premise 1")
 
 
-def _check_premise(state, path, got, c, principal, parts, what):
-    """A premise that keeps the context c must conclude c plus the parts,
-    with or without the principal (a principal of None must stay).  The
-    test is by set operations on the members, whose hashes the sets keep;
-    the expected sequents are built only to word a violation."""
-    added = frozenset(parts)
-    members = got._set
-    if (
-        members.issuperset(added)
-        and c._set.difference(members) <= {principal}
-        and members.difference(c._set) <= added
-    ):
-        return
-    shapes = (c.union(parts),)
-    if principal is not None:
-        shapes = (c.without(principal).union(parts),) + shapes
-    state.flag(
-        path,
-        "%s concludes %r, expected one of %s"
-        % (what, got, " / ".join(repr(s) for s in shapes)),
-    )
+# ---------------------------------------------------------------------------
+# node checks: one function per rule class, run when the system admits the
+# rule.  Rules with a principal answer whether it has the rule's root and is
+# in the conclusion; then the parts their premises add need no check.
 
 
-def _node_checks(state, path, c, tag, system):
-    """Conclusion-level checks of one node."""
-    if not _tag_allowed(tag, system):
-        state.flag(
-            path,
-            "rule %s is not part of system %s"
-            % (type(tag).__name__.lower(), system_name(system)),
-        )
-        return
-    if system in (SYSTEM_S, SYSTEM_SINF) and not c.is_l0():
-        state.flag(path, "conclusion uses the primed language outside omega systems")
+def _pair_checks(field, root, shape):
+    """The checks of an axiom on the formula in its `field`, which must
+    have the root `root` (be `shape`) and sit in the conclusion with its
+    negation."""
 
-    if isinstance(tag, (Axiom, AxiomMu)):
-        if isinstance(tag, Axiom):
-            f, root, shape = tag.p, "atom", "atomic"
-        else:
-            f, root, shape = tag.mu, "mu", "mu-rooted"
+    def checks(st, path, c, tag, sp):
+        f = getattr(tag, field)
         if f[0] != root:
-            state.flag(
-                path, "%s formula %s is not %s" % (tag.name, print_form(f), shape)
-            )
-        elif f not in c or negate(f) not in c:
-            state.flag(
+            st.flag(path, "%s formula %s is not %s" % (tag.name, print_form(f), shape))
+        elif f not in c._set or negate(f) not in c._set:
+            st.flag(
                 path,
                 "%s pair %s, %s not in conclusion"
                 % (tag.name, print_form(f), print_form(negate(f))),
             )
-    elif tag.root is not None:
+
+    return checks
+
+
+def _principal_checks(what):
+    """The checks of a rule whose principal, called `what` in a violation,
+    must have the rule's root and be a member of the conclusion."""
+
+    def checks(st, path, c, tag, sp):
         f, root = tag.principal, tag.root
-        what = "%s principal" % tag.name if isinstance(tag, (Clo, Nu)) else "principal"
         if f[0] != root:
-            state.flag(path, "%s %s is not %s-rooted" % (what, print_form(f), root))
-        elif f not in c:
-            state.flag(path, "%s %s not in conclusion" % (what, print_form(f)))
-        if isinstance(tag, Box) and not tag.side.issubset(c):
-            state.flag(path, "box side sequent is not part of the conclusion")
-    elif isinstance(tag, Ind):
-        m = tag.mu
-        if m[0] != "mu":
-            state.flag(path, "ind formula %s is not mu-rooted" % print_form(m))
-        elif c != Sequent((negate(m), tag.b)):
-            state.flag(
-                path,
-                "ind admits no context: conclusion must be exactly %s, %s"
-                % (print_form(negate(m)), print_form(tag.b)),
-            )
-    elif isinstance(tag, Cut):
-        f = tag.formula
-        if not is_l0(f):
-            state.flag(
-                path, "cut formula %s is not in the base language" % print_form(f)
-            )
-        if system[0] == "omega" and level(f) > system[1]:
-            state.flag(
-                path,
-                "cut formula %s has level %d, above the system bound %d"
-                % (print_form(f), level(f), system[1]),
-            )
-    elif isinstance(tag, (Omega, OmegaBar)):
-        t = tag.target
-        if t[0] != "mu" or not is_fully_primed(t):
-            state.flag(
-                path, "replacement target %s must be a fully primed mu formula"
-                % print_form(t)
-            )
-        if level(t) != tag.h:
-            state.flag(
-                path,
-                "replacement target %s has level %d, rule says %d"
-                % (print_form(t), level(t), tag.h),
-            )
-        if not 1 <= tag.h <= system[1]:
-            state.flag(
-                path,
-                "replacement level %d outside 1..%d" % (tag.h, system[1]),
-            )
-        if isinstance(tag, Omega) and omega_phi(t) not in c:
-            state.flag(
-                path,
-                "introduced formula %s not in conclusion" % print_form(omega_phi(t)),
-            )
+            st.flag(path, "%s %s is not %s-rooted" % (what, print_form(f), root))
+            return False
+        if f not in c._set:
+            st.flag(path, "%s %s not in conclusion" % (what, print_form(f)))
+            return False
+        return True
+
+    return checks
 
 
-def _check_box_premise(state, path, c, tag, got):
+_principal = _principal_checks("principal")
+
+
+def _box_checks(st, path, c, tag, sp):
+    _principal(st, path, c, tag, sp)
+    if not tag.side.issubset(c):
+        st.flag(path, "box side sequent is not part of the conclusion")
+
+
+def _ind_checks(st, path, c, tag, sp):
+    m = tag.mu
+    if m[0] != "mu":
+        st.flag(path, "ind formula %s is not mu-rooted" % print_form(m))
+    elif c != Sequent((negate(m), tag.b)):
+        st.flag(
+            path,
+            "ind admits no context: conclusion must be exactly %s, %s"
+            % (print_form(negate(m)), print_form(tag.b)),
+        )
+
+
+def _cut_checks(st, path, c, tag, sp):
+    f = tag.formula
+    if not is_l0(f):
+        st.flag(path, "cut formula %s is not in the base language" % print_form(f))
+    if sp.k is not None and level(f) > sp.k:
+        st.flag(
+            path,
+            "cut formula %s has level %d, above the system bound %d"
+            % (print_form(f), level(f), sp.k),
+        )
+
+
+def _replacement_checks(st, path, c, tag, sp):
+    t = tag.target
+    if t[0] != "mu" or not is_fully_primed(t):
+        st.flag(
+            path, "replacement target %s must be a fully primed mu formula"
+            % print_form(t)
+        )
+    if level(t) != tag.h:
+        st.flag(
+            path,
+            "replacement target %s has level %d, rule says %d"
+            % (print_form(t), level(t), tag.h),
+        )
+    if not 1 <= tag.h <= sp.k:
+        st.flag(path, "replacement level %d outside 1..%d" % (tag.h, sp.k))
+    if type(tag) is Omega and omega_phi(t) not in c:
+        st.flag(
+            path, "introduced formula %s not in conclusion" % print_form(omega_phi(t))
+        )
+
+
+_NODE_CHECKS = {
+    Axiom: _pair_checks("p", "atom", "atomic"),
+    AxiomMu: _pair_checks("mu", "mu", "mu-rooted"),
+    Or: _principal,
+    And: _principal,
+    Box: _box_checks,
+    Clo: _principal_checks("clo principal"),
+    Ind: _ind_checks,
+    Cut: _cut_checks,
+    Nu: _principal_checks("nu principal"),
+    Omega: _replacement_checks,
+    OmegaBar: _replacement_checks,
+}
+
+_OMEGA_TAGS = (Axiom, Or, And, Box, Clo, Nu, Cut)
+
+
+class _System:
+    """What a system decides, worked out once per judgement: its name, for
+    each rule class the node checks (None unless the system admits the
+    rule) and the premise checks, whether every conclusion must be in the
+    base language (S and S-infinity), and its index k (None for S and
+    S-infinity), which bounds cut and replacement levels and primes the
+    sides of a cut."""
+
+    __slots__ = ("name", "rules", "l0", "k")
+
+    def __init__(self, system):
+        self.name = system_name(system)
+        if system == SYSTEM_S:
+            admitted, self.k = FINITE_TAGS, None
+        elif system == SYSTEM_SINF:
+            admitted, self.k = SINF_TAGS, None
+        else:
+            self.k = system[1]
+            admitted = _OMEGA_TAGS + ((Omega, OmegaBar) if self.k >= 1 else ())
+        self.l0 = self.k is None
+        self.rules = {
+            rule: (_NODE_CHECKS[rule] if rule in admitted else None, _PREMISES.get(rule))
+            for rule in ALL_TAGS
+        }
+
+
+# ---------------------------------------------------------------------------
+# premises: one function per rule class.  Each checks the premises the
+# window holds and pushes onto the walk's stack, last premise first, one
+# entry per premise: (pending, child, path, depth).  pending is None or the
+# (path, text) of a violation found in the premise's conclusion; the walk
+# flags it when it pops the entry, so it follows the subtree of the
+# premise before.  A premise that could not be produced has no child.
+
+
+def _parts(c, tag, position, vouched):
+    """What the premise at position adds to the context of an or, and, clo
+    or nu node.  Unless the principal's checks vouched for them, they are
+    checked here, as adding them to a sequent would."""
+    parts = premise_added(tag, position)
+    if not vouched:
+        c.without(tag.principal).union(parts)
+    return parts
+
+
+def _premise_violation(at, got, c, principal, parts, what):
+    """A premise that keeps the context c must conclude c plus the parts,
+    with or without the principal (a principal of None must stay): None
+    if got does, else the violation, flagged at `at`.  The test is by set
+    operations on the members, whose hashes the sets keep: got lies
+    between c plus the parts and that set less the principal.  The
+    expected sequents are built only to word a violation."""
+    members = got._set
+    upper = c._set.union(parts)
+    if members <= upper:
+        missing = len(upper) - len(members)
+        if not missing:
+            return None
+        if missing == 1:
+            # only the principal may be missing, and only if it is no part
+            (gone,) = upper - members
+            if gone == principal and principal not in parts:
+                return None
+    shapes = (c.union(parts),)
+    if principal is not None:
+        shapes = (c.without(principal).union(parts),) + shapes
+    return at, "%s concludes %r, expected one of %s" % (
+        what,
+        got,
+        " / ".join(repr(s) for s in shapes),
+    )
+
+
+def _push_finite(todo, path, kids, c, principal, parts, depth):
+    """Push finite premise j, checked against parts[j] when there is one."""
+    for j in range(len(kids) - 1, -1, -1):
+        q = kids[j]
+        pending = None
+        if j < len(parts):
+            pending = _premise_violation(
+                path, q.conclusion, c, principal, parts[j], _PREMISE[j]
+            )
+        todo.append((pending, q, (path, j), depth))
+
+
+def _context_premises(st, path, o, sp, vouched, todo, depth):
+    c, tag = o.conclusion, o.rule
+    try:
+        parts = [_parts(c, tag, j, vouched) for j in range(tag.arity)]
+    except Exception as exc:  # noqa: BLE001 - undefined premise shapes
+        st.flag(path, "premise shapes undefined: %s" % exc)
+        parts = ()
+    _push_finite(todo, path, o.children, c, tag.principal, parts, depth)
+
+
+def _ind_premise(st, path, o, sp, vouched, todo, depth):
+    tag = o.rule
+    try:
+        want = Sequent((negate(substitute(tag.mu[1], tag.b)), tag.b))
+    except Exception as exc:  # noqa: BLE001 - undefined premise shapes
+        st.flag(path, "premise shapes undefined: %s" % exc)
+        want, parts = None, ()
+    else:
+        parts = ((),)  # the premise must conclude exactly want
+    _push_finite(todo, path, o.children, want, None, parts, depth)
+
+
+def _box_premise(st, path, o, sp, vouched, todo, depth):
+    try:
+        _check_box_premise(st, path, o.conclusion, o.rule, o.children[0].conclusion)
+    except Exception as exc:  # noqa: BLE001
+        st.flag(path, "malformed box rule: %s" % exc)
+    todo.append((None, o.children[0], (path, 0), depth))
+
+
+def _cut_premises(st, path, o, sp, vouched, todo, depth):
+    kids = o.children
+    try:
+        _check_cut_premises(
+            st, path, o.conclusion, o.rule, sp, kids[0].conclusion, kids[1].conclusion
+        )
+    except Exception as exc:  # noqa: BLE001
+        st.flag(path, "malformed cut rule: %s" % exc)
+    _push_finite(todo, path, kids, None, None, (), depth)
+
+
+def _nu_premises(st, path, o, sp, vouched, todo, depth):
+    st.truncs += 1
+    c, tag = o.conclusion, o.rule
+    entries = []
+    for i, label, q in zip(o.sampled, _labels(o), o.children):
+        qpath = (path, label)
+        if q.conclusion is None:
+            lost = (qpath, "premise evaluation failed: %s" % q.error)
+            entries.append((lost, None, qpath, depth))
+        else:
+            parts = _parts(c, tag, i, vouched)
+            pending = _premise_violation(
+                qpath, q.conclusion, c, tag.principal, parts, "premise"
+            )
+            entries.append((pending, q, qpath, depth))
+    todo.extend(reversed(entries))
+
+
+def _family_premises(st, path, o, sp, vouched, todo, depth):
+    st.truncs += 1
+    c, tag = o.conclusion, o.rule
+    kids, labels, entries = o.children, _labels(o), []
+    if type(tag) is Omega:
+        principal = omega_phi(tag.target)
+    else:
+        principal = None
+        want = c.add(tag.target)
+        if kids[0].conclusion != want:
+            st.flag(
+                path,
+                "first premise concludes %r, expected %r" % (kids[0].conclusion, want),
+            )
+        entries.append((None, kids[0], (path, FIRST), depth))
+        kids, labels = kids[1:], labels[1:]
+    for delta, label, q in zip(o.probes, labels, kids):
+        qpath = (path, label)
+        if q.conclusion is None:
+            lost = (qpath, "family evaluation failed: %s" % q.error)
+            entries.append((lost, None, qpath, depth))
+        else:
+            pending = _premise_violation(
+                qpath, q.conclusion, c, principal, delta, "family output"
+            )
+            entries.append((pending, q, qpath, depth))
+    todo.extend(reversed(entries))
+
+
+_PREMISES = {
+    Or: _context_premises,
+    And: _context_premises,
+    Clo: _context_premises,
+    Ind: _ind_premise,
+    Box: _box_premise,
+    Cut: _cut_premises,
+    Nu: _nu_premises,
+    Omega: _family_premises,
+    OmegaBar: _family_premises,
+}
+
+
+def _check_box_premise(st, path, c, tag, got):
     principal = tag.principal
     a = principal[1]
     if a not in got:
-        state.flag(path, "box premise lacks the body %s" % print_form(a))
+        st.flag(path, "box premise lacks the body %s" % print_form(a))
         return
     if principal not in c:
         Sequent((principal,))  # a malformed principal raises here
@@ -260,16 +469,16 @@ def _check_box_premise(state, path, c, tag, got):
     image = got.dia()._set
     if c._set == image | rest or c._set == (image - {("dia", a)}) | rest:
         return
-    state.flag(
+    st.flag(
         path,
         "box conclusion %r does not match the diamond image of its premise %r"
         % (c, got),
     )
 
 
-def _check_cut_premises(state, path, c, tag, system, left, right):
+def _check_cut_premises(st, path, c, tag, sp, left, right):
     f = tag.formula
-    if system[0] == "omega":
+    if sp.k is not None:
         pair = (prime(f), prime(negate(f)))
     else:
         pair = (f, negate(f))
@@ -281,109 +490,43 @@ def _check_cut_premises(state, path, c, tag, system, left, right):
         return
     want = {c.add(pair[0]), c.add(pair[1])}
     got = {left, right}
-    state.flag(
+    st.flag(
         path,
         "cut premises conclude %s, expected %s (either order)"
         % (sorted(map(repr, got)), sorted(map(repr, want))),
     )
 
 
-def _child_paths(path, o):
-    """(path, child) for each child of an observed node, labelled by the
-    premise it shows: "w<i>" for the nu premise at sampled index i,
-    "first" for an omegabar's first premise, "p<k>" for the family output
-    on the k-th probe and "<j>" for finite premise j."""
-    if o.sampled is not None:
-        labels = ["w%d" % i for i in o.sampled]
-    elif o.probes is not None:
-        labels = ["p%d" % k for k in range(len(o.probes))]
-        if isinstance(o.rule, OmegaBar):
-            labels.insert(0, FIRST)
-    else:
-        return [("%s.%d" % (path, j), q) for j, q in enumerate(o.children)]
-    return [("%s.%s" % (path, label), q) for label, q in zip(labels, o.children)]
+# ---------------------------------------------------------------------------
+# the judge
+
+# The node and premise checks of a class that is no rule.
+_UNKNOWN = (None, None)
 
 
-def _judge_node(state, path, o, system):
-    """Check one observed node; yield (path, child) for each premise to
-    descend into, each after the checks of that premise's conclusion."""
-    c, tag, kids = o.conclusion, o.rule, o.children
+def _judge_node(st, path, o, sp, todo, depth):
+    """Check one observed node that could be forced: the node checks of its
+    rule if the system admits it, then its premises, whose subtrees go
+    onto todo at the given depth."""
+    c, tag = o.conclusion, o.rule
+    rule = type(tag)
+    checks, premises = sp.rules.get(rule, _UNKNOWN)
+    vouched = False
     try:
-        _node_checks(state, path, c, tag, system)
-    except Exception as exc:  # noqa: BLE001 - malformed tags must reject
-        state.flag(path, "malformed rule tag: %s" % exc)
-        return
-    if isinstance(tag, Box):
-        try:
-            _check_box_premise(state, path, c, tag, kids[0].conclusion)
-        except Exception as exc:  # noqa: BLE001
-            state.flag(path, "malformed box rule: %s" % exc)
-        yield _child_paths(path, o)[0]
-    elif isinstance(tag, Cut):
-        try:
-            _check_cut_premises(
-                state, path, c, tag, system, kids[0].conclusion, kids[1].conclusion
+        if checks is None:
+            st.flag(
+                path,
+                "rule %s is not part of system %s" % (rule.__name__.lower(), sp.name),
             )
-        except Exception as exc:  # noqa: BLE001
-            state.flag(path, "malformed cut rule: %s" % exc)
-        yield from _child_paths(path, o)
-    elif isinstance(tag, (Or, And, Clo, Ind)):
-        try:
-            if isinstance(tag, Ind):
-                unfold = negate(substitute(tag.mu[1], tag.b))
-                want = [(Sequent((unfold, tag.b)), None, ())]
-            else:
-                want = [(c, tag.principal, _parts(c, tag, j)) for j in range(tag.arity)]
-        except Exception as exc:  # noqa: BLE001 - undefined premise shapes
-            state.flag(path, "premise shapes undefined: %s" % exc)
-            want = []
-        for j, (cpath, q) in enumerate(_child_paths(path, o)):
-            if j < len(want):
-                _check_premise(state, path, q.conclusion, *want[j], "premise %d" % j)
-            yield cpath, q
-    elif isinstance(tag, Nu):
-        state.truncs += 1
-        for i, (cpath, q) in zip(o.sampled, _child_paths(path, o)):
-            if q.conclusion is None:
-                state.flag(cpath, "premise evaluation failed: %s" % q.error)
-                continue
-            parts = _parts(c, tag, i)
-            got = q.conclusion
-            _check_premise(state, cpath, got, c, tag.principal, parts, "premise")
-            yield cpath, q
-    elif isinstance(tag, (Omega, OmegaBar)):
-        state.truncs += 1
-        principal = omega_phi(tag.target) if isinstance(tag, Omega) else None
-        outputs = _child_paths(path, o)
-        if isinstance(tag, OmegaBar):
-            (fpath, first), outputs = outputs[0], outputs[1:]
-            want = c.add(tag.target)
-            if first.conclusion != want:
-                state.flag(
-                    path,
-                    "first premise concludes %r, expected %r"
-                    % (first.conclusion, want),
-                )
-            yield fpath, first
-        for delta, (cpath, q) in zip(o.probes, outputs):
-            if q.conclusion is None:
-                state.flag(cpath, "family evaluation failed: %s" % q.error)
-                continue
-            got = q.conclusion
-            _check_premise(state, cpath, got, c, principal, delta, "family output")
-            yield cpath, q
-
-
-def _judge(state, path, o, system, depth):
-    if depth == 0:
-        state.truncs += 1
+        else:
+            if sp.l0 and not c.is_l0():
+                st.flag(path, "conclusion uses the primed language outside omega systems")
+            vouched = checks(st, path, c, tag, sp)
+    except Exception as exc:  # noqa: BLE001 - malformed tags must reject
+        st.flag(path, "malformed rule tag: %s" % exc)
         return
-    if o.error is not None:
-        state.flag(path, "node evaluation failed: %s" % o.error)
-        return
-    state.nodes += 1
-    for cpath, q in _judge_node(state, path, o, system):
-        _judge(state, cpath, q, system, depth - 1)
+    if premises is not None:
+        premises(st, path, o, sp, vouched, todo, depth)
 
 
 def check_observation(o, system, depth):
@@ -391,9 +534,23 @@ def check_observation(o, system, depth):
     above the depth bound is checked, with the premises the window holds.
     Nodes at the bound, and nu and replacement rules, whose premises are
     only sampled, count as truncation points."""
-    state = _State()
-    _judge(state, "root", o, system, depth)
-    return state.report()
+    st, sp = _State(), _System(system)
+    todo = [(None, o, "root", depth)]
+    pop = todo.pop
+    while todo:
+        pending, o, path, depth = pop()
+        if pending is not None:
+            st.flag(*pending)
+            if o is None:
+                continue
+        if depth == 0:
+            st.truncs += 1
+        elif o.error is not None:
+            st.flag(path, "node evaluation failed: %s" % o.error)
+        else:
+            st.nodes += 1
+            _judge_node(st, path, o, sp, todo, depth - 1)
+    return st.report()
 
 
 def check_bounded(p, system, depth, samples=(0, 1, 2), probe_budget=1):
@@ -407,19 +564,20 @@ def check_finite(p, system=SYSTEM_S):
     """Exhaustively check a finite proof, node by node in preorder over an
     explicit stack.  Each node is judged in its own window: the node
     observed to depth 0, with its premises observed to depth 0 as
-    children.  A premise's depth-0 observation, made for its parent's
-    window, is the root of its own.  Nu and replacement rules are rejected
-    as they are met, so nothing below them is forced or observed."""
-    state = _State()
+    children, so all its premise checks come before its subtrees.  A
+    premise's depth-0 observation, made for its parent's window, is the
+    root of its own.  Nu and replacement rules are rejected as they are
+    met, so nothing below them is forced or observed."""
+    st, sp = _State(), _System(system)
     todo = [("root", p, observe(p, 0))]
     while todo:
         path, q, o = todo.pop()
         if o.error is not None:
-            state.flag(path, "node evaluation failed: %s" % o.error)
+            st.flag(path, "node evaluation failed: %s" % o.error)
             continue
-        state.nodes += 1
+        st.nodes += 1
         if not isinstance(o.rule.arity, int):
-            state.flag(
+            st.flag(
                 path,
                 "rule %s has infinitely many premises and cannot occur in a "
                 "finite proof" % type(o.rule).__name__.lower(),
@@ -427,12 +585,14 @@ def check_finite(p, system=SYSTEM_S):
             continue
         premises = q.premises  # forced by observe already
         kids = tuple([observe(r, 0) for r in premises])
-        window = Observation(o.conclusion, o.rule, kids)
-        for _ in _judge_node(state, path, window, system):
-            pass  # all of this node's checks come before its subtrees
+        window = []
+        _judge_node(st, path, Observation(o.conclusion, o.rule, kids), sp, window, 0)
+        for pending, _, _, _ in reversed(window):
+            if pending is not None:
+                st.flag(*pending)
         for j in range(len(premises) - 1, -1, -1):
-            todo.append(("%s.%d" % (path, j), premises[j], kids[j]))
-    return state.report()
+            todo.append(((path, j), premises[j], kids[j]))
+    return st.report()
 
 
 def level_bound(p):
@@ -486,28 +646,27 @@ def subformula_report(p, depth, samples=(0, 1, 2), probe_budget=1):
     of the endsequent and mentions no nub anywhere."""
     max_index = max(samples, default=0)
     closure = approximant_closure(p.conclusion, max_index)
-    o = observe(p, depth, samples, probe_budget)
-    state = _State()
-
-    def scan(ob, path, lost="premise"):
-        if ob.error is not None:
+    st = _State()
+    todo = [(observe(p, depth, samples, probe_budget), "root", "premise")]
+    while todo:
+        o, path, lost = todo.pop()
+        if o.error is not None:
             # worded as the judge words it: a leaf with a conclusion is a
             # node that could not be forced, one without is a premise or
             # family output that could not be produced
-            what = "node" if ob.conclusion is not None else lost
-            state.flag(path, "%s evaluation failed: %s" % (what, ob.error))
-            return
-        state.nodes += 1
-        for f in ob.conclusion:
+            what = "node" if o.conclusion is not None else lost
+            st.flag(path, "%s evaluation failed: %s" % (what, o.error))
+            continue
+        st.nodes += 1
+        for f in o.conclusion:
             if max_nubar_level(f) >= 0:
-                state.flag(path, "formula %s mentions nub" % print_form(f))
+                st.flag(path, "formula %s mentions nub" % print_form(f))
             if f not in closure:
-                state.flag(
+                st.flag(
                     path, "formula %s outside the approximant closure" % print_form(f)
                 )
-        lost = "premise" if isinstance(ob.rule, Nu) else "family"
-        for cpath, child in _child_paths(path, ob):
-            scan(child, cpath, lost)
-
-    scan(o, "root")
-    return state.report()
+        lost = "premise" if type(o.rule) is Nu else "family"
+        todo.extend(
+            reversed([(q, (path, label), lost) for label, q in zip(_labels(o), o.children)])
+        )
+    return st.report()

@@ -21,6 +21,7 @@ from mucut.kernel import (
     atom,
     is_fully_primed,
     iterate,
+    memo,
     negate,
     prime,
     substitute,
@@ -491,9 +492,21 @@ def canonical_probe(target):
     """The standard probe for a replacement family targeting a fully
     primed mu formula: delta = {top} with its two-node witness.  The
     witness is cut-free and valid in every system, in particular in the
-    index-(k-1) intermediate system for any ambient k."""
-    delta = Sequent((TOP,))
-    return delta, top_intro((target,))
+    index-(k-1) intermediate system for any ambient k.
+
+    Every call for one target answers with the same pair, so a family,
+    whose memo is keyed on the witness's identity, computes its output on
+    the probe once however often it is observed.  The target is validated
+    on every call: a key equal to a valid one, such as ('atom', True) to
+    ('atom', 1), is refused as building its witness would refuse it, and
+    never gets the other's answer."""
+    validate(target)
+    return _probe(target)
+
+
+@memo
+def _probe(target):
+    return _TOP, top_intro((target,))
 
 
 ADMIT_DEPTH = 2

@@ -23,11 +23,14 @@ from mucut.corpus import CORPUS
 from mucut.errors import FuelExhausted
 from mucut.kernel import TOP, atom, iterate, natom, negate, prime
 from mucut.proofs import (
+    And,
     Axiom,
     Box,
     Cut,
     Ind,
+    Nu,
     Observation,
+    Or,
     Proof,
     ax,
     box_node,
@@ -316,6 +319,56 @@ def test_check_observation_judges_the_window_it_is_given():
     assert not rep.ok
     assert rep.violations[0][1].startswith("premise 0 concludes {p0, p4, ~p0}")
     assert rep.nodes_checked == 2
+
+
+def test_violations_follow_the_walk_premise_by_premise():
+    # each premise's check comes after the subtree of the premise before
+    # it, and a nu sample that could not be produced is flagged between
+    # the subtrees of the samples around it
+    n = pf("nu X . (p1 & X)")
+    p5, p6, p7 = atom(5), atom(6), atom(7)
+    f = ("and", p5, p6)
+
+    def leaf(forms, a):
+        return Observation(Sequent(forms), Axiom(a))
+
+    nu = Observation(
+        seq(p5, n),
+        Nu(n),
+        (
+            leaf((p5, iterate(n[1], TOP, 0)), atom(9)),
+            Observation(None, None, error="boom"),
+            leaf((p5, iterate(n[1], TOP, 2)), atom(8)),
+        ),
+        truncated=True,
+        sampled=(0, 1, 2),
+    )
+    o = Observation(seq(f, n), And(f), (nu, leaf((p6, p7, n), p7)))
+    rep = check_observation(o, omega_system(1), 4)
+    assert rep.violations == (
+        ("root.0.w0", "axiom pair p9, ~p9 not in conclusion"),
+        ("root.0.w1", "premise evaluation failed: boom"),
+        ("root.0.w2", "axiom pair p8, ~p8 not in conclusion"),
+        (
+            "root",
+            "premise 1 concludes {p6, p7, nu X . (p1 & X)}, expected one of"
+            " {p6, nu X . (p1 & X)} / {p6, (p5 & p6), nu X . (p1 & X)}",
+        ),
+        ("root.1", "axiom pair p7, ~p7 not in conclusion"),
+    )
+    assert (rep.nodes_checked, rep.truncation_points) == (5, 1)
+
+
+def test_the_judge_has_no_depth_limit():
+    # a chain of or nodes, each keeping its principal, far deeper than the
+    # interpreter's recursion limit
+    c = seq(TOP, atom(0), natom(0))
+    o = Observation(c, Axiom(atom(0)))
+    for _ in range(5000):
+        o = Observation(c, Or(TOP), (o,))
+    rep = check_observation(o, SYSTEM_S, 6000)
+    assert rep.ok
+    assert (rep.nodes_checked, rep.truncation_points) == (5001, 0)
 
 
 def test_unknown_rule_tag_is_flagged():

@@ -259,6 +259,39 @@ def test_canonical_probe_and_standard_admits():
     assert not admits("delta", witness)
 
 
+def test_canonical_probe_is_shared_per_target():
+    t = prime(pf("mu X . (p1 | X)"))
+    assert canonical_probe(t) is canonical_probe(t)
+    # a key equal to a valid target but not itself valid is refused, as
+    # building its witness would refuse it, not given the cached probe
+    bad = ("mu", ("or", ("atom", True), ("var",)))
+    assert bad == t
+    with pytest.raises(ValueError, match="bad atom node"):
+        canonical_probe(bad)
+    canonical_probe(atom(1))
+    with pytest.raises(ValueError, match="bad atom node"):
+        canonical_probe(("atom", True))
+
+
+def test_observing_a_family_twice_computes_its_output_once():
+    t = prime(pf("mu X . (p1 | X)"))
+    phi = omega_phi(t)
+    admitted, calls = [], []
+    standard = standard_admits(1, t)
+
+    def admits(delta, w):
+        admitted.append(delta)
+        return standard(delta, w)
+
+    def fn(delta, w):
+        calls.append(delta)
+        return top_intro(delta.union((phi,)).difference((TOP,)))
+
+    p = omega_node(seq(phi), 1, t, admits, fn)
+    assert observe(p, 3) == observe(p, 3)
+    assert (len(admitted), len(calls)) == (1, 1)
+
+
 def test_omega_node_observation_and_errors():
     t = prime(pf("mu X . (p1 | X)"))
     phi = omega_phi(t)
