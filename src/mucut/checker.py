@@ -7,14 +7,17 @@ proof to a depth and judges that window; check_finite judges a finite
 proof node by node, each in its one-step window, and rejects nu and
 replacement rules without entering them.
 
-One judge serves all three.  It dispatches on the class of a node's rule
-to that rule's node checks and premise checks; what a system decides (the
-rules it admits, whether conclusions must be in the base language, its
-level bound) is worked out once per call, not at every node.  The walk
-keeps an explicit stack, so no window is too deep for it, and a premise's
-violation waits on the stack until the subtree of the premise before it
-has been judged.  Paths are kept as (parent, label) pairs and made into
-text only when a violation is flagged.
+One judge serves all three.  A node's own conditions are its rule's: the
+judge flags every text of the tag's flaws(conclusion, k), the same
+conditions the node builders of mucut.proofs refuse by.  It then runs the
+premise checks of the rule's class.  What a system decides (the rules it
+admits, whether conclusions must be in the base language, its index k) is
+worked out once per call, not at every node.  The walk keeps an explicit
+stack, so no window is too deep for it, and a premise's violation waits
+on the stack until the subtree of the premise before it has been judged.
+Paths are kept as (parent, label) pairs and made into text only when a
+violation is flagged.  Resource limits (fuel, stack depth) propagate as
+they do from observe.
 
 Premise shapes are read liberally: a node concluding C with principal
 phi may present its context as C or as C minus phi (sequents are sets,
@@ -29,8 +32,6 @@ from dataclasses import dataclass
 
 from mucut.kernel import (
     TOP,
-    is_fully_primed,
-    is_l0,
     iterate,
     level,
     max_nubar_level,
@@ -39,13 +40,12 @@ from mucut.kernel import (
     substitute,
 )
 from mucut.proofs import (
-    ALL_TAGS,
+    _LIMITS,
     FINITE_TAGS,
     FIRST,
     SINF_TAGS,
     And,
     Axiom,
-    AxiomMu,
     Box,
     Clo,
     Cut,
@@ -156,128 +156,17 @@ def _labels(o):
 _PREMISE = ("premise 0", "premise 1")
 
 
-# ---------------------------------------------------------------------------
-# node checks: one function per rule class, run when the system admits the
-# rule.  Rules with a principal answer whether it has the rule's root and is
-# in the conclusion; then the parts their premises add need no check.
-
-
-def _pair_checks(field, root, shape):
-    """The checks of an axiom on the formula in its `field`, which must
-    have the root `root` (be `shape`) and sit in the conclusion with its
-    negation."""
-
-    def checks(st, path, c, tag, sp):
-        f = getattr(tag, field)
-        if f[0] != root:
-            st.flag(path, "%s formula %s is not %s" % (tag.name, print_form(f), shape))
-        elif f not in c._set or negate(f) not in c._set:
-            st.flag(
-                path,
-                "%s pair %s, %s not in conclusion"
-                % (tag.name, print_form(f), print_form(negate(f))),
-            )
-
-    return checks
-
-
-def _principal_checks(what):
-    """The checks of a rule whose principal, called `what` in a violation,
-    must have the rule's root and be a member of the conclusion."""
-
-    def checks(st, path, c, tag, sp):
-        f, root = tag.principal, tag.root
-        if f[0] != root:
-            st.flag(path, "%s %s is not %s-rooted" % (what, print_form(f), root))
-            return False
-        if f not in c._set:
-            st.flag(path, "%s %s not in conclusion" % (what, print_form(f)))
-            return False
-        return True
-
-    return checks
-
-
-_principal = _principal_checks("principal")
-
-
-def _box_checks(st, path, c, tag, sp):
-    _principal(st, path, c, tag, sp)
-    if not tag.side.issubset(c):
-        st.flag(path, "box side sequent is not part of the conclusion")
-
-
-def _ind_checks(st, path, c, tag, sp):
-    m = tag.mu
-    if m[0] != "mu":
-        st.flag(path, "ind formula %s is not mu-rooted" % print_form(m))
-    elif c != Sequent((negate(m), tag.b)):
-        st.flag(
-            path,
-            "ind admits no context: conclusion must be exactly %s, %s"
-            % (print_form(negate(m)), print_form(tag.b)),
-        )
-
-
-def _cut_checks(st, path, c, tag, sp):
-    f = tag.formula
-    if not is_l0(f):
-        st.flag(path, "cut formula %s is not in the base language" % print_form(f))
-    if sp.k is not None and level(f) > sp.k:
-        st.flag(
-            path,
-            "cut formula %s has level %d, above the system bound %d"
-            % (print_form(f), level(f), sp.k),
-        )
-
-
-def _replacement_checks(st, path, c, tag, sp):
-    t = tag.target
-    if t[0] != "mu" or not is_fully_primed(t):
-        st.flag(
-            path, "replacement target %s must be a fully primed mu formula"
-            % print_form(t)
-        )
-    if level(t) != tag.h:
-        st.flag(
-            path,
-            "replacement target %s has level %d, rule says %d"
-            % (print_form(t), level(t), tag.h),
-        )
-    if not 1 <= tag.h <= sp.k:
-        st.flag(path, "replacement level %d outside 1..%d" % (tag.h, sp.k))
-    if type(tag) is Omega and omega_phi(t) not in c:
-        st.flag(
-            path, "introduced formula %s not in conclusion" % print_form(omega_phi(t))
-        )
-
-
-_NODE_CHECKS = {
-    Axiom: _pair_checks("p", "atom", "atomic"),
-    AxiomMu: _pair_checks("mu", "mu", "mu-rooted"),
-    Or: _principal,
-    And: _principal,
-    Box: _box_checks,
-    Clo: _principal_checks("clo principal"),
-    Ind: _ind_checks,
-    Cut: _cut_checks,
-    Nu: _principal_checks("nu principal"),
-    Omega: _replacement_checks,
-    OmegaBar: _replacement_checks,
-}
-
 _OMEGA_TAGS = (Axiom, Or, And, Box, Clo, Nu, Cut)
 
 
 class _System:
-    """What a system decides, worked out once per judgement: its name, for
-    each rule class the node checks (None unless the system admits the
-    rule) and the premise checks, whether every conclusion must be in the
-    base language (S and S-infinity), and its index k (None for S and
-    S-infinity), which bounds cut and replacement levels and primes the
-    sides of a cut."""
+    """What a system decides, worked out once per judgement: its name, the
+    rules it admits, whether every conclusion must be in the base language
+    (S and S-infinity), and its index k (None for S and S-infinity), which
+    bounds cut and replacement levels and primes the sides of a cut.  The
+    rest of a node's well-formedness is its rule's own conditions."""
 
-    __slots__ = ("name", "rules", "l0", "k")
+    __slots__ = ("name", "admitted", "l0", "k")
 
     def __init__(self, system):
         self.name = system_name(system)
@@ -289,10 +178,7 @@ class _System:
             self.k = system[1]
             admitted = _OMEGA_TAGS + ((Omega, OmegaBar) if self.k >= 1 else ())
         self.l0 = self.k is None
-        self.rules = {
-            rule: (_NODE_CHECKS[rule] if rule in admitted else None, _PREMISES.get(rule))
-            for rule in ALL_TAGS
-        }
+        self.admitted = frozenset(admitted)
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +192,8 @@ class _System:
 
 def _parts(c, tag, position, vouched):
     """What the premise at position adds to the context of an or, and, clo
-    or nu node.  Unless the principal's checks vouched for them, they are
-    checked here, as adding them to a sequent would."""
+    or nu node.  Unless the node had no flaws, which vouches for them, they
+    are checked here, as adding them to a sequent would."""
     parts = premise_added(tag, position)
     if not vouched:
         c.without(tag.principal).union(parts)
@@ -358,6 +244,8 @@ def _context_premises(st, path, o, sp, vouched, todo, depth):
     c, tag = o.conclusion, o.rule
     try:
         parts = [_parts(c, tag, j, vouched) for j in range(tag.arity)]
+    except _LIMITS:
+        raise
     except Exception as exc:  # noqa: BLE001 - undefined premise shapes
         st.flag(path, "premise shapes undefined: %s" % exc)
         parts = ()
@@ -368,6 +256,8 @@ def _ind_premise(st, path, o, sp, vouched, todo, depth):
     tag = o.rule
     try:
         want = Sequent((negate(substitute(tag.mu[1], tag.b)), tag.b))
+    except _LIMITS:
+        raise
     except Exception as exc:  # noqa: BLE001 - undefined premise shapes
         st.flag(path, "premise shapes undefined: %s" % exc)
         want, parts = None, ()
@@ -379,6 +269,8 @@ def _ind_premise(st, path, o, sp, vouched, todo, depth):
 def _box_premise(st, path, o, sp, vouched, todo, depth):
     try:
         _check_box_premise(st, path, o.conclusion, o.rule, o.children[0].conclusion)
+    except _LIMITS:
+        raise
     except Exception as exc:  # noqa: BLE001
         st.flag(path, "malformed box rule: %s" % exc)
     todo.append((None, o.children[0], (path, 0), depth))
@@ -390,6 +282,8 @@ def _cut_premises(st, path, o, sp, vouched, todo, depth):
         _check_cut_premises(
             st, path, o.conclusion, o.rule, sp, kids[0].conclusion, kids[1].conclusion
         )
+    except _LIMITS:
+        raise
     except Exception as exc:  # noqa: BLE001
         st.flag(path, "malformed cut rule: %s" % exc)
     _push_finite(todo, path, kids, None, None, (), depth)
@@ -398,17 +292,25 @@ def _cut_premises(st, path, o, sp, vouched, todo, depth):
 def _nu_premises(st, path, o, sp, vouched, todo, depth):
     st.truncs += 1
     c, tag = o.conclusion, o.rule
+    try:
+        shapes = [_parts(c, tag, i, vouched) for i in o.sampled]
+    except _LIMITS:
+        raise
+    except Exception as exc:  # noqa: BLE001 - undefined premise shapes
+        st.flag(path, "premise shapes undefined: %s" % exc)
+        shapes = None
     entries = []
-    for i, label, q in zip(o.sampled, _labels(o), o.children):
+    for j, (label, q) in enumerate(zip(_labels(o), o.children)):
         qpath = (path, label)
         if q.conclusion is None:
             lost = (qpath, "premise evaluation failed: %s" % q.error)
             entries.append((lost, None, qpath, depth))
         else:
-            parts = _parts(c, tag, i, vouched)
-            pending = _premise_violation(
-                qpath, q.conclusion, c, tag.principal, parts, "premise"
-            )
+            pending = None
+            if shapes is not None:
+                pending = _premise_violation(
+                    qpath, q.conclusion, c, tag.principal, shapes[j], "premise"
+                )
             entries.append((pending, q, qpath, depth))
     todo.extend(reversed(entries))
 
@@ -500,20 +402,16 @@ def _check_cut_premises(st, path, c, tag, sp, left, right):
 # ---------------------------------------------------------------------------
 # the judge
 
-# The node and premise checks of a class that is no rule.
-_UNKNOWN = (None, None)
-
 
 def _judge_node(st, path, o, sp, todo, depth):
-    """Check one observed node that could be forced: the node checks of its
-    rule if the system admits it, then its premises, whose subtrees go
-    onto todo at the given depth."""
+    """Check one observed node that could be forced: its rule's conditions
+    if the system admits the rule, then its premises, whose subtrees go
+    onto todo at the given depth.  Resource limits propagate."""
     c, tag = o.conclusion, o.rule
     rule = type(tag)
-    checks, premises = sp.rules.get(rule, _UNKNOWN)
     vouched = False
     try:
-        if checks is None:
+        if rule not in sp.admitted:
             st.flag(
                 path,
                 "rule %s is not part of system %s" % (rule.__name__.lower(), sp.name),
@@ -521,10 +419,16 @@ def _judge_node(st, path, o, sp, todo, depth):
         else:
             if sp.l0 and not c.is_l0():
                 st.flag(path, "conclusion uses the primed language outside omega systems")
-            vouched = checks(st, path, c, tag, sp)
+            flaws = tag.flaws(c, sp.k)
+            for text in flaws:
+                st.flag(path, text)
+            vouched = not flaws
+    except _LIMITS:
+        raise
     except Exception as exc:  # noqa: BLE001 - malformed tags must reject
         st.flag(path, "malformed rule tag: %s" % exc)
         return
+    premises = _PREMISES.get(rule)
     if premises is not None:
         premises(st, path, o, sp, vouched, todo, depth)
 

@@ -576,13 +576,17 @@ class _Subst:
         cur = self.sub(prem, rho2)
         if MODE_DELTA in modes:
             cur = clo_node(cur.conclusion.without(u).add(t), t, cur)
+        # each cut drops f_star, unless f_star is the image it adds (as it
+        # is for mu X . X, whose unfolding is the invariant itself)
         if MODE_S1 in modes:
             gcut = cur.conclusion.add(self.b)
-            if MODE_S2 not in modes:
+            if MODE_S2 not in modes and f_star != self.b:
                 gcut = gcut.without(f_star)
             cur = cut_fit(gcut, self.cf, cur, self.asm1)
         if MODE_S2 in modes:
-            gcut = cur.conclusion.add(prime(self.b)).without(f_star)
+            gcut = cur.conclusion.add(prime(self.b))
+            if f_star != prime(self.b):
+                gcut = gcut.without(f_star)
             cur = cut_fit(gcut, self.cf, cur, self.asm2)
         _require(
             cur.conclusion == new_c,

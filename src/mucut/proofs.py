@@ -20,7 +20,9 @@ from mucut.kernel import (
     TOP,
     atom,
     is_fully_primed,
+    is_l0,
     iterate,
+    level,
     memo,
     negate,
     prime,
@@ -28,6 +30,7 @@ from mucut.kernel import (
     validate,
 )
 from mucut.sequents import Sequent, from_checked, is_k_positive
+from mucut.syntax import print_form
 
 # ---------------------------------------------------------------------------
 # premise containers
@@ -95,14 +98,124 @@ class OmegaBarPrem:
 
 
 # ---------------------------------------------------------------------------
+# rule conditions: a rule's flaws(conclusion, k=None) are the texts of what a
+# node of it violates, () when nothing.  Whether a node is well formed
+# depends on its rule alone; k, the index of an intermediate system, only
+# bounds cut and replacement levels, and is None in S, in S-infinity and
+# for the node builders.  Texts are formatted only on failure.
+
+
+def _pair_flaws(field, root, shape):
+    """The conditions of an axiom on the formula in its `field`: it has the
+    root `root` (is `shape`) and is in the conclusion with its negation."""
+
+    def flaws(tag, conclusion, k=None):
+        f = getattr(tag, field)
+        if f[0] != root:
+            return ("%s formula %s is not %s" % (tag.name, print_form(f), shape),)
+        if f in conclusion._set and negate(f) in conclusion._set:
+            return ()
+        return (
+            "%s pair %s, %s not in conclusion"
+            % (tag.name, print_form(f), print_form(negate(f))),
+        )
+
+    return flaws
+
+
+def _principal_fits(tag, conclusion):
+    """The condition on a rule's principal: it has the rule's root and is a
+    member of the conclusion."""
+    f = tag.principal
+    return f[0] == tag.root and f in conclusion._set
+
+
+def _principal_flaws(what):
+    """The conditions of a rule whose principal, called `what` in a
+    violation, must fit (_principal_fits)."""
+
+    def flaws(tag, conclusion, k=None):
+        if _principal_fits(tag, conclusion):
+            return ()
+        f, root = tag.principal, tag.root
+        if f[0] != root:
+            return ("%s %s is not %s-rooted" % (what, print_form(f), root),)
+        return ("%s %s not in conclusion" % (what, print_form(f)),)
+
+    return flaws
+
+
+_principal = _principal_flaws("principal")
+
+
+def _box_flaws(tag, conclusion, k=None):
+    out = _principal(tag, conclusion)
+    if not tag.side.issubset(conclusion):
+        out += ("box side sequent is not part of the conclusion",)
+    return out
+
+
+def _ind_flaws(tag, conclusion, k=None):
+    m, b = tag.mu, tag.b
+    if m[0] != "mu":
+        return ("ind formula %s is not mu-rooted" % print_form(m),)
+    if conclusion != Sequent((negate(m), b)):
+        return (
+            "ind admits no context: conclusion must be exactly %s, %s"
+            % (print_form(negate(m)), print_form(b)),
+        )
+    return ()
+
+
+def _cut_flaws(tag, conclusion, k=None):
+    f = tag.formula
+    out = ()
+    if not is_l0(f):
+        out += ("cut formula %s is not in the base language" % print_form(f),)
+    if k is not None and level(f) > k:
+        out += (
+            "cut formula %s has level %d, above the system bound %d"
+            % (print_form(f), level(f), k),
+        )
+    return out
+
+
+def _target_flaws(tag, conclusion, k=None):
+    """The conditions of a replacement rule on its target and level."""
+    t, h = tag.target, tag.h
+    out = ()
+    if t[0] != "mu" or not is_fully_primed(t):
+        out += (
+            "replacement target %s must be a fully primed mu formula" % print_form(t),
+        )
+    if level(t) != h:
+        out += (
+            "replacement target %s has level %d, rule says %d"
+            % (print_form(t), level(t), h),
+        )
+    if k is not None and not 1 <= h <= k:
+        out += ("replacement level %d outside 1..%d" % (h, k),)
+    return out
+
+
+def _omega_flaws(tag, conclusion, k=None):
+    out = _target_flaws(tag, conclusion, k)
+    phi = omega_phi(tag.target)
+    if phi not in conclusion._set:
+        out += ("introduced formula %s not in conclusion" % print_form(phi),)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # rule tags
 
 
-def _rule(name, arity, root):
+def _rule(name, arity, root, flaws):
     """Make a class the one description of a rule: a frozen dataclass of its
     arguments (formula tuples, a side Sequent, an int level) with its
     s-expression `name`, its `arity` (a premise count, or the container
-    class of infinitely many) and its principal's `root` (None if none).
+    class of infinitely many), its principal's `root` (None if none) and
+    its conditions, the method `flaws(conclusion, k=None)`.
 
     A tag also keeps the text the observation writer gives it, in `_text`
     (None until mucut.sexpr sets it on the instance).  It is a class
@@ -110,37 +223,38 @@ def _rule(name, arity, root):
     built from fields() leave it out."""
 
     def describe(cls):
-        cls.name, cls.arity, cls.root, cls._text = name, arity, root, None
+        cls.name, cls.arity, cls.root, cls.flaws = name, arity, root, flaws
+        cls._text = None
         return dataclass(frozen=True)(cls)
 
     return describe
 
 
-@_rule("axiom", 0, None)
+@_rule("axiom", 0, None, _pair_flaws("p", "atom", "atomic"))
 class Axiom:
     """Gamma, P, ~P for atomic P (stored positive)."""
 
     p: tuple
 
 
-@_rule("axmu", 0, None)
+@_rule("axmu", 0, None, _pair_flaws("mu", "mu", "mu-rooted"))
 class AxiomMu:
     """Gamma, mu X . A, ~(mu X . A)."""
 
     mu: tuple
 
 
-@_rule("or", 1, "or")
+@_rule("or", 1, "or", _principal)
 class Or:
     principal: tuple
 
 
-@_rule("and", 2, "and")
+@_rule("and", 2, "and", _principal)
 class And:
     principal: tuple
 
 
-@_rule("box", 1, "box")
+@_rule("box", 1, "box", _box_flaws)
 class Box:
     """<>Gamma, []A, Sigma from Gamma, A; side is the Sigma used."""
 
@@ -148,14 +262,14 @@ class Box:
     side: Sequent
 
 
-@_rule("clo", 1, "mu")
+@_rule("clo", 1, "mu", _principal_flaws("clo principal"))
 class Clo:
     """Gamma, mu X . A from Gamma, A(mu X . A)."""
 
     principal: tuple
 
 
-@_rule("ind", 1, None)
+@_rule("ind", 1, None, _ind_flaws)
 class Ind:
     """~(mu X . A), B from ~A(B), B (no extra context)."""
 
@@ -163,7 +277,7 @@ class Ind:
     b: tuple
 
 
-@_rule("cut", 2, None)
+@_rule("cut", 2, None, _cut_flaws)
 class Cut:
     """Gamma from Gamma, A and Gamma, ~A (primed on both sides in the
     intermediate systems)."""
@@ -171,14 +285,14 @@ class Cut:
     formula: tuple
 
 
-@_rule("nu", OmegaFam, "nu")
+@_rule("nu", OmegaFam, "nu", _principal_flaws("nu principal"))
 class Nu:
     """Gamma, nu X . A from Gamma, A^i(top) for every i."""
 
     principal: tuple
 
 
-@_rule("omega", DeltaFam, None)
+@_rule("omega", DeltaFam, None, _omega_flaws)
 class Omega:
     """Gamma, phi from the family over (Delta, witness) pairs, where the
     target is a fully primed mu formula of level h and phi is the primed
@@ -188,7 +302,7 @@ class Omega:
     target: tuple
 
 
-@_rule("omegabar", OmegaBarPrem, None)
+@_rule("omegabar", OmegaBarPrem, None, _target_flaws)
 class OmegaBar:
     """Gamma from Gamma, target and the same family as Omega."""
 
@@ -339,15 +453,12 @@ def premise_added(tag, position):
 
 def parts_checked(tag, conclusion):
     """True when the parts premise_added gives for tag need no check: the
-    principal is a member of conclusion, so a checked formula, and has
-    the rule's root, so the parts are its subformulas, its unfolding or
-    one of its approximants, all closed and valid.  Rules without a
-    principal answer False."""
-    root = tag.root
-    if root is None:
-        return False
-    f = tag.principal
-    return f[0] == root and f in conclusion
+    principal meets its rule's condition (_principal_fits), so it is a
+    member of conclusion, a checked formula, and has the rule's root, so
+    the parts are its subformulas, its unfolding or one of its
+    approximants, all closed and valid.  Rules without a principal answer
+    False."""
+    return tag.root is not None and _principal_fits(tag, conclusion)
 
 
 def premise_label(tag, position):
@@ -361,7 +472,9 @@ def premise_label(tag, position):
 
 
 # ---------------------------------------------------------------------------
-# node builders (cheap structural sanity only; legality is the checker's job)
+# node builders: each refuses a node that violates its rule's conditions with
+# the first text the judge would flag, then checks the premise relation it
+# knows of
 
 
 def _require(cond, msg):
@@ -369,50 +482,35 @@ def _require(cond, msg):
         raise InternalInvariantError(msg)
 
 
+def _flawless(tag, conclusion):
+    """tag, once a node of it concluding conclusion meets its rule's
+    conditions; else its first violation is raised."""
+    flaws = tag.flaws(conclusion)
+    if flaws:
+        raise InternalInvariantError(flaws[0])
+    return tag
+
+
 def ax(conclusion, p):
     if p[0] == "natom":
         p = atom(p[1])
-    _require(p[0] == "atom", "axiom formula must be atomic")
-    if p not in conclusion or negate(p) not in conclusion:
-        # formatted only on failure: printing sorts the whole conclusion
-        raise InternalInvariantError(
-            "axiom pair not in conclusion: %r" % (conclusion,)
-        )
-    return make_node(conclusion, Axiom(p), ())
+    return make_node(conclusion, _flawless(Axiom(p), conclusion), ())
 
 
 def axmu_node(conclusion, mu):
-    _require(mu[0] == "mu", "axmu formula must be mu-rooted")
-    if mu not in conclusion or negate(mu) not in conclusion:
-        # formatted only on failure: printing sorts the whole conclusion
-        raise InternalInvariantError(
-            "axmu pair not in conclusion: %r" % (conclusion,)
-        )
-    return make_node(conclusion, AxiomMu(mu), ())
-
-
-def _fits(tag, conclusion):
-    """tag, once its principal has its rule's root and is in conclusion."""
-    f = tag.principal
-    if f[0] == tag.root and f in conclusion:
-        return tag
-    raise InternalInvariantError(
-        "%s principal must be %s-rooted and in the conclusion" % (tag.name, tag.root)
-    )
+    return make_node(conclusion, _flawless(AxiomMu(mu), conclusion), ())
 
 
 def or_node(conclusion, principal, prem):
-    return make_node(conclusion, _fits(Or(principal), conclusion), (prem,))
+    return make_node(conclusion, _flawless(Or(principal), conclusion), (prem,))
 
 
 def and_node(conclusion, principal, left, right):
-    return make_node(conclusion, _fits(And(principal), conclusion), (left, right))
+    return make_node(conclusion, _flawless(And(principal), conclusion), (left, right))
 
 
 def box_node(conclusion, principal, side, prem):
-    tag = _fits(Box(principal, side), conclusion)
-    _require(side.issubset(conclusion), "box side not in conclusion")
-    return make_node(conclusion, tag, (prem,))
+    return make_node(conclusion, _flawless(Box(principal, side), conclusion), (prem,))
 
 
 def box_fit(conclusion, principal, prem):
@@ -424,53 +522,39 @@ def box_fit(conclusion, principal, prem):
 
 
 def clo_node(conclusion, principal, prem):
-    return make_node(conclusion, _fits(Clo(principal), conclusion), (prem,))
+    return make_node(conclusion, _flawless(Clo(principal), conclusion), (prem,))
 
 
 def ind_node(conclusion, mu, b, prem):
-    _require(mu[0] == "mu", "ind formula must be mu-rooted")
-    unfold_b = substitute(mu[1], b)
+    tag = _flawless(Ind(mu, b), conclusion)
     _require(
-        conclusion == Sequent((negate(mu), b)),
-        "ind conclusion must be exactly the negated mu with b",
-    )
-    _require(
-        prem.conclusion == Sequent((negate(unfold_b), b)),
+        prem.conclusion == Sequent((negate(substitute(mu[1], b)), b)),
         "ind premise must be exactly ~A(B), B",
     )
-    return make_node(conclusion, Ind(mu, b), (prem,))
+    return make_node(conclusion, tag, (prem,))
 
 
 def cut_node(conclusion, formula, left, right):
     validate(formula)
-    return make_node(conclusion, Cut(formula), (left, right))
+    return make_node(conclusion, _flawless(Cut(formula), conclusion), (left, right))
 
 
 def nu_node(conclusion, principal, fn):
-    return make_node(conclusion, _fits(Nu(principal), conclusion), OmegaFam(fn))
-
-
-def _check_replacement_target(h, target):
-    _require(target[0] == "mu", "replacement target must be mu-rooted")
-    _require(is_fully_primed(target), "replacement target must be fully primed")
-    _require(h >= 1, "replacement level must be at least 1")
+    return make_node(conclusion, _flawless(Nu(principal), conclusion), OmegaFam(fn))
 
 
 def omega_node(conclusion, h, target, admits, fn):
-    _check_replacement_target(h, target)
-    _require(omega_phi(target) in conclusion, "omega formula not in conclusion")
-    return make_node(conclusion, Omega(h, target), DeltaFam(admits, fn))
+    tag = _flawless(Omega(h, target), conclusion)
+    return make_node(conclusion, tag, DeltaFam(admits, fn))
 
 
 def omegabar_node(conclusion, h, target, first, admits, fn):
-    _check_replacement_target(h, target)
+    tag = _flawless(OmegaBar(h, target), conclusion)
     _require(
         first.conclusion.is_add(conclusion, target),
         "omegabar first premise must be the conclusion plus the target",
     )
-    return make_node(
-        conclusion, OmegaBar(h, target), OmegaBarPrem(first, DeltaFam(admits, fn))
-    )
+    return make_node(conclusion, tag, OmegaBarPrem(first, DeltaFam(admits, fn)))
 
 
 # ---------------------------------------------------------------------------

@@ -20,22 +20,34 @@ from mucut.checker import (
     system_name,
 )
 from mucut.corpus import CORPUS
-from mucut.errors import FuelExhausted
+from mucut.errors import FuelExhausted, InternalInvariantError
 from mucut.kernel import TOP, atom, iterate, natom, negate, prime
 from mucut.proofs import (
+    ALL_TAGS,
     And,
     Axiom,
+    AxiomMu,
     Box,
+    Clo,
     Cut,
+    DeltaFam,
     Ind,
     Nu,
     Observation,
+    Omega,
+    OmegaBar,
+    OmegaBarPrem,
+    OmegaFam,
     Or,
     Proof,
+    and_node,
     ax,
+    axmu_node,
     box_node,
+    clo_node,
     cut_node,
     ind_node,
+    make_node,
     nu_node,
     observe,
     omega_node,
@@ -44,7 +56,7 @@ from mucut.proofs import (
     or_node,
     top_intro,
 )
-from mucut.sequents import Sequent, seq
+from mucut.sequents import Sequent, from_checked, seq
 from mucut.syntax import parse_formula as pf
 
 
@@ -273,6 +285,136 @@ def test_check_bounded_depth_zero_is_vacuous():
     assert rep.truncation_points == 1
 
 
+def _agreement_cases():
+    """(system, conclusion, tag, premises, build, judged_only): a node that
+    violates a condition of its rule, made with make_node, and the call
+    of the rule's builder that would make it.  judged_only marks the
+    violations of a system's level bound, which builders do not know."""
+    p1, leaf = atom(1), top_intro(())
+    m = pf("mu X . (p1 | X)")  # level 1, its own prime
+    m2 = pf("mu X . (X | nu X . (p1 & X))")  # level 2, not fully primed
+    t2 = prime(m2)
+    n = pf("nu X . (p1 & X)")
+    box_p1 = ("box", p1)
+
+    def admits(d, w):
+        return True
+
+    def fam(d, w):
+        return leaf
+
+    omega_fam = DeltaFam(admits, fam)
+
+    def case(system, c, tag, premises, build, judged_only=False):
+        return (system, c, tag, premises, build, judged_only)
+
+    s, sinf, w1, w2 = SYSTEM_S, SYSTEM_SINF, omega_system(1), omega_system(2)
+    c_top, c_p1, c_one = seq(TOP, negate(TOP)), seq(p1), seq(TOP)
+    return [
+        case(s, c_top, Axiom(TOP), (), lambda c: ax(c, TOP)),
+        case(s, seq(p1, TOP), Axiom(p1), (), lambda c: ax(c, p1)),
+        case(s, c_top, AxiomMu(TOP), (), lambda c: axmu_node(c, TOP)),
+        case(s, seq(m), AxiomMu(m), (), lambda c: axmu_node(c, m)),
+        case(s, c_p1, Or(p1), (leaf,), lambda c: or_node(c, p1, leaf)),
+        case(s, c_p1, Or(TOP), (leaf,), lambda c: or_node(c, TOP, leaf)),
+        case(s, c_p1, And(p1), (leaf, leaf), lambda c: and_node(c, p1, leaf, leaf)),
+        case(
+            s, c_p1, And(negate(TOP)), (leaf, leaf),
+            lambda c: and_node(c, negate(TOP), leaf, leaf),
+        ),
+        case(s, c_p1, Box(p1, seq()), (leaf,), lambda c: box_node(c, p1, seq(), leaf)),
+        case(
+            s, c_p1, Box(box_p1, seq()), (leaf,),
+            lambda c: box_node(c, box_p1, seq(), leaf),
+        ),
+        case(
+            s, seq(box_p1), Box(box_p1, seq(atom(9))), (leaf,),
+            lambda c: box_node(c, box_p1, seq(atom(9)), leaf),
+        ),
+        case(s, c_one, Clo(TOP), (leaf,), lambda c: clo_node(c, TOP, leaf)),
+        case(s, c_one, Clo(m), (leaf,), lambda c: clo_node(c, m, leaf)),
+        case(s, c_top, Ind(TOP, TOP), (leaf,), lambda c: ind_node(c, TOP, TOP, leaf)),
+        case(
+            s, seq(negate(m), TOP, atom(2)), Ind(m, TOP), (leaf,),
+            lambda c: ind_node(c, m, TOP, leaf),
+        ),
+        case(
+            s, c_one, Cut(prime(n)), (leaf, leaf),
+            lambda c: cut_node(c, prime(n), leaf, leaf),
+        ),
+        case(
+            w1, c_one, Cut(m2), (leaf, leaf),
+            lambda c: cut_node(c, m2, leaf, leaf), judged_only=True,
+        ),
+        case(
+            sinf, c_p1, Nu(p1), OmegaFam(lambda i: leaf),
+            lambda c: nu_node(c, p1, lambda i: leaf),
+        ),
+        case(
+            sinf, c_p1, Nu(n), OmegaFam(lambda i: leaf),
+            lambda c: nu_node(c, n, lambda i: leaf),
+        ),
+        case(
+            w2, c_one, Omega(1, TOP), omega_fam,
+            lambda c: omega_node(c, 1, TOP, admits, fam),
+        ),
+        case(
+            w2, c_one, Omega(2, m2), omega_fam,
+            lambda c: omega_node(c, 2, m2, admits, fam),
+        ),
+        case(
+            w2, seq(omega_phi(m)), Omega(2, m), omega_fam,
+            lambda c: omega_node(c, 2, m, admits, fam),
+        ),
+        case(
+            w1, seq(omega_phi(t2)), Omega(2, t2), omega_fam,
+            lambda c: omega_node(c, 2, t2, admits, fam), judged_only=True,
+        ),
+        case(
+            w2, c_one, Omega(1, m), omega_fam,
+            lambda c: omega_node(c, 1, m, admits, fam),
+        ),
+        case(
+            w2, c_one, OmegaBar(1, TOP), OmegaBarPrem(leaf, omega_fam),
+            lambda c: omegabar_node(c, 1, TOP, leaf, admits, fam),
+        ),
+        case(
+            w2, c_one, OmegaBar(1, m2), OmegaBarPrem(leaf, omega_fam),
+            lambda c: omegabar_node(c, 1, m2, leaf, admits, fam),
+        ),
+        case(
+            w2, c_one, OmegaBar(2, m), OmegaBarPrem(leaf, omega_fam),
+            lambda c: omegabar_node(c, 2, m, leaf, admits, fam),
+        ),
+        case(
+            w1, c_one, OmegaBar(2, t2), OmegaBarPrem(top_intro((t2,)), omega_fam),
+            lambda c: omegabar_node(c, 2, t2, top_intro((t2,)), admits, fam),
+            judged_only=True,
+        ),
+    ]
+
+
+def test_builders_refuse_with_the_judges_first_violation():
+    # one case per text a rule's conditions can give, for every rule
+    cases = _agreement_cases()
+    texts = set()
+    for system, c, tag, premises, build, judged_only in cases:
+        rep = check_bounded(make_node(c, tag, premises), system, 1)
+        k = system[1] if system[0] == "omega" else None
+        assert rep.violations[0] == ("root", tag.flaws(c, k)[0])
+        texts.add((type(tag), rep.violations[0][1]))
+        if judged_only:
+            # builders know no system index, so they bound no level
+            assert tag.flaws(c) == ()
+            assert build(c).conclusion == c
+            continue
+        with pytest.raises(InternalInvariantError) as got:
+            build(c)
+        assert str(got.value) == rep.violations[0][1]
+    assert len(texts) == len(cases)
+    assert {rule for rule, _ in texts} == set(ALL_TAGS)
+
+
 def test_axiom_checks():
     p = Proof.make(seq(atom(1)), Axiom(atom(1)), ())
     rep = check_finite(p)
@@ -369,6 +511,21 @@ def test_the_judge_has_no_depth_limit():
     rep = check_observation(o, SYSTEM_S, 6000)
     assert rep.ok
     assert (rep.nodes_checked, rep.truncation_points) == (5001, 0)
+
+
+def test_the_judge_propagates_resource_limits():
+    # the kernel's queries recurse: a conclusion holding a formula nested
+    # deeper than the recursion limit runs out of stack in the L0 test,
+    # which propagates as it does from observe instead of becoming a
+    # verdict on the node
+    f = atom(1)
+    for _ in range(3000):
+        f = ("box", f)
+    c = from_checked((f, atom(1), natom(1)))
+    with pytest.raises(RecursionError):
+        check_observation(Observation(c, Axiom(atom(1))), SYSTEM_S, 1)
+    with pytest.raises(RecursionError):
+        check_finite(Proof.make(c, Axiom(atom(1)), ()), SYSTEM_S)
 
 
 def test_unknown_rule_tag_is_flagged():
@@ -483,6 +640,16 @@ def test_nu_premises_lacking_a_part_or_a_member_or_with_an_extra_one():
             " one of {p3, (p1 & (p1 & (p0 | ~p0)))} / {p3, (p1 & (p1 &"
             " (p0 | ~p0))), nu X . (p1 & X)}",
         ),
+    )
+
+
+def test_nu_rule_without_a_nu_principal_is_flagged_not_raised():
+    # its premises have no defined parts; the judge used to raise the
+    # kernel's TypeError out of the premise checks
+    p = make_node(seq(atom(1)), Nu(atom(1)), OmegaFam(lambda i: top_intro(())))
+    assert check_bounded(p, SYSTEM_SINF, 1).violations == (
+        ("root", "nu principal p1 is not nu-rooted"),
+        ("root", "premise shapes undefined: 'int' object is not subscriptable"),
     )
 
 

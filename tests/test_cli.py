@@ -18,9 +18,11 @@ from mucut.cli import (
     build_parser,
 )
 from mucut.corpus import CORPUS
-from mucut.proofs import or_node
+from mucut.kernel import TOP, negate
+from mucut.proofs import clo_node, cut_node, ind_node, or_node, top_intro
 from mucut.sequents import Sequent
-from mucut.sexpr import loads
+from mucut.sexpr import loads, proof_dumps
+from mucut.syntax import parse_formula
 
 
 def _write_corpus(tmp_path):
@@ -216,6 +218,31 @@ def test_pipeline_all_examples(tmp_path):
         ])
         assert code == EXIT_OK, (stem, err)
         assert out == "cut-free: yes, nubar-free: yes\n"
+
+
+@pytest.mark.parametrize("depth", [1, 3, 6, 10])
+def test_pipeline_passes_the_top_induction_cut_over_trivial_mu(tmp_path, depth):
+    # {top} by a cut on mu X . X against an induction with invariant top:
+    # its collapsed and sinf stages used to carry an error leaf
+    mu = parse_formula("mu X . X")
+    mu_side = clo_node(Sequent((mu, TOP)), mu, top_intro((mu,)))
+    ind_side = ind_node(
+        Sequent((negate(mu), TOP)), mu, TOP, top_intro((negate(TOP),))
+    )
+    src = tmp_path / "trivial-mu.sproof"
+    src.write_text(proof_dumps(cut_node(Sequent((TOP,)), mu, mu_side, ind_side)))
+    outdir = tmp_path / "out"
+    code, out, err = run_cli(
+        ["pipeline", str(src), "--out", str(outdir), "--depth", str(depth)]
+    )
+    assert code == EXIT_OK, err
+    assert out == "cut-free: yes, nubar-free: yes\n"
+    assert (outdir / "trivial-mu.summary").read_text() == (
+        '(summary (endsequent (seq "(p0 | ~p0)"))'
+        " (cut-free yes) (nubar-free yes)"
+        " (check embedded omega:1 ok) (check eliminated omega:1 ok)"
+        " (check collapsed sinf ok) (check sinf sinf ok))\n"
+    )
 
 
 def test_pipeline_samples_a_far_approximant(tmp_path):

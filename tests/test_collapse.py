@@ -15,6 +15,7 @@ from mucut.checker import (
     check_finite,
     check_observation,
     level_bound,
+    omega_system,
     subformula_report,
 )
 from mucut.collapse import collapse, pipeline
@@ -229,20 +230,45 @@ def test_passed_stages_equal_the_long_path(p):
         assert observation_dumps(o) == observation_dumps(observe(long, 8))
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="collapsed stage: cannot fit {(~p0 & p0), (p0 | ~p0)} into {(~p0 & p0)}",
-)
+def _passes_every_stage(proof, depth=6):
+    """Every stage of the pipeline on a valid S proof observes without an
+    error leaf and checks in its own system at the given depth."""
+    assert check_finite(proof, SYSTEM_S).ok
+    stages = pipeline(proof)
+    k = omega_system(level_bound(proof))
+    for name, system in (
+        ("embedded", k),
+        ("eliminated", k),
+        ("collapsed", SYSTEM_SINF),
+        ("sinf", SYSTEM_SINF),
+    ):
+        o = observe(stages[name], depth)
+        assert observation_errors(o) == [], name
+        assert check_observation(o, system, depth).ok, name
+
+
 def test_top_induction_cut_over_trivial_mu():
     # {top} by a cut on mu X . X: the mu side by clo over a truth
-    # introduction, the negated side by induction with invariant top
+    # introduction, the negated side by induction with invariant top.
+    # The unfolding of mu X . X under the invariant is the invariant
+    # itself, top, which is its own prime, so the closure step of context
+    # substitution adds as its image the very formula it then cuts away.
     mu = pf("mu X . X")
     mu_side = clo_node(Sequent((mu, TOP)), mu, top_intro((mu,)))
     ind_side = ind_node(
         Sequent((negate(mu), TOP)), mu, TOP, top_intro((negate(TOP),))
     )
-    proof = cut_node(Sequent((TOP,)), mu, mu_side, ind_side)
-    assert check_finite(proof, SYSTEM_S).ok
-    stages = pipeline(proof)
-    for name in ("embedded", "eliminated", "collapsed", "sinf"):
-        assert observation_errors(observe(stages[name], 6)) == [], name
+    _passes_every_stage(cut_node(Sequent((TOP,)), mu, mu_side, ind_side))
+
+
+def test_induction_cut_over_trivial_mu_with_a_nu_invariant():
+    # {nu X . X} by a cut on mu X . X against an induction whose invariant
+    # is nu X . X: the invariant differs from its prime nub X . X, so only
+    # the b' image of context substitution meets the formula cut away
+    mu = pf("mu X . X")
+    nu = negate(mu)
+    assert prime(nu) != nu
+    axiom = axmu_node(Sequent((mu, nu)), mu)
+    mu_side = clo_node(Sequent((mu, nu)), mu, axiom)
+    ind_side = ind_node(Sequent((nu,)), mu, nu, axiom)
+    _passes_every_stage(cut_node(Sequent((nu,)), mu, mu_side, ind_side))
