@@ -2,9 +2,10 @@
 
 The checker judges observation windows: check_observation reads a window
 that proofs.observe made (each node's conclusion, rule, children, sampled
-indices and probe deltas) and forces nothing.  check_bounded observes any
-proof to a depth and judges that window; check_finite judges a finite
-proof node by node, each in its one-step window, and rejects nu and
+indices and probe deltas), forces nothing and keeps its report on the
+window, per system and depth.  check_bounded judges the window observe
+keeps on a proof; check_finite judges a finite proof node by node, each
+in a one-step window that is kept nowhere, and rejects nu and
 replacement rules without entering them.
 
 One judge serves all three.  A node's own conditions are its rule's: the
@@ -55,6 +56,7 @@ from mucut.proofs import (
     Omega,
     OmegaBar,
     Or,
+    _observe,
     observe,
     omega_phi,
     premise_added,
@@ -437,7 +439,12 @@ def check_observation(o, system, depth):
     """Judge a window that observe made to the given depth: every node
     above the depth bound is checked, with the premises the window holds.
     Nodes at the bound, and nu and replacement rules, whose premises are
-    only sampled, count as truncation points."""
+    only sampled, count as truncation points.  The window keeps the
+    report, so a repeated request returns it without judging again."""
+    return o.keep((system, depth), _judge_window, o, system, depth)
+
+
+def _judge_window(o, system, depth):
     st, sp = _State(), _System(system)
     todo = [(None, o, "root", depth)]
     pop = todo.pop
@@ -458,7 +465,8 @@ def check_observation(o, system, depth):
 
 
 def check_bounded(p, system, depth, samples=(0, 1, 2), probe_budget=1):
-    """Check every node reachable within the observation window."""
+    """Check every node reachable within the observation window; the
+    window and its report are the ones observe and check_observation keep."""
     return check_observation(
         observe(p, depth, samples, probe_budget), system, depth
     )
@@ -473,7 +481,7 @@ def check_finite(p, system=SYSTEM_S):
     root of its own.  Nu and replacement rules are rejected as they are
     met, so nothing below them is forced or observed."""
     st, sp = _State(), _System(system)
-    todo = [("root", p, observe(p, 0))]
+    todo = [("root", p, _observe(p, 0, (), 0))]
     while todo:
         path, q, o = todo.pop()
         if o.error is not None:
@@ -487,8 +495,8 @@ def check_finite(p, system=SYSTEM_S):
                 "finite proof" % type(o.rule).__name__.lower(),
             )
             continue
-        premises = q.premises  # forced by observe already
-        kids = tuple([observe(r, 0) for r in premises])
+        premises = q.premises  # forced by its window already
+        kids = tuple([_observe(r, 0, (), 0) for r in premises])
         window = []
         _judge_node(st, path, Observation(o.conclusion, o.rule, kids), sp, window, 0)
         for pending, _, _, _ in reversed(window):

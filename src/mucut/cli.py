@@ -154,18 +154,12 @@ def cmd_pipeline(args):
         trace=lambda path, case, rank: steps.append((path, case, rank)),
     )
 
-    # a stage that is the same proof as an earlier one (pipeline passes
-    # proofs without cuts and inductions through) reuses its window and text
-    observations, texts = {}, {}
+    observations = {}
     for name in STAGES:
-        earlier = next((m for m in observations if stages[m] is stages[name]), None)
-        if earlier is None:
-            o = observe(stages[name], args.depth, args.samples, args.probes)
-            observations[name], texts[name] = o, observation_dumps(o)
-        else:
-            observations[name], texts[name] = observations[earlier], texts[earlier]
+        o = observe(stages[name], args.depth, args.samples, args.probes)
+        observations[name] = o
         (out_dir / ("%s.%s.obs" % (stem, name))).write_text(
-            texts[name], encoding="utf-8"
+            observation_dumps(o), encoding="utf-8"
         )
 
     if args.trace:
@@ -184,13 +178,9 @@ def cmd_pipeline(args):
 
     omega = omega_system(level_bound(proof))
     checks = []
-    reports = {}  # one judgement per distinct (window, system) pair
     for name in STAGES:
         system = SYSTEM_SINF if name in ("collapsed", "sinf") else omega
-        key = (id(observations[name]), system)
-        if key not in reports:
-            reports[key] = check_observation(observations[name], system, args.depth)
-        report = reports[key]
+        report = check_observation(observations[name], system, args.depth)
         checks.append((name, system_name(system), report.ok))
         if not report.ok:
             sys.stderr.write("stage %s fails its check in %s: %s: %s\n" % (

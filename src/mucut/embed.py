@@ -83,6 +83,7 @@ from mucut.proofs import (
     OmegaBar,
     Or,
     Proof,
+    _flawless,
     _require,
     and_node,
     ax,
@@ -540,7 +541,7 @@ class _Subst:
                     "replacement formula carries a substitution mode"
                 )
             if isinstance(tag, Omega):
-                _require(phi2 in new_c, "omega formula not in conclusion")
+                _flawless(tag, new_c)
             part_modes = _D
         else:
             phi = tag.principal

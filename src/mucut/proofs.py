@@ -8,12 +8,14 @@ and memoized so repeated exploration is deterministic.
 
 Observation is the finite window onto such a proof: explore to a depth
 bound, sample omega premises at chosen indices, and feed replacement-rule
-families their canonical probe.  The checker judges these windows.
+families their canonical probe.  The checker judges these windows.  A
+proof keeps its last window, and a window its reports and text, so a
+repeated request is answered from these memos.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from mucut.errors import FuelExhausted, InternalInvariantError
 from mucut.kernel import (
@@ -326,11 +328,12 @@ def omega_phi(target):
 
 
 class Proof:
-    """Strict conclusion, lazy (rule, premises) node."""
+    """Strict conclusion, lazy (rule, premises) node.  A proof observed
+    as a root keeps its last window (observe) in _window."""
 
     # weakly referenceable so that embed can empty its identity-law memo
     # when the embedding is freed
-    __slots__ = ("conclusion", "_node", "_thunk", "__weakref__")
+    __slots__ = ("conclusion", "_node", "_thunk", "_window", "__weakref__")
 
     def __init__(self, conclusion, node, thunk):
         if not isinstance(conclusion, Sequent):
@@ -338,6 +341,7 @@ class Proof:
         self.conclusion = conclusion
         self._node = node
         self._thunk = thunk
+        self._window = None
 
     @staticmethod
     def make(conclusion, tag, premises):
@@ -407,13 +411,13 @@ def map_premises(d, conclusion, fn, tag=None):
     fn(q, position) for each premise q of d.  Omega-indexed premises and
     family outputs are mapped only when forced; the family keeps d's
     domain predicate.  A given tag replaces d's: the same rule kind with a
-    rewritten principal, which must be in the conclusion."""
+    rewritten principal, which must meet its rule's conditions."""
     old, prem = d._force()
     if tag is None:
         tag = old
     else:
         _require(type(tag) is type(old), "rewritten tag changes the rule kind")
-        _require(tag.principal in conclusion, "principal not in conclusion")
+        _flawless(tag, conclusion)
     if isinstance(tag, FINITE_TAGS):
         new = tuple(fn(q, j) for j, q in enumerate(prem))
     elif isinstance(tag, Nu):
@@ -619,10 +623,12 @@ def standard_admits(h, target):
 
 @dataclass(slots=True)
 class Observation:
-    """A finite window onto a proof.  Nothing hashes or mutates a window
-    once observe has built it; it is not frozen because a frozen
-    dataclass's __init__ costs three times as much, and check_finite
-    observes a one-step window at every node of its proof."""
+    """A finite window onto a proof.  Nothing hashes a window or changes
+    the fields observe gave it; `kept`, outside equality and repr, keeps
+    the checker's reports per (system, depth) and the writer's text.  It
+    is not frozen because a frozen dataclass's __init__ costs three times
+    as much, and check_finite observes a one-step window at every node of
+    its proof."""
 
     conclusion: object
     rule: object
@@ -631,6 +637,16 @@ class Observation:
     sampled: tuple = None
     probes: tuple = None
     error: str = None
+    kept: dict = field(default=None, compare=False, repr=False)
+
+    def keep(self, key, make, *args):
+        """make(*args), worked out on the first request for key and kept
+        on the window for every later one."""
+        if self.kept is None:
+            self.kept = {}
+        if key not in self.kept:
+            self.kept[key] = make(*args)
+        return self.kept[key]
 
 
 def _error_leaf(exc, conclusion=None):
@@ -650,7 +666,18 @@ def observe(p, depth, samples=(0, 1, 2), probe_budget=1):
     at the given indices; replacement families are fed the canonical probe
     when probe_budget is at least 1.  Failures to force a node, to produce
     a premise or family output, and unknown rule tags become error leaves;
-    fuel exhaustion and running out of stack propagate."""
+    fuel exhaustion and running out of stack propagate.  p keeps the
+    window: a repeated request returns it, a request with other settings
+    replaces it.  The nodes below p keep none."""
+    key = (depth, tuple(samples), probe_budget)
+    kept = p._window
+    if kept is None or kept[0] != key:
+        kept = p._window = (key, _observe(p, depth, key[1], probe_budget))
+    return kept[1]
+
+
+def _observe(p, depth, samples, probe_budget):
+    """observe's walk, which keeps no window."""
     try:
         tag, prem = p._force()
     except _LIMITS:
@@ -663,7 +690,7 @@ def observe(p, depth, samples=(0, 1, 2), probe_budget=1):
             return Observation(c, tag, (), truncated=bool(prem))
         kids = []
         for q in prem:  # a loop, not a generator: one frame per level
-            kids.append(observe(q, depth - 1, samples, probe_budget))
+            kids.append(_observe(q, depth - 1, samples, probe_budget))
         return Observation(c, tag, tuple(kids))
     if isinstance(tag, Nu):
         if depth == 0:
@@ -677,7 +704,7 @@ def observe(p, depth, samples=(0, 1, 2), probe_budget=1):
         kids, probes, fam = [], (), prem
         if isinstance(tag, OmegaBar):
             fam = prem.fam
-            kids.append(observe(prem.first, depth - 1, samples, probe_budget))
+            kids.append(_observe(prem.first, depth - 1, samples, probe_budget))
         if probe_budget >= 1:
             delta, witness = canonical_probe(tag.target)
             probes = (delta,)
@@ -694,7 +721,7 @@ def _premise(get, args, depth, samples, probe_budget):
         raise
     except Exception as exc:  # noqa: BLE001
         return _error_leaf(exc)
-    return observe(q, depth - 1, samples, probe_budget)
+    return _observe(q, depth - 1, samples, probe_budget)
 
 
 def _preorder(o):

@@ -426,11 +426,12 @@ def _observation_parts(o):
 
 
 def observation_dumps(o):
-    """The text of an observation.  The text of each conclusion, probe
+    """The text of an observation, kept on the window, so a repeated
+    request writes nothing again.  The text of each conclusion, probe
     Delta and rule tag is kept on the value the first time it is written,
     so windows that share values (the stages of one pipeline) print each
     once."""
-    return _write(o, _observation_parts)
+    return o.keep("text", _write, o, _observation_parts)
 
 
 # ---------------------------------------------------------------------------

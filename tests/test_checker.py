@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import pytest
 
-from mucut import checker
+from conftest import run_cli
+from mucut import checker, proofs
 from mucut.checker import (
     SYSTEM_S,
     SYSTEM_SINF,
@@ -19,6 +20,7 @@ from mucut.checker import (
     subformula_report,
     system_name,
 )
+from mucut.collapse import pipeline
 from mucut.corpus import CORPUS
 from mucut.errors import FuelExhausted, InternalInvariantError
 from mucut.kernel import TOP, atom, iterate, natom, negate, prime
@@ -522,8 +524,11 @@ def test_the_judge_propagates_resource_limits():
     for _ in range(3000):
         f = ("box", f)
     c = from_checked((f, atom(1), natom(1)))
-    with pytest.raises(RecursionError):
-        check_observation(Observation(c, Axiom(atom(1))), SYSTEM_S, 1)
+    o = Observation(c, Axiom(atom(1)))
+    for _ in range(2):
+        with pytest.raises(RecursionError):
+            check_observation(o, SYSTEM_S, 1)
+    assert not o.kept
     with pytest.raises(RecursionError):
         check_finite(Proof.make(c, Axiom(atom(1)), ()), SYSTEM_S)
 
@@ -717,11 +722,74 @@ def test_check_finite_observes_each_node_once(monkeypatch, name):
     want = check_finite(p)
     observed = []
 
+    walk = checker._observe
+
     def counting(q, depth, *args):
         observed.append(depth)
-        return observe(q, depth, *args)
+        return walk(q, depth, *args)
 
-    monkeypatch.setattr(checker, "observe", counting)
+    monkeypatch.setattr(checker, "_observe", counting)
     got = check_finite(p)
     assert got == want and got.ok
     assert observed == [0] * got.nodes_checked
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_check_finite_keeps_no_window(name):
+    p = CORPUS[name]()
+    assert check_finite(p).ok
+    todo = [p]
+    while todo:
+        q = todo.pop()
+        assert q._window is None
+        todo.extend(q.premises)
+
+
+# ---------------------------------------------------------------------------
+# the reports kept on a window
+
+
+def test_a_window_keeps_one_report_per_system_and_depth():
+    # the embedded stage holds omega nodes: it checks in its omega system
+    # and fails in S-infinity
+    omega = omega_system(level_bound(CORPUS["nested"]()))
+    p = pipeline(CORPUS["nested"]())["embedded"]
+    o = observe(p, 5)
+    first = check_observation(o, omega, 5)
+    second = check_observation(o, SYSTEM_SINF, 5)
+    assert first.ok and not second.ok
+    for system, report in ((omega, first), (SYSTEM_SINF, second)):
+        assert check_observation(o, system, 5) is report
+        cold = observe(pipeline(CORPUS["nested"]())["embedded"], 5)
+        assert check_observation(cold, system, 5) == report
+    assert check_bounded(p, omega, 5) is first
+    shallow = check_observation(o, omega, 2)
+    assert shallow != first
+    cold = observe(pipeline(CORPUS["nested"]())["embedded"], 5)
+    assert check_observation(cold, omega, 2) == shallow
+
+
+def test_pipeline_walks_one_window_and_judges_it_once_per_system(tmp_path, monkeypatch):
+    # all four stages of e3-axmu are one proof
+    assert run_cli(["corpus", "--out", str(tmp_path)])[0] == 0
+    walk, judge = proofs._observe, checker._judge_window
+    walks, judged = [], []
+
+    def counting_walk(p, depth, *args):
+        if depth == 4:
+            walks.append(p)
+        return walk(p, depth, *args)
+
+    def counting_judge(o, system, depth):
+        judged.append(system)
+        return judge(o, system, depth)
+
+    monkeypatch.setattr(proofs, "_observe", counting_walk)
+    monkeypatch.setattr(checker, "_judge_window", counting_judge)
+    code, _, err = run_cli([
+        "pipeline", str(tmp_path / "e3-axmu.sproof"),
+        "--out", str(tmp_path / "out"), "--depth", "4",
+    ])
+    assert code == 0, err
+    assert len(walks) == 1
+    assert judged == [omega_system(1), SYSTEM_SINF]

@@ -198,16 +198,18 @@ def test_eliminate_leaves_cut_free_proofs_alone():
 
 def test_parts_of_an_unvouched_principal_are_checked():
     # embed and a commuted cut take a rule's parts unchecked only when its
-    # principal is a member of the conclusion with the rule's root; parts
-    # of hand-built nodes that fail this are checked, and malformed ones
-    # rejected
+    # principal is a member of the conclusion with the rule's root; embed
+    # refuses a hand-built node that fails this by its rule's condition,
+    # and a commuted cut checks its parts, rejecting malformed ones
     leaf = top_intro((atom(3),))
     wrong_root = Proof.make(seq(atom(3)), And(atom(3)), (leaf, leaf))
-    with pytest.raises(ValueError, match="nonempty tuple: 3"):
+    with pytest.raises(InternalInvariantError, match="^principal p3 is not and-rooted$"):
         embed(wrong_root).premises
     stray = ("or", ("var",), atom(1))
     not_member = Proof.make(seq(atom(1)), Or(stray), (leaf,))
-    with pytest.raises(InternalInvariantError, match="principal not in conclusion"):
+    with pytest.raises(
+        InternalInvariantError, match=r"^principal \(X \| p1\) not in conclusion$"
+    ):
         embed(not_member).premises
 
     # a cut on p2 commuted above a node concluding g, p2

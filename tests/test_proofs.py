@@ -6,6 +6,7 @@ from dataclasses import fields
 
 import pytest
 
+from mucut.collapse import pipeline
 from mucut.corpus import CORPUS
 from mucut.errors import FuelExhausted, InternalInvariantError
 from mucut.kernel import TOP, atom, iterate, natom, negate, prime, substitute
@@ -612,3 +613,67 @@ def test_kept_tag_text_is_not_a_field():
     for cls in ALL_TAGS:
         assert cls._text is None
         assert "_text" not in [f.name for f in fields(cls)]
+
+
+# ---------------------------------------------------------------------------
+# the window kept on an observed proof
+
+# settings of observe, each changing one of depth, samples and probe budget
+_SETTINGS = (
+    (4, (0, 1, 2), 1),
+    (3, (0, 1, 2), 1),
+    (3, (0, 2), 1),
+    (3, (0, 2), 0),
+    (4, [0, 1, 2], 1),
+)
+
+
+@pytest.mark.parametrize("stage", ["embedded", "eliminated"])
+def test_observe_keeps_the_last_window_on_the_proof(stage):
+    # the embedded stage of the nested example shows omega and nu nodes
+    # within depth 3, its eliminated stage omegabar and nu nodes
+    p = pipeline(CORPUS["nested"]())[stage]
+    last = None
+    for depth, samples, budget in _SETTINGS:
+        o = observe(p, depth, samples, budget)
+        assert observe(p, depth, samples, budget) is o
+        assert o is not last and o != last
+        cold = pipeline(CORPUS["nested"]())[stage]
+        assert o == observe(cold, depth, samples, budget)
+        last = o
+    assert observe(p, 4, (0, 1, 2), 1) is o
+
+
+def test_observe_keeps_no_window_below_the_root():
+    p = CORPUS["nested"]()
+    observe(p, 20)
+    assert p._window is not None
+    todo = list(p.premises)
+    while todo:
+        q = todo.pop()
+        assert q._window is None
+        todo.extend(q.premises)
+
+
+def test_an_observe_that_runs_out_keeps_nothing():
+    t = prime(pf("mu X . (p1 | X)"))
+    phi = omega_phi(t)
+    calls = []
+
+    def out_of_fuel(delta, w):
+        calls.append(delta)
+        raise FuelExhausted("empty")
+
+    tired = omega_node(seq(phi), 1, t, standard_admits(1, t), out_of_fuel)
+    for n in (1, 2):
+        with pytest.raises(FuelExhausted):
+            observe(tired, 3)
+        assert tired._window is None
+        assert len(calls) == n
+    # a window that does not feed the family is kept, and a request that
+    # runs out leaves it in place
+    o = observe(tired, 3, probe_budget=0)
+    with pytest.raises(FuelExhausted):
+        observe(tired, 3)
+    assert len(calls) == 3
+    assert observe(tired, 3, probe_budget=0) is o

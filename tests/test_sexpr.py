@@ -840,3 +840,15 @@ def test_box_sides_and_probe_deltas_are_written_through_their_kept_text():
         text = observation_dumps(o)
         assert value._text is not None and value._text in text
         assert text == _ref_dumps(_ref_observation(o)) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_a_window_keeps_its_text(name):
+    stages = pipeline(CORPUS[name]())
+    for stage, p in stages.items():
+        o = observe(p, 5)
+        text = observation_dumps(o)
+        assert observation_dumps(o) is text
+        cold = observe(pipeline(CORPUS[name]())[stage], 5)
+        assert observation_dumps(cold).encode("utf-8") == text.encode("utf-8")
+        assert cold == o
