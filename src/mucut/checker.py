@@ -10,15 +10,19 @@ replacement rules without entering them.
 
 One judge serves all three.  A node's own conditions are its rule's: the
 judge flags every text of the tag's flaws(conclusion, k), the same
-conditions the node builders of mucut.proofs refuse by.  It then runs the
-premise checks of the rule's class.  What a system decides (the rules it
-admits, whether conclusions must be in the base language, its index k) is
-worked out once per call, not at every node.  The walk keeps an explicit
-stack, so no window is too deep for it, and a premise's violation waits
-on the stack until the subtree of the premise before it has been judged.
-Paths are kept as (parent, label) pairs and made into text only when a
-violation is flagged.  Resource limits (fuel, stack depth) propagate as
-they do from observe.
+conditions the node builders of mucut.proofs refuse by.  Its premise
+conditions are its rule class's premise function: it flags what concerns
+the premises together (a box's diamond image, a cut's pair, an omegabar's
+first premise) and says what each premise must conclude.  The judge alone
+guards that function, and alone tests and pushes the premises, in one
+loop.  What a system decides (the rules it admits, whether conclusions
+must be in the base language, its index k) is worked out once per call,
+not at every node.  The walk keeps an explicit stack, so no window is
+too deep for it, and a premise's violation waits on the stack until the
+subtree of the premise before it has been judged.  Paths are kept as
+(parent, label) pairs and made into text only when a violation is
+flagged.  Resource limits (fuel, stack depth) propagate as they do from
+observe.
 
 Premise shapes are read liberally: a node concluding C with principal
 phi may present its context as C or as C minus phi (sequents are sets,
@@ -184,12 +188,13 @@ class _System:
 
 
 # ---------------------------------------------------------------------------
-# premises: one function per rule class.  Each checks the premises the
-# window holds and pushes onto the walk's stack, last premise first, one
-# entry per premise: (pending, child, path, depth).  pending is None or the
-# (path, text) of a violation found in the premise's conclusion; the walk
-# flags it when it pops the entry, so it follows the subtree of the
-# premise before.  A premise that could not be produced has no child.
+# premises: one function per rule class.  Each flags what concerns the
+# premises together, at the node's path, and returns what each premise in
+# the window must conclude: None, or (context, principal, shapes, name).
+# shapes[j] is what premise j adds to the context (None: nothing to test).
+# name is None for a finite rule, whose violations are worded "premise j"
+# and flagged at the node; otherwise it words the violation, flagged at the
+# premise's own path.  Only _judge_node catches what they raise.
 
 
 def _parts(c, tag, position, vouched):
@@ -230,137 +235,24 @@ def _premise_violation(at, got, c, principal, parts, what):
     )
 
 
-def _push_finite(todo, path, kids, c, principal, parts, depth):
-    """Push finite premise j, checked against parts[j] when there is one."""
-    for j in range(len(kids) - 1, -1, -1):
-        q = kids[j]
-        pending = None
-        if j < len(parts):
-            pending = _premise_violation(
-                path, q.conclusion, c, principal, parts[j], _PREMISE[j]
-            )
-        todo.append((pending, q, (path, j), depth))
-
-
-def _context_premises(st, path, o, sp, vouched, todo, depth):
+def _context_premises(st, path, o, sp, vouched):
+    """Or, and and clo premises, and the sampled premises of a nu node."""
     c, tag = o.conclusion, o.rule
-    try:
-        parts = [_parts(c, tag, j, vouched) for j in range(tag.arity)]
-    except _LIMITS:
-        raise
-    except Exception as exc:  # noqa: BLE001 - undefined premise shapes
-        st.flag(path, "premise shapes undefined: %s" % exc)
-        parts = ()
-    _push_finite(todo, path, o.children, c, tag.principal, parts, depth)
-
-
-def _ind_premise(st, path, o, sp, vouched, todo, depth):
-    tag = o.rule
-    try:
-        want = Sequent((negate(substitute(tag.mu[1], tag.b)), tag.b))
-    except _LIMITS:
-        raise
-    except Exception as exc:  # noqa: BLE001 - undefined premise shapes
-        st.flag(path, "premise shapes undefined: %s" % exc)
-        want, parts = None, ()
+    if o.sampled is None:
+        positions, name = range(tag.arity), None
     else:
-        parts = ((),)  # the premise must conclude exactly want
-    _push_finite(todo, path, o.children, want, None, parts, depth)
+        positions, name = o.sampled, "premise"
+    return c, tag.principal, [_parts(c, tag, i, vouched) for i in positions], name
 
 
-def _box_premise(st, path, o, sp, vouched, todo, depth):
-    try:
-        _check_box_premise(st, path, o.conclusion, o.rule, o.children[0].conclusion)
-    except _LIMITS:
-        raise
-    except Exception as exc:  # noqa: BLE001
-        st.flag(path, "malformed box rule: %s" % exc)
-    todo.append((None, o.children[0], (path, 0), depth))
+def _ind_premise(st, path, o, sp, vouched):
+    tag = o.rule  # the premise must conclude exactly ~A(b), b
+    return Sequent((negate(substitute(tag.mu[1], tag.b)), tag.b)), None, ((),), None
 
 
-def _cut_premises(st, path, o, sp, vouched, todo, depth):
-    kids = o.children
-    try:
-        _check_cut_premises(
-            st, path, o.conclusion, o.rule, sp, kids[0].conclusion, kids[1].conclusion
-        )
-    except _LIMITS:
-        raise
-    except Exception as exc:  # noqa: BLE001
-        st.flag(path, "malformed cut rule: %s" % exc)
-    _push_finite(todo, path, kids, None, None, (), depth)
-
-
-def _nu_premises(st, path, o, sp, vouched, todo, depth):
-    st.truncs += 1
-    c, tag = o.conclusion, o.rule
-    try:
-        shapes = [_parts(c, tag, i, vouched) for i in o.sampled]
-    except _LIMITS:
-        raise
-    except Exception as exc:  # noqa: BLE001 - undefined premise shapes
-        st.flag(path, "premise shapes undefined: %s" % exc)
-        shapes = None
-    entries = []
-    for j, (label, q) in enumerate(zip(_labels(o), o.children)):
-        qpath = (path, label)
-        if q.conclusion is None:
-            lost = (qpath, "premise evaluation failed: %s" % q.error)
-            entries.append((lost, None, qpath, depth))
-        else:
-            pending = None
-            if shapes is not None:
-                pending = _premise_violation(
-                    qpath, q.conclusion, c, tag.principal, shapes[j], "premise"
-                )
-            entries.append((pending, q, qpath, depth))
-    todo.extend(reversed(entries))
-
-
-def _family_premises(st, path, o, sp, vouched, todo, depth):
-    st.truncs += 1
-    c, tag = o.conclusion, o.rule
-    kids, labels, entries = o.children, _labels(o), []
-    if type(tag) is Omega:
-        principal = omega_phi(tag.target)
-    else:
-        principal = None
-        want = c.add(tag.target)
-        if kids[0].conclusion != want:
-            st.flag(
-                path,
-                "first premise concludes %r, expected %r" % (kids[0].conclusion, want),
-            )
-        entries.append((None, kids[0], (path, FIRST), depth))
-        kids, labels = kids[1:], labels[1:]
-    for delta, label, q in zip(o.probes, labels, kids):
-        qpath = (path, label)
-        if q.conclusion is None:
-            lost = (qpath, "family evaluation failed: %s" % q.error)
-            entries.append((lost, None, qpath, depth))
-        else:
-            pending = _premise_violation(
-                qpath, q.conclusion, c, principal, delta, "family output"
-            )
-            entries.append((pending, q, qpath, depth))
-    todo.extend(reversed(entries))
-
-
-_PREMISES = {
-    Or: _context_premises,
-    And: _context_premises,
-    Clo: _context_premises,
-    Ind: _ind_premise,
-    Box: _box_premise,
-    Cut: _cut_premises,
-    Nu: _nu_premises,
-    Omega: _family_premises,
-    OmegaBar: _family_premises,
-}
-
-
-def _check_box_premise(st, path, c, tag, got):
-    principal = tag.principal
+def _box_premise(st, path, o, sp, vouched):
+    c, principal = o.conclusion, o.rule.principal
+    got = o.children[0].conclusion
     a = principal[1]
     if a not in got:
         st.flag(path, "box premise lacks the body %s" % print_form(a))
@@ -369,19 +261,19 @@ def _check_box_premise(st, path, c, tag, got):
         Sequent((principal,))  # a malformed principal raises here
     # compare sets: the diamond image of the premise with or without its
     # body, the principal and the side
-    rest = tag.side._set | {principal}
+    rest = o.rule.side._set | {principal}
     image = got.dia()._set
-    if c._set == image | rest or c._set == (image - {("dia", a)}) | rest:
-        return
-    st.flag(
-        path,
-        "box conclusion %r does not match the diamond image of its premise %r"
-        % (c, got),
-    )
+    if c._set != image | rest and c._set != (image - {("dia", a)}) | rest:
+        st.flag(
+            path,
+            "box conclusion %r does not match the diamond image of its premise %r"
+            % (c, got),
+        )
 
 
-def _check_cut_premises(st, path, c, tag, sp, left, right):
-    f = tag.formula
+def _cut_premises(st, path, o, sp, vouched):
+    c, f = o.conclusion, o.rule.formula
+    left, right = o.children[0].conclusion, o.children[1].conclusion
     if sp.k is not None:
         pair = (prime(f), prime(negate(f)))
     else:
@@ -393,12 +285,38 @@ def _check_cut_premises(st, path, c, tag, sp, left, right):
     if left.is_add(c, pair[1]) and right.is_add(c, pair[0]):
         return
     want = {c.add(pair[0]), c.add(pair[1])}
-    got = {left, right}
     st.flag(
         path,
         "cut premises conclude %s, expected %s (either order)"
-        % (sorted(map(repr, got)), sorted(map(repr, want))),
+        % (sorted(map(repr, {left, right})), sorted(map(repr, want))),
     )
+
+
+def _family_premises(st, path, o, sp, vouched):
+    c, tag = o.conclusion, o.rule
+    if type(tag) is Omega:
+        return c, omega_phi(tag.target), o.probes, "family output"
+    want = c.add(tag.target)
+    first = o.children[0].conclusion
+    if first != want:
+        st.flag(path, "first premise concludes %r, expected %r" % (first, want))
+    return c, None, (None,) + o.probes, "family output"
+
+
+_UNTESTED = (None, None, (), None)  # no premise shapes: nothing to test
+
+# Each rule class's premise function, and the words that flag what it raises.
+_PREMISES = {
+    Or: (_context_premises, "premise shapes undefined"),
+    And: (_context_premises, "premise shapes undefined"),
+    Clo: (_context_premises, "premise shapes undefined"),
+    Nu: (_context_premises, "premise shapes undefined"),
+    Ind: (_ind_premise, "premise shapes undefined"),
+    Box: (_box_premise, "malformed box rule"),
+    Cut: (_cut_premises, "malformed cut rule"),
+    Omega: (_family_premises, "premise shapes undefined"),
+    OmegaBar: (_family_premises, "premise shapes undefined"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +325,12 @@ def _check_cut_premises(st, path, c, tag, sp, left, right):
 
 def _judge_node(st, path, o, sp, todo, depth):
     """Check one observed node that could be forced: its rule's conditions
-    if the system admits the rule, then its premises, whose subtrees go
-    onto todo at the given depth.  Resource limits propagate."""
+    if the system admits the rule, then its premises, which go onto todo,
+    last premise first, as (pending, child, path, depth) entries.  pending
+    is None or the (path, text) of a violation in the premise's conclusion,
+    flagged when the entry is popped, after the subtree of the premise
+    before.  A premise that could not be produced has no child.  Resource
+    limits propagate."""
     c, tag = o.conclusion, o.rule
     rule = type(tag)
     vouched = False
@@ -430,9 +352,41 @@ def _judge_node(st, path, o, sp, todo, depth):
     except Exception as exc:  # noqa: BLE001 - malformed tags must reject
         st.flag(path, "malformed rule tag: %s" % exc)
         return
-    premises = _PREMISES.get(rule)
-    if premises is not None:
-        premises(st, path, o, sp, vouched, todo, depth)
+    entry = _PREMISES.get(rule)
+    if entry is None:
+        return
+    try:
+        want = entry[0](st, path, o, sp, vouched) or _UNTESTED
+    except _LIMITS:
+        raise
+    except Exception as exc:  # noqa: BLE001 - malformed premises must reject
+        st.flag(path, "%s: %s" % (entry[1], exc))
+        want = _UNTESTED
+    c, principal, shapes, name = want
+    kids = o.children
+    j = len(kids)
+    labels = None  # a finite premise's label is its position
+    if o.sampled is not None or o.probes is not None:
+        st.truncs += 1
+        labels = _labels(o)
+    tested = len(shapes)
+    while j:  # last premise first
+        j -= 1
+        q = kids[j]
+        qpath = (path, j if labels is None else labels[j])
+        got = q.conclusion
+        pending = None
+        if got is None:
+            lost = "premise" if o.probes is None else "family"
+            pending = (qpath, "%s evaluation failed: %s" % (lost, q.error))
+            q = None
+        elif j < tested and shapes[j] is not None:
+            if name is None:
+                at, what = path, _PREMISE[j]
+            else:
+                at, what = qpath, name
+            pending = _premise_violation(at, got, c, principal, shapes[j], what)
+        todo.append((pending, q, qpath, depth))
 
 
 def check_observation(o, system, depth):

@@ -16,10 +16,11 @@ same code).  Reduction cases, tried in order on the exposed premise roots:
 
   0. the cut is redundant (a primed cut formula already sits in the
      conclusion): keep the premise that proves the conclusion directly;
-  i. a premise is an axiom whose pair contains its cut formula: the other
-     premise already proves the conclusion;
- ii. a premise is an axiom whose pair survives in the conclusion: conclude
-     by that axiom;
+     this covers an axiom premise whose pair holds its cut formula, since
+     the pair's other member, the other cut formula, is then in the
+     conclusion;
+ ii. a premise is an axiom, so its pair survives in the conclusion:
+     conclude by that axiom;
  vi. a premise root introduces the negated-mu side by a replacement rule
      whose target is the mu side's cut formula: replace it with the
      bar variant, keeping the mu-side derivation as first premise;
@@ -242,18 +243,14 @@ def _reduce_root(d, budget, trace, path):
             return done
         return (dl, dr), 0 if left_cut else 1
 
-    # (i)/(ii) axiom premises
-    for mine, f_m, other, f_o in sides:
+    # (ii) axiom premises
+    for mine in (dl, dr):
         rtag = mine.rule
         if isinstance(rtag, AxiomMu):
             raise InternalInvariantError(
                 "axmu node inside an intermediate-system proof"
             )
         if isinstance(rtag, Axiom):
-            pair = (rtag.p, negate(rtag.p))
-            if f_m in pair:
-                _trace(trace, path, "axiom-pair", formula)
-                return fit(other, g)
             _trace(trace, path, "axiom-context", formula)
             return ax(g, rtag.p)
 
@@ -287,15 +284,10 @@ def _reduce_root(d, budget, trace, path):
             )
 
     # (iv) conjunction against disjunction, both principal
-    if f1[0] == "and" or f2[0] == "and":
-        if f1[0] == "and":
-            d_and, f_and, d_or, f_or, cf = dl, f1, dr, f2, formula
-            and_is_f1 = True
-        else:
-            d_and, f_and, d_or, f_or, cf = dr, f2, dl, f1, negate(formula)
-            and_is_f1 = False
-        atag = d_and.rule
-        otag = d_or.rule
+    for d_and, f_and, d_or, f_or in sides:
+        if f_and[0] != "and":
+            continue
+        atag, otag = d_and.rule, d_or.rule
         if (
             isinstance(atag, And)
             and atag.principal == f_and
@@ -303,6 +295,8 @@ def _reduce_root(d, budget, trace, path):
             and otag.principal == f_or
         ):
             _trace(trace, path, "decompose", formula)
+            and_is_f1 = f_and == f1
+            cf = formula if and_is_f1 else negate(formula)
             comp_d, comp_e = cf[1], cf[2]
             n_dp = prime(negate(comp_d))
             e_p = prime(comp_e)
@@ -321,18 +315,15 @@ def _reduce_root(d, budget, trace, path):
             return cut_fit(g, comp_d, p11, step1)
 
     # (v) box principal against its diamond-part dual
-    if f1[0] == "box" or f2[0] == "box":
-        if f1[0] == "box":
-            d_b, f_b, d_d, f_d, cf = dl, f1, dr, f2, formula
-        else:
-            d_b, f_b, d_d, f_d, cf = dr, f2, dl, f1, negate(formula)
-        btag = d_b.rule
-        dtag = d_d.rule
+    for d_b, f_b, d_d, f_d in sides:
+        if f_b[0] != "box":
+            continue
+        btag, dtag = d_b.rule, d_d.rule
         b_ready = isinstance(btag, Box) and btag.principal == f_b
-        d_stuck = _dia_stuck(dtag, d_d, f_d)
-        if b_ready and d_stuck:
+        if b_ready and _dia_stuck(dtag, d_d, f_d):
             _trace(trace, path, "modal", formula)
-            comp = cf[1]  # cf = box(comp); f_b = box(comp'), f_d = dia((~comp)')
+            # comp is the box side's body: f_b = box(comp'), f_d = dia((~comp)')
+            comp = (formula if f_b == f1 else negate(formula))[1]
             p1 = d_b.premises[0]
             p2 = d_d.premises[0]
             a1 = prime(comp)

@@ -664,11 +664,12 @@ _LIMITS = (FuelExhausted, RecursionError)
 def observe(p, depth, samples=(0, 1, 2), probe_budget=1):
     """Explore p to the given depth.  Omega-indexed premises are sampled
     at the given indices; replacement families are fed the canonical probe
-    when probe_budget is at least 1.  Failures to force a node, to produce
-    a premise or family output, and unknown rule tags become error leaves;
-    fuel exhaustion and running out of stack propagate.  p keeps the
-    window: a repeated request returns it, a request with other settings
-    replaces it.  The nodes below p keep none."""
+    when probe_budget is at least 1.  Failures to force a node, to build
+    its probe, to produce a premise or family output, and unknown rule
+    tags become error leaves; fuel exhaustion and running out of stack
+    propagate.  p keeps the window: a repeated request returns it, a
+    request with other settings replaces it.  The nodes below p keep
+    none."""
     key = (depth, tuple(samples), probe_budget)
     kept = p._window
     if kept is None or kept[0] != key:
@@ -701,15 +702,19 @@ def _observe(p, depth, samples, probe_budget):
     if isinstance(tag, (Omega, OmegaBar)):
         if depth == 0:
             return Observation(c, tag, (), truncated=True, probes=())
-        kids, probes, fam = [], (), prem
+        try:
+            probe = canonical_probe(tag.target) if probe_budget >= 1 else ()
+        except _LIMITS:
+            raise
+        except Exception as exc:  # noqa: BLE001 - an unbuildable probe
+            return _error_leaf(exc, c)
+        kids, fam = [], prem
         if isinstance(tag, OmegaBar):
             fam = prem.fam
             kids.append(_observe(prem.first, depth - 1, samples, probe_budget))
-        if probe_budget >= 1:
-            delta, witness = canonical_probe(tag.target)
-            probes = (delta,)
-            kids.append(_premise(fam, (delta, witness), depth, samples, probe_budget))
-        return Observation(c, tag, tuple(kids), truncated=True, probes=probes)
+        if probe:
+            kids.append(_premise(fam, probe, depth, samples, probe_budget))
+        return Observation(c, tag, tuple(kids), truncated=True, probes=probe[:1])
     return _error_leaf("unknown rule tag: %r" % (tag,), c)
 
 

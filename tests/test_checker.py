@@ -45,6 +45,7 @@ from mucut.proofs import (
     and_node,
     ax,
     axmu_node,
+    box_fit,
     box_node,
     clo_node,
     cut_node,
@@ -656,6 +657,60 @@ def test_nu_rule_without_a_nu_principal_is_flagged_not_raised():
         ("root", "nu principal p1 is not nu-rooted"),
         ("root", "premise shapes undefined: 'int' object is not subscriptable"),
     )
+
+
+# ---------------------------------------------------------------------------
+# the judge is total: a window it cannot read is a verdict, not an exception
+
+
+def test_a_window_judged_deeper_than_it_was_observed_is_a_verdict():
+    # observed to depth 0, the box node holds no premise to compare
+    p1 = atom(1)
+    b = box_fit(seq(("box", TOP), ("dia", p1)), ("box", TOP), top_intro((p1,)))
+    rep = check_observation(observe(b, 0), SYSTEM_S, 3)
+    assert rep.violations == (
+        ("root", "malformed box rule: tuple index out of range"),
+    )
+    assert (rep.nodes_checked, rep.truncation_points) == (1, 0)
+
+
+def _unprobed_omegabar():
+    """An omegabar node whose target [] X has a free variable, so its
+    first premise has no defined shape and its family no probe."""
+    leaf = top_intro(())
+    fam = DeltaFam(lambda d, w: True, lambda d, w: leaf)
+    return Proof.make(
+        seq(TOP), OmegaBar(1, ("box", ("var",))), OmegaBarPrem(leaf, fam)
+    )
+
+
+def test_an_omegabar_without_a_first_premise_shape_is_a_verdict():
+    o = observe(_unprobed_omegabar(), 2, probe_budget=0)
+    rep = check_observation(o, omega_system(1), 2)
+    assert rep.violations[-1] == (
+        "root",
+        "premise shapes undefined: sequent formula has a free variable: [] X",
+    )
+    assert (rep.nodes_checked, rep.truncation_points) == (2, 2)
+
+
+def test_an_unbuildable_probe_makes_an_error_leaf_the_judge_flags():
+    o = observe(_unprobed_omegabar(), 2)
+    assert (o.conclusion, o.rule, o.children) == (seq(TOP), None, ())
+    assert o.error == "sequent formula has a free variable: [] X"
+    assert check_observation(o, omega_system(1), 2).violations == (
+        ("root", "node evaluation failed: sequent formula has a free variable: [] X"),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_corpus_windows_judged_deeper_than_observed_raise_nothing(name):
+    k = level_bound(CORPUS[name]())
+    for stage in pipeline(CORPUS[name]()).values():
+        for depth in range(4):
+            o = observe(stage, depth)
+            for system in (SYSTEM_S, SYSTEM_SINF, omega_system(k)):
+                check_observation(o, system, depth + 2)
 
 
 def test_family_outputs_lacking_a_member_or_with_an_extra_one():

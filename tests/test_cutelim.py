@@ -3,6 +3,7 @@ elimination pass."""
 
 from __future__ import annotations
 
+import hashlib
 import re
 
 import pytest
@@ -35,22 +36,28 @@ from mucut.errors import FuelExhausted, InternalInvariantError
 from mucut.kernel import TOP, atom, natom, negate
 from mucut.proofs import (
     And,
+    Axiom,
     Cut,
     Nu,
+    Omega,
     OmegaFam,
     Or,
     Proof,
     ax,
+    axmu_node,
+    box_node,
+    clo_node,
     cut_node,
     ind_node,
     is_cut_free_observed,
     observation_errors,
     observation_rules,
     observe,
+    or_node,
     top_intro,
 )
-from mucut.sequents import seq
-from mucut.sexpr import proof_dumps
+from mucut.sequents import Sequent, seq
+from mucut.sexpr import observation_dumps, proof_dumps
 from mucut.syntax import parse_formula as pf
 
 
@@ -170,7 +177,6 @@ def test_eliminate_case_tokens():
     assert "omegabar-1" in seen
     assert seen <= {
         "redundant",
-        "axiom-pair",
         "axiom-context",
         "omegabar-1",
         "omegabar-2",
@@ -363,3 +369,123 @@ def test_a_commutable_premise_goes_before_exposing_a_cut():
         ("root.0.1", "axiom-context"),
         ("root.0", "axiom-context"),
     ]
+
+
+# ---------------------------------------------------------------------------
+# reduction branches that no corpus proof or benchmark workload reaches
+
+
+def _exposing_cut():
+    """A cut on p2 whose left premise is an axiom, which cannot be
+    commuted, and whose right premise is a cut on p3 between two axioms."""
+    p1, p2, p3 = atom(1), atom(2), atom(3)
+    g = seq(p1, natom(1))
+    left = ax(g.add(p2), p1)
+    right = cut_node(
+        g.add(natom(2)),
+        p3,
+        ax(g.union((natom(2), p3)), p1),
+        ax(g.union((natom(2), natom(3))), p1),
+    )
+    return g, left, right
+
+
+def test_reduce_head_exposes_a_premise_cut_and_keeps_the_cut_above_it():
+    g, left, right = _exposing_cut()
+    steps = []
+    out = reduce_head(
+        cut_node(g, atom(2), left, right), trace=lambda p, c, _: steps.append((p, c))
+    )
+    assert steps == [("root.1", "axiom-context")]
+    assert out.rule == Cut(atom(2))
+    assert out.premises[0] is left
+    assert out.premises[1].rule == Axiom(atom(1))
+    assert out.premises[1].conclusion == right.conclusion
+    assert check_finite(out).ok
+
+
+def test_a_cut_with_its_premises_in_reverse_order_reduces_as_in_order():
+    g, left, right = _exposing_cut()
+    runs = []
+    for premises in ((left, right), (right, left)):
+        steps = []
+        out = reduce_head(
+            cut_node(g, atom(2), *premises), trace=lambda p, c, _: steps.append((p, c))
+        )
+        runs.append((steps, observation_dumps(observe(out, 4))))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == [("root.1", "axiom-context")]
+
+
+def _box_against_its_dual():
+    """The box and the diamond premises of the modal pin of
+    tests/test_branch_pins.py: a box on [](p0 | ~p0), and a box whose
+    diamond part holds <>(~p0 & p0)."""
+    b0, b1, d = pf("[](p0 | ~p0)"), pf("[](p1 | ~p1)"), pf("<>(~p0 & p0)")
+    box_side = box_node(Sequent((b0, b1)), b0, Sequent((b1,)), top_intro(()))
+    dia_side = box_node(
+        Sequent((b1, d)),
+        b1,
+        Sequent(),
+        or_node(
+            Sequent((b1[1], d[1])),
+            b1[1],
+            ax(Sequent((atom(1), natom(1), d[1])), atom(1)),
+        ),
+    )
+    return Sequent((b1,)), d, box_side, dia_side
+
+
+def test_the_modal_case_with_the_box_on_the_f2_side():
+    # a cut on <>(~p0 & p0): its f2 side is the box premise's principal
+    g, d, box_side, dia_side = _box_against_its_dual()
+    steps = []
+    stages = pipeline(
+        cut_node(g, d, dia_side, box_side), trace=lambda p, c, _: steps.append((p, c))
+    )
+    o = observe(stages["eliminated"], 6)
+    assert steps == [
+        ("root", "modal"),
+        ("root.0", "commute"),
+        ("root.0.0", "axiom-context"),
+    ]
+    # the same eliminated window as the cut on [](p0 | ~p0) pinned there
+    digest = hashlib.sha256(
+        observation_dumps(observe(stages["eliminated"], 8, (0, 1, 2), 1)).encode()
+    ).hexdigest()
+    assert digest == "c1f0d975945fd5665e537e1ad01bebb03250a69e653d39f15f3767c913d0e56e"
+    assert check_observation(o, omega_system(0), 6).ok
+
+
+def test_the_omegabar_case_with_the_omega_node_on_the_f1_side():
+    # the embedded cut on mu X . X against the Omega node of an induction
+    # whose invariant is nu X . X, cut on nu X . X with its premises
+    # swapped: the family output keeps the Omega formula nub X . X, so it
+    # is cut against the mu side with the output as its f1 premise
+    mu = pf("mu X . X")
+    nu = negate(mu)
+    axiom = axmu_node(Sequent((mu, nu)), mu)
+    cut = cut_node(
+        Sequent((nu,)),
+        mu,
+        clo_node(Sequent((mu, nu)), mu, axiom),
+        ind_node(Sequent((nu,)), mu, nu, axiom),
+    )
+    mu_side, omega_side = embed(cut, frozenset(), 1).premises
+    assert isinstance(omega_side.rule, Omega)
+    steps = []
+    out = reduce_head(
+        cut_node(Sequent((nu,)), nu, omega_side, mu_side),
+        trace=lambda p, c, _: steps.append((p, c)),
+    )
+    assert steps == [("root", "omegabar-1")]
+    assert observation_dumps(observe(out, 2)) == (
+        '(rule (omegabar 1 "mu X . X") (seq "nu X . X")'
+        ' (rule (clo "mu X . X") (seq "mu X . X" "nu X . X")'
+        ' (rule (nu "nu X . X") (seq "mu X . X" "nu X . X") (samples) (truncated)))'
+        ' (rule (cut "nu X . X") (seq "(p0 | ~p0)" "nu X . X")'
+        ' (rule (or "(p0 | ~p0)") (seq "(p0 | ~p0)" "nu X . X" "nub X . X") (truncated))'
+        ' (rule (clo "mu X . X") (seq "(p0 | ~p0)" "mu X . X" "nu X . X") (truncated)))'
+        ' (probes (seq "(p0 | ~p0)")) (truncated))\n'
+    )
+    assert check_observation(observe(out, 6), omega_system(1), 6).ok
