@@ -8,8 +8,8 @@ Subcommands:
     ``omega:K``) and print the report;
   * ``pipeline`` — run embed / eliminate / collapse on a finite S proof,
     write one observation file per stage plus a summary that holds each
-    stage's verdict in its own system, and print the one-line summary; the
-    sinf stage is the collapsed proof, read as an S-infinity derivation;
+    stage's verdict in its own system, and print the one-line summary;
+    ``mucut.collapse.verdict`` decides what passes, and this only words it;
   * ``corpus`` — write the built-in example proofs as ``.sproof`` files.
 
 Exit codes: 0 ok; 1 check failure (a rule outside S-infinity in the
@@ -26,28 +26,12 @@ import argparse
 import sys
 from pathlib import Path
 
-from mucut.checker import (
-    SYSTEM_S,
-    SYSTEM_SINF,
-    check_finite,
-    check_observation,
-    level_bound,
-    omega_system,
-    parse_system,
-    system_name,
-)
-from mucut.collapse import MAX_PLUGS, pipeline
+from mucut.checker import SYSTEM_S, check_finite, level_bound, parse_system
+from mucut.collapse import MAX_PLUGS, STAGES, pipeline, verdict
 from mucut.corpus import CORPUS
 from mucut.cutelim import DEFAULT_FUEL
 from mucut.errors import FuelExhausted, InternalInvariantError
-from mucut.proofs import (
-    SINF_TAGS,
-    Cut,
-    observe,
-    observation_errors,
-    observation_rules,
-    observation_sequents,
-)
+from mucut.proofs import observe
 from mucut.sexpr import (
     SexprError,
     dumps,
@@ -69,8 +53,6 @@ EXIT_INVARIANT = 4
 DEFAULT_DEPTH = 6
 DEFAULT_SAMPLES = (0, 1, 2)
 DEFAULT_PROBES = 1
-
-STAGES = ("embedded", "eliminated", "collapsed", "sinf")
 
 CORPUS_FILES = (
     ("e1-ind-top", "ind-top"),
@@ -135,79 +117,45 @@ def cmd_check(args):
 
 
 def cmd_pipeline(args):
+    src = Path(args.file)
+    out_dir = Path(args.out) if args.out else src.parent
+    obs = [out_dir / ("%s.%s.obs" % (src.stem, stage)) for stage in STAGES]
+    summary = out_dir / (src.stem + ".summary")
+    # a run that fails leaves no artifact of an earlier run behind
+    for path in (*obs, summary, *([Path(args.trace)] if args.trace else ())):
+        path.unlink(missing_ok=True)
+
     proof = _load_proof(args.file)
     report = check_finite(proof, SYSTEM_S)
     if not report.ok:
         sys.stderr.write("input is not a valid S proof:\n")
         sys.stderr.write(report_dumps(report))
         return EXIT_CHECK
-
-    src = Path(args.file)
-    out_dir = Path(args.out) if args.out else src.parent
     out_dir.mkdir(parents=True, exist_ok=True)
-    stem = src.stem
 
     steps = []
-    stages = pipeline(
-        proof,
-        fuel=args.fuel,
-        trace=lambda path, case, rank: steps.append((path, case, rank)),
-    )
-
-    observations = {}
-    for name in STAGES:
+    stages = pipeline(proof, fuel=args.fuel, trace=lambda *step: steps.append(step))
+    # each stage is written before the next is observed; verdict's own
+    # observe calls are answered from the windows the stages keep
+    for name, path in zip(STAGES, obs):
         o = observe(stages[name], args.depth, args.samples, args.probes)
-        observations[name] = o
-        (out_dir / ("%s.%s.obs" % (stem, name))).write_text(
-            observation_dumps(o), encoding="utf-8"
-        )
-
+        path.write_text(observation_dumps(o), encoding="utf-8")
     if args.trace:
-        lines = "".join(
-            dumps(step_to_sx(path, case, rank)) + "\n" for path, case, rank in steps
-        )
+        lines = "".join(dumps(step_to_sx(*step)) + "\n" for step in steps)
         Path(args.trace).write_text(lines, encoding="utf-8")
 
-    errors = []
-    for name in STAGES:
-        errors.extend((name, e) for e in observation_errors(observations[name]))
-    if errors:
-        name, first = errors[0]
-        sys.stderr.write("stage %s produced an error leaf: %s\n" % (name, first))
+    v = verdict(proof, stages, args.depth, args.samples, args.probes)
+    if v.error:
+        sys.stderr.write("stage %s produced an error leaf: %s\n" % v.error)
         return EXIT_INVARIANT
-
-    omega = omega_system(level_bound(proof))
-    checks = []
-    for name in STAGES:
-        system = SYSTEM_SINF if name in ("collapsed", "sinf") else omega
-        report = check_observation(observations[name], system, args.depth)
-        checks.append((name, system_name(system), report.ok))
-        if not report.ok:
-            sys.stderr.write("stage %s fails its check in %s: %s: %s\n" % (
-                name, system_name(system), *report.violations[0]))
-
-    final = observations["sinf"]
-    rules = [r for r in observation_rules(final) if r]
-    cut_free = not any(isinstance(r, Cut) for r in rules)
-    # the judge only counts the nodes at the depth bound: their rules are
-    # read here, so no rule outside S-infinity passes anywhere in the window
-    foreign = next((r for r in rules if not isinstance(r, SINF_TAGS)), None)
-    if foreign is not None and checks[-1][2]:
-        checks[-1] = ("sinf", "sinf", False)
-        sys.stderr.write("stage sinf fails its check in sinf: rule %s at the "
-                         "depth bound is not part of system sinf\n" % foreign.name)
-    nubar_free = all(
-        s.max_nubar_level() < 0 for s in observation_sequents(final)
-    )
-    summary = summary_to_sx(proof.conclusion, cut_free, nubar_free, checks)
-    summary = dumps(summary) + "\n"
-    (out_dir / (stem + ".summary")).write_text(summary, encoding="utf-8")
-    sys.stdout.write(
-        "cut-free: %s, nubar-free: %s\n"
-        % ("yes" if cut_free else "no", "yes" if nubar_free else "no")
-    )
-    passed = cut_free and nubar_free and all(ok for _, _, ok in checks)
-    return EXIT_OK if passed else EXIT_CHECK
+    checks = [(s.name, s.system, not s.failure) for s in v.stages]
+    sys.stderr.write("".join("stage %s fails its check in %s: %s\n" % (
+        s.name, s.system, s.failure) for s in v.stages if s.failure))
+    text = summary_to_sx(proof.conclusion, v.cut_free, v.nubar_free, checks)
+    summary.write_text(dumps(text) + "\n", encoding="utf-8")
+    sys.stdout.write("cut-free: %s, nubar-free: %s\n" % (
+        "yes" if v.cut_free else "no", "yes" if v.nubar_free else "no"))
+    return EXIT_OK if v.passed else EXIT_CHECK
 
 
 def cmd_corpus(args):

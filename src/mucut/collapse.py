@@ -16,15 +16,28 @@ S-infinity judge of the checker says whether a window of it is one.
 pipeline runs eliminate and collapse only where they have work: the
 embedding of a proof without cuts and inductions has neither cuts nor
 replacement rules, so it is its own eliminated and collapsed stage.
+
+verdict says whether one run of the pipeline passed: every stage is free
+of error leaves and checks in its own system, and the final window is
+cut-free and nub-free.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from mucut.cutelim import DEFAULT_FUEL, eliminate
-from mucut.checker import level_bound
+from mucut.checker import (
+    SYSTEM_SINF,
+    check_observation,
+    level_bound,
+    omega_system,
+    system_name,
+)
 from mucut.embed import embed, embeds_plainly
 from mucut.errors import FuelExhausted, InternalInvariantError
 from mucut.proofs import (
+    SINF_TAGS,
     Axiom,
     AxiomMu,
     Cut,
@@ -32,11 +45,18 @@ from mucut.proofs import (
     OmegaBar,
     Proof,
     map_premises,
+    observation_errors,
+    observation_rules,
+    observation_sequents,
+    observe,
 )
 from mucut.sequents import is_k_positive
 
 # The most plugs collapse makes at one node it forces.
 MAX_PLUGS = 100_000
+
+# The stages pipeline returns, in the order verdict reads them.
+STAGES = ("embedded", "eliminated", "collapsed", "sinf")
 
 
 def collapse(p, h=0):
@@ -98,9 +118,47 @@ def pipeline(p, fuel=DEFAULT_FUEL, trace=None):
     else:
         eliminated = eliminate(embedded, fuel=fuel, trace=trace)
         collapsed = collapse(eliminated, 0)
-    return {
-        "embedded": embedded,
-        "eliminated": eliminated,
-        "collapsed": collapsed,
-        "sinf": collapsed,
-    }
+    return dict(zip(STAGES, (embedded, eliminated, collapsed, collapsed)))
+
+
+# A stage's name, its observe window, the name of its system, the judge's
+# report and the text of its first failure; report and failure are None
+# when nothing was judged, and failure is None when the stage passed.
+StageVerdict = namedtuple("StageVerdict", "name window system report failure")
+# k is the index of the intermediate system; error is the first error leaf
+# as (stage, text), and when it is set nothing is judged.
+Verdict = namedtuple("Verdict", "k error stages cut_free nubar_free passed")
+
+
+def verdict(p, stages, depth, samples=(0, 1, 2), probe_budget=1):
+    """Whether the stages pipeline made from the S proof p pass, read off
+    their observe windows: with no error leaf, the embedded and eliminated
+    stages are judged in Omega_k, k = level_bound(p), and the collapsed
+    and sinf stages in S-infinity.  The judge only counts the nodes at the
+    depth bound, so the final window's rules are read here, and one
+    outside S-infinity fails the sinf stage.  The final window must also
+    be cut-free and nub-free."""
+    k = level_bound(p)
+    windows = [observe(stages[s], depth, samples, probe_budget) for s in STAGES]
+    error = next(
+        ((name, e) for name, o in zip(STAGES, windows) for e in observation_errors(o)),
+        None,
+    )
+    rules = [r for r in observation_rules(windows[-1]) if r]
+    foreign = next((r.name for r in rules if not isinstance(r, SINF_TAGS)), None)
+    judged = []
+    for name, o in zip(STAGES, windows):
+        system = SYSTEM_SINF if name in ("collapsed", "sinf") else omega_system(k)
+        report = failure = None
+        if error is None:
+            report = check_observation(o, system, depth)
+            if not report.ok:
+                failure = "%s: %s" % report.violations[0]
+            elif name == "sinf" and foreign:
+                failure = ("rule %s at the depth bound is not part of system sinf"
+                           % foreign)
+        judged.append(StageVerdict(name, o, system_name(system), report, failure))
+    cut_free = not any(isinstance(r, Cut) for r in rules)
+    nubar_free = all(s.max_nubar_level() < 0 for s in observation_sequents(windows[-1]))
+    passed = not error and cut_free and nubar_free and all(not s.failure for s in judged)
+    return Verdict(k, error, tuple(judged), cut_free, nubar_free, passed)

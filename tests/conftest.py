@@ -1,6 +1,6 @@
 """Shared test helpers: a seeded formula generator, S proofs of atom cuts
-in four shapes and an in-process command-line runner.  Everything here is
-deterministic."""
+in four shapes, the pipeline's pass assertion and an in-process
+command-line runner.  Everything here is deterministic."""
 
 from __future__ import annotations
 
@@ -11,6 +11,8 @@ import random
 from hypothesis import settings
 from hypothesis import strategies as st
 
+from mucut.checker import check_finite
+from mucut.collapse import pipeline, verdict
 from mucut.kernel import TOP, atom, level, natom, negate, size
 from mucut.proofs import cut_node, top_intro
 from mucut.sequents import Sequent
@@ -126,6 +128,16 @@ def deep_cut_chain(n):
     for _ in range(n):
         p = cut_node(Sequent((TOP, na)), a, top_intro((na, a)), p)
     return p
+
+
+def assert_pipeline_passes(p, depth=6):
+    """p is an S proof, the pipeline's verdict on it at the depth is a
+    pass, and every stage keeps its end-sequent."""
+    assert check_finite(p).ok
+    v = verdict(p, pipeline(p), depth)
+    assert v.passed, (v.error, [stage.failure for stage in v.stages])
+    for stage in v.stages:
+        assert stage.window.conclusion == p.conclusion, stage.name
 
 
 def run_cli(argv):

@@ -354,6 +354,24 @@ def test_pipeline_fuel_exit(tmp_path):
     assert "fuel exhausted" in err
 
 
+def test_a_failed_rerun_leaves_no_artifact_of_the_earlier_run(tmp_path):
+    # the rerun runs out of fuel in the eliminated stage: the first run's
+    # later stages, its trace and its summary, which says every check
+    # passed, must not stay next to the rerun's embedded stage
+    _write_corpus(tmp_path)
+    outdir = tmp_path / "d"
+    argv = [
+        "pipeline", str(tmp_path / "e4-nested.sproof"),
+        "--out", str(outdir), "--trace", str(outdir / "t.trace"),
+    ]
+    assert run_cli(argv)[0] == EXIT_OK
+    assert len(list(outdir.iterdir())) == 6
+    code, _, err = run_cli([*argv, "--fuel", "1"])
+    assert code == EXIT_FUEL
+    assert "fuel exhausted" in err
+    assert [p.name for p in outdir.iterdir()] == ["e4-nested.embedded.obs"]
+
+
 def test_pipeline_help_says_what_fuel_bounds(tmp_path, capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         cli.main(["pipeline", "--help"])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_formulas
+from conftest import assert_pipeline_passes, random_formulas
 from mucut.checker import (
     SYSTEM_S,
     SYSTEM_SINF,
@@ -18,7 +18,7 @@ from mucut.checker import (
     omega_system,
     subformula_report,
 )
-from mucut.collapse import collapse, pipeline
+from mucut.collapse import STAGES, collapse, pipeline, verdict
 from mucut.corpus import CORPUS
 from mucut.cutelim import eliminate
 from mucut.embed import embed, identity_mu_primed
@@ -34,6 +34,7 @@ from mucut.proofs import (
     Omega,
     OmegaBar,
     Or,
+    Proof,
     and_node,
     axmu_node,
     box_fit,
@@ -230,23 +231,6 @@ def test_passed_stages_equal_the_long_path(p):
         assert observation_dumps(o) == observation_dumps(observe(long, 8))
 
 
-def _passes_every_stage(proof, depth=6):
-    """Every stage of the pipeline on a valid S proof observes without an
-    error leaf and checks in its own system at the given depth."""
-    assert check_finite(proof, SYSTEM_S).ok
-    stages = pipeline(proof)
-    k = omega_system(level_bound(proof))
-    for name, system in (
-        ("embedded", k),
-        ("eliminated", k),
-        ("collapsed", SYSTEM_SINF),
-        ("sinf", SYSTEM_SINF),
-    ):
-        o = observe(stages[name], depth)
-        assert observation_errors(o) == [], name
-        assert check_observation(o, system, depth).ok, name
-
-
 def test_top_induction_cut_over_trivial_mu():
     # {top} by a cut on mu X . X: the mu side by clo over a truth
     # introduction, the negated side by induction with invariant top.
@@ -258,7 +242,7 @@ def test_top_induction_cut_over_trivial_mu():
     ind_side = ind_node(
         Sequent((negate(mu), TOP)), mu, TOP, top_intro((negate(TOP),))
     )
-    _passes_every_stage(cut_node(Sequent((TOP,)), mu, mu_side, ind_side))
+    assert_pipeline_passes(cut_node(Sequent((TOP,)), mu, mu_side, ind_side))
 
 
 def test_induction_cut_over_trivial_mu_with_a_nu_invariant():
@@ -271,4 +255,56 @@ def test_induction_cut_over_trivial_mu_with_a_nu_invariant():
     axiom = axmu_node(Sequent((mu, nu)), mu)
     mu_side = clo_node(Sequent((mu, nu)), mu, axiom)
     ind_side = ind_node(Sequent((nu,)), mu, nu, axiom)
-    _passes_every_stage(cut_node(Sequent((nu,)), mu, mu_side, ind_side))
+    assert_pipeline_passes(cut_node(Sequent((nu,)), mu, mu_side, ind_side))
+
+
+@pytest.mark.parametrize("depth", [0, 1, 3, 6])
+def test_verdict_passes_the_corpus(depth):
+    for name, build in CORPUS.items():
+        p = build()
+        v = verdict(p, pipeline(p), depth)
+        assert v.passed, (name, v.error, [stage.failure for stage in v.stages])
+        assert v.k == level_bound(p)
+        assert [stage.name for stage in v.stages] == list(STAGES)
+        omega = "omega:%d" % v.k
+        assert [stage.system for stage in v.stages] == [omega, omega, "sinf", "sinf"]
+
+
+def test_verdict_names_the_stage_of_the_first_error_leaf_and_judges_nothing():
+    # the embedded stage is clean; the eliminated and sinf stages cannot
+    # be forced, and the first of them in stage order is reported
+    p = CORPUS["nested"]()
+    stages = pipeline(p)
+
+    def planted(text):
+        def fail():
+            raise InternalInvariantError(text)
+        return Proof.defer(p.conclusion, fail)
+
+    stages["eliminated"], stages["sinf"] = planted("first"), planted("second")
+    v = verdict(p, stages, 6)
+    assert v.error == ("eliminated", "first")
+    assert not v.passed
+    judged = {(omega_system(v.k), 6), (SYSTEM_SINF, 6)}
+    for stage in v.stages:
+        assert (stage.report, stage.failure) == (None, None), stage.name
+        assert not judged & set(stage.window.kept or ()), stage.name
+
+
+def test_verdict_fails_only_the_sinf_stage_on_a_foreign_rule_at_the_bound():
+    # the judge counts the axmu node at the bound as a truncation point;
+    # the scan of the final window fails the sinf stage, in the CLI's words
+    p = CORPUS["axmu"]()
+    stages = pipeline(p)
+    a, b = p.conclusion
+    stages["sinf"] = or_node(Sequent((("or", a, b),)), ("or", a, b), CORPUS["axmu"]())
+    v = verdict(p, stages, 1)
+    assert v.error is None
+    assert [stage.failure for stage in v.stages] == [
+        None, None, None, "rule axmu at the depth bound is not part of system sinf",
+    ]
+    assert all(stage.report.ok for stage in v.stages)
+    assert (v.cut_free, v.nubar_free, v.passed) == (True, True, False)
+    # one level deeper the judge itself sees the rule, and the scan adds nothing
+    v = verdict(p, stages, 2)
+    assert v.stages[-1].failure == "root.0: rule axiommu is not part of system sinf"

@@ -10,9 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import LITERALS, cut_chain, cut_tree, deep_cut_chain, run_cli
+from conftest import (
+    LITERALS,
+    assert_pipeline_passes,
+    cut_chain,
+    cut_tree,
+    deep_cut_chain,
+    run_cli,
+)
 from mucut.checker import (
-    SYSTEM_SINF,
     check_bounded,
     check_finite,
     check_observation,
@@ -50,7 +56,6 @@ from mucut.proofs import (
     cut_node,
     ind_node,
     is_cut_free_observed,
-    observation_errors,
     observation_rules,
     observe,
     or_node,
@@ -238,15 +243,6 @@ def test_parts_of_an_unvouched_principal_are_checked():
 # ---------------------------------------------------------------------------
 # need-driven, iterative exposure of premise cut chains
 
-STAGES = ("embedded", "eliminated", "collapsed", "sinf")
-
-
-def _stage_system(p, stage):
-    if stage in ("collapsed", "sinf"):
-        return SYSTEM_SINF
-    return omega_system(level_bound(p))
-
-
 @st.composite
 def _atom_cut_proofs(draw, shape):
     """Atom-cut trees, right chains, their left mirrors or combs."""
@@ -264,15 +260,7 @@ def _atom_cut_proofs(draw, shape):
 @settings(deadline=None, max_examples=25)
 @given(data=st.data())
 def test_windows_of_eliminated_atom_cut_proofs_check(shape, data):
-    p = data.draw(_atom_cut_proofs(shape))
-    assert check_finite(p).ok
-    stages = pipeline(p)
-    for stage in STAGES:
-        o = observe(stages[stage], 6)
-        assert observation_errors(o) == [], stage
-        assert o.conclusion == p.conclusion, stage
-        assert check_bounded(stages[stage], _stage_system(p, stage), 6).ok, stage
-    assert not any(isinstance(t, Cut) for t in observation_rules(o))
+    assert_pipeline_passes(data.draw(_atom_cut_proofs(shape)))
 
 
 def _deep_shape(shape):
@@ -290,12 +278,7 @@ def _deep_shape(shape):
 
 @pytest.mark.parametrize("shape", ["right", "left", "comb"])
 def test_deep_cut_shapes_are_eliminated_without_recursion(shape):
-    p = _deep_shape(shape)
-    stages = pipeline(p)
-    for stage in STAGES:
-        o = observe(stages[stage], 6)
-        assert check_observation(o, _stage_system(p, stage), 6).ok, stage
-        assert o.conclusion == p.conclusion
+    assert_pipeline_passes(_deep_shape(shape))
 
 
 @pytest.mark.parametrize("shape", ["redundant", "right"])
