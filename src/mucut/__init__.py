@@ -14,6 +14,7 @@ from mucut.checker import (
     SYSTEM_S,
     SYSTEM_SINF,
     CheckReport,
+    System,
     check_bounded,
     check_finite,
     check_observation,
@@ -58,6 +59,7 @@ __all__ = [
     "SYSTEM_S",
     "SYSTEM_SINF",
     "Sequent",
+    "System",
     "TOP",
     "check_bounded",
     "check_finite",

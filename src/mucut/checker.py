@@ -15,9 +15,9 @@ conditions are its rule class's premise function: it flags what concerns
 the premises together (a box's diamond image, a cut's pair, an omegabar's
 first premise) and says what each premise must conclude.  The judge alone
 guards that function, and alone tests and pushes the premises, in one
-loop.  What a system decides (the rules it admits, whether conclusions
-must be in the base language, its index k) is worked out once per call,
-not at every node.  The walk keeps an explicit stack, so no window is
+loop.  A system is one value, System: its name, the rules it admits
+and its index k, None for S and S-infinity, whose conclusions must be
+in the base language.  The walk keeps an explicit stack, so no window is
 too deep for it, and a premise's violation waits on the stack until the
 subtree of the premise before it has been judged.  Paths are kept as
 (parent, label) pairs and made into text only when a violation is
@@ -68,32 +68,39 @@ from mucut.proofs import (
 from mucut.sequents import Sequent
 from mucut.syntax import print_form
 
-SYSTEM_S = ("s",)
-SYSTEM_SINF = ("sinf",)
+
+@dataclass(frozen=True, slots=True)
+class System:
+    """A proof system: its name, the rule classes it admits and its index
+    k, which bounds cut and replacement levels and primes the sides of a
+    cut.  k is None for S and S-infinity, exactly the systems whose
+    conclusions must be in the base language.  The rest of a node's
+    well-formedness is its rule's own conditions."""
+
+    name: str
+    admitted: frozenset
+    k: int | None
+
+
+SYSTEM_S = System("s", frozenset(FINITE_TAGS), None)
+SYSTEM_SINF = System("sinf", frozenset(SINF_TAGS), None)
+_OMEGA_TAGS = (Axiom, Or, And, Box, Clo, Nu, Cut)
 
 
 def omega_system(k):
+    """The intermediate system Omega_k; it admits the replacement rules
+    from k = 1 on."""
     if k < 0:
         raise ValueError("system index must be at least 0")
-    return ("omega", k)
-
-
-def system_name(system):
-    if system == SYSTEM_S:
-        return "s"
-    if system == SYSTEM_SINF:
-        return "sinf"
-    if system[0] == "omega":
-        return "omega:%d" % system[1]
-    raise ValueError("unknown system: %r" % (system,))
+    admitted = _OMEGA_TAGS + ((Omega, OmegaBar) if k >= 1 else ())
+    return System("omega:%d" % k, frozenset(admitted), k)
 
 
 def parse_system(text):
     t = text.strip().lower()
-    if t == "s":
-        return SYSTEM_S
-    if t == "sinf":
-        return SYSTEM_SINF
+    for system in (SYSTEM_S, SYSTEM_SINF):
+        if t == system.name:
+            return system
     for prefix in ("omega:", "omega-k="):
         if t.startswith(prefix):
             try:
@@ -162,31 +169,6 @@ def _labels(o):
 _PREMISE = ("premise 0", "premise 1")
 
 
-_OMEGA_TAGS = (Axiom, Or, And, Box, Clo, Nu, Cut)
-
-
-class _System:
-    """What a system decides, worked out once per judgement: its name, the
-    rules it admits, whether every conclusion must be in the base language
-    (S and S-infinity), and its index k (None for S and S-infinity), which
-    bounds cut and replacement levels and primes the sides of a cut.  The
-    rest of a node's well-formedness is its rule's own conditions."""
-
-    __slots__ = ("name", "admitted", "l0", "k")
-
-    def __init__(self, system):
-        self.name = system_name(system)
-        if system == SYSTEM_S:
-            admitted, self.k = FINITE_TAGS, None
-        elif system == SYSTEM_SINF:
-            admitted, self.k = SINF_TAGS, None
-        else:
-            self.k = system[1]
-            admitted = _OMEGA_TAGS + ((Omega, OmegaBar) if self.k >= 1 else ())
-        self.l0 = self.k is None
-        self.admitted = frozenset(admitted)
-
-
 # ---------------------------------------------------------------------------
 # premises: one function per rule class.  Each flags what concerns the
 # premises together, at the node's path, and returns what each premise in
@@ -235,7 +217,7 @@ def _premise_violation(at, got, c, principal, parts, what):
     )
 
 
-def _context_premises(st, path, o, sp, vouched):
+def _context_premises(st, path, o, system, vouched):
     """Or, and and clo premises, and the sampled premises of a nu node."""
     c, tag = o.conclusion, o.rule
     if o.sampled is None:
@@ -245,12 +227,12 @@ def _context_premises(st, path, o, sp, vouched):
     return c, tag.principal, [_parts(c, tag, i, vouched) for i in positions], name
 
 
-def _ind_premise(st, path, o, sp, vouched):
+def _ind_premise(st, path, o, system, vouched):
     tag = o.rule  # the premise must conclude exactly ~A(b), b
     return Sequent((negate(substitute(tag.mu[1], tag.b)), tag.b)), None, ((),), None
 
 
-def _box_premise(st, path, o, sp, vouched):
+def _box_premise(st, path, o, system, vouched):
     c, principal = o.conclusion, o.rule.principal
     got = o.children[0].conclusion
     a = principal[1]
@@ -271,10 +253,10 @@ def _box_premise(st, path, o, sp, vouched):
         )
 
 
-def _cut_premises(st, path, o, sp, vouched):
+def _cut_premises(st, path, o, system, vouched):
     c, f = o.conclusion, o.rule.formula
     left, right = o.children[0].conclusion, o.children[1].conclusion
-    if sp.k is not None:
+    if system.k is not None:
         pair = (prime(f), prime(negate(f)))
     else:
         pair = (f, negate(f))
@@ -292,7 +274,7 @@ def _cut_premises(st, path, o, sp, vouched):
     )
 
 
-def _family_premises(st, path, o, sp, vouched):
+def _family_premises(st, path, o, system, vouched):
     c, tag = o.conclusion, o.rule
     if type(tag) is Omega:
         return c, omega_phi(tag.target), o.probes, "family output"
@@ -323,7 +305,7 @@ _PREMISES = {
 # the judge
 
 
-def _judge_node(st, path, o, sp, todo, depth):
+def _judge_node(st, path, o, system, todo, depth):
     """Check one observed node that could be forced: its rule's conditions
     if the system admits the rule, then its premises, which go onto todo,
     last premise first, as (pending, child, path, depth) entries.  pending
@@ -335,15 +317,12 @@ def _judge_node(st, path, o, sp, todo, depth):
     rule = type(tag)
     vouched = False
     try:
-        if rule not in sp.admitted:
-            st.flag(
-                path,
-                "rule %s is not part of system %s" % (rule.__name__.lower(), sp.name),
-            )
+        if rule not in system.admitted:
+            st.flag(path, "rule %s is not part of system %s" % (tag.name, system.name))
         else:
-            if sp.l0 and not c.is_l0():
+            if system.k is None and not c.is_l0():
                 st.flag(path, "conclusion uses the primed language outside omega systems")
-            flaws = tag.flaws(c, sp.k)
+            flaws = tag.flaws(c, system.k)
             for text in flaws:
                 st.flag(path, text)
             vouched = not flaws
@@ -356,7 +335,7 @@ def _judge_node(st, path, o, sp, todo, depth):
     if entry is None:
         return
     try:
-        want = entry[0](st, path, o, sp, vouched) or _UNTESTED
+        want = entry[0](st, path, o, system, vouched) or _UNTESTED
     except _LIMITS:
         raise
     except Exception as exc:  # noqa: BLE001 - malformed premises must reject
@@ -399,7 +378,7 @@ def check_observation(o, system, depth):
 
 
 def _judge_window(o, system, depth):
-    st, sp = _State(), _System(system)
+    st = _State()
     todo = [(None, o, "root", depth)]
     pop = todo.pop
     while todo:
@@ -414,7 +393,7 @@ def _judge_window(o, system, depth):
             st.flag(path, "node evaluation failed: %s" % o.error)
         else:
             st.nodes += 1
-            _judge_node(st, path, o, sp, todo, depth - 1)
+            _judge_node(st, path, o, system, todo, depth - 1)
     return st.report()
 
 
@@ -434,7 +413,7 @@ def check_finite(p, system=SYSTEM_S):
     premise's depth-0 observation, made for its parent's window, is the
     root of its own.  Nu and replacement rules are rejected as they are
     met, so nothing below them is forced or observed."""
-    st, sp = _State(), _System(system)
+    st = _State()
     todo = [("root", p, _observe(p, 0, (), 0))]
     while todo:
         path, q, o = todo.pop()
@@ -446,13 +425,13 @@ def check_finite(p, system=SYSTEM_S):
             st.flag(
                 path,
                 "rule %s has infinitely many premises and cannot occur in a "
-                "finite proof" % type(o.rule).__name__.lower(),
+                "finite proof" % o.rule.name,
             )
             continue
         premises = q.premises  # forced by its window already
         kids = tuple([_observe(r, 0, (), 0) for r in premises])
         window = []
-        _judge_node(st, path, Observation(o.conclusion, o.rule, kids), sp, window, 0)
+        _judge_node(st, path, Observation(o.conclusion, o.rule, kids), system, window, 0)
         for pending, _, _, _ in reversed(window):
             if pending is not None:
                 st.flag(*pending)

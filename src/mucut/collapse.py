@@ -32,12 +32,10 @@ from mucut.checker import (
     check_observation,
     level_bound,
     omega_system,
-    system_name,
 )
 from mucut.embed import embed, embeds_plainly
 from mucut.errors import FuelExhausted, InternalInvariantError
 from mucut.proofs import (
-    SINF_TAGS,
     Axiom,
     AxiomMu,
     Cut,
@@ -145,10 +143,10 @@ def verdict(p, stages, depth, samples=(0, 1, 2), probe_budget=1):
         None,
     )
     rules = [r for r in observation_rules(windows[-1]) if r]
-    foreign = next((r.name for r in rules if not isinstance(r, SINF_TAGS)), None)
-    judged = []
+    foreign = next((r.name for r in rules if type(r) not in SYSTEM_SINF.admitted), None)
+    omega, judged = omega_system(k), []
     for name, o in zip(STAGES, windows):
-        system = SYSTEM_SINF if name in ("collapsed", "sinf") else omega_system(k)
+        system = SYSTEM_SINF if name in ("collapsed", "sinf") else omega
         report = failure = None
         if error is None:
             report = check_observation(o, system, depth)
@@ -157,7 +155,7 @@ def verdict(p, stages, depth, samples=(0, 1, 2), probe_budget=1):
             elif name == "sinf" and foreign:
                 failure = ("rule %s at the depth bound is not part of system sinf"
                            % foreign)
-        judged.append(StageVerdict(name, o, system_name(system), report, failure))
+        judged.append(StageVerdict(name, o, system.name, report, failure))
     cut_free = not any(isinstance(r, Cut) for r in rules)
     nubar_free = all(s.max_nubar_level() < 0 for s in observation_sequents(windows[-1]))
     passed = not error and cut_free and nubar_free and all(not s.failure for s in judged)

@@ -265,7 +265,7 @@ def _reduce_root(d, budget, trace, path):
             _trace(trace, path, "omegabar-%d" % rtag.h, formula)
             old_fam = om_side.premises
 
-            def fn(dl_, w, old_fam=old_fam, mu_side=mu_side, f_om=f_om):
+            def fn(dl_, w):
                 # the new family's own call has already run old_fam's predicate
                 out = old_fam.admitted(dl_, w)
                 want = dl_.union(g)

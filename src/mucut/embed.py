@@ -703,18 +703,8 @@ def _embed_now(p, sel, k, cs, laws):
 
     if isinstance(tag, AxiomMu):
         m = tag.mu
-        n = negate(m)
-        mp = m in sel
-        np = n in sel
-        if not mp and not np:
-            core = _law(_identity_mu, m, k, laws)
-        elif np and not mp:
-            core = _law(_identity_mu_primed, m, k, laws)
-        elif mp and not np:
-            core = _law(_identity_mu, prime(m), k, laws)
-        else:
-            core = _law(_identity_mu_primed, prime(m), k, laws)
-        return fit(core, cs)
+        law = _identity_mu_primed if negate(m) in sel else _identity_mu
+        return fit(_law(law, prime(m) if m in sel else m, k, laws), cs)
 
     if isinstance(tag, Box):
         # the body follows the principal, every other formula its diamond

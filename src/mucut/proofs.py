@@ -386,8 +386,7 @@ def make_node(conclusion, tag, premises):
         premises = tuple(premises)
         if len(premises) != want:
             raise ValueError(
-                "%s rule takes %d premise(s), got %d"
-                % (rule.__name__.lower(), want, len(premises))
+                "%s rule takes %d premise(s), got %d" % (rule.name, want, len(premises))
             )
         for p in premises:
             if not isinstance(p, Proof):

@@ -18,7 +18,6 @@ from mucut.checker import (
     omega_system,
     parse_system,
     subformula_report,
-    system_name,
 )
 from mucut.collapse import pipeline
 from mucut.corpus import CORPUS
@@ -68,13 +67,32 @@ def test_system_parsing():
     assert parse_system(" SINF ") == SYSTEM_SINF
     assert parse_system("omega:2") == omega_system(2)
     assert parse_system("omega-k=1") == omega_system(1)
+    assert parse_system("omega-k=2") == omega_system(2)
+    for system in (SYSTEM_S, SYSTEM_SINF, *map(omega_system, range(4))):
+        assert parse_system(system.name) == system
     for text in ("frob", "omega:x", "omega:"):
         with pytest.raises(ValueError, match="unknown system"):
             parse_system(text)
     with pytest.raises(ValueError):
         omega_system(-1)
-    assert system_name(SYSTEM_S) == "s"
-    assert system_name(omega_system(3)) == "omega:3"
+    assert SYSTEM_S.name == "s"
+    assert omega_system(3).name == "omega:3"
+
+
+def test_systems_built_alike_are_one_value():
+    a, b = omega_system(2), omega_system(2)
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    o = observe(CORPUS["nested"](), 3)
+    assert check_observation(o, a, 3) is check_observation(o, b, 3)
+    assert len(o.kept) == 1
+    check_observation(o, omega_system(1), 3)
+    assert len(o.kept) == 2
+
+
+def test_omega_systems_admit_replacement_rules_from_index_1():
+    assert not {Omega, OmegaBar} & omega_system(0).admitted
+    assert {Omega, OmegaBar} <= omega_system(1).admitted
 
 
 def test_corpus_examples_are_valid_s_proofs():
@@ -403,8 +421,7 @@ def test_builders_refuse_with_the_judges_first_violation():
     texts = set()
     for system, c, tag, premises, build, judged_only in cases:
         rep = check_bounded(make_node(c, tag, premises), system, 1)
-        k = system[1] if system[0] == "omega" else None
-        assert rep.violations[0] == ("root", tag.flaws(c, k)[0])
+        assert rep.violations[0] == ("root", tag.flaws(c, system.k)[0])
         texts.add((type(tag), rep.violations[0][1]))
         if judged_only:
             # builders know no system index, so they bound no level

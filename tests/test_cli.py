@@ -138,6 +138,21 @@ def test_check_ok_and_fail(tmp_path):
     assert "system index must be at least 0" in err4
 
 
+def test_messages_name_a_rule_as_files_do(tmp_path):
+    # a rule is named in messages as in files and traces: axmu, not axiommu
+    _write_corpus(tmp_path)
+    e3 = tmp_path / "e3-axmu.sproof"
+    code, out, _ = run_cli(["check", str(e3), "--system", "sinf"])
+    assert code == EXIT_CHECK
+    assert out == '(report fail (violation "root" "rule axmu is not part of system sinf"))\n'
+    leaf = e3.read_text().strip()
+    bad = tmp_path / "bad.sproof"
+    bad.write_text("%s %s)\n" % (leaf[:-1], leaf))
+    code, out, err = run_cli(["check", str(bad)])
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == "parse error: axmu rule takes 0 premise(s), got 1 at position 0\n"
+
+
 def test_bad_samples_flag(tmp_path):
     _write_corpus(tmp_path)
     e1 = str(tmp_path / "e1-ind-top.sproof")
@@ -277,7 +292,7 @@ def test_pipeline_summary_carries_stage_verdicts(tmp_path, monkeypatch):
     assert out == "cut-free: yes, nubar-free: yes\n"
     assert err == (
         "stage sinf fails its check in sinf: root:"
-        " rule axiommu is not part of system sinf\n"
+        " rule axmu is not part of system sinf\n"
     )
     summary = (outdir / "e3-axmu.summary").read_text()
     assert summary.endswith(

@@ -307,4 +307,4 @@ def test_verdict_fails_only_the_sinf_stage_on_a_foreign_rule_at_the_bound():
     assert (v.cut_free, v.nubar_free, v.passed) == (True, True, False)
     # one level deeper the judge itself sees the rule, and the scan adds nothing
     v = verdict(p, stages, 2)
-    assert v.stages[-1].failure == "root.0: rule axiommu is not part of system sinf"
+    assert v.stages[-1].failure == "root.0: rule axmu is not part of system sinf"

@@ -40,8 +40,8 @@ DEPTHS = (0, 1, 3, 6)
 
 HARNESS_PINS = {
     "s": "7d66d45c4fe0b3d1004ad00f45bf5ec679d8f32eae471b655f83e80f5e6455e3",
-    "sinf": "61cbc9770733f30bbe9d2fca02aa0c2755161aaf297be9adb975a9e8e3d0b782",
-    "omega:1": "ecc85153bc720fa09bfca208c57e1c1e430a2774a3945672be1c86c27c189478",
+    "sinf": "2eeeb294d58510fa7522a87d323f7bb915295afe252e46d00b3d955941e2af4d",
+    "omega:1": "77e07ff0b6ab4a9606a6fbafba084676bde3ef6c2b3410ec944edfbe18b9a21e",
 }
 
 CORPUS_PINS = {

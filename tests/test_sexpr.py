@@ -645,8 +645,7 @@ def _ref_proof(p):
     tag = p.rule
     if isinstance(tag, (Nu, Omega, OmegaBar)):
         raise TypeError(
-            "infinitary proofs serialize only as observations (rule %s)"
-            % type(tag).__name__.lower()
+            "infinitary proofs serialize only as observations (rule %s)" % tag.name
         )
     out = [Sym("rule"), _ref_tag(tag), _ref_seq(p.conclusion)]
     out.extend(_ref_proof(q) for q in p.premises)
