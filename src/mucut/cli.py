@@ -54,17 +54,18 @@ DEFAULT_DEPTH = 6
 DEFAULT_SAMPLES = (0, 1, 2)
 DEFAULT_PROBES = 1
 
-CORPUS_FILES = (
-    ("e1-ind-top", "ind-top"),
-    ("e2-top-cut", "top-cut"),
-    ("e3-axmu", "axmu"),
-    ("e4-nested", "nested"),
-)
+CORPUS_FILES = tuple(("e%d-%s" % (i, name), name) for i, name in enumerate(CORPUS, 1))
 
 
 def _natural(text):
     if not text.strip().isdecimal():
         raise argparse.ArgumentTypeError("%r is not a natural number" % text)
+    return int(text)
+
+
+def _probes(text):
+    if _natural(text) > 1:
+        raise argparse.ArgumentTypeError("%r probes asked for, but each family has one" % text)
     return int(text)
 
 
@@ -177,8 +178,8 @@ def _add_config(sub):
                      help="observation depth (default %d)" % DEFAULT_DEPTH)
     sub.add_argument("--samples", type=_parse_samples, default=DEFAULT_SAMPLES,
                      help="nu-premise indices, comma-separated (default 0,1,2)")
-    sub.add_argument("--probes", type=_natural, default=DEFAULT_PROBES,
-                     help="0 skips families; N >= 1 feeds each family its "
+    sub.add_argument("--probes", type=_probes, default=DEFAULT_PROBES,
+                     help="0 or 1: 0 skips families, 1 feeds each family its "
                           "one canonical probe (default %d)" % DEFAULT_PROBES)
     sub.add_argument("--fuel", type=_natural, default=DEFAULT_FUEL,
                      help="bounds only the cut reductions of eliminate, one "

@@ -451,12 +451,10 @@ class _Subst:
     against the induction-premise embeddings at every closure step that
     unfolds t itself."""
 
-    def __init__(self, asm1, asm2, mu, b, k):
+    def __init__(self, asm1, asm2, mu, b):
         self.asm1 = asm1
         self.asm2 = asm2
-        self.mu = mu
         self.b = b
-        self.k = k
         self.t = prime(mu)
         self.cf = substitute(mu[1], b)
 
@@ -602,9 +600,9 @@ def subst_context(d, rho, asm1, asm2, mu, b, k):
     primed mu target by b in it, s2 by b'.  asm1 and asm2 prove the primed
     negated unfolding alongside b and b' respectively; they are cut in at
     every closure step on the target itself."""
-    cf = substitute(mu[1], b)
-    _require(level(cf) <= k, "cut formula level exceeds the system index")
-    return _Subst(asm1, asm2, mu, b, k).sub(d, rho)
+    subst = _Subst(asm1, asm2, mu, b)
+    _require(level(subst.cf) <= k, "cut formula level exceeds the system index")
+    return subst.sub(d, rho)
 
 
 # ---------------------------------------------------------------------------

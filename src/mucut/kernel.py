@@ -27,18 +27,20 @@ replaces every plain nu with nub.  The two interact rigidly:
     negate(prime(f))  == negate(f)
     prime(substitute(f, b)) == substitute(prime(f), prime(b))
 
-The language without 'nub' is the base language (is_l0); a formula is
-fully primed when it contains no plain 'nu' (is_fully_primed).
+The language without 'nub' is the base language: is_l0(f) is
+max_nubar_level(f) < 0.  f is fully primed when it has no plain 'nu', so
+prime leaves it as it is (is_fully_primed).
 
 The operations that sequents, the printer, the checker and the proof
 transformations apply again and again to the same formulas (sort_key,
-has_free_var, is_l0, level, max_nubar_level, negate, prime) are
-memoized, each in an LRU cache of 4096 entries; syntax.print_form is
-too.  A cache compares keys by ==, and ('atom', True) and ('atom', 1.0)
-both equal ('atom', 1), so it may answer for one what it computed for
-another.  That is harmless where the answer is an int, a bool, an int
-tuple or text.  negate and prime answer with formulas, so they refuse a
-bad atom index when they compute, and no cached answer contains one.
+has_free_var, level, max_nubar_level, negate, prime) are memoized, each
+in an LRU cache of 4096 entries; syntax.print_form and its inverse
+syntax.parse_formula, keyed by text, are too.  A cache compares keys by
+==, and ('atom', True) and ('atom', 1.0) both equal ('atom', 1), so it
+may answer for one what it computed for another.  That is harmless where
+the answer is an int, a bool, an int tuple or text.  negate and prime
+answer with formulas, so they refuse a bad atom index when they compute,
+and no cached answer contains one.
 validate is not memoized: it must see every atom index itself.
 """
 
@@ -252,29 +254,14 @@ def has_free_var(f):
     return has_free_var(f[1]) or has_free_var(f[2])
 
 
-@memo
 def is_l0(f):
     """True when f contains no annotated binder (base-language formula)."""
-    t = f[0]
-    if t == "nub":
-        return False
-    if t == "atom" or t == "natom" or t == "var":
-        return True
-    if t == "and" or t == "or":
-        return is_l0(f[1]) and is_l0(f[2])
-    return is_l0(f[1])
+    return max_nubar_level(f) < 0
 
 
 def is_fully_primed(f):
     """True when f contains no plain nu binder."""
-    t = f[0]
-    if t == "nu":
-        return False
-    if t == "atom" or t == "natom" or t == "var":
-        return True
-    if t == "and" or t == "or":
-        return is_fully_primed(f[1]) and is_fully_primed(f[2])
-    return is_fully_primed(f[1])
+    return prime(f) == f
 
 
 def occurs(f, sub):

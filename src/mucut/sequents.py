@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from mucut.kernel import (
     has_free_var,
-    is_l0,
     level,
     max_nubar_level,
     sort_key,
@@ -174,7 +173,7 @@ class Sequent:
         return max(map(level, self._set), default=0)
 
     def is_l0(self):
-        return all(map(is_l0, self._set))
+        return self.max_nubar_level() < 0
 
     def max_nubar_level(self):
         return max(map(max_nubar_level, self._set), default=-1)

@@ -8,7 +8,8 @@ serialize in canonical order, so equal values are byte-identical.
 A proof file as proof_dumps writes it is read straight into proof nodes,
 one pattern match per node head.  Any other text, and any that fails to
 build, is read by the general reader (loads, then sx_to_proof), so values
-and errors do not depend on which reader ran.
+and errors do not depend on which reader ran.  Both readers read formula
+texts through the parse_formula memo, in one file and across files.
 """
 
 from __future__ import annotations
@@ -203,23 +204,14 @@ def seq_to_sx(s):
     return [Sym("seq")] + [print_form(f) for f in s]
 
 
-def _formula(text, parsed):
-    """parse_formula(text), parsed once per distinct text: `parsed` maps
-    the texts read so far to their formulas."""
-    f = parsed.get(text)
-    if f is None:
-        f = parsed[text] = parse_formula(text)
-    return f
-
-
-def sx_to_seq(sx, parsed):
+def sx_to_seq(sx):
     if not isinstance(sx, list) or not sx or sx[0] != _SEQ:
         raise SexprError("expected (seq ...)", 0)
     forms = []
     for item in sx[1:]:
         if not isinstance(item, str) or isinstance(item, Sym):
             raise SexprError("sequent members must be quoted formulas", 0)
-        forms.append(_formula(item, parsed))
+        forms.append(parse_formula(item))
     return from_checked(forms)
 
 
@@ -228,11 +220,11 @@ def sx_to_seq(sx, parsed):
 # text, the type of the s-expression it is read from, its reader, and how
 # a usage message names it.
 _KINDS = {
-    "tuple": ('"%s"', print_form, print_form, str, _formula, "a quoted formula"),
+    "tuple": ('"%s"', print_form, print_form, str, parse_formula, "a quoted formula"),
     "Sequent": (
         "%s", _seq_text, _kept_seq_text, list, sx_to_seq, "a (seq ...) side"
     ),
-    "int": ("%s", dumps, dumps, int, lambda level, parsed: level, "an integer level"),
+    "int": ("%s", dumps, dumps, int, int, "an integer level"),
 }
 
 
@@ -253,7 +245,7 @@ def _entry(cls):
 _RULES = {cls.name: _entry(cls) for cls in ALL_TAGS}
 
 
-def sx_to_tag(sx, parsed):
+def sx_to_tag(sx):
     if not isinstance(sx, list) or not sx or not isinstance(sx[0], Sym):
         raise SexprError("expected a rule tag", 0)
     rule = _RULES.get(sx[0])
@@ -266,7 +258,7 @@ def sx_to_tag(sx, parsed):
     for (want, read), item in zip(args, sx[1:]):
         if type(item) is not want:
             raise SexprError(usage, 0)
-        out.append(read(item, parsed))
+        out.append(read(item))
     return cls(*out)
 
 
@@ -277,27 +269,27 @@ def sx_to_tag(sx, parsed):
 _RULE = Sym("rule")
 
 
-def _open_node(sx, parsed):
+def _open_node(sx):
     """The tag, conclusion and premise expressions of one (rule ...) node,
     and an empty list for its premises once read."""
     if not isinstance(sx, list) or len(sx) < 3 or sx[0] != _RULE:
         raise SexprError("expected (rule <tag> (seq ...) <premise>...)", 0)
-    tag = sx_to_tag(sx[1], parsed)
+    tag = sx_to_tag(sx[1])
     if not isinstance(tag.arity, int):
         raise SexprError("rule %s cannot appear in a finite proof file" % tag.name, 0)
-    return tag, sx_to_seq(sx[2], parsed), sx[3:], []
+    return tag, sx_to_seq(sx[2]), sx[3:], []
 
 
-def sx_to_proof(sx, parsed):
+def sx_to_proof(sx):
     """The finite proof of a (rule ...) expression, read over an explicit
     stack, so nesting depth is not bounded by the Python stack.  Nodes
     are opened in preorder and built once their premises are, so errors
     come in the order a recursive reader would raise them."""
-    stack = [_open_node(sx, parsed)]
+    stack = [_open_node(sx)]
     while True:
         tag, conclusion, todo, premises = stack[-1]
         if len(premises) < len(todo):
-            stack.append(_open_node(todo[len(premises)], parsed))
+            stack.append(_open_node(todo[len(premises)]))
             continue
         stack.pop()
         try:
@@ -325,18 +317,18 @@ def proof_dumps(p):
     return _write(p, _proof_parts)
 
 
-def _members(group, parsed):
+def _members(group):
     """The sequent of the members of a (seq ...) group as the writer gives
     them: ' "A" "B"' (no member holds a double quote), or '' for none."""
     if not group:
         return from_checked(())
-    return from_checked([_formula(t, parsed) for t in group[2:-1].split('" "')])
+    return from_checked(map(parse_formula, group[2:-1].split('" "')))
 
 
 # The pattern (one group) and text reader of each kind of argument of a
 # finite rule, in the text the writer gives it: strings without escapes.
 _TEXT_KINDS = {
-    "tuple": (r'"([^"\\]*)"', _formula),
+    "tuple": (r'"([^"\\]*)"', parse_formula),
     "Sequent": (r'\(seq((?: "[^"\\]*")*)\)', _members),
 }
 
@@ -365,7 +357,7 @@ def _node_heads():
 _NODE_HEAD, _NODE_HEADS = _node_heads()
 
 
-def _proof_from_text(text, parsed):
+def _proof_from_text(text):
     """The finite proof of text when text is as proof_dumps writes it: one
     match reads each node's head, a space opens each premise, and a close
     parenthesis ends a node.  None for any other text.  Nodes are built
@@ -378,8 +370,8 @@ def _proof_from_text(text, parsed):
         if m is None:
             return None
         cls, args, members = _NODE_HEADS[m.lastindex]
-        tag = cls(*[read(m.group(i), parsed) for i, read in args])
-        stack.append((tag, _members(m.group(members), parsed), []))
+        tag = cls(*[read(m.group(i)) for i, read in args])
+        stack.append((tag, _members(m.group(members)), []))
         pos = m.end()
         while text.startswith(")", pos):
             pos += 1
@@ -399,11 +391,11 @@ def proof_loads(text):
     fails to build, goes through the general reader, so values and errors
     are the general reader's."""
     try:
-        p = _proof_from_text(text, {})
+        p = _proof_from_text(text)
     except (ValueError, RecursionError):
         p = None
     if p is None:
-        p = sx_to_proof(loads(text), {})
+        p = sx_to_proof(loads(text))
     return p
 
 

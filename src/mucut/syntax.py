@@ -12,7 +12,9 @@ Whitespace between tokens is ignored.  Binders and modalities extend
 maximally to the right.  Redundant grouping parentheses `(F)` are
 accepted on input; the printer emits the canonical spelling shown in
 the grammar (one space around infix operators and after `[]`/`<>`,
-`mu X . F` style binders) and always desugars `top`.
+`mu X . F` style binders) and always desugars `top`.  parse_formula
+and print_form are kernel memos: equal texts give the same formula
+object, and a text that fails is not kept, so it raises on every call.
 """
 
 from __future__ import annotations
@@ -137,6 +139,7 @@ def parse_form(text):
     return validate(_parse(text)[1])
 
 
+@memo
 def parse_formula(text):
     """Parse text into a closed formula; free X is rejected."""
     p, f = _parse(text)

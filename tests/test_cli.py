@@ -178,6 +178,30 @@ def test_pipeline_rejects_a_negative_bound(tmp_path, capsys, flag):
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("n", ["2", "10"])
+def test_pipeline_refuses_more_probes_than_there_are(tmp_path, capsys, n):
+    # each family has one probe, so a larger count would run as 1
+    _write_corpus(tmp_path)
+    e4 = str(tmp_path / "e4-nested.sproof")
+    outdir = tmp_path / "out"
+    assert run_cli(["pipeline", e4, "--out", str(outdir)])[0] == EXIT_OK
+    before = {p.name: p.read_bytes() for p in outdir.iterdir()}
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["pipeline", e4, "--out", str(outdir), "--probes", n])
+    assert exc.value.code == EXIT_PARSE
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+    assert errors == [
+        "mucut pipeline: error: argument --probes: '%s' probes asked for, but each"
+        " family has one" % n
+    ]
+    # nothing is written or deleted
+    assert {p.name: p.read_bytes() for p in outdir.iterdir()} == before
+    for ok in ("0", "1"):
+        code, _, err = run_cli(["pipeline", e4, "--out", str(outdir), "--probes", ok])
+        assert code == EXIT_OK, err
+
+
 def test_pipeline_accepts_depth_zero(tmp_path):
     _write_corpus(tmp_path)
     code, out, err = run_cli([
@@ -396,6 +420,10 @@ def test_pipeline_help_says_what_fuel_bounds(tmp_path, capsys, monkeypatch):
         "--fuel FUEL bounds only the cut reductions of eliminate, one unit per"
         " root visit (default 100000); collapse has its own limit of 100,000"
         " plugs per forced node"
+    ) in text
+    assert (
+        "--probes PROBES 0 or 1: 0 skips families, 1 feeds each family its one"
+        " canonical probe (default 1)"
     ) in text
     # and so it is: a run needs one unit per root visit, and the plugs of
     # collapse (e4 collapses at two levels) take none

@@ -181,6 +181,43 @@ def test_laws_on_random_formulas(k):
         assert k.size(pf) == k.size(f)
 
 
+def _ref_is_l0(f):
+    """The recursive definition is_l0 had: no annotated binder."""
+    t = f[0]
+    if t == "nub":
+        return False
+    if t == "atom" or t == "natom" or t == "var":
+        return True
+    if t == "and" or t == "or":
+        return _ref_is_l0(f[1]) and _ref_is_l0(f[2])
+    return _ref_is_l0(f[1])
+
+
+def _ref_is_fully_primed(f):
+    """The recursive definition is_fully_primed had: no plain nu binder."""
+    t = f[0]
+    if t == "nu":
+        return False
+    if t == "atom" or t == "natom" or t == "var":
+        return True
+    if t == "and" or t == "or":
+        return _ref_is_fully_primed(f[1]) and _ref_is_fully_primed(f[2])
+    return _ref_is_fully_primed(f[1])
+
+
+def test_language_predicates_match_their_recursive_definitions():
+    # read off max_nubar_level and prime, on A1's formulas and their primes
+    assert not hasattr(kernel.is_l0, "cache_info")
+    forms = random_formulas(101, 10_000)
+    forms += [kernel.prime(f) for f in forms]
+    seen = set()
+    for f in forms:
+        want = (_ref_is_l0(f), _ref_is_fully_primed(f))
+        assert (kernel.is_l0(f), kernel.is_fully_primed(f)) == want, f
+        seen.add(want)
+    assert seen == {(True, True), (True, False), (False, True)}
+
+
 def test_negate_is_a_homomorphism(k):
     rng = random.Random(7)
     forms = random_formulas(seed=991, count=60, max_size=12, max_level=2)
@@ -195,7 +232,6 @@ def test_negate_is_a_homomorphism(k):
 DATA_MEMOS = (
     kernel.sort_key,
     kernel.has_free_var,
-    kernel.is_l0,
     kernel.level,
     kernel.max_nubar_level,
     print_form,

@@ -42,6 +42,7 @@ from mucut.proofs import (
     cut_node,
     nu_node,
     observation_rules,
+    observation_sequents,
     observe,
     omega_phi,
     or_node,
@@ -157,6 +158,26 @@ def test_sequent_members_are_read_in_order():
     assert p.conclusion == seq(atom(0), natom(0), atom(1))
 
 
+def test_proof_files_share_one_parse_per_text(tmp_path):
+    # the reader parses through the parse_formula memo: a second read of a
+    # file parses nothing and gives the formula objects of the first
+    path = tmp_path / "e4.sproof"
+    path.write_text(proof_dumps(CORPUS["nested"]()), encoding="utf-8")
+    first = proof_loads(path.read_text(encoding="utf-8"))
+    info = pf.cache_info()
+    second = proof_loads(path.read_text(encoding="utf-8"))
+    assert pf.cache_info().misses == info.misses
+    assert pf.cache_info().hits > info.hits
+    a, b = observe(first, 10**6), observe(second, 10**6)
+    members = [sorted(map(id, s)) for s in observation_sequents(a)]
+    assert members == [sorted(map(id, s)) for s in observation_sequents(b)]
+    assert all(members)
+    # the general reader shares the memo too
+    info = pf.cache_info()
+    assert _general(proof_dumps(first)).conclusion == first.conclusion
+    assert pf.cache_info().misses == info.misses
+
+
 def test_every_rule_is_read_and_written_by_its_tag_class(tmp_path):
     m = pf("mu X . (p1 | X)")
     t = prime(m)
@@ -183,7 +204,7 @@ def test_every_rule_is_read_and_written_by_its_tag_class(tmp_path):
         text = observation_dumps(Observation(seq(atom(1)), tag))
         sx = loads(text)
         assert sx[1][0] == type(tag).name
-        assert sx_to_tag(sx[1], {}) == tag
+        assert sx_to_tag(sx[1]) == tag
     # malformed tags
     for text in (
         '(cut "p1" "p2")',  # an argument too many
@@ -198,7 +219,7 @@ def test_every_rule_is_read_and_written_by_its_tag_class(tmp_path):
         "(3)",
     ):
         with pytest.raises(SexprError):
-            sx_to_tag(loads(text), {})
+            sx_to_tag(loads(text))
     # a rule with infinitely many premises is no part of a proof file
     n = "nu X . (p1 & X)"
     bad = tmp_path / "nu.sproof"
@@ -416,7 +437,7 @@ def _box_and_clo():
 
 
 def _general(text):
-    return sx_to_proof(loads(text), {})
+    return sx_to_proof(loads(text))
 
 
 def _proof_outcome(read, text):

@@ -73,3 +73,16 @@ def test_round_trip_random():
         assert parse_formula(print_form(f)) == f
         pf = prime(f)
         assert parse_formula(print_form(pf)) == pf
+
+
+def test_parse_formula_is_a_memo_that_keeps_no_error():
+    # an equal text built anew gives the same formula object
+    text = "mu X . (p1 | <> X)"
+    assert parse_formula(text) is parse_formula(" ".join(text.split()))
+    # a text that fails raises on every call: the memo keeps only values
+    before = parse_formula.cache_info()
+    for _ in range(3):
+        with pytest.raises(ParseError, match="trailing input"):
+            parse_formula("p1 & p2")
+    after = parse_formula.cache_info()
+    assert (after.misses, after.currsize) == (before.misses + 3, before.currsize)
