@@ -32,6 +32,7 @@ from mucut.checker import (
     check_observation,
     level_bound,
     omega_system,
+    outside_l0,
 )
 from mucut.embed import embed, embeds_plainly
 from mucut.errors import FuelExhausted, InternalInvariantError
@@ -157,6 +158,6 @@ def verdict(p, stages, depth, samples=(0, 1, 2), probe_budget=1):
                            % foreign)
         judged.append(StageVerdict(name, o, system.name, report, failure))
     cut_free = not any(isinstance(r, Cut) for r in rules)
-    nubar_free = all(s.is_l0() for s in observation_sequents(windows[-1]))
+    nubar_free = not outside_l0(observation_sequents(windows[-1]))
     passed = not error and cut_free and nubar_free and all(not s.failure for s in judged)
     return Verdict(k, error, tuple(judged), cut_free, nubar_free, passed)

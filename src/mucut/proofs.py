@@ -624,10 +624,10 @@ def standard_admits(h, target):
 class Observation:
     """A finite window onto a proof.  Nothing hashes a window or changes
     the fields observe gave it; `kept`, outside equality and repr, keeps
-    the checker's reports per (system, depth) and the writer's text.  It
-    is not frozen because a frozen dataclass's __init__ costs three times
-    as much, and check_finite observes a one-step window at every node of
-    its proof."""
+    the checker's system-free judgement per depth, its reports per
+    (system, depth) and the writer's text.  It is not frozen because a
+    frozen dataclass's __init__ costs three times as much, and
+    check_finite observes a one-step window at every node of its proof."""
 
     conclusion: object
     rule: object
@@ -663,12 +663,17 @@ _LIMITS = (FuelExhausted, RecursionError)
 def observe(p, depth, samples=(0, 1, 2), probe_budget=1):
     """Explore p to the given depth.  Omega-indexed premises are sampled
     at the given indices; replacement families are fed the canonical probe
-    when probe_budget is at least 1.  Failures to force a node, to build
-    its probe, to produce a premise or family output, and unknown rule
-    tags become error leaves; fuel exhaustion and running out of stack
-    propagate.  p keeps the window: a repeated request returns it, a
+    when probe_budget is 1 and none when it is 0.  Each family has one
+    probe, so any other budget is a ValueError.  Failures to force a node,
+    to build its probe, to produce a premise or family output, and unknown
+    rule tags become error leaves; fuel exhaustion and running out of
+    stack propagate.  p keeps the window: a repeated request returns it, a
     request with other settings replaces it.  The nodes below p keep
     none."""
+    if probe_budget not in (0, 1):
+        raise ValueError(
+            "probe budget %r: 0 or 1, since each family has one probe" % (probe_budget,)
+        )
     key = (depth, tuple(samples), probe_budget)
     kept = p._window
     if kept is None or kept[0] != key:
@@ -702,7 +707,7 @@ def _observe(p, depth, samples, probe_budget):
         if depth == 0:
             return Observation(c, tag, (), truncated=True, probes=())
         try:
-            probe = canonical_probe(tag.target) if probe_budget >= 1 else ()
+            probe = canonical_probe(tag.target) if probe_budget else ()
         except _LIMITS:
             raise
         except Exception as exc:  # noqa: BLE001 - an unbuildable probe

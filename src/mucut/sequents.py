@@ -172,9 +172,6 @@ class Sequent:
     def level(self):
         return max(map(level, self._set), default=0)
 
-    def is_l0(self):
-        return self.max_nubar_level() < 0
-
     def max_nubar_level(self):
         return max(map(max_nubar_level, self._set), default=-1)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import run_cli
+from conftest import cut_chain, run_cli
 from mucut import checker, proofs
 from mucut.checker import (
     SYSTEM_S,
@@ -16,13 +16,14 @@ from mucut.checker import (
     check_observation,
     level_bound,
     omega_system,
+    outside_l0,
     parse_system,
     subformula_report,
 )
 from mucut.collapse import pipeline
 from mucut.corpus import CORPUS
 from mucut.errors import FuelExhausted, InternalInvariantError
-from mucut.kernel import TOP, atom, iterate, natom, negate, prime
+from mucut.kernel import TOP, atom, iterate, max_nubar_level, natom, negate, prime
 from mucut.proofs import (
     ALL_TAGS,
     And,
@@ -41,6 +42,7 @@ from mucut.proofs import (
     OmegaFam,
     Or,
     Proof,
+    _observe,
     and_node,
     ax,
     axmu_node,
@@ -60,6 +62,7 @@ from mucut.proofs import (
 )
 from mucut.sequents import Sequent, from_checked, seq
 from mucut.syntax import parse_formula as pf
+from mutation_harness import draw_mutants
 
 
 def test_system_parsing():
@@ -85,9 +88,10 @@ def test_systems_built_alike_are_one_value():
     assert a == b and hash(a) == hash(b)
     o = observe(CORPUS["nested"](), 3)
     assert check_observation(o, a, 3) is check_observation(o, b, 3)
-    assert len(o.kept) == 1
+    # one report for both, beside the window's system-free judgement at 3
+    assert set(o.kept) == {3, (a, 3)}
     check_observation(o, omega_system(1), 3)
-    assert len(o.kept) == 2
+    assert set(o.kept) == {3, (a, 3), (omega_system(1), 3)}
 
 
 def test_omega_systems_admit_replacement_rules_from_index_1():
@@ -842,26 +846,141 @@ def test_a_window_keeps_one_report_per_system_and_depth():
 
 
 def test_pipeline_walks_one_window_and_judges_it_once_per_system(tmp_path, monkeypatch):
-    # all four stages of e3-axmu are one proof
+    # all four stages of e3-axmu are one proof: its window is walked once,
+    # judged once without a system, and scanned once in each system
     assert run_cli(["corpus", "--out", str(tmp_path)])[0] == 0
-    walk, judge = proofs._observe, checker._judge_window
-    walks, judged = [], []
+    walk, judge, scan = proofs._observe, checker._judge_window, checker._scan
+    walks, judged, scanned = [], [], []
 
     def counting_walk(p, depth, *args):
         if depth == 4:
             walks.append(p)
         return walk(p, depth, *args)
 
-    def counting_judge(o, system, depth):
-        judged.append(system)
-        return judge(o, system, depth)
+    def counting_judge(o, depth):
+        judged.append(depth)
+        return judge(o, depth)
+
+    def counting_scan(j, system):
+        scanned.append(system)
+        return scan(j, system)
 
     monkeypatch.setattr(proofs, "_observe", counting_walk)
     monkeypatch.setattr(checker, "_judge_window", counting_judge)
+    monkeypatch.setattr(checker, "_scan", counting_scan)
     code, _, err = run_cli([
         "pipeline", str(tmp_path / "e3-axmu.sproof"),
         "--out", str(tmp_path / "out"), "--depth", "4",
     ])
     assert code == 0, err
     assert len(walks) == 1
-    assert judged == [omega_system(1), SYSTEM_SINF]
+    assert judged == [4]
+    assert scanned == [omega_system(1), SYSTEM_SINF]
+
+
+# ---------------------------------------------------------------------------
+# one system-free judgement, one scan per system
+
+
+FIVE_SYSTEMS = (SYSTEM_S, SYSTEM_SINF, omega_system(0), omega_system(1), omega_system(2))
+
+
+def _judged_in_turn(o, systems, depth):
+    """The reports of one window judged in each system in turn, keyed by
+    system."""
+    return {system: check_observation(o, system, depth) for system in systems}
+
+
+def test_the_order_of_judging_a_window_changes_no_report():
+    # every A8 mutant and every corpus stage, judged on one window in five
+    # systems forward and in reverse, reports as a fresh window judged in
+    # each system alone
+    proofs_ = [m for *_, m in draw_mutants(20240816, 200)]
+    for name in sorted(CORPUS):
+        proofs_ += pipeline(CORPUS[name]()).values()
+    for p in proofs_:
+        for depth in (0, 1, 3, 6):
+            alone = [
+                check_observation(_observe(p, depth, (0, 1, 2), 1), system, depth)
+                for system in FIVE_SYSTEMS
+            ]
+            for order in (FIVE_SYSTEMS, FIVE_SYSTEMS[::-1]):
+                got = _judged_in_turn(_observe(p, depth, (0, 1, 2), 1), order, depth)
+                assert [got[system] for system in FIVE_SYSTEMS] == alone
+
+
+def test_a_raising_rule_skips_its_premises_only_where_it_is_admitted():
+    # ind's conditions raise on its malformed formula; S admits ind, so the
+    # node's premises go unjudged there, while S-infinity, which does not,
+    # judges them and flags the rule
+    f, p9 = ("or", atom(2), atom(3)), atom(9)
+    broken = "'int' object is not subscriptable"
+
+    def window():
+        leaf = Observation(seq(atom(4)), Axiom(p9))
+        ind = Observation(seq(atom(2), atom(3)), Ind(5, 5), (leaf,))
+        return Observation(seq(f), Or(f), (ind,))
+
+    in_s = (("root.0", "malformed rule tag: " + broken),)
+    in_sinf = (
+        ("root.0", "rule ind is not part of system sinf"),
+        ("root.0", "premise shapes undefined: " + broken),
+        ("root.0.0", "axiom pair p9, ~p9 not in conclusion"),
+    )
+    for order in ((SYSTEM_S, SYSTEM_SINF), (SYSTEM_SINF, SYSTEM_S)):
+        got = _judged_in_turn(window(), order, 4)
+        assert got[SYSTEM_S].violations == in_s
+        assert (got[SYSTEM_S].nodes_checked, got[SYSTEM_S].truncation_points) == (2, 0)
+        assert got[SYSTEM_SINF].violations == in_sinf
+        assert got[SYSTEM_SINF].nodes_checked == 3
+        for system in order:
+            assert check_observation(window(), system, 4) == got[system]
+
+
+def test_a_clean_window_with_a_primed_conclusion_is_flagged_by_its_l0_test():
+    # every rule is admitted and no node has flaws, so only the L0 test of
+    # the window's distinct formulas finds the primed conclusions
+    t, f = prime(pf("nu X . (p1 & X)")), ("or", atom(2), atom(3))
+    context = (t, atom(0), natom(0))
+    leaf = Observation(Sequent(context + (atom(2), atom(3))), Axiom(atom(0)))
+    o = Observation(Sequent(context + (f,)), Or(f), (leaf,))
+    primed = "conclusion uses the primed language outside omega systems"
+    for system in (SYSTEM_S, SYSTEM_SINF):
+        assert check_observation(o, system, 2).violations == (
+            ("root", primed),
+            ("root.0", primed),
+        )
+    assert check_observation(o, omega_system(0), 2).ok
+
+
+def _lookups():
+    info = max_nubar_level.cache_info()
+    return info.hits + info.misses
+
+
+def test_outside_l0_asks_each_distinct_formula_once():
+    n = prime(pf("nu X . (p1 & X)"))
+    known = set()
+    assert outside_l0([seq(atom(1), n), seq(n, natom(1))], known) == {n}
+    assert known == {atom(1), natom(1)}
+    before = _lookups()
+    assert outside_l0([seq(atom(1), natom(1))], known) == set()
+    assert _lookups() == before
+    assert outside_l0([]) == set()
+
+
+def test_check_finite_asks_each_distinct_formula_once_for_the_l0_test():
+    # the 200-cut chain: the L0 test of the conclusions asks each distinct
+    # formula once, and each cut's own condition asks for its cut formula
+    p = cut_chain([atom(i) if i % 2 else natom(i) for i in range(1, 201)])
+    forms, cuts, todo = set(), 0, [p]
+    while todo:
+        q = todo.pop()
+        forms |= q.conclusion._set
+        cuts += isinstance(q._force()[0], Cut)
+        todo.extend(q.premises)
+    assert check_finite(p).ok  # the kernel's memo now holds every formula
+    before = _lookups()
+    assert check_finite(p).ok
+    assert (len(forms), cuts) == (403, 200)
+    assert _lookups() - before <= len(forms) + cuts

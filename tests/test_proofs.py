@@ -6,7 +6,8 @@ from dataclasses import fields
 
 import pytest
 
-from mucut.collapse import pipeline
+from mucut.checker import check_bounded, omega_system
+from mucut.collapse import pipeline, verdict
 from mucut.corpus import CORPUS
 from mucut.errors import FuelExhausted, InternalInvariantError
 from mucut.kernel import TOP, atom, iterate, natom, negate, prime, substitute
@@ -677,3 +678,18 @@ def test_an_observe_that_runs_out_keeps_nothing():
         observe(tired, 3)
     assert len(calls) == 3
     assert observe(tired, 3, probe_budget=0) is o
+
+
+@pytest.mark.parametrize("budget", [2, 3, 5, -1])
+def test_a_probe_budget_other_than_0_or_1_is_refused(budget):
+    # each family has one probe: a budget of 2 or more would run as 1, so
+    # it is refused before anything is observed, through every caller
+    p = CORPUS["nested"]()
+    with pytest.raises(ValueError, match="0 or 1"):
+        observe(p, 3, (0, 1, 2), budget)
+    assert p._window is None
+    with pytest.raises(ValueError, match="0 or 1"):
+        check_bounded(p, omega_system(1), 3, probe_budget=budget)
+    with pytest.raises(ValueError, match="0 or 1"):
+        verdict(p, pipeline(p), 3, probe_budget=budget)
+    assert observe(p, 3, (0, 1, 2), 1) is not observe(p, 3, (0, 1, 2), 0)

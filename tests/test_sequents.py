@@ -50,7 +50,6 @@ def test_empty_sequent():
     assert len(s) == 0
     assert s.level() == 0
     assert s.max_nubar_level() == -1
-    assert s.is_l0()
 
 
 def test_immutability():
@@ -98,7 +97,6 @@ def test_levels():
     assert s.max_nubar_level() == -1
     t = seq(prime(pf("nu X . (p1 & X)")), atom(0))
     assert t.max_nubar_level() == 1
-    assert not t.is_l0()
 
 
 def test_is_k_positive():
