@@ -2,36 +2,35 @@
 
 The checker judges observation windows: check_observation reads a window
 that proofs.observe made (each node's conclusion, rule, children, sampled
-indices and probe deltas), forces nothing and keeps what it works out on
-the window.  check_bounded judges the window observe keeps on a proof;
-check_finite judges a finite proof node by node, each in a one-step
-window that is kept nowhere, and rejects nu and replacement rules
-without entering them.
+indices and probe deltas), forces nothing and keeps its report on the
+window, per system and depth.  check_bounded judges the window observe
+keeps on a proof; check_finite judges a finite proof node by node, each
+in a one-step window that is kept nowhere, and rejects nu and
+replacement rules without entering them.
 
-One judge serves all three, in two parts.  The system-free part walks a
-window once per depth: premise shapes through one premise function per
-rule class, each rule's flaws(conclusion) without an index, node count
-and truncation points, and a record of the judged nodes in walk order.
-The scan is one system's part, over that record: the rules the system
-admits, the base-language test of S and S-infinity (each distinct
-formula asked once), flaws(conclusion, k) of the rules whose conditions
-depend on the index k, and a cut's pair, primed in the intermediate
-systems.  Each node's own texts go before what the walk flagged from it
-on, so a report is the one a single walk in that system would give.  A
-window keeps the judgement per depth and the report per system and depth.
+One judge serves all three, in one given system.  A node's own
+conditions are its rule's: the judge flags every text of the tag's
+flaws(conclusion, k), the same conditions the node builders of
+mucut.proofs refuse by, and in S and S-infinity a conclusion outside
+the base language, each distinct formula tested once per judgement.
+Its premise conditions are its rule class's premise function: it flags
+what concerns the premises together (a box's diamond image, a cut's
+pair, an omegabar's first premise) and says what each premise must
+conclude.  The judge alone guards that function, and alone tests and
+pushes the premises, in one loop.  A system is one value, System: its
+name, the rules it admits and its index k, None for S and S-infinity,
+whose conclusions must be in the base language.  The walk keeps an
+explicit stack, so no window is too deep for it, and a premise's
+violation waits on the stack until the subtree of the premise before it
+has been judged.  Paths are kept as (parent, label) pairs and made into
+text only when a violation is flagged.  Resource limits (fuel, stack
+depth) propagate as they do from observe.
 
-A node's own conditions are its rule's, the same conditions the node
-builders of mucut.proofs refuse by.  A premise function flags what
-concerns the premises together and says what each premise must
-conclude; the judge alone guards it, and alone tests and pushes the
-premises, in one loop.  A system is one value, System: its name, the
-rules it admits and its index k, None for S and S-infinity, whose
-conclusions must be in the base language.  The walk keeps an explicit
-stack, so no window is too deep for it, and a premise's violation waits
-on the stack until the subtree of the premise before it has been judged.
-Paths are kept as (parent, label) pairs and made into text only when a
-violation is flagged.  Resource limits (fuel, stack depth) propagate as
-they do from observe.
+A window judged in one system answers for a second when nothing the
+judgement met tells the two apart: no cut, omega or omegabar, whose
+conditions depend on the index; no rule either system leaves out; and
+no member outside the base language, unless both systems or neither
+make that test.  Any other system judges the window afresh.
 
 Premise shapes are read liberally: a node concluding C with principal
 phi may present its context as C or as C minus phi (sequents are sets,
@@ -55,7 +54,6 @@ from mucut.kernel import (
 )
 from mucut.proofs import (
     _LIMITS,
-    ALL_TAGS,
     FINITE_TAGS,
     FIRST,
     SINF_TAGS,
@@ -71,6 +69,7 @@ from mucut.proofs import (
     OmegaBar,
     Or,
     _observe,
+    observation_sequents,
     observe,
     omega_phi,
     premise_added,
@@ -130,12 +129,17 @@ class CheckReport:
 
 
 class _State:
-    __slots__ = ("violations", "nodes", "truncs")
+    """A judgement in progress.  rules holds the rule classes of the judged
+    nodes, and known the formulas found inside the base language."""
+
+    __slots__ = ("violations", "nodes", "truncs", "rules", "known")
 
     def __init__(self):
         self.violations = []
         self.nodes = 0
         self.truncs = 0
+        self.rules = set()
+        self.known = set()
 
     def flag(self, path, msg):
         self.violations.append((_path_text(path), msg))
@@ -147,37 +151,6 @@ class _State:
             nodes_checked=self.nodes,
             truncation_points=self.truncs,
         )
-
-
-_ENTRY = 6  # the items of a judged node in a judgement's walk
-
-
-class _Judgement(_State):
-    """The system-free judgement of a window at a depth: the report of any
-    system whose scan adds nothing, and the record the scan reads.  walk
-    holds the judged nodes in walk order, _ENTRY items each: conclusion,
-    rule tag, children, path, at and own.  at counts the violations
-    flagged before the node's own, and own is _free_flaws's answer.  The
-    items are flat, with no tuple per node: each container a kept
-    judgement holds is one more object for every later run of the cyclic
-    garbage collector.  No node is among them, so a judgement kept on its
-    window makes no reference cycle and is freed with it.
-    rules holds the walk's rule classes, marked the nodes every system
-    asks (own is not ()), and ends[i] what the premises of marked node i
-    account for: (node end, violation end, nodes, truncation points)."""
-
-    __slots__ = ("walk", "marked", "rules", "ends", "_nub")
-
-    def __init__(self):
-        _State.__init__(self)
-        self.walk, self.marked, self.rules, self.ends = [], [], set(), {}
-        self._nub = None
-
-    def nub(self):
-        """The conclusions' members outside the base language."""
-        if self._nub is None:
-            self._nub = outside_l0(self.walk[::_ENTRY])
-        return self._nub
 
 
 def _path_text(path):
@@ -231,9 +204,7 @@ _PREMISE = ("premise 0", "premise 1")
 # shapes[j] is what premise j adds to the context (None: nothing to test).
 # name is None for a finite rule, whose violations are worded "premise j"
 # and flagged at the node; otherwise it words the violation, flagged at the
-# premise's own path.  Only the judge catches what they raise: a cut's
-# pair depends on the system, so the scan runs _cut_premises, and
-# _judge_premises runs the rest.
+# premise's own path.  Only _judge_node catches what they raise.
 
 
 def _parts(c, tag, position, vouched):
@@ -274,7 +245,7 @@ def _premise_violation(at, got, c, principal, parts, what):
     )
 
 
-def _context_premises(st, path, o, vouched):
+def _context_premises(st, path, o, system, vouched):
     """Or, and and clo premises, and the sampled premises of a nu node."""
     c, tag = o.conclusion, o.rule
     if o.sampled is None:
@@ -284,12 +255,12 @@ def _context_premises(st, path, o, vouched):
     return c, tag.principal, [_parts(c, tag, i, vouched) for i in positions], name
 
 
-def _ind_premise(st, path, o, vouched):
+def _ind_premise(st, path, o, system, vouched):
     tag = o.rule  # the premise must conclude exactly ~A(b), b
     return Sequent((negate(substitute(tag.mu[1], tag.b)), tag.b)), None, ((),), None
 
 
-def _box_premise(st, path, o, vouched):
+def _box_premise(st, path, o, system, vouched):
     c, principal = o.conclusion, o.rule.principal
     got = o.children[0].conclusion
     a = principal[1]
@@ -310,29 +281,28 @@ def _box_premise(st, path, o, vouched):
         )
 
 
-def _cut_premises(c, tag, kids, k):
-    """The violation of the premises kids of a cut concluding c in a
-    system of index k, or None.  In an omega system both sides are primed."""
-    f = tag.formula
-    left, right = kids[0].conclusion, kids[1].conclusion
-    if k is not None:
+def _cut_premises(st, path, o, system, vouched):
+    c, f = o.conclusion, o.rule.formula
+    left, right = o.children[0].conclusion, o.children[1].conclusion
+    if system.k is not None:
         pair = (prime(f), prime(negate(f)))
     else:
         pair = (f, negate(f))
     # tested by membership; the expected sequents are built only to word
     # a violation
     if left.is_add(c, pair[0]) and right.is_add(c, pair[1]):
-        return None
+        return
     if left.is_add(c, pair[1]) and right.is_add(c, pair[0]):
-        return None
+        return
     want = {c.add(pair[0]), c.add(pair[1])}
-    return "cut premises conclude %s, expected %s (either order)" % (
-        sorted(map(repr, {left, right})),
-        sorted(map(repr, want)),
+    st.flag(
+        path,
+        "cut premises conclude %s, expected %s (either order)"
+        % (sorted(map(repr, {left, right})), sorted(map(repr, want))),
     )
 
 
-def _family_premises(st, path, o, vouched):
+def _family_premises(st, path, o, system, vouched):
     c, tag = o.conclusion, o.rule
     if type(tag) is Omega:
         return c, omega_phi(tag.target), o.probes, "family output"
@@ -358,50 +328,54 @@ _PREMISES = {
     OmegaBar: (_family_premises, "premise shapes undefined"),
 }
 
-# The rules whose conditions do not depend on a system's index.
-_FREE_RULES = frozenset(ALL_TAGS) - {Cut, Omega, OmegaBar}
+# The rules whose conditions depend on a system's index.
+_INDEXED = frozenset((Cut, Omega, OmegaBar))
 
 
 # ---------------------------------------------------------------------------
-# the judge, part one: what holds in every system
+# the judge
 
 
-def _free_flaws(o):
-    """A node's own conditions as far as they hold in every system: the
-    texts of flaws(conclusion) without an index, or what that raised; None
-    for a rule each system asks itself, since its conditions depend on the
-    index (or it is no known rule)."""
-    tag = o.rule
-    if type(tag) not in _FREE_RULES:
-        return None
-    try:
-        return tag.flaws(o.conclusion)
-    except _LIMITS:
-        raise
-    except Exception as exc:  # noqa: BLE001 - malformed tags must reject
-        return exc
-
-
-def _judge_premises(st, path, o, vouched, todo, depth):
-    """Judge the premises of one observed node that could be forced: its
-    rule's premise function, then each premise, which goes onto todo,
+def _judge_node(st, path, o, system, todo, depth):
+    """Check one observed node that could be forced: its rule's conditions
+    if the system admits the rule, then its premises, which go onto todo,
     last premise first, as (pending, child, path, depth) entries.  pending
     is None or the (path, text) of a violation in the premise's conclusion,
     flagged when the entry is popped, after the subtree of the premise
-    before.  A premise that could not be produced has no child.  vouched
-    says the node's rule had no flaws.  Resource limits propagate."""
-    rule = type(o.rule)
+    before.  A premise that could not be produced has no child.  Resource
+    limits propagate."""
+    c, tag = o.conclusion, o.rule
+    rule = type(tag)
+    vouched = False
+    try:
+        if rule not in system.admitted:
+            st.flag(path, "rule %s is not part of system %s" % (tag.name, system.name))
+        else:
+            if (
+                system.k is None
+                and not c._set <= st.known
+                and outside_l0((c,), st.known)
+            ):
+                st.flag(path, "conclusion uses the primed language outside omega systems")
+            flaws = tag.flaws(c, system.k)
+            for text in flaws:
+                st.flag(path, text)
+            vouched = not flaws
+    except _LIMITS:
+        raise
+    except Exception as exc:  # noqa: BLE001 - malformed tags must reject
+        st.flag(path, "malformed rule tag: %s" % exc)
+        return
     entry = _PREMISES.get(rule)
     if entry is None:
         return
-    want = _UNTESTED
-    if rule is not Cut:
-        try:
-            want = entry[0](st, path, o, vouched) or _UNTESTED
-        except _LIMITS:
-            raise
-        except Exception as exc:  # noqa: BLE001 - malformed premises must reject
-            st.flag(path, "%s: %s" % (entry[1], exc))
+    try:
+        want = entry[0](st, path, o, system, vouched) or _UNTESTED
+    except _LIMITS:
+        raise
+    except Exception as exc:  # noqa: BLE001 - malformed premises must reject
+        st.flag(path, "%s: %s" % (entry[1], exc))
+        want = _UNTESTED
     c, principal, shapes, name = want
     kids = o.children
     j = len(kids)
@@ -429,116 +403,26 @@ def _judge_premises(st, path, o, vouched, todo, depth):
         todo.append((pending, q, qpath, depth))
 
 
-def _judge_window(o, depth):
-    """The system-free judgement of a window observed to the given depth
-    (_Judgement), over an explicit stack.  A marked node leaves an end
-    marker under its premises, popped when all below them is judged."""
-    j = _Judgement()
-    walk, marked, rules, ends = j.walk, j.marked, j.rules, j.ends
+def _judge_window(o, system, depth):
+    """The judgement (_State) of a window observed to the given depth."""
+    st = _State()
     todo = [(None, o, "root", depth)]
-    pop, push = todo.pop, todo.append
+    pop = todo.pop
     while todo:
         pending, o, path, depth = pop()
         if pending is not None:
-            j.flag(*pending)
-        if o is None:
-            if pending is None:  # the end marker of node `path`
-                nodes, truncs = ends[path]
-                ends[path] = (
-                    len(walk) // _ENTRY, len(j.violations), j.nodes - nodes,
-                    j.truncs - truncs,
-                )
-            continue
+            st.flag(*pending)
+            if o is None:
+                continue
         if depth == 0:
-            j.truncs += 1
+            st.truncs += 1
         elif o.error is not None:
-            j.flag(path, "node evaluation failed: %s" % o.error)
+            st.flag(path, "node evaluation failed: %s" % o.error)
         else:
-            j.nodes += 1
-            own = _free_flaws(o)
-            rules.add(type(o.rule))
-            if own != ():
-                i = len(walk) // _ENTRY
-                marked.append(i)
-                ends[i] = (j.nodes, j.truncs)
-                push((None, None, i, None))
-            walk += (o.conclusion, o.rule, o.children, path, len(j.violations), own)
-            _judge_premises(j, path, o, own == (), todo, depth - 1)
-    return j
-
-
-# ---------------------------------------------------------------------------
-# the judge, part two: one system's scan
-
-
-def _own_texts(c, tag, kids, own, system, nub):
-    """What a judged node's rule says of it in a system: the texts flagged
-    at the node before its premise checks, and whether its premises are
-    judged there, which they are unless the system admits the rule and its
-    conditions raised.  c, tag and kids are the node's conclusion, rule
-    tag and premises, own is _free_flaws's answer, and nub holds primed
-    formulas, which S and S-infinity admit in no conclusion."""
-    texts = ()
-    try:
-        if type(tag) not in system.admitted:
-            own = ("rule %s is not part of system %s" % (tag.name, system.name),)
-        else:
-            if nub and not nub.isdisjoint(c._set):
-                texts = ("conclusion uses the primed language outside omega systems",)
-            if own is None:
-                own = tag.flaws(c, system.k)
-    except _LIMITS:
-        raise
-    except Exception as exc:  # noqa: BLE001 - malformed tags must reject
-        own = exc
-    if isinstance(own, Exception):
-        return texts + ("malformed rule tag: %s" % own,), False
-    texts += tuple(own)
-    if type(tag) is Cut:
-        try:
-            text = _cut_premises(c, tag, kids, system.k)
-        except _LIMITS:
-            raise
-        except Exception as exc:  # noqa: BLE001 - malformed premises must reject
-            text = "%s: %s" % (_PREMISES[Cut][1], exc)
-        if text is not None:
-            texts += (text,)
-    return texts, True
-
-
-def _scan(j, system):
-    """One system's report, from a window's system-free judgement j: each
-    node's own texts go before what j flagged from the node on, and a node
-    whose admitted rule raised drops what its premises account for.  Only
-    the marked nodes are asked, unless the system leaves out a rule of the
-    window or the window has a primed conclusion and the system admits
-    none; then every node is."""
-    nub = j.nub() if system.k is None else ()
-    asked = j.marked
-    if nub or not j.rules <= system.admitted:
-        asked = range(len(j.walk) // _ENTRY)
-    edits, nodes, truncs, below = [], j.nodes, j.truncs, 0
-    for i in asked:
-        if i < below:  # under a node whose premises were dropped
-            continue
-        c, tag, kids, path, at, own = j.walk[_ENTRY * i : _ENTRY * (i + 1)]
-        texts, judged = _own_texts(c, tag, kids, own, system, nub)
-        end = at
-        if not judged:
-            below, end, dropped, untruncated = j.ends[i]
-            nodes -= dropped
-            truncs -= untruncated
-        if texts:
-            edits.append((at, end, _path_text(path), texts))
-    if not edits:
-        return j.report()
-    shared, out, pos = j.violations, [], 0
-    for at, end, where, texts in edits:
-        out += shared[pos:at]
-        out += [(where, text) for text in texts]
-        pos = end
-    out += shared[pos:]
-    return CheckReport(not out, tuple(out), nodes, truncs)
+            st.nodes += 1
+            st.rules.add(type(o.rule))
+            _judge_node(st, path, o, system, todo, depth - 1)
+    return st
 
 
 def check_observation(o, system, depth):
@@ -546,20 +430,32 @@ def check_observation(o, system, depth):
     above the depth bound is checked, with the premises the window holds.
     Nodes at the bound, and nu and replacement rules, whose premises are
     only sampled, count as truncation points.  The window keeps the
-    system-free judgement per depth and the report per system and depth,
-    so each system's report is one scan of the same judgement, and a
-    repeated request returns the report without scanning again."""
+    report per system and depth, so a repeated request returns it without
+    judging again, and per depth the first system it was judged in, with
+    the rules that judgement met: a system the window is neutral between
+    (_neutral) gets that system's report."""
     return o.keep((system, depth), _report, o, system, depth)
 
 
 def _report(o, system, depth):
-    """One scan of the window's system-free judgement at the depth.  The
-    window keeps the judgement once a report stands on it, so a judgement
-    whose scan ran out of stack leaves nothing kept."""
-    judged = o.kept.get(depth) or _judge_window(o, depth)
-    report = _scan(judged, system)
-    o.kept[depth] = judged
-    return report
+    first = o.kept.get(depth)
+    if first is not None and _neutral(o, first[1], first[0], system):
+        return o.kept[first[0], depth]
+    st = _judge_window(o, system, depth)
+    if first is None:
+        o.kept[depth] = (system, st.rules)
+    return st.report()
+
+
+def _neutral(o, rules, a, b):
+    """Whether the window o, whose judgement in system a met the rule
+    classes `rules`, judges the same in system b: no rule met depends on
+    the index or is left out by either system, and the base-language test
+    is made in both systems or in neither, or finds no member of the
+    window outside."""
+    if not rules.isdisjoint(_INDEXED) or not rules <= a.admitted & b.admitted:
+        return False
+    return (a.k is None) == (b.k is None) or not outside_l0(observation_sequents(o))
 
 
 def check_bounded(p, system, depth, samples=(0, 1, 2), probe_budget=1):
@@ -576,11 +472,11 @@ def check_finite(p, system=SYSTEM_S):
     observed to depth 0, with its premises observed to depth 0 as
     children, so all its premise checks come before its subtrees.  A
     premise's depth-0 observation, made for its parent's window, is the
-    root of its own.  Each node's own texts in the system come first, then
-    its system-free premise checks; the L0 test asks each distinct formula
-    once per call.  Nu and replacement rules are rejected as they are
-    met, so nothing below them is forced or observed."""
-    st, known = _State(), set()
+    root of its own.  One judgement runs through every node, so the L0
+    test asks each distinct formula once per call.  Nu and replacement
+    rules are rejected as they are met, so nothing below them is forced
+    or observed."""
+    st = _State()
     todo = [("root", p, _observe(p, 0, (), 0))]
     while todo:
         path, q, o = todo.pop()
@@ -597,21 +493,11 @@ def check_finite(p, system=SYSTEM_S):
             continue
         premises = q.premises  # forced by its window already
         kids = tuple([_observe(r, 0, (), 0) for r in premises])
-        o = Observation(o.conclusion, o.rule, kids)
-        own = _free_flaws(o)
-        nub = ()
-        if system.k is None and not o.conclusion._set <= known:
-            nub = outside_l0((o.conclusion,), known)
-        texts, judged = _own_texts(o.conclusion, o.rule, kids, own, system, nub)
-        if texts:
-            where = _path_text(path)
-            st.violations += [(where, text) for text in texts]
-        if judged:
-            window = []
-            _judge_premises(st, path, o, own == (), window, 0)
-            for pending, _, _, _ in reversed(window):
-                if pending is not None:
-                    st.flag(*pending)
+        window = []
+        _judge_node(st, path, Observation(o.conclusion, o.rule, kids), system, window, 0)
+        for pending, _, _, _ in reversed(window):
+            if pending is not None:
+                st.flag(*pending)
         for j in range(len(premises) - 1, -1, -1):
             todo.append(((path, j), premises[j], kids[j]))
     return st.report()

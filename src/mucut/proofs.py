@@ -624,10 +624,11 @@ def standard_admits(h, target):
 class Observation:
     """A finite window onto a proof.  Nothing hashes a window or changes
     the fields observe gave it; `kept`, outside equality and repr, keeps
-    the checker's system-free judgement per depth, its reports per
-    (system, depth) and the writer's text.  It is not frozen because a
-    frozen dataclass's __init__ costs three times as much, and
-    check_finite observes a one-step window at every node of its proof."""
+    the checker's reports per (system, depth), per depth the first system
+    judged and the rules its judgement met, and the writer's text.  It is
+    not frozen because a frozen dataclass's __init__ costs three times as
+    much, and check_finite observes a one-step window at every node of
+    its proof."""
 
     conclusion: object
     rule: object
@@ -670,15 +671,21 @@ def observe(p, depth, samples=(0, 1, 2), probe_budget=1):
     stack propagate.  p keeps the window: a repeated request returns it, a
     request with other settings replaces it.  The nodes below p keep
     none."""
+    key = _settings(depth, samples, probe_budget)
+    kept = p._window
+    if kept is None or kept[0] != key:
+        kept = p._window = (key, _observe(p, *key))
+    return kept[1]
+
+
+def _settings(depth, samples, probe_budget):
+    """observe's settings as the key of a window; a probe budget other
+    than 0 or 1 is a ValueError."""
     if probe_budget not in (0, 1):
         raise ValueError(
             "probe budget %r: 0 or 1, since each family has one probe" % (probe_budget,)
         )
-    key = (depth, tuple(samples), probe_budget)
-    kept = p._window
-    if kept is None or kept[0] != key:
-        kept = p._window = (key, _observe(p, depth, key[1], probe_budget))
-    return kept[1]
+    return depth, tuple(samples), probe_budget
 
 
 def _observe(p, depth, samples, probe_budget):
@@ -758,9 +765,11 @@ def observation_errors(o):
 
 
 def is_cut_free_observed(p, depth, samples=(0, 1, 2), probe_budget=1):
-    """True when no Cut node and no family failure shows up within the
-    observation window."""
-    o = observe(p, depth, samples, probe_budget)
+    """True when no Cut node and no family failure shows up within a
+    window of p observed with these settings.  p keeps no window: the
+    family domain predicate asks this of each witness, which the family's
+    memo keeps alive."""
+    o = _observe(p, *_settings(depth, samples, probe_budget))
     if observation_errors(o):
         return False
     return not any(isinstance(r, Cut) for r in observation_rules(o) if r)

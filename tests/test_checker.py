@@ -23,7 +23,16 @@ from mucut.checker import (
 from mucut.collapse import pipeline
 from mucut.corpus import CORPUS
 from mucut.errors import FuelExhausted, InternalInvariantError
-from mucut.kernel import TOP, atom, iterate, max_nubar_level, natom, negate, prime
+from mucut.kernel import (
+    TOP,
+    atom,
+    iterate,
+    max_nubar_level,
+    natom,
+    negate,
+    prime,
+    substitute,
+)
 from mucut.proofs import (
     ALL_TAGS,
     And,
@@ -88,7 +97,7 @@ def test_systems_built_alike_are_one_value():
     assert a == b and hash(a) == hash(b)
     o = observe(CORPUS["nested"](), 3)
     assert check_observation(o, a, 3) is check_observation(o, b, 3)
-    # one report for both, beside the window's system-free judgement at 3
+    # one report for both, beside the first system judged at depth 3
     assert set(o.kept) == {3, (a, 3)}
     check_observation(o, omega_system(1), 3)
     assert set(o.kept) == {3, (a, 3), (omega_system(1), 3)}
@@ -846,40 +855,37 @@ def test_a_window_keeps_one_report_per_system_and_depth():
 
 
 def test_pipeline_walks_one_window_and_judges_it_once_per_system(tmp_path, monkeypatch):
-    # all four stages of e3-axmu are one proof: its window is walked once,
-    # judged once without a system, and scanned once in each system
+    # all four stages of e3-axmu are one proof: its window is walked once
+    # and judged once, in omega:1; the window is neutral between omega:1
+    # and S-infinity, so the S-infinity report is the omega:1 report
     assert run_cli(["corpus", "--out", str(tmp_path)])[0] == 0
-    walk, judge, scan = proofs._observe, checker._judge_window, checker._scan
-    walks, judged, scanned = [], [], []
+    walk, judge = proofs._observe, checker._judge_window
+    walks, judged = [], []
 
     def counting_walk(p, depth, *args):
         if depth == 4:
             walks.append(p)
         return walk(p, depth, *args)
 
-    def counting_judge(o, depth):
-        judged.append(depth)
-        return judge(o, depth)
-
-    def counting_scan(j, system):
-        scanned.append(system)
-        return scan(j, system)
+    def counting_judge(o, system, depth):
+        judged.append((o, system, depth))
+        return judge(o, system, depth)
 
     monkeypatch.setattr(proofs, "_observe", counting_walk)
     monkeypatch.setattr(checker, "_judge_window", counting_judge)
-    monkeypatch.setattr(checker, "_scan", counting_scan)
     code, _, err = run_cli([
         "pipeline", str(tmp_path / "e3-axmu.sproof"),
         "--out", str(tmp_path / "out"), "--depth", "4",
     ])
     assert code == 0, err
     assert len(walks) == 1
-    assert judged == [4]
-    assert scanned == [omega_system(1), SYSTEM_SINF]
+    ((o, system, depth),) = judged
+    assert (system, depth) == (omega_system(1), 4)
+    assert o.kept[SYSTEM_SINF, 4] is o.kept[system, 4]
 
 
 # ---------------------------------------------------------------------------
-# one system-free judgement, one scan per system
+# one window judged in several systems
 
 
 FIVE_SYSTEMS = (SYSTEM_S, SYSTEM_SINF, omega_system(0), omega_system(1), omega_system(2))
@@ -907,6 +913,69 @@ def test_the_order_of_judging_a_window_changes_no_report():
             for order in (FIVE_SYSTEMS, FIVE_SYSTEMS[::-1]):
                 got = _judged_in_turn(_observe(p, depth, (0, 1, 2), 1), order, depth)
                 assert [got[system] for system in FIVE_SYSTEMS] == alone
+
+
+def _neutral_window():
+    f = ("or", atom(2), atom(3))
+    leaf = Observation(seq(atom(0), natom(0), atom(2), atom(3)), Axiom(atom(0)))
+    return Observation(seq(atom(0), natom(0), f), Or(f), (leaf,))
+
+
+def _cut_window():
+    # the omega systems prime both sides of the cut
+    f = pf("mu X . (p1 | X)")
+    kids = tuple(
+        Observation(seq(atom(0), natom(0), side), Axiom(atom(0)))
+        for side in (f, negate(f))
+    )
+    return Observation(seq(atom(0), natom(0)), Cut(f), kids)
+
+
+def _omega_window():
+    # level 2 is outside omega:1 only
+    t = prime(pf("mu X . (p1 | X)"))
+    return Observation(seq(omega_phi(t)), Omega(2, t), (), truncated=True, probes=())
+
+
+def _ind_window():
+    m, b = pf("mu X . (p1 | X)"), atom(2)
+    leaf = Observation(Sequent((negate(substitute(m[1], b)), b)), Axiom(atom(9)))
+    return Observation(Sequent((negate(m), b)), Ind(m, b), (leaf,))
+
+
+def _primed_window():
+    t = prime(pf("nu X . (p1 & X)"))
+    return Observation(seq(t, atom(0), natom(0)), Axiom(atom(0)))
+
+
+@pytest.mark.parametrize(
+    "window, first, second, judged",
+    [
+        (_neutral_window, omega_system(1), SYSTEM_SINF, 1),
+        (_cut_window, SYSTEM_S, omega_system(0), 2),
+        (_omega_window, omega_system(2), omega_system(1), 2),
+        (_ind_window, SYSTEM_S, SYSTEM_SINF, 2),
+        (_primed_window, omega_system(0), SYSTEM_S, 2),
+    ],
+    ids=["neutral", "cut", "omega", "left-out-rule", "primed"],
+)
+def test_a_second_system_reuses_the_report_only_of_a_neutral_window(
+    monkeypatch, window, first, second, judged
+):
+    # one condition of the reuse rule fails in each window but the neutral
+    # one; each report is the one a fresh window gives
+    fresh = [check_observation(window(), system, 3) for system in (first, second)]
+    judge, calls = checker._judge_window, []
+
+    def counting_judge(o, system, depth):
+        calls.append(system)
+        return judge(o, system, depth)
+
+    monkeypatch.setattr(checker, "_judge_window", counting_judge)
+    o = window()
+    assert [check_observation(o, system, 3) for system in (first, second)] == fresh
+    assert calls == [first, second][:judged]
+    assert (fresh[0] == fresh[1]) == (judged == 1)
 
 
 def test_a_raising_rule_skips_its_premises_only_where_it_is_admitted():

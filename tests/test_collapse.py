@@ -3,6 +3,8 @@ proof."""
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -308,3 +310,18 @@ def test_verdict_fails_only_the_sinf_stage_on_a_foreign_rule_at_the_bound():
     # one level deeper the judge itself sees the rule, and the scan adds nothing
     v = verdict(p, stages, 2)
     assert v.stages[-1].failure == "root.0: rule axmu is not part of system sinf"
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_only_the_stage_roots_keep_a_window(name):
+    # the family domain predicate walks each witness it checks without
+    # leaving a window on it, though the family's memo keeps it alive
+    for q in gc.get_objects():
+        if isinstance(q, Proof):
+            q._window = None
+    p = CORPUS[name]()
+    stages = pipeline(p)
+    verdict(p, stages, 6)
+    roots = {id(q) for q in stages.values()}
+    kept = [q for q in gc.get_objects() if isinstance(q, Proof) and q._window is not None]
+    assert kept and {id(q) for q in kept} <= roots
