@@ -26,11 +26,11 @@ has been judged.  Paths are kept as (parent, label) pairs and made into
 text only when a violation is flagged.  Resource limits (fuel, stack
 depth) propagate as they do from observe.
 
-A window judged in one system answers for a second when nothing the
-judgement met tells the two apart: no cut, omega or omegabar, whose
-conditions depend on the index; no rule either system leaves out; and
-no member outside the base language, unless both systems or neither
-make that test.  Any other system judges the window afresh.
+A window judged in one system answers for a second when nothing in its
+kept facts tells the two apart: no cut, omega or omegabar, whose
+conditions depend on the index; no rule, even at the depth bound, that
+either system leaves out; and no member outside the base language,
+unless both systems or neither test for that.  Else it is judged afresh.
 
 Premise shapes are read liberally: a node concluding C with principal
 phi may present its context as C or as C minus phi (sequents are sets,
@@ -69,6 +69,7 @@ from mucut.proofs import (
     OmegaBar,
     Or,
     _observe,
+    observation_rules,
     observation_sequents,
     observe,
     omega_phi,
@@ -129,16 +130,14 @@ class CheckReport:
 
 
 class _State:
-    """A judgement in progress.  rules holds the rule classes of the judged
-    nodes, and known the formulas found inside the base language."""
+    """A judgement in progress; known holds the formulas found in L0."""
 
-    __slots__ = ("violations", "nodes", "truncs", "rules", "known")
+    __slots__ = ("violations", "nodes", "truncs", "known")
 
     def __init__(self):
         self.violations = []
         self.nodes = 0
         self.truncs = 0
-        self.rules = set()
         self.known = set()
 
     def flag(self, path, msg):
@@ -179,18 +178,21 @@ def _labels(o):
     return labels
 
 
-def outside_l0(sequents, known=None):
+def outside_l0(sequents, known=frozenset()):
     """The members of the sequents outside the base language, those with a
     nub binder.  Each distinct formula is tested once.  Given known, a set
     of formulas already found inside, those are not tested again and
     known gains the ones found inside now."""
-    forms = set().union(*[s._set for s in sequents])
-    if known is not None:
-        forms -= known
+    forms = set().union(*[s._set for s in sequents]) - known
     out = {f for f in forms if max_nubar_level(f) >= 0}
-    if known is not None:
-        known |= forms - out
+    known |= forms - out
     return out
+
+
+def in_l0(o):
+    """Whether every conclusion in the window o is in the base language: a
+    window fact, worked out once and kept on o."""
+    return o.keep("l0", lambda: not outside_l0(observation_sequents(o)))
 
 
 # The report label of finite premise j.
@@ -420,7 +422,6 @@ def _judge_window(o, system, depth):
             st.flag(path, "node evaluation failed: %s" % o.error)
         else:
             st.nodes += 1
-            st.rules.add(type(o.rule))
             _judge_node(st, path, o, system, todo, depth - 1)
     return st
 
@@ -431,31 +432,31 @@ def check_observation(o, system, depth):
     Nodes at the bound, and nu and replacement rules, whose premises are
     only sampled, count as truncation points.  The window keeps the
     report per system and depth, so a repeated request returns it without
-    judging again, and per depth the first system it was judged in, with
-    the rules that judgement met: a system the window is neutral between
-    (_neutral) gets that system's report."""
+    judging again, and per depth the first system it was judged in: a
+    system the window is neutral between (_neutral) gets that system's
+    report."""
     return o.keep((system, depth), _report, o, system, depth)
 
 
 def _report(o, system, depth):
     first = o.kept.get(depth)
-    if first is not None and _neutral(o, first[1], first[0], system):
-        return o.kept[first[0], depth]
-    st = _judge_window(o, system, depth)
-    if first is None:
-        o.kept[depth] = (system, st.rules)
-    return st.report()
+    if first is not None and _neutral(o, first, system):
+        return o.kept[first, depth]
+    report = _judge_window(o, system, depth).report()
+    o.kept.setdefault(depth, system)
+    return report
 
 
-def _neutral(o, rules, a, b):
-    """Whether the window o, whose judgement in system a met the rule
-    classes `rules`, judges the same in system b: no rule met depends on
-    the index or is left out by either system, and the base-language test
-    is made in both systems or in neither, or finds no member of the
-    window outside."""
+def _neutral(o, a, b):
+    """Whether the window o, judged in system a, judges the same in system
+    b, read off its facts: no rule in it, at the depth bound too, depends
+    on the index or is left out by either system (an error leaf's None is
+    in none), and the base-language test is made in both systems or in
+    neither, or finds no member of the window outside."""
+    rules = set(map(type, observation_rules(o)))
     if not rules.isdisjoint(_INDEXED) or not rules <= a.admitted & b.admitted:
         return False
-    return (a.k is None) == (b.k is None) or not outside_l0(observation_sequents(o))
+    return (a.k is None) == (b.k is None) or in_l0(o)
 
 
 def check_bounded(p, system, depth, samples=(0, 1, 2), probe_budget=1):

@@ -30,9 +30,9 @@ from mucut.cutelim import DEFAULT_FUEL, eliminate
 from mucut.checker import (
     SYSTEM_SINF,
     check_observation,
+    in_l0,
     level_bound,
     omega_system,
-    outside_l0,
 )
 from mucut.embed import embed, embeds_plainly
 from mucut.errors import FuelExhausted, InternalInvariantError
@@ -46,7 +46,6 @@ from mucut.proofs import (
     map_premises,
     observation_errors,
     observation_rules,
-    observation_sequents,
     observe,
 )
 from mucut.sequents import is_k_positive
@@ -158,6 +157,6 @@ def verdict(p, stages, depth, samples=(0, 1, 2), probe_budget=1):
                            % foreign)
         judged.append(StageVerdict(name, o, system.name, report, failure))
     cut_free = not any(isinstance(r, Cut) for r in rules)
-    nubar_free = not outside_l0(observation_sequents(windows[-1]))
+    nubar_free = in_l0(windows[-1])
     passed = not error and cut_free and nubar_free and all(not s.failure for s in judged)
     return Verdict(k, error, tuple(judged), cut_free, nubar_free, passed)

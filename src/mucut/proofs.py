@@ -9,7 +9,7 @@ and memoized so repeated exploration is deterministic.
 Observation is the finite window onto such a proof: explore to a depth
 bound, sample omega premises at chosen indices, and feed replacement-rule
 families their canonical probe.  The checker judges these windows.  A
-proof keeps its last window, and a window its reports and text, so a
+proof keeps its last window, and a window its facts, reports and text, so a
 repeated request is answered from these memos.
 """
 
@@ -624,11 +624,11 @@ def standard_admits(h, target):
 class Observation:
     """A finite window onto a proof.  Nothing hashes a window or changes
     the fields observe gave it; `kept`, outside equality and repr, keeps
-    the checker's reports per (system, depth), per depth the first system
-    judged and the rules its judgement met, and the writer's text.  It is
-    not frozen because a frozen dataclass's __init__ costs three times as
-    much, and check_finite observes a one-step window at every node of
-    its proof."""
+    its facts (observation_rules and its kin), whether they are in L0, the
+    checker's reports per (system, depth) and per depth the first system
+    judged, and the writer's text.  It is not frozen because a frozen
+    dataclass's __init__ costs three times as much, and check_finite
+    observes a one-step window at every node of its proof."""
 
     conclusion: object
     rule: object
@@ -740,36 +740,40 @@ def _premise(get, args, depth, samples, probe_budget):
     return _observe(q, depth - 1, samples, probe_budget)
 
 
-def _preorder(o):
-    """The nodes of an observation in preorder, over an explicit stack."""
-    stack = [o]
+def _facts(o):
+    """A window's rule tags, non-error conclusions and error texts, in one
+    preorder walk.  The readers below keep them: callers must not change them."""
+    rules, sequents, errors, stack = [], [], [], [o]
     while stack:
         node = stack.pop()
-        yield node
+        rules.append(node.rule)
+        if node.error is None:
+            sequents.append(node.conclusion)
+        else:
+            errors.append(node.error)
         stack.extend(reversed(node.children))
+    return rules, sequents, errors
 
 
 def observation_rules(o):
     """All rule tags in an observation, preorder."""
-    return [node.rule for node in _preorder(o)]
+    return o.keep("facts", _facts, o)[0]
 
 
 def observation_sequents(o):
     """All conclusions in an observation, preorder (error leaves skipped)."""
-    return [node.conclusion for node in _preorder(o) if node.error is None]
+    return o.keep("facts", _facts, o)[1]
 
 
 def observation_errors(o):
     """All error messages in an observation, preorder."""
-    return [node.error for node in _preorder(o) if node.error is not None]
+    return o.keep("facts", _facts, o)[2]
 
 
 def is_cut_free_observed(p, depth, samples=(0, 1, 2), probe_budget=1):
     """True when no Cut node and no family failure shows up within a
-    window of p observed with these settings.  p keeps no window: the
-    family domain predicate asks this of each witness, which the family's
-    memo keeps alive."""
-    o = _observe(p, *_settings(depth, samples, probe_budget))
-    if observation_errors(o):
-        return False
-    return not any(isinstance(r, Cut) for r in observation_rules(o) if r)
+    window of p observed with these settings, walked once.  Neither p nor
+    the window keeps anything: the family domain predicate asks this of
+    each witness, which the family's memo keeps alive."""
+    rules, _, errors = _facts(_observe(p, *_settings(depth, samples, probe_budget)))
+    return not errors and not any(isinstance(r, Cut) for r in rules)

@@ -99,8 +99,9 @@ def test_systems_built_alike_are_one_value():
     assert check_observation(o, a, 3) is check_observation(o, b, 3)
     # one report for both, beside the first system judged at depth 3
     assert set(o.kept) == {3, (a, 3)}
+    # the reuse rule reads the window's facts, which the window keeps too
     check_observation(o, omega_system(1), 3)
-    assert set(o.kept) == {3, (a, 3), (omega_system(1), 3)}
+    assert set(o.kept) == {3, (a, 3), (omega_system(1), 3), "facts"}
 
 
 def test_omega_systems_admit_replacement_rules_from_index_1():
@@ -943,6 +944,15 @@ def _ind_window():
     return Observation(Sequent((negate(m), b)), Ind(m, b), (leaf,))
 
 
+def _bound_cut_window():
+    # the only cut sits at the depth bound 3, where no judgement meets it
+    c = seq(TOP, atom(0), natom(0))
+    o = Observation(c, Cut(atom(1)), (), truncated=True)
+    for _ in range(3):
+        o = Observation(c, Or(TOP), (o,))
+    return o
+
+
 def _primed_window():
     t = prime(pf("nu X . (p1 & X)"))
     return Observation(seq(t, atom(0), natom(0)), Axiom(atom(0)))
@@ -956,14 +966,17 @@ def _primed_window():
         (_omega_window, omega_system(2), omega_system(1), 2),
         (_ind_window, SYSTEM_S, SYSTEM_SINF, 2),
         (_primed_window, omega_system(0), SYSTEM_S, 2),
+        (_bound_cut_window, omega_system(1), SYSTEM_SINF, 2),
     ],
-    ids=["neutral", "cut", "omega", "left-out-rule", "primed"],
+    ids=["neutral", "cut", "omega", "left-out-rule", "primed", "cut-at-the-bound"],
 )
 def test_a_second_system_reuses_the_report_only_of_a_neutral_window(
     monkeypatch, window, first, second, judged
 ):
     # one condition of the reuse rule fails in each window but the neutral
-    # one; each report is the one a fresh window gives
+    # one; each report is the one a fresh window gives.  The rule reads the
+    # whole window's rules, so a cut at the depth bound, which no judgement
+    # meets, has the window judged again, to the same report
     fresh = [check_observation(window(), system, 3) for system in (first, second)]
     judge, calls = checker._judge_window, []
 
@@ -975,7 +988,7 @@ def test_a_second_system_reuses_the_report_only_of_a_neutral_window(
     o = window()
     assert [check_observation(o, system, 3) for system in (first, second)] == fresh
     assert calls == [first, second][:judged]
-    assert (fresh[0] == fresh[1]) == (judged == 1)
+    assert (fresh[0] == fresh[1]) == (judged == 1 or window is _bound_cut_window)
 
 
 def test_a_raising_rule_skips_its_premises_only_where_it_is_admitted():

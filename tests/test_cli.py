@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -469,4 +471,27 @@ def test_cli_entry_point_subprocess(tmp_path):
         runs.append({
             p.name: p.read_bytes() for p in sorted(outdir.iterdir())
         })
+    assert runs[0] == runs[1]
+
+
+def test_pipeline_artifacts_do_not_depend_on_the_hash_seed(tmp_path):
+    # every artifact of every corpus proof, written by the module entry
+    # point under two hash seeds, is the same byte for byte
+    _write_corpus(tmp_path)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    runs = []
+    for seed in ("1", "2"):
+        outdir = tmp_path / ("seed" + seed)
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        for proof in sorted(tmp_path.glob("*.sproof")):
+            trace = outdir / (proof.stem + ".trace")
+            proc = subprocess.run(
+                [sys.executable, "-m", "mucut", "pipeline", str(proof),
+                 "--depth", "8", "--out", str(outdir), "--trace", str(trace)],
+                capture_output=True, text=True, timeout=300, env=env,
+            )
+            assert proc.returncode == EXIT_OK, proc.stderr
+        runs.append({p.name: p.read_bytes() for p in sorted(outdir.iterdir())})
+    assert len(runs[0]) == 4 * 6  # four observations, summary and trace each
     assert runs[0] == runs[1]

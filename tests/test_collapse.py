@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_pipeline_passes, random_formulas
+from mucut import proofs
 from mucut.checker import (
     SYSTEM_S,
     SYSTEM_SINF,
@@ -325,3 +326,25 @@ def test_only_the_stage_roots_keep_a_window(name):
     roots = {id(q) for q in stages.values()}
     kept = [q for q in gc.get_objects() if isinstance(q, Proof) and q._window is not None]
     assert kept and {id(q) for q in kept} <= roots
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_verdict_walks_each_window_once(monkeypatch, name):
+    # every reader of a window's facts reads them off one walk: the error
+    # scan of each stage, the judge's reuse rule, the cut and L0 tests of
+    # the final window; the walked windows are held, so no id is reused
+    walk, walked = proofs._facts, []
+
+    def counting_walk(o):
+        walked.append(o)
+        return walk(o)
+
+    monkeypatch.setattr(proofs, "_facts", counting_walk)
+    p = CORPUS[name]()
+    v = verdict(p, pipeline(p), 6)
+    assert v.passed
+    ids = [id(o) for o in walked]
+    assert len(ids) == len(set(ids))
+    assert {id(stage.window) for stage in v.stages} <= set(ids)
+    if name == "axmu":  # its four stages share one window
+        assert len({id(stage.window) for stage in v.stages}) == len(walked) == 1
