@@ -4,9 +4,9 @@ The checker judges observation windows: check_observation reads a window
 that proofs.observe made (each node's conclusion, rule, children, sampled
 indices and probe deltas), forces nothing and keeps its report on the
 window, per system and depth.  check_bounded judges the window observe
-keeps on a proof; check_finite judges a finite proof node by node, each
-in a one-step window that is kept nowhere, and rejects nu and
-replacement rules without entering them.
+keeps on a proof; check_finite judges a finite proof's own nodes, keeps
+its level bound on a pass, and rejects nu and replacement rules without
+entering them.
 
 One judge serves all three, in one given system.  A node's own
 conditions are its rule's: the judge flags every text of the tag's
@@ -54,6 +54,7 @@ from mucut.kernel import (
 )
 from mucut.proofs import (
     _LIMITS,
+    ALL_TAGS,
     FINITE_TAGS,
     FIRST,
     SINF_TAGS,
@@ -64,11 +65,10 @@ from mucut.proofs import (
     Cut,
     Ind,
     Nu,
-    Observation,
     Omega,
     OmegaBar,
     Or,
-    _observe,
+    finite_nodes,
     observation_rules,
     observation_sequents,
     observe,
@@ -469,56 +469,63 @@ def check_bounded(p, system, depth, samples=(0, 1, 2), probe_budget=1):
 
 def check_finite(p, system=SYSTEM_S):
     """Exhaustively check a finite proof, node by node in preorder over an
-    explicit stack.  Each node is judged in its own window: the node
-    observed to depth 0, with its premises observed to depth 0 as
-    children, so all its premise checks come before its subtrees.  A
-    premise's depth-0 observation, made for its parent's window, is the
-    root of its own.  One judgement runs through every node, so the L0
-    test asks each distinct formula once per call.  Nu and replacement
-    rules are rejected as they are met, so nothing below them is forced
-    or observed."""
+    explicit stack.  The judge reads each node as its own one-step window,
+    its premises as children, so all its premise checks come before its
+    subtrees.  Each node is forced once, when its parent is judged.  One
+    judgement runs through every node, so the L0 test asks each distinct
+    formula once per call, and on a pass in S or S-infinity p keeps the
+    max level of those formulas as its level_bound.  Nu and replacement
+    rules are rejected as they are met, so nothing below them is forced."""
     st = _State()
-    todo = [("root", p, _observe(p, 0, (), 0))]
+    todo = [("root", p, _force_error(p))]
     while todo:
-        path, q, o = todo.pop()
-        if o.error is not None:
-            st.flag(path, "node evaluation failed: %s" % o.error)
+        path, q, error = todo.pop()
+        if error is not None:
+            st.flag(path, "node evaluation failed: %s" % error)
             continue
         st.nodes += 1
-        if not isinstance(o.rule.arity, int):
+        tag, premises = q._force()  # forced already: read off its memo
+        if not isinstance(tag.arity, int):
             st.flag(
                 path,
                 "rule %s has infinitely many premises and cannot occur in a "
-                "finite proof" % o.rule.name,
+                "finite proof" % tag.name,
             )
             continue
-        premises = q.premises  # forced by its window already
-        kids = tuple([_observe(r, 0, (), 0) for r in premises])
+        errors = [_force_error(r) for r in premises]
         window = []
-        _judge_node(st, path, Observation(o.conclusion, o.rule, kids), system, window, 0)
+        _judge_node(st, path, q, system, window, 0)
         for pending, _, _, _ in reversed(window):
             if pending is not None:
                 st.flag(*pending)
         for j in range(len(premises) - 1, -1, -1):
-            todo.append(((path, j), premises[j], kids[j]))
+            todo.append(((path, j), premises[j], errors[j]))
+    if system.k is None and not st.violations:
+        p.kept()["level"] = max(map(level, st.known), default=0)
     return st.report()
+
+
+def _force_error(p):
+    """Force p: None if that worked, else the text of what forcing raised
+    or of an unknown rule tag.  Resource limits propagate."""
+    try:
+        tag = p.rule
+    except _LIMITS:
+        raise
+    except Exception as exc:  # noqa: BLE001 - failures become violations
+        return str(exc)
+    return None if isinstance(tag, ALL_TAGS) else "unknown rule tag: %r" % (tag,)
 
 
 def level_bound(p):
     """Max formula level over all sequents of a finite proof: the index of
-    the intermediate system its embedding lands in.  Each node is visited
-    once, in preorder, and each distinct formula's level taken once."""
-    forms = set()
-    seen = set()  # proofs hash by identity
-    todo = [p]
-    while todo:
-        q = todo.pop()
-        if q in seen:
-            continue
-        seen.add(q)
-        forms.update(q.conclusion._set)
-        todo.extend(reversed(tuple(q.premises)))
-    return max(map(level, forms), default=0)
+    the intermediate system its embedding lands in.  p keeps it, from
+    check_finite or from one walk that visits each node once."""
+    kept = p.kept()
+    if "level" not in kept:
+        forms = set().union(*[q.conclusion._set for q in finite_nodes(p)])
+        kept["level"] = max(map(level, forms), default=0)
+    return kept["level"]
 
 
 # ---------------------------------------------------------------------------

@@ -108,7 +108,8 @@ def pipeline(p, fuel=DEFAULT_FUEL, trace=None):
     p has no cut and no induction, and its axmu formulas are in the base
     language), eliminate and collapse would copy it node by node: the
     embedded proof itself is then the eliminated and the collapsed stage,
-    the same object, and no reduction, fuel or trace step is spent."""
+    the same object, and no reduction, fuel or trace step is spent.  The
+    index k is level_bound(p), kept on p by check_finite or on first use."""
     k = level_bound(p)
     embedded = embed(p, frozenset(), k)
     if embeds_plainly(p):
@@ -131,11 +132,11 @@ Verdict = namedtuple("Verdict", "k error stages cut_free nubar_free passed")
 def verdict(p, stages, depth, samples=(0, 1, 2), probe_budget=1):
     """Whether the stages pipeline made from the S proof p pass, read off
     their observe windows: with no error leaf, the embedded and eliminated
-    stages are judged in Omega_k, k = level_bound(p), and the collapsed
-    and sinf stages in S-infinity.  The judge only counts the nodes at the
-    depth bound, so the final window's rules are read here, and one
-    outside S-infinity fails the sinf stage.  The final window must also
-    be cut-free and nub-free."""
+    stages are judged in Omega_k, k = level_bound(p) as kept on p, and the
+    collapsed and sinf stages in S-infinity.  The judge only counts the
+    nodes at the depth bound, so the final window's rules are read here,
+    and one outside S-infinity fails the sinf stage.  The final window
+    must also be cut-free and nub-free."""
     k = level_bound(p)
     windows = [observe(stages[s], depth, samples, probe_budget) for s in STAGES]
     error = next(

@@ -90,6 +90,7 @@ from mucut.proofs import (
     box_fit,
     box_node,
     clo_node,
+    finite_nodes,
     map_premises,
     nu_node,
     omega_node,
@@ -661,18 +662,10 @@ def embeds_plainly(p):
     formula is in the base language, so that its identity law is built
     from nu, closure and the propositional rules alone.  The walk stops at
     the first node that fails."""
-    stack, seen = [p], {id(p)}
-    while stack:
-        q = stack.pop()
+    for q in finite_nodes(p):
         tag = q.rule
-        if not isinstance(tag, _PLAIN):
+        if not isinstance(tag, _PLAIN) or isinstance(tag, AxiomMu) and not is_l0(tag.mu):
             return False
-        if isinstance(tag, AxiomMu) and not is_l0(tag.mu):
-            return False
-        for r in q.premises:
-            if id(r) not in seen:
-                seen.add(id(r))
-                stack.append(r)
     return True
 
 

@@ -9,8 +9,8 @@ and memoized so repeated exploration is deterministic.
 Observation is the finite window onto such a proof: explore to a depth
 bound, sample omega premises at chosen indices, and feed replacement-rule
 families their canonical probe.  The checker judges these windows.  A
-proof keeps its last window, and a window its facts, reports and text, so a
-repeated request is answered from these memos.
+proof keeps its last window and its level bound, and a window its facts,
+reports and text, so a repeated request is answered from these memos.
 """
 
 from __future__ import annotations
@@ -328,12 +328,15 @@ def omega_phi(target):
 
 
 class Proof:
-    """Strict conclusion, lazy (rule, premises) node.  A proof observed
-    as a root keeps its last window (observe) in _window."""
+    """Strict conclusion, lazy (rule, premises) node.  kept() holds its
+    last window as a root (observe) and a finite proof's level bound.  A
+    node reads as a one-step window, its premises as children, sampled
+    and probed nowhere: so check_finite judges it."""
 
     # weakly referenceable so that embed can empty its identity-law memo
     # when the embedding is freed
-    __slots__ = ("conclusion", "_node", "_thunk", "_window", "__weakref__")
+    __slots__ = ("conclusion", "_node", "_thunk", "_kept", "__weakref__")
+    sampled = probes = None
 
     def __init__(self, conclusion, node, thunk):
         if not isinstance(conclusion, Sequent):
@@ -341,7 +344,13 @@ class Proof:
         self.conclusion = conclusion
         self._node = node
         self._thunk = thunk
-        self._window = None
+        self._kept = None
+
+    def kept(self):
+        """What the proof keeps, a dict made on the first request."""
+        if self._kept is None:
+            self._kept = {}
+        return self._kept
 
     @staticmethod
     def make(conclusion, tag, premises):
@@ -369,11 +378,25 @@ class Proof:
 
     @property
     def rule(self):
-        return self._force()[0]
+        return (self._node or self._force())[0]
 
     @property
     def premises(self):
-        return self._force()[1]
+        return (self._node or self._force())[1]
+
+    children = premises  # a node's premises, read as a window's children
+
+
+def finite_nodes(p):
+    """Each node of the finite proof p once, in preorder over an explicit
+    stack; a premise shared by several nodes is met once."""
+    seen, todo = set(), [p]  # proofs hash by identity
+    while todo:
+        q = todo.pop()
+        if q not in seen:
+            seen.add(q)
+            yield q
+            todo.extend(reversed(tuple(q.premises)))
 
 
 def make_node(conclusion, tag, premises):
@@ -627,8 +650,8 @@ class Observation:
     its facts (observation_rules and its kin), whether they are in L0, the
     checker's reports per (system, depth) and per depth the first system
     judged, and the writer's text.  It is not frozen because a frozen
-    dataclass's __init__ costs three times as much, and check_finite
-    observes a one-step window at every node of its proof."""
+    dataclass's __init__ costs three times as much, and observe makes one
+    for every node it walks."""
 
     conclusion: object
     rule: object
@@ -672,10 +695,10 @@ def observe(p, depth, samples=(0, 1, 2), probe_budget=1):
     request with other settings replaces it.  The nodes below p keep
     none."""
     key = _settings(depth, samples, probe_budget)
-    kept = p._window
-    if kept is None or kept[0] != key:
-        kept = p._window = (key, _observe(p, *key))
-    return kept[1]
+    kept = p.kept()
+    if kept.get("window", (None,))[0] != key:
+        kept["window"] = (key, _observe(p, *key))
+    return kept["window"][1]
 
 
 def _settings(depth, samples, probe_budget):

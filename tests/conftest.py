@@ -1,6 +1,7 @@
 """Shared test helpers: a seeded formula generator, S proofs of atom cuts
-in four shapes, the pipeline's pass assertion and an in-process
-command-line runner.  Everything here is deterministic."""
+in four shapes, the pipeline's pass assertion, an in-process
+command-line runner and a counter of the walks level_bound makes.
+Everything here is deterministic."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import random
 from hypothesis import settings
 from hypothesis import strategies as st
 
+from mucut import checker
 from mucut.checker import check_finite
 from mucut.collapse import pipeline, verdict
 from mucut.kernel import TOP, atom, level, natom, negate, size
@@ -150,3 +152,15 @@ def run_cli(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def level_walks(monkeypatch):
+    """The proofs checker.level_bound walks from now on, in order."""
+    walks, walk = [], checker.finite_nodes
+
+    def counting(p):
+        walks.append(p)
+        return walk(p)
+
+    monkeypatch.setattr(checker, "finite_nodes", counting)
+    return walks

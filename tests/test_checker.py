@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import cut_chain, run_cli
+from conftest import cut_chain, cut_tree, deep_cut_chain, level_walks, run_cli
 from mucut import checker, proofs
 from mucut.checker import (
     SYSTEM_S,
@@ -70,6 +70,7 @@ from mucut.proofs import (
     top_intro,
 )
 from mucut.sequents import Sequent, from_checked, seq
+from mucut.sexpr import proof_dumps, proof_loads
 from mucut.syntax import parse_formula as pf
 from mutation_harness import draw_mutants
 
@@ -166,6 +167,69 @@ def test_level_bound_visits_a_shared_premise_once():
         nodes.append(_Counted(seq(TOP), Cut(atom(0)), (nodes[-1], nodes[-1])))
     assert level_bound(nodes[-1]) == 1
     assert [q.reads for q in nodes] == [1] * 41
+
+
+_SHAPES = {
+    **CORPUS,
+    "cut-chain": lambda: cut_chain((atom(1), natom(2), atom(3))),
+    "mirrored-comb": lambda: cut_chain(
+        (natom(1), atom(2)), mirror=True, teeth=(atom(3), natom(4))
+    ),
+    "cut-tree": lambda: cut_tree((atom(1), natom(2), atom(3))),
+    "deep-cut-chain": lambda: deep_cut_chain(30),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SHAPES))
+def test_check_finite_keeps_the_level_bound_a_fresh_walk_finds(monkeypatch, name):
+    p = _SHAPES[name]()
+    walks = level_walks(monkeypatch)
+    assert check_finite(p).ok
+    k = level_bound(p)
+    assert walks == []
+    assert k == level_bound(proof_loads(proof_dumps(p)))
+    assert len(walks) == 1
+
+
+def test_a_cut_free_proof_checked_in_s_infinity_keeps_its_level_bound(monkeypatch):
+    p = top_intro((pf("nu X . (X | nu X . ((~p3 | p3) & X))"),))
+    walks = level_walks(monkeypatch)
+    assert check_finite(p, SYSTEM_SINF).ok
+    assert level_bound(p) == 2 and walks == []
+
+
+def _nub_member():
+    t = prime(pf("nu X . (p1 & X)"))
+    return Proof.make(Sequent((t, atom(0), natom(0))), Axiom(atom(0)), ())
+
+
+@pytest.mark.parametrize(
+    "build, system",
+    [
+        (_nub_member, SYSTEM_S),  # fails in S
+        (CORPUS["top-cut"], SYSTEM_SINF),  # a rule outside S-infinity
+        (CORPUS["top-cut"], omega_system(0)),  # passes, in no base-language system
+        (CORPUS["nested"], None),  # never checked
+    ],
+    ids=["nub-member", "cut-in-sinf", "omega", "unchecked"],
+)
+def test_a_proof_that_keeps_no_level_bound_is_walked_once(monkeypatch, build, system):
+    p = build()
+    if system is not None:
+        check_finite(p, system)
+    assert "level" not in p.kept()
+    walks = level_walks(monkeypatch)
+    k = level_bound(p)
+    assert walks == [p]
+    assert level_bound(p) == k == _level_bound_by_definition(p)
+    assert walks == [p]
+
+
+def test_a_proof_with_a_rule_outside_s_keeps_no_level_bound():
+    n = pf("nu X . X")
+    p = nu_node(seq(n), n, lambda i: top_intro((n,)))
+    assert not check_finite(p, SYSTEM_S).ok
+    assert "level" not in p.kept()
 
 
 def test_box_rule_exact_side():
@@ -800,24 +864,62 @@ def test_box_premise_with_a_wrong_side_or_a_principal_not_a_member():
     )
 
 
-@pytest.mark.parametrize("name", sorted(CORPUS))
-def test_check_finite_observes_each_node_once(monkeypatch, name):
-    # a node's depth-0 observation, made for its parent's window, is the
-    # root of its own window
-    p = CORPUS[name]()
-    want = check_finite(p)
-    observed = []
+def _deferred(p, forced, path="root"):
+    """A copy of the finite proof p, tree-shaped, whose every node is
+    deferred: forcing the node at path appends path to forced."""
+    tag, premises = p._force()
+    kids = tuple(_deferred(q, forced, "%s.%d" % (path, j)) for j, q in enumerate(premises))
 
-    walk = checker._observe
+    def node():
+        forced.append(path)
+        return Proof.make(p.conclusion, tag, kids)
 
-    def counting(q, depth, *args):
-        observed.append(depth)
-        return walk(q, depth, *args)
+    return Proof.defer(p.conclusion, node)
 
-    monkeypatch.setattr(checker, "_observe", counting)
-    got = check_finite(p)
+
+def _forcing_order(p, path="root"):
+    """The paths of p's nodes in the order check_finite forces them: a
+    node's premises, first to last, when the node is judged, then their
+    subtrees."""
+    premises = p._force()[1]
+    paths = ["%s.%d" % (path, j) for j in range(len(premises))]
+    for q, at in zip(premises, paths):
+        paths += _forcing_order(q, at)
+    return paths
+
+
+@pytest.mark.parametrize("name", sorted(_SHAPES))
+def test_check_finite_forces_each_node_once_and_makes_no_window(monkeypatch, name):
+    # the judge reads the proof's own nodes: no Observation is made, and
+    # each node is forced once, its premises when it is judged
+    want = check_finite(_SHAPES[name]())
+    made, make = [], proofs.Observation
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(proofs, "Observation", counting)
+    forced = []
+    got = check_finite(_deferred(_SHAPES[name](), forced))
     assert got == want and got.ok
-    assert observed == [0] * got.nodes_checked
+    assert made == []
+    assert forced == ["root"] + _forcing_order(_SHAPES[name]())
+    assert len(forced) == got.nodes_checked
+
+
+def test_check_finite_tries_a_premise_that_cannot_be_forced_once():
+    tries = []
+
+    def broken():
+        tries.append(1)
+        raise InternalInvariantError("no node here")
+
+    a = atom(1)
+    right = Proof.defer(Sequent((TOP, natom(1))), broken)
+    p = cut_node(Sequent((TOP,)), a, top_intro((a,)), right)
+    assert check_finite(p).violations == (("root.1", "node evaluation failed: no node here"),)
+    assert tries == [1]
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
@@ -827,7 +929,7 @@ def test_check_finite_keeps_no_window(name):
     todo = [p]
     while todo:
         q = todo.pop()
-        assert q._window is None
+        assert "window" not in q.kept()
         todo.extend(q.premises)
 
 

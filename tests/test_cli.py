@@ -3,14 +3,20 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import settings as hypothesis_settings
+from hypothesis import strategies as st
 
-from conftest import run_cli
+from conftest import level_walks, random_formulas, run_cli
 from mucut import cli, cutelim
+from mucut.checker import check_finite, level_bound
+from mucut.collapse import pipeline, verdict
 from mucut.cli import (
     EXIT_CHECK,
     EXIT_FUEL,
@@ -23,8 +29,8 @@ from mucut.corpus import CORPUS
 from mucut.kernel import TOP, negate
 from mucut.proofs import clo_node, cut_node, ind_node, or_node, top_intro
 from mucut.sequents import Sequent
-from mucut.sexpr import loads, proof_dumps
-from mucut.syntax import parse_formula
+from mucut.sexpr import loads, proof_dumps, proof_loads
+from mucut.syntax import parse_formula, print_form
 
 
 def _write_corpus(tmp_path):
@@ -495,3 +501,82 @@ def test_pipeline_artifacts_do_not_depend_on_the_hash_seed(tmp_path):
         runs.append({p.name: p.read_bytes() for p in sorted(outdir.iterdir())})
     assert len(runs[0]) == 4 * 6  # four observations, summary and trace each
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("filename", [filename for filename, _ in cli.CORPUS_FILES])
+def test_pipeline_walks_its_input_only_to_check_it(tmp_path, monkeypatch, filename):
+    # check_finite keeps the input's level bound: pipeline, verdict and a
+    # later level_bound read it, and no one walks the input again
+    _write_corpus(tmp_path)
+    path = tmp_path / (filename + ".sproof")
+    walks = level_walks(monkeypatch)
+    code, _, err = run_cli(["pipeline", str(path), "--out", str(tmp_path / "out")])
+    assert (code, err) == (EXIT_OK, "")
+    p = proof_loads(path.read_text())
+    assert check_finite(p).ok
+    v = verdict(p, pipeline(p), 6)
+    assert v.passed and level_bound(p) == v.k
+    assert walks == []
+
+
+# Each fuzzed input is a corpus .sproof text or a .form text with a few
+# edits at some offset: a byte replacement, insertion or deletion, drawn
+# mostly from the bytes the two syntaxes use plus bytes that are not
+# UTF-8, or a word or number of the text put in place of another word or
+# number of it, which often keeps the text readable and so reaches the
+# checker.
+_SPROOFS = [proof_dumps(CORPUS[name]()).encode() for _, name in cli.CORPUS_FILES]
+_FORMS = [print_form(f).encode() for f in random_formulas(8, 12)] + [
+    print_form(f).encode() for _, name in cli.CORPUS_FILES for f in CORPUS[name]().conclusion
+]
+_BYTES = st.lists(st.sampled_from(list(b'()" .,~&|[]<>01239pXmunvseqrtaxiocb\n\xff\xc3')), max_size=3)
+_AT = st.integers(0, 1 << 16)
+_EDITS = st.one_of(
+    st.lists(st.tuples(st.just("w"), _AT, st.just(b"")), min_size=1, max_size=3),
+    st.lists(st.tuples(st.sampled_from("rid"), _AT, _BYTES.map(bytes)), min_size=1, max_size=3),
+)
+_WORD = re.compile(rb"[A-Za-z]+|[0-9]+")
+
+
+def _edited(data, edits):
+    data = bytearray(data)
+    for op, at, chunk in edits:
+        i = at % (len(data) + 1)
+        words = list(_WORD.finditer(data))
+        if op == "w" and words:
+            w = words[at % len(words)]
+            alike = [v.group() for v in words if v.group().isdigit() == w.group().isdigit()]
+            data[w.start() : w.end()] = alike[at // len(words) % len(alike)]
+        elif op == "r":
+            data[i : i + max(1, len(chunk))] = chunk
+        elif op == "i":
+            data[i:i] = chunk
+        else:
+            del data[i : i + 1 + len(chunk)]
+    return bytes(data)
+
+
+def _assert_total(argv):
+    """The command ends in an exit code 0-4 with at most one line on
+    standard error, and no traceback anywhere."""
+    code, out, err = run_cli(argv)
+    assert 0 <= code <= 4, (code, err)
+    assert err.count("\n") <= 1 and err.endswith("\n") == bool(err), err
+    assert "Traceback" not in out + err
+
+
+@hypothesis_settings(max_examples=150, deadline=None)
+@given(text=st.sampled_from(_SPROOFS), edits=_EDITS)
+def test_mutated_proof_files_end_in_an_exit_code_and_one_line(tmp_path_factory, text, edits):
+    path = tmp_path_factory.getbasetemp() / "fuzz.sproof"
+    path.write_bytes(_edited(text, edits))
+    for argv in (["check", str(path)], ["check", str(path), "--system", "sinf"], ["parse", str(path)]):
+        _assert_total(argv)
+
+
+@hypothesis_settings(max_examples=150, deadline=None)
+@given(text=st.sampled_from(_FORMS), edits=_EDITS)
+def test_mutated_formula_files_end_in_an_exit_code_and_one_line(tmp_path_factory, text, edits):
+    path = tmp_path_factory.getbasetemp() / "fuzz.form"
+    path.write_bytes(_edited(text, edits))
+    _assert_total(["parse", str(path)])

@@ -648,11 +648,11 @@ def test_observe_keeps_the_last_window_on_the_proof(stage):
 def test_observe_keeps_no_window_below_the_root():
     p = CORPUS["nested"]()
     observe(p, 20)
-    assert p._window is not None
+    assert "window" in p.kept()
     todo = list(p.premises)
     while todo:
         q = todo.pop()
-        assert q._window is None
+        assert "window" not in q.kept()
         todo.extend(q.premises)
 
 
@@ -669,7 +669,7 @@ def test_an_observe_that_runs_out_keeps_nothing():
     for n in (1, 2):
         with pytest.raises(FuelExhausted):
             observe(tired, 3)
-        assert tired._window is None
+        assert "window" not in tired.kept()
         assert len(calls) == n
     # a window that does not feed the family is kept, and a request that
     # runs out leaves it in place
@@ -687,7 +687,7 @@ def test_a_probe_budget_other_than_0_or_1_is_refused(budget):
     p = CORPUS["nested"]()
     with pytest.raises(ValueError, match="0 or 1"):
         observe(p, 3, (0, 1, 2), budget)
-    assert p._window is None
+    assert "window" not in p.kept()
     with pytest.raises(ValueError, match="0 or 1"):
         check_bounded(p, omega_system(1), 3, probe_budget=budget)
     with pytest.raises(ValueError, match="0 or 1"):
