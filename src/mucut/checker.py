@@ -16,15 +16,17 @@ the base language, each distinct formula tested once per judgement.
 Its premise conditions are its rule class's premise function: it flags
 what concerns the premises together (a box's diamond image, a cut's
 pair, an omegabar's first premise) and says what each premise must
-conclude.  The judge alone guards that function, and alone tests and
-pushes the premises, in one loop.  A system is one value, System: its
-name, the rules it admits and its index k, None for S and S-infinity,
-whose conclusions must be in the base language.  The walk keeps an
-explicit stack, so no window is too deep for it, and a premise's
-violation waits on the stack until the subtree of the premise before it
-has been judged.  Paths are kept as (parent, label) pairs and made into
-text only when a violation is flagged.  Resource limits (fuel, stack
-depth) propagate as they do from observe.
+conclude.  A system is one value, System: its name, the rules it admits
+and its index k, None for S and S-infinity, whose conclusions must be in
+the base language.
+
+One walk over an explicit stack, so that no window is too deep for it,
+drives the judge and subformula_report's closure test, and reports in
+one order: a node's violations, then its premises' first to last (what
+each must conclude, or that it could not be produced), then each
+premise's subtree in turn.  Paths are kept as (parent, label) pairs and
+made into text only when a violation is flagged.  Resource limits
+(fuel, stack depth) propagate as they do from observe.
 
 A window judged in one system answers for a second when nothing in its
 kept facts tells the two apart: no cut, omega or omegabar, whose
@@ -42,6 +44,7 @@ sequent exactly, and the induction rule allows no context at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from mucut.kernel import (
     TOP,
@@ -54,7 +57,6 @@ from mucut.kernel import (
 )
 from mucut.proofs import (
     _LIMITS,
-    ALL_TAGS,
     FINITE_TAGS,
     FIRST,
     SINF_TAGS,
@@ -206,7 +208,7 @@ _PREMISE = ("premise 0", "premise 1")
 # shapes[j] is what premise j adds to the context (None: nothing to test).
 # name is None for a finite rule, whose violations are worded "premise j"
 # and flagged at the node; otherwise it words the violation, flagged at the
-# premise's own path.  Only _judge_node catches what they raise.
+# premise's own path.  Only _judge catches what they raise.
 
 
 def _parts(c, tag, position, vouched):
@@ -219,32 +221,32 @@ def _parts(c, tag, position, vouched):
     return parts
 
 
-def _premise_violation(at, got, c, principal, parts, what):
+def _check_premise(st, at, got, c, principal, parts, what):
     """A premise that keeps the context c must conclude c plus the parts,
-    with or without the principal (a principal of None must stay): None
-    if got does, else the violation, flagged at `at`.  The test is by set
-    operations on the members, whose hashes the sets keep: got lies
-    between c plus the parts and that set less the principal.  The
-    expected sequents are built only to word a violation."""
+    with or without the principal (a principal of None must stay): if got
+    does not, flag it at `at`.  The test is by set operations on the
+    members, whose hashes the sets keep: got lies between c plus the
+    parts and that set less the principal.  The expected sequents are
+    built only to word a violation."""
     members = got._set
     upper = c._set.union(parts)
     if members <= upper:
         missing = len(upper) - len(members)
         if not missing:
-            return None
+            return
         if missing == 1:
             # only the principal may be missing, and only if it is no part
             (gone,) = upper - members
             if gone == principal and principal not in parts:
-                return None
+                return
     shapes = (c.union(parts),)
     if principal is not None:
         shapes = (c.without(principal).union(parts),) + shapes
-    return at, "%s concludes %r, expected one of %s" % (
+    st.flag(at, "%s concludes %r, expected one of %s" % (
         what,
         got,
         " / ".join(repr(s) for s in shapes),
-    )
+    ))
 
 
 def _context_premises(st, path, o, system, vouched):
@@ -333,21 +335,81 @@ _PREMISES = {
 # The rules whose conditions depend on a system's index.
 _INDEXED = frozenset((Cut, Omega, OmegaBar))
 
+# The rules of infinitely many premises.
+_INFINITARY = frozenset((Nu, Omega, OmegaBar))
+
 
 # ---------------------------------------------------------------------------
-# the judge
+# the walk and the judge
 
 
-def _judge_node(st, path, o, system, todo, depth):
-    """Check one observed node that could be forced: its rule's conditions
-    if the system admits the rule, then its premises, which go onto todo,
-    last premise first, as (pending, child, path, depth) entries.  pending
-    is None or the (path, text) of a violation in the premise's conclusion,
-    flagged when the entry is popped, after the subtree of the premise
-    before.  A premise that could not be produced has no child.  Resource
-    limits propagate."""
+def _walk(root, depth, visit):
+    """The judgement (_State) of a window walked to the given depth; a
+    negative depth never reaches the bound, so a finite proof is walked
+    whole as its own window.  A node at the bound is a truncation point
+    and an error leaf a violation.  Any other node is counted and handed
+    to visit(st, path, node), which checks it and returns what its
+    premises must conclude, (context, principal, shapes, name), or None
+    to enter none of them.  The premises are then tested first to last,
+    each violation flagged at once, and those that could be produced are
+    pushed, so that each premise's subtree is judged after all of them.
+    Reading a premise's error forces a proof's premise: a proof's nodes
+    are forced when their parent is judged, first to last."""
+    st = _State()
+    todo = [(root, "root", depth)]
+    pop, insert = todo.pop, todo.insert
+    while todo:
+        o, path, depth = pop()
+        if depth == 0:
+            st.truncs += 1
+            continue
+        error = o.error
+        if error is not None:
+            st.flag(path, "node evaluation failed: %s" % error)
+            continue
+        st.nodes += 1
+        want = visit(st, path, o)
+        if want is None:
+            continue
+        c, principal, shapes, name = want
+        labels = None  # a finite premise's label is its position
+        if o.sampled is not None or o.probes is not None:
+            labels = _labels(o)
+        top, tested, depth = len(todo), len(shapes), depth - 1
+        for j, q in enumerate(o.children):
+            qpath = (path, j if labels is None else labels[j])
+            error = q.error
+            got = q.conclusion
+            if got is None:
+                lost = "premise" if o.probes is None else "family"
+                st.flag(qpath, "%s evaluation failed: %s" % (lost, error))
+                continue
+            if j < tested and shapes[j] is not None:
+                if name is None:
+                    _check_premise(st, path, got, c, principal, shapes[j], _PREMISE[j])
+                else:
+                    _check_premise(st, qpath, got, c, principal, shapes[j], name)
+            insert(top, (q, qpath, depth))  # below the premises before it
+    return st
+
+
+def _judge(system, st, path, o):
+    """The judge's check of one node that could be forced, in one system:
+    its rule's conditions if the system admits the rule, then what
+    concerns its premises together.  It returns what each premise must
+    conclude, or None to enter none: for a rule tag its conditions raise
+    on, where the system admits it, for a rule with no premise function,
+    and for an infinitary rule read with neither samples nor probes, as a
+    finite proof's own node is.  Resource limits propagate."""
     c, tag = o.conclusion, o.rule
     rule = type(tag)
+    if rule in _INFINITARY and o.sampled is None and o.probes is None:
+        st.flag(
+            path,
+            "rule %s has infinitely many premises and cannot occur in a "
+            "finite proof" % tag.name,
+        )
+        return None
     vouched = False
     try:
         if rule not in system.admitted:
@@ -367,10 +429,10 @@ def _judge_node(st, path, o, system, todo, depth):
         raise
     except Exception as exc:  # noqa: BLE001 - malformed tags must reject
         st.flag(path, "malformed rule tag: %s" % exc)
-        return
+        return None
     entry = _PREMISES.get(rule)
     if entry is None:
-        return
+        return None
     try:
         want = entry[0](st, path, o, system, vouched) or _UNTESTED
     except _LIMITS:
@@ -378,52 +440,14 @@ def _judge_node(st, path, o, system, todo, depth):
     except Exception as exc:  # noqa: BLE001 - malformed premises must reject
         st.flag(path, "%s: %s" % (entry[1], exc))
         want = _UNTESTED
-    c, principal, shapes, name = want
-    kids = o.children
-    j = len(kids)
-    labels = None  # a finite premise's label is its position
     if o.sampled is not None or o.probes is not None:
         st.truncs += 1
-        labels = _labels(o)
-    tested = len(shapes)
-    while j:  # last premise first
-        j -= 1
-        q = kids[j]
-        qpath = (path, j if labels is None else labels[j])
-        got = q.conclusion
-        pending = None
-        if got is None:
-            lost = "premise" if o.probes is None else "family"
-            pending = (qpath, "%s evaluation failed: %s" % (lost, q.error))
-            q = None
-        elif j < tested and shapes[j] is not None:
-            if name is None:
-                at, what = path, _PREMISE[j]
-            else:
-                at, what = qpath, name
-            pending = _premise_violation(at, got, c, principal, shapes[j], what)
-        todo.append((pending, q, qpath, depth))
+    return want
 
 
 def _judge_window(o, system, depth):
     """The judgement (_State) of a window observed to the given depth."""
-    st = _State()
-    todo = [(None, o, "root", depth)]
-    pop = todo.pop
-    while todo:
-        pending, o, path, depth = pop()
-        if pending is not None:
-            st.flag(*pending)
-            if o is None:
-                continue
-        if depth == 0:
-            st.truncs += 1
-        elif o.error is not None:
-            st.flag(path, "node evaluation failed: %s" % o.error)
-        else:
-            st.nodes += 1
-            _judge_node(st, path, o, system, todo, depth - 1)
-    return st
+    return _walk(o, depth, partial(_judge, system))
 
 
 def check_observation(o, system, depth):
@@ -468,53 +492,18 @@ def check_bounded(p, system, depth, samples=(0, 1, 2), probe_budget=1):
 
 
 def check_finite(p, system=SYSTEM_S):
-    """Exhaustively check a finite proof, node by node in preorder over an
-    explicit stack.  The judge reads each node as its own one-step window,
-    its premises as children, so all its premise checks come before its
-    subtrees.  Each node is forced once, when its parent is judged.  One
-    judgement runs through every node, so the L0 test asks each distinct
-    formula once per call, and on a pass in S or S-infinity p keeps the
-    max level of those formulas as its level_bound.  Nu and replacement
-    rules are rejected as they are met, so nothing below them is forced."""
-    st = _State()
-    todo = [("root", p, _force_error(p))]
-    while todo:
-        path, q, error = todo.pop()
-        if error is not None:
-            st.flag(path, "node evaluation failed: %s" % error)
-            continue
-        st.nodes += 1
-        tag, premises = q._force()  # forced already: read off its memo
-        if not isinstance(tag.arity, int):
-            st.flag(
-                path,
-                "rule %s has infinitely many premises and cannot occur in a "
-                "finite proof" % tag.name,
-            )
-            continue
-        errors = [_force_error(r) for r in premises]
-        window = []
-        _judge_node(st, path, q, system, window, 0)
-        for pending, _, _, _ in reversed(window):
-            if pending is not None:
-                st.flag(*pending)
-        for j in range(len(premises) - 1, -1, -1):
-            todo.append(((path, j), premises[j], errors[j]))
+    """Exhaustively check a finite proof: the judge reads it as its own
+    window, walked whole, so a proof of finite rules reports as
+    check_bounded does at any depth beyond its height, and no Observation
+    is made.  Each node is forced once, when its parent is judged.  One judgement runs
+    through every node, so the L0 test asks each distinct formula once
+    per call, and on a pass in S or S-infinity p keeps the max level of
+    those formulas as its level_bound.  Nu and replacement rules are
+    rejected as they are met, so nothing below them is forced."""
+    st = _walk(p, -1, partial(_judge, system))
     if system.k is None and not st.violations:
         p.kept()["level"] = max(map(level, st.known), default=0)
     return st.report()
-
-
-def _force_error(p):
-    """Force p: None if that worked, else the text of what forcing raised
-    or of an unknown rule tag.  Resource limits propagate."""
-    try:
-        tag = p.rule
-    except _LIMITS:
-        raise
-    except Exception as exc:  # noqa: BLE001 - failures become violations
-        return str(exc)
-    return None if isinstance(tag, ALL_TAGS) else "unknown rule tag: %r" % (tag,)
 
 
 def level_bound(p):
@@ -559,21 +548,12 @@ def approximant_closure(s, max_index):
 
 def subformula_report(p, depth, samples=(0, 1, 2), probe_budget=1):
     """Verify every observed sequent stays inside the approximant closure
-    of the endsequent and mentions no nub anywhere."""
-    max_index = max(samples, default=0)
-    closure = approximant_closure(p.conclusion, max_index)
-    st = _State()
-    todo = [(observe(p, depth, samples, probe_budget), "root", "premise")]
-    while todo:
-        o, path, lost = todo.pop()
-        if o.error is not None:
-            # worded as the judge words it: a leaf with a conclusion is a
-            # node that could not be forced, one without is a premise or
-            # family output that could not be produced
-            what = "node" if o.conclusion is not None else lost
-            st.flag(path, "%s evaluation failed: %s" % (what, o.error))
-            continue
-        st.nodes += 1
+    of the endsequent and mentions no nub anywhere.  The judge's walk
+    goes over the whole window, so its error leaves are flagged as the
+    judge flags them."""
+    closure = approximant_closure(p.conclusion, max(samples, default=0))
+
+    def visit(st, path, o):
         for f in o.conclusion:
             if max_nubar_level(f) >= 0:
                 st.flag(path, "formula %s mentions nub" % print_form(f))
@@ -581,8 +561,6 @@ def subformula_report(p, depth, samples=(0, 1, 2), probe_budget=1):
                 st.flag(
                     path, "formula %s outside the approximant closure" % print_form(f)
                 )
-        lost = "premise" if type(o.rule) is Nu else "family"
-        todo.extend(
-            reversed([(q, (path, label), lost) for label, q in zip(_labels(o), o.children)])
-        )
-    return st.report()
+        return _UNTESTED
+
+    return _walk(observe(p, depth, samples, probe_budget), -1, visit).report()

@@ -129,8 +129,7 @@ def cmd_pipeline(args):
     proof = _load_proof(args.file)
     report = check_finite(proof, SYSTEM_S)
     if not report.ok:
-        sys.stderr.write("input is not a valid S proof:\n")
-        sys.stderr.write(report_dumps(report))
+        sys.stderr.write("input is not a valid S proof: " + report_dumps(report))
         return EXIT_CHECK
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -150,8 +149,9 @@ def cmd_pipeline(args):
         sys.stderr.write("stage %s produced an error leaf: %s\n" % v.error)
         return EXIT_INVARIANT
     checks = [(s.name, s.system, not s.failure) for s in v.stages]
-    sys.stderr.write("".join("stage %s fails its check in %s: %s\n" % (
-        s.name, s.system, s.failure) for s in v.stages if s.failure))
+    failures = "; ".join("stage %s fails its check in %s: %s" % (
+        s.name, s.system, s.failure) for s in v.stages if s.failure)
+    sys.stderr.write(failures and failures + "\n")
     text = summary_to_sx(proof.conclusion, v.cut_free, v.nubar_free, checks)
     summary.write_text(dumps(text) + "\n", encoding="utf-8")
     sys.stdout.write("cut-free: %s, nubar-free: %s\n" % (

@@ -329,9 +329,9 @@ def omega_phi(target):
 
 class Proof:
     """Strict conclusion, lazy (rule, premises) node.  kept() holds its
-    last window as a root (observe) and a finite proof's level bound.  A
-    node reads as a one-step window, its premises as children, sampled
-    and probed nowhere: so check_finite judges it."""
+    last window as a root (observe), a finite proof's level bound and why
+    it could not be forced.  A node reads as a full window, forced to read
+    its error: so check_finite judges it."""
 
     # weakly referenceable so that embed can empty its identity-law memo
     # when the embedding is freed
@@ -385,6 +385,23 @@ class Proof:
         return (self._node or self._force())[1]
 
     children = premises  # a node's premises, read as a window's children
+
+    @property
+    def error(self):
+        """None once the node is forced to a known rule, else the text of
+        its unknown tag or of what forcing raised, kept so that the node is
+        tried once.  Resource limits propagate."""
+        if self._node is None and "error" not in self.kept():
+            try:
+                self._force()
+            except _LIMITS:
+                raise
+            except Exception as exc:  # noqa: BLE001 - failures become text
+                self._kept["error"] = str(exc)
+        if self._node is None:
+            return self._kept["error"]
+        tag = self._node[0]
+        return None if isinstance(tag, ALL_TAGS) else "unknown rule tag: %r" % (tag,)
 
 
 def finite_nodes(p):

@@ -72,7 +72,7 @@ from mucut.proofs import (
 from mucut.sequents import Sequent, from_checked, seq
 from mucut.sexpr import proof_dumps, proof_loads
 from mucut.syntax import parse_formula as pf
-from mutation_harness import draw_mutants
+from mutation_harness import draw_mutants, proof_nodes, rebuild
 
 
 def test_system_parsing():
@@ -562,9 +562,10 @@ def test_check_observation_judges_the_window_it_is_given():
 
 
 def test_violations_follow_the_walk_premise_by_premise():
-    # each premise's check comes after the subtree of the premise before
-    # it, and a nu sample that could not be produced is flagged between
-    # the subtrees of the samples around it
+    # a node's premises are all checked, first to last, before any of
+    # their subtrees, and a nu sample that could not be produced is
+    # flagged with the checks of the samples around it, before their
+    # subtrees
     n = pf("nu X . (p1 & X)")
     p5, p6, p7 = atom(5), atom(6), atom(7)
     f = ("and", p5, p6)
@@ -586,17 +587,55 @@ def test_violations_follow_the_walk_premise_by_premise():
     o = Observation(seq(f, n), And(f), (nu, leaf((p6, p7, n), p7)))
     rep = check_observation(o, omega_system(1), 4)
     assert rep.violations == (
-        ("root.0.w0", "axiom pair p9, ~p9 not in conclusion"),
-        ("root.0.w1", "premise evaluation failed: boom"),
-        ("root.0.w2", "axiom pair p8, ~p8 not in conclusion"),
         (
             "root",
             "premise 1 concludes {p6, p7, nu X . (p1 & X)}, expected one of"
             " {p6, nu X . (p1 & X)} / {p6, (p5 & p6), nu X . (p1 & X)}",
         ),
+        ("root.0.w1", "premise evaluation failed: boom"),
+        ("root.0.w0", "axiom pair p9, ~p9 not in conclusion"),
+        ("root.0.w2", "axiom pair p8, ~p8 not in conclusion"),
         ("root.1", "axiom pair p7, ~p7 not in conclusion"),
     )
     assert (rep.nodes_checked, rep.truncation_points) == (5, 1)
+
+
+def _height(p):
+    """The number of nodes on the longest branch of the finite proof p."""
+    return 1 + max(map(_height, p.premises), default=0)
+
+
+def _double_mutants(seed, draws):
+    """Proofs with two mutated nodes under different premises of one node:
+    each pair of single-node mutants of one corpus proof whose paths part,
+    the first mutant with the second's node grafted in."""
+    mutants = list(draw_mutants(seed, draws))
+    for name, path, _, _, p in mutants:
+        for other, at, _, _, q in mutants:
+            if other == name and path[: len(at)] != at and at[: len(path)] != path:
+                yield rebuild(p, at, dict(proof_nodes(q))[at])
+
+
+def test_a_finite_proof_reports_as_a_window_that_holds_it_whole():
+    # check_finite and a window deep enough to hold the whole proof list
+    # the same violations in the same order: a node's, then its premises'
+    # first to last, then each premise's subtree
+    several = 0
+    for p in _double_mutants(20240816, 60):
+        want = check_finite(p, SYSTEM_S)
+        assert check_bounded(p, SYSTEM_S, _height(p) + 1) == want
+        several += len({path for path, _ in want.violations}) > 1
+    assert several > 300
+    # neither enters the premises of an ind rule whose conditions raise,
+    # where the system admits it, nor those of an axiom given a premise
+    leaf = Proof.make(seq(atom(4)), Axiom(atom(9)), ())
+    for p in (
+        Proof.make(seq(atom(2), atom(3)), Ind(5, 5), (leaf,)),
+        Proof.make(seq(atom(1)), Axiom(atom(1)), (leaf,)),
+    ):
+        for system in (SYSTEM_S, SYSTEM_SINF):
+            assert check_finite(p, system) == check_bounded(p, system, 3)
+        assert check_finite(p, SYSTEM_S).nodes_checked == 1
 
 
 def test_the_judge_has_no_depth_limit():

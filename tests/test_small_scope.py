@@ -2,12 +2,15 @@
 p0, p1 and their negations, through the fixed-point axiom and the
 top-invariant induction cut of the benchmark's generator, passes the
 pipeline's verdict, and the level bound its S check keeps is the one a
-fresh walk finds.  There is no skip list."""
+fresh walk finds.  There is no skip list.  The sweep up to size 6 is
+marked `sweep` and deselected by default; run it with `-m sweep`."""
 
 from __future__ import annotations
 
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "pipebench")]
@@ -20,7 +23,6 @@ from mucut.sexpr import proof_dumps, proof_loads  # noqa: E402
 from mucut.syntax import print_form  # noqa: E402
 
 LEAVES = (atom(0), atom(1), natom(0), natom(1), X)
-MAX_SIZE = 5
 
 
 def formulas_of_size(n):
@@ -36,19 +38,19 @@ def formulas_of_size(n):
     return out
 
 
-def small_mu_formulas():
-    """The closed mu-rooted formulas of size at most MAX_SIZE."""
+def small_mu_formulas(max_size):
+    """The closed mu-rooted formulas of size at most max_size."""
     return [
         f
-        for n in range(2, MAX_SIZE + 1)
+        for n in range(2, max_size + 1)
         for f in formulas_of_size(n)
         if f[0] == "mu" and not has_free_var(f)
     ]
 
 
-def test_every_small_mu_formula_passes_the_pipeline():
-    forms = small_mu_formulas()
-    assert len(forms) == 1075
+def _failures(forms):
+    """What fails for each formula, through both proof builders: its S
+    check, the level bound that check keeps, or the pipeline's verdict."""
     failed = []
     for f in forms:
         for build in (axmu, top_induction_cut):
@@ -58,4 +60,17 @@ def test_every_small_mu_formula_passes_the_pipeline():
                 failed.append("%s %s: level bound" % (build.__name__, print_form(f)))
             if not verdict(p, pipeline(p), 6).passed:
                 failed.append("%s %s" % (build.__name__, print_form(f)))
-    assert failed == []
+    return failed
+
+
+def test_every_small_mu_formula_passes_the_pipeline():
+    forms = small_mu_formulas(5)
+    assert len(forms) == 1075
+    assert _failures(forms) == []
+
+
+@pytest.mark.sweep
+def test_every_mu_formula_up_to_size_6_passes_the_pipeline():
+    forms = small_mu_formulas(6)
+    assert len(forms) == 8155
+    assert _failures(forms) == []
