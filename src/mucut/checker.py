@@ -43,7 +43,7 @@ sequent exactly, and the induction rule allows no context at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 
 from mucut.kernel import (
@@ -81,17 +81,12 @@ from mucut.sequents import Sequent
 from mucut.syntax import print_form
 
 
-@dataclass(frozen=True, slots=True)
-class System:
-    """A proof system: its name, the rule classes it admits and its index
-    k, which bounds cut and replacement levels and primes the sides of a
-    cut.  k is None for S and S-infinity, exactly the systems whose
-    conclusions must be in the base language.  The rest of a node's
-    well-formedness is its rule's own conditions."""
-
-    name: str
-    admitted: frozenset
-    k: int | None
+# A proof system: its name, the rule classes it admits and its index k,
+# which bounds cut and replacement levels and primes the sides of a cut.
+# k is None for S and S-infinity, exactly the systems whose conclusions
+# must be in the base language.  The rest of a node's well-formedness is
+# its rule's own conditions.
+System = namedtuple("System", "name admitted k")
 
 
 SYSTEM_S = System("s", frozenset(FINITE_TAGS), None)
@@ -123,12 +118,7 @@ def parse_system(text):
     raise ValueError("unknown system %r (want s, sinf, or omega:K)" % (text,))
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    ok: bool
-    violations: tuple
-    nodes_checked: int
-    truncation_points: int
+CheckReport = namedtuple("CheckReport", "ok violations nodes_checked truncation_points")
 
 
 class _State:

@@ -15,7 +15,7 @@ reports and text, so a repeated request is answered from these memos.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import attrgetter
 
 from mucut.errors import FuelExhausted, InternalInvariantError
 from mucut.kernel import (
@@ -212,104 +212,156 @@ def _omega_flaws(tag, conclusion, k=None):
 # rule tags
 
 
-def _rule(name, arity, root, flaws):
-    """Make a class the one description of a rule: a frozen dataclass of its
-    arguments (formula tuples, a side Sequent, an int level) with its
-    s-expression `name`, its `arity` (a premise count, or the container
-    class of infinitely many), its principal's `root` (None if none) and
-    its conditions, the method `flaws(conclusion, k=None)`.
+_setattr = object.__setattr__
+
+
+def _repr(value, names):
+    """The repr of a value of the named fields: Or(principal=...)."""
+    args = ("%s=%r" % (name, getattr(value, name)) for name in names)
+    return "%s(%s)" % (type(value).__name__, ", ".join(args))
+
+
+def _eq(value, other):
+    """Whether other is of value's class with equal fields, as the
+    class's `_values` getter gives them."""
+    if other.__class__ is not value.__class__:
+        return NotImplemented
+    return value._values(value) == value._values(other)
+
+
+class _Tag:
+    """What every rule tag shares: a tag is a value of its fields (the
+    rule's arguments, the parameters of its __init__), equal only to a tag
+    of its own class with equal fields, hashed by them and written as
+    Or(principal=...).  No field can be assigned.
 
     A tag also keeps the text the observation writer gives it, in `_text`
     (None until mucut.sexpr sets it on the instance).  It is a class
     attribute, not a field, so equality, hashing, repr and every table
-    built from fields() leave it out."""
+    built from `fields` leave it out."""
+
+    _text = None
+    __eq__ = _eq
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        return _repr(self, [name for name, _ in self.fields])
+
+    def __setattr__(self, *args):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    __delattr__ = __setattr__
+
+
+def _rule(name, arity, root, flaws):
+    """Make a class the one description of a rule: an immutable value of
+    its arguments (formula tuples, a side Sequent, an int level), which
+    its __init__ takes and `fields` lists as (name, type name) pairs, with
+    `_values` their getter, its s-expression `name`, its `arity` (a
+    premise count, or the container class of infinitely many), its
+    principal's `root` (None if none) and its conditions, the method
+    `flaws(conclusion, k=None)`."""
 
     def describe(cls):
         cls.name, cls.arity, cls.root, cls.flaws = name, arity, root, flaws
-        cls._text = None
-        return dataclass(frozen=True)(cls)
+        cls.fields = tuple(cls.__init__.__annotations__.items())
+        cls._values = attrgetter(*(n for n, _ in cls.fields))
+        return cls
 
     return describe
 
 
 @_rule("axiom", 0, None, _pair_flaws("p", "atom", "atomic"))
-class Axiom:
+class Axiom(_Tag):
     """Gamma, P, ~P for atomic P (stored positive)."""
 
-    p: tuple
+    def __init__(self, p: tuple):
+        _setattr(self, "p", p)
 
 
 @_rule("axmu", 0, None, _pair_flaws("mu", "mu", "mu-rooted"))
-class AxiomMu:
+class AxiomMu(_Tag):
     """Gamma, mu X . A, ~(mu X . A)."""
 
-    mu: tuple
+    def __init__(self, mu: tuple):
+        _setattr(self, "mu", mu)
 
 
 @_rule("or", 1, "or", _principal)
-class Or:
-    principal: tuple
+class Or(_Tag):
+    def __init__(self, principal: tuple):
+        _setattr(self, "principal", principal)
 
 
 @_rule("and", 2, "and", _principal)
-class And:
-    principal: tuple
+class And(_Tag):
+    def __init__(self, principal: tuple):
+        _setattr(self, "principal", principal)
 
 
 @_rule("box", 1, "box", _box_flaws)
-class Box:
+class Box(_Tag):
     """<>Gamma, []A, Sigma from Gamma, A; side is the Sigma used."""
 
-    principal: tuple
-    side: Sequent
+    def __init__(self, principal: tuple, side: Sequent):
+        _setattr(self, "principal", principal)
+        _setattr(self, "side", side)
 
 
 @_rule("clo", 1, "mu", _principal_flaws("clo principal"))
-class Clo:
+class Clo(_Tag):
     """Gamma, mu X . A from Gamma, A(mu X . A)."""
 
-    principal: tuple
+    def __init__(self, principal: tuple):
+        _setattr(self, "principal", principal)
 
 
 @_rule("ind", 1, None, _ind_flaws)
-class Ind:
+class Ind(_Tag):
     """~(mu X . A), B from ~A(B), B (no extra context)."""
 
-    mu: tuple
-    b: tuple
+    def __init__(self, mu: tuple, b: tuple):
+        _setattr(self, "mu", mu)
+        _setattr(self, "b", b)
 
 
 @_rule("cut", 2, None, _cut_flaws)
-class Cut:
+class Cut(_Tag):
     """Gamma from Gamma, A and Gamma, ~A (primed on both sides in the
     intermediate systems)."""
 
-    formula: tuple
+    def __init__(self, formula: tuple):
+        _setattr(self, "formula", formula)
 
 
 @_rule("nu", OmegaFam, "nu", _principal_flaws("nu principal"))
-class Nu:
+class Nu(_Tag):
     """Gamma, nu X . A from Gamma, A^i(top) for every i."""
 
-    principal: tuple
+    def __init__(self, principal: tuple):
+        _setattr(self, "principal", principal)
 
 
 @_rule("omega", DeltaFam, None, _omega_flaws)
-class Omega:
+class Omega(_Tag):
     """Gamma, phi from the family over (Delta, witness) pairs, where the
     target is a fully primed mu formula of level h and phi is the primed
     negation of the target."""
 
-    h: int
-    target: tuple
+    def __init__(self, h: int, target: tuple):
+        _setattr(self, "h", h)
+        _setattr(self, "target", target)
 
 
 @_rule("omegabar", OmegaBarPrem, None, _target_flaws)
-class OmegaBar:
+class OmegaBar(_Tag):
     """Gamma from Gamma, target and the same family as Omega."""
 
-    h: int
-    target: tuple
+    def __init__(self, h: int, target: tuple):
+        _setattr(self, "h", h)
+        _setattr(self, "target", target)
 
 
 # The rules of the finitary system S, of S-infinity and of all systems.
@@ -660,24 +712,38 @@ def standard_admits(h, target):
 # observation
 
 
-@dataclass(slots=True)
 class Observation:
     """A finite window onto a proof.  Nothing hashes a window or changes
     the fields observe gave it; `kept`, outside equality and repr, keeps
     its facts (observation_rules and its kin), whether they are in L0, the
     checker's reports per (system, depth) and per depth the first system
-    judged, and the writer's text.  It is not frozen because a frozen
-    dataclass's __init__ costs three times as much, and observe makes one
-    for every node it walks."""
+    judged, and the writer's text.  observe makes one for every node it
+    walks, so its fields are slots set by a plain __init__."""
 
-    conclusion: object
-    rule: object
-    children: tuple = ()
-    truncated: bool = False
-    sampled: tuple = None
-    probes: tuple = None
-    error: str = None
-    kept: dict = field(default=None, compare=False, repr=False)
+    __slots__ = (
+        "conclusion", "rule", "children", "truncated", "sampled", "probes", "error", "kept"
+    )
+
+    def __init__(
+        self, conclusion, rule, children=(), truncated=False, sampled=None,
+        probes=None, error=None, kept=None,
+    ):
+        self.conclusion = conclusion
+        self.rule = rule
+        self.children = children
+        self.truncated = truncated
+        self.sampled = sampled
+        self.probes = probes
+        self.error = error
+        self.kept = kept
+
+    # every field but kept, in order
+    _values = attrgetter(*__slots__[:-1])
+    __eq__ = _eq
+    __hash__ = None
+
+    def __repr__(self):
+        return _repr(self, self.__slots__[:-1])
 
     def keep(self, key, make, *args):
         """make(*args), worked out on the first request for key and kept

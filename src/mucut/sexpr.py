@@ -15,8 +15,6 @@ texts through the parse_formula memo, in one file and across files.
 from __future__ import annotations
 
 import re
-from dataclasses import fields
-from operator import attrgetter
 
 from mucut.proofs import ALL_TAGS, make_node
 from mucut.sequents import from_checked
@@ -166,7 +164,7 @@ def _tag_text(tag, keep=False):
 
 def _kept_tag_text(tag):
     """_tag_text(tag), written the first time the observation writer meets
-    tag and then kept on it (proofs._rule declares `_text`)."""
+    tag and then kept on it (proofs._Tag declares `_text`)."""
     text = getattr(tag, "_text", None)
     if text is None:
         text = _tag_text(tag, True)
@@ -233,12 +231,12 @@ def _entry(cls):
     expression type and reader of each argument in order, the format of
     its text, the getter of its arguments, and their writers and the
     writers that keep the text, as a pair."""
-    kinds = [(f.name, *_KINDS[f.type]) for f in fields(cls)]
-    names, slots, writers, kept, types, readers, whats = zip(*kinds)
+    kinds = [_KINDS[kind] for _, kind in cls.fields]
+    slots, writers, kept, types, readers, whats = zip(*kinds)
     text = "(%s)" % " ".join((cls.name,) + slots)
     usage = "%s takes %s" % (cls.name, " and ".join(whats))
     args = tuple(zip(types, readers))
-    return cls, usage, args, text, attrgetter(*names), (writers, kept)
+    return cls, usage, args, text, cls._values, (writers, kept)
 
 
 # Every rule by its s-expression name.
@@ -345,7 +343,7 @@ def _node_heads():
     for name, (cls, *_) in _RULES.items():
         if not isinstance(cls.arity, int):
             continue
-        patterns, readers = zip(*[_TEXT_KINDS[f.type] for f in fields(cls)])
+        patterns, readers = zip(*[_TEXT_KINDS[kind] for _, kind in cls.fields])
         tag = r"\(%s\)" % " ".join((re.escape(name),) + patterns)
         alternatives.append("(%s %s)" % (tag, conclusion))
         args = tuple(enumerate(readers, group + 1))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 import re
 import subprocess
@@ -589,3 +591,85 @@ def test_mutated_formula_files_end_in_an_exit_code_and_one_line(tmp_path_factory
     path = tmp_path_factory.getbasetemp() / "fuzz.form"
     path.write_bytes(_edited(text, edits))
     _assert_total(["parse", str(path)])
+
+
+# The flags, fuzzed: drawn and edge values of each observation and fuel
+# flag of pipeline, and of check's --system, well formed or not.  Draws
+# stay small (depth at most 40, sample indices at most 64): a far sample
+# index makes pipeline build a deep approximant before fuel runs out.
+_FILES = st.sampled_from([filename for filename, _ in cli.CORPUS_FILES])
+
+
+def _corpus_path(tmp_path_factory, filename):
+    out = tmp_path_factory.getbasetemp() / "flags-corpus"
+    if not out.exists():
+        _write_corpus(out)
+    return str(out / (filename + ".sproof"))
+
+
+def _flag_exit(argv):
+    """The exit code of the command, argparse's SystemExit included, with
+    no traceback in its output."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    return code, err.getvalue()
+
+
+_ODD = st.sampled_from(["", " ", "-1", "abc", "1e3", "+2", "0x10", "4.0", ",", " 3 "])
+_FLAGS = {
+    "--depth": st.one_of(st.integers(0, 40).map(str), _ODD),
+    "--samples": st.one_of(
+        st.lists(st.integers(0, 64), min_size=1, max_size=4).map(
+            lambda xs: ",".join(map(str, xs))
+        ),
+        st.sampled_from(["0,1e3", "0,,2", "0, 2", "1,x", "-1,0", ",0"]),
+        _ODD,
+    ),
+    "--probes": st.one_of(st.sampled_from(["0", "1", "2", "10"]), _ODD),
+    "--fuel": st.one_of(st.integers(0, 400).map(str), st.just("100000"), _ODD),
+}
+_SYSTEMS = st.one_of(
+    st.sampled_from([
+        "s", "sinf", "S", " sinf ", "omega:0", "omega:1", "omega:2", "omega:40",
+        "omega-k=3", "OMEGA:1", "omega:-1", "omega:", "omega:x", "omega:1.5", "frob",
+    ]),
+    st.integers(-3, 10**6).map("omega:{}".format),
+    _ODD,
+)
+
+
+@hypothesis_settings(max_examples=100, deadline=None)
+@given(filename=_FILES, flags=st.fixed_dictionaries({}, optional=_FLAGS))
+def test_pipeline_flags_end_in_an_exit_code(tmp_path_factory, filename, flags):
+    argv = ["pipeline", _corpus_path(tmp_path_factory, filename)]
+    argv += ["--out", str(tmp_path_factory.getbasetemp() / "flags-out")]
+    for flag, value in flags.items():
+        argv += [flag, value]
+    code, err = _flag_exit(argv)
+    assert 0 <= code <= 4, (code, err)
+
+
+@hypothesis_settings(max_examples=60, deadline=None)
+@given(filename=_FILES, system=_SYSTEMS)
+def test_check_systems_end_in_an_exit_code(tmp_path_factory, filename, system):
+    path = _corpus_path(tmp_path_factory, filename)
+    code, err = _flag_exit(["check", path, "--system", system])
+    assert 0 <= code <= 4, (code, err)
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--depth", "abc"), ("--probes", "2"), ("--samples", ","), ("--samples", "0,1e3")],
+)
+def test_a_bad_flag_value_exits_2(tmp_path, flag, value):
+    _write_corpus(tmp_path)
+    argv = ["pipeline", str(tmp_path / "e3-axmu.sproof"), "--out", str(tmp_path / "out")]
+    code, err = _flag_exit(argv + [flag, value])
+    assert code == EXIT_PARSE
+    assert "error: argument %s" % flag in err
+    assert not (tmp_path / "out").exists()

@@ -7,12 +7,17 @@ a name bound by an import must occur as a name somewhere in the module.
 name (`_x`) that a module defines at its top level must be read somewhere
 in the package besides its own definition.  `__all__` names exactly what
 `__init__.py` imports, plus `__version__`, so a deleted function leaves
-no stale export behind.
+no stale export behind.  Importing the package and its command line
+loads no `dataclasses`, which with the modules it imports would cost a
+third of the import.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -120,3 +125,22 @@ def test_package_exports_exactly_what_it_imports():
     assert len(set(mucut.__all__)) == len(mucut.__all__)
     for name in mucut.__all__:
         assert hasattr(mucut, name), name
+
+
+def test_importing_the_package_loads_no_dataclasses():
+    # a fresh interpreter, so modules the tests loaded do not count
+    code = (
+        "import sys; before = set(sys.modules); import mucut, mucut.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(PACKAGE.parent), env.get("PYTHONPATH")))
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "mucut.cli" in loaded
+    assert "dataclasses" not in loaded
