@@ -5,11 +5,13 @@ as single-line s-expressions: lists in parentheses, lowercase symbols,
 integers, and formulas as double-quoted strings of the grammar.  Sequents
 serialize in canonical order, so equal values are byte-identical.
 
-A proof file as proof_dumps writes it is read straight into proof nodes,
-one pattern match per node head.  Any other text, and any that fails to
-build, is read by the general reader (loads, then sx_to_proof), so values
-and errors do not depend on which reader ran.  Both readers read formula
-texts through the parse_formula memo, in one file and across files.
+A proof file as proof_dumps writes it is read straight into proof nodes:
+one pattern match per node head up to its (seq, str.find and str.split
+for the conclusion's members, and one rule tag per distinct tag text in
+the file.  Any other text, and any that fails to build, is read by the
+general reader (loads, then sx_to_proof), so values and errors do not
+depend on which reader ran.  Both readers read formula texts through the
+parse_formula memo, in one file and across files.
 """
 
 from __future__ import annotations
@@ -333,22 +335,21 @@ _TEXT_KINDS = {
 
 def _node_heads():
     """One pattern for the head of a node of a finite proof as the writer
-    gives it, (rule (<tag> <args>) (seq "..." ...), with one alternative
-    per finite rule of the table, and the alternatives by the index of
-    their outer group: the rule's class, the group and text reader of
-    each argument, and the group of the conclusion's members.  The outer
-    group closes last, so a match's lastindex names the alternative."""
-    conclusion = _TEXT_KINDS["Sequent"][0]
+    gives it, up to its conclusion's members, (rule (<tag> <args>) (seq,
+    with one alternative per finite rule of the table, and the
+    alternatives by the index of their outer group: the rule's class and
+    the group and text reader of each argument.  The outer group closes
+    last, so a match's lastindex names the alternative."""
     alternatives, heads, group = [], {}, 1
     for name, (cls, *_) in _RULES.items():
         if not isinstance(cls.arity, int):
             continue
         patterns, readers = zip(*[_TEXT_KINDS[kind] for _, kind in cls.fields])
         tag = r"\(%s\)" % " ".join((re.escape(name),) + patterns)
-        alternatives.append("(%s %s)" % (tag, conclusion))
+        alternatives.append(r"(%s \(seq)" % tag)
         args = tuple(enumerate(readers, group + 1))
-        heads[group] = cls, args, group + len(args) + 1
-        group += len(args) + 2
+        heads[group] = cls, args
+        group += len(args) + 1
     return re.compile(r"\(rule (?:%s)" % "|".join(alternatives)), heads
 
 
@@ -357,20 +358,45 @@ _NODE_HEAD, _NODE_HEADS = _node_heads()
 
 def _proof_from_text(text):
     """The finite proof of text when text is as proof_dumps writes it: one
-    match reads each node's head, a space opens each premise, and a close
-    parenthesis ends a node.  None for any other text.  Nodes are built
-    with the checks of the general reader, over an explicit stack."""
+    match reads each node's head up to (seq, find and split read its
+    conclusion, a space opens each premise, and a close parenthesis ends a
+    node.  None for any other text.  The tag of each distinct head is
+    built once per text (tags are immutable values, so equal ones can be
+    one object).  Nodes are built with the checks of the general reader,
+    over an explicit stack.
+
+    A conclusion ' "A" "B")' ends at the first '")' and its members are
+    split at '" "'.  That cut is the general reader's only because
+    parse_formula rejects every text that holds a double quote or a
+    backslash: a group cut anywhere else leaves one in some member, which
+    raises ParseError and sends the text to the general reader."""
     head = _NODE_HEAD.match
+    find = text.find
+    tags = {}  # the tag read from each head's text
     stack = []  # the nodes still open: tag, conclusion, premises read
     pos = 0
     while True:
         m = head(text, pos)
         if m is None:
             return None
-        cls, args, members = _NODE_HEADS[m.lastindex]
-        tag = cls(*[read(m.group(i)) for i, read in args])
-        stack.append((tag, _members(m.group(members)), []))
         pos = m.end()
+        tag = tags.get(m.group())
+        if tag is None:
+            cls, args = _NODE_HEADS[m.lastindex]
+            tag = tags[m.group()] = cls(*[read(m.group(i)) for i, read in args])
+        if text.startswith(' "', pos):
+            end = find('")', pos)
+            if end < 0:
+                return None
+            members = text[pos + 2 : end].split('" "')
+            conclusion = from_checked(map(parse_formula, members))
+            pos = end + 2
+        elif text.startswith(")", pos):
+            conclusion = from_checked(())
+            pos += 1
+        else:
+            return None
+        stack.append((tag, conclusion, []))
         while text.startswith(")", pos):
             pos += 1
             tag, conclusion, premises = stack.pop()

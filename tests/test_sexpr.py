@@ -482,12 +482,13 @@ def _mutated_proof_texts(draw):
     """The writer's text with one or two edits: inserted whitespace (also
     inside a string), an escaped character, truncation, a dropped or
     duplicated token, an unknown or infinitary rule tag, an argument too
-    many or too few, a dropped or duplicated premise, or trailing input."""
+    many or too few, a dropped or duplicated premise, a changed separator
+    between two members of a sequent, or trailing input."""
     text = draw(_proof_texts())
     for _ in range(draw(st.integers(1, 2))):
         edit = draw(st.sampled_from(
             ["space", "inner space", "escape", "truncate", "drop", "duplicate",
-             "tag", "arity", "premise", "trailing"]
+             "tag", "arity", "premise", "separator", "trailing"]
         ))
         tokens = [m.span() for m in _PROOF_TOKEN.finditer(text)]
         tags = [m.span(1) for m in _TAG_NAME.finditer(text)]
@@ -526,6 +527,12 @@ def _mutated_proof_texts(draw):
                 a, b = draw(st.sampled_from(premises))
                 kept = text[a:b] + text[a:b] if draw(st.booleans()) else ""
                 text = text[:a] + kept + text[b:]
+        elif edit == "separator":
+            gaps = [m.start() for m in re.finditer('" "', text)]
+            if gaps:
+                i = draw(st.sampled_from(gaps))
+                sep = draw(st.sampled_from(['""', '"  "', '" x "', '")']))
+                text = text[:i] + sep + text[i + 3 :]
         elif edit == "trailing":
             text += draw(st.sampled_from([")", " x", "\n\n", _DUMPS[0]]))
     return text
@@ -580,12 +587,32 @@ def test_proof_loads_matches_the_general_reader_oracles():
     ):
         got = _proof_outcome(proof_loads, text)
         assert got == _proof_outcome(_general, text), text
+    # conclusions whose members are set off by anything but one space
+    for group in (
+        '(seq "p0" )',
+        '(seq "p0""~p0")',
+        '(seq "p0"  "~p0")',
+        '(seq  "p0")',
+        '(seq "p0" "~p0" )',
+        '(seq  "p0" "~p0")',
+    ):
+        text = '(rule (axiom "p0") %s)' % group
+        got = _proof_outcome(proof_loads, text)
+        assert got == _proof_outcome(_general, text), text
     # premises set off by anything but one space
     top_cut = proof_dumps(CORPUS["top-cut"]())
     for sep in ("", "x", "\n", "  ", " 3 "):
         text = top_cut.replace(") (rule", ")%s(rule" % sep, 1)
         got = _proof_outcome(proof_loads, text)
         assert got == _proof_outcome(_general, text), text
+    # a conclusion left unclosed: the nearest '")' closes the next node's,
+    # and the member cut up to it holds a double quote
+    end = top_cut.index('")', top_cut.index("(seq"))
+    text = top_cut[: end + 1] + top_cut[end + 2 :]
+    assert text.index('")', text.index("(seq")) > text.index("(rule", 1)
+    with pytest.raises(ParseError):
+        sexpr._proof_from_text(text)
+    assert _proof_outcome(proof_loads, text) == _proof_outcome(_general, text)
 
 
 def test_canonical_text_never_reaches_the_general_reader(monkeypatch):
@@ -609,6 +636,35 @@ def test_canonical_text_never_reaches_the_general_reader(monkeypatch):
     assert rules == set(FINITE_TAGS)
     with pytest.raises(AssertionError, match="general reader"):
         proof_loads(texts[0].replace(" ", "  ", 1))
+
+
+# The text of each node's rule tag, as the writer gives it (tags of cut
+# trees and chains hold no parenthesis outside their strings).
+_HEAD_TAG = re.compile(r'\(rule (\((?:[^()"]|"[^"]*")*\)) \(seq')
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    st.lists(LITERALS, max_size=3, unique_by=lambda f: f[1]),
+    st.lists(LITERALS, max_size=12, unique_by=lambda f: f[1]),
+)
+def test_proof_loads_builds_one_tag_per_distinct_tag_text(tree_atoms, chain_atoms):
+    texts = [proof_dumps(cut_tree(tuple(tree_atoms))), proof_dumps(cut_chain(chain_atoms))]
+    for text in texts:
+        built = []
+        with pytest.MonkeyPatch.context() as mp:
+            for cls in FINITE_TAGS:
+                def init(self, *args, _init=cls.__init__):
+                    built.append(self)
+                    _init(self, *args)
+
+                mp.setattr(cls, "__init__", init)
+            p = proof_loads(text)
+        assert len(built) == len(set(_HEAD_TAG.findall(text)))
+        # equal tags within the file are one object, the one built
+        tags = [q.rule for q in _nodes(p)]
+        assert len({id(t) for t in tags}) == len(set(tags)) == len(built)
+        assert {id(t) for t in tags} == {id(t) for t in built}
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_formulas
 from mucut.kernel import TOP, prime
@@ -86,3 +88,31 @@ def test_parse_formula_is_a_memo_that_keeps_no_error():
             parse_formula("p1 & p2")
     after = parse_formula.cache_info()
     assert (after.misses, after.currsize) == (before.misses + 3, before.currsize)
+
+
+# Forms of every connective, open ones too (parse_formula rejects those
+# for their free X as well).
+_FORMS = st.recursive(
+    st.builds(
+        lambda i, positive: ("atom", i) if positive else ("natom", i),
+        st.integers(0, 12),
+        st.booleans(),
+    )
+    | st.just(("var",)),
+    lambda sub: st.tuples(st.sampled_from(["and", "or"]), sub, sub)
+    | st.tuples(st.sampled_from(["box", "dia", "mu", "nu", "nub"]), sub),
+    max_leaves=10,
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(_FORMS)
+def test_parse_formula_rejects_a_double_quote_or_a_backslash_anywhere(f):
+    # mucut.sexpr writes formulas between double quotes without escaping
+    # and cuts a conclusion's members at the first '")' and at '" "'; both
+    # rely on this
+    text = print_form(f)
+    for i in range(len(text) + 1):
+        for c in '"\\':
+            with pytest.raises(ParseError):
+                parse_formula(text[:i] + c + text[i:])
