@@ -9,7 +9,8 @@ whose index bounds every formula level of the input.  The pieces:
     steps) and the half-primed form (a replacement rule whose family
     un-primes each witness);
   * monotonicity: from B, C conclude (~A)(B), A(C), by recursion on the
-    operator A, with a primed variant targeting A'(C');
+    operator A, with a primed variant targeting A'(C'), built in its final
+    context so that only the shared proofs at the leaves are weakened;
   * un-priming: rewrite a cut-free derivation of Gamma, A' into one of
     Gamma, A (the replacement-rule case rebuilds the plain nu rule from
     the family, synthesizing the witness chain it feeds);
@@ -257,6 +258,9 @@ def _same(f):
     return f
 
 
+_EMPTY = from_checked(())
+
+
 def _monotone(d, a, b, c, k, primed, laws):
     """Check the input once, then recurse on a without checks: b and the
     image of c are checked members of d's conclusion, so closed, and a is
@@ -269,60 +273,54 @@ def _monotone(d, a, b, c, k, primed, laws):
         "monotonicity input must conclude b and the image of c",
     )
     validate(a)
-    return _mono(d, a, b, c, k, img, primed, laws)
+    nb = substitute(negate(a), b)
+    return _mono(d, a, nb, img(substitute(a, c)), _EMPTY, k, primed, laws)
 
 
-def _mono(d, a, b, c, k, img, primed, laws):
+def _mono(d, a, nb, ac, ctx, k, primed, laws):
+    """Monotonicity for a, built in its final conclusion: nb = (~a)(b), ac
+    = the image of a(c), and ctx, what the rules nearer the root add.  That
+    is the proof built without ctx and weakened by it, node for node, but
+    only the shared proofs at the leaves (d and the identity laws) are
+    weakened.  negate, substitute and prime distribute over and/or/box/dia
+    roots, so a child's two formulas are components of its parent's."""
     t = a[0]
     if t == "var":
-        return d
-    out = from_checked((substitute(negate(a), b), img(substitute(a, c))))
+        return weaken(d, ctx)
+    if t == "mu" or t == "nu" or t == "nub":
+        # a closed a is its own image: nb is ~a and ac the image of a
+        _require(not has_free_var(a), "binder subterm must be closed")
+        if t == "mu":
+            return weaken(_law(_identity_mu, ac, k, laws), ctx)
+        if t == "nu" and not primed:
+            return weaken(_law(_identity_mu, nb, k, laws), ctx)
+        _require(
+            primed or is_fully_primed(a),
+            "annotated binder subterm must be fully primed",
+        )
+        return weaken(_law(_identity_mu_primed, nb, k, laws), ctx)
+    own = from_checked((nb, ac))
+    concl = own.union(ctx)
     if t == "atom" or t == "natom":
-        return ax(out, a if t == "atom" else negate(a))
-    if t == "and" or t == "or":
-        g, e = a[1], a[2]
-        ih1 = _mono(d, g, b, c, k, img, primed, laws)
-        ih2 = _mono(d, e, b, c, k, img, primed, laws)
-        ng_b = substitute(negate(g), b)
-        ne_b = substitute(negate(e), b)
-        g_c = img(substitute(g, c))
-        e_c = img(substitute(e, c))
-        na_b = substitute(negate(a), b)
-        a_c = img(substitute(a, c))
-        if t == "and":
-            o1 = or_node(
-                from_checked((na_b, g_c)), na_b, weaken(ih1, from_checked((ne_b,)))
-            )
-            o2 = or_node(
-                from_checked((na_b, e_c)), na_b, weaken(ih2, from_checked((ng_b,)))
-            )
-            return and_node(out, a_c, o1, o2)
-        s1 = or_node(
-            from_checked((ng_b, a_c)), a_c, weaken(ih1, from_checked((e_c,)))
-        )
-        s2 = or_node(
-            from_checked((ne_b, a_c)), a_c, weaken(ih2, from_checked((g_c,)))
-        )
-        return and_node(out, na_b, s1, s2)
+        return ax(concl, a if t == "atom" else negate(a))
+    # a box rule takes the context into its side; the premises of an
+    # and/or case carry it on
+    ctx = ctx.difference(own)
     if t == "box" or t == "dia":
-        ih = _mono(d, a[1], b, c, k, img, primed, laws)
-        if t == "box":
-            principal = img(substitute(a, c))
-        else:
-            principal = substitute(negate(a), b)
-        return box_node(out, principal, Sequent(), ih)
-    if t != "mu" and t != "nu" and t != "nub":
+        ih = _mono(d, a[1], nb[1], ac[1], _EMPTY, k, primed, laws)
+        return box_node(concl, ac if t == "box" else nb, ctx, ih)
+    if t != "and" and t != "or":
         raise InternalInvariantError("unknown operator tag: %r" % (t,))
-    _require(not has_free_var(a), "binder subterm must be closed")
-    if t == "mu":
-        return _law(_identity_mu, img(a), k, laws)
-    if t == "nu" and not primed:
-        return _law(_identity_mu, negate(a), k, laws)
-    _require(
-        primed or is_fully_primed(a),
-        "annotated binder subterm must be fully primed",
-    )
-    return _law(_identity_mu_primed, negate(a), k, laws)
+    # the and rule splits p; its j-th premise is the or rule on q over the
+    # j-th child, in a context grown by the other component of q
+    p, q = (ac, nb) if t == "and" else (nb, ac)
+
+    def premise(j):
+        grown = ctx.union(from_checked((q[3 - j],)))
+        ih = _mono(d, a[j], nb[j], ac[j], grown, k, primed, laws)
+        return or_node(from_checked((p[j], q)).union(ctx), q, ih)
+
+    return and_node(concl, p, premise(1), premise(2))
 
 
 # ---------------------------------------------------------------------------

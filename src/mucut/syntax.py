@@ -99,7 +99,8 @@ class _Parser:
             self.skip_ws()
             wstart = self.pos
             word = self.ident()
-            if not word or word[0] != "p" or not word[1:].isdigit():
+            # str.isdigit alone takes "²", which int refuses, and "١", read as 1
+            if not (word[:1] == "p" and word.isascii() and word[1:].isdigit()):
                 self.error("'~' must be followed by an atom p<i>", wstart)
             return ("natom", int(word[1:]))
         if c.isalpha():
@@ -118,7 +119,7 @@ class _Parser:
                     self.error("expected variable 'X' after %r" % word, vstart)
                 self.expect(".")
                 return (word, self.form(depth + 1))
-            if word[0] == "p" and word[1:].isdigit():
+            if word[0] == "p" and word.isascii() and word[1:].isdigit():
                 return ("atom", int(word[1:]))
             self.error("unknown token %r" % word, start)
         self.error("unexpected character %r" % c)

@@ -75,10 +75,11 @@ def test_print_proof_file(tmp_path):
 
 def test_parse_error_exit(tmp_path):
     f = tmp_path / "bad.form"
-    f.write_text("mu X . (")
-    code, out, err = run_cli(["parse", str(f)])
-    assert code == EXIT_PARSE
-    assert "parse error" in err
+    for text in ("mu X . (", "p\u00b2"):  # superscript two, not an index
+        f.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(["parse", str(f)])
+        assert code == EXIT_PARSE
+        assert "parse error" in err
 
 
 def test_unknown_extension(tmp_path):

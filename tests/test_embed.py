@@ -7,6 +7,8 @@ import gc
 import importlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mucut.checker import (
     check_bounded,
@@ -15,6 +17,7 @@ from mucut.checker import (
     omega_system,
 )
 from mucut.corpus import CORPUS, lemma_suite
+from mucut.cutelim import weaken
 from mucut.embed import (
     apply_sigma,
     deprime,
@@ -29,6 +32,7 @@ from mucut.errors import InternalInvariantError
 from mucut.kernel import TOP, atom, level, negate, prime, substitute
 from mucut.proofs import (
     AxiomMu,
+    Box,
     DeltaFam,
     Ind,
     Nu,
@@ -36,15 +40,20 @@ from mucut.proofs import (
     OmegaBarPrem,
     OmegaFam,
     and_node,
+    ax,
     axmu_node,
+    box_node,
     is_cut_free_observed,
     observation_errors,
     observation_rules,
     observe,
     omega_phi,
+    or_node,
     top_intro,
 )
 from mucut.sequents import Sequent, seq
+from mucut.sexpr import observation_dumps
+from mucut.syntax import parse_form
 from mucut.syntax import parse_formula as pf
 
 M1 = pf("mu X . (p1 | X)")
@@ -119,6 +128,116 @@ def test_monotone_primed():
         prime(substitute(nbody, negate(M1))),
     )
     assert check_bounded(p, _sys(M1), 6).ok
+
+
+# One-variable operators whose leaves are the variable, literals and
+# closed binders of both kinds, with a box or diamond under an and/or at the
+# root, so that a box rule gets a context for its side.
+_LEAVES = st.sampled_from(
+    [("var",), atom(1), negate(atom(2)), M1, pf("nu X . (p2 & [] X)")]
+)
+_OPS = st.recursive(
+    _LEAVES,
+    lambda sub: st.tuples(st.sampled_from(["and", "or"]), sub, sub)
+    | st.tuples(st.sampled_from(["box", "dia"]), sub),
+    max_leaves=6,
+)
+_ROOTED = st.builds(
+    lambda t, m, under, other: (t, (m, under), other),
+    st.sampled_from(["and", "or"]),
+    st.sampled_from(["box", "dia"]),
+    _OPS,
+    _OPS,
+)
+
+
+@settings(deadline=None, max_examples=100)
+@given(_ROOTED, st.booleans(), st.booleans())
+def test_monotone_in_context(a, primed, law):
+    # d proves b, c (b, c' when primed): an axiom or an identity law
+    if law and primed:
+        d, b, c = identity_mu_primed(M1, 1), M1, negate(M1)
+    elif law:
+        d, b, c = identity_mu(M1, 1), negate(M1), M1
+    else:
+        b, c = atom(3), negate(atom(3))
+        d = ax(seq(b, c), b)
+    k = max(1, level(a))
+    build = monotone_primed if primed else monotone
+    p = build(d, a, b, c, k)
+    a_c = substitute(a, c)
+    assert p.conclusion == seq(
+        substitute(negate(a), b), prime(a_c) if primed else a_c
+    )
+    o = observe(p, 8)
+    assert check_observation(o, omega_system(k), 8).ok
+    assert any(isinstance(t, Box) and t.side for t in observation_rules(o))
+
+
+def _weakened_monotone(d, a, b, c, k, primed):
+    """Monotonicity built the plain way: each case in its own two
+    formulas, an and/or premise weakened by the one formula it adds."""
+    img = prime if primed else (lambda f: f)
+    t = a[0]
+    if t == "var":
+        return d
+    nb, ac = substitute(negate(a), b), img(substitute(a, c))
+    out = seq(nb, ac)
+    if t in ("atom", "natom"):
+        return ax(out, a if t == "atom" else negate(a))
+    if t in ("box", "dia"):
+        ih = _weakened_monotone(d, a[1], b, c, k, primed)
+        return box_node(out, ac if t == "box" else nb, Sequent(), ih)
+    if t == "mu":
+        return identity_mu(img(a), k)
+    if t == "nu" and not primed:
+        return identity_mu(negate(a), k)
+    if t in ("nu", "nub"):
+        return identity_mu_primed(negate(a), k)
+    p, q = (ac, nb) if t == "and" else (nb, ac)
+    prems = [
+        or_node(
+            seq(p[j], q),
+            q,
+            weaken(_weakened_monotone(d, a[j], b, c, k, primed), seq(q[3 - j])),
+        )
+        for j in (1, 2)
+    ]
+    return and_node(out, p, *prems)
+
+
+@settings(deadline=None, max_examples=100)
+@given(_ROOTED, st.booleans())
+def test_monotone_in_context_is_the_weakened_proof(a, primed):
+    # the same proof, node for node, as weakening every premise
+    d, b, c = identity_mu(M1, 1), negate(M1), M1
+    if primed:
+        d, b, c = identity_mu_primed(M1, 1), M1, negate(M1)
+    build = monotone_primed if primed else monotone
+    texts = [
+        observation_dumps(observe(p, 8))
+        for p in (build(d, a, b, c, 1), _weakened_monotone(d, a, b, c, 1, primed))
+    ]
+    assert texts[0] == texts[1]
+
+
+def test_monotone_weakens_only_at_the_leaves(monkeypatch):
+    # an and/or node builds its premises in their final context, so the
+    # shared input d is weakened at most once per occurrence of the
+    # variable, and no node above it is
+    calls = []
+
+    def counting(d, extra):
+        calls.append(extra)
+        return weaken(d, extra)
+
+    monkeypatch.setattr(EMBED, "weaken", counting)
+    d = identity_mu(M1, 1)
+    a = parse_form("(((X & p1) | ~p2) & (X | <> (p1 & X)))")
+    p = monotone(d, a, negate(M1), M1, 1)
+    assert len(calls) <= 3
+    # forcing the identity law d builds its own monotonicity steps
+    assert check_bounded(p, _sys(M1), 8).ok
 
 
 def test_deprime():

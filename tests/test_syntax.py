@@ -116,3 +116,25 @@ def test_parse_formula_rejects_a_double_quote_or_a_backslash_anywhere(f):
         for c in '"\\':
             with pytest.raises(ParseError):
                 parse_formula(text[:i] + c + text[i:])
+
+
+# Arbitrary text, and text over the parser's own characters plus digits
+# that str.isdigit takes but an atom index must not: superscript two and
+# Arabic-Indic one.
+_TEXTS = st.text() | st.text(alphabet="p~X().&|[]<> munbtop0123456789²١")
+
+
+@settings(deadline=None, max_examples=1000)
+@given(_TEXTS)
+def test_parse_formula_raises_parse_error_or_reads_back(text):
+    try:
+        f = parse_formula(text)
+    except ParseError:
+        return
+    assert parse_formula(print_form(f)) == f
+
+
+def test_atom_indices_are_ascii_digits():
+    for text in ("p²", "p١", "~p²", "~p١", "(p1 & p1١)"):
+        with pytest.raises(ParseError):
+            parse_formula(text)
