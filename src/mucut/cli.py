@@ -58,7 +58,9 @@ CORPUS_FILES = tuple(("e%d-%s" % (i, name), name) for i, name in enumerate(CORPU
 
 
 def _natural(text):
-    if not text.strip().isdecimal():
+    # str.isdecimal alone takes other scripts' digits: "١٢" would read as 12
+    digits = text.strip()
+    if not (digits.isascii() and digits.isdecimal()):
         raise argparse.ArgumentTypeError("%r is not a natural number" % text)
     return int(text)
 

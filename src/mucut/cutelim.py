@@ -34,6 +34,8 @@ iii. otherwise commute the cut above a premise root that does not involve
 
 from __future__ import annotations
 
+from functools import partial
+
 from mucut.errors import FuelExhausted, InternalInvariantError
 from mucut.kernel import level, negate, prime, size
 from mucut.proofs import (
@@ -77,12 +79,21 @@ def cut_rank(f):
 def weaken(d, extra):
     """Admissible weakening: the same proof with extra conclusion formulas
     threaded through every rule (box rules absorb them into the side
-    sequent; induction nodes admit no context and cannot be weakened)."""
-    extra = Sequent(extra).difference(d.conclusion)
+    sequent; induction nodes admit no context and cannot be weakened).
+    A pending weakening of base by e0 composes with this one: the result
+    is one pending weakening of base by e0 + extra, since weakening twice
+    is weakening once by the union."""
+    if not isinstance(extra, Sequent):
+        extra = Sequent(extra)
+    extra = extra.difference(d.conclusion)
     if not extra:
         return d
     c2 = d.conclusion.union(extra)
-    return Proof.defer(c2, lambda: _weaken_now(d, extra, c2))
+    pending = d._thunk
+    if type(pending) is partial and pending.func is _weaken_now:
+        d, e0, _ = pending.args
+        extra = e0.union(extra)
+    return Proof.defer(c2, partial(_weaken_now, d, extra, c2))
 
 
 def _weaken_now(d, extra, c2):

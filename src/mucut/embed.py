@@ -421,7 +421,7 @@ _SIGS = frozenset((MODE_S1, MODE_S2))
 def _eff(modes, f, t):
     """Effective mode set: substitution modes only matter on formulas that
     actually contain the target."""
-    if not occurs(f, t):
+    if modes is _D or not occurs(f, t):
         return _D
     return modes
 

@@ -189,6 +189,26 @@ def test_pipeline_rejects_a_negative_bound(tmp_path, capsys, flag):
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--depth", "\u0661\u0662"), ("--samples", "\u0663"), ("--probes", "\u0661"),
+     ("--fuel", "\uff19")],
+)
+def test_pipeline_takes_only_ascii_digits(tmp_path, capsys, flag, value):
+    # str.isdecimal takes Arabic-Indic and fullwidth digits, which int reads
+    _write_corpus(tmp_path)
+    e4 = str(tmp_path / "e4-nested.sproof")
+    outdir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["pipeline", e4, "--out", str(outdir), flag, value])
+    assert exc.value.code == EXIT_PARSE
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+    assert errors == [
+        "mucut pipeline: error: argument %s: %r is not a natural number" % (flag, value)
+    ]
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("n", ["2", "10"])
 def test_pipeline_refuses_more_probes_than_there_are(tmp_path, capsys, n):
     # each family has one probe, so a larger count would run as 1

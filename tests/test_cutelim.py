@@ -4,7 +4,9 @@ elimination pass."""
 from __future__ import annotations
 
 import hashlib
+import importlib
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from conftest import (
     deep_cut_chain,
     run_cli,
 )
+from mucut import cutelim
 from mucut.checker import (
     check_bounded,
     check_finite,
@@ -25,7 +28,7 @@ from mucut.checker import (
     level_bound,
     omega_system,
 )
-from mucut.collapse import pipeline
+from mucut.collapse import STAGES, pipeline
 from mucut.corpus import CORPUS
 from mucut.cutelim import (
     DEFAULT_FUEL,
@@ -39,16 +42,19 @@ from mucut.cutelim import (
 )
 from mucut.embed import embed
 from mucut.errors import FuelExhausted, InternalInvariantError
-from mucut.kernel import TOP, atom, natom, negate
+from mucut.kernel import TOP, atom, natom, negate, substitute
 from mucut.proofs import (
     And,
     Axiom,
+    Box,
     Cut,
+    Ind,
     Nu,
     Omega,
     OmegaFam,
     Or,
     Proof,
+    and_node,
     ax,
     axmu_node,
     box_node,
@@ -56,6 +62,8 @@ from mucut.proofs import (
     cut_node,
     ind_node,
     is_cut_free_observed,
+    make_node,
+    map_premises,
     observation_rules,
     observe,
     or_node,
@@ -472,3 +480,179 @@ def test_the_omegabar_case_with_the_omega_node_on_the_f1_side():
         ' (probes (seq "(p0 | ~p0)")) (truncated))\n'
     )
     assert check_observation(observe(out, 6), omega_system(1), 6).ok
+
+
+# ---------------------------------------------------------------------------
+# composed weakening
+
+
+def _nested_weaken(d, extra):
+    """The reference weakening, which does not compose: each call wraps d
+    in one more pending layer, and forcing the outer layer forces every
+    layer below it in turn."""
+    extra = Sequent(extra).difference(d.conclusion)
+    if not extra:
+        return d
+    c2 = d.conclusion.union(extra)
+    return Proof.defer(c2, lambda: _nested_weaken_now(d, extra, c2))
+
+
+def _nested_weaken_now(d, extra, c2):
+    tag = d.rule
+    if isinstance(tag, Box):
+        return make_node(c2, Box(tag.principal, tag.side.union(extra)), d.premises)
+    if isinstance(tag, Ind):
+        raise InternalInvariantError("cannot weaken an induction node")
+    return map_premises(d, c2, lambda q, _: _nested_weaken(q, extra))
+
+
+def _counted(monkeypatch, module, name):
+    """Replace module.name by a wrapper that counts its calls."""
+    calls, real = [], getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def _stage_texts():
+    """Every corpus stage's window at depth 8, as text."""
+    texts = {}
+    for name, build in CORPUS.items():
+        stages = pipeline(build())
+        for stage in STAGES:
+            texts[name, stage] = observation_dumps(observe(stages[stage], 8))
+    return texts
+
+
+def test_composed_weakening_gives_the_nested_corpus_stages(monkeypatch):
+    with monkeypatch.context() as m:
+        composed = _counted(m, cutelim, "_weaken_now")
+        want = _stage_texts()
+    monkeypatch.setattr(cutelim, "weaken", _nested_weaken)
+    monkeypatch.setattr(importlib.import_module("mucut.embed"), "weaken", _nested_weaken)
+    nested = _counted(monkeypatch, sys.modules[__name__], "_nested_weaken_now")
+    assert _stage_texts() == want
+    # the stages force fewer weakening layers once they compose (the
+    # nested corpus proof's eliminated stage weakens pending weakenings)
+    assert 0 < len(composed) < len(nested)
+
+
+def _or_base():
+    return top_intro(())
+
+
+def _and_base():
+    p1 = atom(1)
+    return and_node(
+        seq(("and", p1, TOP), natom(1)),
+        ("and", p1, TOP),
+        ax(seq(p1, natom(1)), p1),
+        top_intro((natom(1),)),
+    )
+
+
+def _box_base():
+    p1, q1 = atom(1), atom(2)
+    prem = ax(seq(p1, negate(p1), q1), p1)
+    conc = seq(("dia", p1), ("dia", negate(p1)), ("box", q1), atom(3))
+    return box_node(conc, ("box", q1), seq(atom(3)), prem)
+
+
+def _clo_base():
+    m = pf("mu X . (p1 | X)")
+    u = substitute(m[1], m)
+    leaf = ax(seq(atom(1), m, natom(1)), atom(1))
+    return clo_node(seq(m, natom(1)), m, or_node(seq(u, natom(1)), u, leaf))
+
+
+_BASES = {"or": _or_base, "and": _and_base, "box": _box_base, "clo": _clo_base}
+
+
+def _extras(k):
+    """k weakenings: fresh atoms, one already in every base's conclusion
+    or added before, and a Sequent as well as a tuple."""
+    out = []
+    for i in range(k):
+        if i % 3 == 2:
+            out.append(seq(atom(20 + i), atom(20)))
+        else:
+            out.append((atom(20 + i), natom(1)))
+    return out
+
+
+def _chain(weak, d, extras, force_at=None):
+    for i, extra in enumerate(extras):
+        d = weak(d, extra)
+        if i == force_at:
+            d.rule
+    return d
+
+
+@pytest.mark.parametrize("base", sorted(_BASES))
+@pytest.mark.parametrize("k", range(1, 7))
+def test_a_chain_of_weakenings_reads_as_the_nested_chain(base, k):
+    for force_at in (None, k // 2):
+        got = _chain(weaken, _BASES[base](), _extras(k), force_at)
+        want = _chain(_nested_weaken, _BASES[base](), _extras(k), force_at)
+        assert got.conclusion == want.conclusion
+        assert observation_dumps(observe(got, 8)) == observation_dumps(observe(want, 8))
+        assert check_finite(got).ok
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_chains_of_weakenings_over_the_corpus_stages(name):
+    for stage in ("embedded", "eliminated", "collapsed"):
+        for k in (1, 2, 3):
+            texts = []
+            for weak in (weaken, _nested_weaken):
+                d = _chain(weak, pipeline(CORPUS[name]())[stage], _extras(k))
+                texts.append(observation_dumps(observe(d, 8)))
+            assert texts[0] == texts[1], (name, stage, k)
+
+
+def _error_paths(o, path="root"):
+    """(path, text) of each error leaf of a window, in preorder."""
+    out = [(path, o.error)] if o.error is not None else []
+    for i, kid in enumerate(o.children):
+        out += _error_paths(kid, "%s.%d" % (path, i))
+    return out
+
+
+def _ind_at(depth):
+    """A proof whose one induction node sits depth cuts below its root."""
+    m = pf("mu X . (p1 | X)")
+    d = ind_node(
+        seq(negate(m), TOP), m, TOP,
+        Proof.defer(seq(negate(pf("(p1 | top)")), TOP), lambda: top_intro(())),
+    )
+    if depth:
+        d = cut_node(seq(TOP), negate(m), d, top_intro((m,)))
+    for _ in range(depth - 1):
+        d = cut_node(seq(TOP), TOP, d, top_intro((negate(TOP),)))
+    return d
+
+
+@pytest.mark.parametrize("depth", [0, 1, 3])
+@pytest.mark.parametrize("k", range(1, 7))
+def test_a_weakened_induction_node_keeps_its_error_leaf(depth, k):
+    got = observe(_chain(weaken, _ind_at(depth), _extras(k)), 8)
+    want = observe(_chain(_nested_weaken, _ind_at(depth), _extras(k)), 8)
+    path = ".".join(["root"] + ["0"] * depth)
+    assert _error_paths(got) == [(path, "cannot weaken an induction node")]
+    assert observation_dumps(got) == observation_dumps(want)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_forcing_a_chain_of_pending_weakenings_weakens_once(monkeypatch, k):
+    calls = _counted(monkeypatch, cutelim, "_weaken_now")
+    d = _chain(weaken, _or_base(), _extras(k))
+    assert calls == []
+    d.rule
+    assert len(calls) == 1
+    base, extra, conclusion = calls[0]
+    assert base.conclusion == _or_base().conclusion
+    assert conclusion == d.conclusion == base.conclusion.union(extra)

@@ -565,6 +565,32 @@ def test_proof_loads_matches_the_general_reader(text):
     assert _proof_outcome(proof_loads, text) == _proof_outcome(_general, text)
 
 
+# Arbitrary text, and text over the characters of proof files.
+_ANY_TEXTS = st.text() | st.text(alphabet='()" \\\n\trulesqaxiomp01~&|[]<>X.')
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.one_of(_ANY_TEXTS, _mutated_proof_texts()))
+def test_proof_loads_raises_value_error_or_reads_back(text):
+    # a SexprError or ParseError, or a proof whose text reads back to itself;
+    # the node reader, when it reads the text at all, reads the general
+    # reader's value
+    try:
+        p = proof_loads(text)
+    except (SexprError, ParseError):
+        pass
+    else:
+        again = proof_dumps(p)
+        assert proof_dumps(proof_loads(again)) == again
+        try:
+            fast = sexpr._proof_from_text(text)
+        except ValueError:
+            fast = None
+        if fast is not None:
+            assert proof_dumps(fast) == again
+    assert _proof_outcome(proof_loads, text) == _proof_outcome(_general, text)
+
+
 def test_proof_loads_matches_the_general_reader_oracles():
     for text in (
         '(rule (axiom "p0") (seq "p0" "~p0"))',
