@@ -72,11 +72,10 @@ def _probes(text):
 
 
 def _parse_samples(text):
-    out = tuple(_natural(part) for part in text.split(",") if part.strip() != "")
-    if not out:
-        raise argparse.ArgumentTypeError(
-            "samples must be comma-separated naturals, e.g. 0,1,2"
-        )
+    # an empty item is no natural; a repeat or reordering samples the same premises
+    out = tuple(map(_natural, text.split(",")))
+    if any(a >= b for a, b in zip(out, out[1:])):
+        raise argparse.ArgumentTypeError("%r: samples must be strictly increasing" % text)
     return out
 
 
@@ -179,7 +178,8 @@ def _add_config(sub):
     sub.add_argument("--depth", type=_natural, default=DEFAULT_DEPTH,
                      help="observation depth (default %d)" % DEFAULT_DEPTH)
     sub.add_argument("--samples", type=_parse_samples, default=DEFAULT_SAMPLES,
-                     help="nu-premise indices, comma-separated (default 0,1,2)")
+                     help="nu-premise indices, comma-separated and strictly "
+                          "increasing (default 0,1,2)")
     sub.add_argument("--probes", type=_probes, default=DEFAULT_PROBES,
                      help="0 or 1: 0 skips families, 1 feeds each family its "
                           "one canonical probe (default %d)" % DEFAULT_PROBES)

@@ -55,9 +55,9 @@ def _canonical(members):
 def _trusted(members):
     """A Sequent over a frozenset of checked formulas."""
     s = object.__new__(Sequent)
-    object.__setattr__(s, "_set", members)
-    object.__setattr__(s, "_forms", None)
-    object.__setattr__(s, "_text", None)
+    _set_set(s, members)
+    _set_forms(s, None)
+    _set_text(s, None)
     return s
 
 
@@ -81,9 +81,9 @@ class Sequent:
             for f in distinct:
                 _check(f)
             members, canon, text = frozenset(distinct), None, None
-        object.__setattr__(self, "_set", members)
-        object.__setattr__(self, "_forms", canon)
-        object.__setattr__(self, "_text", text)
+        _set_set(self, members)
+        _set_forms(self, canon)
+        _set_text(self, text)
 
     def __setattr__(self, name, value):
         raise AttributeError("Sequent is immutable")
@@ -94,7 +94,7 @@ class Sequent:
         canon = self._forms
         if canon is None:
             canon = _canonical(self._set)
-            object.__setattr__(self, "_forms", canon)
+            _set_forms(self, canon)
         return canon
 
     def __contains__(self, f):
@@ -174,6 +174,12 @@ class Sequent:
 
     def max_nubar_level(self):
         return max(map(max_nubar_level, self._set), default=-1)
+
+
+# Slot setters: the descriptors' own, which the __setattr__ guard cannot see.
+_set_set = Sequent._set.__set__
+_set_forms = Sequent._forms.__set__
+_set_text = Sequent._text.__set__
 
 
 def from_checked(forms):

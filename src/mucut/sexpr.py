@@ -10,15 +10,16 @@ one pattern match per node head up to its (seq, str.find and str.split
 for the conclusion's members, and one rule tag per distinct tag text in
 the file.  Any other text, and any that fails to build, is read by the
 general reader (loads, then sx_to_proof), so values and errors do not
-depend on which reader ran.  Both readers read formula texts through the
-parse_formula memo, in one file and across files.
+depend on which reader ran.  Both read formula texts through the
+parse_formula memo; the fast reader keeps one member table per file in
+front of it, so a member text repeated in a file is a dict lookup.
 """
 
 from __future__ import annotations
 
 import re
 
-from mucut.proofs import ALL_TAGS, make_node
+from mucut.proofs import ALL_TAGS, Proof, make_node
 from mucut.sequents import from_checked
 from mucut.syntax import parse_formula, print_form
 
@@ -356,14 +357,24 @@ def _node_heads():
 _NODE_HEAD, _NODE_HEADS = _node_heads()
 
 
+class _MemberTable(dict):
+    """Formulas by member text, for one file: a missing text is parsed."""
+
+    def __missing__(self, text):
+        f = self[text] = parse_formula(text)
+        return f
+
+
 def _proof_from_text(text):
     """The finite proof of text when text is as proof_dumps writes it: one
     match reads each node's head up to (seq, find and split read its
     conclusion, a space opens each premise, and a close parenthesis ends a
-    node.  None for any other text.  The tag of each distinct head is
-    built once per text (tags are immutable values, so equal ones can be
-    one object).  Nodes are built with the checks of the general reader,
-    over an explicit stack.
+    node.  None for any other text.  Each distinct head's tag is built,
+    and each distinct member text read through the memo, once per text
+    (both give immutable values, so equal ones can be one object).  Nodes
+    are built over an explicit stack; as their tags are finite and their
+    premises built here, the premise count is the one check of make_node
+    that can fail (then None).
 
     A conclusion ' "A" "B")' ends at the first '")' and its members are
     split at '" "'.  That cut is the general reader's only because
@@ -373,6 +384,7 @@ def _proof_from_text(text):
     head = _NODE_HEAD.match
     find = text.find
     tags = {}  # the tag read from each head's text
+    member = _MemberTable().__getitem__
     stack = []  # the nodes still open: tag, conclusion, premises read
     pos = 0
     while True:
@@ -389,7 +401,7 @@ def _proof_from_text(text):
             if end < 0:
                 return None
             members = text[pos + 2 : end].split('" "')
-            conclusion = from_checked(map(parse_formula, members))
+            conclusion = from_checked(map(member, members))
             pos = end + 2
         elif text.startswith(")", pos):
             conclusion = from_checked(())
@@ -400,7 +412,9 @@ def _proof_from_text(text):
         while text.startswith(")", pos):
             pos += 1
             tag, conclusion, premises = stack.pop()
-            node = make_node(conclusion, tag, premises)
+            if len(premises) != tag.arity:
+                return None
+            node = Proof.make(conclusion, tag, tuple(premises))
             if not stack:
                 return node if _SPACE.match(text, pos).end() == len(text) else None
             stack[-1][2].append(node)

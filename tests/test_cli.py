@@ -173,6 +173,21 @@ def test_bad_samples_flag(tmp_path):
         build_parser().parse_args(["pipeline", e1, "--samples", "0,x"])
 
 
+@pytest.mark.parametrize("samples", ["0,0", "1,0", "0,,1", ",0,1,"])
+def test_pipeline_takes_only_strictly_increasing_samples(tmp_path, capsys, samples):
+    # each of these wrote the same observations as 0 or 0,1
+    _write_corpus(tmp_path)
+    e1 = str(tmp_path / "e1-ind-top.sproof")
+    outdir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["pipeline", e1, "--out", str(outdir), "--samples", samples])
+    assert exc.value.code == EXIT_PARSE
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+    assert len(errors) == 1
+    assert "error: argument --samples" in errors[0]
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("flag", ["--depth", "--probes", "--fuel"])
 def test_pipeline_rejects_a_negative_bound(tmp_path, capsys, flag):
     # a negative bound used to run unbounded (depth) or as 0 (probes)
@@ -645,10 +660,10 @@ _ODD = st.sampled_from(["", " ", "-1", "abc", "1e3", "+2", "0x10", "4.0", ",", "
 _FLAGS = {
     "--depth": st.one_of(st.integers(0, 40).map(str), _ODD),
     "--samples": st.one_of(
-        st.lists(st.integers(0, 64), min_size=1, max_size=4).map(
-            lambda xs: ",".join(map(str, xs))
+        st.lists(st.integers(0, 64), min_size=1, max_size=4, unique=True).map(
+            lambda xs: ",".join(map(str, sorted(xs)))
         ),
-        st.sampled_from(["0,1e3", "0,,2", "0, 2", "1,x", "-1,0", ",0"]),
+        st.sampled_from(["0,1e3", "0,,2", "0, 2", "1,x", "-1,0", ",0", "1,0", "0,0", "0,2,1"]),
         _ODD,
     ),
     "--probes": st.one_of(st.sampled_from(["0", "1", "2", "10"]), _ODD),

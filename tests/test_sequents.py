@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import random_formulas
 from mucut.kernel import atom, natom, prime, sort_key
+from mucut import sequents
 from mucut.proofs import Axiom, Observation
 from mucut.sequents import (
     Sequent,
@@ -56,6 +57,44 @@ def test_immutability():
     s = seq(atom(1))
     with pytest.raises(AttributeError):
         s.forms = ()
+
+
+@pytest.mark.parametrize("name", ["_set", "_forms", "_text", "other"])
+def test_no_attribute_can_be_assigned(name):
+    # the slots are set through their descriptors inside the module only
+    for s in (seq(atom(1), natom(2)), from_checked([atom(1), natom(2)])):
+        before = (s._set, s._forms, s._text)
+        with pytest.raises(AttributeError):
+            setattr(s, name, None)
+        assert (s._set, s._forms, s._text) == before
+
+
+def test_a_copy_carries_the_kept_tuple_and_text():
+    s = from_checked([natom(2), atom(1)])
+    observation_dumps(Observation(s, Axiom(atom(1))))
+    assert s._forms == (atom(1), natom(2)) and s._text is not None
+    copy = Sequent(s)
+    assert copy._set is s._set
+    assert copy._forms is s._forms
+    assert copy._text is s._text
+
+
+def test_from_checked_sorts_once_on_first_iteration(monkeypatch):
+    sorts = []
+
+    def canonical(members):
+        sorts.append(members)
+        return tuple(sorted(members, key=sort_key))
+
+    monkeypatch.setattr(sequents, "_canonical", canonical)
+    s = from_checked([natom(2), atom(1), atom(1)])
+    assert len(s) == 2 and atom(1) in s
+    assert sorts == []
+    assert list(s) == [atom(1), natom(2)]
+    assert sorts == [s._set]
+    assert list(s) == list(s.forms) == [atom(1), natom(2)]
+    assert repr(s) == "{p1, ~p2}"
+    assert len(sorts) == 1
 
 
 def test_rejects_free_variables():

@@ -631,6 +631,20 @@ def test_proof_loads_matches_the_general_reader_oracles():
         text = top_cut.replace(") (rule", ")%s(rule" % sep, 1)
         got = _proof_outcome(proof_loads, text)
         assert got == _proof_outcome(_general, text), text
+    # a wrong premise count for a 0-, a 1- and a 2-premise rule: the node
+    # reader gives up, and the general reader raises make_node's text
+    leaf = '(rule (axiom "p0") (seq "p0" "~p0"))'
+    for text, want in (
+        ('(rule (axiom "p0") (seq "p0" "~p0") %s)' % leaf, "axiom rule takes 0 premise(s), got 1"),
+        ('(rule (or "(p0 | ~p0)") (seq "(p0 | ~p0)"))', "or rule takes 1 premise(s), got 0"),
+        ('(rule (or "(p0 | ~p0)") (seq "(p0 | ~p0)") %s %s)' % (leaf, leaf),
+         "or rule takes 1 premise(s), got 2"),
+        ('(rule (cut "p0") (seq "p0" "~p0") %s)' % leaf, "cut rule takes 2 premise(s), got 1"),
+    ):
+        assert sexpr._proof_from_text(text) is None, text
+        with pytest.raises(SexprError, match=re.escape(want)):
+            proof_loads(text)
+        assert _proof_outcome(proof_loads, text) == _proof_outcome(_general, text)
     # a conclusion left unclosed: the nearest '")' closes the next node's,
     # and the member cut up to it holds a double quote
     end = top_cut.index('")', top_cut.index("(seq"))
@@ -662,6 +676,34 @@ def test_canonical_text_never_reaches_the_general_reader(monkeypatch):
     assert rules == set(FINITE_TAGS)
     with pytest.raises(AssertionError, match="general reader"):
         proof_loads(texts[0].replace(" ", "  ", 1))
+
+
+# The members of each conclusion, as the writer gives them.
+_CONCLUSION = re.compile(r'\(seq((?: "[^"]*")*)\)')
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    st.lists(LITERALS, max_size=3, unique_by=lambda f: f[1]),
+    st.lists(LITERALS, max_size=12, unique_by=lambda f: f[1]),
+)
+def test_proof_loads_parses_each_distinct_member_text_once(tree_atoms, chain_atoms):
+    # the node reader keeps one member table per file in front of the
+    # parse_formula memo: a repeated member text is looked up, not parsed
+    texts = [proof_dumps(cut_tree(tuple(tree_atoms))), proof_dumps(cut_chain(chain_atoms))]
+    for text in texts:
+        parsed = []
+
+        def counted(member):
+            parsed.append(member)
+            return pf(member)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sexpr, "parse_formula", counted)
+            p = proof_loads(text)
+        assert proof_dumps(p) == text
+        members = {m for g in _CONCLUSION.findall(text) if g for m in g[2:-1].split('" "')}
+        assert sorted(parsed) == sorted(members)
 
 
 # The text of each node's rule tag, as the writer gives it (tags of cut
