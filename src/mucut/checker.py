@@ -43,6 +43,7 @@ sequent exactly, and the induction rule allows no context at all.
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 from functools import partial
 
@@ -103,19 +104,21 @@ def omega_system(k):
     return System("omega:%d" % k, frozenset(admitted), k)
 
 
+# omega:K as omega_system names it (K in ASCII digits, no leading zero);
+# a negative K is read too, so that omega_system words its error
+_OMEGA_NAME = re.compile(r"omega:(0|-?[1-9][0-9]*)")
+
+
 def parse_system(text):
-    t = text.strip().lower()
+    """The system whose name is text, spelled exactly as System.name gives
+    it: s, sinf or omega:K."""
     for system in (SYSTEM_S, SYSTEM_SINF):
-        if t == system.name:
+        if text == system.name:
             return system
-    for prefix in ("omega:", "omega-k="):
-        if t.startswith(prefix):
-            try:
-                k = int(t[len(prefix) :])
-            except ValueError:
-                break
-            return omega_system(k)
-    raise ValueError("unknown system %r (want s, sinf, or omega:K)" % (text,))
+    m = _OMEGA_NAME.fullmatch(text)
+    if m is None:
+        raise ValueError("unknown system %r (want s, sinf, or omega:K)" % (text,))
+    return omega_system(int(m.group(1)))
 
 
 CheckReport = namedtuple("CheckReport", "ok violations nodes_checked truncation_points")

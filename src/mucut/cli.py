@@ -59,8 +59,7 @@ CORPUS_FILES = tuple(("e%d-%s" % (i, name), name) for i, name in enumerate(CORPU
 
 def _natural(text):
     # str.isdecimal alone takes other scripts' digits: "١٢" would read as 12
-    digits = text.strip()
-    if not (digits.isascii() and digits.isdecimal()):
+    if not (text.isascii() and text.isdecimal()):
         raise argparse.ArgumentTypeError("%r is not a natural number" % text)
     return int(text)
 

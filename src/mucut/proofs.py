@@ -785,17 +785,19 @@ def observe(p, depth, samples=(0, 1, 2), probe_budget=1):
 
 
 def _settings(depth, samples, probe_budget):
-    """observe's settings as the key of a window; a probe budget other
-    than 0 or 1 is a ValueError."""
+    """observe's settings as the key of a window, the samples sorted and
+    without repeats (settings that sample the same premises are one key);
+    a probe budget other than 0 or 1 is a ValueError."""
     if probe_budget not in (0, 1):
         raise ValueError(
             "probe budget %r: 0 or 1, since each family has one probe" % (probe_budget,)
         )
-    return depth, tuple(samples), probe_budget
+    return depth, tuple(sorted(set(samples))), probe_budget
 
 
 def _observe(p, depth, samples, probe_budget):
-    """observe's walk, which keeps no window."""
+    """observe's walk, which keeps no window; samples are as _settings
+    gives them."""
     try:
         tag, prem = p._force()
     except _LIMITS:
@@ -813,9 +815,8 @@ def _observe(p, depth, samples, probe_budget):
     if isinstance(tag, Nu):
         if depth == 0:
             return Observation(c, tag, (), truncated=True, sampled=())
-        idx = tuple(sorted(set(samples)))
-        kids = tuple(_premise(prem, (i,), depth, samples, probe_budget) for i in idx)
-        return Observation(c, tag, kids, truncated=True, sampled=idx)
+        kids = tuple(_premise(prem, (i,), depth, samples, probe_budget) for i in samples)
+        return Observation(c, tag, kids, truncated=True, sampled=samples)
     if isinstance(tag, (Omega, OmegaBar)):
         if depth == 0:
             return Observation(c, tag, (), truncated=True, probes=())

@@ -6,19 +6,22 @@ integers, and formulas as double-quoted strings of the grammar.  Sequents
 serialize in canonical order, so equal values are byte-identical.
 
 A proof file as proof_dumps writes it is read straight into proof nodes:
-one pattern match per node head up to its (seq, str.find and str.split
-for the conclusion's members, and one rule tag per distinct tag text in
-the file.  Any other text, and any that fails to build, is read by the
-general reader (loads, then sx_to_proof), so values and errors do not
-depend on which reader ran.  Both read formula texts through the
-parse_formula memo; the fast reader keeps one member table per file in
-front of it, so a member text repeated in a file is a dict lookup.
+one pattern match per node head up to its (seq, which names no rule,
+and str.find and str.split for the conclusion's members.  Each head's
+tag text is read by the general reader's sx_to_tag behind a kernel memo
+keyed by the text, so the tag table is the one description of tag text.
+Any other text, and any that fails to build, is read by the general
+reader (loads, then sx_to_proof), so values and errors do not depend on
+which reader ran.  Both read formula texts through the parse_formula
+memo; the fast reader keeps one member table per file in front of it,
+so a member text repeated in a file is a dict lookup.
 """
 
 from __future__ import annotations
 
 import re
 
+from mucut.kernel import memo
 from mucut.proofs import ALL_TAGS, Proof, make_node
 from mucut.sequents import from_checked
 from mucut.syntax import parse_formula, print_form
@@ -318,43 +321,21 @@ def proof_dumps(p):
     return _write(p, _proof_parts)
 
 
-def _members(group):
-    """The sequent of the members of a (seq ...) group as the writer gives
-    them: ' "A" "B"' (no member holds a double quote), or '' for none."""
-    if not group:
-        return from_checked(())
-    return from_checked(map(parse_formula, group[2:-1].split('" "')))
+# The head of a node as the writer gives it, up to its conclusion's
+# members: (rule <tag> (seq, with the tag's text in group 1.  A tag's
+# arguments are strings without escapes and (seq ...) sides of them.
+_NODE_HEAD = re.compile(
+    r'\(rule (\([a-z]+(?: "[^"\\]*"| \(seq(?: "[^"\\]*")*\))*\)) \(seq'
+)
 
 
-# The pattern (one group) and text reader of each kind of argument of a
-# finite rule, in the text the writer gives it: strings without escapes.
-_TEXT_KINDS = {
-    "tuple": (r'"([^"\\]*)"', parse_formula),
-    "Sequent": (r'\(seq((?: "[^"\\]*")*)\)', _members),
-}
-
-
-def _node_heads():
-    """One pattern for the head of a node of a finite proof as the writer
-    gives it, up to its conclusion's members, (rule (<tag> <args>) (seq,
-    with one alternative per finite rule of the table, and the
-    alternatives by the index of their outer group: the rule's class and
-    the group and text reader of each argument.  The outer group closes
-    last, so a match's lastindex names the alternative."""
-    alternatives, heads, group = [], {}, 1
-    for name, (cls, *_) in _RULES.items():
-        if not isinstance(cls.arity, int):
-            continue
-        patterns, readers = zip(*[_TEXT_KINDS[kind] for _, kind in cls.fields])
-        tag = r"\(%s\)" % " ".join((re.escape(name),) + patterns)
-        alternatives.append(r"(%s \(seq)" % tag)
-        args = tuple(enumerate(readers, group + 1))
-        heads[group] = cls, args
-        group += len(args) + 1
-    return re.compile(r"\(rule (?:%s)" % "|".join(alternatives)), heads
-
-
-_NODE_HEAD, _NODE_HEADS = _node_heads()
+@memo
+def _finite_tag(text):
+    """The tag of a tag's text, read by the general reader, or None when
+    the rule is infinitary (the general reader then words the error).
+    Tags are immutable values, so equal texts can give one object."""
+    tag = sx_to_tag(loads(text))
+    return tag if isinstance(tag.arity, int) else None
 
 
 class _MemberTable(dict):
@@ -369,12 +350,12 @@ def _proof_from_text(text):
     """The finite proof of text when text is as proof_dumps writes it: one
     match reads each node's head up to (seq, find and split read its
     conclusion, a space opens each premise, and a close parenthesis ends a
-    node.  None for any other text.  Each distinct head's tag is built,
-    and each distinct member text read through the memo, once per text
-    (both give immutable values, so equal ones can be one object).  Nodes
-    are built over an explicit stack; as their tags are finite and their
-    premises built here, the premise count is the one check of make_node
-    that can fail (then None).
+    node.  None for any other text.  Tags come from the _finite_tag memo,
+    and each distinct member text is read through the parse_formula memo
+    once per file (both give immutable values, so equal ones can be one
+    object).  Nodes are built over an explicit stack; as their tags are
+    finite and their premises built here, the premise count is the one
+    check of make_node that can fail (then None).
 
     A conclusion ' "A" "B")' ends at the first '")' and its members are
     split at '" "'.  That cut is the general reader's only because
@@ -383,7 +364,6 @@ def _proof_from_text(text):
     raises ParseError and sends the text to the general reader."""
     head = _NODE_HEAD.match
     find = text.find
-    tags = {}  # the tag read from each head's text
     member = _MemberTable().__getitem__
     stack = []  # the nodes still open: tag, conclusion, premises read
     pos = 0
@@ -392,10 +372,9 @@ def _proof_from_text(text):
         if m is None:
             return None
         pos = m.end()
-        tag = tags.get(m.group())
+        tag = _finite_tag(m.group(1))
         if tag is None:
-            cls, args = _NODE_HEADS[m.lastindex]
-            tag = tags[m.group()] = cls(*[read(m.group(i)) for i, read in args])
+            return None
         if text.startswith(' "', pos):
             end = find('")', pos)
             if end < 0:

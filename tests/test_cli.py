@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import settings as hypothesis_settings
 from hypothesis import strategies as st
 
-from conftest import level_walks, random_formulas, run_cli
+from conftest import REFUSED_SYSTEMS, level_walks, random_formulas, run_cli
 from mucut import cli, cutelim
 from mucut.checker import check_finite, level_bound
 from mucut.collapse import pipeline, verdict
@@ -134,16 +134,18 @@ def test_check_ok_and_fail(tmp_path):
     code, out, _ = run_cli(["check", e1])
     assert code == EXIT_OK
     assert out == "(report ok)\n"
-    code2, out2, _ = run_cli(["check", e1, "--system", "omega-k=1"])
+    code2, out2, _ = run_cli(["check", e1, "--system", "omega:1"])
     assert code2 == EXIT_CHECK
     assert out2 == (
         '(report fail (violation "root"'
         ' "rule ind is not part of system omega:1"))\n'
     )
-    for text in ("frob", "omega:x"):
-        code3, _, err3 = run_cli(["check", e1, "--system", text])
-        assert code3 == EXIT_PARSE
+    # only a system's name: each other spelling is one line of error
+    for text in REFUSED_SYSTEMS:
+        code3, out3, err3 = run_cli(["check", e1, "--system", text])
+        assert (code3, out3) == (EXIT_PARSE, "")
         assert err3.startswith("parse error: unknown system %r" % text)
+        assert err3.count("\n") == 1 and err3.endswith("\n")
     code4, _, err4 = run_cli(["check", e1, "--system", "omega:-1"])
     assert code4 == EXIT_PARSE
     assert "system index must be at least 0" in err4
@@ -207,10 +209,11 @@ def test_pipeline_rejects_a_negative_bound(tmp_path, capsys, flag):
 @pytest.mark.parametrize(
     "flag, value",
     [("--depth", "\u0661\u0662"), ("--samples", "\u0663"), ("--probes", "\u0661"),
-     ("--fuel", "\uff19")],
+     ("--fuel", "\uff19"), ("--depth", " 6"), ("--depth", "6\n"), ("--samples", " 3"),
+     ("--probes", "1 "), ("--fuel", "\t9")],
 )
 def test_pipeline_takes_only_ascii_digits(tmp_path, capsys, flag, value):
-    # str.isdecimal takes Arabic-Indic and fullwidth digits, which int reads
+    # int reads Arabic-Indic and fullwidth digits, and spaces around digits
     _write_corpus(tmp_path)
     e4 = str(tmp_path / "e4-nested.sproof")
     outdir = tmp_path / "out"

@@ -1,15 +1,18 @@
-"""Every name a module of the package imports is used in that module, and
-every private module-level name is used somewhere in the package.
+"""Every name a module of the package imports is used in that module,
+every private module-level name is used somewhere in the package, and
+every public function or class in the package, the tests or pipebench.
 
 No linter ships with the project, so this reads each module's syntax tree:
 a name bound by an import must occur as a name somewhere in the module.
 `__init__.py` is left out, since its imports are re-exports.  A private
 name (`_x`) that a module defines at its top level must be read somewhere
-in the package besides its own definition.  `__all__` names exactly what
-`__init__.py` imports, plus `__version__`, so a deleted function leaves
-no stale export behind.  Importing the package and its command line
-loads no `dataclasses`, which with the modules it imports would cost a
-third of the import.
+in the package besides its own definition, and a public function or class
+somewhere in the package, the tests or pipebench besides its own
+definition, so a deletion leaves no orphan behind.  `__all__` names
+exactly what `__init__.py` imports, plus `__version__`, so a deleted
+function leaves no stale export behind.  Importing the package and its
+command line loads no `dataclasses`, which with the modules it imports
+would cost a third of the import.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mucut"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "mucut"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -71,11 +75,11 @@ def private_definitions(source):
     return sorted(n for n in names if n.startswith("_") and not n.startswith("__"))
 
 
-def references(source):
-    """The names that source reads: loaded names, attributes and the names
-    its imports bind from other modules."""
+def names_read(tree):
+    """The names that a syntax tree reads: loaded names, attributes and
+    the names its imports bind from other modules."""
     out = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -83,6 +87,11 @@ def references(source):
         elif isinstance(node, ast.ImportFrom):
             out.update(a.name for a in node.names)
     return out
+
+
+def references(source):
+    """The names that source reads."""
+    return names_read(ast.parse(source))
 
 
 def unused_privates(sources):
@@ -109,6 +118,47 @@ def test_package_reads_every_private_name():
         p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))
     }
     assert unused_privates(sources) == []
+
+
+def unread_publics(package, others):
+    """(module, name) for each public function or class that a package
+    module defines at its top level and that no source reads outside that
+    definition: not the module's other top-level statements, nor another
+    package module, nor a source of others."""
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    read = {module: names_read(tree) for module, tree in trees.items()}
+    outside = set().union(*map(references, others.values()))
+    unread = []
+    for module, tree in trees.items():
+        elsewhere = outside.union(*(r for m, r in read.items() if m != module))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_") or node.name in elsewhere:
+                continue
+            if not any(node.name in names_read(n) for n in tree.body if n is not node):
+                unread.append((module, node.name))
+    return sorted(unread)
+
+
+def test_unread_publics_are_found():
+    package = {
+        "a.py": "def f(): return f()\ndef g(): pass\nclass C: pass\nclass D: pass\n"
+        "def _h(): return g\nE = 0\n",
+        "b.py": "from a import C\n",
+    }
+    others = {"test_a.py": "import a\na.D()\n"}
+    assert unread_publics(package, others) == [("a.py", "f")]
+
+
+def test_every_public_function_and_class_is_read():
+    package = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    others = {
+        str(p.relative_to(ROOT)): p.read_text(encoding="utf-8")
+        for folder in ("tests", "pipebench")
+        for p in sorted((ROOT / folder).glob("*.py"))
+    }
+    assert unread_publics(package, others) == []
 
 
 def test_package_exports_exactly_what_it_imports():

@@ -643,6 +643,19 @@ def test_observe_keeps_the_last_window_on_the_proof(stage):
     assert observe(p, 4, (0, 1, 2), 1) is o
 
 
+def test_samples_that_sample_the_same_premises_share_one_window():
+    # the samples are one sorted tuple without repeats: their order and
+    # repeats give the same window, which keeps its reports and text
+    p = pipeline(CORPUS["axmu"]())["embedded"]
+    o = observe(p, 4, (1, 0))
+    text = observation_dumps(o)
+    for samples in ((0, 1), (1, 0), [0, 1, 1, 0], (1, 1, 0)):
+        assert observe(p, 4, samples) is o
+    assert observation_dumps(o) is text
+    assert "(samples 0 1)" in text
+    assert observe(p, 4, (0, 2)) is not o
+
+
 def test_observe_keeps_no_window_below_the_root():
     p = CORPUS["nested"]()
     observe(p, 20)

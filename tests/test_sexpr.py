@@ -6,10 +6,10 @@ from __future__ import annotations
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import LITERALS, cut_chain, cut_tree, deep_cut_chain, run_cli
+from conftest import LITERALS, cut_chain, cut_tree, deep_cut_chain, random_formulas, run_cli
 from mucut import sexpr
 from mucut.cli import EXIT_PARSE
 from mucut.checker import check_finite
@@ -657,8 +657,9 @@ def test_proof_loads_matches_the_general_reader_oracles():
 
 def test_canonical_text_never_reaches_the_general_reader(monkeypatch):
     # the writer's text of proofs that use every rule of S is read by the
-    # node reader alone: a change to the writer or to a rule's pattern
-    # that sent it down the general reader would fail here
+    # node reader alone, which hands loads the text of each tag and never a
+    # node: a change to the writer or to the node-head pattern that sent it
+    # down the general reader would fail here, whatever the tag memo holds
     proofs = [*_small_proofs(), _box_and_clo()]
     proofs += [cut_tree((atom(1), natom(2))), cut_chain([atom(1), natom(2)])]
     texts = [proof_dumps(p) for p in proofs]
@@ -666,7 +667,16 @@ def test_canonical_text_never_reaches_the_general_reader(monkeypatch):
     def refuse(*args):
         raise AssertionError("canonical text went to the general reader")
 
-    monkeypatch.setattr(sexpr, "loads", refuse)
+    read = []
+
+    def tags_only(text):
+        if text.startswith("(rule"):
+            refuse()
+        read.append(text)
+        return loads(text)
+
+    sexpr._finite_tag.cache_clear()
+    monkeypatch.setattr(sexpr, "loads", tags_only)
     monkeypatch.setattr(sexpr, "sx_to_proof", refuse)
     rules = set()
     for text in texts:
@@ -674,8 +684,49 @@ def test_canonical_text_never_reaches_the_general_reader(monkeypatch):
         assert proof_dumps(q) == text
         rules.update(type(r) for r in observation_rules(observe(q, 10**6)))
     assert rules == set(FINITE_TAGS)
+    assert {loads(t)[0] for t in read} == {cls.name for cls in FINITE_TAGS}
     with pytest.raises(AssertionError, match="general reader"):
         proof_loads(texts[0].replace(" ", "  ", 1))
+
+
+# Formulas for rule tag arguments: plain, primed and fixed points.
+_TAG_FORMS = random_formulas(34, 30, max_size=8, max_level=2)
+_TAG_FORMS += [prime(f) for f in _TAG_FORMS[:10]]
+
+
+@st.composite
+def _finite_tags(draw):
+    """A tag of a finite rule, over any formulas; a box side may be empty."""
+    cls = draw(st.sampled_from(FINITE_TAGS))
+    args = []
+    for _, kind in cls.fields:
+        if kind == "Sequent":
+            args.append(Sequent(draw(st.lists(st.sampled_from(_TAG_FORMS), max_size=3))))
+        else:
+            args.append(draw(st.sampled_from(_TAG_FORMS)))
+    return cls(*args)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_finite_tags())
+@example(Box(pf("[] p1"), Sequent()))
+@example(Box(pf("[] p1"), seq(atom(2), pf("<> p3"))))
+def test_finite_tag_reads_the_writers_tag_text(tag):
+    # the node reader reads tags through the tag table, as the writer
+    # writes them
+    assert sexpr._finite_tag(sexpr._tag_text(tag)) == tag
+
+
+def test_finite_tag_refuses_infinitary_rules():
+    n, t = pf("nu X . (p1 & X)"), prime(pf("mu X . (p1 | X)"))
+    for tag in (Nu(n), Omega(1, t), OmegaBar(2, t)):
+        text = sexpr._tag_text(tag)
+        assert sexpr._finite_tag(text) is None
+        proof = '(rule %s (seq "%s"))\n' % (text, print_form(n))
+        assert sexpr._proof_from_text(proof) is None
+        want = "rule %s cannot appear in a finite proof file" % tag.name
+        with pytest.raises(SexprError, match="^%s at position 0$" % want):
+            proof_loads(proof)
 
 
 # The members of each conclusion, as the writer gives them.
@@ -717,8 +768,11 @@ _HEAD_TAG = re.compile(r'\(rule (\((?:[^()"]|"[^"]*")*\)) \(seq')
     st.lists(LITERALS, max_size=12, unique_by=lambda f: f[1]),
 )
 def test_proof_loads_builds_one_tag_per_distinct_tag_text(tree_atoms, chain_atoms):
+    # tags are read through a memo keyed by the tag text: cleared, a file
+    # builds one tag per distinct tag text, and read again it builds none
     texts = [proof_dumps(cut_tree(tuple(tree_atoms))), proof_dumps(cut_chain(chain_atoms))]
     for text in texts:
+        sexpr._finite_tag.cache_clear()
         built = []
         with pytest.MonkeyPatch.context() as mp:
             for cls in FINITE_TAGS:
@@ -728,11 +782,16 @@ def test_proof_loads_builds_one_tag_per_distinct_tag_text(tree_atoms, chain_atom
 
                 mp.setattr(cls, "__init__", init)
             p = proof_loads(text)
-        assert len(built) == len(set(_HEAD_TAG.findall(text)))
-        # equal tags within the file are one object, the one built
+            first = len(built)
+            again = proof_loads(text)
+        assert first == len(set(_HEAD_TAG.findall(text)))
+        assert len(built) == first
+        # equal tags within the file are one object, the one built, and a
+        # second read gives the same objects
         tags = [q.rule for q in _nodes(p)]
         assert len({id(t) for t in tags}) == len(set(tags)) == len(built)
         assert {id(t) for t in tags} == {id(t) for t in built}
+        assert [id(q.rule) for q in _nodes(again)] == [id(t) for t in tags]
 
 
 # ---------------------------------------------------------------------------
@@ -949,6 +1008,8 @@ def _nodes(p):
 
 @pytest.mark.parametrize("text", _kept_text_inputs(), ids=["nested", "axmu-box"])
 def test_proof_dumps_keeps_no_text(text):
+    # the tag memo may hold tags that an earlier observation wrote
+    sexpr._finite_tag.cache_clear()
     p = proof_loads(text)
     assert proof_dumps(p) == text
     values = []
