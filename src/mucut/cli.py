@@ -14,7 +14,8 @@ Subcommands:
 
 Exit codes: 0 ok; 1 check failure (a rule outside S-infinity in the
 final window included); 2 parse error (malformed input, input that is
-not UTF-8, or an unknown system); 3 resource limit (fuel exhaustion, or
+not UTF-8, an unknown system, or a ``pipeline`` output path that is its
+input or another output); 3 resource limit (fuel exhaustion, or
 nesting too deep for the stack); 4 internal failure (a broken invariant,
 or any other ValueError).  All output is deterministic: equal inputs and
 flags produce byte-identical files.
@@ -122,8 +123,17 @@ def cmd_pipeline(args):
     out_dir = Path(args.out) if args.out else src.parent
     obs = [out_dir / ("%s.%s.obs" % (src.stem, stage)) for stage in STAGES]
     summary = out_dir / (src.stem + ".summary")
+    outputs = (*obs, summary, *([Path(args.trace)] if args.trace else ()))
+    # an output that is the input or another output would be deleted or
+    # overwritten by this run, so such a run touches nothing
+    resolved = [path.resolve() for path in (src, *outputs)]
+    for i, path in enumerate(outputs, 1):
+        if resolved[i] in resolved[:i]:
+            what = "the input" if resolved[i] == resolved[0] else "another output"
+            sys.stderr.write("path clash: output %s is %s\n" % (path, what))
+            return EXIT_PARSE
     # a run that fails leaves no artifact of an earlier run behind
-    for path in (*obs, summary, *([Path(args.trace)] if args.trace else ())):
+    for path in outputs:
         path.unlink(missing_ok=True)
 
     proof = _load_proof(args.file)

@@ -1,27 +1,33 @@
-"""Built-in example proofs and formula suites.
+"""The builders of generated S proofs, the example corpus and the
+formula suites.
 
-Four small finitary proofs exercise every interesting embedding path:
+The builders are the one definition of each proof family the tests
+generate: seeded random formulas, atom-cut trees and chains, the
+fixed-point axiom, the top-invariant induction cut and the level-n
+`nested` cuts.  The tests import them from here; the benchmark's
+generator still keeps copies that build the same proofs.  `import
+mucut` does not load this module.
 
-  * ind-top: an induction step whose invariant is the trivial truth,
-    proving the greatest fixed point of the identity operator;
-  * top-cut: a cut on an atom between two truth introductions;
-  * axmu: the fixed-point axiom on a guarded formula;
-  * nested: a cut on a level-2 mu formula against an induction step whose
-    invariant is the negated formula itself, so elimination has to
-    replace rules at level 2 and, inside the synthesized families, at
-    level 1.
-
-The monotonicity suite is a fixed list of mu formulas of levels 1 and 2
-used by the identity-law tests.
+The corpus holds four small finitary proofs that exercise every
+interesting embedding path: ind-top, an induction whose invariant is the
+trivial truth; top-cut, a cut on an atom between two truth
+introductions; axmu, the fixed-point axiom on a guarded formula; and
+nested, cuts that elimination has to replace at levels 2 and 1.  The
+monotonicity suite is a fixed list of mu formulas of levels 1 and 2 used
+by the identity-law tests.
 """
 
 from __future__ import annotations
 
-from mucut.kernel import TOP, atom, natom, negate, or_
+import random
+from functools import partial
+
+from mucut.kernel import TOP, atom, level, natom, negate, or_, size, substitute
 from mucut.proofs import (
     and_node,
     ax,
     axmu_node,
+    clo_node,
     cut_node,
     ind_node,
     or_node,
@@ -29,6 +35,168 @@ from mucut.proofs import (
 )
 from mucut.sequents import Sequent
 from mucut.syntax import parse_formula
+
+ATOM_RANGE = 4
+
+
+def random_form(rng, size_budget, level_budget, bound=False):
+    """One random formula, approximately within the node-count and
+    binder-nesting budgets (callers enforce the exact caps).  The result
+    is closed unless bound is true, in which case the variable may occur
+    free."""
+    if size_budget <= 1:
+        if bound and rng.random() < 0.25:
+            return ("var",)
+        i = rng.randrange(ATOM_RANGE)
+        return ("atom", i) if rng.random() < 0.5 else ("natom", i)
+    r = rng.random()
+    if r < 0.2 and level_budget > 0:
+        body = random_form(rng, size_budget - 1, level_budget - 1, True)
+        return ("mu" if rng.random() < 0.5 else "nu", body)
+    if r < 0.4:
+        tag = "box" if rng.random() < 0.5 else "dia"
+        return (tag, random_form(rng, size_budget - 1, level_budget, bound))
+    if r < 0.9:
+        left_budget = rng.randint(1, size_budget - 2) if size_budget > 2 else 1
+        left = random_form(rng, left_budget, level_budget, bound)
+        right = random_form(
+            rng, max(1, size_budget - 1 - size(left)), level_budget, bound
+        )
+        tag = "and" if rng.random() < 0.5 else "or"
+        return (tag, left, right)
+    if bound and rng.random() < 0.25:
+        return ("var",)
+    i = rng.randrange(ATOM_RANGE)
+    return ("atom", i) if rng.random() < 0.5 else ("natom", i)
+
+
+def random_formulas(seed, count, max_size=30, max_level=3):
+    """A deterministic list of closed formulas within the given caps."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        f = random_form(
+            rng, rng.randint(1, max_size), rng.randint(0, max_level)
+        )
+        if size(f) <= max_size and level(f) <= max_level:
+            out.append(f)
+    return out
+
+
+def cut_tree(atoms, extra=()):
+    """A binary tree of atom cuts, one level per atom, truth at the leaves."""
+    if not atoms:
+        return top_intro(extra)
+    a, rest = atoms[0], atoms[1:]
+    return cut_node(
+        Sequent(extra + (TOP,)),
+        a,
+        cut_tree(rest, extra + (a,)),
+        cut_tree(rest, extra + (negate(a),)),
+    )
+
+
+def cut_chain(atoms, mirror=False, teeth=None):
+    """A chain of atom cuts, the first atom's at the root.  The cut on a
+    closes its a side and continues the chain on its ~a side, so the
+    context grows by one literal per cut.  The chain nests in the right
+    premise (the cut is on a); mirrored, in the left one (the cut is on ~a).
+    The closed side is a truth introduction, or, given teeth (one literal
+    per atom), a cut on that atom's tooth over two truth introductions:
+    a comb, both of whose premises are cuts at every level."""
+    contexts = [Sequent(())]
+    for a in atoms:
+        contexts.append(contexts[-1].add(negate(a)))
+    p = top_intro(contexts[-1])
+    for j in range(len(atoms) - 1, -1, -1):
+        a, ctx = atoms[j], contexts[j]
+        closed = top_intro(ctx.add(a))
+        if teeth is not None:
+            t = teeth[j]
+            closed = cut_node(
+                closed.conclusion,
+                t,
+                top_intro(ctx.union((a, t))),
+                top_intro(ctx.union((a, negate(t)))),
+            )
+        g = ctx.add(TOP)
+        if mirror:
+            p = cut_node(g, negate(a), p, closed)
+        else:
+            p = cut_node(g, a, closed, p)
+    return p
+
+
+def deep_cut_chain(n):
+    """n nested cuts, each over the same context (and so each redundant)."""
+    a, na = atom(1), natom(1)
+    p = top_intro((na,))
+    for _ in range(n):
+        p = cut_node(Sequent((TOP, na)), a, top_intro((na, a)), p)
+    return p
+
+
+def axmu(mu):
+    """The fixed-point axiom on mu: concludes mu, ~mu."""
+    return axmu_node(Sequent((mu, negate(mu))), mu)
+
+
+def top_induction_cut(mu):
+    """Concludes {top} by a cut on mu: the mu side is closed by `clo` over
+    a truth introduction, the negated side by induction with invariant
+    top (whose premise ~A(top), top is again a truth introduction)."""
+    body = mu[1]
+    mu_side = clo_node(Sequent((mu, TOP)), mu, top_intro((substitute(body, mu),)))
+    ind_side = ind_node(
+        Sequent((negate(mu), TOP)),
+        mu,
+        TOP,
+        top_intro((negate(substitute(body, TOP)),)),
+    )
+    return cut_node(Sequent((TOP,)), mu, mu_side, ind_side)
+
+
+def nested(n):
+    """Nested cuts at levels n and 1 over a level-n mu formula.
+
+    With F = mu X . ((p3 & ~p3) | X) and C_1 = F, C_j = mu X . (X & C_{j-1}),
+    the proof concludes ~C_n.  A cut on C_n (level n) joins the axiom on
+    C_n to an induction on C_n with invariant F; the root cuts on F
+    (level 1) against an induction on F with invariant ~C_n, so
+    elimination replaces rules at levels n and 1.
+    """
+    if n < 2:
+        raise ValueError("nested needs n >= 2")
+    p = 3
+    f1 = ("mu", or_(("and", atom(p), natom(p)), ("var",)))
+    chain = [f1]
+    for _ in range(n - 1):
+        chain.append(("mu", ("and", ("var",), chain[-1])))
+    c = chain[-1]
+    below = chain[-2]
+    nc = negate(c)
+    nf1 = negate(f1)
+
+    # Induction on C_n with invariant F: its premise ~(F & C_{n-1}), F is
+    # the disjunction ~F | ~C_{n-1} over the axiom on F.
+    unfold = or_(nf1, negate(below))
+    axmu_f = axmu_node(Sequent((f1, nf1) + tuple(unfold[1:])), f1)
+    orn = or_node(Sequent((unfold, f1)), unfold, axmu_f)
+    ind_c = ind_node(Sequent((nc, f1)), c, f1, orn)
+
+    # The level-n cut on C_n.
+    axmu_c = axmu_node(Sequent((nc, f1, c)), c)
+    cut_c = cut_node(Sequent((nc, f1)), c, axmu_c, ind_c)
+
+    # Induction on F with invariant ~C_n: the premise (~p | p) & C_n, ~C_n.
+    taut = or_(natom(p), atom(p))
+    orl = or_node(Sequent((taut, nc)), taut, ax(Sequent((natom(p), atom(p), nc)), atom(p)))
+    conj = ("and", taut, c)
+    and_f = and_node(Sequent((conj, nc)), conj, orl, axmu_node(Sequent((c, nc)), c))
+    ind_f = ind_node(Sequent((nf1, nc)), f1, nc, and_f)
+
+    # The level-1 cut on F.
+    return cut_node(Sequent((nc,)), f1, cut_c, ind_f)
 
 
 def example_ind_top():
@@ -43,68 +211,11 @@ def example_ind_top():
     return ind_node(Sequent((nu, TOP)), mu, TOP, body)
 
 
-def example_top_cut():
-    """A cut on the atom p1 between two truth introductions."""
-    return cut_node(
-        Sequent((TOP,)),
-        atom(1),
-        top_intro((atom(1),)),
-        top_intro((natom(1),)),
-    )
-
-
-def example_axmu():
-    """The fixed-point axiom on a guarded level-1 formula."""
-    mu = parse_formula("mu X . (p1 | X)")
-    return axmu_node(Sequent((mu, negate(mu))), mu)
-
-
-def example_nested():
-    """Nested cuts at two levels over a level-2 mu formula.
-
-    With F1 = mu X . ((p3 & ~p3) | X) and C = mu X . (X & F1), one branch
-    cuts on C (level 2) between the fixed-point axiom on C and an
-    induction on C whose invariant is F1; the root then cuts on F1
-    (level 1) against an induction on F1 whose invariant is ~C, closing
-    through the axiom on C again.  Elimination replaces a rule at level 2
-    for the inner cut and at level 1 for the root cut, so the recorded
-    reduction steps witness replacements at both levels.
-    """
-    f1 = parse_formula("mu X . ((p3 & ~p3) | X)")
-    c = ("mu", ("and", ("var",), f1))
-    n = negate(c)
-    nf1 = negate(f1)
-
-    # Induction on C with invariant F1; the premise reduces the negated
-    # unfolding ~(F1 & F1) = ~F1 | ~F1 to the fixed-point axiom on F1.
-    axmu_f = axmu_node(Sequent((f1, nf1)), f1)
-    fo3 = or_(nf1, nf1)
-    orn3 = or_node(Sequent((fo3, f1)), fo3, axmu_f)
-    ind3 = ind_node(Sequent((n, f1)), c, f1, orn3)
-
-    # The level-2 cut on C.
-    axmu_c = axmu_node(Sequent((n, f1, c)), c)
-    cut_c = cut_node(Sequent((n, f1)), c, axmu_c, ind3)
-
-    # Induction on F1 with invariant ~C; its premise decomposes the
-    # negated unfolding (~p3 | p3) & C and closes with the axiom on C.
-    to3 = or_(natom(3), atom(3))
-    orl = or_node(
-        Sequent((to3, n)), to3, ax(Sequent((natom(3), atom(3), n)), atom(3))
-    )
-    acf = ("and", to3, c)
-    and_f = and_node(Sequent((acf, n)), acf, orl, axmu_node(Sequent((c, n)), c))
-    ind_f = ind_node(Sequent((nf1, n)), f1, n, and_f)
-
-    # The level-1 cut on F1.
-    return cut_node(Sequent((n,)), f1, cut_c, ind_f)
-
-
 CORPUS = {
     "ind-top": example_ind_top,
-    "top-cut": example_top_cut,
-    "axmu": example_axmu,
-    "nested": example_nested,
+    "top-cut": partial(cut_tree, (atom(1),)),
+    "axmu": partial(axmu, parse_formula("mu X . (p1 | X)")),
+    "nested": partial(nested, 2),
 }
 
 

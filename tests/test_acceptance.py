@@ -13,7 +13,7 @@ import itertools
 import time
 from collections import Counter
 
-from conftest import random_formulas, run_cli
+from conftest import run_cli
 from mutation_harness import classify_accepted, run_harness
 
 from mucut.checker import (
@@ -25,7 +25,7 @@ from mucut.checker import (
     subformula_report,
 )
 from mucut.collapse import collapse, pipeline
-from mucut.corpus import CORPUS, lemma_suite
+from mucut.corpus import CORPUS, lemma_suite, random_formulas
 from mucut.cutelim import DEFAULT_FUEL, eliminate
 from mucut.embed import (
     apply_sigma,

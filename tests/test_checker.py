@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import REFUSED_SYSTEMS, cut_chain, cut_tree, deep_cut_chain, level_walks, run_cli
+from conftest import REFUSED_SYSTEMS, level_walks, run_cli
 from mucut import checker, proofs
 from mucut.checker import (
     SYSTEM_S,
@@ -21,7 +21,7 @@ from mucut.checker import (
     subformula_report,
 )
 from mucut.collapse import pipeline
-from mucut.corpus import CORPUS
+from mucut.corpus import CORPUS, cut_chain, cut_tree, deep_cut_chain
 from mucut.errors import FuelExhausted, InternalInvariantError
 from mucut.kernel import (
     TOP,

@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import settings as hypothesis_settings
 from hypothesis import strategies as st
 
-from conftest import REFUSED_SYSTEMS, level_walks, random_formulas, run_cli
+from conftest import REFUSED_SYSTEMS, level_walks, run_cli
 from mucut import cli, cutelim
 from mucut.checker import check_finite, level_bound
 from mucut.collapse import pipeline, verdict
@@ -27,9 +27,8 @@ from mucut.cli import (
     EXIT_PARSE,
     build_parser,
 )
-from mucut.corpus import CORPUS
-from mucut.kernel import TOP, negate
-from mucut.proofs import clo_node, cut_node, ind_node, or_node, top_intro
+from mucut.corpus import CORPUS, random_formulas, top_induction_cut
+from mucut.proofs import or_node
 from mucut.sequents import Sequent
 from mucut.sexpr import loads, proof_dumps, proof_loads
 from mucut.syntax import parse_formula, print_form
@@ -312,13 +311,8 @@ def test_pipeline_all_examples(tmp_path):
 def test_pipeline_passes_the_top_induction_cut_over_trivial_mu(tmp_path, depth):
     # {top} by a cut on mu X . X against an induction with invariant top:
     # its collapsed and sinf stages used to carry an error leaf
-    mu = parse_formula("mu X . X")
-    mu_side = clo_node(Sequent((mu, TOP)), mu, top_intro((mu,)))
-    ind_side = ind_node(
-        Sequent((negate(mu), TOP)), mu, TOP, top_intro((negate(TOP),))
-    )
     src = tmp_path / "trivial-mu.sproof"
-    src.write_text(proof_dumps(cut_node(Sequent((TOP,)), mu, mu_side, ind_side)))
+    src.write_text(proof_dumps(top_induction_cut(parse_formula("mu X . X"))))
     outdir = tmp_path / "out"
     code, out, err = run_cli(
         ["pipeline", str(src), "--out", str(outdir), "--depth", str(depth)]
@@ -461,6 +455,32 @@ def test_a_failed_rerun_leaves_no_artifact_of_the_earlier_run(tmp_path):
     assert code == EXIT_FUEL
     assert "fuel exhausted" in err
     assert [p.name for p in outdir.iterdir()] == ["e4-nested.embedded.obs"]
+
+
+@pytest.mark.parametrize("argv, clash, what", [
+    (["notes.summary"], "notes.summary", "the input"),
+    (["f.sproof", "--trace", "sub/../f.sproof"], "sub/../f.sproof", "the input"),
+    (["v2.sproof", "--out", "out", "--trace", "out/../out/v2.embedded.obs"],
+     "out/../out/v2.embedded.obs", "another output"),
+], ids=["input-is-the-summary", "trace-is-the-input", "trace-is-an-observation"])
+def test_pipeline_refuses_an_output_that_is_its_input_or_another_output(
+    tmp_path, argv, clash, what
+):
+    # the run deletes its outputs before it reads its input and writes the
+    # trace after the observations: a clash used to delete the input, or
+    # leave the trace where an observation should be
+    text = proof_dumps(CORPUS["nested"]())
+    for name in ("notes.summary", "f.sproof", "v2.sproof"):
+        (tmp_path / name).write_text(text)
+    first = ["pipeline", str(tmp_path / "v2.sproof"), "--out", str(tmp_path / "out")]
+    assert run_cli(first)[0] == EXIT_OK
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    code, out, err = run_cli(
+        ["pipeline", *(a if a.startswith("--") else str(tmp_path / a) for a in argv)]
+    )
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == "path clash: output %s is %s\n" % (tmp_path / clash, what)
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
 def test_pipeline_help_says_what_fuel_bounds(tmp_path, capsys, monkeypatch):

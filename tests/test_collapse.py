@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_pipeline_passes, random_formulas
+from conftest import assert_pipeline_passes
 from mucut import proofs
 from mucut.checker import (
     SYSTEM_S,
@@ -22,7 +22,7 @@ from mucut.checker import (
     subformula_report,
 )
 from mucut.collapse import STAGES, collapse, pipeline, verdict
-from mucut.corpus import CORPUS
+from mucut.corpus import CORPUS, nested, random_formulas, top_induction_cut
 from mucut.cutelim import eliminate
 from mucut.embed import embed, identity_mu_primed
 from mucut.errors import InternalInvariantError
@@ -240,12 +240,7 @@ def test_top_induction_cut_over_trivial_mu():
     # The unfolding of mu X . X under the invariant is the invariant
     # itself, top, which is its own prime, so the closure step of context
     # substitution adds as its image the very formula it then cuts away.
-    mu = pf("mu X . X")
-    mu_side = clo_node(Sequent((mu, TOP)), mu, top_intro((mu,)))
-    ind_side = ind_node(
-        Sequent((negate(mu), TOP)), mu, TOP, top_intro((negate(TOP),))
-    )
-    assert_pipeline_passes(cut_node(Sequent((TOP,)), mu, mu_side, ind_side))
+    assert_pipeline_passes(top_induction_cut(pf("mu X . X")))
 
 
 def test_induction_cut_over_trivial_mu_with_a_nu_invariant():
@@ -271,6 +266,22 @@ def test_verdict_passes_the_corpus(depth):
         assert [stage.name for stage in v.stages] == list(STAGES)
         omega = "omega:%d" % v.k
         assert [stage.system for stage in v.stages] == [omega, omega, "sinf", "sinf"]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_nested_passes_at_its_level(n):
+    # the cuts on C_n and F replace rules at levels n and 1; the verdict
+    # runs at the benchmark's `induction` settings
+    p = nested(n)
+    assert check_finite(p).ok
+    assert level_bound(p) == n
+    v = verdict(p, pipeline(p), 14, (0, 1, 2, 3))
+    assert v.passed, (v.error, [stage.failure for stage in v.stages])
+
+
+def test_nested_needs_two_levels():
+    with pytest.raises(ValueError, match="nested needs n >= 2"):
+        nested(1)
 
 
 def test_verdict_names_the_stage_of_the_first_error_leaf_and_judges_nothing():

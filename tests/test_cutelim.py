@@ -12,14 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (
-    LITERALS,
-    assert_pipeline_passes,
-    cut_chain,
-    cut_tree,
-    deep_cut_chain,
-    run_cli,
-)
+from conftest import LITERALS, assert_pipeline_passes, run_cli
 from mucut import cutelim
 from mucut.checker import (
     check_bounded,
@@ -29,7 +22,7 @@ from mucut.checker import (
     omega_system,
 )
 from mucut.collapse import STAGES, pipeline
-from mucut.corpus import CORPUS
+from mucut.corpus import CORPUS, cut_chain, cut_tree, deep_cut_chain
 from mucut.cutelim import (
     DEFAULT_FUEL,
     _commute,

@@ -12,7 +12,9 @@ definition, so a deletion leaves no orphan behind.  `__all__` names
 exactly what `__init__.py` imports, plus `__version__`, so a deleted
 function leaves no stale export behind.  Importing the package and its
 command line loads no `dataclasses`, which with the modules it imports
-would cost a third of the import.
+would cost a third of the import, and the package alone does not load
+`mucut.corpus`.  No test imports a module of the benchmark or edits
+`sys.path`: what both need lives in the package.
 """
 
 from __future__ import annotations
@@ -194,3 +196,50 @@ def test_importing_the_package_loads_no_dataclasses():
     loaded = proc.stdout.split()
     assert "mucut.cli" in loaded
     assert "dataclasses" not in loaded
+    # the proof builders stay out of the modules `import mucut` compiles
+    code = "import sys, mucut; print('mucut.corpus' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
+def reaches_outside(source, modules):
+    """The lines of source that import one of modules or touch sys.path."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module] + ["%s.%s" % (node.module, a.name) for a in node.names]
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "sys":
+            names = ["sys." + node.attr]
+        else:
+            continue
+        if any(n.split(".")[0] in modules or n == "sys.path" for n in names):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_reaches_outside_are_found():
+    source = (
+        "import sys, os.path\n"
+        "sys.path.insert(0, 'x')\n"
+        "from gen import nested\n"
+        "import run as r\n"
+        "from sys import path\n"
+        "from subprocess import run\n"
+        "from mucut import gen\n"
+        "gen.run()\n"
+    )
+    assert reaches_outside(source, {"gen", "run"}) == [2, 3, 4, 5]
+
+
+def test_no_test_reaches_into_the_benchmark():
+    benchmark = {p.stem for p in (ROOT / "pipebench").glob("*.py")}
+    assert "gen" in benchmark
+    found = {
+        p.name: reaches_outside(p.read_text(encoding="utf-8"), benchmark)
+        for p in sorted((ROOT / "tests").glob("*.py"))
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}

@@ -10,10 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mucut import kernel
+from mucut.corpus import random_formulas
 from mucut.sequents import Sequent, _check, is_k_positive, seq
 from mucut.syntax import print_form
-
-from conftest import random_formulas
 
 
 # One value: the fixture only keeps the test ids stable

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_formulas
+from mucut.corpus import random_formulas
 from mucut.kernel import atom, natom, prime, sort_key
 from mucut import sequents
 from mucut.proofs import Axiom, Observation

@@ -9,12 +9,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import LITERALS, cut_chain, cut_tree, deep_cut_chain, random_formulas, run_cli
+from conftest import LITERALS, run_cli
 from mucut import sexpr
 from mucut.cli import EXIT_PARSE
 from mucut.checker import check_finite
 from mucut.collapse import pipeline
-from mucut.corpus import CORPUS, lemma_suite
+from mucut.corpus import (
+    CORPUS,
+    cut_chain,
+    cut_tree,
+    deep_cut_chain,
+    lemma_suite,
+    random_formulas,
+)
 from mucut.embed import identity_mu, identity_mu_primed
 from mucut.kernel import TOP, atom, natom, negate, prime, substitute
 from mucut.proofs import (
@@ -318,16 +325,8 @@ def _small_proofs():
     yield top_intro(())
     for build in CORPUS.values():
         yield build()
-    a, b = atom(1), atom(2)
-    yield cut_node(
-        seq(TOP), a, top_intro((a,)), top_intro((natom(1),))
-    )
-    yield cut_node(
-        seq(TOP),
-        a,
-        cut_node(seq(a, TOP), b, top_intro((a, b)), top_intro((a, natom(2)))),
-        top_intro((natom(1),)),
-    )
+    yield cut_tree((atom(1),))
+    yield cut_chain((natom(1), natom(2)), mirror=True)
 
 
 _DUMPS = [proof_dumps(p) for p in _small_proofs()]

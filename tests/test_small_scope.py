@@ -1,26 +1,20 @@
 """A small-scope sweep: every closed mu-rooted formula up to size 5 over
-p0, p1 and their negations, through the fixed-point axiom and the
-top-invariant induction cut of the benchmark's generator, passes the
-pipeline's verdict, and the level bound its S check keeps is the one a
-fresh walk finds.  There is no skip list.  The sweep up to size 6 is
-marked `sweep` and deselected by default; run it with `-m sweep`."""
+p0, p1 and their negations, through the builders `axmu` and
+`top_induction_cut` of `mucut.corpus`, passes the pipeline's verdict,
+and the level bound its S check keeps is the one a fresh walk finds.
+There is no skip list.  The sweep up to size 6 is marked `sweep` and
+deselected by default; run it with `-m sweep`."""
 
 from __future__ import annotations
 
-import sys
-from pathlib import Path
-
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "pipebench")]
-
-from gen import axmu, top_induction_cut  # noqa: E402
-from mucut.checker import check_finite, level_bound  # noqa: E402
-from mucut.collapse import pipeline, verdict  # noqa: E402
-from mucut.kernel import X, atom, has_free_var, natom  # noqa: E402
-from mucut.sexpr import proof_dumps, proof_loads  # noqa: E402
-from mucut.syntax import print_form  # noqa: E402
+from mucut.checker import check_finite, level_bound
+from mucut.collapse import pipeline, verdict
+from mucut.corpus import axmu, top_induction_cut
+from mucut.kernel import X, atom, has_free_var, natom
+from mucut.sexpr import proof_dumps, proof_loads
+from mucut.syntax import print_form
 
 LEAVES = (atom(0), atom(1), natom(0), natom(1), X)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_formulas
+from mucut.corpus import random_formulas
 from mucut.kernel import TOP, prime
 from mucut.syntax import ParseError, parse_form, parse_formula, print_form
 
