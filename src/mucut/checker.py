@@ -178,7 +178,7 @@ def outside_l0(sequents, known=frozenset()):
     nub binder.  Each distinct formula is tested once.  Given known, a set
     of formulas already found inside, those are not tested again and
     known gains the ones found inside now."""
-    forms = set().union(*[s._set for s in sequents]) - known
+    forms = set().union(*sequents) - known
     out = {f for f in forms if max_nubar_level(f) >= 0}
     known |= forms - out
     return out
@@ -221,15 +221,14 @@ def _check_premise(st, at, got, c, principal, parts, what):
     members, whose hashes the sets keep: got lies between c plus the
     parts and that set less the principal.  The expected sequents are
     built only to word a violation."""
-    members = got._set
-    upper = c._set.union(parts)
-    if members <= upper:
-        missing = len(upper) - len(members)
+    upper = frozenset.union(c, parts)
+    if got <= upper:
+        missing = len(upper) - len(got)
         if not missing:
             return
         if missing == 1:
             # only the principal may be missing, and only if it is no part
-            (gone,) = upper - members
+            (gone,) = upper - got
             if gone == principal and principal not in parts:
                 return
     shapes = (c.union(parts),)
@@ -268,9 +267,9 @@ def _box_premise(st, path, o, system, vouched):
         Sequent((principal,))  # a malformed principal raises here
     # compare sets: the diamond image of the premise with or without its
     # body, the principal and the side
-    rest = o.rule.side._set | {principal}
-    image = got.dia()._set
-    if c._set != image | rest and c._set != (image - {("dia", a)}) | rest:
+    rest = o.rule.side | {principal}
+    image = got.dia()
+    if c != image | rest and c != (image - {("dia", a)}) | rest:
         st.flag(
             path,
             "box conclusion %r does not match the diamond image of its premise %r"
@@ -410,7 +409,7 @@ def _judge(system, st, path, o):
         else:
             if (
                 system.k is None
-                and not c._set <= st.known
+                and not c <= st.known
                 and outside_l0((c,), st.known)
             ):
                 st.flag(path, "conclusion uses the primed language outside omega systems")
@@ -505,7 +504,7 @@ def level_bound(p):
     check_finite or from one walk that visits each node once."""
     kept = p.kept()
     if "level" not in kept:
-        forms = set().union(*[q.conclusion._set for q in finite_nodes(p)])
+        forms = set().union(*[q.conclusion for q in finite_nodes(p)])
         kept["level"] = max(map(level, forms), default=0)
     return kept["level"]
 

@@ -83,9 +83,7 @@ def weaken(d, extra):
     A pending weakening of base by e0 composes with this one: the result
     is one pending weakening of base by e0 + extra, since weakening twice
     is weakening once by the union."""
-    if not isinstance(extra, Sequent):
-        extra = Sequent(extra)
-    extra = extra.difference(d.conclusion)
+    extra = Sequent(extra).difference(d.conclusion)
     if not extra:
         return d
     c2 = d.conclusion.union(extra)

@@ -700,7 +700,7 @@ def _embed_now(p, sel, k, cs, laws):
         phi = tag.principal
         body = phi[1]
         q = p.premises[0]
-        sp = q.conclusion.members_in([f[1] for f in sel if f[0] == "dia"]) - {body}
+        sp = q.conclusion.intersection([f[1] for f in sel if f[0] == "dia"]) - {body}
         phis = phi in sel
         if phis and body in q.conclusion:
             sp |= {body}
@@ -716,9 +716,9 @@ def _embed_now(p, sel, k, cs, laws):
 
         def fn(q, j):
             parts = premise_added(tag, j)
-            sp = q.conclusion.members_in(sel).difference(parts)
+            sp = (q.conclusion & sel).difference(parts)
             if phis:
-                sp |= q.conclusion.members_in(parts)
+                sp |= q.conclusion.intersection(parts)
             imgs = [img(x) for x in parts]
             if checked:
                 imgs = from_checked(imgs)
@@ -740,8 +740,8 @@ def _embed_now(p, sel, k, cs, laws):
             q1.conclusion.is_add(g, cf) and q2.conclusion.is_add(g, ncf),
             "cut premises do not match the cut formula",
         )
-        s1 = q1.conclusion.members_in(sel) | {cf}
-        s2 = q2.conclusion.members_in(sel) | {ncf}
+        s1 = q1.conclusion & sel | {cf}
+        s2 = q2.conclusion & sel | {ncf}
         return cut_fit(cs, cf, _embed(q1, s1, k, laws), _embed(q2, s2, k, laws))
 
     if isinstance(tag, Ind):

@@ -58,7 +58,8 @@ class DeltaFam:
 
     admits(delta, witness) is the domain predicate, checked on every entry
     (boundedly for the witness); results are memoized per (delta, witness
-    identity) with the witness pinned so memo keys stay valid.
+    identity) with the witness pinned so memo keys stay valid.  A delta
+    that is no Sequent is refused first, since it could equal a key.
     """
 
     __slots__ = ("admits", "fn", "_memo")
@@ -69,8 +70,8 @@ class DeltaFam:
         self._memo = {}
 
     def __call__(self, delta, witness):
-        if (delta, id(witness)) not in self._memo and not self.admits(
-            delta, witness
+        if not isinstance(delta, Sequent) or (
+            (delta, id(witness)) not in self._memo and not self.admits(delta, witness)
         ):
             raise InternalInvariantError(
                 "replacement-rule family argument rejected: delta=%r" % (delta,)
@@ -115,7 +116,7 @@ def _pair_flaws(field, root, shape):
         f = getattr(tag, field)
         if f[0] != root:
             return ("%s formula %s is not %s" % (tag.name, print_form(f), shape),)
-        if f in conclusion._set and negate(f) in conclusion._set:
+        if f in conclusion and negate(f) in conclusion:
             return ()
         return (
             "%s pair %s, %s not in conclusion"
@@ -129,7 +130,7 @@ def _principal_fits(tag, conclusion):
     """The condition on a rule's principal: it has the rule's root and is a
     member of the conclusion."""
     f = tag.principal
-    return f[0] == tag.root and f in conclusion._set
+    return f[0] == tag.root and f in conclusion
 
 
 def _principal_flaws(what):
@@ -203,7 +204,7 @@ def _target_flaws(tag, conclusion, k=None):
 def _omega_flaws(tag, conclusion, k=None):
     out = _target_flaws(tag, conclusion, k)
     phi = omega_phi(tag.target)
-    if phi not in conclusion._set:
+    if phi not in conclusion:
         out += ("introduced formula %s not in conclusion" % print_form(phi),)
     return out
 

@@ -13,19 +13,20 @@ sequent); members taken from an existing Sequent are trusted, and so are
 the formulas given to from_checked, whose caller has checked them
 already, or knows them to be kernel-derived parts of checked members.
 
-A Sequent is its frozenset of members.  Equality, hashing, length,
-membership and every derived operation (add, union, without,
-difference, dia, is_add and the subset tests) are set operations that
-sort nothing; a Sequent argument is read through its set, never
-iterated.  The canonical tuple is computed the first time the sequent
-is iterated, printed or indexed through forms, and then kept, so only
-the sequents something reads in order are ever sorted.
-
-Besides its members a Sequent keeps two values derived from them, each
-computed the first time it is asked for: the canonical tuple (_forms)
-and the text the observation writer gives it (_text, set by
-mucut.sexpr).  Both depend on the members alone, so a copy made with
-Sequent(s) takes them along, and equality, hashing and repr ignore them.
+A Sequent is a frozenset of its members.  Membership, length, equality,
+hashing, the subset tests, intersection and the set operators are
+frozenset's own, so a Sequent equals and hashes like the frozenset of
+its members.  add, union, without, difference and dia return Sequents,
+and union checks raw members, so set algebra that wants a plain set
+calls frozenset's method by name, as frozenset.union(s, t).  No set
+operation sorts: CPython reads a set argument's entries, never its
+__iter__.  Iteration is in canonical order; the canonical tuple (_forms)
+is computed the first time the sequent is iterated, printed or read
+through forms, and then kept, so only the sequents something reads in
+order are ever sorted.  The text the observation writer gives a sequent
+(_text, set by mucut.sexpr) is kept too.  Both depend on the members
+alone: Sequent(s) of a Sequent is s itself, and equality, hashing and
+repr ignore them.
 """
 
 from __future__ import annotations
@@ -47,43 +48,25 @@ def _check(f):
         raise ValueError("sequent formula has a free variable: %s" % print_form(f))
 
 
-def _canonical(members):
-    """The members in canonical order."""
-    return tuple(sorted(members, key=sort_key))
+def _canonical(s):
+    """The members of the sequent s in canonical order."""
+    return tuple(sorted(frozenset.__iter__(s), key=sort_key))
 
 
-def _trusted(members):
-    """A Sequent over a frozenset of checked formulas."""
-    s = object.__new__(Sequent)
-    _set_set(s, members)
-    _set_forms(s, None)
-    _set_text(s, None)
-    return s
-
-
-def _members(other):
-    """The set behind a Sequent argument; any other argument as given."""
-    return other._set if isinstance(other, Sequent) else other
-
-
-class Sequent:
+class Sequent(frozenset):
     """Immutable set of closed formulas, iterated in canonical order."""
 
-    __slots__ = ("_set", "_forms", "_text")
+    __slots__ = ("_forms", "_text")
 
-    def __init__(self, forms=()):
+    def __new__(cls, forms=()):
         if isinstance(forms, Sequent):
-            members, canon, text = forms._set, forms._forms, forms._text
-        else:
-            # dict keeps first-seen order, so the first bad member reported
-            # does not depend on hash randomization
-            distinct = dict.fromkeys(forms)
-            for f in distinct:
-                _check(f)
-            members, canon, text = frozenset(distinct), None, None
-        _set_set(self, members)
-        _set_forms(self, canon)
-        _set_text(self, text)
+            return forms
+        # dict keeps first-seen order, so the first bad member reported
+        # does not depend on hash randomization
+        distinct = dict.fromkeys(forms)
+        for f in distinct:
+            _check(f)
+        return from_checked(distinct)
 
     def __setattr__(self, name, value):
         raise AttributeError("Sequent is immutable")
@@ -93,24 +76,12 @@ class Sequent:
         """The members as a tuple in canonical order."""
         canon = self._forms
         if canon is None:
-            canon = _canonical(self._set)
+            canon = _canonical(self)
             _set_forms(self, canon)
         return canon
 
-    def __contains__(self, f):
-        return f in self._set
-
     def __iter__(self):
         return iter(self.forms)
-
-    def __len__(self):
-        return len(self._set)
-
-    def __eq__(self, other):
-        return isinstance(other, Sequent) and self._set == other._set
-
-    def __hash__(self):
-        return hash(self._set)
 
     def __repr__(self):
         return "{%s}" % ", ".join(print_form(f) for f in self.forms)
@@ -118,66 +89,55 @@ class Sequent:
     def union(self, other):
         """Union with another sequent or any iterable of formulas."""
         if isinstance(other, Sequent):
-            if other._set <= self._set:
+            if other <= self:
                 return self
-            return _trusted(self._set | other._set)
-        new = [f for f in dict.fromkeys(other) if f not in self._set]
+            return from_checked(self | other)
+        new = [f for f in dict.fromkeys(other) if f not in self]
         if not new:
             return self
         for f in new:
             _check(f)
-        return _trusted(self._set.union(new))
+        return from_checked(frozenset.union(self, new))
 
     def add(self, f):
-        if f in self._set:
+        if f in self:
             return self
         _check(f)
-        return _trusted(self._set | {f})
+        return from_checked(self | {f})
 
     def is_add(self, g, f):
         """self == g.add(f), answered by membership when it holds: f is a
         member, g is a subset and the sizes agree.  Otherwise g.add(f) is
         built and compared, so an invalid f raises as add does."""
-        grown = len(self._set) - len(g._set)
-        if f in self._set and grown == (f not in g._set) and g._set <= self._set:
+        grown = len(self) - len(g)
+        if f in self and grown == (f not in g) and g <= self:
             return True
         return self == g.add(f)
 
     def without(self, f):
         """Remove f if present (no error when absent)."""
-        if f not in self._set:
+        if f not in self:
             return self
-        return _trusted(self._set - {f})
+        return from_checked(self - {f})
 
     def difference(self, other):
-        drop = self._set.intersection(_members(other))
+        drop = self.intersection(other)
         if not drop:
             return self
-        return _trusted(self._set - drop)
-
-    def issubset(self, other):
-        return self._set.issubset(_members(other))
-
-    def issuperset(self, other):
-        return self._set.issuperset(_members(other))
-
-    def members_in(self, other):
-        """The members that are also in other, as a frozenset."""
-        return self._set.intersection(_members(other))
+        return from_checked(self - drop)
 
     def dia(self):
         """The sequent {<>A : A in self}: <>A is closed and valid when A is."""
-        return _trusted(frozenset([("dia", f) for f in self._set]))
+        return from_checked([("dia", f) for f in frozenset.__iter__(self)])
 
     def level(self):
-        return max(map(level, self._set), default=0)
+        return max(map(level, frozenset.__iter__(self)), default=0)
 
     def max_nubar_level(self):
-        return max(map(max_nubar_level, self._set), default=-1)
+        return max(map(max_nubar_level, frozenset.__iter__(self)), default=-1)
 
 
 # Slot setters: the descriptors' own, which the __setattr__ guard cannot see.
-_set_set = Sequent._set.__set__
 _set_forms = Sequent._forms.__set__
 _set_text = Sequent._text.__set__
 
@@ -186,8 +146,12 @@ def from_checked(forms):
     """The Sequent of forms, each already known to be a valid closed
     formula (as parse_formula returns them, or as a kernel operation
     derives them from checked members): duplicates are dropped, but
-    nothing is checked again."""
-    return _trusted(frozenset(forms))
+    nothing is checked again.  A set or dict argument's entries are
+    copied with their stored hashes, so no formula is hashed again."""
+    s = frozenset.__new__(Sequent, forms)
+    _set_forms(s, None)
+    _set_text(s, None)
+    return s
 
 
 def seq(*forms):

@@ -24,7 +24,7 @@ from mucut.checker import (
     omega_system,
     subformula_report,
 )
-from mucut.collapse import collapse, pipeline
+from mucut.collapse import collapse
 from mucut.corpus import CORPUS, lemma_suite, random_formulas
 from mucut.cutelim import DEFAULT_FUEL, eliminate
 from mucut.embed import (

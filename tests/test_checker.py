@@ -1201,7 +1201,7 @@ def test_check_finite_asks_each_distinct_formula_once_for_the_l0_test():
     forms, cuts, todo = set(), 0, [p]
     while todo:
         q = todo.pop()
-        forms |= q.conclusion._set
+        forms |= q.conclusion
         cuts += isinstance(q._force()[0], Cut)
         todo.extend(q.premises)
     assert check_finite(p).ok  # the kernel's memo now holds every formula

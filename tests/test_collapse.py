@@ -4,6 +4,7 @@ proof."""
 from __future__ import annotations
 
 import gc
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -277,6 +278,22 @@ def test_nested_passes_at_its_level(n):
     assert level_bound(p) == n
     v = verdict(p, pipeline(p), 14, (0, 1, 2, 3))
     assert v.passed, (v.error, [stage.failure for stage in v.stages])
+
+
+@pytest.mark.parametrize(
+    "build", list(CORPUS.values()) + [partial(nested, n) for n in range(2, 6)],
+    ids=list(CORPUS) + ["nested(%d)" % n for n in range(2, 6)],
+)
+def test_a_verdict_that_passes_at_a_depth_passes_below_it(build):
+    # the judge is local.  Depths go down on one pipeline, so each verdict
+    # reads windows of stages that deeper ones forced, and it must agree
+    # with the verdict on a fresh pipeline
+    p = build()
+    stages = pipeline(p)
+    passed = {d: verdict(p, stages, d).passed for d in range(8, 0, -1)}
+    for d in range(1, 8):
+        assert passed[d] or not passed[d + 1], d
+        assert verdict(p, pipeline(p), d).passed == passed[d], d
 
 
 def test_nested_needs_two_levels():

@@ -1,20 +1,21 @@
-"""Every name a module of the package imports is used in that module,
-every private module-level name is used somewhere in the package, and
-every public function or class in the package, the tests or pipebench.
+"""Every name a module of the package or of the tests imports is used in
+that module, every private module-level name is used somewhere in the
+package, and every public function or class in the package, the tests or
+pipebench.
 
 No linter ships with the project, so this reads each module's syntax tree:
 a name bound by an import must occur as a name somewhere in the module.
-`__init__.py` is left out, since its imports are re-exports.  A private
-name (`_x`) that a module defines at its top level must be read somewhere
-in the package besides its own definition, and a public function or class
-somewhere in the package, the tests or pipebench besides its own
-definition, so a deletion leaves no orphan behind.  `__all__` names
-exactly what `__init__.py` imports, plus `__version__`, so a deleted
-function leaves no stale export behind.  Importing the package and its
-command line loads no `dataclasses`, which with the modules it imports
-would cost a third of the import, and the package alone does not load
-`mucut.corpus`.  No test imports a module of the benchmark or edits
-`sys.path`: what both need lives in the package.
+The package's `__init__.py` is left out, since its imports are
+re-exports.  A private name (`_x`) that a module defines at its top level
+must be read somewhere in the package besides its own definition, and a
+public function or class somewhere in the package, the tests or
+pipebench besides its own definition, so a deletion leaves no orphan
+behind.  `__all__` names exactly what `__init__.py` imports, plus
+`__version__`, so a deleted function leaves no stale export behind.
+Importing the package and its command line loads no `dataclasses`, which
+with the modules it imports would cost a third of the import, and the
+package alone does not load `mucut.corpus`.  No test imports a module of
+the benchmark or edits `sys.path`: what both need lives in the package.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "mucut"
-MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+IMPORTERS = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+IMPORTERS += sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source):
@@ -56,10 +58,9 @@ def test_unused_imports_are_found():
     assert unused_imports(source) == ["d", "os", "regex"]
 
 
-@pytest.mark.parametrize("name", MODULES)
-def test_module_uses_every_import(name):
-    source = (PACKAGE / name).read_text(encoding="utf-8")
-    assert unused_imports(source) == []
+@pytest.mark.parametrize("path", IMPORTERS, ids=lambda p: p.name)
+def test_module_uses_every_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
 def private_definitions(source):

@@ -23,7 +23,6 @@ from mucut.proofs import (
     Observation,
     OmegaBar,
     OmegaBarPrem,
-    OmegaFam,
     Or,
     Proof,
     ax,
@@ -342,6 +341,30 @@ def test_delta_fam_gate_and_memo():
     assert len(calls) == 1
     with pytest.raises(InternalInvariantError):
         fam(Sequent((t,)), witness)  # rejected argument
+
+
+def test_a_frozenset_equals_its_sequent_but_is_refused_where_a_sequent_is_required():
+    t = prime(pf("mu X . (p1 | X)"))
+    delta, witness = canonical_probe(t)
+    plain = frozenset(delta)
+    assert type(plain) is frozenset
+    assert plain == delta and delta == plain and hash(plain) == hash(delta)
+    # as a proof conclusion
+    pair = frozenset((atom(1), natom(1)))
+    for build in (
+        lambda: Proof.make(pair, Axiom(atom(1)), ()),
+        lambda: Proof.defer(pair, lambda: ax(seq(*pair), atom(1))),
+        lambda: ax(pair, atom(1)),
+    ):
+        with pytest.raises(InternalInvariantError, match="must be a Sequent"):
+            build()
+    # as a family delta, also once the equal Sequent is in the family's memo
+    admits = standard_admits(1, t)
+    assert admits(delta, witness) and not admits(plain, witness)
+    fam = DeltaFam(admits, lambda d, w: top_intro(()))
+    fam(delta, witness)
+    with pytest.raises(InternalInvariantError, match="rejected"):
+        fam(plain, witness)
 
 
 def test_omegabar_first_premise():

@@ -13,7 +13,7 @@ from conftest import LITERALS, run_cli
 from mucut import sexpr
 from mucut.cli import EXIT_PARSE
 from mucut.checker import check_finite
-from mucut.collapse import pipeline
+from mucut.collapse import pipeline, verdict
 from mucut.corpus import (
     CORPUS,
     cut_chain,
@@ -966,7 +966,7 @@ def test_observing_and_writing_sorts_only_the_window(monkeypatch):
         if isinstance(node.rule, Box):
             window.append(node.rule.side)
     assert 0 < len(sorted_sets) <= len(window)
-    assert set(sorted_sets) <= {s._set for s in window}
+    assert set(sorted_sets) <= set(window)
 
 
 # ---------------------------------------------------------------------------
@@ -979,21 +979,44 @@ def _kept_text_inputs():
     fixed-point axiom on a formula whose identity law has box rules (its
     first three stages are one object)."""
     m = pf("mu X . ([] X | <> p1)")
-    return [proof_dumps(CORPUS["nested"]()), proof_dumps(axmu_node(seq(m, negate(m)), m))]
+    return {
+        "nested": proof_dumps(CORPUS["nested"]()),
+        "axmu-box": proof_dumps(axmu_node(seq(m, negate(m)), m)),
+    }
 
 
-@pytest.mark.parametrize("text", _kept_text_inputs(), ids=["nested", "axmu-box"])
-def test_stage_texts_do_not_depend_on_the_order_they_are_written(text):
+_KEPT_TEXTS = _kept_text_inputs()
+# every corpus proof, and the two whose windows share their values
+_ORDER_TEXTS = {name: proof_dumps(build()) for name, build in CORPUS.items()} | _KEPT_TEXTS
+
+
+def _verdict_reading(p, stages, depth):
+    """What verdict reads off the stages at the depth, windows as text."""
+    v = verdict(p, stages, depth)
+    judged = [(s.name, s.system, s.failure, observation_dumps(s.window)) for s in v.stages]
+    return v.passed, v.error, v.cut_free, v.nubar_free, judged
+
+
+@pytest.mark.parametrize("name", list(_ORDER_TEXTS))
+def test_stage_texts_do_not_depend_on_the_order_they_are_written(name):
+    # observing the four stages in any order gives the texts of fresh
+    # pipelines, and a verdict reads the same before and after
+    text = _ORDER_TEXTS[name]
     stages = ("embedded", "eliminated", "collapsed", "sinf")
-    first, second = pipeline(proof_loads(text)), pipeline(proof_loads(text))
+    p = proof_loads(text)
+    first, second = pipeline(p), pipeline(proof_loads(text))
+    before = _verdict_reading(p, first, 6)
     forward = [observation_dumps(observe(first[s], 8)) for s in stages]
     backward = [observation_dumps(observe(second[s], 8)) for s in reversed(stages)]
     assert forward == backward[::-1]
+    assert _verdict_reading(p, first, 6) == before
+    assert before[0]
     fresh = pipeline(proof_loads(text))
     assert forward == [
         _ref_dumps(_ref_observation(observe(fresh[s], 8))) + "\n" for s in stages
     ]
-    assert any("(box " in t for t in forward) or any("(probes (seq" in t for t in forward)
+    shares = any("(box " in t for t in forward) or any("(probes (seq" in t for t in forward)
+    assert shares == (name in _KEPT_TEXTS)
 
 
 def _nodes(p):
@@ -1005,7 +1028,7 @@ def _nodes(p):
     return seen
 
 
-@pytest.mark.parametrize("text", _kept_text_inputs(), ids=["nested", "axmu-box"])
+@pytest.mark.parametrize("text", _KEPT_TEXTS.values(), ids=_KEPT_TEXTS)
 def test_proof_dumps_keeps_no_text(text):
     # the tag memo may hold tags that an earlier observation wrote
     sexpr._finite_tag.cache_clear()
