@@ -35,8 +35,9 @@ The operations that sequents, the printer, the checker and the proof
 transformations apply again and again to the same formulas (sort_key,
 has_free_var, level, max_nubar_level, negate, prime) are memoized, each
 in an LRU cache of 4096 entries; syntax.print_form, its inverse
-syntax.parse_formula (keyed by text) and sexpr._finite_tag (the rule
-tag of a proof file's tag text) are too.  A cache compares keys by ==,
+syntax.parse_formula (keyed by text), sexpr._finite_tag (the rule tag
+of a proof file's tag text) and sexpr._memo_seq_text (the observation
+writer's text of a sequent) are too.  A cache compares keys by ==,
 and ('atom', True) and ('atom', 1.0) both equal ('atom', 1), so it may
 answer for one what it computed for another.  That is harmless where
 the answer is an int, a bool, an int tuple or text.  negate and prime

@@ -234,14 +234,9 @@ class _Tag:
     """What every rule tag shares: a tag is a value of its fields (the
     rule's arguments, the parameters of its __init__), equal only to a tag
     of its own class with equal fields, hashed by them and written as
-    Or(principal=...).  No field can be assigned.
+    Or(principal=...).  No field can be assigned, and a tag keeps nothing
+    else."""
 
-    A tag also keeps the text the observation writer gives it, in `_text`
-    (None until mucut.sexpr sets it on the instance).  It is a class
-    attribute, not a field, so equality, hashing, repr and every table
-    built from `fields` leave it out."""
-
-    _text = None
     __eq__ = _eq
 
     def __hash__(self):

@@ -23,10 +23,9 @@ operation sorts: CPython reads a set argument's entries, never its
 __iter__.  Iteration is in canonical order; the canonical tuple (_forms)
 is computed the first time the sequent is iterated, printed or read
 through forms, and then kept, so only the sequents something reads in
-order are ever sorted.  The text the observation writer gives a sequent
-(_text, set by mucut.sexpr) is kept too.  Both depend on the members
-alone: Sequent(s) of a Sequent is s itself, and equality, hashing and
-repr ignore them.
+order are ever sorted.  It depends on the members alone: Sequent(s) of a
+Sequent is s itself, equality and hashing ignore it, and a copy or a
+pickle carries the members only, checked again when it is rebuilt.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ def _canonical(s):
 class Sequent(frozenset):
     """Immutable set of closed formulas, iterated in canonical order."""
 
-    __slots__ = ("_forms", "_text")
+    __slots__ = ("_forms",)
 
     def __new__(cls, forms=()):
         if isinstance(forms, Sequent):
@@ -70,6 +69,10 @@ class Sequent(frozenset):
 
     def __setattr__(self, name, value):
         raise AttributeError("Sequent is immutable")
+
+    def __reduce__(self):
+        # the members alone: the __setattr__ guard refuses slot state
+        return Sequent, (tuple(frozenset.__iter__(self)),)
 
     @property
     def forms(self):
@@ -137,9 +140,8 @@ class Sequent(frozenset):
         return max(map(max_nubar_level, frozenset.__iter__(self)), default=-1)
 
 
-# Slot setters: the descriptors' own, which the __setattr__ guard cannot see.
+# The slot setter: the descriptor's own, which the __setattr__ guard cannot see.
 _set_forms = Sequent._forms.__set__
-_set_text = Sequent._text.__set__
 
 
 def from_checked(forms):
@@ -150,7 +152,6 @@ def from_checked(forms):
     copied with their stored hashes, so no formula is hashed again."""
     s = frozenset.__new__(Sequent, forms)
     _set_forms(s, None)
-    _set_text(s, None)
     return s
 
 

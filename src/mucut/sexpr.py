@@ -15,6 +15,11 @@ reader (loads, then sx_to_proof), so values and errors do not depend on
 which reader ran.  Both read formula texts through the parse_formula
 memo; the fast reader keeps one member table per file in front of it,
 so a member text repeated in a file is a dict lookup.
+
+The observation writer prints each conclusion and probe Delta through a
+kernel memo, so windows that share sequents (the stages of one pipeline)
+print each once; the values themselves keep no text.  Rule tags, box
+sides included, are written afresh, and proof_dumps keeps nothing.
 """
 
 from __future__ import annotations
@@ -143,39 +148,22 @@ def _seq_text(s):
     return '(seq "%s")' % '" "'.join(texts) if texts else "(seq)"
 
 
-def _kept_seq_text(s):
-    """_seq_text(s), printed the first time the observation writer meets s
-    and then kept on it, as Sequent keeps its canonical tuple."""
-    text = s._text
-    if text is None:
-        text = _seq_text(s)
-        object.__setattr__(s, "_text", text)
-    return text
+# The observation writer's: equal sequents print alike, so one text
+# serves every window that shows one of them.
+_memo_seq_text = memo(_seq_text)
 
 
-def _tag_text(tag, keep=False):
-    """The text of a rule tag; with keep, its Sequent argument is written
-    through the sequent's kept text."""
+def _tag_text(tag):
+    """The text of a rule tag."""
     rule = _RULES.get(getattr(type(tag), "name", None))
     if rule is None or rule[0] is not type(tag):
         raise TypeError("unknown tag: %r" % (tag,))
     _, _, _, text, get, writers = rule
-    writers = writers[keep]
     # most tags have one argument, which get gives as it is: written with
     # one format and one call, and no list or tuple built per tag
     if len(writers) == 1:
         return text % writers[0](get(tag))
     return text % tuple([write(arg) for write, arg in zip(writers, get(tag))])
-
-
-def _kept_tag_text(tag):
-    """_tag_text(tag), written the first time the observation writer meets
-    tag and then kept on it (proofs._Tag declares `_text`)."""
-    text = getattr(tag, "_text", None)
-    if text is None:
-        text = _tag_text(tag, True)
-        object.__setattr__(tag, "_text", text)
-    return text
 
 
 def _write(root, parts):
@@ -220,29 +208,25 @@ def sx_to_seq(sx):
 
 
 # Each kind of rule argument, by the type of the tag field that holds it:
-# its slot in the rule's text, its writer and the writer that keeps the
-# text, the type of the s-expression it is read from, its reader, and how
-# a usage message names it.
+# its slot in the rule's text, its writer, the type of the s-expression it
+# is read from, its reader, and how a usage message names it.
 _KINDS = {
-    "tuple": ('"%s"', print_form, print_form, str, parse_formula, "a quoted formula"),
-    "Sequent": (
-        "%s", _seq_text, _kept_seq_text, list, sx_to_seq, "a (seq ...) side"
-    ),
-    "int": ("%s", dumps, dumps, int, int, "an integer level"),
+    "tuple": ('"%s"', print_form, str, parse_formula, "a quoted formula"),
+    "Sequent": ("%s", _seq_text, list, sx_to_seq, "a (seq ...) side"),
+    "int": ("%s", dumps, int, int, "an integer level"),
 }
 
 
 def _entry(cls):
     """A rule's entry in the table: its tag class, its usage message, the
     expression type and reader of each argument in order, the format of
-    its text, the getter of its arguments, and their writers and the
-    writers that keep the text, as a pair."""
+    its text, the getter of its arguments, and their writers."""
     kinds = [_KINDS[kind] for _, kind in cls.fields]
-    slots, writers, kept, types, readers, whats = zip(*kinds)
+    slots, writers, types, readers, whats = zip(*kinds)
     text = "(%s)" % " ".join((cls.name,) + slots)
     usage = "%s takes %s" % (cls.name, " and ".join(whats))
     args = tuple(zip(types, readers))
-    return cls, usage, args, text, cls._values, (writers, kept)
+    return cls, usage, args, text, cls._values, writers
 
 
 # Every rule by its s-expression name.
@@ -316,8 +300,9 @@ def _proof_parts(p):
 
 
 def proof_dumps(p):
-    """The text of a finite proof.  Unlike observation_dumps it keeps no
-    text on the proof's values: a proof file is written once."""
+    """The text of a finite proof.  Unlike observation_dumps it prints its
+    sequents past the memo: a proof file is written once, and a batch of
+    them would only crowd out the windows' texts."""
     return _write(p, _proof_parts)
 
 
@@ -427,19 +412,18 @@ def _observation_parts(o):
     if o.sampled is not None:
         tail += " " + dumps([_SAMPLES, *o.sampled])
     if o.probes is not None:
-        tail += " (probes%s)" % "".join(" " + _kept_seq_text(d) for d in o.probes)
+        tail += " (probes%s)" % "".join(" " + _memo_seq_text(d) for d in o.probes)
     if o.truncated:
         tail += " (truncated)"
-    head = "(rule %s %s" % (_kept_tag_text(o.rule), _kept_seq_text(o.conclusion))
+    head = "(rule %s %s" % (_tag_text(o.rule), _memo_seq_text(o.conclusion))
     return head, o.children, tail + ")"
 
 
 def observation_dumps(o):
     """The text of an observation, kept on the window, so a repeated
-    request writes nothing again.  The text of each conclusion, probe
-    Delta and rule tag is kept on the value the first time it is written,
-    so windows that share values (the stages of one pipeline) print each
-    once."""
+    request writes nothing again.  Each conclusion and probe Delta is
+    printed through the _memo_seq_text memo, so windows that share
+    sequents (the stages of one pipeline) print each once."""
     return o.keep("text", _write, o, _observation_parts)
 
 

@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 
 from mucut.checker import (
     check_bounded,
+    check_finite,
     check_observation,
     level_bound,
     omega_system,
 )
-from mucut.corpus import CORPUS, lemma_suite
+from mucut.collapse import pipeline, verdict
+from mucut.corpus import CORPUS, cut_chain, cut_tree, lemma_suite, nested
 from mucut.cutelim import weaken
 from mucut.embed import (
     apply_sigma,
@@ -29,10 +31,11 @@ from mucut.embed import (
     monotone_primed,
 )
 from mucut.errors import InternalInvariantError
-from mucut.kernel import TOP, atom, level, negate, prime, substitute
+from mucut.kernel import TOP, atom, level, natom, negate, prime, substitute
 from mucut.proofs import (
     AxiomMu,
     Box,
+    Cut,
     DeltaFam,
     Ind,
     Nu,
@@ -44,6 +47,7 @@ from mucut.proofs import (
     axmu_node,
     box_node,
     is_cut_free_observed,
+    make_node,
     observation_errors,
     observation_rules,
     observe,
@@ -52,7 +56,7 @@ from mucut.proofs import (
     top_intro,
 )
 from mucut.sequents import Sequent, seq
-from mucut.sexpr import observation_dumps
+from mucut.sexpr import observation_dumps, proof_dumps
 from mucut.syntax import parse_form
 from mucut.syntax import parse_formula as pf
 
@@ -433,3 +437,40 @@ def test_a_dropped_embedding_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _cuts_reversed(p):
+    """The finite proof p with the premises of every cut in the other order."""
+    premises = tuple(_cuts_reversed(q) for q in p.premises)
+    if isinstance(p.rule, Cut):
+        premises = premises[::-1]
+    return make_node(p.conclusion, p.rule, premises)
+
+
+_CUT_INPUTS = {
+    "cut-tree": lambda: cut_tree([atom(1), natom(2), atom(3)]),
+    "cut-chain": lambda: cut_chain([atom(1), natom(2), atom(3)]),
+    "nested(2)": lambda: nested(2),
+    "nested(3)": lambda: nested(3),
+    "top-cut": CORPUS["top-cut"],
+    "ind-top": CORPUS["ind-top"],
+}
+
+
+@pytest.mark.parametrize("name", _CUT_INPUTS)
+def test_the_order_of_cut_premises_changes_nothing(name):
+    # the checker takes a cut's premises in either order and embed puts
+    # the one with the cut formula first, so every stage text, every
+    # reduction step and the verdict are those of the input as built
+    p = _CUT_INPUTS[name]()
+    q = _cuts_reversed(p)
+    assert check_finite(q).ok
+    assert (proof_dumps(q) != proof_dumps(p)) == (name != "ind-top")
+    runs = []
+    for d in (p, q):
+        steps = []
+        stages = pipeline(d, trace=lambda *step: steps.append(step))
+        texts = [observation_dumps(observe(s, 6)) for s in stages.values()]
+        runs.append((texts, steps, verdict(d, stages, 6).passed))
+    assert runs[0] == runs[1]
+    assert runs[0][2]

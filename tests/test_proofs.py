@@ -10,7 +10,6 @@ from mucut.corpus import CORPUS
 from mucut.errors import FuelExhausted, InternalInvariantError
 from mucut.kernel import TOP, atom, iterate, natom, negate, prime, substitute
 from mucut.proofs import (
-    ALL_TAGS,
     FIRST,
     Axiom,
     Box,
@@ -20,7 +19,6 @@ from mucut.proofs import (
     Ind,
     Nu,
     Omega,
-    Observation,
     OmegaBar,
     OmegaBarPrem,
     Or,
@@ -626,15 +624,18 @@ def test_observe_forces_each_observed_node_once(monkeypatch, depth):
     assert len(forced) == len(observation_rules(o)) == len(set(map(id, forced)))
 
 
-def test_kept_tag_text_is_not_a_field():
-    a, b = Or(TOP), Or(TOP)
-    observation_dumps(Observation(seq(TOP), a))
-    assert a._text == '(or "%s")' % print_form(TOP)
-    assert b._text is None
-    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
-    for cls in ALL_TAGS:
-        assert cls._text is None
-        assert "_text" not in [name for name, _ in cls.fields]
+def test_writing_a_window_stores_nothing_on_its_tags():
+    # the stages of a cut at two levels, and of a fixed-point axiom whose
+    # identity law has box rules with sides
+    m = pf("mu X . ([] X | <> p1)")
+    inputs = (CORPUS["nested"](), axmu_node(seq(m, negate(m)), m))
+    windows = [observe(p, 6) for d in inputs for p in pipeline(d).values()]
+    tags = [r for o in windows for r in observation_rules(o) if r is not None]
+    assert any(isinstance(r, Box) for r in tags)
+    before = [dict(vars(r)) for r in tags]
+    for o in windows:
+        observation_dumps(o)
+    assert [vars(r) for r in tags] == before
 
 
 # ---------------------------------------------------------------------------

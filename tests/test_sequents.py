@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -59,21 +62,34 @@ def test_immutability():
         s.forms = ()
 
 
-@pytest.mark.parametrize("name", ["_forms", "_text", "other"])
+@pytest.mark.parametrize("name", ["_forms", "other"])
 def test_no_attribute_can_be_assigned(name):
-    # the slots are set through their descriptors inside the module only
+    # the slot is set through its descriptor inside the module only
     for s in (seq(atom(1), natom(2)), from_checked([atom(1), natom(2)])):
-        before = (frozenset(s), s._forms, s._text)
+        before = (frozenset(s), s._forms)
         with pytest.raises(AttributeError):
             setattr(s, name, None)
-        assert (frozenset(s), s._forms, s._text) == before
+        assert (frozenset(s), s._forms) == before
 
 
-def test_a_copy_carries_the_kept_tuple_and_text():
+def test_a_copy_carries_the_kept_tuple():
     s = from_checked([natom(2), atom(1)])
-    observation_dumps(Observation(s, Axiom(atom(1))))
-    assert s._forms == (atom(1), natom(2)) and s._text is not None
+    assert list(s) == [atom(1), natom(2)]
+    assert s._forms == (atom(1), natom(2))
     assert Sequent(s) is s
+
+
+def test_copies_and_pickles_rebuild_the_sequent_from_its_members():
+    s = seq(pf("mu X . X"), natom(2), atom(1))
+    assert list(s) == [atom(1), natom(2), pf("mu X . X")]
+    for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert type(twin) is Sequent and twin == s and hash(twin) == hash(s)
+        assert list(twin) == list(s)
+    # rebuilt by the checking constructor from the members alone
+    build, (members,) = s.__reduce__()
+    assert build is Sequent and set(members) == set(s)
+    with pytest.raises(ValueError):
+        build(members + (("var",),))
 
 
 def test_from_checked_sorts_once_on_first_iteration(monkeypatch):
@@ -270,13 +286,8 @@ def test_is_add_raises_as_add_does():
 def test_kept_text_is_ignored_by_equality_hashing_and_copies():
     s, t = seq(atom(1), natom(2)), seq(natom(2), atom(1))
     text = observation_dumps(Observation(s, Axiom(atom(1))))
-    assert s._text is not None and s._text in text
-    assert t._text is None
     assert s == t and hash(s) == hash(t) and repr(s) == repr(t)
-    copy = Sequent(s)
-    assert copy == s == t and hash(copy) == hash(t)
-    assert observation_dumps(Observation(copy, Axiom(atom(1)))) == text
-    # a sequent with other members starts with no text
-    assert s.add(atom(3))._text is None
-    assert s.without(atom(1))._text is None
+    same = Sequent(s)
+    assert same == s == t and hash(same) == hash(t)
+    assert observation_dumps(Observation(same, Axiom(atom(1)))) == text
     assert s.union(t) is s

@@ -612,6 +612,17 @@ def test_proof_loads_matches_the_general_reader_oracles():
     ):
         got = _proof_outcome(proof_loads, text)
         assert got == _proof_outcome(_general, text), text
+    # an empty conclusion right after a node head, at the root, below an
+    # or node and under a cut: the node reader reads each as the general
+    # reader does
+    for text in (
+        '(rule (axiom "p0") (seq))',
+        '(rule (or "(p0 | ~p0)") (seq "(p0 | ~p0)") (rule (axiom "p0") (seq)))',
+        '(rule (cut "p1") (seq) (rule (axiom "p0") (seq "p1")) (rule (axiom "p0") (seq "~p1")))',
+    ):
+        fast = sexpr._proof_from_text(text)
+        assert fast is not None, text
+        assert proof_dumps(fast) == proof_dumps(_general(text)) == text + "\n"
     # conclusions whose members are set off by anything but one space
     for group in (
         '(seq "p0" )',
@@ -944,7 +955,10 @@ def test_check_reads_a_deep_cut_chain(tmp_path):
 def test_observing_and_writing_sorts_only_the_window(monkeypatch):
     # sequents are ordered when read: observing the eliminated stage of a
     # 50-cut chain and writing it sorts each sequent of the window at most
-    # once, and no sequent the elimination built but did not show
+    # once, and no sequent the elimination built but did not show; the
+    # writer's memo starts empty, or sequents equal to ones that earlier
+    # tests wrote would be printed from it and never sorted
+    sexpr._memo_seq_text.cache_clear()
     atoms = [atom(i) if i % 2 else natom(i) for i in range(1, 51)]
     eliminated = pipeline(cut_chain(atoms))["eliminated"]
     sorted_sets = []
@@ -970,7 +984,7 @@ def test_observing_and_writing_sorts_only_the_window(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the texts the observation writer keeps on sequents and tags
+# the sequent texts the observation writer keeps in its memo
 
 
 def _kept_text_inputs():
@@ -1030,42 +1044,41 @@ def _nodes(p):
 
 @pytest.mark.parametrize("text", _KEPT_TEXTS.values(), ids=_KEPT_TEXTS)
 def test_proof_dumps_keeps_no_text(text):
-    # the tag memo may hold tags that an earlier observation wrote
-    sexpr._finite_tag.cache_clear()
+    # proof_dumps prints past the writer's memo, observation_dumps through it
+    memo = sexpr._memo_seq_text
+    memo.cache_clear()
     p = proof_loads(text)
     assert proof_dumps(p) == text
-    values = []
-    for q in _nodes(p):
-        values += [q.conclusion, q.rule]
-        if isinstance(q.rule, Box):
-            values.append(q.rule.side)
-    assert all(v._text is None for v in values)
-    assert "_text" not in vars(p.rule)
+    assert memo.cache_info().currsize == 0
     observation_dumps(observe(p, 100))
-    assert all(v._text is not None for v in values)
+    assert memo.cache_info().currsize > 0
 
 
-def test_box_sides_and_probe_deltas_are_written_through_their_kept_text():
+def _sharing_windows():
+    """A box window with a side and an omega window with a probe Delta,
+    built from fresh but equal sequents on every call."""
     q = atom(2)
     prem = ax(seq(atom(1), natom(1), q), atom(1))
     side = seq(atom(3))
     conc = side.union((("dia", atom(1)), ("dia", natom(1)), ("box", q)))
-    box = observe(box_node(conc, ("box", q), side, prem), 1)
-    delta = seq(TOP)
     target = prime(pf("mu X . (p1 | X)"))
-    omega = Observation(seq(omega_phi(target)), Omega(1, target), (), True, None, (delta,))
-    kept = '(seq "kept")'
-    object.__setattr__(side, "_text", kept)
-    object.__setattr__(delta, "_text", kept)
-    assert observation_dumps(box).startswith('(rule (box "[] p2" %s) ' % kept)
-    assert observation_dumps(omega).endswith("(probes %s) (truncated))\n" % kept)
-    # unkept, the same values are written as the writer keeps them
-    side, delta = seq(atom(3)), seq(TOP)
-    box = observe(box_node(conc, ("box", q), side, prem), 1)
-    omega = Observation(omega.conclusion, omega.rule, (), True, None, (delta,))
-    for o, value in ((box, side), (omega, delta)):
-        text = observation_dumps(o)
-        assert value._text is not None and value._text in text
+    omega = Observation(seq(omega_phi(target)), Omega(1, target), (), True, None, (seq(TOP),))
+    return observe(box_node(conc, ("box", q), side, prem), 1), omega
+
+
+def test_a_window_that_shares_sequents_with_a_written_one_is_written_from_the_memo():
+    memo = sexpr._memo_seq_text
+    first = [observation_dumps(o) for o in _sharing_windows()]
+    before = memo.cache_info()
+    second = _sharing_windows()
+    assert [observation_dumps(o) for o in second] == first
+    # two conclusions in the box window, a conclusion and a probe Delta in
+    # the omega window: each a hit, and the box side is written afresh
+    after = memo.cache_info()
+    assert (after.hits - before.hits, after.misses) == (4, before.misses)
+    assert first[0].startswith('(rule (box "[] p2" (seq "p3")) ')
+    assert first[1].endswith('(probes (seq "%s")) (truncated))\n' % print_form(TOP))
+    for o, text in zip(second, first):
         assert text == _ref_dumps(_ref_observation(o)) + "\n"
 
 
