@@ -13,9 +13,13 @@ collapse(p, 0) on a cut-free proof leaves only the plain infinitary
 rules, so the collapsed proof is itself the S-infinity derivation; the
 S-infinity judge of the checker says whether a window of it is one.
 
-pipeline runs eliminate and collapse only where they have work: the
-embedding of a proof without cuts and inductions has neither cuts nor
-replacement rules, so it is its own eliminated and collapsed stage.
+Neither eliminate nor collapse rewrites a plain proof (Proof.plain: a
+rule of S-infinity at every node), so each returns a marked proof
+itself, at the root or at any premise, where it would otherwise copy it
+node by node.  The marked proofs are the identity laws on base-language
+formulas, truth introductions, their weakenings and the embedding of a
+proof without cuts and inductions, which is then its own eliminated and
+collapsed stage.
 
 verdict says whether one run of the pipeline passed: every stage is free
 of error leaves and checks in its own system, and the final window is
@@ -34,7 +38,7 @@ from mucut.checker import (
     level_bound,
     omega_system,
 )
-from mucut.embed import embed, embeds_plainly
+from mucut.embed import embed
 from mucut.errors import FuelExhausted, InternalInvariantError
 from mucut.proofs import (
     Axiom,
@@ -59,7 +63,10 @@ STAGES = ("embedded", "eliminated", "collapsed", "sinf")
 
 def collapse(p, h=0):
     """Remove every replacement rule of level above h from the cut-free
-    proof p, lazily, preserving the conclusion."""
+    proof p, lazily, preserving the conclusion.  A plain proof has none,
+    so it is its own result."""
+    if p.plain:
+        return p
     return Proof.defer(p.conclusion, lambda: _collapse_now(p, h))
 
 
@@ -91,7 +98,7 @@ def _collapse_now(p, h):
         raise InternalInvariantError(
             "replacement rule above the collapse level at the root"
         )
-    if isinstance(tag, (Axiom, AxiomMu)):
+    if d.plain or isinstance(tag, (Axiom, AxiomMu)):
         return d
     return map_premises(d, d.conclusion, lambda q, _: collapse(q, h))
 
@@ -104,19 +111,16 @@ def pipeline(p, fuel=DEFAULT_FUEL, trace=None):
     does not draw on it and instead allows at most MAX_PLUGS plugs at each
     node it forces.
 
-    When the embedding has no cut and no replacement rule (embeds_plainly:
-    p has no cut and no induction, and its axmu formulas are in the base
-    language), eliminate and collapse would copy it node by node: the
-    embedded proof itself is then the eliminated and the collapsed stage,
-    the same object, and no reduction, fuel or trace step is spent.  The
-    index k is level_bound(p), kept on p by check_finite or on first use."""
+    eliminate and collapse pass a plain proof through as itself, so when
+    embed marks the embedding plain (embeds_plainly: p has no cut and no
+    induction, and its axmu formulas are in the base language), the
+    embedded proof is the eliminated and the collapsed stage, the same
+    object, and no reduction, fuel or trace step is spent.  The index k is
+    level_bound(p), kept on p by check_finite or on first use."""
     k = level_bound(p)
     embedded = embed(p, frozenset(), k)
-    if embeds_plainly(p):
-        eliminated = collapsed = embedded
-    else:
-        eliminated = eliminate(embedded, fuel=fuel, trace=trace)
-        collapsed = collapse(eliminated, 0)
+    eliminated = eliminate(embedded, fuel=fuel, trace=trace)
+    collapsed = collapse(eliminated, 0)
     return dict(zip(STAGES, (embedded, eliminated, collapsed, collapsed)))
 
 

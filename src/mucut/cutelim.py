@@ -8,7 +8,9 @@ only when the case analysis needs its root: when the other premise's
 root can be commuted, the cut goes above it first; otherwise the premise
 cut is exposed, the f1 side first.  Cuts waiting for an exposed premise
 are kept on an explicit stack, so nested cuts take no Python frames.
-Each single reduction, and each exposure, spends one unit of fuel.
+Each single reduction, and each exposure, spends one unit of fuel.  A
+plain proof (Proof.plain) has no cut, so it passes through as itself, at
+the root or at any premise, and spends none.
 
 A cut on formula A has premises carrying A' and (~A)' (priming is the
 identity on the base language, so plain finite proofs are covered by the
@@ -56,6 +58,7 @@ from mucut.proofs import (
     box_node,
     make_node,
     map_premises,
+    mark_plain,
     omega_phi,
     omegabar_node,
     parts_checked,
@@ -82,7 +85,8 @@ def weaken(d, extra):
     sequent; induction nodes admit no context and cannot be weakened).
     A pending weakening of base by e0 composes with this one: the result
     is one pending weakening of base by e0 + extra, since weakening twice
-    is weakening once by the union."""
+    is weakening once by the union.  Weakening adds no rule, so the
+    weakening of a plain proof is marked plain."""
     extra = Sequent(extra).difference(d.conclusion)
     if not extra:
         return d
@@ -91,7 +95,8 @@ def weaken(d, extra):
     if type(pending) is partial and pending.func is _weaken_now:
         d, e0, _ = pending.args
         extra = e0.union(extra)
-    return Proof.defer(c2, partial(_weaken_now, d, extra, c2))
+    out = Proof.defer(c2, partial(_weaken_now, d, extra, c2))
+    return mark_plain(out) if d.plain else out
 
 
 def _weaken_now(d, extra, c2):
@@ -425,13 +430,17 @@ def eliminate(p, fuel=DEFAULT_FUEL, trace=None):
 
 
 def _eliminate(p, budget, trace, path):
+    """p with its cuts reduced away on demand; a plain proof has no cut,
+    so it is its own result."""
+    if p.plain:
+        return p
     return Proof.defer(p.conclusion, lambda: _eliminate_now(p, budget, trace, path))
 
 
 def _eliminate_now(p, budget, trace, path):
     d = _exposed(p, budget, trace, path)
     tag = d.rule
-    if isinstance(tag, (Axiom, AxiomMu)):
+    if d.plain or isinstance(tag, (Axiom, AxiomMu)):
         return d
     return map_premises(
         d,

@@ -47,8 +47,14 @@ shared between calls.
 
 With nothing primed, cuts come only from cuts and inductions, and
 replacement rules only from inductions and from identity laws of
-formulas outside the base language; embeds_plainly tells when neither
-occurs, so that later stages have nothing to do.
+formulas outside the base language.  So the builders mark plain
+(proofs.mark_plain) what has neither by construction, and cut
+elimination and collapsing pass it through as itself: the identity law
+of a base-language mu, on its nu node, and the embedding of a proof that
+embeds_plainly, with nothing selected, on its root.  That root is the
+whole-proof case of the same rule: its embedding is its own eliminated
+and collapsed stage.  Truth introductions and the weakenings of plain
+proofs are marked in proofs and cutelim.
 """
 
 from __future__ import annotations
@@ -93,6 +99,7 @@ from mucut.proofs import (
     clo_node,
     finite_nodes,
     map_premises,
+    mark_plain,
     nu_node,
     omega_node,
     omega_phi,
@@ -212,7 +219,10 @@ def _identity_mu(mu, k, laws):
         return clo_node(from_checked((mu, iterate(nbody, TOP, i))), mu, mono)
 
     link = _chain(lambda: top_intro((mu,)), step)
-    return _nu_over(concl, n, lambda i, a_i: link(i))
+    law = _nu_over(concl, n, lambda i, a_i: link(i))
+    # a base-language mu has no nub subformula, so monotonicity asks only
+    # for laws of this kind: nu, closure and the propositional rules
+    return mark_plain(law) if is_l0(mu) else law
 
 
 def identity_mu_primed(mu, k):
@@ -670,13 +680,16 @@ def embeds_plainly(p):
 def embed(p, sel=(), k=None):
     """Embed the finite proof p into the intermediate system of index k
     (defaulting to the proof's level bound), priming the selected
-    conclusion formulas."""
+    conclusion formulas.  With nothing selected, an embedding that
+    embeds_plainly says has no cut and no replacement rule is marked
+    plain."""
     if k is None:
         k = level_bound(p)
     sel = frozenset(sel)
     if not p.conclusion.issuperset(sel):
         raise ValueError("selection outside the end sequent")
-    return _owned(lambda laws: _embed(p, sel, k, laws))
+    out = _owned(lambda laws: _embed(p, sel, k, laws))
+    return mark_plain(out) if not sel and embeds_plainly(p) else out
 
 
 def _embed(p, sel, k, laws):

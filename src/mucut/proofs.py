@@ -379,11 +379,17 @@ class Proof:
     """Strict conclusion, lazy (rule, premises) node.  kept() holds its
     last window as a root (observe), a finite proof's level bound and why
     it could not be forced.  A node reads as a full window, forced to read
-    its error: so check_finite judges it."""
+    its error: so check_finite judges it.
+
+    The mark plain says that every node at every depth has a rule of
+    S-infinity (no cut, omega, omegabar, ind or axmu), so that neither cut
+    elimination nor collapsing rewrites any node of it.  Only mark_plain
+    sets it, and only builders whose output is plain by construction call
+    it; a proof without the mark may still have only such rules."""
 
     # weakly referenceable so that embed can empty its identity-law memo
     # when the embedding is freed
-    __slots__ = ("conclusion", "_node", "_thunk", "_kept", "__weakref__")
+    __slots__ = ("conclusion", "_node", "_thunk", "_kept", "plain", "__weakref__")
     sampled = probes = None
 
     def __init__(self, conclusion, node, thunk):
@@ -393,6 +399,7 @@ class Proof:
         self._node = node
         self._thunk = thunk
         self._kept = None
+        self.plain = False
 
     def kept(self):
         """What the proof keeps, a dict made on the first request."""
@@ -450,6 +457,13 @@ class Proof:
             return self._kept["error"]
         tag = self._node[0]
         return None if isinstance(tag, ALL_TAGS) else "unknown rule tag: %r" % (tag,)
+
+
+def mark_plain(p):
+    """p, marked plain: the caller has built it from rules of S-infinity
+    alone, at every depth."""
+    p.plain = True
+    return p
 
 
 def finite_nodes(p):
@@ -657,10 +671,11 @@ _TOP_PARTS = from_checked(TOP[1:])
 
 
 def top_intro(extra):
-    """A two-node proof of {top} union extra.  Only extra is checked."""
+    """A two-node proof of {top} union extra, marked plain.  Only extra is
+    checked."""
     extra = Sequent(extra)
     leaf = ax(extra.union(_TOP_PARTS), TOP[1])
-    return or_node(extra.union(_TOP), TOP, leaf)
+    return mark_plain(or_node(extra.union(_TOP), TOP, leaf))
 
 
 def canonical_probe(target):

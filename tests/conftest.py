@@ -1,21 +1,26 @@
 """Shared test helpers: the deterministic Hypothesis profile, the
-refused system spellings, a Hypothesis strategy of literals, the
-pipeline's pass assertion, an in-process command-line runner and a
-counter of the walks level_bound makes.  The proof and formula builders
+refused system spellings, Hypothesis strategies of literals and of
+closed mu formulas, the pipeline's pass assertion, an in-process
+command-line runner, a counter of the walks level_bound makes and a
+switch that turns the plain mark off.  The proof and formula builders
 the tests share live in `mucut.corpus`."""
 
 from __future__ import annotations
 
 import contextlib
 import io
+import random
+import sys
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from mucut import checker
+from mucut import checker, proofs
 from mucut.checker import check_finite
 from mucut.collapse import pipeline, verdict
-from mucut.kernel import atom, natom
+from mucut.corpus import random_form
+from mucut.kernel import atom, natom, size
 
 # Property tests draw the same examples on every run and keep no example
 # database, so a failure found once is found again on every run.
@@ -37,6 +42,21 @@ LITERALS = st.builds(
     st.integers(1, 40),
     st.booleans(),
 )
+
+
+def _closed_mu(seed):
+    """The first mu-rooted formula of size 12 or less that
+    corpus.random_form draws from the seed: closed, in the base language
+    and of level 1-3."""
+    rng = random.Random(seed)
+    while True:
+        f = random_form(rng, rng.randint(2, 12), rng.randint(1, 3))
+        if f[0] == "mu" and size(f) <= 12:
+            return f
+
+
+# Closed base-language mu formulas, drawn by the corpus's formula builder.
+CLOSED_MUS = st.integers(0, 2**32 - 1).map(_closed_mu)
 
 
 def assert_pipeline_passes(p, depth=6):
@@ -71,3 +91,30 @@ def level_walks(monkeypatch):
 
     monkeypatch.setattr(checker, "finite_nodes", counting)
     return walks
+
+
+def _unmarked(p):
+    return p
+
+
+@contextlib.contextmanager
+def plain_marks_off():
+    """No proof built or forced inside gets the plain mark, so cut
+    elimination and collapsing copy every node: each module of the
+    package that calls proofs.mark_plain gets a stand-in that marks
+    nothing.  The shared probe witnesses were marked when they were
+    built, so their memo is emptied on entry and again on exit.  A lazy
+    proof made inside must be observed inside."""
+    mark = proofs.mark_plain
+    users = [
+        module for name, module in sorted(sys.modules.items())
+        if name.split(".")[0] == "mucut" and getattr(module, "mark_plain", None) is mark
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        for module in users:
+            mp.setattr(module, "mark_plain", _unmarked)
+        proofs._probe.cache_clear()
+        try:
+            yield
+        finally:
+            proofs._probe.cache_clear()

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_pipeline_passes
+from conftest import assert_pipeline_passes, plain_marks_off
 from mucut import proofs
 from mucut.checker import (
     SYSTEM_S,
@@ -24,10 +24,10 @@ from mucut.checker import (
 )
 from mucut.collapse import STAGES, collapse, pipeline, verdict
 from mucut.corpus import CORPUS, nested, random_formulas, top_induction_cut
-from mucut.cutelim import eliminate
-from mucut.embed import embed, identity_mu_primed
+from mucut.cutelim import eliminate, weaken
+from mucut.embed import embed, identity_mu, identity_mu_primed
 from mucut.errors import InternalInvariantError
-from mucut.kernel import TOP, atom, natom, negate, prime, substitute
+from mucut.kernel import TOP, atom, level, natom, negate, prime, substitute
 from mucut.proofs import (
     Axiom,
     And,
@@ -223,16 +223,90 @@ def test_passed_stages_equal_the_long_path(p):
     assert check_finite(p, SYSTEM_S).ok
     stages = pipeline(p)
     embedded = stages["embedded"]
+    assert embedded.plain
     assert all(stages[name] is embedded for name in ("eliminated", "collapsed", "sinf"))
-    long_embedded = embed(p, frozenset(), level_bound(p))
-    long_collapsed = collapse(eliminate(long_embedded), 0)
     o = observe(embedded, 8)
     assert observation_errors(o) == []
     # the window of the sinf stage is an S-infinity window, the bound included
     assert check_observation(o, SYSTEM_SINF, 8).ok
     assert all(isinstance(t, PLAIN) for t in observation_rules(o))
-    for long in (long_embedded, long_collapsed):
-        assert observation_dumps(o) == observation_dumps(observe(long, 8))
+    # unmarked, the embedding goes through elimination and collapsing
+    with plain_marks_off():
+        long_embedded = embed(p, frozenset(), level_bound(p))
+        long_collapsed = collapse(eliminate(long_embedded), 0)
+        assert long_collapsed is not long_embedded
+        for long in (long_embedded, long_collapsed):
+            assert observation_dumps(o) == observation_dumps(observe(long, 8))
+
+
+# ---------------------------------------------------------------------------
+# plain proofs pass through
+
+
+def _outcome(p, depth=8):
+    """The four stage texts of p at the depth, the trace steps and the
+    verdict (each stage's name, system, failure and violations)."""
+    steps = []
+    stages = pipeline(p, trace=lambda *step: steps.append(step))
+    texts = [observation_dumps(observe(stages[s], depth)) for s in STAGES]
+    v = verdict(p, stages, depth)
+    judged = [(s.name, s.system, s.failure, s.report.violations) for s in v.stages]
+    return stages, (texts, steps, (v.k, v.error, judged, v.cut_free, v.nubar_free, v.passed))
+
+
+def _same_unmarked(p):
+    """p's outcome, which must not change when no proof is marked plain;
+    returns the stages of the marked run."""
+    stages, marked = _outcome(p)
+    with plain_marks_off():
+        unmarked_stages, unmarked = _outcome(p)
+    assert not any(q.plain for q in unmarked_stages.values())
+    assert marked == unmarked
+    assert marked[2][-1], "the verdict fails"
+    return stages
+
+
+_TOP_MUS = [
+    f for f in random_formulas(23, 200, max_size=12) if f[0] == "mu" and 1 <= level(f) <= 3
+][:12]
+
+
+_PASSED = dict(CORPUS)
+_PASSED.update({"nested(%d)" % n: partial(nested, n) for n in range(2, 6)})
+_PASSED.update({"ind-cut(%s)" % print_form(m): partial(top_induction_cut, m) for m in _TOP_MUS})
+
+
+@pytest.mark.parametrize("name", _PASSED)
+def test_the_plain_mark_changes_no_stage_text_step_or_verdict(name):
+    stages = _same_unmarked(_PASSED[name]())
+    passes = name == "axmu"
+    assert stages["embedded"].plain is passes
+    assert (stages["eliminated"] is stages["embedded"]) is passes
+
+
+@settings(deadline=None, max_examples=25)
+@given(_plain_proofs())
+def test_the_plain_mark_changes_nothing_on_plain_proofs(p):
+    stages = _same_unmarked(p)
+    assert stages["embedded"].plain
+
+
+def test_the_top_induction_cuts_cover_every_level():
+    assert {level(m) for m in _TOP_MUS} == {1, 2, 3}
+
+
+def _marked():
+    m = pf("mu X . (p1 | <> X)")
+    law = identity_mu(m, 1)
+    return [law, top_intro((m,)), weaken(law, (atom(2),)), pipeline(CORPUS["axmu"]())["embedded"]]
+
+
+@pytest.mark.parametrize("h", [0, 1, 2])
+def test_a_marked_proof_is_its_own_elimination_and_collapse(h):
+    for q in _marked():
+        assert q.plain
+        assert eliminate(q) is q
+        assert collapse(q, h) is q
 
 
 def test_top_induction_cut_over_trivial_mu():

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import CLOSED_MUS
+from mucut import proofs
 from mucut.checker import (
     check_bounded,
     check_finite,
@@ -18,8 +20,16 @@ from mucut.checker import (
     omega_system,
 )
 from mucut.collapse import pipeline, verdict
-from mucut.corpus import CORPUS, cut_chain, cut_tree, lemma_suite, nested
-from mucut.cutelim import weaken
+from mucut.corpus import (
+    CORPUS,
+    axmu,
+    cut_chain,
+    cut_tree,
+    lemma_suite,
+    nested,
+    top_induction_cut,
+)
+from mucut.cutelim import eliminate, weaken
 from mucut.embed import (
     apply_sigma,
     deprime,
@@ -31,7 +41,7 @@ from mucut.embed import (
     monotone_primed,
 )
 from mucut.errors import InternalInvariantError
-from mucut.kernel import TOP, atom, level, natom, negate, prime, substitute
+from mucut.kernel import TOP, atom, is_l0, level, natom, negate, prime, substitute
 from mucut.proofs import (
     AxiomMu,
     Box,
@@ -42,10 +52,12 @@ from mucut.proofs import (
     Omega,
     OmegaBarPrem,
     OmegaFam,
+    SINF_TAGS,
     and_node,
     ax,
     axmu_node,
     box_node,
+    cut_node,
     is_cut_free_observed,
     make_node,
     observation_errors,
@@ -474,3 +486,58 @@ def test_the_order_of_cut_premises_changes_nothing(name):
         runs.append((texts, steps, verdict(d, stages, 6).passed))
     assert runs[0] == runs[1]
     assert runs[0][2]
+
+
+# ---------------------------------------------------------------------------
+# the plain mark
+
+
+def _sinf_window(q):
+    """Whether every node of q's depth-6 window, samples 0-3, has a rule
+    of S-infinity; the window is not kept on q."""
+    o = proofs._observe(q, 6, (0, 1, 2, 3), 1)
+    return not observation_errors(o) and all(
+        isinstance(r, SINF_TAGS) for r in observation_rules(o)
+    )
+
+
+@settings(deadline=None, max_examples=40)
+@given(CLOSED_MUS, st.sampled_from([atom(1), natom(2), TOP, pf("nu X . [] X")]))
+def test_the_plain_builders_mark_only_sinf_proofs(mu, extra):
+    k = level(mu)
+    law, top = identity_mu(mu, k), top_intro((mu,))
+    marked = [
+        law, top, weaken(law, (extra,)), weaken(weaken(top, (extra,)), (negate(mu),)),
+        embed(axmu(mu)),
+    ]
+    for q in marked:
+        assert q.plain
+        assert _sinf_window(q)
+    # a law on a formula with a nub subformula, and proofs holding a cut
+    # or a replacement rule, are never marked
+    nub = prime(("mu", ("or", negate(mu), ("var",))))
+    assert not is_l0(nub)
+    unmarked = [
+        identity_mu(nub, level(nub)),
+        identity_mu_primed(mu, k),
+        weaken(identity_mu_primed(mu, k), (extra,)),
+        embed(axmu(nub)),
+        embed(axmu(mu), (mu,)),
+        embed(top_induction_cut(mu)),
+        eliminate(embed(top_induction_cut(mu))),
+        cut_node(seq(TOP), atom(1), top_intro((atom(1),)), top_intro((natom(1),))),
+    ]
+    for q in unmarked:
+        assert not q.plain
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_every_marked_proof_a_pipeline_reaches_has_sinf_rules(n):
+    # every proof object the windows of nested(n) force, witnesses and
+    # family outputs included, that carries the mark
+    stages = pipeline(nested(n))
+    for stage in stages.values():
+        observe(stage, 8, (0, 1, 2, 3))
+    marked = [q for q in _forced(stages["embedded"]).values() if q.plain]
+    assert len(marked) > 10
+    assert all(_sinf_window(q) for q in marked)

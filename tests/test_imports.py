@@ -16,6 +16,8 @@ Importing the package and its command line loads no `dataclasses`, which
 with the modules it imports would cost a third of the import, and the
 package alone does not load `mucut.corpus`.  No test imports a module of
 the benchmark or edits `sys.path`: what both need lives in the package.
+Only `proofs.mark_plain` sets a proof's plain mark, and only `Proof`'s
+constructor clears it.
 """
 
 from __future__ import annotations
@@ -203,6 +205,63 @@ def test_importing_the_package_loads_no_dataclasses():
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
     )
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
+def mark_writers(source):
+    """The functions of source that write the plain mark, sorted, with
+    "<module>" for a write outside any function: an assignment to or
+    deletion of an attribute named plain, or a setattr call naming it."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            where = getattr(node, "name", "<lambda>")
+        targets = []
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif isinstance(node, ast.Call) and len(node.args) > 1:
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            arg = node.args[1]
+            if "setattr" in name and isinstance(arg, ast.Constant) and arg.value == "plain":
+                found.add(where)
+        if any(
+            isinstance(n, ast.Attribute) and n.attr == "plain"
+            for t in targets for n in ast.walk(t)
+        ):
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_mark_writers_are_found():
+    source = (
+        "p.plain = True\n"
+        "def f(p):\n    a, p.plain = 1, True\n    return p.plain\n"
+        "def g(p):\n    setattr(p, 'plain', 1)\n    h = lambda: object.__setattr__(p, 'plain', 1)\n"
+        "class C:\n    def __init__(self):\n        self.plain: bool = False\n"
+        "def k(p):\n    del p.plain\n"
+        "def m(p):\n    p.plainly = q.plain\n    setattr(p, 'other', p.plain)\n"
+    )
+    assert mark_writers(source) == ["<lambda>", "<module>", "__init__", "f", "g", "k"]
+
+
+def test_only_mark_plain_and_the_constructor_write_the_plain_mark():
+    # one implementation of the mark: Proof's constructor clears it and
+    # proofs.mark_plain, which the plain builders call, sets it
+    found = {
+        str(p.relative_to(ROOT)): mark_writers(p.read_text(encoding="utf-8"))
+        for folder in ("src/mucut", "tests", "pipebench")
+        for p in sorted((ROOT / folder).glob("*.py"))
+    }
+    assert {path: names for path, names in found.items() if names} == {
+        "src/mucut/proofs.py": ["__init__", "mark_plain"],
+    }
 
 
 def reaches_outside(source, modules):

@@ -17,13 +17,16 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import CLOSED_MUS
 from mucut.checker import SYSTEM_SINF, _labels, check_bounded
 from mucut.collapse import STAGES, pipeline
-from mucut.corpus import CORPUS
+from mucut.corpus import CORPUS, axmu, nested, top_induction_cut
 from mucut.proofs import Proof, clo_node, observe
 from mucut.sequents import seq
-from mucut.syntax import parse_formula as pf
+from mucut.syntax import parse_formula as pf, print_form
 
 
 class Model:
@@ -147,6 +150,32 @@ def test_every_observed_conclusion_holds_in_every_model(name):
             paths.append(path)
     # the outputs of nested's families are judged too
     assert any(".p0" in path for path in paths) == (name == "nested")
+
+
+# The corpus builders of generated S proofs: the level-n nested cuts, and
+# the fixed-point axiom and the top-invariant induction cut on a drawn mu.
+_BUILT = st.one_of(
+    st.builds(lambda n: ("nested(%d)" % n, nested(n)), st.integers(2, 5)),
+    st.builds(lambda m: ("axmu on %s" % print_form(m), axmu(m)), CLOSED_MUS),
+    st.builds(
+        lambda m: ("ind-cut on %s" % print_form(m), top_induction_cut(m)), CLOSED_MUS
+    ),
+)
+
+
+@settings(deadline=None, max_examples=40)
+@given(_BUILT)
+def test_every_observed_sequent_of_a_built_proof_holds_in_every_model(built):
+    # stages share proof objects, so a wrong share would show here as a
+    # conclusion that fails in some model; family outputs are observed too
+    name, p = built
+    stages = pipeline(p)
+    for stage in STAGES:
+        for path, node in _observed_conclusions(observe(stages[stage], 6, (0, 1, 2, 3))):
+            m = _countermodel(node.conclusion)
+            assert m is None, "%s stage %s at %s: %r fails in %r" % (
+                name, stage, path, node.conclusion, m
+            )
 
 
 def _clo_loop():
