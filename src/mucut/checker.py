@@ -24,7 +24,8 @@ One walk over an explicit stack, so that no window is too deep for it,
 drives the judge and subformula_report's closure test, and reports in
 one order: a node's violations, then its premises' first to last (what
 each must conclude, or that it could not be produced), then each
-premise's subtree in turn.  Paths are kept as (parent, label) pairs and
+premise's subtree in turn.  The judge takes a spliced window, a marked
+proof's kept window inside another, as one subtree: its own report.  Paths are kept as (parent, label) pairs and
 made into text only when a violation is flagged.  Resource limits
 (fuel, stack depth) propagate as they do from observe.
 
@@ -145,6 +146,10 @@ class _State:
             nodes_checked=self.nodes,
             truncation_points=self.truncs,
         )
+
+
+# The label of a walk's root, which begins the text of every path.
+_ROOT = "root"
 
 
 def _path_text(path):
@@ -335,7 +340,7 @@ _INFINITARY = frozenset((Nu, Omega, OmegaBar))
 # the walk and the judge
 
 
-def _walk(root, depth, visit):
+def _walk(root, depth, visit, spliced=None):
     """The judgement (_State) of a window walked to the given depth; a
     negative depth never reaches the bound, so a finite proof is walked
     whole as its own window.  A node at the bound is a truncation point
@@ -346,14 +351,26 @@ def _walk(root, depth, visit):
     each violation flagged at once, and those that could be produced are
     pushed, so that each premise's subtree is judged after all of them.
     Reading a premise's error forces a proof's premise: a proof's nodes
-    are forced when their parent is judged, first to last."""
+    are forced when their parent is judged, first to last.
+
+    Given spliced, a spliced window below the root is one unit: the report
+    spliced(window, depth) gives adds its counts, and its violations,
+    re-rooted at the window's path, where the walk would have met them."""
     st = _State()
-    todo = [(root, "root", depth)]
+    todo = [(root, _ROOT, depth)]
     pop, insert = todo.pop, todo.insert
     while todo:
         o, path, depth = pop()
         if depth == 0:
             st.truncs += 1
+            continue
+        if o.spliced and spliced is not None and o is not root:
+            report = spliced(o, depth)
+            st.nodes += report.nodes_checked
+            st.truncs += report.truncation_points
+            if report.violations:
+                at, cut = _path_text(path), len(_ROOT)
+                st.violations += [(at + v[cut:], msg) for v, msg in report.violations]
             continue
         error = o.error
         if error is not None:
@@ -438,8 +455,10 @@ def _judge(system, st, path, o):
 
 
 def _judge_window(o, system, depth):
-    """The judgement (_State) of a window observed to the given depth."""
-    return _walk(o, depth, partial(_judge, system))
+    """The judgement (_State) of a window observed to the given depth; a
+    spliced window below o adds the report it keeps for the system."""
+    spliced = lambda w, d: check_observation(w, system, d)  # noqa: E731
+    return _walk(o, depth, partial(_judge, system), spliced)
 
 
 def check_observation(o, system, depth):
@@ -450,7 +469,8 @@ def check_observation(o, system, depth):
     report per system and depth, so a repeated request returns it without
     judging again, and per depth the first system it was judged in: a
     system the window is neutral between (_neutral) gets that system's
-    report."""
+    report.  A spliced window below o is judged as its own window, at the
+    depth left there, and its report kept on it is added to o's."""
     return o.keep((system, depth), _report, o, system, depth)
 
 

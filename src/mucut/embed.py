@@ -471,10 +471,13 @@ class _Subst:
         return _images(f, _eff(modes, f, self.t), self.t, self.b)
 
     def img_sequent(self, s, rho):
+        """The images of the members of the checked sequent s under rho.
+        Most images are members of s, which are trusted; union checks the
+        others."""
         acc = []
         for f in s:
             acc.extend(self.images(f, rho.get(f, _D)))
-        return Sequent(acc)
+        return from_checked(s.intersection(acc)).union(acc)
 
     def _principal_image(self, phi, rho):
         imgs = self.images(phi, rho.get(phi, _D))

@@ -11,6 +11,9 @@ bound, sample omega premises at chosen indices, and feed replacement-rule
 families their canonical probe.  The checker judges these windows.  A
 proof keeps its last window and its level bound, and a window its facts,
 reports and text, so a repeated request is answered from these memos.
+A marked proof that a window reaches along unmarked proofs is observed
+as its own kept window, so the windows of one job share it, and its
+facts, reports and text are read off once.
 """
 
 from __future__ import annotations
@@ -391,6 +394,7 @@ class Proof:
     # when the embedding is freed
     __slots__ = ("conclusion", "_node", "_thunk", "_kept", "plain", "__weakref__")
     sampled = probes = None
+    spliced = False  # the window walkers read proofs too: none is a spliced unit
 
     def __init__(self, conclusion, node, thunk):
         if not isinstance(conclusion, Sequent):
@@ -728,11 +732,15 @@ class Observation:
     the fields observe gave it; `kept`, outside equality and repr, keeps
     its facts (observation_rules and its kin), whether they are in L0, the
     checker's reports per (system, depth) and per depth the first system
-    judged, and the writer's text.  observe makes one for every node it
-    walks, so its fields are slots set by a plain __init__."""
+    judged, and the writer's text.  `spliced`, outside them too, marks the
+    window a marked proof keeps: a window that reaches it holds it as a
+    child, and the walkers of that window (the facts, the judge, the
+    writer) take its kept results as one unit.  observe makes one for
+    every node it walks, so its fields are slots set by a plain __init__."""
 
     __slots__ = (
-        "conclusion", "rule", "children", "truncated", "sampled", "probes", "error", "kept"
+        "conclusion", "rule", "children", "truncated", "sampled", "probes", "error",
+        "kept", "spliced",
     )
 
     def __init__(
@@ -747,14 +755,15 @@ class Observation:
         self.probes = probes
         self.error = error
         self.kept = kept
+        self.spliced = False
 
-    # every field but kept, in order
-    _values = attrgetter(*__slots__[:-1])
+    # every field but kept and spliced, in order
+    _values = attrgetter(*__slots__[:-2])
     __eq__ = _eq
     __hash__ = None
 
     def __repr__(self):
-        return _repr(self, self.__slots__[:-1])
+        return _repr(self, self.__slots__[:-2])
 
     def keep(self, key, make, *args):
         """make(*args), worked out on the first request for key and kept
@@ -781,34 +790,56 @@ _LIMITS = (FuelExhausted, RecursionError)
 def observe(p, depth, samples=(0, 1, 2), probe_budget=1):
     """Explore p to the given depth.  Omega-indexed premises are sampled
     at the given indices; replacement families are fed the canonical probe
-    when probe_budget is 1 and none when it is 0.  Each family has one
-    probe, so any other budget is a ValueError.  Failures to force a node,
-    to build its probe, to produce a premise or family output, and unknown
-    rule tags become error leaves; fuel exhaustion and running out of
-    stack propagate.  p keeps the window: a repeated request returns it, a
-    request with other settings replaces it.  The nodes below p keep
-    none."""
-    key = _settings(depth, samples, probe_budget)
+    when probe_budget is 1 and none when it is 0.  Failures to force a
+    node, to build its probe, to produce a premise or family output, and
+    unknown rule tags become error leaves; fuel exhaustion and running out
+    of stack propagate.  p keeps the window: a repeated request returns
+    it, a request with other settings replaces it.
+
+    Unless p is marked plain, the window holds, at each outermost marked
+    proof q it reaches (a marked proof met along unmarked ones), q's own
+    window to the depth left there, as observe(q, ...) gives it, kept on q
+    under the same rule, so windows of one job that reach q at the same
+    remaining depth share it.  Inside a marked proof's window nothing is
+    spliced, and no other node below p keeps a window."""
+    return _window(p, _settings(depth, samples, probe_budget))
+
+
+def _window(p, key):
+    """The window p keeps for the settings key, made when p keeps none for
+    it; a marked proof's window is flagged spliced."""
     kept = p.kept()
-    if kept.get("window", (None,))[0] != key:
-        kept["window"] = (key, _observe(p, *key))
-    return kept["window"][1]
+    window = kept.get("window")
+    if window is None or window[0] != key:
+        o = _observe(p, *key, not p.plain)
+        o.spliced = p.plain
+        window = kept["window"] = (key, o)
+    return window[1]
 
 
 def _settings(depth, samples, probe_budget):
     """observe's settings as the key of a window, the samples sorted and
-    without repeats (settings that sample the same premises are one key);
-    a probe budget other than 0 or 1 is a ValueError."""
-    if probe_budget not in (0, 1):
+    without repeats (settings that sample the same premises are one key).
+    The one check of them: the depth and every sample are ints of 0 or
+    more and the probe budget is 0 or 1, else ValueError.  A bool, which
+    equals an int, and any other subclass of int are refused."""
+    if type(depth) is not int or depth < 0:
+        raise ValueError("observe depth %r: an int of 0 or more" % (depth,))
+    samples = tuple(samples)
+    for i in samples:
+        if type(i) is not int or i < 0:
+            raise ValueError("observe sample %r: an int of 0 or more" % (i,))
+    if type(probe_budget) is not int or probe_budget not in (0, 1):
         raise ValueError(
             "probe budget %r: 0 or 1, since each family has one probe" % (probe_budget,)
         )
     return depth, tuple(sorted(set(samples))), probe_budget
 
 
-def _observe(p, depth, samples, probe_budget):
-    """observe's walk, which keeps no window; samples are as _settings
-    gives them."""
+def _observe(p, depth, samples, probe_budget, splice=False):
+    """observe's walk, which keeps no window of its own; samples are as
+    _settings gives them.  When splice is true, a marked premise is
+    observed as its own kept window (_window); else nothing is kept."""
     try:
         tag, prem = p._force()
     except _LIMITS:
@@ -821,12 +852,17 @@ def _observe(p, depth, samples, probe_budget):
             return Observation(c, tag, (), truncated=bool(prem))
         kids = []
         for q in prem:  # a loop, not a generator: one frame per level
-            kids.append(_observe(q, depth - 1, samples, probe_budget))
+            if splice and q.plain:
+                kids.append(_window(q, (depth - 1, samples, probe_budget)))
+            else:
+                kids.append(_observe(q, depth - 1, samples, probe_budget, splice))
         return Observation(c, tag, tuple(kids))
     if isinstance(tag, Nu):
         if depth == 0:
             return Observation(c, tag, (), truncated=True, sampled=())
-        kids = tuple(_premise(prem, (i,), depth, samples, probe_budget) for i in samples)
+        kids = tuple(
+            _premise(prem, (i,), depth, samples, probe_budget, splice) for i in samples
+        )
         return Observation(c, tag, kids, truncated=True, sampled=samples)
     if isinstance(tag, (Omega, OmegaBar)):
         if depth == 0:
@@ -840,14 +876,15 @@ def _observe(p, depth, samples, probe_budget):
         kids, fam = [], prem
         if isinstance(tag, OmegaBar):
             fam = prem.fam
-            kids.append(_observe(prem.first, depth - 1, samples, probe_budget))
+            first = (prem, "first")  # getattr(*first) cannot fail
+            kids.append(_premise(getattr, first, depth, samples, probe_budget, splice))
         if probe:
-            kids.append(_premise(fam, probe, depth, samples, probe_budget))
+            kids.append(_premise(fam, probe, depth, samples, probe_budget, splice))
         return Observation(c, tag, tuple(kids), truncated=True, probes=probe[:1])
     return _error_leaf("unknown rule tag: %r" % (tag,), c)
 
 
-def _premise(get, args, depth, samples, probe_budget):
+def _premise(get, args, depth, samples, probe_budget, splice):
     """The window below the premise get(*args) of a node at depth."""
     try:
         q = get(*args)
@@ -855,15 +892,24 @@ def _premise(get, args, depth, samples, probe_budget):
         raise
     except Exception as exc:  # noqa: BLE001
         return _error_leaf(exc)
-    return _observe(q, depth - 1, samples, probe_budget)
+    if splice and q.plain:
+        return _window(q, (depth - 1, samples, probe_budget))
+    return _observe(q, depth - 1, samples, probe_budget, splice)
 
 
 def _facts(o):
     """A window's rule tags, non-error conclusions and error texts, in one
-    preorder walk.  The readers below keep them: callers must not change them."""
+    preorder walk; a spliced window below o adds the facts it keeps.  The
+    readers below keep them: callers must not change them."""
     rules, sequents, errors, stack = [], [], [], [o]
     while stack:
         node = stack.pop()
+        if node.spliced and node is not o:
+            facts = node.keep("facts", _facts, node)
+            rules += facts[0]
+            sequents += facts[1]
+            errors += facts[2]
+            continue
         rules.append(node.rule)
         if node.error is None:
             sequents.append(node.conclusion)

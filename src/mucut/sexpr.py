@@ -19,7 +19,9 @@ so a member text repeated in a file is a dict lookup.
 The observation writer prints each conclusion and probe Delta through a
 kernel memo, so windows that share sequents (the stages of one pipeline)
 print each once; the values themselves keep no text.  Rule tags, box
-sides included, are written afresh, and proof_dumps keeps nothing.
+sides included, are written afresh, and proof_dumps keeps nothing.  A
+window keeps its text, so a marked proof's window spliced into several
+windows is written once.
 """
 
 from __future__ import annotations
@@ -170,13 +172,17 @@ def _write(root, parts):
     """The text of the tree under root and a newline, written in one pass
     over an explicit stack, so nesting depth is not bounded by the Python
     stack.  parts(node) gives the text that opens a node, its children and
-    the text that closes it."""
+    the text that closes it.  A spliced window below the root is written
+    as the text observation_dumps keeps for it, without its newline."""
     out = []
     todo = [root]
     while todo:
         node = todo.pop()
         if type(node) is str:
             out.append(node)
+            continue
+        if node.spliced and node is not root:
+            out.append(observation_dumps(node)[:-1])
             continue
         head, children, tail = parts(node)
         out.append(head)

@@ -1,9 +1,9 @@
 """Shared test helpers: the deterministic Hypothesis profile, the
 refused system spellings, Hypothesis strategies of literals and of
 closed mu formulas, the pipeline's pass assertion, an in-process
-command-line runner, a counter of the walks level_bound makes and a
-switch that turns the plain mark off.  The proof and formula builders
-the tests share live in `mucut.corpus`."""
+command-line runner, a counter of the walks level_bound makes, a switch
+that turns the plain mark off and one that turns splicing off.  The
+proof and formula builders the tests share live in `mucut.corpus`."""
 
 from __future__ import annotations
 
@@ -118,3 +118,22 @@ def plain_marks_off():
             yield
         finally:
             proofs._probe.cache_clear()
+
+
+def _whole_window(p, key):
+    """The window p keeps for the settings key, walked whole: no window in
+    it is spliced."""
+    kept = p.kept()
+    if kept.get("window", (None,))[0] != key:
+        kept["window"] = (key, proofs._observe(p, *key))
+    return kept["window"][1]
+
+
+@contextlib.contextmanager
+def splicing_off():
+    """observe splices no marked proof's window into the windows that
+    reach it: each window is walked whole, and the plain marks stay on.  A
+    window made inside must be read inside."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(proofs, "_window", _whole_window)
+        yield

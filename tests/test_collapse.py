@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_pipeline_passes, plain_marks_off
+from conftest import assert_pipeline_passes, plain_marks_off, splicing_off
 from mucut import proofs
 from mucut.checker import (
     SYSTEM_S,
@@ -45,6 +45,7 @@ from mucut.proofs import (
     clo_node,
     cut_node,
     ind_node,
+    mark_plain,
     observation_errors,
     observation_rules,
     observation_sequents,
@@ -52,7 +53,7 @@ from mucut.proofs import (
     or_node,
     top_intro,
 )
-from mucut.sequents import Sequent
+from mucut.sequents import Sequent, seq
 from mucut.sexpr import observation_dumps
 from mucut.syntax import parse_formula as pf, print_form
 
@@ -295,6 +296,108 @@ def test_the_top_induction_cuts_cover_every_level():
     assert {level(m) for m in _TOP_MUS} == {1, 2, 3}
 
 
+# ---------------------------------------------------------------------------
+# marked proofs' windows are spliced into the windows that reach them
+
+
+def _spliced_below(o):
+    """The spliced windows below the window o, preorder, each without the
+    windows inside it."""
+    found, todo = [], list(reversed(o.children))
+    while todo:
+        w = todo.pop()
+        if w.spliced:
+            found.append(w)
+        else:
+            todo.extend(reversed(w.children))
+    return found
+
+
+def _read_off(p, depth=8):
+    """p's _outcome, with the four stage windows at the depth, their facts
+    and every stage's whole report (violations with their paths, and
+    counts)."""
+    stages, outcome = _outcome(p, depth)
+    windows = [observe(stages[s], depth) for s in STAGES]
+    facts = [
+        (observation_rules(o), observation_sequents(o), observation_errors(o))
+        for o in windows
+    ]
+    reports = [stage.report for stage in verdict(p, stages, depth).stages]
+    return windows, (outcome, facts, reports)
+
+
+def _same_unspliced(p):
+    """The stage windows of p, whose texts, facts, reports, trace steps
+    and verdict must not change when no window is spliced."""
+    windows, spliced = _read_off(p)
+    with splicing_off():
+        whole_windows, whole = _read_off(p)
+    assert not any(map(_spliced_below, whole_windows))
+    assert windows == whole_windows
+    assert spliced == whole
+    assert spliced[0][2][-1], "the verdict fails"
+    return windows
+
+
+@pytest.mark.parametrize("name", _PASSED)
+def test_splicing_changes_no_stage_text_fact_report_or_verdict(name):
+    windows = _same_unspliced(_PASSED[name]())
+    # the embedded and eliminated stages of the nested proofs and every
+    # stage of ind-top reach marked proofs below their roots at depth 8
+    shares = any(map(_spliced_below, windows))
+    assert shares is (name == "ind-top" or name.startswith("nested"))
+
+
+@settings(deadline=None, max_examples=25)
+@given(_plain_proofs())
+def test_splicing_changes_nothing_on_plain_proofs(p):
+    # every stage is the marked embedding, whose window splices nothing
+    windows = _same_unspliced(p)
+    assert all(o.spliced and not _spliced_below(o) for o in windows)
+
+
+def test_a_spliced_report_is_rerooted_where_the_walk_meets_it():
+    # an and node over a marked or node whose premise cannot be forced,
+    # and over an unmarked or node whose marked premise cannot be forced:
+    # each marked proof's window is spliced with its violation, which its
+    # own report flags below "root" and the whole report at its path, in
+    # the order of a walk that meets them
+    p1 = pf("(p1 | ~p1)")
+    body, x = seq(pf("p1"), pf("~p1"), pf("p2")), pf("p2")
+
+    def failing(text):
+        def thunk():
+            raise ValueError(text)
+        return Proof.defer(body, thunk)
+
+    left = mark_plain(or_node(seq(p1, x), p1, failing("left")))
+    right = or_node(seq(p1, x), p1, mark_plain(failing("right")))
+    both = pf("((p1 | ~p1) & (p1 | ~p1))")
+    root = and_node(seq(both, x), both, left, right)
+    want = (
+        ("root.0.0", "node evaluation failed: left"),
+        ("root.1.0", "node evaluation failed: right"),
+    )
+    o = observe(root, 4)
+    report = check_bounded(root, SYSTEM_SINF, 4)
+    assert report.violations == want
+    assert report.nodes_checked == 3 and report.truncation_points == 0
+    inner = _spliced_below(o)
+    assert [w.error for w in inner] == [None, "right"]
+    assert check_observation(inner[0], SYSTEM_SINF, 3).violations == (
+        ("root.0", "node evaluation failed: left"),
+    )
+    text = observation_dumps(o)
+    with splicing_off():
+        for q in (root, left, right):
+            q._kept = None
+        whole = observe(root, 4)
+        assert not _spliced_below(whole)
+        assert check_bounded(root, SYSTEM_SINF, 4) == report
+        assert observation_dumps(whole) == text
+
+
 def _marked():
     m = pf("mu X . (p1 | <> X)")
     law = identity_mu(m, 1)
@@ -417,17 +520,28 @@ def test_verdict_fails_only_the_sinf_stage_on_a_foreign_rule_at_the_bound():
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_only_the_stage_roots_keep_a_window(name):
-    # the family domain predicate walks each witness it checks without
-    # leaving a window on it, though the family's memo keeps it alive
+    # besides the stage roots, only the outermost marked proofs their
+    # windows reach keep a window, the one spliced there: no witness that
+    # the family domain predicate walks keeps one, though the family's memo
+    # keeps it alive, and no marked proof inside a marked window does
     for q in gc.get_objects():
         if isinstance(q, Proof):
             q._kept = None
     p = CORPUS[name]()
     stages = pipeline(p)
-    verdict(p, stages, 6)
-    roots = {id(q) for q in stages.values()}
-    kept = [q for q in gc.get_objects() if isinstance(q, Proof) and "window" in (q._kept or ())]
-    assert kept and {id(q) for q in kept} <= roots
+    v = verdict(p, stages, 6)
+    kept = [
+        (q, q._kept["window"][1]) for q in gc.get_objects()
+        if isinstance(q, Proof) and "window" in (q._kept or ())
+    ]
+    roots = {id(stages[stage.name]): stage.window for stage in v.stages}
+    spliced = [w for stage in v.stages for w in _spliced_below(stage.window)]
+    assert all(any(q_id == id(q) and w is o for q, w in kept) for q_id, o in roots.items())
+    others = [(q, w) for q, w in kept if id(q) not in roots]
+    assert all(q.plain and w.spliced for q, w in others)
+    assert {id(w) for _, w in others} <= {id(w) for w in spliced}
+    assert not any(_spliced_below(w) for w in spliced)
+    assert bool(others) is (name in ("ind-top", "nested"))
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))

@@ -207,10 +207,11 @@ def test_importing_the_package_loads_no_dataclasses():
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
-def mark_writers(source):
-    """The functions of source that write the plain mark, sorted, with
-    "<module>" for a write outside any function: an assignment to or
-    deletion of an attribute named plain, or a setattr call naming it."""
+def mark_writers(source, mark="plain"):
+    """The functions of source that write the mark, an attribute named
+    plain unless given, sorted, with "<module>" for a write outside any
+    function: an assignment to or deletion of the attribute, or a setattr
+    call naming it."""
     found = set()
 
     def visit(node, where):
@@ -225,10 +226,10 @@ def mark_writers(source):
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
             arg = node.args[1]
-            if "setattr" in name and isinstance(arg, ast.Constant) and arg.value == "plain":
+            if "setattr" in name and isinstance(arg, ast.Constant) and arg.value == mark:
                 found.add(where)
         if any(
-            isinstance(n, ast.Attribute) and n.attr == "plain"
+            isinstance(n, ast.Attribute) and n.attr == mark
             for t in targets for n in ast.walk(t)
         ):
             found.add(where)
@@ -249,19 +250,30 @@ def test_mark_writers_are_found():
         "def m(p):\n    p.plainly = q.plain\n    setattr(p, 'other', p.plain)\n"
     )
     assert mark_writers(source) == ["<lambda>", "<module>", "__init__", "f", "g", "k"]
+    assert mark_writers(source, "plainly") == ["m"]
+
+
+def _writers(mark):
+    """The files of the package, the tests and the benchmark that write
+    the mark, with the functions that write it."""
+    found = {
+        str(p.relative_to(ROOT)): mark_writers(p.read_text(encoding="utf-8"), mark)
+        for folder in ("src/mucut", "tests", "pipebench")
+        for p in sorted((ROOT / folder).glob("*.py"))
+    }
+    return {path: names for path, names in found.items() if names}
 
 
 def test_only_mark_plain_and_the_constructor_write_the_plain_mark():
     # one implementation of the mark: Proof's constructor clears it and
     # proofs.mark_plain, which the plain builders call, sets it
-    found = {
-        str(p.relative_to(ROOT)): mark_writers(p.read_text(encoding="utf-8"))
-        for folder in ("src/mucut", "tests", "pipebench")
-        for p in sorted((ROOT / folder).glob("*.py"))
-    }
-    assert {path: names for path, names in found.items() if names} == {
-        "src/mucut/proofs.py": ["__init__", "mark_plain"],
-    }
+    assert _writers("plain") == {"src/mucut/proofs.py": ["__init__", "mark_plain"]}
+
+
+def test_only_the_window_keeper_and_the_constructor_write_the_splice_flag():
+    # Observation's constructor clears the flag and proofs._window, which
+    # keeps a proof's window, sets it on a marked proof's window
+    assert _writers("spliced") == {"src/mucut/proofs.py": ["__init__", "_window"]}
 
 
 def reaches_outside(source, modules):

@@ -9,16 +9,21 @@ by a helper here, and the two must be written alike.
 3. Probes: the probe-budget-0 window is the probe-budget-1 window with
    its family outputs dropped.
 
-They run over every corpus proof and nested(2..5), in all four stages."""
+They run over every corpus proof and nested(2..5), in all four stages,
+and as a property over drawn proofs of the corpus builders.  A window
+that holds a marked proof's kept window would show a stale share here."""
 
 from __future__ import annotations
 
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import CLOSED_MUS
 from mucut.collapse import pipeline
-from mucut.corpus import CORPUS, nested
+from mucut.corpus import CORPUS, axmu, nested, top_induction_cut
 from mucut.proofs import Nu, Observation, Omega, OmegaBar, observe
 from mucut.sexpr import observation_dumps
 
@@ -109,3 +114,26 @@ def test_each_law_drops_part_of_some_window():
     texts = [observation_dumps(o) for o in full]
     for change in (lambda o: _cut(o, 2), lambda o: _restrict(o, (0, 2)), _unprobed):
         assert any(observation_dumps(change(o)) != t for o, t in zip(full, texts))
+
+
+# The corpus builders of generated S proofs: the level-n nested cuts, and
+# the fixed-point axiom and the top-invariant induction cut on a drawn mu.
+_BUILT = st.one_of(
+    st.builds(nested, st.integers(2, 5)),
+    st.builds(axmu, CLOSED_MUS),
+    st.builds(top_induction_cut, CLOSED_MUS),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_BUILT, st.integers(1, 6), st.sampled_from([(0, 2), (1,), (0, 1, 2, 3)]))
+def test_the_laws_hold_on_drawn_proofs(p, depth, keep):
+    for stage, q in pipeline(p).items():
+        window = observe(q, depth)
+        assert observation_dumps(_cut(observe(q, depth + 1), depth)) == (
+            observation_dumps(window)
+        ), stage
+        full = observe(q, depth, (0, 1, 2, 3))
+        assert observation_dumps(_restrict(full, keep)) == _text(q, depth, keep), stage
+        probed = observe(q, depth, probe_budget=1)
+        assert observation_dumps(_unprobed(probed)) == _text(q, depth, probe_budget=0), stage

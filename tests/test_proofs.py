@@ -728,3 +728,44 @@ def test_a_probe_budget_other_than_0_or_1_is_refused(budget):
     with pytest.raises(ValueError, match="0 or 1"):
         verdict(p, pipeline(p), 3, probe_budget=budget)
     assert observe(p, 3, (0, 1, 2), 1) is not observe(p, 3, (0, 1, 2), 0)
+
+
+# settings that are no counts, each with the word its error names: a bool
+# equals an int and 2.0 equals 2, so either would share a window key with
+# the int; a negative sample has no premise, and a depth of 2.5 never
+# reaches the bound
+_NO_COUNTS = (
+    (2.5, (0, 1, 2), 1, "depth"),
+    (-1, (0, 1, 2), 1, "depth"),
+    (True, (0, 1, 2), 1, "depth"),
+    (3, (True,), 1, "sample"),
+    (3, (0, -1), 1, "sample"),
+    (3, (0, 2.0), 1, "sample"),
+    (3, ("1", 0), 1, "sample"),
+    (3, (0, 1, 2), True, "probe budget"),
+    (3, (0, 1, 2), False, "probe budget"),
+    (3, (0, 1, 2), 1.0, "probe budget"),
+)
+
+
+@pytest.mark.parametrize("depth, samples, budget, what", _NO_COUNTS)
+def test_observe_refuses_settings_that_are_no_counts(depth, samples, budget, what):
+    e = pipeline(CORPUS["axmu"]())["embedded"]
+    with pytest.raises(ValueError, match="^(observe )?%s " % what):
+        observe(e, depth, samples, budget)
+    assert "window" not in e.kept()
+    with pytest.raises(ValueError, match=what):
+        check_bounded(e, omega_system(1), depth, samples, budget)
+    with pytest.raises(ValueError, match=what):
+        is_cut_free_observed(e, depth, samples, budget)
+
+
+def test_a_bool_sample_never_gets_the_int_samples_window():
+    # (True,) and (1,) are equal keys, so a window sampled at (True,)
+    # would answer for (1,), and a bool sample cannot be written
+    e = pipeline(CORPUS["axmu"]())["embedded"]
+    with pytest.raises(ValueError, match="sample True"):
+        observe(e, 3, (True,))
+    o = observe(e, 3, (1,))
+    assert all(type(i) is int for i in o.sampled)
+    assert "(samples 1)" in observation_dumps(o)
