@@ -56,6 +56,7 @@ from mucut.kernel import (
     negate,
     prime,
     substitute,
+    unfolding,
 )
 from mucut.proofs import (
     _LIMITS,
@@ -546,7 +547,7 @@ def approximant_closure(s, max_index):
         elif t in ("box", "dia"):
             new = (f[1],)
         elif t == "mu":
-            new = (substitute(f[1], f),)
+            new = (unfolding(f),)
         elif t == "nu":
             new = tuple(iterate(f[1], TOP, i) for i in range(max_index + 1))
         else:

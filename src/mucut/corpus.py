@@ -22,7 +22,17 @@ from __future__ import annotations
 import random
 from functools import partial
 
-from mucut.kernel import TOP, atom, level, natom, negate, or_, size, substitute
+from mucut.kernel import (
+    TOP,
+    atom,
+    level,
+    natom,
+    negate,
+    or_,
+    size,
+    substitute,
+    unfolding,
+)
 from mucut.proofs import (
     and_node,
     ax,
@@ -146,7 +156,7 @@ def top_induction_cut(mu):
     a truth introduction, the negated side by induction with invariant
     top (whose premise ~A(top), top is again a truth introduction)."""
     body = mu[1]
-    mu_side = clo_node(Sequent((mu, TOP)), mu, top_intro((substitute(body, mu),)))
+    mu_side = clo_node(Sequent((mu, TOP)), mu, top_intro((unfolding(mu),)))
     ind_side = ind_node(
         Sequent((negate(mu), TOP)),
         mu,

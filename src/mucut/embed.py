@@ -37,7 +37,8 @@ context is fitted by _fit_premise to one of the two readings the checker
 accepts (the principal dropped or kept); and every nu rule whose i-th
 approximant premise is derived from the (i-1)-th by monotonicity is
 _nu_over over a _chain, which builds its derivations once each and in
-index order, so a far premise costs no stack frame per index.
+index order, so a far premise costs no stack frame per index; the
+approximants themselves come from kernel.iterate, which builds each once.
 
 Identity laws are shared: one embedding builds the law of each (mu, k)
 once (_law), however often monotonicity or an identity axiom asks for
@@ -76,6 +77,7 @@ from mucut.kernel import (
     prime,
     replace_subterm,
     substitute,
+    unfolding,
     validate,
 )
 from mucut.proofs import (
@@ -254,14 +256,22 @@ def _identity_mu_primed(mu, k, laws):
 def monotone(d, a, b, c, k):
     """From d proving b, c: a derivation of (~a)(b), a(c), by recursion on
     the operator a (one free variable at most; closed binder subterms are
-    discharged by the identity laws)."""
+    discharged by the identity laws).  a, b and c are validated here: the
+    construction trusts what it is given."""
+    _valid(a, b, c)
     return _owned(lambda laws: _monotone(d, a, b, c, k, False, laws))
 
 
 def monotone_primed(d, a, b, c, k):
     """From d proving b, c': a derivation of (~a)(b), a'(c'), the primed
-    twin of monotonicity."""
+    twin of monotonicity, its arguments validated as monotone's are."""
+    _valid(a, b, c)
     return _owned(lambda laws: _monotone(d, a, b, c, k, True, laws))
+
+
+def _valid(*forms):
+    for f in forms:
+        validate(f)
 
 
 def _same(f):
@@ -272,17 +282,19 @@ _EMPTY = from_checked(())
 
 
 def _monotone(d, a, b, c, k, primed, laws):
-    """Check the input once, then recurse on a without checks: b and the
-    image of c are checked members of d's conclusion, so closed, and a is
-    valid with at most the one variable free.  Every formula the recursion
-    builds substitutes b or c into a (negated) subterm of a, possibly
-    primed, so it is closed and valid, and its sequents are trusted."""
+    """Test the input once, then recurse on a without checks.  a is valid
+    with at most the one variable free: every caller here passes the body
+    of a checked member, and the public entries validate it.  d's members
+    are checked, so when its conclusion equals {b, img(c)} as a set, b and
+    the image of c are valid and closed, and nothing builds a Sequent to
+    check them again.  Every formula the recursion builds substitutes b or
+    c into a (negated) subterm of a, possibly primed, so it is closed and
+    valid, and its sequents are trusted."""
     img = prime if primed else _same
     _require(
-        d.conclusion == Sequent((b, img(c))),
+        d.conclusion == frozenset((b, img(c))),
         "monotonicity input must conclude b and the image of c",
     )
-    validate(a)
     nb = substitute(negate(a), b)
     return _mono(d, a, nb, img(substitute(a, c)), _EMPTY, k, primed, laws)
 
@@ -382,17 +394,20 @@ def _deprime_now(d, a, ap, new_c, k, laws):
         t2 = tag.target
         fam = d.premises
 
+        # a is a checked member of new_c, so the approximants of its body
+        # are closed and valid, and t2 is checked by the first link, built
+        # before any step: the sequents pairing them are trusted
         def step(j, prev):
             a_prev = iterate(a0, TOP, j - 1)
             mono = _monotone(prev, negate(a0), a_prev, negate(a), k - 1, True, laws)
-            return clo_node(Sequent((iterate(a0, TOP, j), t2)), t2, mono)
+            return clo_node(from_checked((iterate(a0, TOP, j), t2)), t2, mono)
 
         wit = _chain(lambda: top_intro((t2,)), step)
 
         def derive(i, a_i):
             if i == 0:
                 return top_intro(d.conclusion.without(ap))
-            return _deprime(fam(Sequent((a_i,)), wit(i)), a, k, laws)
+            return _deprime(fam(from_checked((a_i,)), wit(i)), a, k, laws)
 
         return _nu_over(new_c, a, derive)
 
@@ -575,7 +590,7 @@ class _Subst:
     def _clo_on_target(self, d, rho, modes, new_c):
         c = d.conclusion
         t = self.t
-        u = substitute(t[1], t)
+        u = unfolding(t)
         f_star = prime(self.cf)
         u_modes = frozenset()
         if MODE_DELTA in modes:
@@ -793,17 +808,20 @@ def _embed_ind(p, tag, sel, k, cs, laws):
     pb = prime(bb)
 
     # link j pairs the monotonicity step into the j-th approximant with
-    # the chain derivation of that approximant and b'
+    # the chain derivation of that approximant and b'.  n is a checked
+    # member of cs, so the approximants of its body are closed and valid,
+    # and b' is checked by the first link, built before any step; b_img
+    # is checked where it joins an approximant
     def step(j, prev):
         a_prev = iterate(naop, TOP, j - 1)
         mono = _monotone(prev[1], aop, a_prev, bb, k, True, laws)
-        return mono, cut_fit(Sequent((iterate(naop, TOP, j), pb)), cf, mono, ih2)
+        return mono, cut_fit(from_checked((iterate(naop, TOP, j), pb)), cf, mono, ih2)
 
     link = _chain(lambda: (None, top_intro((pb,))), step)
 
     def derive(i, a_i):
         if i == 0:
             return top_intro((b_img,))
-        return cut_fit(Sequent((a_i, b_img)), cf, link(i)[0], ih1)
+        return cut_fit(from_checked((a_i,)).add(b_img), cf, link(i)[0], ih1)
 
     return _nu_over(cs, n, derive)

@@ -33,16 +33,22 @@ prime leaves it as it is (is_fully_primed).
 
 The operations that sequents, the printer, the checker and the proof
 transformations apply again and again to the same formulas (sort_key,
-has_free_var, level, max_nubar_level, negate, prime) are memoized, each
-in an LRU cache of 4096 entries; syntax.print_form, its inverse
-syntax.parse_formula (keyed by text), sexpr._finite_tag (the rule tag
-of a proof file's tag text) and sexpr._memo_seq_text (the observation
-writer's text of a sequent) are too.  A cache compares keys by ==,
-and ('atom', True) and ('atom', 1.0) both equal ('atom', 1), so it may
-answer for one what it computed for another.  That is harmless where
-the answer is an int, a bool, an int tuple or text.  negate and prime
-answer with formulas, so they refuse a bad atom index when they compute,
-and no cached answer contains one.
+has_free_var, level, max_nubar_level, negate, prime, unfolding) are
+memoized, each in an LRU cache of 4096 entries.  So is _chain, the list
+[b, a(b), a^2(b), ...] that iterate keeps per (a, b) and extends on
+demand: each approximant and each unfolding is built once, one
+substitute step from what it is built on.  syntax.print_form, its
+inverse syntax.parse_formula (keyed by text), sexpr._finite_tag (the
+rule tag of a proof file's tag text), sexpr._memo_seq_text (the
+observation writer's text of a sequent) and proofs._probe (the canonical
+probe of a replacement target) are memoized too.  A cache compares keys
+by ==, and ('atom', True) and ('atom', 1.0) both equal ('atom', 1), so
+it may answer for one what it computed for another.  That is harmless
+where the answer is an int, a bool, an int tuple or text.  negate,
+prime, unfolding and _chain answer with formulas, so they refuse a bad
+atom index when they compute (unfolding and _chain validate their
+arguments on a miss), and no cached answer contains one;
+proofs.canonical_probe validates its target before it asks _probe.
 validate is not memoized: it must see every atom index itself.
 """
 
@@ -206,12 +212,41 @@ def substitute(f, b):
     raise ValueError("unknown formula tag: %r" % (t,))
 
 
+@memo
+def _chain(a, b):
+    """The iterates [b, a(b), a^2(b), ...] computed so far, extended by
+    iterate.  On a miss a(b) is computed first, so a malformed a raises as
+    substitute does, and then a and b are validated, so no chain holds a
+    bad atom index."""
+    first = substitute(a, b)
+    validate(a)
+    return [validate(b), first]
+
+
 def iterate(a, b, i):
-    """The i-th iterate a^i(b): a^0(b) = b, a^{i+1}(b) = substitute(a, a^i(b))."""
-    r = b
-    for _ in range(i):
-        r = substitute(a, r)
-    return r
+    """The i-th iterate a^i(b): a^0(b) = b, a^{i+1}(b) = substitute(a, a^i(b)).
+
+    One chain per (a, b) is kept in a memo and extended on demand, so
+    each iterate is built once, by one substitute step from the one
+    before it.  An i of 0 or less answers b itself, with no memo lookup."""
+    if i <= 0:
+        return b
+    chain = _chain(a, b)
+    while len(chain) <= i:
+        chain.append(substitute(a, chain[-1]))
+    return chain[i]
+
+
+@memo
+def unfolding(f):
+    """The unfolding f[1](f) of a binder-rooted formula f: its body with f
+    substituted for the variable, built once per f.  On a miss the
+    substitution runs first, so a malformed f raises as substitute does,
+    and then f is validated, so no cached unfolding holds a bad atom
+    index."""
+    u = substitute(f[1], f)
+    validate(f)
+    return u
 
 
 @memo

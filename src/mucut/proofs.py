@@ -32,6 +32,7 @@ from mucut.kernel import (
     negate,
     prime,
     substitute,
+    unfolding,
     validate,
 )
 from mucut.sequents import Sequent, from_checked, is_k_positive
@@ -551,8 +552,7 @@ def premise_added(tag, position):
     if isinstance(tag, And):
         return (tag.principal[position + 1],)
     if isinstance(tag, Clo):
-        f = tag.principal
-        return (substitute(f[1], f),)
+        return (unfolding(tag.principal),)
     if isinstance(tag, Nu):
         return (iterate(tag.principal[1], TOP, position),)
     if isinstance(tag, (Omega, OmegaBar)):

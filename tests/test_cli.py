@@ -339,6 +339,18 @@ def test_pipeline_samples_a_far_approximant(tmp_path):
     assert out == "cut-free: yes, nubar-free: yes\n"
 
 
+def test_pipeline_samples_a_far_premise_of_an_identity_law(tmp_path):
+    # the identity law's premise 400 is built from the 400th approximant,
+    # which the kernel builds once, one step from the one before it
+    _write_corpus(tmp_path)
+    code, out, err = run_cli([
+        "pipeline", str(tmp_path / "e3-axmu.sproof"),
+        "--out", str(tmp_path / "out"), "--samples", "0,400",
+    ])
+    assert code == EXIT_OK, err
+    assert out == "cut-free: yes, nubar-free: yes\n"
+
+
 def test_pipeline_summary_carries_stage_verdicts(tmp_path, monkeypatch):
     # a cut-free, nubar-free sinf stage that uses axmu, a rule S-infinity
     # lacks: the summary says "yes, yes" but its sinf verdict fails
@@ -653,9 +665,10 @@ def test_mutated_formula_files_end_in_an_exit_code_and_one_line(tmp_path_factory
 
 
 # The flags, fuzzed: drawn and edge values of each observation and fuel
-# flag of pipeline, and of check's --system, well formed or not.  Draws
-# stay small (depth at most 40, sample indices at most 64): a far sample
-# index makes pipeline build a deep approximant before fuel runs out.
+# flag of pipeline, and of check's --system, well formed or not.  Sample
+# indices go up to 400: the kernel builds each approximant once, one step
+# from the one before it, so a far index is cheap.  Depths stay at 40 or
+# less, since the observer recurses once per level of depth.
 _FILES = st.sampled_from([filename for filename, _ in cli.CORPUS_FILES])
 
 
@@ -683,7 +696,7 @@ _ODD = st.sampled_from(["", " ", "-1", "abc", "1e3", "+2", "0x10", "4.0", ",", "
 _FLAGS = {
     "--depth": st.one_of(st.integers(0, 40).map(str), _ODD),
     "--samples": st.one_of(
-        st.lists(st.integers(0, 64), min_size=1, max_size=4, unique=True).map(
+        st.lists(st.integers(0, 400), min_size=1, max_size=4, unique=True).map(
             lambda xs: ",".join(map(str, sorted(xs)))
         ),
         st.sampled_from(["0,1e3", "0,,2", "0, 2", "1,x", "-1,0", ",0", "1,0", "0,0", "0,2,1"]),

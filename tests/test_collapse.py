@@ -4,6 +4,7 @@ proof."""
 from __future__ import annotations
 
 import gc
+import sys
 from functools import partial
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_pipeline_passes, plain_marks_off, splicing_off
-from mucut import proofs
+from mucut import kernel, proofs
 from mucut.checker import (
     SYSTEM_S,
     SYSTEM_SINF,
@@ -455,6 +456,41 @@ def test_nested_passes_at_its_level(n):
     assert level_bound(p) == n
     v = verdict(p, pipeline(p), 14, (0, 1, 2, 3))
     assert v.passed, (v.error, [stage.failure for stage in v.stages])
+
+
+def _kernel_calls(samples):
+    """[substitute, validate]: the calls of each, recursive ones included,
+    that pipeline and verdict make on the corpus axmu proof at depth 6
+    over samples, with the kernel memos emptied first."""
+    for fn in vars(kernel).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+    slots = {kernel.substitute.__code__: 0, kernel.validate.__code__: 1}
+    calls = [0, 0]
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code in slots:
+            calls[slots[frame.f_code]] += 1
+
+    p = CORPUS["axmu"]()
+    sys.setprofile(count)
+    try:
+        v = verdict(p, pipeline(p), 6, samples)
+    finally:
+        sys.setprofile(None)
+    assert v.passed
+    return calls
+
+
+def test_far_samples_cost_linear_kernel_work():
+    # each approximant is built once, one substitute step from the one
+    # before it: doubling the far sample index at most doubles the kernel
+    # work (rebuilding every approximant from top would quadruple it)
+    calls = {k: _kernel_calls((0, k)) for k in (100, 200, 400)}
+    assert min(calls[100]) > 0, calls
+    for k in (100, 200):
+        for near, far in zip(calls[k], calls[2 * k]):
+            assert far <= 2.2 * near, (k, calls)
 
 
 @pytest.mark.parametrize(

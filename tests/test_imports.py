@@ -17,13 +17,17 @@ with the modules it imports would cost a third of the import, and the
 package alone does not load `mucut.corpus`.  No test imports a module of
 the benchmark or edits `sys.path`: what both need lives in the package.
 Only `proofs.mark_plain` sets a proof's plain mark, and only `Proof`'s
-constructor clears it.
+constructor clears it.  Every module-level memo of the package (a
+function under `@memo` or a name bound to a `memo(...)` call) is named in
+the paragraph of the `mucut.kernel` docstring that states the memo
+policy, so that policy stays described in one place.
 """
 
 from __future__ import annotations
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -205,6 +209,52 @@ def test_importing_the_package_loads_no_dataclasses():
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
     )
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
+def _is_memo(node):
+    return (isinstance(node, ast.Name) and node.id == "memo") or (
+        isinstance(node, ast.Attribute) and node.attr == "memo"
+    )
+
+
+def memo_names(source):
+    """The names that source memoizes at its top level, sorted: functions
+    under @memo and names bound to a memo(...) call."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and any(map(_is_memo, node.decorator_list)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+            if _is_memo(node.value.func):
+                names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return sorted(names)
+
+
+def test_memo_names_are_found():
+    source = (
+        "from mucut.kernel import memo\n"
+        "@memo\ndef f(x): return x\n"
+        "@kernel.memo\ndef g(x): return x\n"
+        "def h(x): return x\n"
+        "_h = memo(h)\n"
+        "k = other(h)\n"
+        "def outer():\n    @memo\n    def inner(x): return x\n"
+    )
+    assert memo_names(source) == ["_h", "f", "g"]
+
+
+def test_every_memo_is_named_in_the_kernel_docstring():
+    kernel = (PACKAGE / "kernel.py").read_text(encoding="utf-8")
+    doc = ast.get_docstring(ast.parse(kernel))
+    [policy] = [" ".join(p.split()) for p in doc.split("\n\n") if "LRU cache" in p]
+    unnamed = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name in memo_names(path.read_text(encoding="utf-8")):
+            if path.stem != "kernel":
+                name = "%s.%s" % (path.stem, name)
+            if not re.search(r"(?<![\w.])%s(?!\w)" % re.escape(name), policy):
+                unnamed.append(name)
+    assert unnamed == []
 
 
 def mark_writers(source, mark="plain"):

@@ -235,7 +235,20 @@ DATA_MEMOS = (
     kernel.max_nubar_level,
     print_form,
 )
-FORMULA_MEMOS = (kernel.negate, kernel.prime)
+# The memos that answer with formulas, each with a query that reaches it
+# on a formula holding the atom x.
+FORMULA_MEMOS = {
+    kernel.negate: lambda x: kernel.negate(("box", x)),
+    kernel.prime: lambda x: kernel.prime(("box", x)),
+    kernel.unfolding: lambda x: kernel.unfolding(("mu", ("or", x, kernel.X))),
+    kernel._chain: lambda x: kernel.iterate(("or", x, kernel.X), kernel.TOP, 2),
+}
+
+
+def _atom_indices(f):
+    if f[0] in ("atom", "natom"):
+        return [f[1]]
+    return [i for g in f[1:] for i in _atom_indices(g)]
 
 
 @pytest.mark.parametrize("bad", [("atom", True), ("atom", 1.0)])
@@ -243,7 +256,8 @@ def test_memos_do_not_admit_bad_atoms(bad):
     # ("atom", True) == ("atom", 1) and both hash alike (as does
     # ("atom", 1.0)), so a memo keyed on the formula answers for both
     good = ("atom", 1)
-    answers = [fn(good) for fn in DATA_MEMOS + FORMULA_MEMOS]
+    answers = [fn(good) for fn in DATA_MEMOS]
+    formulas = [query(good) for query in FORMULA_MEMOS.values()]
     with pytest.raises(ValueError):
         kernel.validate(bad)
     with pytest.raises(ValueError):
@@ -256,17 +270,21 @@ def test_memos_do_not_admit_bad_atoms(bad):
     with pytest.raises(ValueError):
         other.union([bad])
     # seen first, a bad atom is refused by the memos that answer with
-    # formulas and does not change the answers of the others
-    for fn in DATA_MEMOS + FORMULA_MEMOS:
+    # formulas, which cache nothing, and does not change the answers of
+    # the others
+    for fn in DATA_MEMOS + tuple(FORMULA_MEMOS):
         fn.cache_clear()
-    for fn in FORMULA_MEMOS:
+    for query in FORMULA_MEMOS.values():
         with pytest.raises(ValueError):
-            fn(("box", bad))
-    assert [fn(bad) for fn in DATA_MEMOS] == answers[: len(DATA_MEMOS)]
-    for fn, want in zip(DATA_MEMOS + FORMULA_MEMOS, answers):
+            query(bad)
+    assert [fn.cache_info().currsize for fn in FORMULA_MEMOS] == [0] * len(FORMULA_MEMOS)
+    assert [fn(bad) for fn in DATA_MEMOS] == answers
+    for fn, want in zip(DATA_MEMOS, answers):
         assert fn(good) == want
-    assert type(kernel.negate(good)[1]) is int
-    assert type(kernel.prime(good)[1]) is int
+    for query, want in zip(FORMULA_MEMOS.values(), formulas):
+        got = query(good)
+        assert got == want
+        assert {type(i) for i in _atom_indices(got)} == {int}
     assert Sequent((kernel.negate(good),)).forms == (("natom", 1),)
 
 
