@@ -258,20 +258,17 @@ def monotone(d, a, b, c, k):
     the operator a (one free variable at most; closed binder subterms are
     discharged by the identity laws).  a, b and c are validated here: the
     construction trusts what it is given."""
-    _valid(a, b, c)
+    for f in (a, b, c):
+        validate(f)
     return _owned(lambda laws: _monotone(d, a, b, c, k, False, laws))
 
 
 def monotone_primed(d, a, b, c, k):
     """From d proving b, c': a derivation of (~a)(b), a'(c'), the primed
     twin of monotonicity, its arguments validated as monotone's are."""
-    _valid(a, b, c)
-    return _owned(lambda laws: _monotone(d, a, b, c, k, True, laws))
-
-
-def _valid(*forms):
-    for f in forms:
+    for f in (a, b, c):
         validate(f)
+    return _owned(lambda laws: _monotone(d, a, b, c, k, True, laws))
 
 
 def _same(f):
@@ -282,14 +279,16 @@ _EMPTY = from_checked(())
 
 
 def _monotone(d, a, b, c, k, primed, laws):
-    """Test the input once, then recurse on a without checks.  a is valid
-    with at most the one variable free: every caller here passes the body
-    of a checked member, and the public entries validate it.  d's members
-    are checked, so when its conclusion equals {b, img(c)} as a set, b and
-    the image of c are valid and closed, and nothing builds a Sequent to
-    check them again.  Every formula the recursion builds substitutes b or
-    c into a (negated) subterm of a, possibly primed, so it is closed and
-    valid, and its sequents are trusted."""
+    """Test the input once, then recurse on a without checks.  a, b and c
+    are valid, a with at most the one variable free: the public entries
+    validate them, and every caller here passes an approximant from
+    iterate, a checked member or its memoized negation, or the validated
+    formulas of an ind node.  So the test only compares d's conclusion
+    with {b, img(c)} as a set, which makes b and the image of c closed as
+    d's members are, and builds no Sequent to check them again.
+    Every formula the recursion builds substitutes b or c into a (negated)
+    subterm of a, possibly primed, so it is closed and valid, and its
+    sequents are trusted."""
     img = prime if primed else _same
     _require(
         d.conclusion == frozenset((b, img(c))),
@@ -784,8 +783,10 @@ def _embed_now(p, sel, k, cs, laws):
 
 
 def _embed_ind(p, tag, sel, k, cs, laws):
-    m = tag.mu
-    bb = tag.b
+    # the conclusion checks only what equals ~m and b, and monotonicity
+    # trusts what it is given, so both are validated here, once per node
+    m = validate(tag.mu)
+    bb = validate(tag.b)
     n = negate(m)
     aop = m[1]
     cf = substitute(aop, bb)

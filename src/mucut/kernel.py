@@ -47,7 +47,8 @@ it may answer for one what it computed for another.  That is harmless
 where the answer is an int, a bool, an int tuple or text.  negate,
 prime, unfolding and _chain answer with formulas, so they refuse a bad
 atom index when they compute (unfolding and _chain validate their
-arguments on a miss), and no cached answer contains one;
+arguments on a miss, and iterate extends a chain only with the a
+validated with it), and no cached answer contains one;
 proofs.canonical_probe validates its target before it asks _probe.
 validate is not memoized: it must see every atom index itself.
 """
@@ -214,13 +215,14 @@ def substitute(f, b):
 
 @memo
 def _chain(a, b):
-    """The iterates [b, a(b), a^2(b), ...] computed so far, extended by
-    iterate.  On a miss a(b) is computed first, so a malformed a raises as
-    substitute does, and then a and b are validated, so no chain holds a
-    bad atom index."""
+    """The validated a and the iterates [b, a(b), a^2(b), ...] computed so
+    far, extended by iterate.  On a miss a(b) is computed first, so a
+    malformed a raises as substitute does, and then a and b are validated.
+    iterate extends the chain with the a kept here, never with its
+    caller's, which may only equal it, so no chain holds a bad atom
+    index."""
     first = substitute(a, b)
-    validate(a)
-    return [validate(b), first]
+    return validate(a), [validate(b), first]
 
 
 def iterate(a, b, i):
@@ -231,7 +233,7 @@ def iterate(a, b, i):
     before it.  An i of 0 or less answers b itself, with no memo lookup."""
     if i <= 0:
         return b
-    chain = _chain(a, b)
+    a, chain = _chain(a, b)
     while len(chain) <= i:
         chain.append(substitute(a, chain[-1]))
     return chain[i]

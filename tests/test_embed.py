@@ -291,6 +291,25 @@ def test_embed_rejects_stray_selection():
         embed(e1, sel=(atom(9),))
 
 
+@pytest.mark.parametrize("one, zero", [(True, False), (1.0, 0.0)])
+@pytest.mark.parametrize("part", ["mu", "b"])
+def test_embed_refuses_bad_atoms_in_an_ind_node(one, zero, part):
+    # ("atom", True) == ("atom", 1), so an ind node whose formulas hold
+    # such atoms has the conclusion of a valid one, and with the memos
+    # warm from that one, negate and prime answer it without a check
+    mu = ("mu", ("or", atom(1), ("var",)))
+    good = top_induction_cut(mu).premises[1]
+    assert isinstance(good.rule, Ind)
+    observe(embed(good), 6, (0, 1, 2))
+    bad_mu = ("mu", ("or", ("atom", one), ("var",)))
+    bad_top = ("or", ("atom", zero), TOP[2])
+    tag = Ind(bad_mu, TOP) if part == "mu" else Ind(mu, bad_top)
+    assert tag == good.rule
+    forged = embed(make_node(good.conclusion, tag, good.premises))
+    with pytest.raises(ValueError, match="bad atom"):
+        forged.rule  # noqa: B018 - forcing the embedded root builds it
+
+
 def test_embed_endsequents_and_rules():
     for name, build in CORPUS.items():
         p = build()

@@ -286,6 +286,13 @@ def test_memos_do_not_admit_bad_atoms(bad):
         assert got == want
         assert {type(i) for i in _atom_indices(got)} == {int}
     assert Sequent((kernel.negate(good),)).forms == (("natom", 1),)
+    # seen after a good atom, a bad one may be answered from the cache,
+    # but a chain it lengthens is lengthened with the validated body
+    kernel._chain.cache_clear()
+    body, bad_body = ("or", good, kernel.X), ("or", bad, kernel.X)
+    kernel.iterate(body, kernel.TOP, 1)
+    for got in (kernel.iterate(bad_body, kernel.TOP, 3), kernel.iterate(body, kernel.TOP, 3)):
+        assert {type(i) for i in _atom_indices(got)} == {int}
 
 
 # ---------------------------------------------------------------------------
