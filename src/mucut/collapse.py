@@ -115,10 +115,10 @@ def pipeline(p, fuel=DEFAULT_FUEL, trace=None):
     embed marks the embedding plain (embeds_plainly: p has no cut and no
     induction, and its axmu formulas are in the base language), the
     embedded proof is the eliminated and the collapsed stage, the same
-    object, and no reduction, fuel or trace step is spent.  The index k is
-    level_bound(p), kept on p by check_finite or on first use."""
-    k = level_bound(p)
-    embedded = embed(p, frozenset(), k)
+    object, and no reduction, fuel or trace step is spent.  The stages do
+    not depend on the index of the system they are judged in; verdict
+    reads it off p."""
+    embedded = embed(p)
     eliminated = eliminate(embedded, fuel=fuel, trace=trace)
     collapsed = collapse(eliminated, 0)
     return dict(zip(STAGES, (embedded, eliminated, collapsed, collapsed)))

@@ -40,8 +40,8 @@ _nu_over over a _chain, which builds its derivations once each and in
 index order, so a far premise costs no stack frame per index; the
 approximants themselves come from kernel.iterate, which builds each once.
 
-Identity laws are shared: one embedding builds the law of each (mu, k)
-once (_law), however often monotonicity or an identity axiom asks for
+Identity laws are shared: one embedding builds each law of each mu once
+(_law), however often monotonicity or an identity axiom asks for
 it, and every request gets the same proof object.  The memo belongs to
 the embed call, lives as long as the embedding's root and is never
 shared between calls.
@@ -62,7 +62,6 @@ from __future__ import annotations
 
 from weakref import finalize
 
-from mucut.checker import level_bound
 from mucut.cutelim import cut_fit, fit, weaken
 from mucut.errors import InternalInvariantError
 from mucut.kernel import (
@@ -151,13 +150,13 @@ def _owned(build):
     return out
 
 
-def _law(build, mu, k, laws):
-    """The identity law build(mu, k, laws), built once per (build, mu, k)
-    in the memo laws."""
-    key = (build, mu, k)
+def _law(build, mu, laws):
+    """The identity law build(mu, laws), built once per (build, mu) in the
+    memo laws."""
+    key = (build, mu)
     law = laws.get(key)
     if law is None:
-        law = laws[key] = build(mu, k, laws)
+        law = laws[key] = build(mu, laws)
     return law
 
 
@@ -173,6 +172,23 @@ def _nu_over(concl, nu, derive):
         return _fit_premise(derive(i, a_i), concl, nu, from_checked((a_i,)))
 
     return nu_node(concl, nu, fn)
+
+
+# The rules that un-priming and context substitution settle before their
+# own cases: the axiom they rebuild and the rules they refuse.
+_LEAVES = (Axiom, AxiomMu, Ind, Cut)
+
+
+def _leaf(tag, new_c, rewriter):
+    """The axiom tag rebuilt to conclude new_c, or the refusal of the
+    finitary-only rule or cut tag by the rewriter so named."""
+    if isinstance(tag, Axiom):
+        return ax(new_c, tag.p)
+    if isinstance(tag, Cut):
+        raise InternalInvariantError("%s requires a cut-free derivation" % rewriter)
+    raise InternalInvariantError(
+        "finitary-only rule inside an intermediate-system derivation"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -198,17 +214,16 @@ def apply_sigma(s, sel):
 # identity laws
 
 
-def identity_mu(mu, k):
-    """Cut-free derivation of mu, ~mu (mu closed and mu-rooted, its level
-    within k): the nu rule on ~mu, each approximant premise obtained from
-    the previous one by monotonicity plus a closure step."""
-    return _owned(lambda laws: _identity_mu(mu, k, laws))
+def identity_mu(mu):
+    """Cut-free derivation of mu, ~mu (mu closed and mu-rooted): the nu
+    rule on ~mu, each approximant premise obtained from the previous one
+    by monotonicity plus a closure step."""
+    return _owned(lambda laws: _identity_mu(mu, laws))
 
 
-def _identity_mu(mu, k, laws):
+def _identity_mu(mu, laws):
     _require(mu[0] == "mu", "identity law needs a mu-rooted formula")
     _require(not has_free_var(mu), "identity law needs a closed formula")
-    _require(level(mu) <= k, "identity law level exceeds the system index")
     n = negate(mu)
     nbody = n[1]
     concl = Sequent((mu, n))
@@ -217,7 +232,7 @@ def _identity_mu(mu, k, laws):
     # negation is closed and valid: the sequents pairing them are trusted
     def step(i, prev):
         a_prev = iterate(nbody, TOP, i - 1)
-        mono = _monotone(prev, nbody, mu, a_prev, k, False, laws)
+        mono = _monotone(prev, nbody, mu, a_prev, False, laws)
         return clo_node(from_checked((mu, iterate(nbody, TOP, i))), mu, mono)
 
     link = _chain(lambda: top_intro((mu,)), step)
@@ -227,48 +242,46 @@ def _identity_mu(mu, k, laws):
     return mark_plain(law) if is_l0(mu) else law
 
 
-def identity_mu_primed(mu, k):
+def identity_mu_primed(mu):
     """Cut-free derivation of mu, (~mu)' by the replacement rule on mu's
     prime: each family output un-primes its witness.  When mu is already
     fully primed the witness is returned as is."""
-    return _owned(lambda laws: _identity_mu_primed(mu, k, laws))
+    return _owned(lambda laws: _identity_mu_primed(mu, laws))
 
 
-def _identity_mu_primed(mu, k, laws):
+def _identity_mu_primed(mu, laws):
     _require(mu[0] == "mu", "identity law needs a mu-rooted formula")
     _require(not has_free_var(mu), "identity law needs a closed formula")
-    h = level(mu)
-    _require(1 <= h <= k, "replacement level out of range for the system")
     t = prime(mu)
     phi = omega_phi(t)
     concl = Sequent((mu, phi))
 
     def fn(delta, w):
-        return _fit_premise(_deprime(w, mu, k - 1, laws), concl, phi, delta)
+        return _fit_premise(_deprime(w, mu, laws), concl, phi, delta)
 
-    return omega_node(concl, h, t, standard_admits(h, t), fn)
+    return omega_node(concl, level(mu), t, standard_admits(t), fn)
 
 
 # ---------------------------------------------------------------------------
 # monotonicity
 
 
-def monotone(d, a, b, c, k):
+def monotone(d, a, b, c):
     """From d proving b, c: a derivation of (~a)(b), a(c), by recursion on
     the operator a (one free variable at most; closed binder subterms are
     discharged by the identity laws).  a, b and c are validated here: the
     construction trusts what it is given."""
     for f in (a, b, c):
         validate(f)
-    return _owned(lambda laws: _monotone(d, a, b, c, k, False, laws))
+    return _owned(lambda laws: _monotone(d, a, b, c, False, laws))
 
 
-def monotone_primed(d, a, b, c, k):
+def monotone_primed(d, a, b, c):
     """From d proving b, c': a derivation of (~a)(b), a'(c'), the primed
     twin of monotonicity, its arguments validated as monotone's are."""
     for f in (a, b, c):
         validate(f)
-    return _owned(lambda laws: _monotone(d, a, b, c, k, True, laws))
+    return _owned(lambda laws: _monotone(d, a, b, c, True, laws))
 
 
 def _same(f):
@@ -278,7 +291,7 @@ def _same(f):
 _EMPTY = from_checked(())
 
 
-def _monotone(d, a, b, c, k, primed, laws):
+def _monotone(d, a, b, c, primed, laws):
     """Test the input once, then recurse on a without checks.  a, b and c
     are valid, a with at most the one variable free: the public entries
     validate them, and every caller here passes an approximant from
@@ -295,10 +308,10 @@ def _monotone(d, a, b, c, k, primed, laws):
         "monotonicity input must conclude b and the image of c",
     )
     nb = substitute(negate(a), b)
-    return _mono(d, a, nb, img(substitute(a, c)), _EMPTY, k, primed, laws)
+    return _mono(d, a, nb, img(substitute(a, c)), _EMPTY, primed, laws)
 
 
-def _mono(d, a, nb, ac, ctx, k, primed, laws):
+def _mono(d, a, nb, ac, ctx, primed, laws):
     """Monotonicity for a, built in its final conclusion: nb = (~a)(b), ac
     = the image of a(c), and ctx, what the rules nearer the root add.  That
     is the proof built without ctx and weakened by it, node for node, but
@@ -312,14 +325,14 @@ def _mono(d, a, nb, ac, ctx, k, primed, laws):
         # a closed a is its own image: nb is ~a and ac the image of a
         _require(not has_free_var(a), "binder subterm must be closed")
         if t == "mu":
-            return weaken(_law(_identity_mu, ac, k, laws), ctx)
+            return weaken(_law(_identity_mu, ac, laws), ctx)
         if t == "nu" and not primed:
-            return weaken(_law(_identity_mu, nb, k, laws), ctx)
+            return weaken(_law(_identity_mu, nb, laws), ctx)
         _require(
             primed or is_fully_primed(a),
             "annotated binder subterm must be fully primed",
         )
-        return weaken(_law(_identity_mu_primed, nb, k, laws), ctx)
+        return weaken(_law(_identity_mu_primed, nb, laws), ctx)
     own = from_checked((nb, ac))
     concl = own.union(ctx)
     if t == "atom" or t == "natom":
@@ -328,7 +341,7 @@ def _mono(d, a, nb, ac, ctx, k, primed, laws):
     # and/or case carry it on
     ctx = ctx.difference(own)
     if t == "box" or t == "dia":
-        ih = _mono(d, a[1], nb[1], ac[1], _EMPTY, k, primed, laws)
+        ih = _mono(d, a[1], nb[1], ac[1], _EMPTY, primed, laws)
         return box_node(concl, ac if t == "box" else nb, ctx, ih)
     if t != "and" and t != "or":
         raise InternalInvariantError("unknown operator tag: %r" % (t,))
@@ -338,7 +351,7 @@ def _mono(d, a, nb, ac, ctx, k, primed, laws):
 
     def premise(j):
         grown = ctx.union(from_checked((q[3 - j],)))
-        ih = _mono(d, a[j], nb[j], ac[j], grown, k, primed, laws)
+        ih = _mono(d, a[j], nb[j], ac[j], grown, primed, laws)
         return or_node(from_checked((p[j], q)).union(ctx), q, ih)
 
     return and_node(concl, p, premise(1), premise(2))
@@ -348,39 +361,33 @@ def _mono(d, a, nb, ac, ctx, k, primed, laws):
 # un-priming
 
 
-def deprime(d, a, k):
+def deprime(d, a):
     """Rewrite the cut-free derivation d, whose conclusion may contain the
     prime of a, into one concluding with a instead."""
-    return _owned(lambda laws: _deprime(d, a, k, laws))
+    return _owned(lambda laws: _deprime(d, a, laws))
 
 
-def _deprime(d, a, k, laws):
+def _deprime(d, a, laws):
     ap = prime(a)
     if ap == a or ap not in d.conclusion:
         return d
     _require(is_l0(a), "un-priming target must be a base-language formula")
     new_c = d.conclusion.without(ap).add(a)
-    return Proof.defer(new_c, lambda: _deprime_now(d, a, ap, new_c, k, laws))
+    return Proof.defer(new_c, lambda: _deprime_now(d, a, ap, new_c, laws))
 
 
-def _deprime_now(d, a, ap, new_c, k, laws):
+def _deprime_now(d, a, ap, new_c, laws):
     tag = d.rule
 
-    if isinstance(tag, Axiom):
-        return ax(new_c, tag.p)
-    if isinstance(tag, (AxiomMu, Ind)):
-        raise InternalInvariantError(
-            "finitary-only rule inside an intermediate-system derivation"
-        )
-    if isinstance(tag, Cut):
-        raise InternalInvariantError("un-priming requires a cut-free derivation")
+    if isinstance(tag, _LEAVES):
+        return _leaf(tag, new_c, "un-priming")
 
     if isinstance(tag, Box):
         p1 = d.premises[0]
         if ap == tag.principal:
-            return box_fit(new_c, a, _deprime(p1, a[1], k, laws))
+            return box_fit(new_c, a, _deprime(p1, a[1], laws))
         if ap[0] == "dia" and ap[1] in p1.conclusion:
-            p1 = _deprime(p1, a[1], k, laws)
+            p1 = _deprime(p1, a[1], laws)
         return box_fit(new_c, tag.principal, p1)
 
     if isinstance(tag, Omega) and omega_phi(tag.target) == ap:
@@ -398,7 +405,7 @@ def _deprime_now(d, a, ap, new_c, k, laws):
         # before any step: the sequents pairing them are trusted
         def step(j, prev):
             a_prev = iterate(a0, TOP, j - 1)
-            mono = _monotone(prev, negate(a0), a_prev, negate(a), k - 1, True, laws)
+            mono = _monotone(prev, negate(a0), a_prev, negate(a), True, laws)
             return clo_node(from_checked((iterate(a0, TOP, j), t2)), t2, mono)
 
         wit = _chain(lambda: top_intro((t2,)), step)
@@ -406,7 +413,7 @@ def _deprime_now(d, a, ap, new_c, k, laws):
         def derive(i, a_i):
             if i == 0:
                 return top_intro(d.conclusion.without(ap))
-            return _deprime(fam(from_checked((a_i,)), wit(i)), a, k, laws)
+            return _deprime(fam(from_checked((a_i,)), wit(i)), a, laws)
 
         return _nu_over(new_c, a, derive)
 
@@ -426,8 +433,8 @@ def _deprime_now(d, a, ap, new_c, k, laws):
         added = premise_added(tag, position)
         if rewrite:
             for x in added:
-                q = _deprime(q, x, k, laws)
-        return _fit_premise(_deprime(q, a, k, laws), new_c, principal, added)
+                q = _deprime(q, x, laws)
+        return _fit_premise(_deprime(q, a, laws), new_c, principal, added)
 
     return map_premises(d, new_c, fn, tag if rewrite else None)
 
@@ -525,16 +532,8 @@ class _Subst:
         tag = d.rule
         c = d.conclusion
 
-        if isinstance(tag, Axiom):
-            return ax(new_c, tag.p)
-        if isinstance(tag, (AxiomMu, Ind)):
-            raise InternalInvariantError(
-                "finitary-only rule inside an intermediate-system derivation"
-            )
-        if isinstance(tag, Cut):
-            raise InternalInvariantError(
-                "context substitution requires a cut-free derivation"
-            )
+        if isinstance(tag, _LEAVES):
+            return _leaf(tag, new_c, "context substitution")
 
         if isinstance(tag, Clo) and tag.principal == self.t:
             modes = _eff(rho.get(self.t, _D), self.t, self.t)
@@ -620,31 +619,27 @@ class _Subst:
         return cur
 
 
-def subst_context(d, rho, asm1, asm2, mu, b, k):
+def subst_context(d, rho, asm1, asm2, mu, b):
     """Rewrite the cut-free derivation d according to the mode map rho
     (formula -> set of modes): delta keeps a formula, s1 replaces the
     primed mu target by b in it, s2 by b'.  asm1 and asm2 prove the primed
     negated unfolding alongside b and b' respectively; they are cut in at
     every closure step on the target itself."""
-    subst = _Subst(asm1, asm2, mu, b)
-    _require(level(subst.cf) <= k, "cut formula level exceeds the system index")
-    return subst.sub(d, rho)
+    return _Subst(asm1, asm2, mu, b).sub(d, rho)
 
 
 # ---------------------------------------------------------------------------
 # induction conversion
 
 
-def ind_to_omega(asm1, asm2, mu, b, k):
+def ind_to_omega(asm1, asm2, mu, b):
     """From embeddings of the induction premise (asm1 proving the primed
     negated unfolding with b, asm2 with b'), the pair of replacement-rule
     derivations concluding phi, b and phi, b' where phi is the primed
     negation of mu."""
     t = prime(mu)
     h = level(mu)
-    _require(1 <= h <= k, "replacement level out of range for the system")
-    cf = substitute(mu[1], b)
-    ncf_p = prime(negate(cf))
+    ncf_p = prime(negate(substitute(mu[1], b)))
     _require(
         asm1.conclusion == Sequent((ncf_p, b)),
         "first induction embedding has the wrong conclusion",
@@ -654,7 +649,7 @@ def ind_to_omega(asm1, asm2, mu, b, k):
         "second induction embedding has the wrong conclusion",
     )
     phi = omega_phi(t)
-    admits = standard_admits(h, t)
+    admits = standard_admits(t)
 
     def mk(sig_mode, b_img):
         concl = Sequent((phi, b_img))
@@ -665,7 +660,7 @@ def ind_to_omega(asm1, asm2, mu, b, k):
             if t in delta:
                 modes = modes | _D
             rho[t] = modes
-            out = subst_context(w, rho, asm1, asm2, mu, b, k)
+            out = subst_context(w, rho, asm1, asm2, mu, b)
             return _fit_premise(out, concl, phi, delta)
 
         return omega_node(concl, h, t, admits, fn)
@@ -694,27 +689,25 @@ def embeds_plainly(p):
     return True
 
 
-def embed(p, sel=(), k=None):
-    """Embed the finite proof p into the intermediate system of index k
-    (defaulting to the proof's level bound), priming the selected
-    conclusion formulas.  With nothing selected, an embedding that
-    embeds_plainly says has no cut and no replacement rule is marked
-    plain."""
-    if k is None:
-        k = level_bound(p)
+def embed(p, sel=()):
+    """Embed the finite proof p into the intermediate systems, priming the
+    selected conclusion formulas: the result is the same in every Omega_k,
+    and it checks in those whose index is at least the level bound of p.
+    With nothing selected, an embedding that embeds_plainly says has no
+    cut and no replacement rule is marked plain."""
     sel = frozenset(sel)
     if not p.conclusion.issuperset(sel):
         raise ValueError("selection outside the end sequent")
-    out = _owned(lambda laws: _embed(p, sel, k, laws))
+    out = _owned(lambda laws: _embed(p, sel, laws))
     return mark_plain(out) if not sel and embeds_plainly(p) else out
 
 
-def _embed(p, sel, k, laws):
+def _embed(p, sel, laws):
     cs = apply_sigma(p.conclusion, sel)
-    return Proof.defer(cs, lambda: _embed_now(p, sel, k, cs, laws))
+    return Proof.defer(cs, lambda: _embed_now(p, sel, cs, laws))
 
 
-def _embed_now(p, sel, k, cs, laws):
+def _embed_now(p, sel, cs, laws):
     tag = p.rule
 
     if isinstance(tag, Axiom):
@@ -723,7 +716,7 @@ def _embed_now(p, sel, k, cs, laws):
     if isinstance(tag, AxiomMu):
         m = tag.mu
         law = _identity_mu_primed if negate(m) in sel else _identity_mu
-        return fit(_law(law, prime(m) if m in sel else m, k, laws), cs)
+        return fit(_law(law, prime(m) if m in sel else m, laws), cs)
 
     if isinstance(tag, Box):
         # the body follows the principal, every other formula its diamond
@@ -734,7 +727,7 @@ def _embed_now(p, sel, k, cs, laws):
         phis = phi in sel
         if phis and body in q.conclusion:
             sp |= {body}
-        return box_fit(cs, prime(phi) if phis else phi, _embed(q, sp, k, laws))
+        return box_fit(cs, prime(phi) if phis else phi, _embed(q, sp, laws))
 
     if isinstance(tag, (Or, And, Clo)):
         # the principal's selection decides its parts
@@ -752,15 +745,12 @@ def _embed_now(p, sel, k, cs, laws):
             imgs = [img(x) for x in parts]
             if checked:
                 imgs = from_checked(imgs)
-            return _fit_premise(_embed(q, sp, k, laws), cs, phi_img, imgs)
+            return _fit_premise(_embed(q, sp, laws), cs, phi_img, imgs)
 
         return map_premises(p, cs, fn, type(tag)(phi_img))
 
     if isinstance(tag, Cut):
         cf = tag.formula
-        _require(
-            level(cf) <= k, "cut formula level exceeds the system index"
-        )
         ncf = negate(cf)
         g = p.conclusion
         q1, q2 = p.premises
@@ -772,17 +762,17 @@ def _embed_now(p, sel, k, cs, laws):
         )
         s1 = q1.conclusion & sel | {cf}
         s2 = q2.conclusion & sel | {ncf}
-        return cut_fit(cs, cf, _embed(q1, s1, k, laws), _embed(q2, s2, k, laws))
+        return cut_fit(cs, cf, _embed(q1, s1, laws), _embed(q2, s2, laws))
 
     if isinstance(tag, Ind):
-        return _embed_ind(p, tag, sel, k, cs, laws)
+        return _embed_ind(p, tag, sel, cs, laws)
 
     raise InternalInvariantError(
         "rule not part of the finitary system: %r" % (tag,)
     )
 
 
-def _embed_ind(p, tag, sel, k, cs, laws):
+def _embed_ind(p, tag, sel, cs, laws):
     # the conclusion checks only what equals ~m and b, and monotonicity
     # trusts what it is given, so both are validated here, once per node
     m = validate(tag.mu)
@@ -791,21 +781,20 @@ def _embed_ind(p, tag, sel, k, cs, laws):
     aop = m[1]
     cf = substitute(aop, bb)
     ncf = negate(cf)
-    _require(level(cf) <= k, "cut formula level exceeds the system index")
     prem = p.premises[0]
 
     if n in sel:
-        asm1 = _embed(prem, frozenset((ncf,)), k, laws)
-        asm2 = _embed(prem, frozenset((ncf, bb)), k, laws)
-        o1, o2 = ind_to_omega(asm1, asm2, m, bb, k)
+        asm1 = _embed(prem, frozenset((ncf,)), laws)
+        asm2 = _embed(prem, frozenset((ncf, bb)), laws)
+        o1, o2 = ind_to_omega(asm1, asm2, m, bb)
         return fit(o2 if bb in sel else o1, cs)
 
     bsel = bb in sel
     b_img = prime(bb) if bsel else bb
     naop = negate(aop)
     s1 = frozenset((ncf,)) | (frozenset((bb,)) if bsel else frozenset())
-    ih1 = _embed(prem, s1, k, laws)
-    ih2 = _embed(prem, frozenset((ncf, bb)), k, laws)
+    ih1 = _embed(prem, s1, laws)
+    ih2 = _embed(prem, frozenset((ncf, bb)), laws)
     pb = prime(bb)
 
     # link j pairs the monotonicity step into the j-th approximant with
@@ -815,7 +804,7 @@ def _embed_ind(p, tag, sel, k, cs, laws):
     # is checked where it joins an approximant
     def step(j, prev):
         a_prev = iterate(naop, TOP, j - 1)
-        mono = _monotone(prev[1], aop, a_prev, bb, k, True, laws)
+        mono = _monotone(prev[1], aop, a_prev, bb, True, laws)
         return mono, cut_fit(from_checked((iterate(naop, TOP, j), pb)), cf, mono, ih2)
 
     link = _chain(lambda: (None, top_intro((pb,))), step)

@@ -706,10 +706,11 @@ def _probe(target):
 ADMIT_DEPTH = 2
 
 
-def standard_admits(h, target):
-    """Domain predicate for replacement families: delta is h-positive and
-    the witness concludes delta plus the target, cut-free as far as a
-    bounded look can see (trusted beyond that bound)."""
+def standard_admits(target):
+    """Domain predicate for replacement families: delta is h-positive for
+    h the target's level and the witness concludes delta plus the target,
+    cut-free as far as a bounded look can see (trusted beyond that bound)."""
+    h = level(target)
 
     def admits(delta, witness):
         if not isinstance(delta, Sequent) or not isinstance(witness, Proof):
@@ -745,7 +746,7 @@ class Observation:
 
     def __init__(
         self, conclusion, rule, children=(), truncated=False, sampled=None,
-        probes=None, error=None, kept=None,
+        probes=None, error=None,
     ):
         self.conclusion = conclusion
         self.rule = rule
@@ -754,7 +755,7 @@ class Observation:
         self.sampled = sampled
         self.probes = probes
         self.error = error
-        self.kept = kept
+        self.kept = None
         self.spliced = False
 
     # every field but kept and spliced, in order

@@ -90,18 +90,17 @@ def _a2_artifacts():
     assert sorted({level(m) for m in suite}) == [1, 2]
     arts = {}
     for m in suite:
-        k = level(m)
-        system = omega_system(k)
+        system = omega_system(level(m))
         a = m[1]
         b, c = natom(5), atom(5)
         d = ax(Sequent((b, c)), c)
         outs = {
-            "identity_mu": identity_mu(m, k),
-            "identity_mu_primed": identity_mu_primed(m, k),
-            "monotone": monotone(d, a, b, c, k),
-            "monotone_primed": monotone_primed(d, a, b, c, k),
+            "identity_mu": identity_mu(m),
+            "identity_mu_primed": identity_mu_primed(m),
+            "monotone": monotone(d, a, b, c),
+            "monotone_primed": monotone_primed(d, a, b, c),
         }
-        outs["deprime"] = deprime(outs["identity_mu_primed"], negate(m), k)
+        outs["deprime"] = deprime(outs["identity_mu_primed"], negate(m))
         assert outs["identity_mu"].conclusion == Sequent((m, negate(m)))
         assert outs["identity_mu_primed"].conclusion == Sequent(
             (m, prime(negate(m)))

@@ -69,7 +69,7 @@ def _asm(mu, b):
 def _omegabar(context):
     """A bar-replacement node on M3 concluding {top} plus context, made by
     one head reduction of a cut on M3 against an Omega node."""
-    o1, _ = ind_to_omega(_asm(M3, TOP), _asm(M3, TOP), M3, TOP, 1)
+    o1, _ = ind_to_omega(_asm(M3, TOP), _asm(M3, TOP), M3, TOP)
     g = Sequent((TOP,) + tuple(context))
     mu_side = weaken(top_intro((M3,)), context)
     d = reduce_head(cut_node(g, M3, mu_side, weaken(o1, context)))
@@ -185,7 +185,7 @@ def test_modal_case_takes_the_modal_reduction():
 
 def _subst(d):
     """Substitute top for every occurrence of M1 in d."""
-    return subst_context(d, {M1: frozenset(("s1",))}, _asm(M1, TOP), _asm(M1, TOP), M1, TOP, 1)
+    return subst_context(d, {M1: frozenset(("s1",))}, _asm(M1, TOP), _asm(M1, TOP), M1, TOP)
 
 
 def _subst_clo():
@@ -198,7 +198,7 @@ def _subst_clo():
 
 
 def _subst_omega():
-    d = weaken(identity_mu_primed(M3, 1), (M1,))
+    d = weaken(identity_mu_primed(M3), (M1,))
     assert isinstance(d.rule, Omega)
     return _subst(d)
 
@@ -213,21 +213,21 @@ def _deprime_box():
         Sequent((dia(M1), box(PHI1))),
         box(PHI1),
         Sequent(),
-        identity_mu_primed(M1, 1),
+        identity_mu_primed(M1),
     )
     assert isinstance(d.rule, Box)
-    return deprime(d, box(negate(M1)), 1)
+    return deprime(d, box(negate(M1)))
 
 
 def _deprime_omega():
     # an Omega node on M3 carrying the primed target in its context
-    d = weaken(identity_mu_primed(M3, 1), (PHI1,))
+    d = weaken(identity_mu_primed(M3), (PHI1,))
     assert isinstance(d.rule, Omega)
-    return deprime(d, negate(M1), 1)
+    return deprime(d, negate(M1))
 
 
 def _deprime_omegabar():
-    return deprime(_omegabar((PHI1,)), negate(M1), 1)
+    return deprime(_omegabar((PHI1,)), negate(M1))
 
 
 DIRECT_CASES = {

@@ -71,7 +71,7 @@ def test_collapse_leaves_plain_proofs_alone():
 
 def test_collapse_level_gate():
     m = pf("mu X . (p1 | X)")
-    p = identity_mu_primed(m, 1)  # starts with a replacement rule
+    p = identity_mu_primed(m)  # starts with a replacement rule
     assert isinstance(p.rule, Omega)
     # collapsing to h=1 keeps the level-1 rule
     kept = collapse(p, 1)
@@ -84,7 +84,7 @@ def test_collapse_level_gate():
 
 def test_collapse_rejects_cuts():
     e2 = CORPUS["top-cut"]()
-    emb = embed(e2, (), 0)
+    emb = embed(e2)
     c = collapse(emb, 0)
     with pytest.raises(InternalInvariantError):
         c.rule
@@ -92,7 +92,7 @@ def test_collapse_rejects_cuts():
 
 def test_sinf_judge_rejects_foreign_rules():
     m = pf("mu X . (p1 | X)")
-    report = check_bounded(identity_mu_primed(m, 1), SYSTEM_SINF, 1)
+    report = check_bounded(identity_mu_primed(m), SYSTEM_SINF, 1)
     assert ("root", "rule omega is not part of system sinf") in report.violations
 
 
@@ -146,7 +146,7 @@ def test_nu_sampling_in_the_final_proof():
 
 def test_collapse_preserves_endsequent_of_eliminated_proof():
     e4 = CORPUS["nested"]()
-    elim = eliminate(embed(e4, (), 2))
+    elim = eliminate(embed(e4))
     col = collapse(elim, 0)
     assert col.conclusion == elim.conclusion == e4.conclusion
 
@@ -234,7 +234,7 @@ def test_passed_stages_equal_the_long_path(p):
     assert all(isinstance(t, PLAIN) for t in observation_rules(o))
     # unmarked, the embedding goes through elimination and collapsing
     with plain_marks_off():
-        long_embedded = embed(p, frozenset(), level_bound(p))
+        long_embedded = embed(p)
         long_collapsed = collapse(eliminate(long_embedded), 0)
         assert long_collapsed is not long_embedded
         for long in (long_embedded, long_collapsed):
@@ -401,7 +401,7 @@ def test_a_spliced_report_is_rerooted_where_the_walk_meets_it():
 
 def _marked():
     m = pf("mu X . (p1 | <> X)")
-    law = identity_mu(m, 1)
+    law = identity_mu(m)
     return [law, top_intro((m,)), weaken(law, (atom(2),)), pipeline(CORPUS["axmu"]())["embedded"]]
 
 

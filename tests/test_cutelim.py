@@ -146,7 +146,7 @@ def test_eliminate_corpus():
     for name in ("top-cut", "axmu"):
         p = CORPUS[name]()
         k = max(1, level_bound(p))
-        emb = embed(p, (), k)
+        emb = embed(p)
         elim = eliminate(emb)
         assert elim.conclusion == emb.conclusion
         o = observe(elim, 6)
@@ -158,7 +158,7 @@ def test_eliminate_trace_is_deterministic():
     def run():
         steps = []
         elim = eliminate(
-            embed(CORPUS["nested"](), (), 2),
+            embed(CORPUS["nested"]()),
             trace=lambda p, c, r: steps.append((p, c, r)),
         )
         observe(elim, 1)
@@ -174,7 +174,7 @@ def test_eliminate_trace_is_deterministic():
 def test_eliminate_case_tokens():
     steps = []
     elim = eliminate(
-        embed(CORPUS["nested"](), (), 2),
+        embed(CORPUS["nested"]()),
         trace=lambda p, c, r: steps.append(c),
     )
     observe(elim, 6)
@@ -193,7 +193,7 @@ def test_eliminate_case_tokens():
 
 
 def test_fuel_exhaustion():
-    emb = embed(CORPUS["nested"](), (), 2)
+    emb = embed(CORPUS["nested"]())
     elim = eliminate(emb, fuel=1)
     with pytest.raises(FuelExhausted):
         observe(elim, 6)
@@ -455,7 +455,7 @@ def test_the_omegabar_case_with_the_omega_node_on_the_f1_side():
         clo_node(Sequent((mu, nu)), mu, axiom),
         ind_node(Sequent((nu,)), mu, nu, axiom),
     )
-    mu_side, omega_side = embed(cut, frozenset(), 1).premises
+    mu_side, omega_side = embed(cut).premises
     assert isinstance(omega_side.rule, Omega)
     steps = []
     out = reduce_head(

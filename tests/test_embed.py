@@ -39,6 +39,7 @@ from mucut.embed import (
     ind_to_omega,
     monotone,
     monotone_primed,
+    subst_context,
 )
 from mucut.errors import InternalInvariantError
 from mucut.kernel import TOP, atom, is_l0, level, natom, negate, prime, substitute
@@ -58,6 +59,7 @@ from mucut.proofs import (
     axmu_node,
     box_node,
     cut_node,
+    ind_node,
     is_cut_free_observed,
     make_node,
     observation_errors,
@@ -88,7 +90,7 @@ def test_apply_sigma():
 
 
 def test_identity_mu():
-    p = identity_mu(M1, 1)
+    p = identity_mu(M1)
     assert p.conclusion == seq(M1, negate(M1))
     assert isinstance(p.rule, Nu)
     assert is_cut_free_observed(p, 6)
@@ -99,7 +101,7 @@ def test_identity_mu_reaches_a_far_approximant():
     # the chain of approximant derivations is built in index order, so
     # premise 3000 needs no stack frame per index below it
     m = pf("mu X . X")
-    o = observe(identity_mu(m, 1), 4, (3000,))
+    o = observe(identity_mu(m), 4, (3000,))
     assert observation_errors(o) == []
     assert o.children[0].conclusion == seq(m, TOP)
     assert check_observation(o, omega_system(1), 4).ok
@@ -107,13 +109,11 @@ def test_identity_mu_reaches_a_far_approximant():
 
 def test_identity_mu_rejects_bad_input():
     with pytest.raises(InternalInvariantError):
-        identity_mu(TOP, 1)
-    with pytest.raises(InternalInvariantError):
-        identity_mu(pf("mu X . mu X . X"), 0)  # level above the index
+        identity_mu(TOP)
 
 
 def test_identity_mu_primed():
-    p = identity_mu_primed(M1, 1)
+    p = identity_mu_primed(M1)
     assert p.conclusion == seq(M1, prime(negate(M1)))
     tag = p.rule
     assert isinstance(tag, Omega)
@@ -124,21 +124,21 @@ def test_identity_mu_primed():
 
 
 def test_monotone():
-    d = identity_mu(M1, 1)
+    d = identity_mu(M1)
     a = M1[1]  # the operator p1 | X
-    p = monotone(d, a, negate(M1), M1, 1)
+    p = monotone(d, a, negate(M1), M1)
     assert p.conclusion == seq(
         substitute(negate(a), negate(M1)), substitute(a, M1)
     )
     assert check_bounded(p, _sys(M1), 6).ok
     with pytest.raises(InternalInvariantError):
-        monotone(top_intro(()), a, negate(M1), M1, 1)
+        monotone(top_intro(()), a, negate(M1), M1)
 
 
 def test_monotone_primed():
-    d = identity_mu_primed(M1, 1)
+    d = identity_mu_primed(M1)
     nbody = negate(M1)[1]
-    p = monotone_primed(d, nbody, M1, negate(M1), 1)
+    p = monotone_primed(d, nbody, M1, negate(M1))
     assert p.conclusion == seq(
         substitute(negate(nbody), M1),
         prime(substitute(nbody, negate(M1))),
@@ -172,15 +172,15 @@ _ROOTED = st.builds(
 def test_monotone_in_context(a, primed, law):
     # d proves b, c (b, c' when primed): an axiom or an identity law
     if law and primed:
-        d, b, c = identity_mu_primed(M1, 1), M1, negate(M1)
+        d, b, c = identity_mu_primed(M1), M1, negate(M1)
     elif law:
-        d, b, c = identity_mu(M1, 1), negate(M1), M1
+        d, b, c = identity_mu(M1), negate(M1), M1
     else:
         b, c = atom(3), negate(atom(3))
         d = ax(seq(b, c), b)
     k = max(1, level(a))
     build = monotone_primed if primed else monotone
-    p = build(d, a, b, c, k)
+    p = build(d, a, b, c)
     a_c = substitute(a, c)
     assert p.conclusion == seq(
         substitute(negate(a), b), prime(a_c) if primed else a_c
@@ -190,7 +190,7 @@ def test_monotone_in_context(a, primed, law):
     assert any(isinstance(t, Box) and t.side for t in observation_rules(o))
 
 
-def _weakened_monotone(d, a, b, c, k, primed):
+def _weakened_monotone(d, a, b, c, primed):
     """Monotonicity built the plain way: each case in its own two
     formulas, an and/or premise weakened by the one formula it adds."""
     img = prime if primed else (lambda f: f)
@@ -202,20 +202,20 @@ def _weakened_monotone(d, a, b, c, k, primed):
     if t in ("atom", "natom"):
         return ax(out, a if t == "atom" else negate(a))
     if t in ("box", "dia"):
-        ih = _weakened_monotone(d, a[1], b, c, k, primed)
+        ih = _weakened_monotone(d, a[1], b, c, primed)
         return box_node(out, ac if t == "box" else nb, Sequent(), ih)
     if t == "mu":
-        return identity_mu(img(a), k)
+        return identity_mu(img(a))
     if t == "nu" and not primed:
-        return identity_mu(negate(a), k)
+        return identity_mu(negate(a))
     if t in ("nu", "nub"):
-        return identity_mu_primed(negate(a), k)
+        return identity_mu_primed(negate(a))
     p, q = (ac, nb) if t == "and" else (nb, ac)
     prems = [
         or_node(
             seq(p[j], q),
             q,
-            weaken(_weakened_monotone(d, a[j], b, c, k, primed), seq(q[3 - j])),
+            weaken(_weakened_monotone(d, a[j], b, c, primed), seq(q[3 - j])),
         )
         for j in (1, 2)
     ]
@@ -226,13 +226,13 @@ def _weakened_monotone(d, a, b, c, k, primed):
 @given(_ROOTED, st.booleans())
 def test_monotone_in_context_is_the_weakened_proof(a, primed):
     # the same proof, node for node, as weakening every premise
-    d, b, c = identity_mu(M1, 1), negate(M1), M1
+    d, b, c = identity_mu(M1), negate(M1), M1
     if primed:
-        d, b, c = identity_mu_primed(M1, 1), M1, negate(M1)
+        d, b, c = identity_mu_primed(M1), M1, negate(M1)
     build = monotone_primed if primed else monotone
     texts = [
         observation_dumps(observe(p, 8))
-        for p in (build(d, a, b, c, 1), _weakened_monotone(d, a, b, c, 1, primed))
+        for p in (build(d, a, b, c), _weakened_monotone(d, a, b, c, primed))
     ]
     assert texts[0] == texts[1]
 
@@ -248,25 +248,62 @@ def test_monotone_weakens_only_at_the_leaves(monkeypatch):
         return weaken(d, extra)
 
     monkeypatch.setattr(EMBED, "weaken", counting)
-    d = identity_mu(M1, 1)
+    d = identity_mu(M1)
     a = parse_form("(((X & p1) | ~p2) & (X | <> (p1 & X)))")
-    p = monotone(d, a, negate(M1), M1, 1)
+    p = monotone(d, a, negate(M1), M1)
     assert len(calls) <= 3
     # forcing the identity law d builds its own monotonicity steps
     assert check_bounded(p, _sys(M1), 8).ok
 
 
 def test_deprime():
-    d = identity_mu_primed(M1, 1)
+    d = identity_mu_primed(M1)
     n = negate(M1)
-    out = deprime(d, n, 1)
+    out = deprime(d, n)
     assert out.conclusion == seq(M1, n)
     assert check_bounded(out, _sys(M1), 6).ok
     assert is_cut_free_observed(out, 6)
     # no-ops: target not primed in the conclusion, or priming is identity
-    assert deprime(d, M1, 1) is d
+    assert deprime(d, M1) is d
     d2 = top_intro(())
-    assert deprime(d2, TOP, 1) is d2
+    assert deprime(d2, TOP) is d2
+
+
+def _carrying(f, law):
+    """A cut, an ind and an axmu node, each with f in its conclusion; law
+    proves ~f, f, the premise of the ind node, which has f as invariant."""
+    mu = pf("mu X . X")
+    return {
+        "cut": cut_node(
+            seq(TOP, f), atom(1), top_intro((f, atom(1))), top_intro((f, natom(1)))
+        ),
+        "ind": ind_node(seq(negate(mu), f), mu, f, law),
+        "axmu": axmu_node(seq(mu, negate(mu), f), mu),
+    }
+
+
+_REFUSALS = {
+    "cut": "^{} requires a cut-free derivation$",
+    "ind": "^finitary-only rule inside an intermediate-system derivation$",
+    "axmu": "^finitary-only rule inside an intermediate-system derivation$",
+}
+
+
+@pytest.mark.parametrize("rule", sorted(_REFUSALS))
+def test_the_cut_free_rewriters_refuse_finitary_rules_and_cuts(rule):
+    # un-priming and context substitution rewrite cut-free derivations of
+    # the intermediate systems; forced over a node that carries the
+    # formula they rewrite, a cut or a finitary-only rule is refused
+    want = _REFUSALS[rule]
+    a = negate(M1)
+    unprimed = deprime(_carrying(prime(a), identity_mu_primed(M1))[rule], a)
+    with pytest.raises(InternalInvariantError, match=want.format("un-priming")):
+        unprimed.rule  # noqa: B018 - forcing the root rewrites it
+    asm = top_intro((prime(negate(substitute(M1[1], TOP))),))
+    d = _carrying(M1, identity_mu(M1))[rule]
+    substituted = subst_context(d, {M1: frozenset(("s1",))}, asm, asm, M1, TOP)
+    with pytest.raises(InternalInvariantError, match=want.format("context substitution")):
+        substituted.rule  # noqa: B018 - forcing the root rewrites it
 
 
 def test_ind_to_omega():
@@ -276,7 +313,7 @@ def test_ind_to_omega():
     ncf_p = prime(negate(cf))
     asm1 = top_intro((ncf_p,))  # proves ~(A(top))', top
     asm2 = top_intro((ncf_p,))  # prime(top) == top
-    o1, o2 = ind_to_omega(asm1, asm2, m, b, 1)
+    o1, o2 = ind_to_omega(asm1, asm2, m, b)
     phi = omega_phi(prime(m))
     assert o1.conclusion == Sequent((phi, b))
     assert o2.conclusion == Sequent((phi, prime(b)))
@@ -314,7 +351,7 @@ def test_embed_endsequents_and_rules():
     for name, build in CORPUS.items():
         p = build()
         k = max(1, level_bound(p))
-        emb = embed(p, (), k)
+        emb = embed(p)
         assert emb.conclusion == p.conclusion
         o = observe(emb, 6)
         tags = observation_rules(o)
@@ -325,7 +362,7 @@ def test_embed_endsequents_and_rules():
 def test_embed_with_selection():
     p = CORPUS["axmu"]()
     m = pf("mu X . (p1 | X)")
-    emb = embed(p, (m,), 1)
+    emb = embed(p, (m,))
     assert emb.conclusion == apply_sigma(p.conclusion, frozenset((m,)))
     assert prime(m) in emb.conclusion
     assert check_bounded(emb, omega_system(1), 6).ok
@@ -348,8 +385,8 @@ def test_embedded_conclusions_are_canonical_checked_sequents():
         for r in range(len(forms) + 1):
             windows.append(observe(embed(p, forms[:r]), 6))
     for m in lemma_suite():
-        windows.append(observe(identity_mu(m, level(m)), 6))
-        windows.append(observe(identity_mu_primed(m, max(1, level(m))), 6))
+        windows.append(observe(identity_mu(m), 6))
+        windows.append(observe(identity_mu_primed(m), 6))
     seen = 0
     for o in windows:
         todo = [o]
@@ -424,12 +461,12 @@ def test_identity_laws_are_built_once_per_embedding(monkeypatch):
 
     def requesting(*args):
         out = law(*args)
-        requests.append((args[1:3], out))
+        requests.append((args[:2], out))
         return out
 
-    def building(mu, k, laws):
-        builds.append((mu, k))
-        return build(mu, k, laws)
+    def building(mu, laws):
+        builds.append(mu)
+        return build(mu, laws)
 
     monkeypatch.setattr(EMBED, "_law", requesting)
     monkeypatch.setattr(EMBED, "_identity_mu", building)
@@ -437,9 +474,9 @@ def test_identity_laws_are_built_once_per_embedding(monkeypatch):
     runs = []
     for _ in range(2):
         del requests[:], builds[:]
-        emb = embed(p, (), 2)
+        emb = embed(p)
         assert observation_errors(observe(emb, 10)) == []
-        # one build and one object per (mu, k), however often asked for
+        # one build and one object per (build, mu), however often asked for
         assert len(builds) == len(set(builds)) >= 2
         assert len(requests) > len(builds)
         one = {}
@@ -460,9 +497,9 @@ def test_a_dropped_embedding_leaves_no_cyclic_garbage():
     gc.collect()
     gc.disable()
     try:
-        emb = embed(p, (), 2)
+        emb = embed(p)
         assert observation_errors(observe(emb, 10)) == []
-        law = identity_mu(pf("mu X . (p1 | mu X . (p2 | [] X))"), 2)
+        law = identity_mu(pf("mu X . (p1 | mu X . (p2 | [] X))"))
         assert observation_errors(observe(law, 10)) == []
         del emb, law
         assert gc.collect() == 0
@@ -523,8 +560,7 @@ def _sinf_window(q):
 @settings(deadline=None, max_examples=40)
 @given(CLOSED_MUS, st.sampled_from([atom(1), natom(2), TOP, pf("nu X . [] X")]))
 def test_the_plain_builders_mark_only_sinf_proofs(mu, extra):
-    k = level(mu)
-    law, top = identity_mu(mu, k), top_intro((mu,))
+    law, top = identity_mu(mu), top_intro((mu,))
     marked = [
         law, top, weaken(law, (extra,)), weaken(weaken(top, (extra,)), (negate(mu),)),
         embed(axmu(mu)),
@@ -537,9 +573,9 @@ def test_the_plain_builders_mark_only_sinf_proofs(mu, extra):
     nub = prime(("mu", ("or", negate(mu), ("var",))))
     assert not is_l0(nub)
     unmarked = [
-        identity_mu(nub, level(nub)),
-        identity_mu_primed(mu, k),
-        weaken(identity_mu_primed(mu, k), (extra,)),
+        identity_mu(nub),
+        identity_mu_primed(mu),
+        weaken(identity_mu_primed(mu), (extra,)),
         embed(axmu(nub)),
         embed(axmu(mu), (mu,)),
         embed(top_induction_cut(mu)),

@@ -16,8 +16,10 @@ Importing the package and its command line loads no `dataclasses`, which
 with the modules it imports would cost a third of the import, and the
 package alone does not load `mucut.corpus`.  No test imports a module of
 the benchmark or edits `sys.path`: what both need lives in the package.
-Only `proofs.mark_plain` sets a proof's plain mark, and only `Proof`'s
-constructor clears it.  Every module-level memo of the package (a
+The builders `mucut.embed` and `mucut.cutelim` import nothing from the
+judge, `mucut.checker`: they build the same proof whatever system it is
+judged in.  Only `proofs.mark_plain` sets a proof's plain mark, and only
+`Proof`'s constructor clears it.  Every module-level memo of the package (a
 function under `@memo` or a name bound to a `memo(...)` call) is named in
 the paragraph of the `mucut.kernel` docstring that states the memo
 policy, so that policy stays described in one place.
@@ -209,6 +211,41 @@ def test_importing_the_package_loads_no_dataclasses():
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
     )
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
+def imported_modules(source):
+    """The modules that source imports anywhere in it, sorted: for
+    `from m import x` both m and m.x, since x may be a module."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module)
+            names.update("%s.%s" % (node.module, a.name) for a in node.names)
+    return sorted(names)
+
+
+def test_imported_modules_are_found():
+    source = (
+        "import os.path\n"
+        "from mucut import checker\n"
+        "from . import sibling\n"
+        "def f():\n    from mucut.kernel import TOP as T\n"
+    )
+    assert imported_modules(source) == [
+        "mucut", "mucut.checker", "mucut.kernel", "mucut.kernel.TOP", "os.path",
+    ]
+
+
+@pytest.mark.parametrize("module", ["cutelim", "embed"])
+def test_the_builders_import_nothing_from_the_checker(module):
+    # the system index belongs to the judge: a builder makes one proof for
+    # every system and never asks the checker which one it lands in
+    source = (PACKAGE / ("%s.py" % module)).read_text(encoding="utf-8")
+    assert not [
+        m for m in imported_modules(source) if m.startswith("mucut.checker")
+    ]
 
 
 def _is_memo(node):

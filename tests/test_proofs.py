@@ -242,7 +242,7 @@ def test_canonical_probe_and_standard_admits():
     delta, witness = canonical_probe(t)
     assert delta == seq(TOP)
     assert witness.conclusion == seq(TOP, t)
-    admits = standard_admits(1, t)
+    admits = standard_admits(t)
     assert admits(delta, witness)
     # wrong conclusion
     assert not admits(delta, top_intro(()))
@@ -278,7 +278,7 @@ def test_observing_a_family_twice_computes_its_output_once():
     t = prime(pf("mu X . (p1 | X)"))
     phi = omega_phi(t)
     admitted, calls = [], []
-    standard = standard_admits(1, t)
+    standard = standard_admits(t)
 
     def admits(delta, w):
         admitted.append(delta)
@@ -300,7 +300,7 @@ def test_omega_node_observation_and_errors():
     def fn(delta, w):
         return top_intro(delta.union((phi,)).difference((TOP,)))
 
-    p = omega_node(seq(phi), 1, t, standard_admits(1, t), fn)
+    p = omega_node(seq(phi), 1, t, standard_admits(t), fn)
     o = observe(p, 3)
     assert o.truncated
     assert o.probes == (seq(TOP),)
@@ -308,14 +308,14 @@ def test_omega_node_observation_and_errors():
     assert observation_errors(o) == []
     # a family that raises becomes an error leaf...
     boom = omega_node(
-        seq(phi), 1, t, standard_admits(1, t),
+        seq(phi), 1, t, standard_admits(t),
         lambda d, w: (_ for _ in ()).throw(ValueError("boom")),
     )
     ob = observe(boom, 3)
     assert observation_errors(ob) == ["boom"]
     # ...except fuel exhaustion, which propagates
     tired = omega_node(
-        seq(phi), 1, t, standard_admits(1, t),
+        seq(phi), 1, t, standard_admits(t),
         lambda d, w: (_ for _ in ()).throw(FuelExhausted("empty")),
     )
     with pytest.raises(FuelExhausted):
@@ -330,7 +330,7 @@ def test_delta_fam_gate_and_memo():
     t = prime(pf("mu X . (p1 | X)"))
     calls = []
     fam = DeltaFam(
-        standard_admits(1, t),
+        standard_admits(t),
         lambda d, w: calls.append(1) or top_intro(()),
     )
     delta, witness = canonical_probe(t)
@@ -357,7 +357,7 @@ def test_a_frozenset_equals_its_sequent_but_is_refused_where_a_sequent_is_requir
         with pytest.raises(InternalInvariantError, match="must be a Sequent"):
             build()
     # as a family delta, also once the equal Sequent is in the family's memo
-    admits = standard_admits(1, t)
+    admits = standard_admits(t)
     assert admits(delta, witness) and not admits(plain, witness)
     fam = DeltaFam(admits, lambda d, w: top_intro(()))
     fam(delta, witness)
@@ -369,7 +369,7 @@ def test_omegabar_first_premise():
     t = prime(pf("mu X . (p1 | X)"))
     first = top_intro((t,))
     p = omegabar_node(
-        seq(TOP), 1, t, first, standard_admits(1, t),
+        seq(TOP), 1, t, first, standard_admits(t),
         lambda d, w: top_intro(d.difference((TOP,))),
     )
     o = observe(p, 2)
@@ -379,7 +379,7 @@ def test_omegabar_first_premise():
     assert isinstance(p.premises, OmegaBarPrem)
     with pytest.raises(InternalInvariantError):
         omegabar_node(
-            seq(TOP), 1, t, top_intro(()), standard_admits(1, t),
+            seq(TOP), 1, t, top_intro(()), standard_admits(t),
             lambda d, w: top_intro(()),
         )
 
@@ -505,7 +505,7 @@ def test_map_premises_omega_is_lazy_and_keeps_the_domain():
     t = prime(pf("mu X . (p1 | X)"))
     phi = omega_phi(t)
     d = omega_node(
-        seq(phi), 1, t, standard_admits(1, t),
+        seq(phi), 1, t, standard_admits(t),
         lambda dl, w: top_intro(dl.union((phi,)).difference((TOP,))),
     )
     fn, calls = _recorder()
@@ -525,7 +525,7 @@ def test_map_premises_omegabar_maps_first_now_and_family_on_demand():
     t = prime(pf("mu X . (p1 | X)"))
     first = top_intro((t,))
     d = omegabar_node(
-        seq(TOP), 1, t, first, standard_admits(1, t),
+        seq(TOP), 1, t, first, standard_admits(t),
         lambda dl, w: top_intro(dl.difference((TOP,))),
     )
     fn, calls = _recorder()
@@ -582,7 +582,7 @@ def test_box_fit_side_is_what_the_packet_leaves():
 def test_mapped_family_checks_its_domain_once():
     t = prime(pf("mu X . (p1 | X)"))
     phi = omega_phi(t)
-    admits = standard_admits(1, t)
+    admits = standard_admits(t)
     runs = []
 
     def counted(delta, witness):
@@ -700,7 +700,7 @@ def test_an_observe_that_runs_out_keeps_nothing():
         calls.append(delta)
         raise FuelExhausted("empty")
 
-    tired = omega_node(seq(phi), 1, t, standard_admits(1, t), out_of_fuel)
+    tired = omega_node(seq(phi), 1, t, standard_admits(t), out_of_fuel)
     for n in (1, 2):
         with pytest.raises(FuelExhausted):
             observe(tired, 3)

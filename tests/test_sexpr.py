@@ -892,8 +892,8 @@ def _windows():
             for depth in (0, 1, 6):
                 yield observe(stages[stage], depth)
     for m in lemma_suite()[:4]:
-        yield observe(identity_mu(m, 2), 4, (0, 3))
-        yield observe(identity_mu_primed(m, 2), 3, (1,), 0)
+        yield observe(identity_mu(m), 4, (0, 3))
+        yield observe(identity_mu_primed(m), 3, (1,), 0)
     # error leaves, with and without a conclusion, whose messages need
     # escaping
     msg = 'a "quoted" \\ message'
