@@ -24,10 +24,12 @@ One walk over an explicit stack, so that no window is too deep for it,
 drives the judge and subformula_report's closure test, and reports in
 one order: a node's violations, then its premises' first to last (what
 each must conclude, or that it could not be produced), then each
-premise's subtree in turn.  The judge takes a spliced window, a marked
-proof's kept window inside another, as one subtree: its own report.  Paths are kept as (parent, label) pairs and
-made into text only when a violation is flagged.  Resource limits
-(fuel, stack depth) propagate as they do from observe.
+premise's subtree in turn.  The judge flags a rule its system leaves
+out at the depth bound too, and takes a spliced window, a marked
+proof's kept window inside another, as one subtree: its own report.
+Paths are kept as (parent, label) pairs and made into text only when a
+violation is flagged.  Resource limits (fuel, stack depth) propagate as
+they do from observe.
 
 A window judged in one system answers for a second when nothing in its
 kept facts tells the two apart: no cut, omega or omegabar, whose
@@ -336,12 +338,14 @@ _INDEXED = frozenset((Cut, Omega, OmegaBar))
 # The rules of infinitely many premises.
 _INFINITARY = frozenset((Nu, Omega, OmegaBar))
 
+_LEFT_OUT = "rule %s is not part of system %s"
+
 
 # ---------------------------------------------------------------------------
 # the walk and the judge
 
 
-def _walk(root, depth, visit, spliced=None):
+def _walk(root, depth, visit, system=None):
     """The judgement (_State) of a window walked to the given depth; a
     negative depth never reaches the bound, so a finite proof is walked
     whole as its own window.  A node at the bound is a truncation point
@@ -354,9 +358,10 @@ def _walk(root, depth, visit, spliced=None):
     Reading a premise's error forces a proof's premise: a proof's nodes
     are forced when their parent is judged, first to last.
 
-    Given spliced, a spliced window below the root is one unit: the report
-    spliced(window, depth) gives adds its counts, and its violations,
-    re-rooted at the window's path, where the walk would have met them."""
+    Given the system judged in, a truncation point that is no error leaf
+    is flagged if the system leaves its rule out, and a spliced window
+    below the root adds its kept report check_observation(window, system,
+    depth): its counts, and its violations re-rooted at the window's path."""
     st = _State()
     todo = [(root, _ROOT, depth)]
     pop, insert = todo.pop, todo.insert
@@ -364,9 +369,11 @@ def _walk(root, depth, visit, spliced=None):
         o, path, depth = pop()
         if depth == 0:
             st.truncs += 1
+            if system is not None and o.error is None and type(o.rule) not in system.admitted:
+                st.flag(path, _LEFT_OUT % (o.rule.name, system.name))
             continue
-        if o.spliced and spliced is not None and o is not root:
-            report = spliced(o, depth)
+        if o.spliced and system is not None and o is not root:
+            report = check_observation(o, system, depth)
             st.nodes += report.nodes_checked
             st.truncs += report.truncation_points
             if report.violations:
@@ -423,7 +430,7 @@ def _judge(system, st, path, o):
     vouched = False
     try:
         if rule not in system.admitted:
-            st.flag(path, "rule %s is not part of system %s" % (tag.name, system.name))
+            st.flag(path, _LEFT_OUT % (tag.name, system.name))
         else:
             if (
                 system.k is None
@@ -458,15 +465,15 @@ def _judge(system, st, path, o):
 def _judge_window(o, system, depth):
     """The judgement (_State) of a window observed to the given depth; a
     spliced window below o adds the report it keeps for the system."""
-    spliced = lambda w, d: check_observation(w, system, d)  # noqa: E731
-    return _walk(o, depth, partial(_judge, system), spliced)
+    return _walk(o, depth, partial(_judge, system), system)
 
 
 def check_observation(o, system, depth):
     """Judge a window that observe made to the given depth: every node
-    above the depth bound is checked, with the premises the window holds.
-    Nodes at the bound, and nu and replacement rules, whose premises are
-    only sampled, count as truncation points.  The window keeps the
+    above the depth bound is checked, with the premises the window holds,
+    and at the bound only whether the system admits its rule.  Nodes at
+    the bound, and nu and replacement rules, whose premises are only
+    sampled, count as truncation points.  The window keeps the
     report per system and depth, so a repeated request returns it without
     judging again, and per depth the first system it was judged in: a
     system the window is neutral between (_neutral) gets that system's
@@ -486,10 +493,10 @@ def _report(o, system, depth):
 
 def _neutral(o, a, b):
     """Whether the window o, judged in system a, judges the same in system
-    b, read off its facts: no rule in it, at the depth bound too, depends
-    on the index or is left out by either system (an error leaf's None is
-    in none), and the base-language test is made in both systems or in
-    neither, or finds no member of the window outside."""
+    b, read off its facts: no rule in it, at the depth bound too, where
+    the judge reads it as well, depends on the index or is left out by
+    either system (an error leaf's None is in none), and the base-language
+    test is made in both systems or in neither, or finds none outside."""
     rules = set(map(type, observation_rules(o)))
     if not rules.isdisjoint(_INDEXED) or not rules <= a.admitted & b.admitted:
         return False

@@ -12,13 +12,14 @@ Subcommands:
     ``mucut.collapse.verdict`` decides what passes, and this only words it;
   * ``corpus`` — write the built-in example proofs as ``.sproof`` files.
 
-Exit codes: 0 ok; 1 check failure (a rule outside S-infinity in the
-final window included); 2 parse error (malformed input, input that is
-not UTF-8, an unknown system, or a ``pipeline`` output path that is its
-input or another output); 3 resource limit (fuel exhaustion, or
-nesting too deep for the stack); 4 internal failure (a broken invariant,
-or any other ValueError).  All output is deterministic: equal inputs and
-flags produce byte-identical files.
+Exit codes: 0 ok; 1 check failure (a stage's too, in its own system,
+the rules at the depth bound included); 2 parse error (malformed input,
+input that is not UTF-8, a formula given to ``check`` or ``pipeline``,
+an unknown system, or a ``pipeline`` output path that is its input or
+another output); 3 resource limit (fuel exhaustion, or nesting too deep
+for the stack); 4 internal failure (a broken invariant, a stage's error
+leaf, or any other ValueError).  All output is deterministic: equal
+inputs and flags produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from mucut.collapse import MAX_PLUGS, STAGES, pipeline, verdict
 from mucut.corpus import CORPUS
 from mucut.cutelim import DEFAULT_FUEL
 from mucut.errors import FuelExhausted, InternalInvariantError
-from mucut.proofs import observe
+from mucut.proofs import PROBES, observe
 from mucut.sexpr import (
     SexprError,
     dumps,
@@ -66,7 +67,7 @@ def _natural(text):
 
 
 def _probes(text):
-    if _natural(text) > 1:
+    if _natural(text) > PROBES:
         raise argparse.ArgumentTypeError("%r probes asked for, but each family has one" % text)
     return int(text)
 

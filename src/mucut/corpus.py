@@ -54,12 +54,7 @@ def random_form(rng, size_budget, level_budget, bound=False):
     binder-nesting budgets (callers enforce the exact caps).  The result
     is closed unless bound is true, in which case the variable may occur
     free."""
-    if size_budget <= 1:
-        if bound and rng.random() < 0.25:
-            return ("var",)
-        i = rng.randrange(ATOM_RANGE)
-        return ("atom", i) if rng.random() < 0.5 else ("natom", i)
-    r = rng.random()
+    r = rng.random() if size_budget > 1 else 1  # 1: a leaf, drawn below
     if r < 0.2 and level_budget > 0:
         body = random_form(rng, size_budget - 1, level_budget - 1, True)
         return ("mu" if rng.random() < 0.5 else "nu", body)

@@ -703,6 +703,9 @@ def _probe(target):
     return _TOP, top_intro((target,))
 
 
+# The number of probes a family has: the canonical one.
+PROBES = 1
+
 ADMIT_DEPTH = 2
 
 
@@ -822,7 +825,7 @@ def _settings(depth, samples, probe_budget):
     """observe's settings as the key of a window, the samples sorted and
     without repeats (settings that sample the same premises are one key).
     The one check of them: the depth and every sample are ints of 0 or
-    more and the probe budget is 0 or 1, else ValueError.  A bool, which
+    more and the probe budget is 0 to PROBES, else ValueError.  A bool, which
     equals an int, and any other subclass of int are refused."""
     if type(depth) is not int or depth < 0:
         raise ValueError("observe depth %r: an int of 0 or more" % (depth,))
@@ -830,7 +833,7 @@ def _settings(depth, samples, probe_budget):
     for i in samples:
         if type(i) is not int or i < 0:
             raise ValueError("observe sample %r: an int of 0 or more" % (i,))
-    if type(probe_budget) is not int or probe_budget not in (0, 1):
+    if type(probe_budget) is not int or not 0 <= probe_budget <= PROBES:
         raise ValueError(
             "probe budget %r: 0 or 1, since each family has one probe" % (probe_budget,)
         )

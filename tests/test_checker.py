@@ -694,6 +694,27 @@ def test_approximant_closure_oracles():
     }
 
 
+def test_approximant_closure_enters_modal_formulas():
+    n = pf("nu X . (p1 & <> X)")
+    assert approximant_closure(seq(("box", n)), 1) == {
+        ("box", n),
+        n,
+        TOP,
+        atom(0),
+        natom(0),
+        ("and", atom(1), ("dia", TOP)),
+        atom(1),
+        ("dia", TOP),
+    }
+    # the box rule's premise concludes the bodies of its modal members
+    bx, dx = ("box", atom(1)), ("dia", natom(1))
+    leaf = ax(seq(atom(1), natom(1)), atom(1))
+    p = or_node(seq(("or", bx, dx)), ("or", bx, dx), box_fit(seq(bx, dx), bx, leaf))
+    assert check_finite(p).ok
+    report = subformula_report(p, 4)
+    assert (report.ok, report.nodes_checked) == (True, 3)
+
+
 def test_subformula_report():
     assert subformula_report(top_intro(()), 4).ok
     # formulas outside the closure of the endsequent are flagged
@@ -1088,7 +1109,7 @@ def _ind_window():
 
 
 def _bound_cut_window():
-    # the only cut sits at the depth bound 3, where no judgement meets it
+    # the only cut sits at the depth bound 3, where only its rule is read
     c = seq(TOP, atom(0), natom(0))
     o = Observation(c, Cut(atom(1)), (), truncated=True)
     for _ in range(3):
@@ -1117,9 +1138,9 @@ def test_a_second_system_reuses_the_report_only_of_a_neutral_window(
     monkeypatch, window, first, second, judged
 ):
     # one condition of the reuse rule fails in each window but the neutral
-    # one; each report is the one a fresh window gives.  The rule reads the
-    # whole window's rules, so a cut at the depth bound, which no judgement
-    # meets, has the window judged again, to the same report
+    # one; each report is the one a fresh window gives, and differs from
+    # the first system's.  The rule reads the whole window's rules, as the
+    # judge does, so a cut at the depth bound has the window judged again
     fresh = [check_observation(window(), system, 3) for system in (first, second)]
     judge, calls = checker._judge_window, []
 
@@ -1131,7 +1152,7 @@ def test_a_second_system_reuses_the_report_only_of_a_neutral_window(
     o = window()
     assert [check_observation(o, system, 3) for system in (first, second)] == fresh
     assert calls == [first, second][:judged]
-    assert (fresh[0] == fresh[1]) == (judged == 1 or window is _bound_cut_window)
+    assert (fresh[0] == fresh[1]) == (judged == 1)
 
 
 def test_a_raising_rule_skips_its_premises_only_where_it_is_admitted():

@@ -28,7 +28,8 @@ from mucut.cli import (
     build_parser,
 )
 from mucut.corpus import CORPUS, random_formulas, top_induction_cut
-from mucut.proofs import or_node
+from mucut.errors import InternalInvariantError
+from mucut.proofs import Proof, or_node
 from mucut.sequents import Sequent
 from mucut.sexpr import loads, proof_dumps, proof_loads
 from mucut.syntax import parse_formula, print_form
@@ -116,6 +117,51 @@ def test_other_value_errors_are_internal_failures(tmp_path, monkeypatch):
     assert code == EXIT_INVARIANT
     assert out == ""
     assert err == "internal failure: boom\n"
+
+
+def test_a_broken_invariant_is_an_internal_failure(tmp_path, monkeypatch):
+    _write_corpus(tmp_path)
+    e2 = str(tmp_path / "e2-top-cut.sproof")
+
+    def broken(*args, **kwargs):
+        raise InternalInvariantError("boom")
+
+    monkeypatch.setattr(cli, "pipeline", broken)
+    code, out, err = run_cli(["pipeline", e2, "--out", str(tmp_path / "out")])
+    assert code == EXIT_INVARIANT
+    assert out == ""
+    assert err == "internal invariant failure: boom\n"
+
+
+def test_pipeline_fails_a_stage_with_an_error_leaf(tmp_path, monkeypatch):
+    # a sinf stage that cannot be forced is observed as an error leaf, and
+    # nothing is judged
+    _write_corpus(tmp_path)
+    real = cli.pipeline
+
+    def unforceable():
+        raise InternalInvariantError("no node")
+
+    def pipeline(proof, **kwargs):
+        stages = real(proof, **kwargs)
+        stages["sinf"] = Proof.defer(proof.conclusion, unforceable)
+        return stages
+
+    monkeypatch.setattr(cli, "pipeline", pipeline)
+    e2 = str(tmp_path / "e2-top-cut.sproof")
+    code, out, err = run_cli(["pipeline", e2, "--out", str(tmp_path / "out")])
+    assert code == EXIT_INVARIANT
+    assert out == ""
+    assert err == "stage sinf produced an error leaf: no node\n"
+
+
+def test_check_takes_only_a_proof_file(tmp_path):
+    f = tmp_path / "x.form"
+    f.write_text("p0")
+    code, out, err = run_cli(["check", str(f)])
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err == "parse error: expected a .sproof file at position 0 (near '')\n"
 
 
 def test_nesting_too_deep_is_a_resource_limit(tmp_path):
@@ -404,8 +450,8 @@ def test_pipeline_fails_a_collapsed_stage_outside_sinf(tmp_path, monkeypatch):
 
 
 def test_pipeline_fails_a_foreign_rule_at_the_depth_bound(tmp_path, monkeypatch):
-    # the judge counts the axmu node at --depth as a truncation point; the
-    # window scan of the final stage still fails the sinf verdict
+    # the judge reads the rule of the axmu node at --depth, and fails the
+    # sinf stage with the report's first violation
     _write_corpus(tmp_path)
     real = cli.pipeline
 
@@ -424,8 +470,8 @@ def test_pipeline_fails_a_foreign_rule_at_the_depth_bound(tmp_path, monkeypatch)
     assert code == EXIT_CHECK
     assert out == "cut-free: yes, nubar-free: yes\n"
     assert err == (
-        "stage sinf fails its check in sinf: rule axmu at the depth bound"
-        " is not part of system sinf\n"
+        "stage sinf fails its check in sinf: root.0: rule axmu is not part of"
+        " system sinf\n"
     )
     summary = (outdir / "e3-axmu.summary").read_text()
     assert summary.endswith(" (check collapsed sinf ok) (check sinf sinf fail))\n")

@@ -27,7 +27,7 @@ from mucut.collapse import STAGES, collapse, pipeline, verdict
 from mucut.corpus import CORPUS, nested, random_formulas, top_induction_cut
 from mucut.cutelim import eliminate, weaken
 from mucut.embed import embed, identity_mu, identity_mu_primed
-from mucut.errors import InternalInvariantError
+from mucut.errors import FuelExhausted, InternalInvariantError
 from mucut.kernel import TOP, atom, level, natom, negate, prime, substitute
 from mucut.proofs import (
     Axiom,
@@ -51,6 +51,7 @@ from mucut.proofs import (
     observation_rules,
     observation_sequents,
     observe,
+    omegabar_node,
     or_node,
     top_intro,
 )
@@ -509,6 +510,24 @@ def test_a_verdict_that_passes_at_a_depth_passes_below_it(build):
         assert verdict(p, pipeline(p), d).passed == passed[d], d
 
 
+def test_collapse_stops_at_its_plug_budget(monkeypatch):
+    # the family answers its own omegabar node, so plugging never reaches
+    # an ordinary rule, and collapse stops after MAX_PLUGS plugs
+    t = prime(pf("mu X . (p1 | X)"))
+    c, calls = seq(TOP, atom(3)), []
+
+    def again(delta, witness):
+        calls.append(delta)
+        return bar
+
+    bar = omegabar_node(c, 1, t, top_intro((atom(3), t)), lambda *_: True, again)
+    # the package's own collapse, the function, hides the module
+    monkeypatch.setattr(sys.modules["mucut.collapse"], "MAX_PLUGS", 3)
+    with pytest.raises(FuelExhausted, match="^collapse plug budget exhausted$"):
+        collapse(bar, 0).rule
+    assert calls == [c]  # the family's memo answers the repeated plugs
+
+
 def test_nested_needs_two_levels():
     with pytest.raises(ValueError, match="nested needs n >= 2"):
         nested(1)
@@ -535,23 +554,60 @@ def test_verdict_names_the_stage_of_the_first_error_leaf_and_judges_nothing():
         assert not judged & set(stage.window.kept or ()), stage.name
 
 
-def test_verdict_fails_only_the_sinf_stage_on_a_foreign_rule_at_the_bound():
-    # the judge counts the axmu node at the bound as a truncation point;
-    # the scan of the final window fails the sinf stage, in the CLI's words
+def _foreign_at_the_bound():
+    # the axmu pipeline with an or node over the axmu axiom as its sinf
+    # stage: at depth 1 the axmu node, a rule S-infinity leaves out, sits
+    # at the bound
     p = CORPUS["axmu"]()
     stages = pipeline(p)
     a, b = p.conclusion
     stages["sinf"] = or_node(Sequent((("or", a, b),)), ("or", a, b), CORPUS["axmu"]())
-    v = verdict(p, stages, 1)
-    assert v.error is None
-    assert [stage.failure for stage in v.stages] == [
-        None, None, None, "rule axmu at the depth bound is not part of system sinf",
-    ]
-    assert all(stage.report.ok for stage in v.stages)
-    assert (v.cut_free, v.nubar_free, v.passed) == (True, True, False)
-    # one level deeper the judge itself sees the rule, and the scan adds nothing
-    v = verdict(p, stages, 2)
-    assert v.stages[-1].failure == "root.0: rule axmu is not part of system sinf"
+    return p, stages
+
+
+def test_verdict_fails_only_the_sinf_stage_on_a_foreign_rule_at_the_bound():
+    # the judge reads the rule of the axmu node at the bound and fails the
+    # sinf stage in the words and path it uses one level deeper
+    p, stages = _foreign_at_the_bound()
+    for depth in (1, 2):
+        v = verdict(p, stages, depth)
+        assert v.error is None
+        assert [stage.failure for stage in v.stages] == [
+            None, None, None, "root.0: rule axmu is not part of system sinf",
+        ]
+        assert [stage.report.ok for stage in v.stages] == [True, True, True, False]
+        assert (v.cut_free, v.nubar_free, v.passed) == (True, True, False)
+
+
+def _piped(build):
+    p = build()
+    return p, pipeline(p)
+
+
+_VERDICT_RUNS = {
+    name: partial(_piped, build)
+    for name, build in _PASSED.items() if not name.startswith("ind-cut")
+} | {"foreign-at-the-bound": _foreign_at_the_bound}
+
+
+@pytest.mark.parametrize("name", _VERDICT_RUNS)
+def test_a_stage_fails_with_its_reports_first_violation(name):
+    # verdict reads the judge's reports and adds no check of its own: a
+    # stage fails exactly when its report does, with its first violation
+    p, stages = _VERDICT_RUNS[name]()
+    for depth in range(4):
+        for stage in verdict(p, stages, depth).stages:
+            report = stage.report
+            want = None if report.ok else "%s: %s" % report.violations[0]
+            assert stage.failure == want, (depth, stage.name)
+
+
+def test_check_bounded_flags_a_foreign_rule_at_the_bound():
+    # the call the benchmark's worker makes on its sinf stage
+    _, stages = _foreign_at_the_bound()
+    report = check_bounded(stages["sinf"], SYSTEM_SINF, 1)
+    assert report.violations == (("root.0", "rule axmu is not part of system sinf"),)
+    assert (report.nodes_checked, report.truncation_points) == (1, 1)
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))

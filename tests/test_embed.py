@@ -89,6 +89,13 @@ def test_apply_sigma():
     assert apply_sigma(s, frozenset(s)) == seq(prime(n), atom(2))
 
 
+def test_apply_sigma_refuses_a_selection_outside_the_sequent():
+    n = pf("nu X . (p1 & X)")
+    with pytest.raises(ValueError) as exc:
+        apply_sigma(seq(n, atom(2)), frozenset((n, atom(3))))
+    assert str(exc.value) == "selection outside the sequent: [('atom', 3)]"
+
+
 def test_identity_mu():
     p = identity_mu(M1)
     assert p.conclusion == seq(M1, negate(M1))
