@@ -25,8 +25,9 @@ drives the judge and subformula_report's closure test, and reports in
 one order: a node's violations, then its premises' first to last (what
 each must conclude, or that it could not be produced), then each
 premise's subtree in turn.  The judge flags a rule its system leaves
-out at the depth bound too, and takes a spliced window, a marked
-proof's kept window inside another, as one subtree: its own report.
+out at the depth bound too, and takes a spliced window, one that
+windows hold more than once (proofs.observe), as one subtree: its own
+report.
 Paths are kept as (parent, label) pairs and made into text only when a
 violation is flagged.  Resource limits (fuel, stack depth) propagate as
 they do from observe.

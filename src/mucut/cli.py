@@ -14,9 +14,10 @@ Subcommands:
 
 Exit codes: 0 ok; 1 check failure (a stage's too, in its own system,
 the rules at the depth bound included); 2 parse error (malformed input,
-input that is not UTF-8, a formula given to ``check`` or ``pipeline``,
-an unknown system, or a ``pipeline`` output path that is its input or
-another output); 3 resource limit (fuel exhaustion, or nesting too deep
+input that is not UTF-8, a file whose suffix names no kind the command
+reads, refused before it is read, as a ``.form`` given to ``check`` or
+``pipeline``, an unknown system, or a ``pipeline`` output path that is
+its input or another output); 3 resource limit (fuel exhaustion, or nesting too deep
 for the stack); 4 internal failure (a broken invariant, a stage's error
 leaf, or any other ValueError).  All output is deterministic: equal
 inputs and flags produce byte-identical files.
@@ -80,23 +81,28 @@ def _parse_samples(text):
     return out
 
 
-def _load(path):
-    """Read a .form or .sproof file; returns ('formula', f) or ('proof', p)."""
+class FileKindError(ValueError):
+    """An input file whose suffix names no kind the command reads."""
+
+
+# The kind of input each file suffix holds, and its reader.
+_READERS = {".form": ("formula", parse_formula), ".sproof": ("proof", proof_loads)}
+
+
+def _load(path, suffixes=tuple(_READERS)):
+    """Read a file whose suffix is one of suffixes; returns ('formula', f)
+    or ('proof', p).  The suffix decides the kind before the file is read,
+    so a file of another kind is refused whatever it holds."""
     p = Path(path)
-    text = p.read_text(encoding="utf-8")
-    suffix = p.suffix
-    if suffix == ".form":
-        return "formula", parse_formula(text)
-    if suffix == ".sproof":
-        return "proof", proof_loads(text)
-    raise ParseError("unsupported file extension %r (want .form or .sproof)" % suffix, text, 0)
+    if p.suffix not in suffixes:
+        raise FileKindError("unsupported file extension %r (want %s)" % (
+            p.suffix, " or ".join(suffixes)))
+    kind, read = _READERS[p.suffix]
+    return kind, read(p.read_text(encoding="utf-8"))
 
 
 def _load_proof(path):
-    kind, obj = _load(path)
-    if kind != "proof":
-        raise ParseError("expected a .sproof file", "", 0)
-    return obj
+    return _load(path, (".sproof",))[1]
 
 
 def cmd_print(args):
@@ -238,7 +244,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, SexprError, UnicodeDecodeError) as exc:
+    except (ParseError, SexprError, FileKindError, UnicodeDecodeError) as exc:
         sys.stderr.write("parse error: %s\n" % exc)
         return EXIT_PARSE
     except OSError as exc:

@@ -11,9 +11,9 @@ bound, sample omega premises at chosen indices, and feed replacement-rule
 families their canonical probe.  The checker judges these windows.  A
 proof keeps its last window and its level bound, and a window its facts,
 reports and text, so a repeated request is answered from these memos.
-A marked proof that a window reaches along unmarked proofs is observed
-as its own kept window, so the windows of one job share it, and its
-facts, reports and text are read off once.
+A window is a tree over the DAG of proofs it walks: a subwindow that the
+walk meets again is the same window, read off once by the facts, the
+judge and the writer.
 """
 
 from __future__ import annotations
@@ -736,11 +736,11 @@ class Observation:
     the fields observe gave it; `kept`, outside equality and repr, keeps
     its facts (observation_rules and its kin), whether they are in L0, the
     checker's reports per (system, depth) and per depth the first system
-    judged, and the writer's text.  `spliced`, outside them too, marks the
-    window a marked proof keeps: a window that reaches it holds it as a
-    child, and the walkers of that window (the facts, the judge, the
-    writer) take its kept results as one unit.  observe makes one for
-    every node it walks, so its fields are slots set by a plain __init__."""
+    judged, and the writer's text.  `spliced`, outside them too, marks a
+    subwindow that windows hold more than once (observe): the walkers of
+    a window that holds it (the facts, the judge, the writer) take its
+    kept results as one unit.  observe makes one for every node it walks,
+    so its fields are slots set by a plain __init__."""
 
     __slots__ = (
         "conclusion", "rule", "children", "truncated", "sampled", "probes", "error",
@@ -800,24 +800,25 @@ def observe(p, depth, samples=(0, 1, 2), probe_budget=1):
     of stack propagate.  p keeps the window: a repeated request returns
     it, a request with other settings replaces it.
 
-    Unless p is marked plain, the window holds, at each outermost marked
-    proof q it reaches (a marked proof met along unmarked ones), q's own
-    window to the depth left there, as observe(q, ...) gives it, kept on q
-    under the same rule, so windows of one job that reach q at the same
-    remaining depth share it.  Inside a marked proof's window nothing is
-    spliced, and no other node below p keeps a window."""
-    return _window(p, _settings(depth, samples, probe_budget))
+    One sharing rule: a subwindow that windows meet more than once is one
+    window, flagged spliced.  Within the walk, a (proof, remaining depth)
+    met a second time gets the window made for it the first time, and the
+    walk forgets its memo when it ends; a pair met once is not spliced.
+    Across the windows of one job, an outermost marked proof q (one met
+    along unmarked proofs) is its own window to the depth left there, as
+    observe(q, ...) gives it, kept on q under the same rule and spliced,
+    so windows that reach q at the same remaining depth share it.  No
+    other node below p keeps a window."""
+    return _window(p, _settings(depth, samples, probe_budget), {})
 
 
-def _window(p, key):
+def _window(p, key, seen):
     """The window p keeps for the settings key, made when p keeps none for
-    it; a marked proof's window is flagged spliced."""
+    it by a walk whose memo is seen (_observe)."""
     kept = p.kept()
     window = kept.get("window")
     if window is None or window[0] != key:
-        o = _observe(p, *key, not p.plain)
-        o.spliced = p.plain
-        window = kept["window"] = (key, o)
+        window = kept["window"] = (key, _observe(p, *key, seen, not p.plain))
     return window[1]
 
 
@@ -840,55 +841,67 @@ def _settings(depth, samples, probe_budget):
     return depth, tuple(sorted(set(samples))), probe_budget
 
 
-def _observe(p, depth, samples, probe_budget, splice=False):
-    """observe's walk, which keeps no window of its own; samples are as
-    _settings gives them.  When splice is true, a marked premise is
-    observed as its own kept window (_window); else nothing is kept."""
+def _observe(p, depth, samples, probe_budget, seen, splice):
+    """observe's walk below p to the given depth, which keeps no window of
+    its own; samples are as _settings gives them.  The walk's memo seen
+    holds the window made for each (proof, depth) the walk has met, and
+    the proof with it, so that no id is reused while the walk runs: a
+    pair met again gets that window, flagged spliced.  A marked p met
+    along unmarked proofs (splice is true until the walk enters a marked
+    proof) is its own kept window (_window), which the other windows of
+    its job meet, so it is flagged too.  Every window made here is put in
+    seen as it is returned (setdefault): the memo is read and written in
+    this function, so that each level of a window costs one frame."""
+    key = p, depth
+    o = seen.get(key)
+    if o is None and splice and p.plain:
+        o = seen[key] = _window(p, (depth, samples, probe_budget), seen)
+    if o is not None:
+        o.spliced = True
+        return o
     try:
         tag, prem = p._force()
     except _LIMITS:
         raise
     except Exception as exc:  # noqa: BLE001 - failures become leaves
-        return _error_leaf(exc, p.conclusion)
+        return seen.setdefault(key, _error_leaf(exc, p.conclusion))
     c = p.conclusion
     if isinstance(tag, FINITE_TAGS):
         if depth == 0:
-            return Observation(c, tag, (), truncated=bool(prem))
+            return seen.setdefault(key, Observation(c, tag, (), truncated=bool(prem)))
         kids = []
         for q in prem:  # a loop, not a generator: one frame per level
-            if splice and q.plain:
-                kids.append(_window(q, (depth - 1, samples, probe_budget)))
-            else:
-                kids.append(_observe(q, depth - 1, samples, probe_budget, splice))
-        return Observation(c, tag, tuple(kids))
+            kids.append(_observe(q, depth - 1, samples, probe_budget, seen, splice))
+        return seen.setdefault(key, Observation(c, tag, tuple(kids)))
     if isinstance(tag, Nu):
         if depth == 0:
-            return Observation(c, tag, (), truncated=True, sampled=())
+            return seen.setdefault(key, Observation(c, tag, (), truncated=True, sampled=()))
         kids = tuple(
-            _premise(prem, (i,), depth, samples, probe_budget, splice) for i in samples
+            _premise(prem, (i,), depth, samples, probe_budget, seen, splice) for i in samples
         )
-        return Observation(c, tag, kids, truncated=True, sampled=samples)
+        return seen.setdefault(key, Observation(c, tag, kids, truncated=True, sampled=samples))
     if isinstance(tag, (Omega, OmegaBar)):
         if depth == 0:
-            return Observation(c, tag, (), truncated=True, probes=())
+            return seen.setdefault(key, Observation(c, tag, (), truncated=True, probes=()))
         try:
             probe = canonical_probe(tag.target) if probe_budget else ()
         except _LIMITS:
             raise
         except Exception as exc:  # noqa: BLE001 - an unbuildable probe
-            return _error_leaf(exc, c)
+            return seen.setdefault(key, _error_leaf(exc, c))
         kids, fam = [], prem
         if isinstance(tag, OmegaBar):
             fam = prem.fam
             first = (prem, "first")  # getattr(*first) cannot fail
-            kids.append(_premise(getattr, first, depth, samples, probe_budget, splice))
+            kids.append(_premise(getattr, first, depth, samples, probe_budget, seen, splice))
         if probe:
-            kids.append(_premise(fam, probe, depth, samples, probe_budget, splice))
-        return Observation(c, tag, tuple(kids), truncated=True, probes=probe[:1])
-    return _error_leaf("unknown rule tag: %r" % (tag,), c)
+            kids.append(_premise(fam, probe, depth, samples, probe_budget, seen, splice))
+        o = Observation(c, tag, tuple(kids), truncated=True, probes=probe[:1])
+        return seen.setdefault(key, o)
+    return seen.setdefault(key, _error_leaf("unknown rule tag: %r" % (tag,), c))
 
 
-def _premise(get, args, depth, samples, probe_budget, splice):
+def _premise(get, args, depth, samples, probe_budget, seen, splice):
     """The window below the premise get(*args) of a node at depth."""
     try:
         q = get(*args)
@@ -896,9 +909,7 @@ def _premise(get, args, depth, samples, probe_budget, splice):
         raise
     except Exception as exc:  # noqa: BLE001
         return _error_leaf(exc)
-    if splice and q.plain:
-        return _window(q, (depth - 1, samples, probe_budget))
-    return _observe(q, depth - 1, samples, probe_budget, splice)
+    return _observe(q, depth - 1, samples, probe_budget, seen, splice)
 
 
 def _facts(o):
@@ -940,8 +951,9 @@ def observation_errors(o):
 
 def is_cut_free_observed(p, depth, samples=(0, 1, 2), probe_budget=1):
     """True when no Cut node and no family failure shows up within a
-    window of p observed with these settings, walked once.  Neither p nor
-    the window keeps anything: the family domain predicate asks this of
-    each witness, which the family's memo keeps alive."""
-    rules, _, errors = _facts(_observe(p, *_settings(depth, samples, probe_budget)))
+    window of p observed with these settings, walked once.  No proof keeps
+    a window of it: the family domain predicate asks this of each witness,
+    which the family's memo keeps alive."""
+    key = _settings(depth, samples, probe_budget)
+    rules, _, errors = _facts(_observe(p, *key, {}, False))
     return not errors and not any(isinstance(r, Cut) for r in rules)

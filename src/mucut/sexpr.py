@@ -20,8 +20,8 @@ The observation writer prints each conclusion and probe Delta through a
 kernel memo, so windows that share sequents (the stages of one pipeline)
 print each once; the values themselves keep no text.  Rule tags, box
 sides included, are written afresh, and proof_dumps keeps nothing.  A
-window keeps its text, so a marked proof's window spliced into several
-windows is written once.
+window keeps its text, so a spliced window, one that windows hold more
+than once, is written once.
 """
 
 from __future__ import annotations

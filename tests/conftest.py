@@ -120,20 +120,18 @@ def plain_marks_off():
             proofs._probe.cache_clear()
 
 
-def _whole_window(p, key):
-    """The window p keeps for the settings key, walked whole: no window in
-    it is spliced."""
-    kept = p.kept()
-    if kept.get("window", (None,))[0] != key:
-        kept["window"] = (key, proofs._observe(p, *key))
-    return kept["window"][1]
-
-
 @contextlib.contextmanager
 def splicing_off():
-    """observe splices no marked proof's window into the windows that
-    reach it: each window is walked whole, and the plain marks stay on.  A
-    window made inside must be read inside."""
+    """observe shares no subwindow: each step of a walk gets a memo of its
+    own, and no marked proof below the root keeps a window, so neither a
+    (proof, depth) pair met again in one walk nor a marked proof's window
+    met along unmarked proofs is shared.  Each window is walked whole, and
+    the plain marks stay on.  A window made inside must be read inside."""
+    walk = proofs._observe
+
+    def unshared(p, depth, samples, probe_budget, seen, splice):
+        return walk(p, depth, samples, probe_budget, {}, False)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(proofs, "_window", _whole_window)
+        mp.setattr(proofs, "_observe", unshared)
         yield

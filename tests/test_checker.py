@@ -1072,11 +1072,11 @@ def test_the_order_of_judging_a_window_changes_no_report():
     for p in proofs_:
         for depth in (0, 1, 3, 6):
             alone = [
-                check_observation(_observe(p, depth, (0, 1, 2), 1), system, depth)
+                check_observation(_observe(p, depth, (0, 1, 2), 1, {}, False), system, depth)
                 for system in FIVE_SYSTEMS
             ]
             for order in (FIVE_SYSTEMS, FIVE_SYSTEMS[::-1]):
-                got = _judged_in_turn(_observe(p, depth, (0, 1, 2), 1), order, depth)
+                got = _judged_in_turn(_observe(p, depth, (0, 1, 2), 1, {}, False), order, depth)
                 assert [got[system] for system in FIVE_SYSTEMS] == alone
 
 

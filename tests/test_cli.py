@@ -156,12 +156,23 @@ def test_pipeline_fails_a_stage_with_an_error_leaf(tmp_path, monkeypatch):
 
 
 def test_check_takes_only_a_proof_file(tmp_path):
-    f = tmp_path / "x.form"
-    f.write_text("p0")
-    code, out, err = run_cli(["check", str(f)])
-    assert code == EXIT_PARSE
-    assert out == ""
-    assert err == "parse error: expected a .sproof file at position 0 (near '')\n"
+    # the suffix decides the kind before the file is read, so the error
+    # names the kind, with no position or excerpt, even for a malformed
+    # formula file or one of no kind at all
+    runs = [
+        ("check", "x.form", "p0", "'.form' (want .sproof)"),
+        ("check", "bad.form", "p0 &", "'.form' (want .sproof)"),
+        ("pipeline", "bad.form", "p0 &", "'.form' (want .sproof)"),
+        ("check", "x.txt", "p0", "'.txt' (want .sproof)"),
+        ("parse", "x.txt", "p0", "'.txt' (want .form or .sproof)"),
+    ]
+    for command, name, text, what in runs:
+        f = tmp_path / name
+        f.write_text(text)
+        code, out, err = run_cli([command, str(f)])
+        assert code == EXIT_PARSE, (command, name)
+        assert out == ""
+        assert err == "parse error: unsupported file extension %s\n" % what
 
 
 def test_nesting_too_deep_is_a_resource_limit(tmp_path):

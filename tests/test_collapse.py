@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import gc
 import sys
+from collections import Counter
 from functools import partial
 
 import pytest
@@ -24,7 +25,7 @@ from mucut.checker import (
     subformula_report,
 )
 from mucut.collapse import STAGES, collapse, pipeline, verdict
-from mucut.corpus import CORPUS, nested, random_formulas, top_induction_cut
+from mucut.corpus import CORPUS, axmu, nested, random_formulas, top_induction_cut
 from mucut.cutelim import eliminate, weaken
 from mucut.embed import embed, identity_mu, identity_mu_primed
 from mucut.errors import FuelExhausted, InternalInvariantError
@@ -36,6 +37,7 @@ from mucut.proofs import (
     Clo,
     Cut,
     Nu,
+    Observation,
     Omega,
     OmegaBar,
     Or,
@@ -299,7 +301,8 @@ def test_the_top_induction_cuts_cover_every_level():
 
 
 # ---------------------------------------------------------------------------
-# marked proofs' windows are spliced into the windows that reach them
+# a subwindow that windows meet more than once is spliced into them: a
+# (proof, depth) pair met again in one walk, or a marked proof's kept window
 
 
 def _spliced_below(o):
@@ -351,12 +354,74 @@ def test_splicing_changes_no_stage_text_fact_report_or_verdict(name):
     assert shares is (name == "ind-top" or name.startswith("nested"))
 
 
+def _below_root(o):
+    """Every node the tree of the window o holds below its root, as often
+    as it holds it, inside spliced windows too."""
+    found, todo = [], list(o.children)
+    while todo:
+        w = todo.pop()
+        found.append(w)
+        todo.extend(w.children)
+    return found
+
+
 @settings(deadline=None, max_examples=25)
 @given(_plain_proofs())
 def test_splicing_changes_nothing_on_plain_proofs(p):
-    # every stage is the marked embedding, whose window splices nothing
+    # every stage is the marked embedding, walked once; an and step takes
+    # one premise twice, so its window splices what it meets again, and a
+    # subwindow met only once is never spliced
     windows = _same_unspliced(p)
-    assert all(o.spliced and not _spliced_below(o) for o in windows)
+    assert all(o is windows[0] for o in windows)
+    nodes = _below_root(windows[0])
+    met = Counter(map(id, nodes))
+    assert all(met[id(w)] >= 2 for w in nodes if w.spliced)
+
+
+# A level-3 mu formula: a greatest fixed point and a least one nested in
+# a least one.
+_LEVEL_3 = pf("mu X . (p1 | <> nu X . ([] X & mu X . (<> X | p2)))")
+
+
+def _walked(build, stage, depth):
+    """The window of one stage of a fresh pipeline at the depth: the
+    (proof, remaining depth) pairs its walk reaches, one per _observe
+    call, and the number of window nodes (Observations) it makes."""
+    reached, made, walk = [], [], proofs._observe
+
+    class Counted(Observation):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    def counting(q, depth, *args):
+        reached.append((q, depth))
+        return walk(q, depth, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(proofs, "_observe", counting)
+        mp.setattr(proofs, "Observation", Counted)
+        observe(pipeline(build())[stage], depth)
+    return {(id(q), depth) for q, depth in reached}, len(made)
+
+
+@pytest.mark.parametrize("stage", STAGES)
+@pytest.mark.parametrize(
+    "build", [partial(axmu, _LEVEL_3), partial(nested, 3)], ids=["axmu", "nested(3)"]
+)
+def test_a_window_observes_each_pair_it_reaches_once(build, stage):
+    # the whole window makes a node each time it reaches a (proof,
+    # remaining depth) pair, and the shared one makes one node per
+    # distinct pair; the identity laws of the level-3 formula are met
+    # more than once at one depth, nested(3) repeats no pair
+    assert level(_LEVEL_3) == 3
+    with splicing_off():
+        whole, made_whole = _walked(build, stage, 12)
+    shared, made = _walked(build, stage, 12)
+    assert made == len(shared) == len(whole)
+    assert (made_whole > made) is (build.func is axmu)
 
 
 def test_a_spliced_report_is_rerooted_where_the_walk_meets_it():

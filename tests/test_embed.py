@@ -558,7 +558,7 @@ def test_the_order_of_cut_premises_changes_nothing(name):
 def _sinf_window(q):
     """Whether every node of q's depth-6 window, samples 0-3, has a rule
     of S-infinity; the window is not kept on q."""
-    o = proofs._observe(q, 6, (0, 1, 2, 3), 1)
+    o = proofs._observe(q, 6, (0, 1, 2, 3), 1, {}, False)
     return not observation_errors(o) and all(
         isinstance(r, SINF_TAGS) for r in observation_rules(o)
     )

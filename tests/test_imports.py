@@ -19,7 +19,9 @@ the benchmark or edits `sys.path`: what both need lives in the package.
 The builders `mucut.embed` and `mucut.cutelim` import nothing from the
 judge, `mucut.checker`: they build the same proof whatever system it is
 judged in.  Only `proofs.mark_plain` sets a proof's plain mark, and only
-`Proof`'s constructor clears it.  Every module-level memo of the package (a
+`Proof`'s constructor clears it; only `proofs._observe` sets a window's
+splice flag, and only `Observation`'s constructor clears it.  No module
+of the package reads or sets the environment through `os`.  Every module-level memo of the package (a
 function under `@memo` or a name bound to a `memo(...)` call) is named in
 the paragraph of the `mucut.kernel` docstring that states the memo
 policy, so that policy stays described in one place.
@@ -358,9 +360,47 @@ def test_only_mark_plain_and_the_constructor_write_the_plain_mark():
 
 
 def test_only_the_window_keeper_and_the_constructor_write_the_splice_flag():
-    # Observation's constructor clears the flag and proofs._window, which
-    # keeps a proof's window, sets it on a marked proof's window
-    assert _writers("spliced") == {"src/mucut/proofs.py": ["__init__", "_window"]}
+    # one sharing rule: Observation's constructor clears the flag and
+    # proofs._observe, whose memo keeps the windows of one walk, sets it
+    # on a window met again, in the walk or as a marked proof's kept window
+    assert _writers("spliced") == {"src/mucut/proofs.py": ["__init__", "_observe"]}
+
+
+# The os functions and mapping through which a program reads or sets its
+# environment.
+_ENVIRONMENT = frozenset(("environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"))
+
+
+def environment_reads(source):
+    """The lines of source that name one of the os environment functions:
+    an attribute os.<name> or an import of the name from os."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT:
+            if isinstance(node.value, ast.Name) and node.value.id == "os":
+                lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            if any(a.name in _ENVIRONMENT for a in node.names):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_environment_reads_are_found():
+    source = (
+        "import os\n"
+        "a = os.environ['X']\n"
+        "from os import getenv as g, path\n"
+        "os.putenv('X', '1')\n"
+        "b = os.path.join(env.environ, 'getenv')\n"
+    )
+    assert environment_reads(source) == [2, 3, 4]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_the_package_reads_no_environment(path):
+    # a setting of the program is a flag or an argument, never a knob read
+    # from the environment
+    assert environment_reads(path.read_text(encoding="utf-8")) == []
 
 
 def reaches_outside(source, modules):

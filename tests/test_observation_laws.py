@@ -10,8 +10,9 @@ by a helper here, and the two must be written alike.
    its family outputs dropped.
 
 They run over every corpus proof and nested(2..5), in all four stages,
-and as a property over drawn proofs of the corpus builders.  A window
-that holds a marked proof's kept window would show a stale share here."""
+and as a property over drawn proofs of the corpus builders, on drawn and
+small-scope mu formulas.  A window is a tree over shared subwindows (a
+subproof met twice is one window), and a stale share would show here."""
 
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CLOSED_MUS
+from test_small_scope import small_mu_formulas
 from mucut.collapse import pipeline
 from mucut.corpus import CORPUS, axmu, nested, top_induction_cut
 from mucut.proofs import Nu, Observation, Omega, OmegaBar, observe
@@ -117,15 +119,19 @@ def test_each_law_drops_part_of_some_window():
 
 
 # The corpus builders of generated S proofs: the level-n nested cuts, and
-# the fixed-point axiom and the top-invariant induction cut on a drawn mu.
+# the fixed-point axiom and the top-invariant induction cut on a drawn mu
+# and on a small-scope one, every closed mu formula up to size 5.
+_SMALL_MUS = st.sampled_from(small_mu_formulas(5))
 _BUILT = st.one_of(
     st.builds(nested, st.integers(2, 5)),
     st.builds(axmu, CLOSED_MUS),
     st.builds(top_induction_cut, CLOSED_MUS),
+    st.builds(axmu, _SMALL_MUS),
+    st.builds(top_induction_cut, _SMALL_MUS),
 )
 
 
-@settings(deadline=None, max_examples=60)
+@settings(deadline=None, max_examples=100)
 @given(_BUILT, st.integers(1, 6), st.sampled_from([(0, 2), (1,), (0, 1, 2, 3)]))
 def test_the_laws_hold_on_drawn_proofs(p, depth, keep):
     for stage, q in pipeline(p).items():
