@@ -26,8 +26,10 @@ one order: a node's violations, then its premises' first to last (what
 each must conclude, or that it could not be produced), then each
 premise's subtree in turn.  The judge flags a rule its system leaves
 out at the depth bound too, and takes a spliced window, one that
-windows hold more than once (proofs.observe), as one subtree: its own
-report.
+windows hold more than once (proofs.observe keeps each window on its
+proof, so every walk that meets it again shares it), as one subtree:
+its own report.  Only the judge and the writer read the flag; a
+window's facts are read off its whole tree.
 Paths are kept as (parent, label) pairs and made into text only when a
 violation is flagged.  Resource limits (fuel, stack depth) propagate as
 they do from observe.

@@ -9,11 +9,11 @@ and memoized so repeated exploration is deterministic.
 Observation is the finite window onto such a proof: explore to a depth
 bound, sample omega premises at chosen indices, and feed replacement-rule
 families their canonical probe.  The checker judges these windows.  A
-proof keeps its last window and its level bound, and a window its facts,
+proof keeps its windows and its level bound, and a window its facts,
 reports and text, so a repeated request is answered from these memos.
-A window is a tree over the DAG of proofs it walks: a subwindow that the
-walk meets again is the same window, read off once by the facts, the
-judge and the writer.
+A window is a tree over the DAG of proofs it walks: a subwindow that
+any walk meets again is the same window, which the judge and the writer
+read off once.
 """
 
 from __future__ import annotations
@@ -381,9 +381,9 @@ def omega_phi(target):
 
 class Proof:
     """Strict conclusion, lazy (rule, premises) node.  kept() holds its
-    last window as a root (observe), a finite proof's level bound and why
-    it could not be forced.  A node reads as a full window, forced to read
-    its error: so check_finite judges it.
+    windows, each under the settings observe walked it with, a finite
+    proof's level bound and why it could not be forced.  A node reads as
+    a full window, forced to read its error: so check_finite judges it.
 
     The mark plain says that every node at every depth has a rule of
     S-infinity (no cut, omega, omegabar, ind or axmu), so that neither cut
@@ -407,7 +407,9 @@ class Proof:
         self.plain = False
 
     def kept(self):
-        """What the proof keeps, a dict made on the first request."""
+        """What the proof keeps, a dict made on the first request: each
+        window under its settings tuple (observe), and under "level" and
+        "error" its level bound and why it could not be forced."""
         if self._kept is None:
             self._kept = {}
         return self._kept
@@ -737,10 +739,10 @@ class Observation:
     its facts (observation_rules and its kin), whether they are in L0, the
     checker's reports per (system, depth) and per depth the first system
     judged, and the writer's text.  `spliced`, outside them too, marks a
-    subwindow that windows hold more than once (observe): the walkers of
-    a window that holds it (the facts, the judge, the writer) take its
-    kept results as one unit.  observe makes one for every node it walks,
-    so its fields are slots set by a plain __init__."""
+    subwindow that windows hold more than once (observe): the judge and
+    the writer of a window that holds it take its kept report and text as
+    one unit.  observe makes one for every node it walks, so its fields
+    are slots set by a plain __init__."""
 
     __slots__ = (
         "conclusion", "rule", "children", "truncated", "sampled", "probes", "error",
@@ -797,29 +799,19 @@ def observe(p, depth, samples=(0, 1, 2), probe_budget=1):
     when probe_budget is 1 and none when it is 0.  Failures to force a
     node, to build its probe, to produce a premise or family output, and
     unknown rule tags become error leaves; fuel exhaustion and running out
-    of stack propagate.  p keeps the window: a repeated request returns
-    it, a request with other settings replaces it.
+    of stack propagate.  p keeps the window under its settings, and a
+    repeated request returns it.
 
-    One sharing rule: a subwindow that windows meet more than once is one
-    window, flagged spliced.  Within the walk, a (proof, remaining depth)
-    met a second time gets the window made for it the first time, and the
-    walk forgets its memo when it ends; a pair met once is not spliced.
-    Across the windows of one job, an outermost marked proof q (one met
-    along unmarked proofs) is its own window to the depth left there, as
-    observe(q, ...) gives it, kept on q under the same rule and spliced,
-    so windows that reach q at the same remaining depth share it.  No
-    other node below p keeps a window."""
-    return _window(p, _settings(depth, samples, probe_budget), {})
-
-
-def _window(p, key, seen):
-    """The window p keeps for the settings key, made when p keeps none for
-    it by a walk whose memo is seen (_observe)."""
-    kept = p.kept()
-    window = kept.get("window")
-    if window is None or window[0] != key:
-        window = kept["window"] = (key, _observe(p, *key, seen, not p.plain))
-    return window[1]
+    One sharing rule, hash-consing applied to windows: every proof the walk
+    reaches keeps the window made for it under the settings left there
+    (the remaining depth, the samples and the probe budget), so a
+    (proof, remaining depth) pair that any walk meets again, in one window
+    or in another, is that window, flagged spliced.  A marked proof with
+    no marked proof above it in the walk is flagged when its window is
+    made, since the other stage windows of its job meet it there.  Only
+    the judge and the writer read the flag: they take a spliced window
+    below the root as one unit."""
+    return _observe(p, *_settings(depth, samples, probe_budget), True)
 
 
 def _settings(depth, samples, probe_budget):
@@ -841,67 +833,63 @@ def _settings(depth, samples, probe_budget):
     return depth, tuple(sorted(set(samples))), probe_budget
 
 
-def _observe(p, depth, samples, probe_budget, seen, splice):
-    """observe's walk below p to the given depth, which keeps no window of
-    its own; samples are as _settings gives them.  The walk's memo seen
-    holds the window made for each (proof, depth) the walk has met, and
-    the proof with it, so that no id is reused while the walk runs: a
-    pair met again gets that window, flagged spliced.  A marked p met
-    along unmarked proofs (splice is true until the walk enters a marked
-    proof) is its own kept window (_window), which the other windows of
-    its job meet, so it is flagged too.  Every window made here is put in
-    seen as it is returned (setdefault): the memo is read and written in
-    this function, so that each level of a window costs one frame."""
-    key = p, depth
-    o = seen.get(key)
-    if o is None and splice and p.plain:
-        o = seen[key] = _window(p, (depth, samples, probe_budget), seen)
+def _observe(p, depth, samples, probe_budget, splice):
+    """observe's walk of p to the given depth, samples as _settings gives
+    them, one frame per window level.  A window p keeps under these
+    settings is returned, flagged spliced; else the window is made, kept
+    on p under them as it is returned, and flagged when p is marked and
+    splice is true: the walk has entered no marked proof above p."""
+    key = depth, samples, probe_budget
+    kept = p.kept()
+    o = kept.get(key)
     if o is not None:
         o.spliced = True
         return o
+    born = splice and p.plain
+    if born:
+        splice = False
+    c = p.conclusion
     try:
         tag, prem = p._force()
+        probe = ()
+        if depth and probe_budget and isinstance(tag, (Omega, OmegaBar)):
+            probe = canonical_probe(tag.target)
     except _LIMITS:
         raise
-    except Exception as exc:  # noqa: BLE001 - failures become leaves
-        return seen.setdefault(key, _error_leaf(exc, p.conclusion))
-    c = p.conclusion
-    if isinstance(tag, FINITE_TAGS):
-        if depth == 0:
-            return seen.setdefault(key, Observation(c, tag, (), truncated=bool(prem)))
-        kids = []
-        for q in prem:  # a loop, not a generator: one frame per level
-            kids.append(_observe(q, depth - 1, samples, probe_budget, seen, splice))
-        return seen.setdefault(key, Observation(c, tag, tuple(kids)))
-    if isinstance(tag, Nu):
-        if depth == 0:
-            return seen.setdefault(key, Observation(c, tag, (), truncated=True, sampled=()))
-        kids = tuple(
-            _premise(prem, (i,), depth, samples, probe_budget, seen, splice) for i in samples
-        )
-        return seen.setdefault(key, Observation(c, tag, kids, truncated=True, sampled=samples))
-    if isinstance(tag, (Omega, OmegaBar)):
-        if depth == 0:
-            return seen.setdefault(key, Observation(c, tag, (), truncated=True, probes=()))
-        try:
-            probe = canonical_probe(tag.target) if probe_budget else ()
-        except _LIMITS:
-            raise
-        except Exception as exc:  # noqa: BLE001 - an unbuildable probe
-            return seen.setdefault(key, _error_leaf(exc, c))
-        kids, fam = [], prem
-        if isinstance(tag, OmegaBar):
-            fam = prem.fam
-            first = (prem, "first")  # getattr(*first) cannot fail
-            kids.append(_premise(getattr, first, depth, samples, probe_budget, seen, splice))
-        if probe:
-            kids.append(_premise(fam, probe, depth, samples, probe_budget, seen, splice))
-        o = Observation(c, tag, tuple(kids), truncated=True, probes=probe[:1])
-        return seen.setdefault(key, o)
-    return seen.setdefault(key, _error_leaf("unknown rule tag: %r" % (tag,), c))
+    except Exception as exc:  # noqa: BLE001 - no node or no probe: a leaf
+        o = _error_leaf(exc, c)
+    else:
+        if isinstance(tag, FINITE_TAGS):
+            if depth == 0:
+                o = Observation(c, tag, (), truncated=bool(prem))
+            else:
+                kids = []
+                for q in prem:  # a loop, not a generator: one frame per level
+                    kids.append(_observe(q, depth - 1, samples, probe_budget, splice))
+                o = Observation(c, tag, tuple(kids))
+        elif isinstance(tag, Nu):
+            sampled = samples if depth else ()
+            kids = [
+                _premise(prem, (i,), depth, samples, probe_budget, splice) for i in sampled
+            ]
+            o = Observation(c, tag, tuple(kids), truncated=True, sampled=sampled)
+        elif isinstance(tag, (Omega, OmegaBar)):
+            kids, fam = [], prem
+            if depth and isinstance(tag, OmegaBar):
+                fam = prem.fam
+                first = (prem, FIRST)  # getattr(*first) cannot fail
+                kids.append(_premise(getattr, first, depth, samples, probe_budget, splice))
+            if probe:
+                kids.append(_premise(fam, probe, depth, samples, probe_budget, splice))
+            o = Observation(c, tag, tuple(kids), truncated=True, probes=probe[:1])
+        else:
+            o = _error_leaf("unknown rule tag: %r" % (tag,), c)
+    o.spliced = born
+    kept[key] = o
+    return o
 
 
-def _premise(get, args, depth, samples, probe_budget, seen, splice):
+def _premise(get, args, depth, samples, probe_budget, splice):
     """The window below the premise get(*args) of a node at depth."""
     try:
         q = get(*args)
@@ -909,22 +897,16 @@ def _premise(get, args, depth, samples, probe_budget, seen, splice):
         raise
     except Exception as exc:  # noqa: BLE001
         return _error_leaf(exc)
-    return _observe(q, depth - 1, samples, probe_budget, seen, splice)
+    return _observe(q, depth - 1, samples, probe_budget, splice)
 
 
 def _facts(o):
     """A window's rule tags, non-error conclusions and error texts, in one
-    preorder walk; a spliced window below o adds the facts it keeps.  The
+    preorder walk of its tree, spliced windows walked as any other.  The
     readers below keep them: callers must not change them."""
     rules, sequents, errors, stack = [], [], [], [o]
     while stack:
         node = stack.pop()
-        if node.spliced and node is not o:
-            facts = node.keep("facts", _facts, node)
-            rules += facts[0]
-            sequents += facts[1]
-            errors += facts[2]
-            continue
         rules.append(node.rule)
         if node.error is None:
             sequents.append(node.conclusion)
@@ -950,10 +932,8 @@ def observation_errors(o):
 
 
 def is_cut_free_observed(p, depth, samples=(0, 1, 2), probe_budget=1):
-    """True when no Cut node and no family failure shows up within a
-    window of p observed with these settings, walked once.  No proof keeps
-    a window of it: the family domain predicate asks this of each witness,
-    which the family's memo keeps alive."""
-    key = _settings(depth, samples, probe_budget)
-    rules, _, errors = _facts(_observe(p, *key, {}, False))
+    """True when no Cut node and no family failure shows up within the
+    window observe gives p with these settings, read off its kept facts."""
+    o = observe(p, depth, samples, probe_budget)
+    rules, _, errors = o.keep("facts", _facts, o)
     return not errors and not any(isinstance(r, Cut) for r in rules)

@@ -64,6 +64,15 @@ class _Parser:
             self.pos += 1
         return t[start : self.pos]
 
+    def index(self, word, pos):
+        """The index of the atom word p<i> read at pos: an index int
+        cannot read, one of more digits than the interpreter's limit for
+        integer strings, is a parse error at its first digit."""
+        try:
+            return int(word[1:])
+        except ValueError:
+            self.error("atom index of %d digits is too long" % (len(word) - 1), pos + 1)
+
     def form(self, depth):
         c = self.peek()
         start = self.pos
@@ -102,7 +111,7 @@ class _Parser:
             # str.isdigit alone takes "²", which int refuses, and "١", read as 1
             if not (word[:1] == "p" and word.isascii() and word[1:].isdigit()):
                 self.error("'~' must be followed by an atom p<i>", wstart)
-            return ("natom", int(word[1:]))
+            return ("natom", self.index(word, wstart))
         if c.isalpha():
             word = self.ident()
             if word == "X":
@@ -120,7 +129,7 @@ class _Parser:
                 self.expect(".")
                 return (word, self.form(depth + 1))
             if word[0] == "p" and word.isascii() and word[1:].isdigit():
-                return ("atom", int(word[1:]))
+                return ("atom", self.index(word, start))
             self.error("unknown token %r" % word, start)
         self.error("unexpected character %r" % c)
 

@@ -2,8 +2,9 @@
 refused system spellings, Hypothesis strategies of literals and of
 closed mu formulas, the pipeline's pass assertion, an in-process
 command-line runner, a counter of the walks level_bound makes, a switch
-that turns the plain mark off and one that turns splicing off.  The
-proof and formula builders the tests share live in `mucut.corpus`."""
+that turns the plain mark off, one that turns splicing off, a window made
+afresh and the windows a proof keeps.  The proof and formula builders
+the tests share live in `mucut.corpus`."""
 
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ from mucut.checker import check_finite
 from mucut.collapse import pipeline, verdict
 from mucut.corpus import random_form
 from mucut.kernel import atom, natom, size
+from mucut.proofs import Observation, observe
 
 # Property tests draw the same examples on every run and keep no example
 # database, so a failure found once is found again on every run.
@@ -122,16 +124,31 @@ def plain_marks_off():
 
 @contextlib.contextmanager
 def splicing_off():
-    """observe shares no subwindow: each step of a walk gets a memo of its
-    own, and no marked proof below the root keeps a window, so neither a
-    (proof, depth) pair met again in one walk nor a marked proof's window
-    met along unmarked proofs is shared.  Each window is walked whole, and
-    the plain marks stay on.  A window made inside must be read inside."""
+    """observe shares no subwindow: each step of a walk drops the window
+    its proof keeps under the settings left there and makes it afresh,
+    flagging none, so neither a (proof, depth) pair met again nor a marked
+    proof's window is shared.  Each window is walked whole, and the plain
+    marks stay on.  The proofs keep the last windows made inside, which a
+    later walk outside shares as any other."""
     walk = proofs._observe
 
-    def unshared(p, depth, samples, probe_budget, seen, splice):
-        return walk(p, depth, samples, probe_budget, {}, False)
+    def unshared(p, depth, samples, probe_budget, splice):
+        p.kept().pop((depth, samples, probe_budget), None)
+        return walk(p, depth, samples, probe_budget, False)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(proofs, "_observe", unshared)
         yield
+
+
+def fresh_window(p, depth, samples=(0, 1, 2), probe_budget=1):
+    """The window observe gives p, made afresh with splicing off: whole,
+    with no subwindow flagged and no report or text kept yet."""
+    with splicing_off():
+        return observe(p, depth, samples, probe_budget)
+
+
+def kept_windows(p):
+    """The windows the proof p keeps, one per settings a walk reached it
+    with, in the order they were made."""
+    return [w for w in p.kept().values() if isinstance(w, Observation)]

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import REFUSED_SYSTEMS, level_walks, run_cli
+from conftest import REFUSED_SYSTEMS, fresh_window, kept_windows, level_walks, run_cli
 from mucut import checker, proofs
 from mucut.checker import (
     SYSTEM_S,
@@ -51,7 +51,6 @@ from mucut.proofs import (
     OmegaFam,
     Or,
     Proof,
-    _observe,
     and_node,
     ax,
     axmu_node,
@@ -991,7 +990,7 @@ def test_check_finite_keeps_no_window(name):
     todo = [p]
     while todo:
         q = todo.pop()
-        assert "window" not in q.kept()
+        assert kept_windows(q) == []
         todo.extend(q.premises)
 
 
@@ -1020,31 +1019,31 @@ def test_a_window_keeps_one_report_per_system_and_depth():
 
 
 def test_pipeline_walks_one_window_and_judges_it_once_per_system(tmp_path, monkeypatch):
-    # all four stages of e3-axmu are one proof: its window is walked once
-    # and judged once, in omega:1; the window is neutral between omega:1
-    # and S-infinity, so the S-infinity report is the omega:1 report
+    # all four stages of e3-axmu are one proof: its window is made once
+    # (one construction of a window equal to it) and judged once, in
+    # omega:1; the window is neutral between omega:1 and S-infinity, so
+    # the S-infinity report is the omega:1 report
     assert run_cli(["corpus", "--out", str(tmp_path)])[0] == 0
-    walk, judge = proofs._observe, checker._judge_window
-    walks, judged = [], []
+    make, judge = proofs.Observation, checker._judge_window
+    made, judged = [], []
 
-    def counting_walk(p, depth, *args):
-        if depth == 4:
-            walks.append(p)
-        return walk(p, depth, *args)
+    def counting_make(*args, **kwargs):
+        made.append(make(*args, **kwargs))
+        return made[-1]
 
     def counting_judge(o, system, depth):
         judged.append((o, system, depth))
         return judge(o, system, depth)
 
-    monkeypatch.setattr(proofs, "_observe", counting_walk)
+    monkeypatch.setattr(proofs, "Observation", counting_make)
     monkeypatch.setattr(checker, "_judge_window", counting_judge)
     code, _, err = run_cli([
         "pipeline", str(tmp_path / "e3-axmu.sproof"),
         "--out", str(tmp_path / "out"), "--depth", "4",
     ])
     assert code == 0, err
-    assert len(walks) == 1
     ((o, system, depth),) = judged
+    assert made.count(o) == 1
     assert (system, depth) == (omega_system(1), 4)
     assert o.kept[SYSTEM_SINF, 4] is o.kept[system, 4]
 
@@ -1072,11 +1071,11 @@ def test_the_order_of_judging_a_window_changes_no_report():
     for p in proofs_:
         for depth in (0, 1, 3, 6):
             alone = [
-                check_observation(_observe(p, depth, (0, 1, 2), 1, {}, False), system, depth)
+                check_observation(fresh_window(p, depth), system, depth)
                 for system in FIVE_SYSTEMS
             ]
             for order in (FIVE_SYSTEMS, FIVE_SYSTEMS[::-1]):
-                got = _judged_in_turn(_observe(p, depth, (0, 1, 2), 1, {}, False), order, depth)
+                got = _judged_in_turn(fresh_window(p, depth), order, depth)
                 assert [got[system] for system in FIVE_SYSTEMS] == alone
 
 

@@ -175,6 +175,31 @@ def test_check_takes_only_a_proof_file(tmp_path):
         assert err == "parse error: unsupported file extension %s\n" % what
 
 
+def test_an_atom_index_too_long_for_int_is_a_parse_error(tmp_path):
+    # int refuses strings of more digits than the interpreter's limit
+    # (4,300 by default): the reader words that as a parse error at the
+    # index, in a formula file and in a proof file's formulas
+    ones = "1" * 5000
+    (tmp_path / "a.form").write_text("p" + ones)
+    (tmp_path / "n.form").write_text("(p0 & ~p" + ones + ")")
+    proof = tmp_path / "e2.sproof"
+    _write_corpus(tmp_path)
+    proof.write_text((tmp_path / "e2-top-cut.sproof").read_text().replace("p1", "p" + ones))
+    runs = [
+        (["parse", str(tmp_path / "a.form")], 1),
+        (["parse", str(tmp_path / "n.form")], 8),
+        (["check", str(proof)], 1),
+        (["pipeline", str(proof), "--out", str(tmp_path / "out")], 1),
+    ]
+    for argv, pos in runs:
+        code, out, err = run_cli(argv)
+        assert code == EXIT_PARSE, argv
+        assert out == ""
+        assert err.startswith(
+            "parse error: atom index of 5000 digits is too long at position %d " % pos
+        )
+
+
 def test_nesting_too_deep_is_a_resource_limit(tmp_path):
     f = tmp_path / "deep.form"
     f.write_text("[]" * 3000 + "p0")

@@ -31,6 +31,7 @@ from mucut.embed import embed, identity_mu, identity_mu_primed
 from mucut.errors import FuelExhausted, InternalInvariantError
 from mucut.kernel import TOP, atom, level, natom, negate, prime, substitute
 from mucut.proofs import (
+    ADMIT_DEPTH,
     Axiom,
     And,
     Box,
@@ -45,6 +46,7 @@ from mucut.proofs import (
     and_node,
     axmu_node,
     box_fit,
+    canonical_probe,
     clo_node,
     cut_node,
     ind_node,
@@ -302,7 +304,8 @@ def test_the_top_induction_cuts_cover_every_level():
 
 # ---------------------------------------------------------------------------
 # a subwindow that windows meet more than once is spliced into them: a
-# (proof, depth) pair met again in one walk, or a marked proof's kept window
+# (proof, depth) pair that a walk meets again, or the window of a marked
+# proof with no marked proof above it, flagged when it is made
 
 
 def _spliced_below(o):
@@ -383,10 +386,10 @@ def test_splicing_changes_nothing_on_plain_proofs(p):
 _LEVEL_3 = pf("mu X . (p1 | <> nu X . ([] X & mu X . (<> X | p2)))")
 
 
-def _walked(build, stage, depth):
-    """The window of one stage of a fresh pipeline at the depth: the
-    (proof, remaining depth) pairs its walk reaches, one per _observe
-    call, and the number of window nodes (Observations) it makes."""
+def _walked(p, depth):
+    """The walk of p's window at the depth: the (proof, settings left
+    there) pairs it reaches, one per _observe call, and the number of
+    window nodes (Observations) it makes."""
     reached, made, walk = [], [], proofs._observe
 
     class Counted(Observation):
@@ -396,15 +399,15 @@ def _walked(build, stage, depth):
             made.append(self)
             super().__init__(*args, **kwargs)
 
-    def counting(q, depth, *args):
-        reached.append((q, depth))
-        return walk(q, depth, *args)
+    def counting(q, depth, samples, probe_budget, splice):
+        reached.append((id(q), depth, samples, probe_budget))
+        return walk(q, depth, samples, probe_budget, splice)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(proofs, "_observe", counting)
         mp.setattr(proofs, "Observation", Counted)
-        observe(pipeline(build())[stage], depth)
-    return {(id(q), depth) for q, depth in reached}, len(made)
+        observe(p, depth)
+    return set(reached), len(made)
 
 
 @pytest.mark.parametrize("stage", STAGES)
@@ -415,13 +418,24 @@ def test_a_window_observes_each_pair_it_reaches_once(build, stage):
     # the whole window makes a node each time it reaches a (proof,
     # remaining depth) pair, and the shared one makes one node per
     # distinct pair; the identity laws of the level-3 formula are met
-    # more than once at one depth, nested(3) repeats no pair
+    # more than once at one depth, nested(3) repeats no pair.  A pair
+    # whose window an earlier walk made is not made again: the walks of
+    # the other stages make a node only for the pairs no walk reached
+    # before.  The probe witnesses, whose windows the family domain
+    # predicate asks for, are made afresh for each pipeline.
     assert level(_LEVEL_3) == 3
+    proofs._probe.cache_clear()
     with splicing_off():
-        whole, made_whole = _walked(build, stage, 12)
-    shared, made = _walked(build, stage, 12)
+        whole, made_whole = _walked(pipeline(build())[stage], 12)
+    proofs._probe.cache_clear()
+    stages = pipeline(build())
+    shared, made = _walked(stages[stage], 12)
     assert made == len(shared) == len(whole)
     assert (made_whole > made) is (build.func is axmu)
+    for other in STAGES:
+        reached, made = _walked(stages[other], 12)
+        assert made == len(reached - shared)
+        shared |= reached
 
 
 def test_a_spliced_report_is_rerooted_where_the_walk_meets_it():
@@ -675,30 +689,68 @@ def test_check_bounded_flags_a_foreign_rule_at_the_bound():
     assert (report.nodes_checked, report.truncation_points) == (1, 1)
 
 
-@pytest.mark.parametrize("name", sorted(CORPUS))
+def _met(p, o, depth):
+    """Each (proof, window, remaining depth, marked above) the walk that
+    made p's window o to the depth met, preorder, with whether a marked
+    proof lies above it in the walk."""
+    found, todo = [], [(p, o, depth, False)]
+    while todo:
+        q, w, d, above = todo.pop()
+        found.append((q, w, d, above))
+        if not w.children:
+            continue
+        tag, prem = q._force()
+        shown = prem
+        if isinstance(tag, Nu):
+            shown = [prem(i) for i in w.sampled]
+        elif isinstance(tag, (Omega, OmegaBar)):
+            bar = isinstance(tag, OmegaBar)
+            shown = [prem.first] if bar else []
+            fam = prem.fam if bar else prem
+            shown += [fam(*canonical_probe(tag.target)) for _ in w.probes]
+        todo.extend((r, v, d - 1, above or q.plain) for r, v in zip(shown, w.children))
+    return found
+
+
+# The corpus, and the level-3 identity law, which meets (proof, depth)
+# pairs again inside its marked window.
+_KEEPERS = dict(CORPUS, **{"axmu-level-3": partial(axmu, _LEVEL_3)})
+
+
+@pytest.mark.parametrize("name", sorted(_KEEPERS))
 def test_only_the_stage_roots_keep_a_window(name):
-    # besides the stage roots, only the outermost marked proofs their
-    # windows reach keep a window, the one spliced there: no witness that
-    # the family domain predicate walks keeps one, though the family's memo
-    # keeps it alive, and no marked proof inside a marked window does
+    # only the stage roots keep a window of the stage settings; every
+    # proof a stage walk reaches keeps the window that stands there under
+    # the settings left there, and a marked proof with no marked proof
+    # above it is spliced from birth, before any other walk meets it.  No
+    # witness window, which the family domain predicate makes under its
+    # own settings, is spliced into a stage, though the family's memo
+    # keeps the witness alive.
     for q in gc.get_objects():
         if isinstance(q, Proof):
             q._kept = None
-    p = CORPUS[name]()
+    p = _KEEPERS[name]()
     stages = pipeline(p)
+    first = _met(stages["embedded"], observe(stages["embedded"], 6), 6)
+    assert all(w.spliced for q, w, _, above in first if q.plain and not above)
     v = verdict(p, stages, 6)
-    kept = [
-        (q, q._kept["window"][1]) for q in gc.get_objects()
-        if isinstance(q, Proof) and "window" in (q._kept or ())
-    ]
-    roots = {id(stages[stage.name]): stage.window for stage in v.stages}
-    spliced = [w for stage in v.stages for w in _spliced_below(stage.window)]
-    assert all(any(q_id == id(q) and w is o for q, w in kept) for q_id, o in roots.items())
-    others = [(q, w) for q, w in kept if id(q) not in roots]
-    assert all(q.plain and w.spliced for q, w in others)
-    assert {id(w) for _, w in others} <= {id(w) for w in spliced}
-    assert not any(_spliced_below(w) for w in spliced)
-    assert bool(others) is (name in ("ind-top", "nested"))
+    stage_key, admit_key = (6, (0, 1, 2), 1), (ADMIT_DEPTH, (0,), 0)
+    keepers = [q for q in gc.get_objects() if isinstance(q, Proof) and q._kept]
+    roots = {id(stages[stage.name]): id(stage.window) for stage in v.stages}
+    assert {id(q): id(q._kept[stage_key]) for q in keepers if stage_key in q._kept} == roots
+    met = [m for stage in v.stages for m in _met(stages[stage.name], stage.window, 6)]
+    for q, w, depth, above in met:
+        assert q.kept()[depth, (0, 1, 2), 1] is w
+        assert w.spliced or above or not q.plain
+    held = {id(w) for stage in v.stages for w in _below_root(stage.window)}
+    witnesses = [q._kept[admit_key] for q in keepers if admit_key in q._kept]
+    assert bool(witnesses) is any(w.probes for _, w, _, _ in met)
+    assert held.isdisjoint(map(id, witnesses))
+    # the windows of the outermost marked proofs, below the stage roots in
+    # two cases, and the pairs met again inside them in one
+    marked = [(q, w) for q, w, _, above in met if q.plain and not above]
+    assert any(id(q) not in roots for q, _ in marked) is (name in ("ind-top", "nested"))
+    assert any(_spliced_below(w) for _, w in marked) is (name == "axmu-level-3")
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))

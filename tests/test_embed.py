@@ -10,8 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CLOSED_MUS
-from mucut import proofs
+from conftest import CLOSED_MUS, fresh_window
 from mucut.checker import (
     check_bounded,
     check_finite,
@@ -556,9 +555,9 @@ def test_the_order_of_cut_premises_changes_nothing(name):
 
 
 def _sinf_window(q):
-    """Whether every node of q's depth-6 window, samples 0-3, has a rule
-    of S-infinity; the window is not kept on q."""
-    o = proofs._observe(q, 6, (0, 1, 2, 3), 1, {}, False)
+    """Whether every node of q's depth-6 window, samples 0-3, made
+    afresh, has a rule of S-infinity."""
+    o = fresh_window(q, 6, (0, 1, 2, 3))
     return not observation_errors(o) and all(
         isinstance(r, SINF_TAGS) for r in observation_rules(o)
     )

@@ -20,7 +20,8 @@ The builders `mucut.embed` and `mucut.cutelim` import nothing from the
 judge, `mucut.checker`: they build the same proof whatever system it is
 judged in.  Only `proofs.mark_plain` sets a proof's plain mark, and only
 `Proof`'s constructor clears it; only `proofs._observe` sets a window's
-splice flag, and only `Observation`'s constructor clears it.  No module
+splice flag, only `Observation`'s constructor clears it, and only the
+judge's walk and the writer read it.  No module
 of the package reads or sets the environment through `os`.  Every module-level memo of the package (a
 function under `@memo` or a name bound to a `memo(...)` call) is named in
 the paragraph of the `mucut.kernel` docstring that states the memo
@@ -361,9 +362,60 @@ def test_only_mark_plain_and_the_constructor_write_the_plain_mark():
 
 def test_only_the_window_keeper_and_the_constructor_write_the_splice_flag():
     # one sharing rule: Observation's constructor clears the flag and
-    # proofs._observe, whose memo keeps the windows of one walk, sets it
-    # on a window met again, in the walk or as a marked proof's kept window
+    # proofs._observe, which keeps each window on its proof, sets it on a
+    # window met again and at birth on an outermost marked proof's window
     assert _writers("spliced") == {"src/mucut/proofs.py": ["__init__", "_observe"]}
+
+
+def mark_readers(source, mark):
+    """The functions of source that read the attribute mark, sorted, with
+    "<module>" for a read outside any function: a load of the attribute,
+    an augmented assignment to it, or a getattr call naming it."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            where = getattr(node, "name", "<lambda>")
+        if isinstance(node, ast.Attribute) and node.attr == mark:
+            if isinstance(node.ctx, ast.Load):
+                found.add(where)
+        elif isinstance(node, ast.AugAssign) and getattr(node.target, "attr", None) == mark:
+            found.add(where)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr":
+            arg = node.args[1] if len(node.args) > 1 else None
+            if isinstance(arg, ast.Constant) and arg.value == mark:
+                found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_mark_readers_are_found():
+    source = (
+        "x = p.spliced\n"
+        "def f(o):\n    return o.spliced and o.other\n"
+        "def g(o):\n    o.spliced += 1\n"
+        "def h(o):\n    return getattr(o, 'spliced', False)\n"
+        "def k(o):\n    o.spliced = True\n    del o.spliced\n    return o.splicedness\n"
+        "class C:\n    spliced = False\n    m = lambda self: self.spliced\n"
+    )
+    assert mark_readers(source, "spliced") == ["<lambda>", "<module>", "f", "g", "h"]
+    assert mark_readers(source, "splicedness") == ["k"]
+
+
+def test_only_the_judge_and_the_writer_read_the_splice_flag():
+    # a spliced window is one unit to the judge's walk and to the writer;
+    # the facts, the pipeline and everything else read the window whole
+    found = {
+        str(p.relative_to(ROOT)): mark_readers(p.read_text(encoding="utf-8"), "spliced")
+        for p in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {path: names for path, names in found.items() if names} == {
+        "src/mucut/checker.py": ["_walk"],
+        "src/mucut/sexpr.py": ["_write"],
+    }
 
 
 # The os functions and mapping through which a program reads or sets its

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
+from conftest import kept_windows
 from mucut.checker import check_bounded, omega_system
 from mucut.collapse import pipeline, verdict
-from mucut.corpus import CORPUS
+from mucut.corpus import CORPUS, deep_cut_chain
+from mucut.embed import embed
 from mucut.errors import FuelExhausted, InternalInvariantError
 from mucut.kernel import TOP, atom, iterate, natom, negate, prime, substitute
 from mucut.proofs import (
@@ -681,14 +685,21 @@ def test_samples_that_sample_the_same_premises_share_one_window():
 
 
 def test_observe_keeps_no_window_below_the_root():
+    # no proof below the root keeps a window of the root's settings: each
+    # proof the walk reaches keeps the subwindow that stands where the walk
+    # meets it, under the depth left there, and no other
     p = CORPUS["nested"]()
-    observe(p, 20)
-    assert "window" in p.kept()
-    todo = list(p.premises)
+    o = observe(p, 20)
+    assert kept_windows(p) == [o]
+    stands, todo = {}, [(p, o)]
     while todo:
-        q = todo.pop()
-        assert "window" not in q.kept()
-        todo.extend(q.premises)
+        q, w = todo.pop()
+        stands.setdefault(q, set()).add(id(w))
+        todo.extend(zip(q.premises, w.children))
+    assert len(stands) == 11
+    for q, ids in stands.items():
+        assert {id(w) for w in kept_windows(q)} == ids
+        assert (q is p) is ((20, (0, 1, 2), 1) in q.kept())
 
 
 def test_an_observe_that_runs_out_keeps_nothing():
@@ -704,7 +715,7 @@ def test_an_observe_that_runs_out_keeps_nothing():
     for n in (1, 2):
         with pytest.raises(FuelExhausted):
             observe(tired, 3)
-        assert "window" not in tired.kept()
+        assert kept_windows(tired) == []
         assert len(calls) == n
     # a window that does not feed the family is kept, and a request that
     # runs out leaves it in place
@@ -722,7 +733,7 @@ def test_a_probe_budget_other_than_0_or_1_is_refused(budget):
     p = CORPUS["nested"]()
     with pytest.raises(ValueError, match="0 or 1"):
         observe(p, 3, (0, 1, 2), budget)
-    assert "window" not in p.kept()
+    assert kept_windows(p) == []
     with pytest.raises(ValueError, match="0 or 1"):
         check_bounded(p, omega_system(1), 3, probe_budget=budget)
     with pytest.raises(ValueError, match="0 or 1"):
@@ -753,7 +764,7 @@ def test_observe_refuses_settings_that_are_no_counts(depth, samples, budget, wha
     e = pipeline(CORPUS["axmu"]())["embedded"]
     with pytest.raises(ValueError, match="^(observe )?%s " % what):
         observe(e, depth, samples, budget)
-    assert "window" not in e.kept()
+    assert kept_windows(e) == []
     with pytest.raises(ValueError, match=what):
         check_bounded(e, omega_system(1), depth, samples, budget)
     with pytest.raises(ValueError, match=what):
@@ -769,3 +780,14 @@ def test_a_bool_sample_never_gets_the_int_samples_window():
     o = observe(e, 3, (1,))
     assert all(type(i) is int for i in o.sampled)
     assert "(samples 1)" in observation_dumps(o)
+
+
+def test_a_deep_window_costs_one_frame_per_level():
+    # the walk, the judge and the writer of a window reach three quarters
+    # of the recursion limit in depth: observe's walk takes one frame per
+    # window level, and the judge and the writer keep explicit stacks
+    depth = sys.getrecursionlimit() * 3 // 4
+    e = embed(deep_cut_chain(1000))
+    o = observe(e, depth)
+    assert check_bounded(e, omega_system(0), depth).ok
+    assert observation_dumps(o).count("(cut ") == depth + 1  # the last one truncated
