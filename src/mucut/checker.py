@@ -4,7 +4,7 @@ The checker judges observation windows: check_observation reads a window
 that proofs.observe made (each node's conclusion, rule, children, sampled
 indices and probe deltas), forces nothing and keeps its report on the
 window, per system and depth.  check_bounded judges the window observe
-keeps on a proof; check_finite judges a finite proof's own nodes, keeps
+gives a proof; check_finite judges a finite proof's own nodes, keeps
 its level bound on a pass, and rejects nu and replacement rules without
 entering them.
 
@@ -26,10 +26,9 @@ one order: a node's violations, then its premises' first to last (what
 each must conclude, or that it could not be produced), then each
 premise's subtree in turn.  The judge flags a rule its system leaves
 out at the depth bound too, and takes a spliced window, one that
-windows hold more than once (proofs.observe keeps each window on its
-proof, so every walk that meets it again shares it), as one subtree:
-its own report.  Only the judge and the writer read the flag; a
-window's facts are read off its whole tree.
+windows hold more than once (proofs.observe), as one subtree: its own
+report.  Only the judge and the writer read the flag; a window's facts
+are read off its whole tree.
 Paths are kept as (parent, label) pairs and made into text only when a
 violation is flagged.  Resource limits (fuel, stack depth) propagate as
 they do from observe.

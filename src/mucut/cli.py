@@ -12,15 +12,16 @@ Subcommands:
     ``mucut.collapse.verdict`` decides what passes, and this only words it;
   * ``corpus`` — write the built-in example proofs as ``.sproof`` files.
 
-Exit codes: 0 ok; 1 check failure (a stage's too, in its own system,
-the rules at the depth bound included); 2 parse error (malformed input,
-input that is not UTF-8, a file whose suffix names no kind the command
-reads, refused before it is read, as a ``.form`` given to ``check`` or
-``pipeline``, an unknown system, or a ``pipeline`` output path that is
-its input or another output); 3 resource limit (fuel exhaustion, or nesting too deep
-for the stack); 4 internal failure (a broken invariant, a stage's error
-leaf, or any other ValueError).  All output is deterministic: equal
-inputs and flags produce byte-identical files.
+Exit codes: 0 ok; 1 check failure (a stage's too, in its own system, the
+rules at the depth bound included); 2 parse error (malformed input, input
+that is not UTF-8, a file whose suffix names no kind the command reads,
+refused before it is read, as a ``.form`` given to ``check`` or
+``pipeline``, an unknown system, or a ``pipeline`` output path that is its
+input or another output); 3 resource limit (fuel exhaustion, or nesting
+too deep for the stack: the input, or what ``pipeline`` built from a
+checked input, sized by ``--samples`` and ``--depth``); 4 internal failure
+(a broken invariant, a stage's error leaf, or any other ValueError).  All
+output is deterministic: equal inputs and flags give byte-identical files.
 """
 
 from __future__ import annotations
@@ -149,11 +150,14 @@ def cmd_pipeline(args):
         sys.stderr.write("input is not a valid S proof: " + report_dumps(report))
         return EXIT_CHECK
     out_dir.mkdir(parents=True, exist_ok=True)
+    # from here on what runs out of stack is what the pipeline builds
+    args.too_deep = ("a formula or window the pipeline built exceeds the stack "
+                     "limit (--samples and --depth set their size)")
 
     steps = []
     stages = pipeline(proof, fuel=args.fuel, trace=lambda *step: steps.append(step))
     # each stage is written before the next is observed; verdict's own
-    # observe calls are answered from the windows the stages keep
+    # observe calls, with the same settings, get back the windows written
     for name, path in zip(STAGES, obs):
         o = observe(stages[name], args.depth, args.samples, args.probes)
         path.write_text(observation_dumps(o), encoding="utf-8")
@@ -212,6 +216,7 @@ def build_parser():
         description="Syntactic cut elimination for the one-variable modal mu-calculus",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    parser.set_defaults(too_deep="input exceeds the stack limit")
 
     for name in ("parse", "print"):
         sp = subs.add_parser(name, help="emit the canonical text of a .form or .sproof file")
@@ -254,7 +259,7 @@ def main(argv=None):
         sys.stderr.write("fuel exhausted: %s\n" % exc)
         return EXIT_FUEL
     except RecursionError:
-        sys.stderr.write("nesting too deep: input exceeds the stack limit\n")
+        sys.stderr.write("nesting too deep: %s\n" % args.too_deep)
         return EXIT_FUEL
     except InternalInvariantError as exc:
         sys.stderr.write("internal invariant failure: %s\n" % exc)

@@ -9,11 +9,11 @@ and memoized so repeated exploration is deterministic.
 Observation is the finite window onto such a proof: explore to a depth
 bound, sample omega premises at chosen indices, and feed replacement-rule
 families their canonical probe.  The checker judges these windows.  A
-proof keeps its windows and its level bound, and a window its facts,
+proof keeps its last window and its level bound, and a window its facts,
 reports and text, so a repeated request is answered from these memos.
-A window is a tree over the DAG of proofs it walks: a subwindow that
-any walk meets again is the same window, which the judge and the writer
-read off once.
+A window is a tree over the DAG of proofs it walks: a subwindow met
+again under the settings it was made with is the same window, which the
+judge and the writer read off once.
 """
 
 from __future__ import annotations
@@ -380,8 +380,8 @@ def omega_phi(target):
 
 
 class Proof:
-    """Strict conclusion, lazy (rule, premises) node.  kept() holds its
-    windows, each under the settings observe walked it with, a finite
+    """Strict conclusion, lazy (rule, premises) node.  It keeps the last
+    window observe made for it, under its settings, and kept() a finite
     proof's level bound and why it could not be forced.  A node reads as
     a full window, forced to read its error: so check_finite judges it.
 
@@ -393,7 +393,8 @@ class Proof:
 
     # weakly referenceable so that embed can empty its identity-law memo
     # when the embedding is freed
-    __slots__ = ("conclusion", "_node", "_thunk", "_kept", "plain", "__weakref__")
+    __slots__ = ("conclusion", "_node", "_thunk", "_window", "_kept", "plain",
+                 "__weakref__")
     sampled = probes = None
     spliced = False  # the window walkers read proofs too: none is a spliced unit
 
@@ -403,13 +404,12 @@ class Proof:
         self.conclusion = conclusion
         self._node = node
         self._thunk = thunk
+        self._window = None
         self._kept = None
         self.plain = False
 
     def kept(self):
-        """What the proof keeps, a dict made on the first request: each
-        window under its settings tuple (observe), and under "level" and
-        "error" its level bound and why it could not be forced."""
+        """What the proof keeps, made on first use: "level" and "error"."""
         if self._kept is None:
             self._kept = {}
         return self._kept
@@ -799,17 +799,17 @@ def observe(p, depth, samples=(0, 1, 2), probe_budget=1):
     when probe_budget is 1 and none when it is 0.  Failures to force a
     node, to build its probe, to produce a premise or family output, and
     unknown rule tags become error leaves; fuel exhaustion and running out
-    of stack propagate.  p keeps the window under its settings, and a
-    repeated request returns it.
+    of stack propagate.
 
     One sharing rule, hash-consing applied to windows: every proof the walk
-    reaches keeps the window made for it under the settings left there
-    (the remaining depth, the samples and the probe budget), so a
-    (proof, remaining depth) pair that any walk meets again, in one window
-    or in another, is that window, flagged spliced.  A marked proof with
-    no marked proof above it in the walk is flagged when its window is
-    made, since the other stage windows of its job meet it there.  Only
-    the judge and the writer read the flag: they take a spliced window
+    reaches keeps the last window made for it, with the settings left there
+    (the remaining depth, the samples and the probe budget).  A request or
+    step with those settings, in one window or another, gets that window,
+    flagged spliced; other settings replace it.  So a proof holds one
+    window, alive while the proof or a window that holds it is.  A marked
+    proof with no marked proof above it in the walk is flagged when its
+    window is made, since the other stage windows of its job meet it there.
+    Only the judge and the writer read the flag: they take a spliced window
     below the root as one unit."""
     return _observe(p, *_settings(depth, samples, probe_budget), True)
 
@@ -835,19 +835,15 @@ def _settings(depth, samples, probe_budget):
 
 def _observe(p, depth, samples, probe_budget, splice):
     """observe's walk of p to the given depth, samples as _settings gives
-    them, one frame per window level.  A window p keeps under these
-    settings is returned, flagged spliced; else the window is made, kept
-    on p under them as it is returned, and flagged when p is marked and
-    splice is true: the walk has entered no marked proof above p."""
-    key = depth, samples, probe_budget
-    kept = p.kept()
-    o = kept.get(key)
-    if o is not None:
-        o.spliced = True
-        return o
-    born = splice and p.plain
-    if born:
-        splice = False
+    them, one frame per window level.  The window p keeps, if made under
+    these settings, is returned, flagged spliced; else the window is made,
+    kept on p in its place as it is returned, and flagged when p is marked
+    and splice is true: the walk has entered no marked proof above p."""
+    key, last = (depth, samples, probe_budget), p._window
+    if last is not None and last[0] == key:
+        last[1].spliced = True
+        return last[1]
+    born, splice = splice and p.plain, splice and not p.plain
     c = p.conclusion
     try:
         tag, prem = p._force()
@@ -885,7 +881,7 @@ def _observe(p, depth, samples, probe_budget, splice):
         else:
             o = _error_leaf("unknown rule tag: %r" % (tag,), c)
     o.spliced = born
-    kept[key] = o
+    p._window = key, o
     return o
 
 

@@ -21,8 +21,8 @@ kernel memo, so windows that share sequents (the stages of one pipeline)
 print each once; the values themselves keep no text.  Rule tags, box
 sides included, are written afresh, and proof_dumps keeps nothing.  A
 window keeps its text, so a spliced window, one that windows hold more
-than once (proofs.observe keeps each window on its proof), is written
-once, wherever the windows that hold it meet it.
+than once (proofs.observe), is written once, wherever the windows that
+hold it meet it.
 """
 
 from __future__ import annotations

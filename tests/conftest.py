@@ -3,12 +3,13 @@ refused system spellings, Hypothesis strategies of literals and of
 closed mu formulas, the pipeline's pass assertion, an in-process
 command-line runner, a counter of the walks level_bound makes, a switch
 that turns the plain mark off, one that turns splicing off, a window made
-afresh and the windows a proof keeps.  The proof and formula builders
-the tests share live in `mucut.corpus`."""
+afresh, the window a proof keeps and a reset of the windows kept.  The
+proof and formula builders the tests share live in `mucut.corpus`."""
 
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import random
 import sys
@@ -22,7 +23,7 @@ from mucut.checker import check_finite
 from mucut.collapse import pipeline, verdict
 from mucut.corpus import random_form
 from mucut.kernel import atom, natom, size
-from mucut.proofs import Observation, observe
+from mucut.proofs import Proof, observe
 
 # Property tests draw the same examples on every run and keep no example
 # database, so a failure found once is found again on every run.
@@ -125,15 +126,15 @@ def plain_marks_off():
 @contextlib.contextmanager
 def splicing_off():
     """observe shares no subwindow: each step of a walk drops the window
-    its proof keeps under the settings left there and makes it afresh,
-    flagging none, so neither a (proof, depth) pair met again nor a marked
-    proof's window is shared.  Each window is walked whole, and the plain
-    marks stay on.  The proofs keep the last windows made inside, which a
-    later walk outside shares as any other."""
+    its proof keeps and makes it afresh, flagging none, so neither a
+    (proof, depth) pair met again nor a marked proof's window is shared.
+    Each window is walked whole, and the plain marks stay on.  The proofs
+    keep the last windows made inside, which a later walk outside shares
+    as any other."""
     walk = proofs._observe
 
     def unshared(p, depth, samples, probe_budget, splice):
-        p.kept().pop((depth, samples, probe_budget), None)
+        p._window = None
         return walk(p, depth, samples, probe_budget, False)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -149,6 +150,13 @@ def fresh_window(p, depth, samples=(0, 1, 2), probe_budget=1):
 
 
 def kept_windows(p):
-    """The windows the proof p keeps, one per settings a walk reached it
-    with, in the order they were made."""
-    return [w for w in p.kept().values() if isinstance(w, Observation)]
+    """The windows the proof p keeps: none, or the last one made for it."""
+    return [] if p._window is None else [p._window[1]]
+
+
+def forget_windows():
+    """Every proof alive drops the window it keeps, so the windows proofs
+    keep afterwards are the ones the walks that follow make."""
+    for q in gc.get_objects():
+        if isinstance(q, Proof):
+            q._window = None

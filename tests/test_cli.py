@@ -27,12 +27,13 @@ from mucut.cli import (
     EXIT_PARSE,
     build_parser,
 )
-from mucut.corpus import CORPUS, random_formulas, top_induction_cut
+from mucut.corpus import CORPUS, axmu, nested, random_formulas, top_induction_cut
 from mucut.errors import InternalInvariantError
 from mucut.proofs import Proof, or_node
 from mucut.sequents import Sequent
 from mucut.sexpr import loads, proof_dumps, proof_loads
 from mucut.syntax import parse_formula, print_form
+from test_small_scope import small_mu_formulas
 
 
 def _write_corpus(tmp_path):
@@ -207,6 +208,43 @@ def test_nesting_too_deep_is_a_resource_limit(tmp_path):
     assert code == EXIT_FUEL
     assert out == ""
     assert err == "nesting too deep: input exceeds the stack limit\n"
+
+
+def test_nesting_the_pipeline_built_too_deep_names_the_flags_that_size_it(tmp_path):
+    # a 75-byte file that check passes: what runs out of stack is the
+    # approximant of index 500 the pipeline builds for it, not the input
+    _write_corpus(tmp_path)
+    path = tmp_path / "e3-axmu.sproof"
+    assert len(path.read_bytes()) == 75
+    assert run_cli(["check", str(path)])[0] == EXIT_OK
+    argv = ["pipeline", str(path), "--samples", "0,500", "--out", str(tmp_path / "out")]
+    assert run_cli(argv) == (EXIT_FUEL, "", (
+        "nesting too deep: a formula or window the pipeline built exceeds the "
+        "stack limit (--samples and --depth set their size)\n"
+    ))
+
+
+# Valid S proofs from the corpus builders: nested(2) to nested(4), and
+# axmu and top_induction_cut over every closed mu formula of size 3 or less.
+_BUILT = {"nested-%d" % n: (nested, n) for n in (2, 3, 4)} | {
+    "%s-%d" % (build.__name__, i): (build, f)
+    for i, f in enumerate(small_mu_formulas(3))
+    for build in (axmu, top_induction_cut)
+}
+
+
+@pytest.mark.parametrize("name", _BUILT)
+def test_a_file_check_passes_goes_through_the_pipeline(tmp_path, name):
+    # the method's theorem at the command line: an S proof that check
+    # passes has a cut-free, nub-free S-infinity proof, which pipeline
+    # builds and judges at default flags
+    build, arg = _BUILT[name]
+    path = tmp_path / (name + ".sproof")
+    path.write_text(proof_dumps(build(arg)), encoding="utf-8")
+    assert run_cli(["check", str(path)]) == (EXIT_OK, "(report ok)\n", "")
+    assert run_cli(["pipeline", str(path)]) == (
+        EXIT_OK, "cut-free: yes, nubar-free: yes\n", ""
+    )
 
 
 def test_check_ok_and_fail(tmp_path):
@@ -715,10 +753,11 @@ def _edited(data, edits):
 
 
 def _assert_total(argv):
-    """The command ends in an exit code 0-4 with at most one line on
-    standard error, and no traceback anywhere."""
+    """The command ends in an exit code 0-3, never the internal failure
+    4, with at most one line on standard error, and no traceback
+    anywhere."""
     code, out, err = run_cli(argv)
-    assert 0 <= code <= 4, (code, err)
+    assert 0 <= code <= 3, (code, err)
     assert err.count("\n") <= 1 and err.endswith("\n") == bool(err), err
     assert "Traceback" not in out + err
 
@@ -805,7 +844,7 @@ def test_pipeline_flags_end_in_an_exit_code(tmp_path_factory, filename, flags):
     for flag, value in flags.items():
         argv += [flag, value]
     code, err = _flag_exit(argv)
-    assert 0 <= code <= 4, (code, err)
+    assert 0 <= code <= 3, (code, err)
 
 
 @hypothesis_settings(max_examples=60, deadline=None)
@@ -813,7 +852,7 @@ def test_pipeline_flags_end_in_an_exit_code(tmp_path_factory, filename, flags):
 def test_check_systems_end_in_an_exit_code(tmp_path_factory, filename, system):
     path = _corpus_path(tmp_path_factory, filename)
     code, err = _flag_exit(["check", path, "--system", system])
-    assert 0 <= code <= 4, (code, err)
+    assert 0 <= code <= 3, (code, err)
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_pipeline_passes, plain_marks_off, splicing_off
+from conftest import (
+    assert_pipeline_passes,
+    forget_windows,
+    plain_marks_off,
+    splicing_off,
+)
 from mucut import kernel, proofs
 from mucut.checker import (
     SYSTEM_S,
@@ -719,31 +724,36 @@ _KEEPERS = dict(CORPUS, **{"axmu-level-3": partial(axmu, _LEVEL_3)})
 
 @pytest.mark.parametrize("name", sorted(_KEEPERS))
 def test_only_the_stage_roots_keep_a_window(name):
-    # only the stage roots keep a window of the stage settings; every
-    # proof a stage walk reaches keeps the window that stands there under
-    # the settings left there, and a marked proof with no marked proof
-    # above it is spliced from birth, before any other walk meets it.  No
-    # witness window, which the family domain predicate makes under its
-    # own settings, is spliced into a stage, though the family's memo
-    # keeps the witness alive.
-    for q in gc.get_objects():
-        if isinstance(q, Proof):
-            q._kept = None
+    # only the stage roots keep a window of the stage settings.  Every
+    # proof a stage walk reaches keeps one window, the last one made for
+    # it: one the walks met it with, under the settings left there, or a
+    # witness window that the family domain predicate made under its own
+    # settings; a proof met at two depths keeps one of them.  A marked
+    # proof with no marked proof above it is spliced from birth, before
+    # any other walk meets it.  No witness window is spliced into a
+    # stage, though the family's memo keeps the witness alive.
+    forget_windows()
     p = _KEEPERS[name]()
     stages = pipeline(p)
     first = _met(stages["embedded"], observe(stages["embedded"], 6), 6)
     assert all(w.spliced for q, w, _, above in first if q.plain and not above)
     v = verdict(p, stages, 6)
     stage_key, admit_key = (6, (0, 1, 2), 1), (ADMIT_DEPTH, (0,), 0)
-    keepers = [q for q in gc.get_objects() if isinstance(q, Proof) and q._kept]
+    keepers = [q for q in gc.get_objects() if isinstance(q, Proof) and q._window]
     roots = {id(stages[stage.name]): id(stage.window) for stage in v.stages}
-    assert {id(q): id(q._kept[stage_key]) for q in keepers if stage_key in q._kept} == roots
+    assert {id(q): id(q._window[1]) for q in keepers if q._window[0] == stage_key} == roots
+    witnesses = [q._window[1] for q in keepers if q._window[0] == admit_key]
+    admitted = {id(w) for o in witnesses for w in [o, *_below_root(o)]}
     met = [m for stage in v.stages for m in _met(stages[stage.name], stage.window, 6)]
+    stood = {(id(q), (depth, (0, 1, 2), 1), id(w)) for q, w, depth, _ in met}
+    depths = {}
     for q, w, depth, above in met:
-        assert q.kept()[depth, (0, 1, 2), 1] is w
+        key, kept = q._window
+        assert (id(q), key, id(kept)) in stood or id(kept) in admitted
         assert w.spliced or above or not q.plain
+        depths.setdefault(q, set()).add(depth)
+    assert any(len(d) > 1 for d in depths.values()) is (name == "ind-top")
     held = {id(w) for stage in v.stages for w in _below_root(stage.window)}
-    witnesses = [q._kept[admit_key] for q in keepers if admit_key in q._kept]
     assert bool(witnesses) is any(w.probes for _, w, _, _ in met)
     assert held.isdisjoint(map(id, witnesses))
     # the windows of the outermost marked proofs, below the stage roots in

@@ -367,6 +367,17 @@ def test_only_the_window_keeper_and_the_constructor_write_the_splice_flag():
     assert _writers("spliced") == {"src/mucut/proofs.py": ["__init__", "_observe"]}
 
 
+def test_only_the_window_keeper_and_the_constructor_write_the_window_slot():
+    # a proof keeps one window: Proof's constructor clears the slot and
+    # proofs._observe replaces it with the last window it made for the
+    # proof; in the tests only conftest's splicing_off (its unshared walk)
+    # and forget_windows drop it
+    assert _writers("_window") == {
+        "src/mucut/proofs.py": ["__init__", "_observe"],
+        "tests/conftest.py": ["forget_windows", "unshared"],
+    }
+
+
 def mark_readers(source, mark):
     """The functions of source that read the attribute mark, sorted, with
     "<module>" for a read outside any function: a load of the attribute,

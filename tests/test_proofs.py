@@ -2,18 +2,20 @@
 
 from __future__ import annotations
 
+import gc
 import sys
 
 import pytest
 
-from conftest import kept_windows
+from conftest import forget_windows, kept_windows
 from mucut.checker import check_bounded, omega_system
 from mucut.collapse import pipeline, verdict
-from mucut.corpus import CORPUS, deep_cut_chain
+from mucut.corpus import CORPUS, deep_cut_chain, nested
 from mucut.embed import embed
 from mucut.errors import FuelExhausted, InternalInvariantError
 from mucut.kernel import TOP, atom, iterate, natom, negate, prime, substitute
 from mucut.proofs import (
+    ADMIT_DEPTH,
     FIRST,
     Axiom,
     Box,
@@ -686,8 +688,8 @@ def test_samples_that_sample_the_same_premises_share_one_window():
 
 def test_observe_keeps_no_window_below_the_root():
     # no proof below the root keeps a window of the root's settings: each
-    # proof the walk reaches keeps the subwindow that stands where the walk
-    # meets it, under the depth left there, and no other
+    # proof the walk reaches keeps one window, the last one made for it,
+    # which stands where the walk meets it
     p = CORPUS["nested"]()
     o = observe(p, 20)
     assert kept_windows(p) == [o]
@@ -698,8 +700,41 @@ def test_observe_keeps_no_window_below_the_root():
         todo.extend(zip(q.premises, w.children))
     assert len(stands) == 11
     for q, ids in stands.items():
-        assert {id(w) for w in kept_windows(q)} == ids
-        assert (q is p) is ((20, (0, 1, 2), 1) in q.kept())
+        [w] = kept_windows(q)
+        assert id(w) in ids
+        assert (q is p) is (q._window[0] == (20, (0, 1, 2), 1))
+
+
+def _tree(o):
+    """Every window the tree of the window o holds, o included."""
+    found, todo = [], [o]
+    while todo:
+        w = todo.pop()
+        found.append(w)
+        todo.extend(w.children)
+    return found
+
+
+def test_a_depth_sweep_leaves_each_proof_one_window():
+    # the windows kept live as long as their proofs, one each: after
+    # observing the embedded stage of nested(3) at depths 1 to 20, each
+    # kept window stands in the tree of the depth-20 window or of a
+    # witness window that the family domain predicate asked for under its
+    # own settings
+    e = pipeline(nested(3))["embedded"]
+    forget_windows()
+    for depth in range(1, 21):
+        o = observe(e, depth)
+    alive = [q for q in gc.get_objects() if isinstance(q, Proof)]
+    kept = [kept_windows(q) for q in alive]
+    assert max(map(len, kept)) == 1
+    admitted = (ADMIT_DEPTH, (0,), 0)
+    witnesses = [q._window[1] for q in alive if q._window and q._window[0] == admitted]
+    assert witnesses
+    tree = {id(w) for w in _tree(o)}
+    assert len(tree) == 319
+    held = tree.union(id(w) for t in witnesses for w in _tree(t))
+    assert all(id(w) in held for ws in kept for w in ws)
 
 
 def test_an_observe_that_runs_out_keeps_nothing():
