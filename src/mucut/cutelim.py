@@ -79,33 +79,42 @@ def cut_rank(f):
 # weakening
 
 
-def weaken(d, extra):
+def weaken(d, extra, memo=None):
     """Admissible weakening: the same proof with extra conclusion formulas
     threaded through every rule (box rules absorb them into the side
     sequent; induction nodes admit no context and cannot be weakened).
     A pending weakening of base by e0 composes with this one: the result
     is one pending weakening of base by e0 + extra, since weakening twice
     is weakening once by the union.  Weakening adds no rule, so the
-    weakening of a plain proof is marked plain."""
+    weakening of a plain proof is marked plain.  memo is None, as in cut
+    elimination, or an embedding's memo (embed._owned), which shares what
+    it holds: weakening base by formulas it holds gives the object made
+    first, and a new weakening goes in it, keyed by base itself (a proof
+    hashes by identity, so the key holds it), and weakens its premises
+    through it too."""
     extra = Sequent(extra).difference(d.conclusion)
     if not extra:
         return d
-    c2 = d.conclusion.union(extra)
     pending = d._thunk
     if type(pending) is partial and pending.func is _weaken_now:
-        d, e0, _ = pending.args
+        d, e0 = pending.args[:2]
         extra = e0.union(extra)
-    out = Proof.defer(c2, partial(_weaken_now, d, extra, c2))
+    if memo is not None and (d, extra) in memo:
+        return memo[d, extra]
+    c2 = d.conclusion.union(extra)
+    out = Proof.defer(c2, partial(_weaken_now, d, extra, c2, memo))
+    if memo is not None:
+        memo[d, extra] = out
     return mark_plain(out) if d.plain else out
 
 
-def _weaken_now(d, extra, c2):
+def _weaken_now(d, extra, c2, memo):
     tag = d.rule
     if isinstance(tag, Box):
         return make_node(c2, Box(tag.principal, tag.side.union(extra)), d.premises)
     if isinstance(tag, Ind):
         raise InternalInvariantError("cannot weaken an induction node")
-    return map_premises(d, c2, lambda q, _: weaken(q, extra))
+    return map_premises(d, c2, lambda q, _: weaken(q, extra, memo))
 
 
 def fit(d, target):

@@ -40,11 +40,13 @@ _nu_over over a _chain, which builds its derivations once each and in
 index order, so a far premise costs no stack frame per index; the
 approximants themselves come from kernel.iterate, which builds each once.
 
-Identity laws are shared: one embedding builds each law of each mu once
-(_law), however often monotonicity or an identity axiom asks for
-it, and every request gets the same proof object.  The memo belongs to
-the embed call, lives as long as the embedding's root and is never
-shared between calls.
+Identity laws and the weakenings monotonicity asks for are shared: one
+embedding builds each law of each mu once (_law), however often
+monotonicity or an identity axiom asks for it, and weakens each proof by
+each context once (cutelim.weaken, through the same memo), so every
+request gets the same proof object.  The memo belongs to the embed call,
+lives as long as the embedding's root and is never shared between
+calls.
 
 With nothing primed, cuts come only from cuts and inductions, and
 replacement rules only from inductions and from identity laws of
@@ -139,24 +141,28 @@ def _chain(first, step):
 
 
 def _owned(build):
-    """build(laws) for a fresh identity-law memo laws that lives as long
-    as the proof returned.  The laws' thunks hold the memo that holds the
-    laws; emptying it when that proof is freed breaks the cycle, so that
-    reference counting frees the proof (laws built after that are still
+    """build(memo) for a fresh memo that lives as long as the proof
+    returned.  The memo holds the identity laws (_law) and the weakenings
+    of _mono, keyed by the proof weakened itself and the formulas added
+    (cutelim.weaken).  Their thunks hold the memo that holds them;
+    emptying it when that proof is freed breaks the cycle, so that
+    reference counting frees the proof (entries made after that are still
     shared, but left to the cyclic collector)."""
-    laws = {}
-    out = build(laws)
-    finalize(out, laws.clear)
+    memo = {}
+    out = build(memo)
+    finalize(out, memo.clear)
     return out
 
 
-def _law(build, mu, laws):
-    """The identity law build(mu, laws), built once per (build, mu) in the
-    memo laws."""
+def _law(build, mu, memo):
+    """The identity law build(mu, memo), built once per (build, mu) in
+    memo.  weaken(law, ctx, memo) then shares its weakenings too: the
+    keys of the two kinds never meet, since a law's holds a function and
+    a weakening's a proof."""
     key = (build, mu)
-    law = laws.get(key)
+    law = memo.get(key)
     if law is None:
-        law = laws[key] = build(mu, laws)
+        law = memo[key] = build(mu, memo)
     return law
 
 
@@ -218,10 +224,10 @@ def identity_mu(mu):
     """Cut-free derivation of mu, ~mu (mu closed and mu-rooted): the nu
     rule on ~mu, each approximant premise obtained from the previous one
     by monotonicity plus a closure step."""
-    return _owned(lambda laws: _identity_mu(mu, laws))
+    return _owned(lambda memo: _identity_mu(mu, memo))
 
 
-def _identity_mu(mu, laws):
+def _identity_mu(mu, memo):
     _require(mu[0] == "mu", "identity law needs a mu-rooted formula")
     _require(not has_free_var(mu), "identity law needs a closed formula")
     n = negate(mu)
@@ -232,7 +238,7 @@ def _identity_mu(mu, laws):
     # negation is closed and valid: the sequents pairing them are trusted
     def step(i, prev):
         a_prev = iterate(nbody, TOP, i - 1)
-        mono = _monotone(prev, nbody, mu, a_prev, False, laws)
+        mono = _monotone(prev, nbody, mu, a_prev, False, memo)
         return clo_node(from_checked((mu, iterate(nbody, TOP, i))), mu, mono)
 
     link = _chain(lambda: top_intro((mu,)), step)
@@ -246,10 +252,10 @@ def identity_mu_primed(mu):
     """Cut-free derivation of mu, (~mu)' by the replacement rule on mu's
     prime: each family output un-primes its witness.  When mu is already
     fully primed the witness is returned as is."""
-    return _owned(lambda laws: _identity_mu_primed(mu, laws))
+    return _owned(lambda memo: _identity_mu_primed(mu, memo))
 
 
-def _identity_mu_primed(mu, laws):
+def _identity_mu_primed(mu, memo):
     _require(mu[0] == "mu", "identity law needs a mu-rooted formula")
     _require(not has_free_var(mu), "identity law needs a closed formula")
     t = prime(mu)
@@ -257,7 +263,7 @@ def _identity_mu_primed(mu, laws):
     concl = Sequent((mu, phi))
 
     def fn(delta, w):
-        return _fit_premise(_deprime(w, mu, laws), concl, phi, delta)
+        return _fit_premise(_deprime(w, mu, memo), concl, phi, delta)
 
     return omega_node(concl, level(mu), t, standard_admits(t), fn)
 
@@ -273,7 +279,7 @@ def monotone(d, a, b, c):
     construction trusts what it is given."""
     for f in (a, b, c):
         validate(f)
-    return _owned(lambda laws: _monotone(d, a, b, c, False, laws))
+    return _owned(lambda memo: _monotone(d, a, b, c, False, memo))
 
 
 def monotone_primed(d, a, b, c):
@@ -281,7 +287,7 @@ def monotone_primed(d, a, b, c):
     twin of monotonicity, its arguments validated as monotone's are."""
     for f in (a, b, c):
         validate(f)
-    return _owned(lambda laws: _monotone(d, a, b, c, True, laws))
+    return _owned(lambda memo: _monotone(d, a, b, c, True, memo))
 
 
 def _same(f):
@@ -291,7 +297,7 @@ def _same(f):
 _EMPTY = from_checked(())
 
 
-def _monotone(d, a, b, c, primed, laws):
+def _monotone(d, a, b, c, primed, memo):
     """Test the input once, then recurse on a without checks.  a, b and c
     are valid, a with at most the one variable free: the public entries
     validate them, and every caller here passes an approximant from
@@ -308,31 +314,32 @@ def _monotone(d, a, b, c, primed, laws):
         "monotonicity input must conclude b and the image of c",
     )
     nb = substitute(negate(a), b)
-    return _mono(d, a, nb, img(substitute(a, c)), _EMPTY, primed, laws)
+    return _mono(d, a, nb, img(substitute(a, c)), _EMPTY, primed, memo)
 
 
-def _mono(d, a, nb, ac, ctx, primed, laws):
+def _mono(d, a, nb, ac, ctx, primed, memo):
     """Monotonicity for a, built in its final conclusion: nb = (~a)(b), ac
     = the image of a(c), and ctx, what the rules nearer the root add.  That
     is the proof built without ctx and weakened by it, node for node, but
     only the shared proofs at the leaves (d and the identity laws) are
-    weakened.  negate, substitute and prime distribute over and/or/box/dia
-    roots, so a child's two formulas are components of its parent's."""
+    weakened, each by one context once per embedding (memo).  negate,
+    substitute and prime distribute over and/or/box/dia roots, so a
+    child's two formulas are components of its parent's."""
     t = a[0]
     if t == "var":
-        return weaken(d, ctx)
+        return weaken(d, ctx, memo)
     if t == "mu" or t == "nu" or t == "nub":
         # a closed a is its own image: nb is ~a and ac the image of a
         _require(not has_free_var(a), "binder subterm must be closed")
         if t == "mu":
-            return weaken(_law(_identity_mu, ac, laws), ctx)
+            return weaken(_law(_identity_mu, ac, memo), ctx, memo)
         if t == "nu" and not primed:
-            return weaken(_law(_identity_mu, nb, laws), ctx)
+            return weaken(_law(_identity_mu, nb, memo), ctx, memo)
         _require(
             primed or is_fully_primed(a),
             "annotated binder subterm must be fully primed",
         )
-        return weaken(_law(_identity_mu_primed, nb, laws), ctx)
+        return weaken(_law(_identity_mu_primed, nb, memo), ctx, memo)
     own = from_checked((nb, ac))
     concl = own.union(ctx)
     if t == "atom" or t == "natom":
@@ -341,7 +348,7 @@ def _mono(d, a, nb, ac, ctx, primed, laws):
     # and/or case carry it on
     ctx = ctx.difference(own)
     if t == "box" or t == "dia":
-        ih = _mono(d, a[1], nb[1], ac[1], _EMPTY, primed, laws)
+        ih = _mono(d, a[1], nb[1], ac[1], _EMPTY, primed, memo)
         return box_node(concl, ac if t == "box" else nb, ctx, ih)
     if t != "and" and t != "or":
         raise InternalInvariantError("unknown operator tag: %r" % (t,))
@@ -351,7 +358,7 @@ def _mono(d, a, nb, ac, ctx, primed, laws):
 
     def premise(j):
         grown = ctx.union(from_checked((q[3 - j],)))
-        ih = _mono(d, a[j], nb[j], ac[j], grown, primed, laws)
+        ih = _mono(d, a[j], nb[j], ac[j], grown, primed, memo)
         return or_node(from_checked((p[j], q)).union(ctx), q, ih)
 
     return and_node(concl, p, premise(1), premise(2))
@@ -364,19 +371,19 @@ def _mono(d, a, nb, ac, ctx, primed, laws):
 def deprime(d, a):
     """Rewrite the cut-free derivation d, whose conclusion may contain the
     prime of a, into one concluding with a instead."""
-    return _owned(lambda laws: _deprime(d, a, laws))
+    return _owned(lambda memo: _deprime(d, a, memo))
 
 
-def _deprime(d, a, laws):
+def _deprime(d, a, memo):
     ap = prime(a)
     if ap == a or ap not in d.conclusion:
         return d
     _require(is_l0(a), "un-priming target must be a base-language formula")
     new_c = d.conclusion.without(ap).add(a)
-    return Proof.defer(new_c, lambda: _deprime_now(d, a, ap, new_c, laws))
+    return Proof.defer(new_c, lambda: _deprime_now(d, a, ap, new_c, memo))
 
 
-def _deprime_now(d, a, ap, new_c, laws):
+def _deprime_now(d, a, ap, new_c, memo):
     tag = d.rule
 
     if isinstance(tag, _LEAVES):
@@ -385,9 +392,9 @@ def _deprime_now(d, a, ap, new_c, laws):
     if isinstance(tag, Box):
         p1 = d.premises[0]
         if ap == tag.principal:
-            return box_fit(new_c, a, _deprime(p1, a[1], laws))
+            return box_fit(new_c, a, _deprime(p1, a[1], memo))
         if ap[0] == "dia" and ap[1] in p1.conclusion:
-            p1 = _deprime(p1, a[1], laws)
+            p1 = _deprime(p1, a[1], memo)
         return box_fit(new_c, tag.principal, p1)
 
     if isinstance(tag, Omega) and omega_phi(tag.target) == ap:
@@ -405,7 +412,7 @@ def _deprime_now(d, a, ap, new_c, laws):
         # before any step: the sequents pairing them are trusted
         def step(j, prev):
             a_prev = iterate(a0, TOP, j - 1)
-            mono = _monotone(prev, negate(a0), a_prev, negate(a), True, laws)
+            mono = _monotone(prev, negate(a0), a_prev, negate(a), True, memo)
             return clo_node(from_checked((iterate(a0, TOP, j), t2)), t2, mono)
 
         wit = _chain(lambda: top_intro((t2,)), step)
@@ -413,7 +420,7 @@ def _deprime_now(d, a, ap, new_c, laws):
         def derive(i, a_i):
             if i == 0:
                 return top_intro(d.conclusion.without(ap))
-            return _deprime(fam(from_checked((a_i,)), wit(i)), a, laws)
+            return _deprime(fam(from_checked((a_i,)), wit(i)), a, memo)
 
         return _nu_over(new_c, a, derive)
 
@@ -433,8 +440,8 @@ def _deprime_now(d, a, ap, new_c, laws):
         added = premise_added(tag, position)
         if rewrite:
             for x in added:
-                q = _deprime(q, x, laws)
-        return _fit_premise(_deprime(q, a, laws), new_c, principal, added)
+                q = _deprime(q, x, memo)
+        return _fit_premise(_deprime(q, a, memo), new_c, principal, added)
 
     return map_premises(d, new_c, fn, tag if rewrite else None)
 
@@ -698,16 +705,16 @@ def embed(p, sel=()):
     sel = frozenset(sel)
     if not p.conclusion.issuperset(sel):
         raise ValueError("selection outside the end sequent")
-    out = _owned(lambda laws: _embed(p, sel, laws))
+    out = _owned(lambda memo: _embed(p, sel, memo))
     return mark_plain(out) if not sel and embeds_plainly(p) else out
 
 
-def _embed(p, sel, laws):
+def _embed(p, sel, memo):
     cs = apply_sigma(p.conclusion, sel)
-    return Proof.defer(cs, lambda: _embed_now(p, sel, cs, laws))
+    return Proof.defer(cs, lambda: _embed_now(p, sel, cs, memo))
 
 
-def _embed_now(p, sel, cs, laws):
+def _embed_now(p, sel, cs, memo):
     tag = p.rule
 
     if isinstance(tag, Axiom):
@@ -716,7 +723,7 @@ def _embed_now(p, sel, cs, laws):
     if isinstance(tag, AxiomMu):
         m = tag.mu
         law = _identity_mu_primed if negate(m) in sel else _identity_mu
-        return fit(_law(law, prime(m) if m in sel else m, laws), cs)
+        return fit(_law(law, prime(m) if m in sel else m, memo), cs)
 
     if isinstance(tag, Box):
         # the body follows the principal, every other formula its diamond
@@ -727,7 +734,7 @@ def _embed_now(p, sel, cs, laws):
         phis = phi in sel
         if phis and body in q.conclusion:
             sp |= {body}
-        return box_fit(cs, prime(phi) if phis else phi, _embed(q, sp, laws))
+        return box_fit(cs, prime(phi) if phis else phi, _embed(q, sp, memo))
 
     if isinstance(tag, (Or, And, Clo)):
         # the principal's selection decides its parts
@@ -745,7 +752,7 @@ def _embed_now(p, sel, cs, laws):
             imgs = [img(x) for x in parts]
             if checked:
                 imgs = from_checked(imgs)
-            return _fit_premise(_embed(q, sp, laws), cs, phi_img, imgs)
+            return _fit_premise(_embed(q, sp, memo), cs, phi_img, imgs)
 
         return map_premises(p, cs, fn, type(tag)(phi_img))
 
@@ -762,17 +769,17 @@ def _embed_now(p, sel, cs, laws):
         )
         s1 = q1.conclusion & sel | {cf}
         s2 = q2.conclusion & sel | {ncf}
-        return cut_fit(cs, cf, _embed(q1, s1, laws), _embed(q2, s2, laws))
+        return cut_fit(cs, cf, _embed(q1, s1, memo), _embed(q2, s2, memo))
 
     if isinstance(tag, Ind):
-        return _embed_ind(p, tag, sel, cs, laws)
+        return _embed_ind(p, tag, sel, cs, memo)
 
     raise InternalInvariantError(
         "rule not part of the finitary system: %r" % (tag,)
     )
 
 
-def _embed_ind(p, tag, sel, cs, laws):
+def _embed_ind(p, tag, sel, cs, memo):
     # the conclusion checks only what equals ~m and b, and monotonicity
     # trusts what it is given, so both are validated here, once per node
     m = validate(tag.mu)
@@ -784,8 +791,8 @@ def _embed_ind(p, tag, sel, cs, laws):
     prem = p.premises[0]
 
     if n in sel:
-        asm1 = _embed(prem, frozenset((ncf,)), laws)
-        asm2 = _embed(prem, frozenset((ncf, bb)), laws)
+        asm1 = _embed(prem, frozenset((ncf,)), memo)
+        asm2 = _embed(prem, frozenset((ncf, bb)), memo)
         o1, o2 = ind_to_omega(asm1, asm2, m, bb)
         return fit(o2 if bb in sel else o1, cs)
 
@@ -793,8 +800,8 @@ def _embed_ind(p, tag, sel, cs, laws):
     b_img = prime(bb) if bsel else bb
     naop = negate(aop)
     s1 = frozenset((ncf,)) | (frozenset((bb,)) if bsel else frozenset())
-    ih1 = _embed(prem, s1, laws)
-    ih2 = _embed(prem, frozenset((ncf, bb)), laws)
+    ih1 = _embed(prem, s1, memo)
+    ih2 = _embed(prem, frozenset((ncf, bb)), memo)
     pb = prime(bb)
 
     # link j pairs the monotonicity step into the j-th approximant with
@@ -804,7 +811,7 @@ def _embed_ind(p, tag, sel, cs, laws):
     # is checked where it joins an approximant
     def step(j, prev):
         a_prev = iterate(naop, TOP, j - 1)
-        mono = _monotone(prev[1], aop, a_prev, bb, True, laws)
+        mono = _monotone(prev[1], aop, a_prev, bb, True, memo)
         return mono, cut_fit(from_checked((iterate(naop, TOP, j), pb)), cf, mono, ih2)
 
     link = _chain(lambda: (None, top_intro((pb,))), step)

@@ -391,8 +391,8 @@ class Proof:
     sets it, and only builders whose output is plain by construction call
     it; a proof without the mark may still have only such rules."""
 
-    # weakly referenceable so that embed can empty its identity-law memo
-    # when the embedding is freed
+    # weakly referenceable so that embed can empty its memo of laws and
+    # weakenings when the embedding is freed
     __slots__ = ("conclusion", "_node", "_thunk", "_window", "_kept", "plain",
                  "__weakref__")
     sampled = probes = None

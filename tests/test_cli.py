@@ -720,16 +720,28 @@ def test_pipeline_walks_its_input_only_to_check_it(tmp_path, monkeypatch, filena
 # mostly from the bytes the two syntaxes use plus bytes that are not
 # UTF-8, or a word or number of the text put in place of another word or
 # number of it, which often keeps the text readable and so reaches the
-# checker.
+# checker, or a run put in at a word of the text: 20-40 digits, or one
+# more than the interpreter reads as an int, after it (an atom index that
+# parses, or one too long: exit 2), or opening parentheses or boxes before
+# it, 500-700 (too deep for a fresh `mucut parse`) or as many as the
+# stack limit when drawn (Hypothesis raises that limit while a test runs,
+# so only these reach exit 3 here).
 _SPROOFS = [proof_dumps(CORPUS[name]()).encode() for _, name in cli.CORPUS_FILES]
 _FORMS = [print_form(f).encode() for f in random_formulas(8, 12)] + [
     print_form(f).encode() for _, name in cli.CORPUS_FILES for f in CORPUS[name]().conclusion
 ]
 _BYTES = st.lists(st.sampled_from(list(b'()" .,~&|[]<>01239pXmunvseqrtaxiocb\n\xff\xc3')), max_size=3)
+_RUNS = st.one_of(
+    st.integers(20, 40).map(lambda n: b"9" * n),
+    st.just(b"9" * (sys.get_int_max_str_digits() + 1)),
+    st.tuples(st.sampled_from([b"(", b"[]"]), st.integers(500, 700)).map(lambda r: r[0] * r[1]),
+    st.sampled_from([b"(", b"[]"]).map(lambda b: b * sys.getrecursionlimit()),
+)
 _AT = st.integers(0, 1 << 16)
 _EDITS = st.one_of(
     st.lists(st.tuples(st.just("w"), _AT, st.just(b"")), min_size=1, max_size=3),
     st.lists(st.tuples(st.sampled_from("rid"), _AT, _BYTES.map(bytes)), min_size=1, max_size=3),
+    st.tuples(st.just("n"), _AT, _RUNS).map(lambda edit: [edit]),
 )
 _WORD = re.compile(rb"[A-Za-z]+|[0-9]+")
 
@@ -743,6 +755,10 @@ def _edited(data, edits):
             w = words[at % len(words)]
             alike = [v.group() for v in words if v.group().isdigit() == w.group().isdigit()]
             data[w.start() : w.end()] = alike[at // len(words) % len(alike)]
+        elif op == "n" and words:
+            w = words[at % len(words)]
+            i = w.end() if chunk[:1].isdigit() else w.start()
+            data[i:i] = chunk
         elif op == "r":
             data[i : i + max(1, len(chunk))] = chunk
         elif op == "i":
@@ -750,6 +766,25 @@ def _edited(data, edits):
         else:
             del data[i : i + 1 + len(chunk)]
     return bytes(data)
+
+
+def test_the_fuzzers_runs_reach_exit_2_and_exit_3(tmp_path):
+    # in a fresh process, as a user runs it, an index run past the
+    # interpreter's limit is a parse error and a box run of 500 nests too
+    # deep (in process, Hypothesis's raised stack limit, or what the kernel
+    # memos already hold, can let a box run of this depth parse)
+    path = tmp_path / "runs.form"
+    digits = sys.get_int_max_str_digits() + 1
+    for chunk, code, line in (
+        (b"9" * digits, EXIT_PARSE, "parse error: atom index of %d digits" % (digits + 1)),
+        (b"[]" * 500, EXIT_FUEL, "nesting too deep: "),
+    ):
+        path.write_bytes(_edited(b"p1", [("n", 0, chunk)]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mucut", "parse", str(path)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == code and proc.stderr.startswith(line), proc.stderr
 
 
 def _assert_total(argv):

@@ -479,10 +479,10 @@ def test_the_omegabar_case_with_the_omega_node_on_the_f1_side():
 # composed weakening
 
 
-def _nested_weaken(d, extra):
-    """The reference weakening, which does not compose: each call wraps d
-    in one more pending layer, and forcing the outer layer forces every
-    layer below it in turn."""
+def _nested_weaken(d, extra, memo=None):
+    """The reference weakening, which neither composes nor shares: each
+    call wraps d in one more pending layer, whatever memo it is given, and
+    forcing the outer layer forces every layer below it in turn."""
     extra = Sequent(extra).difference(d.conclusion)
     if not extra:
         return d
@@ -646,6 +646,24 @@ def test_forcing_a_chain_of_pending_weakenings_weakens_once(monkeypatch, k):
     assert calls == []
     d.rule
     assert len(calls) == 1
-    base, extra, conclusion = calls[0]
+    base, extra, conclusion, memo = calls[0]
+    assert memo is None
     assert base.conclusion == _or_base().conclusion
     assert conclusion == d.conclusion == base.conclusion.union(extra)
+
+
+@pytest.mark.parametrize("base", sorted(_BASES))
+def test_weakening_through_one_memo_gives_one_object(base):
+    # an embedding's memo shares its weakenings: equal formulas, as a
+    # tuple or a Sequent, or added to a pending weakening, give the object
+    # made first; a weakening without the memo, or through another, is new
+    d = _BASES[base]()
+    memo = {}
+    first = weaken(d, (atom(20), natom(1)), memo)
+    assert weaken(d, seq(natom(1), atom(20)), memo) is first
+    assert weaken(weaken(d, (atom(20),), memo), (natom(1),), memo) is first
+    assert weaken(d, (atom(20), natom(1))) is not first
+    assert weaken(d, (atom(20), natom(1)), {}) is not first
+    assert observation_dumps(observe(first, 8)) == observation_dumps(
+        observe(_nested_weaken(d, (atom(20), natom(1))), 8)
+    )

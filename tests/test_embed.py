@@ -249,9 +249,9 @@ def test_monotone_weakens_only_at_the_leaves(monkeypatch):
     # variable, and no node above it is
     calls = []
 
-    def counting(d, extra):
+    def counting(d, extra, memo=None):
         calls.append(extra)
-        return weaken(d, extra)
+        return weaken(d, extra, memo)
 
     monkeypatch.setattr(EMBED, "weaken", counting)
     d = identity_mu(M1)
@@ -406,9 +406,14 @@ def test_embedded_conclusions_are_canonical_checked_sequents():
 
 
 # ---------------------------------------------------------------------------
-# the identity laws of one embedding
+# the identity laws and weakenings of one embedding
 
 EMBED = importlib.import_module("mucut.embed")
+CUTELIM = importlib.import_module("mucut.cutelim")
+# an unfold-shaped input: the fixed-point axiom on a level-2 mu, observed
+# at the benchmark's depth and samples
+_LEVEL_2 = pf("mu X . (X | nu X . (p1 & X))")
+_UNFOLD = (12, (0, 1, 2, 3))
 
 
 def _forced(p):
@@ -492,14 +497,32 @@ def test_identity_laws_are_built_once_per_embedding(monkeypatch):
     assert _mutable_state(EMBED) == []
     # the two embeddings share no proof object
     (_, first), (_, second) = runs
-    assert len(first) > 40
+    assert len(first) > 30
     assert first.keys().isdisjoint(second.keys())
 
 
-def test_a_dropped_embedding_leaves_no_cyclic_garbage():
-    # the memo and the laws whose thunks hold it form a cycle until the
-    # embedding's root is freed
+def _shared_weakenings(monkeypatch):
+    """The ids of the weakenings that weaken hands out through a memo from
+    now on, one per request: an id met twice is a memo hit.  The memo
+    keeps each one alive, so no id is reused while its embedding lives."""
+    ids, real = [], CUTELIM.weaken
+
+    def sharing(d, extra, memo=None):
+        out = real(d, extra, memo)
+        if memo is not None and out is not d:
+            ids.append(id(out))
+        return out
+
+    monkeypatch.setattr(CUTELIM, "weaken", sharing)
+    monkeypatch.setattr(EMBED, "weaken", sharing)
+    return ids
+
+
+def test_a_dropped_embedding_leaves_no_cyclic_garbage(monkeypatch):
+    # the memo and the laws and weakenings whose thunks hold it form a
+    # cycle until the embedding's root is freed
     p = _two_axioms()
+    shared = _shared_weakenings(monkeypatch)
     gc.collect()
     gc.disable()
     try:
@@ -507,10 +530,44 @@ def test_a_dropped_embedding_leaves_no_cyclic_garbage():
         assert observation_errors(observe(emb, 10)) == []
         law = identity_mu(pf("mu X . (p1 | mu X . (p2 | [] X))"))
         assert observation_errors(observe(law, 10)) == []
-        del emb, law
+        del shared[:]
+        unfold = embed(axmu(_LEVEL_2))
+        assert observation_errors(observe(unfold, *_UNFOLD)) == []
+        assert len(shared) > len(set(shared))  # the weakening memo hits
+        del emb, law, unfold
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_an_embedding_weakens_each_proof_by_each_context_once(monkeypatch):
+    # monotonicity weakens one link or law by one context at each
+    # approximant that asks for it, and a weakening's premises are
+    # weakened in turn: one embedding shares each such weakening, so
+    # observing its embedded stage forces one per (proof, formulas) pair
+    calls, real = [], CUTELIM._weaken_now
+
+    def counting(*args):
+        calls.append(args[:2])  # holding the proof, so no id is reused
+        return real(*args)
+
+    monkeypatch.setattr(CUTELIM, "_weaken_now", counting)
+    assert level(_LEVEL_2) == 2
+    assert observation_errors(observe(embed(axmu(_LEVEL_2)), *_UNFOLD)) == []
+    pairs = {(id(d), extra) for d, extra in calls}
+    assert len(calls) == len(pairs) >= 30, (len(calls), len(pairs))
+
+
+def test_two_embeddings_share_no_weakening(monkeypatch):
+    shared = _shared_weakenings(monkeypatch)
+    runs = []
+    for _ in range(2):
+        del shared[:]
+        emb = embed(axmu(_LEVEL_2))
+        observe(emb, *_UNFOLD)
+        runs.append((emb, set(shared)))
+    (_, first), (_, second) = runs
+    assert first and second and first.isdisjoint(second)
 
 
 def _cuts_reversed(p):

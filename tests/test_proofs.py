@@ -732,7 +732,7 @@ def test_a_depth_sweep_leaves_each_proof_one_window():
     witnesses = [q._window[1] for q in alive if q._window and q._window[0] == admitted]
     assert witnesses
     tree = {id(w) for w in _tree(o)}
-    assert len(tree) == 319
+    assert len(tree) == 313
     held = tree.union(id(w) for t in witnesses for w in _tree(t))
     assert all(id(w) in held for ws in kept for w in ws)
 

@@ -1,8 +1,11 @@
-"""The python examples of README.md run as written, and its Quick start
-transcript shows what the commands print and write."""
+"""The python examples of README.md run as written, its Quick start
+transcript shows what the commands print and write, and every package name
+it gives exists."""
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import re
 import runpy
 import shlex
@@ -10,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import mucut
 from conftest import run_cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -63,3 +67,41 @@ def test_quick_start_transcript_is_what_the_commands_print(tmp_path, monkeypatch
             assert command == "cat"
             got = Path(args[0]).read_text(encoding="utf-8")
         assert got == shown, [command, *args]
+
+
+# A backticked dotted name whose first part is the package or one of its
+# modules: `mucut.embed`, `proofs.observe`, but not `str.split`.
+_MODULES = sorted(m.name for m in pkgutil.iter_modules(mucut.__path__) if m.name[0] != "_")
+_DOTTED = re.compile(r"`((?:mucut|%s)(?:\.\w+)+)`" % "|".join(_MODULES))
+
+
+def _names(text):
+    return sorted(set(_DOTTED.findall(text)))
+
+
+def _resolves(name):
+    """Whether the dotted name imports: its part after mucut as a module
+    of the package, the rest as attributes."""
+    module, *attrs = name.removeprefix("mucut.").split(".")
+    try:
+        obj = importlib.import_module("mucut." + module)
+    except ImportError:
+        return False
+    for attr in attrs:
+        if not hasattr(obj, attr):
+            return False
+        obj = getattr(obj, attr)
+    return True
+
+
+def test_package_names_are_found():
+    text = "`mucut.kernel`, `proofs.observe` and `proofs._observe`, not `str.split`, `Proof.make` or `proofs`"
+    assert _names(text) == ["mucut.kernel", "proofs._observe", "proofs.observe"]
+    assert not _resolves("proofs.no_such_name")
+    assert not _resolves("mucut.no_such_module")
+
+
+def test_every_package_name_the_readme_gives_exists():
+    names = _names(TEXT)
+    assert "cutelim.weaken" in names and "mucut.embed" in names
+    assert [name for name in names if not _resolves(name)] == []
