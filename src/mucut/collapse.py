@@ -7,7 +7,8 @@ another proof of Gamma that no longer starts with that node; repeating
 this until the root is an ordinary rule, and recursing into premises,
 removes every replacement rule above the chosen level.  Witnesses are
 collapsed one level down first, so each family sees an argument from the
-system below it.
+system below it.  The family's domain, which its target fixes, is the one
+check of a plug's argument: Gamma must be l-positive.
 
 collapse(p, 0) on a cut-free proof leaves only the plain infinitary
 rules, so the collapsed proof is itself the S-infinity derivation; the
@@ -52,7 +53,6 @@ from mucut.proofs import (
     observation_rules,
     observe,
 )
-from mucut.sequents import is_k_positive
 
 # The most plugs collapse makes at one node it forces.
 MAX_PLUGS = 100_000
@@ -71,17 +71,18 @@ def collapse(p, h=0):
 
 
 def _collapse_now(p, h):
+    """collapse(p, h), forced: plug the root while it is a bar-replacement
+    rule of level above h, then collapse the premises.  A plug calls the
+    node's family on its conclusion and its first premise collapsed one
+    level down, and the family refuses an argument outside its domain,
+    such as a conclusion that is not positive enough, before it runs or
+    forces the witness."""
     d = p
     for _ in range(MAX_PLUGS):
         tag = d.rule
         if not (isinstance(tag, OmegaBar) and tag.h > h):
             break
         prem = d.premises
-        if not is_k_positive(d.conclusion, tag.h):
-            raise InternalInvariantError(
-                "conclusion is not positive enough to collapse the "
-                "replacement rule"
-            )
         witness = collapse(prem.first, tag.h - 1)
         d = prem.fam(d.conclusion, witness)
         if d.conclusion != p.conclusion:

@@ -289,7 +289,7 @@ def _reduce_root(d, budget, trace, path):
             old_fam = om_side.premises
 
             def fn(dl_, w):
-                # the new family's own call has already run old_fam's predicate
+                # the new family's own call has already checked old_fam's domain
                 out = old_fam.admitted(dl_, w)
                 want = dl_.union(g)
                 if out.conclusion == want:
@@ -302,9 +302,7 @@ def _reduce_root(d, budget, trace, path):
                     return cut_fit(want, formula, out, weaken(mu_side, dl_))
                 return cut_fit(want, formula, weaken(mu_side, dl_), out)
 
-            return omegabar_node(
-                g, rtag.h, rtag.target, mu_side, old_fam.admits, fn
-            )
+            return omegabar_node(g, rtag.target, mu_side, fn)
 
     # (iv) conjunction against disjunction, both principal
     for d_and, f_and, d_or, f_or in sides:

@@ -72,7 +72,6 @@ from mucut.kernel import (
     is_fully_primed,
     is_l0,
     iterate,
-    level,
     negate,
     occurs,
     prime,
@@ -109,7 +108,6 @@ from mucut.proofs import (
     or_node,
     parts_checked,
     premise_added,
-    standard_admits,
     top_intro,
 )
 from mucut.sequents import Sequent, from_checked
@@ -265,7 +263,7 @@ def _identity_mu_primed(mu, memo):
     def fn(delta, w):
         return _fit_premise(_deprime(w, mu, memo), concl, phi, delta)
 
-    return omega_node(concl, level(mu), t, standard_admits(t), fn)
+    return omega_node(concl, t, fn)
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +643,6 @@ def ind_to_omega(asm1, asm2, mu, b):
     derivations concluding phi, b and phi, b' where phi is the primed
     negation of mu."""
     t = prime(mu)
-    h = level(mu)
     ncf_p = prime(negate(substitute(mu[1], b)))
     _require(
         asm1.conclusion == Sequent((ncf_p, b)),
@@ -656,7 +653,6 @@ def ind_to_omega(asm1, asm2, mu, b):
         "second induction embedding has the wrong conclusion",
     )
     phi = omega_phi(t)
-    admits = standard_admits(t)
 
     def mk(sig_mode, b_img):
         concl = Sequent((phi, b_img))
@@ -670,7 +666,7 @@ def ind_to_omega(asm1, asm2, mu, b):
             out = subst_context(w, rho, asm1, asm2, mu, b)
             return _fit_premise(out, concl, phi, delta)
 
-        return omega_node(concl, h, t, admits, fn)
+        return omega_node(concl, t, fn)
 
     return mk(MODE_S1, b), mk(MODE_S2, prime(b))
 

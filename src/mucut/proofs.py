@@ -58,40 +58,50 @@ class OmegaFam:
 
 
 class DeltaFam:
-    """Sequent-indexed premises: fn(delta, witness) -> Proof.
+    """The premises of a replacement rule on target: fn(delta, witness) ->
+    Proof for each pair in the domain its target fixes (admits).
 
-    admits(delta, witness) is the domain predicate, checked on every entry
-    (boundedly for the witness); results are memoized per (delta, witness
-    identity) with the witness pinned so memo keys stay valid.  A delta
-    that is no Sequent is refused first, since it could equal a key.
+    Every entry is checked against the domain, unless the memo holds its
+    output: results are memoized per (delta, witness), and a proof hashes
+    by identity.  A delta that is no Sequent, which could equal a key, and
+    a witness that is no Proof are refused before the memo is read.
     """
 
-    __slots__ = ("admits", "fn", "_memo")
+    __slots__ = ("target", "fn", "_memo")
 
-    def __init__(self, admits, fn):
-        self.admits = admits
+    def __init__(self, target, fn):
+        self.target = target
         self.fn = fn
         self._memo = {}
 
     def __call__(self, delta, witness):
-        if not isinstance(delta, Sequent) or (
-            (delta, id(witness)) not in self._memo and not self.admits(delta, witness)
+        if not (isinstance(delta, Sequent) and isinstance(witness, Proof)) or (
+            (delta, witness) not in self._memo and not self.admits(delta, witness)
         ):
             raise InternalInvariantError(
                 "replacement-rule family argument rejected: delta=%r" % (delta,)
             )
         return self.admitted(delta, witness)
 
+    def admits(self, delta, witness):
+        """The domain, for a Sequent delta and a Proof witness: delta is
+        h-positive for h the target's level, and the witness concludes
+        delta plus the target, cut-free as far as a bounded look can see
+        (trusted beyond that bound)."""
+        t = self.target
+        return (
+            is_k_positive(delta, level(t))
+            and witness.conclusion.is_add(delta, t)
+            and is_cut_free_observed(witness, ADMIT_DEPTH, (0,), 0)
+        )
+
     def admitted(self, delta, witness):
         """The memoized output for an argument the caller has already
-        checked with this family's domain predicate."""
-        key = (delta, id(witness))
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit[1]
-        out = self.fn(delta, witness)
-        self._memo[key] = (witness, out)
-        return out
+        checked with this family's domain."""
+        key = (delta, witness)
+        if key not in self._memo:
+            self._memo[key] = self.fn(delta, witness)
+        return self._memo[key]
 
 
 class OmegaBarPrem:
@@ -502,6 +512,10 @@ def make_node(conclusion, tag, premises):
                 raise ValueError("premises must be Proof values")
     elif not isinstance(premises, want):
         raise ValueError("%s rule needs a %s" % (rule.name, want.__name__))
+    elif rule in (Omega, OmegaBar):
+        fam = premises.fam if rule is OmegaBar else premises
+        if not isinstance(fam, DeltaFam) or fam.target != tag.target:
+            raise ValueError("%s rule needs a DeltaFam on its target" % rule.name)
     return Proof.make(conclusion, tag, premises)
 
 
@@ -518,8 +532,8 @@ def map_premises(d, conclusion, fn, tag=None):
     """A node with d's rule and the given conclusion whose premises are
     fn(q, position) for each premise q of d.  Omega-indexed premises and
     family outputs are mapped only when forced; the family keeps d's
-    domain predicate.  A given tag replaces d's: the same rule kind with a
-    rewritten principal, which must meet its rule's conditions."""
+    target, so its domain.  A given tag replaces d's: the same rule kind
+    with a rewritten principal, which must meet its rule's conditions."""
     old, prem = d._force()
     if tag is None:
         tag = old
@@ -540,8 +554,8 @@ def map_premises(d, conclusion, fn, tag=None):
 
 
 def _map_family(fam, fn):
-    # the mapped family's own call has already run fam's predicate
-    return DeltaFam(fam.admits, lambda dl, w: fn(fam.admitted(dl, w), dl))
+    # the mapped family's own call has already checked fam's domain
+    return DeltaFam(fam.target, lambda dl, w: fn(fam.admitted(dl, w), dl))
 
 
 def premise_added(tag, position):
@@ -654,18 +668,22 @@ def nu_node(conclusion, principal, fn):
     return make_node(conclusion, _flawless(Nu(principal), conclusion), OmegaFam(fn))
 
 
-def omega_node(conclusion, h, target, admits, fn):
-    tag = _flawless(Omega(h, target), conclusion)
-    return make_node(conclusion, tag, DeltaFam(admits, fn))
+def omega_node(conclusion, target, fn):
+    """The replacement rule on target, of its level, over the family fn on
+    the domain the target fixes (DeltaFam)."""
+    tag = _flawless(Omega(level(target), target), conclusion)
+    return make_node(conclusion, tag, DeltaFam(target, fn))
 
 
-def omegabar_node(conclusion, h, target, first, admits, fn):
-    tag = _flawless(OmegaBar(h, target), conclusion)
+def omegabar_node(conclusion, target, first, fn):
+    """The bar-replacement rule on target, of its level, over the first
+    premise first and the family fn as omega_node builds it."""
+    tag = _flawless(OmegaBar(level(target), target), conclusion)
     _require(
         first.conclusion.is_add(conclusion, target),
         "omegabar first premise must be the conclusion plus the target",
     )
-    return make_node(conclusion, tag, OmegaBarPrem(first, DeltaFam(admits, fn)))
+    return make_node(conclusion, tag, OmegaBarPrem(first, DeltaFam(target, fn)))
 
 
 # ---------------------------------------------------------------------------
@@ -708,25 +726,8 @@ def _probe(target):
 # The number of probes a family has: the canonical one.
 PROBES = 1
 
+# The depth of a family's bounded look at a witness (DeltaFam.admits).
 ADMIT_DEPTH = 2
-
-
-def standard_admits(target):
-    """Domain predicate for replacement families: delta is h-positive for
-    h the target's level and the witness concludes delta plus the target,
-    cut-free as far as a bounded look can see (trusted beyond that bound)."""
-    h = level(target)
-
-    def admits(delta, witness):
-        if not isinstance(delta, Sequent) or not isinstance(witness, Proof):
-            return False
-        if not is_k_positive(delta, h):
-            return False
-        if not witness.conclusion.is_add(delta, target):
-            return False
-        return is_cut_free_observed(witness, ADMIT_DEPTH, (0,), 0)
-
-    return admits
 
 
 # ---------------------------------------------------------------------------
@@ -873,8 +874,7 @@ def _observe(p, depth, samples, probe_budget, splice):
             kids, fam = [], prem
             if depth and isinstance(tag, OmegaBar):
                 fam = prem.fam
-                first = (prem, FIRST)  # getattr(*first) cannot fail
-                kids.append(_premise(getattr, first, depth, samples, probe_budget, splice))
+                kids.append(_observe(prem.first, depth - 1, samples, probe_budget, splice))
             if probe:
                 kids.append(_premise(fam, probe, depth, samples, probe_budget, splice))
             o = Observation(c, tag, tuple(kids), truncated=True, probes=probe[:1])

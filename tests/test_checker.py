@@ -357,7 +357,7 @@ def test_infinitary_rules_are_rejected_without_entering_them():
         raise FuelExhausted("out of fuel")
 
     first = Proof.defer(c.add(t), out_of_fuel)
-    bar = omegabar_node(c, 1, t, first, out_of_fuel, out_of_fuel)
+    bar = omegabar_node(c, t, first, out_of_fuel)
     rejected = (
         "rule omegabar has infinitely many premises and cannot occur in a "
         "finite proof"
@@ -389,7 +389,9 @@ def _agreement_cases():
     """(system, conclusion, tag, premises, build, judged_only): a node that
     violates a condition of its rule, made with make_node, and the call
     of the rule's builder that would make it.  judged_only marks the
-    violations of a system's level bound, which builders do not know."""
+    violations of a system's level bound, which builders do not know.  A
+    build of None marks a replacement rule whose level is not its
+    target's: builders take no level, so only make_node makes one."""
     p1, leaf = atom(1), top_intro(())
     m = pf("mu X . (p1 | X)")  # level 1, its own prime
     m2 = pf("mu X . (X | nu X . (p1 & X))")  # level 2, not fully primed
@@ -397,13 +399,13 @@ def _agreement_cases():
     n = pf("nu X . (p1 & X)")
     box_p1 = ("box", p1)
 
-    def admits(d, w):
-        return True
-
     def fam(d, w):
         return leaf
 
-    omega_fam = DeltaFam(admits, fam)
+    def on(target, first=None):
+        # a family on target, under its first premise when one is given
+        f = DeltaFam(target, fam)
+        return f if first is None else OmegaBarPrem(first, f)
 
     def case(system, c, tag, premises, build, judged_only=False):
         return (system, c, tag, premises, build, judged_only)
@@ -454,41 +456,26 @@ def _agreement_cases():
             sinf, c_p1, Nu(n), OmegaFam(lambda i: leaf),
             lambda c: nu_node(c, n, lambda i: leaf),
         ),
+        case(w2, c_one, Omega(1, TOP), on(TOP), lambda c: omega_node(c, TOP, fam)),
+        case(w2, c_one, Omega(2, m2), on(m2), lambda c: omega_node(c, m2, fam)),
+        case(w2, seq(omega_phi(m)), Omega(2, m), on(m), None),
         case(
-            w2, c_one, Omega(1, TOP), omega_fam,
-            lambda c: omega_node(c, 1, TOP, admits, fam),
+            w1, seq(omega_phi(t2)), Omega(2, t2), on(t2),
+            lambda c: omega_node(c, t2, fam), judged_only=True,
+        ),
+        case(w2, c_one, Omega(1, m), on(m), lambda c: omega_node(c, m, fam)),
+        case(
+            w2, c_one, OmegaBar(1, TOP), on(TOP, leaf),
+            lambda c: omegabar_node(c, TOP, leaf, fam),
         ),
         case(
-            w2, c_one, Omega(2, m2), omega_fam,
-            lambda c: omega_node(c, 2, m2, admits, fam),
+            w2, c_one, OmegaBar(1, m2), on(m2, leaf),
+            lambda c: omegabar_node(c, m2, leaf, fam),
         ),
+        case(w2, c_one, OmegaBar(2, m), on(m, leaf), None),
         case(
-            w2, seq(omega_phi(m)), Omega(2, m), omega_fam,
-            lambda c: omega_node(c, 2, m, admits, fam),
-        ),
-        case(
-            w1, seq(omega_phi(t2)), Omega(2, t2), omega_fam,
-            lambda c: omega_node(c, 2, t2, admits, fam), judged_only=True,
-        ),
-        case(
-            w2, c_one, Omega(1, m), omega_fam,
-            lambda c: omega_node(c, 1, m, admits, fam),
-        ),
-        case(
-            w2, c_one, OmegaBar(1, TOP), OmegaBarPrem(leaf, omega_fam),
-            lambda c: omegabar_node(c, 1, TOP, leaf, admits, fam),
-        ),
-        case(
-            w2, c_one, OmegaBar(1, m2), OmegaBarPrem(leaf, omega_fam),
-            lambda c: omegabar_node(c, 1, m2, leaf, admits, fam),
-        ),
-        case(
-            w2, c_one, OmegaBar(2, m), OmegaBarPrem(leaf, omega_fam),
-            lambda c: omegabar_node(c, 2, m, leaf, admits, fam),
-        ),
-        case(
-            w1, c_one, OmegaBar(2, t2), OmegaBarPrem(top_intro((t2,)), omega_fam),
-            lambda c: omegabar_node(c, 2, t2, top_intro((t2,)), admits, fam),
+            w1, c_one, OmegaBar(2, t2), on(t2, top_intro((t2,))),
+            lambda c: omegabar_node(c, t2, top_intro((t2,)), fam),
             judged_only=True,
         ),
     ]
@@ -502,6 +489,9 @@ def test_builders_refuse_with_the_judges_first_violation():
         rep = check_bounded(make_node(c, tag, premises), system, 1)
         assert rep.violations[0] == ("root", tag.flaws(c, system.k)[0])
         texts.add((type(tag), rep.violations[0][1]))
+        if build is None:
+            assert rep.violations[0][1].endswith(", rule says %d" % tag.h)
+            continue
         if judged_only:
             # builders know no system index, so they bound no level
             assert tag.flaws(c) == ()
@@ -756,9 +746,7 @@ def test_subformula_report_words_failures_as_the_judge_does():
     assert rep.violations[-1] in judged.violations
     # a family output that could not be produced
     t = prime(pf("mu X . (p1 | X)"))
-    o = omega_node(
-        Sequent((omega_phi(t),)), 1, t, lambda d, w: True, lambda d, w: 1 / 0
-    )
+    o = omega_node(Sequent((omega_phi(t),)), t, lambda d, w: 1 / 0)
     rep = subformula_report(o, 3)
     assert rep.violations[-1] == (
         "root.p0", "family evaluation failed: division by zero"
@@ -834,10 +822,9 @@ def _unprobed_omegabar():
     """An omegabar node whose target [] X has a free variable, so its
     first premise has no defined shape and its family no probe."""
     leaf = top_intro(())
-    fam = DeltaFam(lambda d, w: True, lambda d, w: leaf)
-    return Proof.make(
-        seq(TOP), OmegaBar(1, ("box", ("var",))), OmegaBarPrem(leaf, fam)
-    )
+    target = ("box", ("var",))
+    fam = DeltaFam(target, lambda d, w: leaf)
+    return Proof.make(seq(TOP), OmegaBar(1, target), OmegaBarPrem(leaf, fam))
 
 
 def test_an_omegabar_without_a_first_premise_shape_is_a_verdict():
@@ -873,9 +860,7 @@ def test_family_outputs_lacking_a_member_or_with_an_extra_one():
     t = prime(pf("mu X . (p1 | X)"))
     p3, p4 = atom(3), atom(4)
     # an omegabar family output must keep the whole context
-    bar = omegabar_node(
-        seq(p3), 1, t, _leaf(p3, t), lambda d, w: True, lambda d, w: _leaf(*d)
-    )
+    bar = omegabar_node(seq(p3), t, _leaf(p3, t), lambda d, w: _leaf(*d))
     assert check_bounded(bar, omega_system(1), 1).violations == (
         (
             "root.p0",
@@ -884,9 +869,7 @@ def test_family_outputs_lacking_a_member_or_with_an_extra_one():
         ),
     )
     c = seq(omega_phi(t), p3)
-    om = omega_node(
-        c, 1, t, lambda d, w: True, lambda d, w: _leaf(*c.union(d).add(p4))
-    )
+    om = omega_node(c, t, lambda d, w: _leaf(*c.union(d).add(p4)))
     assert check_bounded(om, omega_system(1), 1).violations == (
         (
             "root.p0",

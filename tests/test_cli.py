@@ -27,7 +27,14 @@ from mucut.cli import (
     EXIT_PARSE,
     build_parser,
 )
-from mucut.corpus import CORPUS, axmu, nested, random_formulas, top_induction_cut
+from mucut.corpus import (
+    CORPUS,
+    axmu,
+    cut_tree,
+    nested,
+    random_formulas,
+    top_induction_cut,
+)
 from mucut.errors import InternalInvariantError
 from mucut.proofs import Proof, or_node
 from mucut.sequents import Sequent
@@ -230,6 +237,12 @@ _BUILT = {"nested-%d" % n: (nested, n) for n in (2, 3, 4)} | {
     "%s-%d" % (build.__name__, i): (build, f)
     for i, f in enumerate(small_mu_formulas(3))
     for build in (axmu, top_induction_cut)
+} | {
+    # a tree of cuts on three random formulas of up to 10 nodes and level 3
+    "cut_tree-%d" % seed: (
+        cut_tree, tuple(random_formulas(seed, 3, max_size=10, max_level=3))
+    )
+    for seed in range(20)
 }
 
 

@@ -60,6 +60,7 @@ from mucut.proofs import (
     observation_rules,
     observation_sequents,
     observe,
+    omega_phi,
     omegabar_node,
     or_node,
     top_intro,
@@ -604,12 +605,35 @@ def test_collapse_stops_at_its_plug_budget(monkeypatch):
         calls.append(delta)
         return bar
 
-    bar = omegabar_node(c, 1, t, top_intro((atom(3), t)), lambda *_: True, again)
+    bar = omegabar_node(c, t, top_intro((atom(3), t)), again)
     # the package's own collapse, the function, hides the module
     monkeypatch.setattr(sys.modules["mucut.collapse"], "MAX_PLUGS", 3)
     with pytest.raises(FuelExhausted, match="^collapse plug budget exhausted$"):
         collapse(bar, 0).rule
     assert calls == [c]  # the family's memo answers the repeated plugs
+
+
+def test_collapse_refuses_a_conclusion_not_positive_enough_before_the_plug():
+    # the family's domain is the one check of a plug's argument: a
+    # conclusion holding a nub of the target's level is refused before
+    # the family runs and before the witness, its first premise collapsed,
+    # is forced
+    t = prime(pf("mu X . (p1 | X)"))
+    c, ran = seq(TOP, omega_phi(t)), []
+
+    def first():
+        ran.append("first")
+        return top_intro((omega_phi(t), t))
+
+    def fam(delta, witness):
+        ran.append("family")
+        return top_intro(delta.difference((TOP,)))
+
+    bar = omegabar_node(c, t, Proof.defer(c.add(t), first), fam)
+    assert bar.rule == OmegaBar(1, t)
+    with pytest.raises(InternalInvariantError, match="family argument rejected"):
+        collapse(bar, 0).rule
+    assert ran == []
 
 
 def test_nested_needs_two_levels():

@@ -435,7 +435,7 @@ def _forced(p):
         if isinstance(prem, OmegaFam):
             todo.extend(prem._memo.values())
         elif isinstance(prem, DeltaFam):
-            for witness, out in prem._memo.values():
+            for (_, witness), out in prem._memo.items():
                 todo += (witness, out)
         else:
             todo.extend(prem)

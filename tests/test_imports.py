@@ -22,7 +22,10 @@ judged in.  Only `proofs.mark_plain` sets a proof's plain mark, and only
 `Proof`'s constructor clears it; only `proofs._observe` sets a window's
 splice flag, only `Observation`'s constructor clears it, and only the
 judge's walk and the writer read it.  No module
-of the package reads or sets the environment through `os`.  Every module-level memo of the package (a
+of the package reads or sets the environment through `os`, and none
+calls the builtin `id`: a key made of an identity is valid only while
+its object is pinned, and an object that hashes by identity, as a proof
+does, is its own key.  Every module-level memo of the package (a
 function under `@memo` or a name bound to a `memo(...)` call) is named in
 the paragraph of the `mucut.kernel` docstring that states the memo
 policy, so that policy stays described in one place.
@@ -464,6 +467,36 @@ def test_the_package_reads_no_environment(path):
     # a setting of the program is a flag or an argument, never a knob read
     # from the environment
     assert environment_reads(path.read_text(encoding="utf-8")) == []
+
+
+def id_calls(source):
+    """The lines of source that call a bare name id, the builtin unless
+    the module rebinds it."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name) and node.func.id == "id"
+    )
+
+
+def test_id_calls_are_found():
+    source = (
+        "key = (d, id(w))\n"
+        "n = obj.id(w)\n"
+        "ident = id\n"
+        "seen = {id(q): q for q in qs}\n"
+    )
+    assert id_calls(source) == [1, 4]
+
+
+def test_the_package_calls_no_id():
+    # a memo keyed by identity must pin what it keys; a proof, which hashes
+    # by identity, keys a memo itself
+    found = {
+        path.name: id_calls(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def reaches_outside(source, modules):

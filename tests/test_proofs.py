@@ -6,8 +6,9 @@ import gc
 import sys
 
 import pytest
+from hypothesis import given
 
-from conftest import forget_windows, kept_windows
+from conftest import CLOSED_MUS, forget_windows, kept_windows
 from mucut.checker import check_bounded, omega_system
 from mucut.collapse import pipeline, verdict
 from mucut.corpus import CORPUS, deep_cut_chain, nested
@@ -52,7 +53,6 @@ from mucut.proofs import (
     or_node,
     premise_added,
     premise_label,
-    standard_admits,
     top_intro,
 )
 from mucut.sequents import Sequent, seq
@@ -243,12 +243,17 @@ def test_nu_node_sampling():
     assert calls == [0, 2]
 
 
-def test_canonical_probe_and_standard_admits():
+def _unused(delta, witness):
+    raise AssertionError("the family ran on an argument")
+
+
+def test_canonical_probe_and_the_family_domain():
     t = prime(pf("mu X . (p1 | X)"))
     delta, witness = canonical_probe(t)
     assert delta == seq(TOP)
     assert witness.conclusion == seq(TOP, t)
-    admits = standard_admits(t)
+    fam = DeltaFam(t, _unused)
+    admits = fam.admits
     assert admits(delta, witness)
     # wrong conclusion
     assert not admits(delta, top_intro(()))
@@ -263,7 +268,15 @@ def test_canonical_probe_and_standard_admits():
         Proof.defer(seq(TOP, t, prime(negate(TOP))), lambda: 1 / 0 and None),
     )
     assert not admits(delta, c)
-    assert not admits("delta", witness)
+    with pytest.raises(InternalInvariantError, match="rejected"):
+        fam("delta", witness)
+
+
+@given(CLOSED_MUS)
+def test_the_canonical_probe_lies_in_the_domain_of_every_family(m):
+    # so observing a family never meets a refusal
+    t = prime(m)
+    assert DeltaFam(t, _unused).admits(*canonical_probe(t))
 
 
 def test_canonical_probe_is_shared_per_target():
@@ -280,21 +293,28 @@ def test_canonical_probe_is_shared_per_target():
         canonical_probe(("atom", True))
 
 
-def test_observing_a_family_twice_computes_its_output_once():
+def _count_admits(monkeypatch):
+    """The deltas every family's domain check is asked about from now on."""
+    asked, admits = [], DeltaFam.admits
+
+    def counted(fam, delta, witness):
+        asked.append(delta)
+        return admits(fam, delta, witness)
+
+    monkeypatch.setattr(DeltaFam, "admits", counted)
+    return asked
+
+
+def test_observing_a_family_twice_computes_its_output_once(monkeypatch):
     t = prime(pf("mu X . (p1 | X)"))
     phi = omega_phi(t)
-    admitted, calls = [], []
-    standard = standard_admits(t)
-
-    def admits(delta, w):
-        admitted.append(delta)
-        return standard(delta, w)
+    admitted, calls = _count_admits(monkeypatch), []
 
     def fn(delta, w):
         calls.append(delta)
         return top_intro(delta.union((phi,)).difference((TOP,)))
 
-    p = omega_node(seq(phi), 1, t, admits, fn)
+    p = omega_node(seq(phi), t, fn)
     assert observe(p, 3) == observe(p, 3)
     assert (len(admitted), len(calls)) == (1, 1)
 
@@ -306,7 +326,7 @@ def test_omega_node_observation_and_errors():
     def fn(delta, w):
         return top_intro(delta.union((phi,)).difference((TOP,)))
 
-    p = omega_node(seq(phi), 1, t, standard_admits(t), fn)
+    p = omega_node(seq(phi), t, fn)
     o = observe(p, 3)
     assert o.truncated
     assert o.probes == (seq(TOP),)
@@ -314,14 +334,14 @@ def test_omega_node_observation_and_errors():
     assert observation_errors(o) == []
     # a family that raises becomes an error leaf...
     boom = omega_node(
-        seq(phi), 1, t, standard_admits(t),
+        seq(phi), t,
         lambda d, w: (_ for _ in ()).throw(ValueError("boom")),
     )
     ob = observe(boom, 3)
     assert observation_errors(ob) == ["boom"]
     # ...except fuel exhaustion, which propagates
     tired = omega_node(
-        seq(phi), 1, t, standard_admits(t),
+        seq(phi), t,
         lambda d, w: (_ for _ in ()).throw(FuelExhausted("empty")),
     )
     with pytest.raises(FuelExhausted):
@@ -335,16 +355,39 @@ def test_omega_node_observation_and_errors():
 def test_delta_fam_gate_and_memo():
     t = prime(pf("mu X . (p1 | X)"))
     calls = []
-    fam = DeltaFam(
-        standard_admits(t),
-        lambda d, w: calls.append(1) or top_intro(()),
-    )
+    fam = DeltaFam(t, lambda d, w: calls.append(1) or top_intro(()))
     delta, witness = canonical_probe(t)
     fam(delta, witness)
     fam(delta, witness)
     assert len(calls) == 1
     with pytest.raises(InternalInvariantError):
         fam(Sequent((t,)), witness)  # rejected argument
+
+
+def test_a_family_refuses_a_witness_that_is_no_proof_before_its_memo(monkeypatch):
+    # a list cannot be hashed, so the memo would raise TypeError on it
+    t = prime(pf("mu X . (p1 | X)"))
+    asked = _count_admits(monkeypatch)
+    delta, witness = canonical_probe(t)
+    fam = DeltaFam(t, _unused)
+    for bad in ([witness], witness.conclusion, None):
+        with pytest.raises(InternalInvariantError, match="rejected"):
+            fam(delta, bad)
+    assert asked == [] and fam._memo == {}
+
+
+def test_make_node_refuses_a_family_on_another_target():
+    t = prime(pf("mu X . (p1 | X)"))
+    t2 = prime(pf("mu X . (p2 | X)"))
+    c, leaf = seq(omega_phi(t)), top_intro((t,))
+    with pytest.raises(ValueError, match="omega rule needs a DeltaFam on its target"):
+        make_node(c, Omega(1, t), DeltaFam(t2, _unused))
+    bar = OmegaBar(1, t)
+    with pytest.raises(ValueError, match="omegabar rule needs a DeltaFam on its target"):
+        make_node(seq(TOP), bar, OmegaBarPrem(leaf, DeltaFam(t2, _unused)))
+    with pytest.raises(ValueError, match="omegabar rule needs a DeltaFam on its target"):
+        make_node(seq(TOP), bar, OmegaBarPrem(leaf, _unused))
+    assert make_node(c, Omega(1, t), DeltaFam(t, _unused)).rule == Omega(1, t)
 
 
 def test_a_frozenset_equals_its_sequent_but_is_refused_where_a_sequent_is_required():
@@ -363,9 +406,8 @@ def test_a_frozenset_equals_its_sequent_but_is_refused_where_a_sequent_is_requir
         with pytest.raises(InternalInvariantError, match="must be a Sequent"):
             build()
     # as a family delta, also once the equal Sequent is in the family's memo
-    admits = standard_admits(t)
-    assert admits(delta, witness) and not admits(plain, witness)
-    fam = DeltaFam(admits, lambda d, w: top_intro(()))
+    fam = DeltaFam(t, lambda d, w: top_intro(()))
+    assert fam.admits(delta, witness)
     fam(delta, witness)
     with pytest.raises(InternalInvariantError, match="rejected"):
         fam(plain, witness)
@@ -375,8 +417,7 @@ def test_omegabar_first_premise():
     t = prime(pf("mu X . (p1 | X)"))
     first = top_intro((t,))
     p = omegabar_node(
-        seq(TOP), 1, t, first, standard_admits(t),
-        lambda d, w: top_intro(d.difference((TOP,))),
+        seq(TOP), t, first, lambda d, w: top_intro(d.difference((TOP,)))
     )
     o = observe(p, 2)
     # first premise comes before the probe child
@@ -384,10 +425,7 @@ def test_omegabar_first_premise():
     assert len(o.children) == 2
     assert isinstance(p.premises, OmegaBarPrem)
     with pytest.raises(InternalInvariantError):
-        omegabar_node(
-            seq(TOP), 1, t, top_intro(()), standard_admits(t),
-            lambda d, w: top_intro(()),
-        )
+        omegabar_node(seq(TOP), t, top_intro(()), lambda d, w: top_intro(()))
 
 
 def test_is_cut_free_observed():
@@ -511,8 +549,7 @@ def test_map_premises_omega_is_lazy_and_keeps_the_domain():
     t = prime(pf("mu X . (p1 | X)"))
     phi = omega_phi(t)
     d = omega_node(
-        seq(phi), 1, t, standard_admits(t),
-        lambda dl, w: top_intro(dl.union((phi,)).difference((TOP,))),
+        seq(phi), t, lambda dl, w: top_intro(dl.union((phi,)).difference((TOP,)))
     )
     fn, calls = _recorder()
     out = map_premises(d, _NEW_C, fn)
@@ -531,8 +568,7 @@ def test_map_premises_omegabar_maps_first_now_and_family_on_demand():
     t = prime(pf("mu X . (p1 | X)"))
     first = top_intro((t,))
     d = omegabar_node(
-        seq(TOP), 1, t, first, standard_admits(t),
-        lambda dl, w: top_intro(dl.difference((TOP,))),
+        seq(TOP), t, first, lambda dl, w: top_intro(dl.difference((TOP,)))
     )
     fn, calls = _recorder()
     out = map_premises(d, _NEW_C, fn)
@@ -585,20 +621,13 @@ def test_box_fit_side_is_what_the_packet_leaves():
         box_fit(seq(principal, atom(2)), principal, prem)  # <>p1 escapes
 
 
-def test_mapped_family_checks_its_domain_once():
+def test_mapped_family_checks_its_domain_once(monkeypatch):
     t = prime(pf("mu X . (p1 | X)"))
     phi = omega_phi(t)
-    admits = standard_admits(t)
-    runs = []
-
-    def counted(delta, witness):
-        runs.append(delta)
-        return admits(delta, witness)
-
     d = omega_node(
-        seq(phi), 1, t, counted,
-        lambda dl, w: top_intro(dl.union((phi,)).difference((TOP,))),
+        seq(phi), t, lambda dl, w: top_intro(dl.union((phi,)).difference((TOP,)))
     )
+    runs = _count_admits(monkeypatch)
 
     def keep(q, _):
         return q
@@ -746,7 +775,7 @@ def test_an_observe_that_runs_out_keeps_nothing():
         calls.append(delta)
         raise FuelExhausted("empty")
 
-    tired = omega_node(seq(phi), 1, t, standard_admits(t), out_of_fuel)
+    tired = omega_node(seq(phi), t, out_of_fuel)
     for n in (1, 2):
         with pytest.raises(FuelExhausted):
             observe(tired, 3)
