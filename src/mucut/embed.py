@@ -2,7 +2,9 @@
 
 embed turns a finite proof (with cuts and induction) into a proof of the
 same sequent, with chosen formulas primed, in the intermediate system
-whose index bounds every formula level of the input.  The pieces:
+whose index bounds every formula level of the input.  No construction
+takes a system index: each builds the same derivation for every Omega_k,
+and only the judge says which one it is judged in.  The pieces:
 
   * identity laws: cut-free derivations of A, ~A for mu formulas, in the
     plain form (a nu rule whose approximant premises grow by closure
@@ -40,13 +42,12 @@ _nu_over over a _chain, which builds its derivations once each and in
 index order, so a far premise costs no stack frame per index; the
 approximants themselves come from kernel.iterate, which builds each once.
 
-Identity laws and the weakenings monotonicity asks for are shared: one
-embedding builds each law of each mu once (_law), however often
-monotonicity or an identity axiom asks for it, and weakens each proof by
-each context once (cutelim.weaken, through the same memo), so every
-request gets the same proof object.  The memo belongs to the embed call,
-lives as long as the embedding's root and is never shared between
-calls.
+One embedding builds each identity law of each mu once (_law), weakens
+each proof by each context once (cutelim.weaken) and builds monotonicity
+for each operator without the variable once per context (_mono), since
+that derivation never reaches monotonicity's input; so every request gets
+the same proof object.  The memo (_owned) belongs to the embed call,
+lives as long as the embedding's root and is never shared between calls.
 
 With nothing primed, cuts come only from cuts and inductions, and
 replacement rules only from inductions and from identity laws of
@@ -140,9 +141,12 @@ def _chain(first, step):
 
 def _owned(build):
     """build(memo) for a fresh memo that lives as long as the proof
-    returned.  The memo holds the identity laws (_law) and the weakenings
-    of _mono, keyed by the proof weakened itself and the formulas added
-    (cutelim.weaken).  Their thunks hold the memo that holds them;
+    returned.  It holds identity laws keyed by (builder, mu) (_law),
+    weakenings by (proof, formulas) (cutelim.weaken) and monotonicity
+    derivations by (a, nb, ac, ctx, primed) (_mono).  No two kinds of key
+    meet: a monotonicity key has five items, and of the pairs a law's
+    starts with a function and a weakening's with a proof, which equals
+    only itself.  Their thunks hold the memo that holds them;
     emptying it when that proof is freed breaks the cycle, so that
     reference counting frees the proof (entries made after that are still
     shared, but left to the cyclic collector)."""
@@ -154,9 +158,7 @@ def _owned(build):
 
 def _law(build, mu, memo):
     """The identity law build(mu, memo), built once per (build, mu) in
-    memo.  weaken(law, ctx, memo) then shares its weakenings too: the
-    keys of the two kinds never meet, since a law's holds a function and
-    a weakening's a proof."""
+    memo (_owned)."""
     key = (build, mu)
     law = memo.get(key)
     if law is None:
@@ -322,13 +324,28 @@ def _mono(d, a, nb, ac, ctx, primed, memo):
     only the shared proofs at the leaves (d and the identity laws) are
     weakened, each by one context once per embedding (memo).  negate,
     substitute and prime distribute over and/or/box/dia roots, so a
-    child's two formulas are components of its parent's."""
+    child's two formulas are components of its parent's.  Below an a
+    without the variable the recursion never reaches d, so its derivation
+    is built once per (a, nb, ac, ctx, primed) in memo, and every
+    approximant step that asks for it gets the same object."""
     t = a[0]
     if t == "var":
         return weaken(d, ctx, memo)
+    if has_free_var(a):
+        return _mono_rule(d, a, nb, ac, ctx, primed, memo)
+    key = (a, nb, ac, ctx, primed)
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = _mono_rule(d, a, nb, ac, ctx, primed, memo)
+    return out
+
+
+def _mono_rule(d, a, nb, ac, ctx, primed, memo):
+    """_mono's derivation for an a that is not the variable, built anew."""
+    t = a[0]
     if t == "mu" or t == "nu" or t == "nub":
-        # a closed a is its own image: nb is ~a and ac the image of a
-        _require(not has_free_var(a), "binder subterm must be closed")
+        # a binder binds the variable, so a is closed and its own image:
+        # nb is ~a and ac the image of a
         if t == "mu":
             return weaken(_law(_identity_mu, ac, memo), ctx, memo)
         if t == "nu" and not primed:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import gc
 import importlib
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -41,7 +42,17 @@ from mucut.embed import (
     subst_context,
 )
 from mucut.errors import InternalInvariantError
-from mucut.kernel import TOP, atom, is_l0, level, natom, negate, prime, substitute
+from mucut.kernel import (
+    TOP,
+    atom,
+    has_free_var,
+    is_l0,
+    level,
+    natom,
+    negate,
+    prime,
+    substitute,
+)
 from mucut.proofs import (
     AxiomMu,
     Box,
@@ -534,7 +545,11 @@ def test_a_dropped_embedding_leaves_no_cyclic_garbage(monkeypatch):
         unfold = embed(axmu(_LEVEL_2))
         assert observation_errors(observe(unfold, *_UNFOLD)) == []
         assert len(shared) > len(set(shared))  # the weakening memo hits
-        del emb, law, unfold
+        closed = _closed_monotonicity(monkeypatch)
+        parts = identity_mu(_CLOSED_PARTS)
+        assert observation_errors(observe(parts, *_UNFOLD)) == []
+        assert len(closed) > len(set(closed))  # the monotonicity memo hits
+        del emb, law, unfold, parts
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -566,6 +581,79 @@ def test_two_embeddings_share_no_weakening(monkeypatch):
         emb = embed(axmu(_LEVEL_2))
         observe(emb, *_UNFOLD)
         runs.append((emb, set(shared)))
+    (_, first), (_, second) = runs
+    assert first and second and first.isdisjoint(second)
+
+
+# A mu whose operator has closed parts beside the variable, under its or
+# and under a box (under an and and a diamond in the negated body that its
+# identity law's monotonicity recurses on): every approximant step of that
+# law asks monotonicity for them again.
+_CLOSED_PARTS = pf("mu X . ((p1 & p2) | [] (X | [] ~p3))")
+
+
+def _closed_monotonicity(monkeypatch):
+    """Each (memo key, id of the derivation) that _mono hands out from now
+    on for an operator without the variable, one per request.  The memo
+    keeps each derivation alive, so no id is reused while its embedding
+    lives."""
+    requests, real = [], EMBED._mono
+
+    def requesting(d, a, nb, ac, ctx, primed, memo):
+        out = real(d, a, nb, ac, ctx, primed, memo)
+        if not has_free_var(a):
+            requests.append(((a, nb, ac, ctx, primed), id(out)))
+        return out
+
+    monkeypatch.setattr(EMBED, "_mono", requesting)
+    return requests
+
+
+def test_an_embedding_builds_each_closed_monotonicity_derivation_once(monkeypatch):
+    # one build and one object per key, however often the steps ask for it
+    requests = _closed_monotonicity(monkeypatch)
+    builds, build = [], EMBED._mono_rule
+
+    def building(d, a, *rest):
+        if not has_free_var(a):
+            builds.append((a, *rest[:4]))
+        return build(d, a, *rest)
+
+    monkeypatch.setattr(EMBED, "_mono_rule", building)
+    law = identity_mu(_CLOSED_PARTS)
+    assert observation_errors(observe(law, *_UNFOLD)) == []
+    one = {}
+    for key, out in requests:
+        assert one.setdefault(key, out) == out, key
+    assert len(builds) == len(set(builds)) == len(one) >= 5
+    assert len(requests) > len(one)
+
+
+@pytest.mark.parametrize("primed", [False, True])
+def test_monotonicity_reuses_a_derivation_only_where_it_never_reaches_its_input(primed):
+    # two inputs of one conclusion in one memo: an operator without the
+    # variable gives one object, and one with it a derivation of each input
+    b, c = atom(3), negate(atom(3))
+    memo = {}
+    for a, shared in (
+        (parse_form("((p1 & [] ~p2) | <> p1)"), True),
+        (parse_form("(p1 | [] X)"), False),
+    ):
+        d1, d2 = (ax(seq(b, c), b) for _ in range(2))
+        one, two = (EMBED._monotone(d, a, b, c, primed, memo) for d in (d1, d2))
+        assert one.conclusion == two.conclusion
+        assert (one is two) is shared
+
+
+def test_two_embeddings_share_no_monotonicity_derivation(monkeypatch):
+    requests = _closed_monotonicity(monkeypatch)
+    runs = []
+    for _ in range(2):
+        del requests[:]
+        emb = embed(axmu(_CLOSED_PARTS))
+        observe(emb, *_UNFOLD)
+        met = Counter(out for _, out in requests)
+        runs.append((emb, {out for out, n in met.items() if n > 1}))
     (_, first), (_, second) = runs
     assert first and second and first.isdisjoint(second)
 
