@@ -84,7 +84,7 @@ from mucut.proofs import (
     omega_phi,
     premise_added,
 )
-from mucut.sequents import Sequent
+from mucut.sequents import Sequent, from_checked
 from mucut.syntax import print_form
 
 
@@ -262,8 +262,11 @@ def _context_premises(st, path, o, system, vouched):
 
 
 def _ind_premise(st, path, o, system, vouched):
-    tag = o.rule  # the premise must conclude exactly ~A(b), b
-    return Sequent((negate(substitute(tag.mu[1], tag.b)), tag.b)), None, ((),), None
+    # the premise must conclude exactly ~A(b), b, derived from the checked
+    # members of a vouched node's conclusion
+    tag = o.rule
+    want = (negate(substitute(tag.mu[1], tag.b)), tag.b)
+    return (from_checked if vouched else Sequent)(want), None, ((),), None
 
 
 def _box_premise(st, path, o, system, vouched):
@@ -312,9 +315,9 @@ def _family_premises(st, path, o, system, vouched):
     c, tag = o.conclusion, o.rule
     if type(tag) is Omega:
         return c, omega_phi(tag.target), o.probes, "family output"
-    want = c.add(tag.target)
     first = o.children[0].conclusion
-    if first != want:
+    if first is None or not first.is_add(c, tag.target):
+        want = c.add(tag.target)
         st.flag(path, "first premise concludes %r, expected %r" % (first, want))
     return c, None, (None,) + o.probes, "family output"
 

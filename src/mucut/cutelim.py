@@ -319,20 +319,17 @@ def _reduce_root(d, budget, trace, path):
             and_is_f1 = f_and == f1
             cf = formula if and_is_f1 else negate(formula)
             comp_d, comp_e = cf[1], cf[2]
-            n_dp = prime(negate(comp_d))
-            e_p = prime(comp_e)
-            p11 = _scrub(
-                d_and.premises[0], g.add(prime(comp_d)), formula, and_is_f1, d_or
+            # the primed components and their negations are the parts of
+            # the checked cut sides f1 and f2
+            d_p, n_dp, e_p, n_ep = (
+                from_checked((prime(x),))
+                for x in (comp_d, negate(comp_d), comp_e, negate(comp_e))
             )
-            p12 = _scrub(d_and.premises[1], g.add(e_p), formula, and_is_f1, d_or)
-            p2 = _scrub(
-                d_or.premises[0],
-                g.union((n_dp, prime(negate(comp_e)))),
-                formula,
-                not and_is_f1,
-                d_and,
-            )
-            step1 = cut_fit(g.add(n_dp), comp_e, weaken(p12, (n_dp,)), p2)
+            p11 = _scrub(d_and.premises[0], g.union(d_p), formula, and_is_f1, d_or)
+            p12 = _scrub(d_and.premises[1], g.union(e_p), formula, and_is_f1, d_or)
+            n_de = n_dp.union(n_ep)
+            p2 = _scrub(d_or.premises[0], g.union(n_de), formula, not and_is_f1, d_and)
+            step1 = cut_fit(g.union(n_dp), comp_e, weaken(p12, n_dp), p2)
             return cut_fit(g, comp_d, p11, step1)
 
     # (v) box principal against its diamond-part dual

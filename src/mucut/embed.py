@@ -111,7 +111,7 @@ from mucut.proofs import (
     premise_added,
     top_intro,
 )
-from mucut.sequents import Sequent, from_checked
+from mucut.sequents import Sequent, _check, from_checked
 
 
 def _fit_premise(p, concl, principal, parts):
@@ -211,9 +211,10 @@ def apply_sigma(s, sel):
         stray = sorted(f for f in sel if f not in s)
         raise ValueError("selection outside the sequent: %r" % (stray,))
     # priming changes exactly the formulas with a plain nu binder, and no
-    # prime has one: the formulas to move are those no selected prime equals
+    # prime has one: the formulas to move are those no selected prime
+    # equals, and their primes are derived from members of the checked s
     moved = sel.difference(map(prime, sel))
-    return s.difference(moved).union(map(prime, moved))
+    return from_checked((s - moved).union(map(prime, moved))) if moved else s
 
 
 # ---------------------------------------------------------------------------
@@ -221,27 +222,28 @@ def apply_sigma(s, sel):
 
 
 def identity_mu(mu):
-    """Cut-free derivation of mu, ~mu (mu closed and mu-rooted): the nu
-    rule on ~mu, each approximant premise obtained from the previous one
-    by monotonicity plus a closure step."""
-    return _owned(lambda memo: _identity_mu(mu, memo))
+    """Cut-free derivation of mu, ~mu (mu closed and mu-rooted, checked
+    here): the nu rule on ~mu, each approximant premise obtained from the
+    previous one by monotonicity plus a closure step."""
+    return _owned(lambda memo: _identity_mu(mu, memo, Sequent))
 
 
-def _identity_mu(mu, memo):
+def _identity_mu(mu, memo, sequent=from_checked):
+    """identity_mu's law; mu is checked already, unless sequent checks it."""
     _require(mu[0] == "mu", "identity law needs a mu-rooted formula")
     _require(not has_free_var(mu), "identity law needs a closed formula")
     n = negate(mu)
     nbody = n[1]
-    concl = Sequent((mu, n))
+    concl = sequent((mu, n))
 
-    # concl checks mu, so each approximant of the body of its closed
+    # mu is checked, so each approximant of the body of its closed
     # negation is closed and valid: the sequents pairing them are trusted
     def step(i, prev):
         a_prev = iterate(nbody, TOP, i - 1)
         mono = _monotone(prev, nbody, mu, a_prev, False, memo)
         return clo_node(from_checked((mu, iterate(nbody, TOP, i))), mu, mono)
 
-    link = _chain(lambda: top_intro((mu,)), step)
+    link = _chain(lambda: top_intro(from_checked((mu,))), step)
     law = _nu_over(concl, n, lambda i, a_i: link(i))
     # a base-language mu has no nub subformula, so monotonicity asks only
     # for laws of this kind: nu, closure and the propositional rules
@@ -514,13 +516,13 @@ class _Subst:
         return _images(f, _eff(modes, f, self.t), self.t, self.b)
 
     def img_sequent(self, s, rho):
-        """The images of the members of the checked sequent s under rho.
-        Most images are members of s, which are trusted; union checks the
-        others."""
+        """The images of the members of the checked sequent s under rho:
+        each is a member or a member with occurrences of t replaced by the
+        checked b or its prime, so none is checked again."""
         acc = []
         for f in s:
             acc.extend(self.images(f, rho.get(f, _D)))
-        return from_checked(s.intersection(acc)).union(acc)
+        return from_checked(acc)
 
     def _principal_image(self, phi, rho):
         imgs = self.images(phi, rho.get(phi, _D))
@@ -598,11 +600,15 @@ class _Subst:
                 )
             new_tag = type(tag)(self._principal_image(phi, rho))
             part_modes = _eff(rho.get(phi, _D), phi, self.t)
+        checked = parts_checked(tag, c)
 
         def fn(q, position):
             parts = premise_added(tag, position)
             rho2 = self._child_rho(q.conclusion, rho, c, parts, part_modes)
             imgs = [g for x in parts for g in self.images(x, part_modes)]
+            if checked:
+                # images of the parts of c's checked principal, and of b
+                imgs = from_checked(imgs)
             return fit(self.sub(q, rho2), new_c.union(imgs))
 
         return map_premises(d, new_c, fn, new_tag)
@@ -646,7 +652,9 @@ def subst_context(d, rho, asm1, asm2, mu, b):
     (formula -> set of modes): delta keeps a formula, s1 replaces the
     primed mu target by b in it, s2 by b'.  asm1 and asm2 prove the primed
     negated unfolding alongside b and b' respectively; they are cut in at
-    every closure step on the target itself."""
+    every closure step on the target itself.  b is checked here, once:
+    the images put it in sequents unchecked."""
+    _check(b)
     return _Subst(asm1, asm2, mu, b).sub(d, rho)
 
 
@@ -662,17 +670,19 @@ def ind_to_omega(asm1, asm2, mu, b):
     t = prime(mu)
     ncf_p = prime(negate(substitute(mu[1], b)))
     _require(
-        asm1.conclusion == Sequent((ncf_p, b)),
+        asm1.conclusion.equals((ncf_p, b)),
         "first induction embedding has the wrong conclusion",
     )
     _require(
-        asm2.conclusion == Sequent((ncf_p, prime(b))),
+        asm2.conclusion.equals((ncf_p, prime(b))),
         "second induction embedding has the wrong conclusion",
     )
-    phi = omega_phi(t)
+    # b and b' are checked members there; phi, a closed binder, is derived
+    # from mu, which they vouch for only where its body is not the variable
+    phi = validate(omega_phi(t))
 
     def mk(sig_mode, b_img):
-        concl = Sequent((phi, b_img))
+        concl = from_checked((phi, b_img))
 
         def fn(delta, w):
             rho = {x: _D for x in delta}
@@ -680,7 +690,7 @@ def ind_to_omega(asm1, asm2, mu, b):
             if t in delta:
                 modes = modes | _D
             rho[t] = modes
-            out = subst_context(w, rho, asm1, asm2, mu, b)
+            out = _Subst(asm1, asm2, mu, b).sub(w, rho)
             return _fit_premise(out, concl, phi, delta)
 
         return omega_node(concl, t, fn)
@@ -734,9 +744,10 @@ def _embed_now(p, sel, cs, memo):
         return ax(cs, tag.p)
 
     if isinstance(tag, AxiomMu):
+        # an input axmu's formula enters here, and _identity_mu trusts it
         m = tag.mu
         law = _identity_mu_primed if negate(m) in sel else _identity_mu
-        return fit(_law(law, prime(m) if m in sel else m, memo), cs)
+        return fit(_law(law, validate(prime(m) if m in sel else m), memo), cs)
 
     if isinstance(tag, Box):
         # the body follows the principal, every other formula its diamond

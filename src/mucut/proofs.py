@@ -176,7 +176,7 @@ def _ind_flaws(tag, conclusion, k=None):
     m, b = tag.mu, tag.b
     if m[0] != "mu":
         return ("ind formula %s is not mu-rooted" % print_form(m),)
-    if conclusion != Sequent((negate(m), b)):
+    if not conclusion.equals((negate(m), b)):
         return (
             "ind admits no context: conclusion must be exactly %s, %s"
             % (print_form(negate(m)), print_form(b)),
@@ -696,7 +696,7 @@ _TOP_PARTS = from_checked(TOP[1:])
 
 def top_intro(extra):
     """A two-node proof of {top} union extra, marked plain.  Only extra is
-    checked."""
+    checked, and only when it is no Sequent yet."""
     extra = Sequent(extra)
     leaf = ax(extra.union(_TOP_PARTS), TOP[1])
     return mark_plain(or_node(extra.union(_TOP), TOP, leaf))

@@ -7,11 +7,15 @@ children), so equal sets always have identical printed and serialized
 forms.
 
 Invariant: every member of an existing Sequent is a valid, closed
-formula.  Raw formulas are checked where they enter (the constructor,
-and the members of add/union arguments that are not yet in the
-sequent); members taken from an existing Sequent are trusted, and so are
-the formulas given to from_checked, whose caller has checked them
-already, or knows them to be kernel-derived parts of checked members.
+formula.  The package checks a formula once, where it enters: the
+parser, the constructor and the members of add/union arguments not yet
+in the sequent, or the entry of a public function whose arguments are
+raw.  Members of an existing Sequent are trusted, and every formula the
+kernel derives from checked ones goes in through from_checked.  A
+comparison with a checked sequent (is_add, equals) runs on the members
+and builds the checked Sequent only when it fails, so an invalid formula
+raises as the constructor makes it.  Membership decides, so an alias of
+a member, such as ('atom', True) of ('atom', 1), passes as the member.
 
 A Sequent is a frozenset of its members.  Membership, length, equality,
 hashing, the subset tests, intersection and the set operators are
@@ -116,6 +120,11 @@ class Sequent(frozenset):
         if f in self and grown == (f not in g) and g <= self:
             return True
         return self == g.add(f)
+
+    def equals(self, forms):
+        """self == Sequent(forms), by set comparison when it holds; else
+        Sequent(forms) is built, so an invalid formula raises as it does."""
+        return self == frozenset(forms) or self == Sequent(forms)
 
     def without(self, f):
         """Remove f if present (no error when absent)."""

@@ -284,6 +284,37 @@ def test_ind_premise_shape_is_exact():
     assert any("premise 0 concludes" in v[1] for v in rep.violations)
 
 
+@pytest.mark.parametrize(
+    "bad, in_s, in_sinf",
+    [
+        (("atom", -1), "bad atom node: ('atom', -1)", None),
+        (
+            ("or", atom(2), ("var",)),
+            "sequent formula has a free variable: (p2 | X)",
+            "sequent formula has a free variable: (~p2 & X)",
+        ),
+        (("or", ("var", "x"), atom(2)), "bad var node: ('var', 'x')", None),
+        ((), "formula must be a nonempty tuple: ()", "tuple index out of range"),
+        (("imp", atom(1), atom(2)), "unknown formula tag: 'imp'", None),
+    ],
+    ids=["bad-atom", "open", "bad-var", "empty", "unknown-tag"],
+)
+def test_an_ind_node_with_a_malformed_invariant_is_flagged_where_it_enters(
+    bad, in_s, in_sinf
+):
+    # S checks the invariant with the rule's conditions; S-infinity, which
+    # leaves ind out, builds the premise's sequent from it
+    m = pf("mu X . X")
+    p = Proof.make(seq(negate(m), TOP), Ind(m, bad), (top_intro(()),))
+    assert check_finite(p, SYSTEM_S).violations == (
+        ("root", "malformed rule tag: " + in_s),
+    )
+    assert check_finite(p, SYSTEM_SINF).violations == (
+        ("root", "rule ind is not part of system sinf"),
+        ("root", "premise shapes undefined: " + (in_sinf or in_s)),
+    )
+
+
 def test_cut_premises_unprimed_in_s_primed_in_omega():
     f = pf("mu X . (p1 | X)")
     g = seq(atom(2))
@@ -825,6 +856,20 @@ def _unprobed_omegabar():
     target = ("box", ("var",))
     fam = DeltaFam(target, lambda d, w: leaf)
     return Proof.make(seq(TOP), OmegaBar(1, target), OmegaBarPrem(leaf, fam))
+
+
+def test_an_omegabar_first_premise_is_compared_with_the_conclusion_plus_its_target():
+    # membership answers a first premise that fits; one that does not is
+    # worded with the sequent it should conclude
+    m = pf("mu X . (p1 | X)")
+    c = seq(omega_phi(m))
+    fam = DeltaFam(m, lambda d, w: top_intro(()))
+    fits = Proof.defer(c.add(m), lambda: top_intro(()))
+    for first, flagged in ((fits, False), (top_intro(()), True)):
+        p = Proof.make(c, OmegaBar(1, m), OmegaBarPrem(first, fam))
+        rep = check_observation(observe(p, 1, probe_budget=0), omega_system(1), 1)
+        want = ("root", "first premise concludes %r, expected %r" % (first.conclusion, c.add(m)))
+        assert (want in rep.violations) is flagged
 
 
 def test_an_omegabar_without_a_first_premise_shape_is_a_verdict():

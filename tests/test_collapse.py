@@ -18,6 +18,7 @@ from conftest import (
     plain_marks_off,
     splicing_off,
 )
+from test_small_scope import small_mu_formulas
 from mucut import kernel, proofs
 from mucut.checker import (
     SYSTEM_S,
@@ -65,7 +66,7 @@ from mucut.proofs import (
     or_node,
     top_intro,
 )
-from mucut.sequents import Sequent, seq
+from mucut.sequents import Sequent, _check, seq
 from mucut.sexpr import observation_dumps
 from mucut.syntax import parse_formula as pf, print_form
 
@@ -306,6 +307,81 @@ def test_the_plain_mark_changes_nothing_on_plain_proofs(p):
 
 def test_the_top_induction_cuts_cover_every_level():
     assert {level(m) for m in _TOP_MUS} == {1, 2, 3}
+
+
+# ---------------------------------------------------------------------------
+# the trust boundary: a formula is checked where it enters, and what the
+# kernel derives from checked formulas joins sequents unchecked (sequents'
+# module docstring), so no stage may show an invalid or open member
+
+
+def _members_pass_the_entry_check(p):
+    stages = pipeline(p)
+    for stage in STAGES:
+        o = observe(stages[stage], 14, (0, 1, 2, 3))
+        assert not observation_errors(o)
+        for s in observation_sequents(o):
+            for f in frozenset.__iter__(s):
+                _check(f)
+
+
+@pytest.mark.parametrize("name", _PASSED)
+def test_every_observed_member_passes_the_entry_check(name):
+    _members_pass_the_entry_check(_PASSED[name]())
+
+
+def test_every_observed_member_of_a_small_top_induction_cut_passes_the_entry_check():
+    # the top-induction cuts over the small-scope sweep's formulas
+    for m in small_mu_formulas(4):
+        _members_pass_the_entry_check(top_induction_cut(m))
+
+
+def _validate_calls(p):
+    """kernel.validate's calls while p goes through the pipeline and each
+    of its stages is observed, judged and written as the benchmark does
+    (depth 14, samples 0-3), on warm kernel memos."""
+    system = omega_system(level_bound(p))
+
+    def run():
+        stages = pipeline(p)
+        for stage in STAGES:
+            o = observe(stages[stage], 14, (0, 1, 2, 3))
+            judge = SYSTEM_SINF if stage in ("collapsed", "sinf") else system
+            assert check_bounded(stages[stage], judge, 14, (0, 1, 2, 3)).ok
+            observation_dumps(o)
+
+    run()
+    calls = []
+    real = kernel.validate
+
+    def counted(f):
+        calls.append(f)
+        return real(f)
+
+    holders = [
+        m for n, m in sys.modules.items()
+        if n.startswith("mucut") and getattr(m, "validate", None) is real
+    ]
+    for m in holders:
+        m.validate = counted
+    try:
+        run()
+    finally:
+        for m in holders:
+            m.validate = real
+    return len(calls)
+
+
+@pytest.mark.parametrize(
+    "build, most",
+    [(partial(nested, 3), 52), (partial(top_induction_cut, pf("mu X . (p1 | <> X)")), 8)],
+    ids=["nested(3)", "ind-cut"],
+)
+def test_formulas_derived_from_checked_ones_are_not_validated_again(build, most):
+    """Before this pin, the same runs validated 175 times on nested(3) and
+    24 times on the top-induction cut: most kernel-derived formulas were
+    checked again as they joined a sequent."""
+    assert _validate_calls(build()) <= most
 
 
 # ---------------------------------------------------------------------------

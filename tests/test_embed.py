@@ -323,6 +323,90 @@ def test_the_cut_free_rewriters_refuse_finitary_rules_and_cuts(rule):
         substituted.rule  # noqa: B018 - forcing the root rewrites it
 
 
+# Raw formulas given to the public constructions, each with the error the
+# check where it enters gives.  The induction embeddings conclude ~A(top)'
+# and top, so a bad invariant fails their comparison and is then checked
+# as a sequent member; a bad variable node at the variable's place in the
+# body of mu is substituted away there, and only phi shows it.
+_ASM = top_intro((prime(negate(substitute(M1[1], TOP))),))
+_BAD_ATOM = ("atom", -1)
+_BAD_VAR = ("or", ("var", "x"), atom(2))
+_OPEN = ("or", atom(2), ("var",))
+_UNKNOWN = ("imp", atom(1), atom(2))
+_RAW = {
+    "ind_to_omega b bad atom": (
+        lambda: ind_to_omega(_ASM, _ASM, M1, _BAD_ATOM),
+        ValueError, "bad atom node: ('atom', -1)",
+    ),
+    "ind_to_omega b open": (
+        lambda: ind_to_omega(_ASM, _ASM, M1, _OPEN),
+        ValueError, "sequent formula has a free variable: (~p1 & (~p2 & X))",
+    ),
+    "ind_to_omega b bad var": (
+        lambda: ind_to_omega(_ASM, _ASM, M1, _BAD_VAR),
+        ValueError, "bad var node: ('var', 'x')",
+    ),
+    "ind_to_omega b unknown": (
+        lambda: ind_to_omega(_ASM, _ASM, M1, _UNKNOWN),
+        ValueError, "unknown formula tag: 'imp'",
+    ),
+    "ind_to_omega mu bad atom": (
+        lambda: ind_to_omega(_ASM, _ASM, ("mu", ("or", _BAD_ATOM, ("var",))), TOP),
+        ValueError, "bad atom node: ('atom', -1)",
+    ),
+    "ind_to_omega mu bad var at the variable": (
+        lambda: ind_to_omega(_ASM, _ASM, ("mu", ("or", atom(1), ("var", "x"))), TOP),
+        ValueError, "bad var node: ('var', 'x')",
+    ),
+    "ind_to_omega mu bad var under a binder": (
+        lambda: ind_to_omega(_ASM, _ASM, ("mu", ("or", ("mu", ("var", "x")), ("var",))), TOP),
+        ValueError, "bad var node: ('var', 'x')",
+    ),
+    "ind_to_omega wrong embedding": (
+        lambda: ind_to_omega(top_intro(()), _ASM, M1, TOP),
+        InternalInvariantError, "first induction embedding has the wrong conclusion",
+    ),
+    "identity_mu bad atom": (
+        lambda: identity_mu(("mu", ("or", _BAD_ATOM, ("var",)))),
+        ValueError, "bad atom node: ('atom', -1)",
+    ),
+    "identity_mu bad var": (
+        lambda: identity_mu(("mu", ("or", ("var", "x"), ("var",)))),
+        ValueError, "bad var node: ('var', 'x')",
+    ),
+    "identity_mu unknown": (
+        lambda: identity_mu(("mu", ("or", _UNKNOWN, ("var",)))),
+        ValueError, "unknown formula tag: 'imp'",
+    ),
+    "identity_mu open": (
+        lambda: identity_mu(_OPEN),
+        InternalInvariantError, "identity law needs a mu-rooted formula",
+    ),
+}
+for _mode in ("s1", "s2"):
+    for _name, _b, _text in (
+        ("bad atom", _BAD_ATOM, "bad atom node: ('atom', -1)"),
+        ("open", _OPEN, "sequent formula has a free variable: (p2 | X)"),
+        ("bad var", _BAD_VAR, "bad var node: ('var', 'x')"),
+        ("unknown", _UNKNOWN, "unknown formula tag: 'imp'"),
+    ):
+        _RAW["subst_context %s b %s" % (_mode, _name)] = (
+            lambda b=_b, rho={M1: frozenset((_mode,))}: subst_context(
+                identity_mu(M1), rho, _ASM, _ASM, M1, b
+            ),
+            ValueError, _text,
+        )
+
+
+@pytest.mark.parametrize("case", sorted(_RAW))
+def test_raw_arguments_are_refused_where_they_enter(case):
+    call, kind, text = _RAW[case]
+    with pytest.raises(kind) as exc:
+        call()
+    assert type(exc.value) is kind
+    assert str(exc.value) == text
+
+
 def test_ind_to_omega():
     m = M1
     b = TOP

@@ -49,6 +49,23 @@ def test_validate_rejects_malformed(k):
             k.validate(bad)
 
 
+@pytest.mark.parametrize(
+    "call, text",
+    [
+        (lambda k: k.validate(("or", k.atom(1), ("var", 1))), "bad var node: ('var', 1)"),
+        (lambda k: k.negate(("imp", k.atom(1), k.atom(2))), "unknown formula tag: 'imp'"),
+        (lambda k: k.prime(("box", ("imp", k.atom(1)))), "unknown formula tag: 'imp'"),
+        (lambda k: k.substitute(("dia", ("imp",)), k.TOP), "unknown formula tag: 'imp'"),
+        (lambda k: k.level(("and", k.atom(1), ("imp",))), "unknown formula tag: 'imp'"),
+    ],
+    ids=["validate-var", "negate", "prime", "substitute", "level"],
+)
+def test_each_kernel_guard_names_what_it_refuses(k, call, text):
+    with pytest.raises(ValueError) as exc:
+        call(k)
+    assert str(exc.value) == text
+
+
 def test_size_oracles(k):
     assert k.size(("atom", 1)) == 1
     assert k.size(("and", ("atom", 1), ("atom", 2))) == 3

@@ -72,6 +72,23 @@ def test_top_intro_shape():
     assert q.conclusion == seq(TOP, atom(5))
 
 
+@pytest.mark.parametrize(
+    "bad, text",
+    [
+        (("atom", -1), "bad atom node: ('atom', -1)"),
+        (("or", atom(2), ("var",)), "sequent formula has a free variable: (p2 | X)"),
+        (("or", ("var", "x"), atom(2)), "bad var node: ('var', 'x')"),
+        ((), "formula must be a nonempty tuple: ()"),
+        (("imp", atom(1), atom(2)), "unknown formula tag: 'imp'"),
+    ],
+    ids=["bad-atom", "open", "bad-var", "empty", "unknown-tag"],
+)
+def test_top_intro_checks_raw_formulas_as_a_sequent_does(bad, text):
+    with pytest.raises(ValueError) as exc:
+        top_intro((atom(3), bad))
+    assert str(exc.value) == text
+
+
 def test_omega_phi():
     m = pf("mu X . (p1 | X)")
     assert omega_phi(prime(m)) == prime(negate(m))

@@ -83,6 +83,26 @@ def test_dumps_oracles():
     assert dumps(()) == "()"
 
 
+def test_dumps_refuses_what_has_no_text():
+    with pytest.raises(TypeError, match="^booleans do not serialize$"):
+        dumps((1, True))
+    with pytest.raises(TypeError, match="^cannot serialize <object object at "):
+        dumps(object())
+
+
+class _Forged(Axiom):
+    """An axiom tag of another class: it has the axiom's rule name, but
+    the writer knows tags by their class."""
+
+
+@pytest.mark.parametrize("tag", [_Forged(atom(1)), "axiom"], ids=["subclass", "text"])
+def test_the_writer_refuses_a_tag_of_no_rule_class(tag):
+    p = Proof.make(seq(atom(1), natom(1)), tag, ())
+    with pytest.raises(TypeError) as exc:
+        proof_dumps(p)
+    assert str(exc.value) == "unknown tag: %r" % (tag,)
+
+
 def test_loads_oracles():
     assert loads("3") == 3
     assert loads('"x"') == "x"
