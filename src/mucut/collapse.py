@@ -19,8 +19,8 @@ rule of S-infinity at every node), so each returns a marked proof
 itself, at the root or at any premise, where it would otherwise copy it
 node by node.  The marked proofs are the identity laws on base-language
 formulas, truth introductions, their weakenings and the embedding of a
-proof without cuts and inductions, which is then its own eliminated and
-collapsed stage.
+proof or subproof without cuts and inductions (a cut-free cut premise
+too), which is then its own eliminated and collapsed stage.
 
 verdict says whether one run of the pipeline passed: every stage is free
 of error leaves and checks in its own system, and the final window is

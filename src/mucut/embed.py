@@ -46,19 +46,23 @@ One embedding builds each identity law of each mu once (_law), weakens
 each proof by each context once (cutelim.weaken) and builds monotonicity
 for each operator without the variable once per context (_mono), since
 that derivation never reaches monotonicity's input; so every request gets
-the same proof object.  The memo (_owned) belongs to the embed call,
-lives as long as the embedding's root and is never shared between calls.
+the same proof object.  An axmu node's law is built in the node's context
+(_law_in), as monotonicity is, so that only shared links are weakened.
+The memo (_owned) belongs to the embed call, lives as long as the
+embedding's root and is never shared between calls.
 
 With nothing primed, cuts come only from cuts and inductions, and
 replacement rules only from inductions and from identity laws of
 formulas outside the base language.  So the builders mark plain
 (proofs.mark_plain) what has neither by construction, and cut
 elimination and collapsing pass it through as itself: the identity law
-of a base-language mu, on its nu node, and the embedding of a proof that
-embeds_plainly, with nothing selected, on its root.  That root is the
-whole-proof case of the same rule: its embedding is its own eliminated
-and collapsed stage.  Truth introductions and the weakenings of plain
-proofs are marked in proofs and cutelim.
+of a base-language mu, on its nu node, and the embedding of each
+subproof that embeds_plainly under an inert selection, one that priming
+leaves as it is.  A cut's premises carry its selected cut formula, so
+the rule asks for inertness, not an empty selection: the embedding of a
+cut-free premise, as of a whole proof without cuts and inductions, is
+its own eliminated and collapsed stage.  Truth introductions and the
+weakenings of plain proofs are marked in proofs and cutelim.
 """
 
 from __future__ import annotations
@@ -141,12 +145,14 @@ def _chain(first, step):
 
 def _owned(build):
     """build(memo) for a fresh memo that lives as long as the proof
-    returned.  It holds identity laws keyed by (builder, mu) (_law),
-    weakenings by (proof, formulas) (cutelim.weaken) and monotonicity
-    derivations by (a, nb, ac, ctx, primed) (_mono).  No two kinds of key
-    meet: a monotonicity key has five items, and of the pairs a law's
-    starts with a function and a weakening's with a proof, which equals
-    only itself.  Their thunks hold the memo that holds them;
+    returned.  It holds identity laws keyed by (builder, mu) (_law), laws
+    built in an axmu node's context by (mu, context) (_law_in), weakenings
+    by (proof, formulas) (cutelim.weaken) and monotonicity derivations by
+    (a, nb, ac, ctx, primed) (_mono).  No two kinds of key meet: a
+    monotonicity key has five items, and of the pairs a law's starts with
+    a function, an in-context law's with a formula, a tuple, and a
+    weakening's with a proof, which equals only itself.  Their thunks
+    hold the memo that holds them;
     emptying it when that proof is freed breaks the cycle, so that
     reference counting frees the proof (entries made after that are still
     shared, but left to the cyclic collector)."""
@@ -224,12 +230,15 @@ def apply_sigma(s, sel):
 def identity_mu(mu):
     """Cut-free derivation of mu, ~mu (mu closed and mu-rooted, checked
     here): the nu rule on ~mu, each approximant premise obtained from the
-    previous one by monotonicity plus a closure step."""
+    previous one by monotonicity plus a closure step.  Those premises are
+    the links of one chain; embed builds an axmu node's law in the node's
+    context over the same links (_law_in): this law weakened there."""
     return _owned(lambda memo: _identity_mu(mu, memo, Sequent))
 
 
 def _identity_mu(mu, memo, sequent=from_checked):
-    """identity_mu's law; mu is checked already, unless sequent checks it."""
+    """identity_mu's law; mu is checked already, unless sequent checks it.
+    Its i-th premise is link i itself, which concludes mu and a_i alone."""
     _require(mu[0] == "mu", "identity law needs a mu-rooted formula")
     _require(not has_free_var(mu), "identity law needs a closed formula")
     n = negate(mu)
@@ -248,6 +257,39 @@ def _identity_mu(mu, memo, sequent=from_checked):
     # a base-language mu has no nub subformula, so monotonicity asks only
     # for laws of this kind: nu, closure and the propositional rules
     return mark_plain(law) if is_l0(mu) else law
+
+
+def _law_in(mu, cs, memo):
+    """The identity law of the checked mu weakened to conclude cs, node
+    for node, but built there, once per (mu, E) in memo, E = cs - {mu, ~mu}:
+    premise 0 is the law's first link weakened by E, and premise i the
+    law's closure step built in E less the i-th approximant a_i, whose
+    monotonicity (from link i - 1 to nb, the unfolding of mu, beside a_i)
+    weakens only the shared links at its leaves."""
+    law = _law(_identity_mu, mu, memo)
+    ctx = cs.difference(law.conclusion)
+    if not ctx or not law.conclusion.issubset(cs):
+        return fit(law, cs)  # the law itself, or the refusal to fit it
+    key = (mu, ctx)
+    out = memo.get(key)
+    if out is None:
+        n = negate(mu)
+        nbody, nb, link = n[1], substitute(mu[1], mu), law.premises
+
+        def fn(i):
+            if i == 0:
+                return weaken(link(0), ctx, memo)
+            a_i = iterate(nbody, TOP, i)
+            e_i = ctx.without(a_i)
+            if not e_i:
+                return link(i)
+            mono = _mono(link(i - 1), nbody, nb, a_i, e_i, False, memo)
+            return clo_node(from_checked((mu, a_i)).union(e_i), mu, mono)
+
+        out = memo[key] = nu_node(cs, n, fn)
+        if law.plain:
+            mark_plain(out)
+    return out
 
 
 def identity_mu_primed(mu):
@@ -723,21 +765,28 @@ def embed(p, sel=()):
     """Embed the finite proof p into the intermediate systems, priming the
     selected conclusion formulas: the result is the same in every Omega_k,
     and it checks in those whose index is at least the level bound of p.
-    With nothing selected, an embedding that embeds_plainly says has no
-    cut and no replacement rule is marked plain."""
+    The embedding of every subproof that embeds_plainly says has no cut
+    and no replacement rule, under a selection that priming leaves as it
+    is, is marked plain (_embed), the root's included."""
     sel = frozenset(sel)
     if not p.conclusion.issuperset(sel):
         raise ValueError("selection outside the end sequent")
-    out = _owned(lambda memo: _embed(p, sel, memo))
-    return mark_plain(out) if not sel and embeds_plainly(p) else out
+    return _owned(lambda memo: _embed(p, sel, memo))
 
 
-def _embed(p, sel, memo):
+def _embed(p, sel, memo, plain=False):
+    """The embedding of p under sel, deferred, and marked plain when p
+    embeds_plainly and priming changes no selected formula.  Each premise
+    of a marked embedding is marked too (plain), without a walk: its
+    subproof embeds plainly, and the parts of an inert formula are inert."""
     cs = apply_sigma(p.conclusion, sel)
-    return Proof.defer(cs, lambda: _embed_now(p, sel, cs, memo))
+    if not plain and isinstance(p.rule, _PLAIN):
+        plain = not sel.difference(map(prime, sel)) and embeds_plainly(p)
+    out = Proof.defer(cs, lambda: _embed_now(p, sel, cs, memo, plain))
+    return mark_plain(out) if plain else out
 
 
-def _embed_now(p, sel, cs, memo):
+def _embed_now(p, sel, cs, memo, plain):
     tag = p.rule
 
     if isinstance(tag, Axiom):
@@ -746,8 +795,10 @@ def _embed_now(p, sel, cs, memo):
     if isinstance(tag, AxiomMu):
         # an input axmu's formula enters here, and _identity_mu trusts it
         m = tag.mu
-        law = _identity_mu_primed if negate(m) in sel else _identity_mu
-        return fit(_law(law, validate(prime(m) if m in sel else m), memo), cs)
+        mu = validate(prime(m) if m in sel else m)
+        if negate(m) in sel:
+            return fit(_law(_identity_mu_primed, mu, memo), cs)
+        return _law_in(mu, cs, memo)
 
     if isinstance(tag, Box):
         # the body follows the principal, every other formula its diamond
@@ -758,7 +809,7 @@ def _embed_now(p, sel, cs, memo):
         phis = phi in sel
         if phis and body in q.conclusion:
             sp |= {body}
-        return box_fit(cs, prime(phi) if phis else phi, _embed(q, sp, memo))
+        return box_fit(cs, prime(phi) if phis else phi, _embed(q, sp, memo, plain))
 
     if isinstance(tag, (Or, And, Clo)):
         # the principal's selection decides its parts
@@ -776,7 +827,7 @@ def _embed_now(p, sel, cs, memo):
             imgs = [img(x) for x in parts]
             if checked:
                 imgs = from_checked(imgs)
-            return _fit_premise(_embed(q, sp, memo), cs, phi_img, imgs)
+            return _fit_premise(_embed(q, sp, memo, plain), cs, phi_img, imgs)
 
         return map_premises(p, cs, fn, type(tag)(phi_img))
 

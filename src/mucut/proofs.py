@@ -173,10 +173,12 @@ def _box_flaws(tag, conclusion, k=None):
 
 
 def _ind_flaws(tag, conclusion, k=None):
+    # the fields are checked as they enter the compared sequent: a raw
+    # invariant such as ('atom', True) equals the member p1 but is refused
     m, b = tag.mu, tag.b
     if m[0] != "mu":
         return ("ind formula %s is not mu-rooted" % print_form(m),)
-    if not conclusion.equals((negate(m), b)):
+    if conclusion != Sequent((negate(m), b)):
         return (
             "ind admits no context: conclusion must be exactly %s, %s"
             % (print_form(negate(m)), print_form(b)),

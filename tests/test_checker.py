@@ -315,6 +315,18 @@ def test_an_ind_node_with_a_malformed_invariant_is_flagged_where_it_enters(
     )
 
 
+def test_an_ind_invariant_equal_to_a_member_is_still_checked():
+    # ('atom', True) equals the member p1, ('atom', 1), but is no formula:
+    # the rule's conditions refuse it before the conclusion is compared
+    m = pf("mu X . X")
+    alias = ("atom", True)
+    assert alias == atom(1)
+    p = Proof.make(seq(negate(m), atom(1)), Ind(m, alias), (top_intro(()),))
+    assert check_finite(p, SYSTEM_S).violations == (
+        ("root", "malformed rule tag: bad atom node: ('atom', True)"),
+    )
+
+
 def test_cut_premises_unprimed_in_s_primed_in_omega():
     f = pf("mu X . (p1 | X)")
     g = seq(atom(2))

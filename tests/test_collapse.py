@@ -435,10 +435,15 @@ def test_splicing_changes_no_stage_text_fact_report_or_verdict(name):
     windows = _same_unspliced(_PASSED[name]())
     # the embedded and eliminated stages of the nested proofs and every
     # stage of ind-top reach marked proofs below their roots at depth 8,
-    # and every stage of axmu meets its law's one derivation of the closed
-    # part ~p1 again at each approximant step
+    # top-cut and the ind-cut proofs on a mu that priming leaves as it is
+    # reach the marked embedding of a cut-free cut premise, and every
+    # stage of axmu meets its law's one derivation of the closed part ~p1
+    # again at each approximant step
     shares = any(map(_spliced_below, windows))
-    assert shares is (name in ("ind-top", "axmu") or name.startswith("nested"))
+    inert = {"ind-cut(%s)" % print_form(m) for m in _TOP_MUS if prime(m) == m}
+    assert shares is (
+        name in ("ind-top", "axmu", "top-cut") or name in inert or name.startswith("nested")
+    )
 
 
 def _below_root(o):
@@ -859,10 +864,12 @@ def test_only_the_stage_roots_keep_a_window(name):
     assert bool(witnesses) is any(w.probes for _, w, _, _ in met)
     assert held.isdisjoint(map(id, witnesses))
     # the windows of the outermost marked proofs, below the stage roots in
-    # two cases, and the pairs met again inside them in the two identity
-    # laws, whose closed monotonicity derivations stand at every step
+    # three cases (in top-cut, the embedding of its cut-free premise), and
+    # the pairs met again inside them in the two identity laws, whose
+    # closed monotonicity derivations stand at every step
     marked = [(q, w) for q, w, _, above in met if q.plain and not above]
-    assert any(id(q) not in roots for q, _ in marked) is (name in ("ind-top", "nested"))
+    below = any(id(q) not in roots for q, _ in marked)
+    assert below is (name in ("ind-top", "nested", "top-cut"))
     assert any(_spliced_below(w) for _, w in marked) is (name in ("axmu", "axmu-level-3"))
 
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CLOSED_MUS, fresh_window
+from test_small_scope import small_mu_formulas
 from mucut.checker import (
     check_bounded,
     check_finite,
@@ -19,7 +20,7 @@ from mucut.checker import (
     level_bound,
     omega_system,
 )
-from mucut.collapse import pipeline, verdict
+from mucut.collapse import collapse, pipeline, verdict
 from mucut.corpus import (
     CORPUS,
     axmu,
@@ -47,11 +48,13 @@ from mucut.kernel import (
     atom,
     has_free_var,
     is_l0,
+    iterate,
     level,
     natom,
     negate,
     prime,
     substitute,
+    unfolding,
 )
 from mucut.proofs import (
     AxiomMu,
@@ -69,6 +72,7 @@ from mucut.proofs import (
     axmu_node,
     box_node,
     cut_node,
+    finite_nodes,
     ind_node,
     is_cut_free_observed,
     make_node,
@@ -742,6 +746,80 @@ def test_two_embeddings_share_no_monotonicity_derivation(monkeypatch):
     assert first and second and first.isdisjoint(second)
 
 
+# A formula outside the base language, for a context.
+_PRIMED = prime(pf("nu X . [] X"))
+
+
+def _corpus_mus():
+    """The closed mu formulas of the lemma suite and of the corpus proofs,
+    whose conclusions hold them or their negations."""
+    found = dict.fromkeys(lemma_suite())
+    for build in CORPUS.values():
+        for q in finite_nodes(build()):
+            for f in q.conclusion:
+                if f[0] in ("mu", "nu"):
+                    found[negate(f) if f[0] == "nu" else f] = None
+    return list(found)
+
+
+def _colliding_contexts(mu):
+    """Contexts that meet mu's identity law: truth and its parts, ~mu, the
+    unfolding of mu, the first approximants of the body of ~mu and a
+    formula outside the base language, one at a time and all together."""
+    nbody = negate(mu)[1]
+    one = [TOP, atom(0), natom(0), negate(mu), unfolding(mu)]
+    one += [iterate(nbody, TOP, i) for i in (1, 2, 3)] + [_PRIMED]
+    return [(f,) for f in one] + [tuple(one)]
+
+
+def _law_in_context_is_law_weakened(mus):
+    # embed builds an axmu node's law in the node's context; its window
+    # must read as the law weakened there, node for node
+    for mu in mus:
+        law = identity_mu(mu)
+        for ctx in _colliding_contexts(mu):
+            p = axmu_node(seq(mu, negate(mu), *ctx), mu)
+            want = observation_dumps(fresh_window(weaken(law, ctx), *_UNFOLD))
+            assert observation_dumps(fresh_window(embed(p), *_UNFOLD)) == want, ctx
+
+
+def test_an_identity_law_built_in_its_context_is_the_law_weakened_there():
+    mus = _corpus_mus()
+    assert len(mus) == 14 and any(prime(mu) != mu for mu in mus)
+    _law_in_context_is_law_weakened(mus)
+
+
+def test_a_small_identity_law_built_in_its_context_is_the_law_weakened_there():
+    mus = small_mu_formulas(4)
+    assert len(mus) == 155
+    _law_in_context_is_law_weakened(mus)
+
+
+def test_an_embedding_weakens_an_identity_law_only_through_its_memo(monkeypatch):
+    # an axmu node's law is built in its context, so fitting it there
+    # weakens nothing: the only weakenings of a law that observing the
+    # embedding of nested(3) forces are monotonicity's binder leaves, made
+    # through the embedding's memo, and no weakening is forced twice
+    laws, calls = [], []
+    build, real = EMBED._identity_mu, CUTELIM._weaken_now
+
+    def building(mu, memo, *rest):
+        laws.append(build(mu, memo, *rest))
+        return laws[-1]
+
+    def forcing(d, extra, c2, memo):
+        calls.append((d, extra, memo))  # holding the proof, so no id is reused
+        return real(d, extra, c2, memo)
+
+    monkeypatch.setattr(EMBED, "_identity_mu", building)
+    monkeypatch.setattr(CUTELIM, "_weaken_now", forcing)
+    assert observation_errors(observe(embed(nested(3)), 14, (0, 1, 2, 3))) == []
+    assert laws and calls
+    of_laws = [memo for d, _, memo in calls if any(d is law for law in laws)]
+    assert all(memo is not None for memo in of_laws)
+    assert len({(id(d), extra) for d, extra, _ in calls}) == len(calls)
+
+
 def _cuts_reversed(p):
     """The finite proof p with the premises of every cut in the other order."""
     premises = tuple(_cuts_reversed(q) for q in p.premises)
@@ -796,9 +874,13 @@ def _sinf_window(q):
 @given(CLOSED_MUS, st.sampled_from([atom(1), natom(2), TOP, pf("nu X . [] X")]))
 def test_the_plain_builders_mark_only_sinf_proofs(mu, extra):
     law, top = identity_mu(mu), top_intro((mu,))
+    # selecting mu primes nothing when priming leaves mu as it is, so that
+    # embedding is marked too
+    selected = [embed(axmu(mu), (mu,))]
+    inert = prime(mu) == mu
     marked = [
         law, top, weaken(law, (extra,)), weaken(weaken(top, (extra,)), (negate(mu),)),
-        embed(axmu(mu)),
+        embed(axmu(mu)), *(selected if inert else ()),
     ]
     for q in marked:
         assert q.plain
@@ -812,13 +894,37 @@ def test_the_plain_builders_mark_only_sinf_proofs(mu, extra):
         identity_mu_primed(mu),
         weaken(identity_mu_primed(mu), (extra,)),
         embed(axmu(nub)),
-        embed(axmu(mu), (mu,)),
+        embed(axmu(mu), (negate(mu),)),
+        *(() if inert else selected),
         embed(top_induction_cut(mu)),
         eliminate(embed(top_induction_cut(mu))),
         cut_node(seq(TOP), atom(1), top_intro((atom(1),)), top_intro((natom(1),))),
     ]
     for q in unmarked:
         assert not q.plain
+
+
+def test_the_premises_of_a_marked_embedding_are_marked_without_a_walk(monkeypatch):
+    # a premise of a marked embedding embeds plainly too, so observing the
+    # embedding of a plain proof asks embeds_plainly once, at its root
+    calls, real = [], EMBED.embeds_plainly
+    monkeypatch.setattr(EMBED, "embeds_plainly", lambda p: calls.append(p) or real(p))
+    emb = embed(_two_axioms())
+    assert observation_errors(observe(emb, 10)) == []
+    assert emb.plain and all(q.plain for q in emb.premises)
+    assert len(calls) == 1
+
+
+def test_a_cut_free_cut_premise_is_its_own_eliminated_and_collapsed_stage():
+    # a cut's premises carry its selected cut formula, here p1 or ~p1,
+    # which priming leaves as it is: the embedding of each cut-free
+    # premise of top-cut is marked, and passes through as itself
+    emb = embed(CORPUS["top-cut"]())
+    assert isinstance(emb.rule, Cut) and not emb.plain
+    for q in emb.premises:
+        assert q.plain
+        assert eliminate(q) is q
+        assert collapse(q) is q
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
