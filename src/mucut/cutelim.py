@@ -12,9 +12,14 @@ Each single reduction, and each exposure, spends one unit of fuel.  A
 plain proof (Proof.plain) has no cut, so it passes through as itself, at
 the root or at any premise, and spends none.
 
-A cut on formula A has premises carrying A' and (~A)' (priming is the
-identity on the base language, so plain finite proofs are covered by the
-same code).  Reduction cases, tried in order on the exposed premise roots:
+A cut on formula A has premises carrying A' and (~A)'.  Priming is the
+identity only on formulas without a plain nu (kernel.is_fully_primed), so
+an S proof is covered only where its cut formulas have no binder and no
+reduction meets an axmu or ind node: the cut of
+corpus.top_induction_cut(mu), whose induction side holds ~mu, is refused
+("cut premises do not match the cut formula's primed sides").  embed
+puts a finite proof in the domain.  Reduction cases, tried in order on
+the exposed premise roots:
 
   0. the cut is redundant (a primed cut formula already sits in the
      conclusion): keep the premise that proves the conclusion directly;
@@ -240,10 +245,6 @@ def _reduce_root(d, budget, trace, path):
         raise InternalInvariantError(
             "cut premises do not match the cut formula's primed sides"
         )
-    if f1[0] == "nu" or f2[0] == "nu":
-        raise InternalInvariantError(
-            "plain nu cut formula cannot arise from the primed cut schema"
-        )
 
     budget.spend(path)
 
@@ -281,10 +282,8 @@ def _reduce_root(d, budget, trace, path):
     for om_side, f_om, mu_side, f_mu in sides:
         rtag = om_side.rule
         if isinstance(rtag, Omega) and omega_phi(rtag.target) == f_om:
-            if rtag.target != f_mu:
-                raise InternalInvariantError(
-                    "omega target disagrees with the dual cut formula"
-                )
+            # the target is ~f_om, so f_mu unless it is not fully primed,
+            # which omegabar_node refuses
             _trace(trace, path, "omegabar-%d" % rtag.h, formula)
             old_fam = om_side.premises
 

@@ -237,10 +237,10 @@ def identity_mu(mu):
 
 
 def _identity_mu(mu, memo, sequent=from_checked):
-    """identity_mu's law; mu is checked already, unless sequent checks it.
-    Its i-th premise is link i itself, which concludes mu and a_i alone."""
+    """identity_mu's law; mu is checked already, unless sequent checks it,
+    and closed, as mu-rooted.  Its i-th premise is link i itself, which
+    concludes mu and a_i alone."""
     _require(mu[0] == "mu", "identity law needs a mu-rooted formula")
-    _require(not has_free_var(mu), "identity law needs a closed formula")
     n = negate(mu)
     nbody = n[1]
     concl = sequent((mu, n))
@@ -274,7 +274,7 @@ def _law_in(mu, cs, memo):
     out = memo.get(key)
     if out is None:
         n = negate(mu)
-        nbody, nb, link = n[1], substitute(mu[1], mu), law.premises
+        nbody, nb, link = n[1], unfolding(mu), law.premises
 
         def fn(i):
             if i == 0:
@@ -301,7 +301,6 @@ def identity_mu_primed(mu):
 
 def _identity_mu_primed(mu, memo):
     _require(mu[0] == "mu", "identity law needs a mu-rooted formula")
-    _require(not has_free_var(mu), "identity law needs a closed formula")
     t = prime(mu)
     phi = omega_phi(t)
     concl = Sequent((mu, phi))
@@ -409,10 +408,9 @@ def _mono_rule(d, a, nb, ac, ctx, primed, memo):
     if t == "box" or t == "dia":
         ih = _mono(d, a[1], nb[1], ac[1], _EMPTY, primed, memo)
         return box_node(concl, ac if t == "box" else nb, ctx, ih)
-    if t != "and" and t != "or":
-        raise InternalInvariantError("unknown operator tag: %r" % (t,))
-    # the and rule splits p; its j-th premise is the or rule on q over the
-    # j-th child, in a context grown by the other component of q
+    # a validated a is now an and or an or: the and rule splits p; its j-th
+    # premise is the or rule on q over the j-th child, in a context grown
+    # by the other component of q
     p, q = (ac, nb) if t == "and" else (nb, ac)
 
     def premise(j):

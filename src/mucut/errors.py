@@ -16,4 +16,5 @@ class FuelExhausted(MucutError):
 
 
 class InternalInvariantError(MucutError):
-    """A structural invariant the transformations rely on was violated."""
+    """A public builder or transformation was handed a proof outside its
+    domain, or a construction broke an invariant."""

@@ -711,11 +711,12 @@ def canonical_probe(target):
     index-(k-1) intermediate system for any ambient k.
 
     Every call for one target answers with the same pair, so a family,
-    whose memo is keyed on the witness's identity, computes its output on
-    the probe once however often it is observed.  The target is validated
-    on every call: a key equal to a valid one, such as ('atom', True) to
-    ('atom', 1), is refused as building its witness would refuse it, and
-    never gets the other's answer."""
+    whose memo is keyed by (delta, witness) with the witness hashed by
+    identity, computes its output on the probe once however often it is
+    observed.  The target is validated on every call: a key equal to a
+    valid one, such as ('atom', True) to ('atom', 1), is refused as
+    building its witness would refuse it, and never gets the other's
+    answer."""
     validate(target)
     return _probe(target)
 

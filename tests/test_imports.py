@@ -25,10 +25,13 @@ judge's walk and the writer read it.  No module
 of the package reads or sets the environment through `os`, and none
 calls the builtin `id`: a key made of an identity is valid only while
 its object is pinned, and an object that hashes by identity, as a proof
-does, is its own key.  Every module-level memo of the package (a
-function under `@memo` or a name bound to a `memo(...)` call) is named in
-the paragraph of the `mucut.kernel` docstring that states the memo
-policy, so that policy stays described in one place.
+does, is its own key.  Every `except Exception` handler of the package
+comes after a handler of `_LIMITS`, the resource limits, in the same
+`try`, whose body is a bare `raise`, so no limit is turned into text.
+Every module-level memo of the package (a function under `@memo` or a
+name bound to a `memo(...)` call) is named in the paragraph of the
+`mucut.kernel` docstring that states the memo policy, so that policy
+stays described in one place.
 """
 
 from __future__ import annotations
@@ -536,5 +539,48 @@ def test_no_test_reaches_into_the_benchmark():
     found = {
         p.name: reaches_outside(p.read_text(encoding="utf-8"), benchmark)
         for p in sorted((ROOT / "tests").glob("*.py"))
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def unguarded_broad_handlers(source):
+    """The lines of the `except Exception` handlers of source that no
+    earlier handler of the same try guards: one whose type is the name
+    `_LIMITS` and whose body is a bare `raise`."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Try):
+            continue
+        guarded = False
+        for handler in node.handlers:
+            kind, body = handler.type, handler.body
+            if isinstance(kind, ast.Name) and kind.id == "_LIMITS":
+                guarded = guarded or (
+                    len(body) == 1 and isinstance(body[0], ast.Raise) and body[0].exc is None
+                )
+            elif isinstance(kind, ast.Name) and kind.id == "Exception" and not guarded:
+                lines.append(handler.lineno)
+    return sorted(lines)
+
+
+def test_unguarded_broad_handlers_are_found():
+    source = (
+        "try:\n    f()\nexcept _LIMITS:\n    raise\nexcept Exception:\n    pass\n"
+        "try:\n    f()\nexcept Exception:\n    pass\n"
+        "try:\n    f()\nexcept Exception:\n    pass\nexcept _LIMITS:\n    raise\n"
+        "try:\n    f()\nexcept _LIMITS as e:\n    raise e\nexcept Exception:\n    pass\n"
+        "try:\n    f()\nexcept _LIMITS:\n    g()\n    raise\nexcept Exception:\n    pass\n"
+        "def h():\n    try:\n        f()\n    except RecursionError:\n        raise\n"
+        "    except Exception:\n        pass\n"
+    )
+    assert unguarded_broad_handlers(source) == [9, 13, 21, 28, 35]
+
+
+def test_every_broad_handler_lets_resource_limits_through():
+    # a handler that turns any failure into text comes after the one that
+    # re-raises fuel exhaustion and recursion errors, so a limit propagates
+    found = {
+        path.name: unguarded_broad_handlers(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
     }
     assert {name: lines for name, lines in found.items() if lines} == {}
